@@ -12,15 +12,17 @@ Workloads (see README.md for why each exists):
   then functional Fig. 12, both ``jobs="auto"`` with no result cache;
   it keeps no state, so every pass is cold and ``warm_s`` is ``wall_s``.
 - ``analytic-dse``: analytic Fig. 11, then the full 2,712-point DSE
-  keyspace and its Pareto frontier; cold passes start from an empty
-  result cache, warm passes re-run against the primed one.
+  keyspace and its Pareto frontier; one prime pass per run fills an
+  empty result cache, cold passes run without a cache, warm passes
+  re-run against the primed one.
 
 Every pass runs ``workpass.py`` in a fresh interpreter, one at a time.
-After one cold and one warm pass, the run gives each kind about half of
-``--seconds``: the next pass is of the kind with less time spent, if
-its last pass still fits before the deadline. ``--trace 1``
-adds one traced cold pass and one traced warm pass after the timed
-ones and reports per-module metrics instead of the end-to-end ones.
+After one pass of each kind, the run shares ``--seconds`` between the
+cold and warm kinds: the next pass is of the kind with less time spent,
+if its last pass still fits before the deadline. ``--trace 1`` then
+adds a traced pass of the kind that fills the cache (cold where there
+is none) and a traced warm pass, and reports per-module metrics
+instead of the end-to-end ones.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``; a pass fails if
@@ -48,9 +50,20 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKPASS = pathlib.Path(__file__).resolve().parent / "workpass.py"
 WORKDIR = ROOT / ".perfbench"
 
-#: Workloads whose cold pass primes an on-disk result cache.
-CACHED = ("fig11-functional", "analytic-dse")
-WORKLOADS = ("fig11-functional", "alexnet-xval", "analytic-dse")
+#: Pass kinds of each workload; the first kind runs first. A warm pass
+#: reads the on-disk result cache that the last ``FILLS_CACHE`` pass
+#: wrote into an empty directory; other passes run without a cache.
+#: ``alexnet-xval`` keeps no state, so it has only cold passes.
+#: ``analytic-dse`` fills its cache in one ``prime`` pass per run and
+#: times its cold passes without one: its 2,712 puts per pass made the
+#: cold time track the disk (1.1 to 3.5 s for the same pass), and the
+#: file churn of repeated cold passes slowed the disk for later runs.
+KINDS = {
+    "fig11-functional": ("cold", "warm"),
+    "alexnet-xval": ("cold",),
+    "analytic-dse": ("prime", "cold", "warm"),
+}
+FILLS_CACHE = {"fig11-functional": "cold", "analytic-dse": "prime"}
 
 #: A pass must end within this many seconds of the run's start.
 RUN_LIMIT_S = 170.0
@@ -130,7 +143,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n")[0],
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--workload", required=True, choices=KINDS)
     parser.add_argument("--seed", type=int, default=0,
                         help="operand-synthesis seed (default 0)")
     parser.add_argument("--seconds", type=float, default=35.0,
@@ -154,16 +167,17 @@ def bench(args, scratch):
     start = time.monotonic()
     deadline = start + args.seconds
     hard_deadline = start + RUN_LIMIT_S
-    cached = args.workload in CACHED
+    kinds = KINDS[args.workload]
+    fills = FILLS_CACHE.get(args.workload)
     attempts = []
     cache_dir = None
-    spent = {"cold": 0.0, "warm": 0.0}
+    spent = {kind: 0.0 for kind in kinds}
     last = {}
 
     def attempt(kind, trace_out=None):
         """Run one pass; returns its result, or None if it did not run."""
         nonlocal cache_dir
-        if cached and kind == "cold":
+        if kind == fills:
             # Old caches stay until the run ends: deleting thousands of
             # files on a disk with online discard stalls later writes.
             cache_dir = pathlib.Path(tempfile.mkdtemp(dir=scratch,
@@ -172,7 +186,8 @@ def bench(args, scratch):
         os.sync()
         began = time.monotonic()
         try:
-            result = run_pass(kind, args.workload, args.seed, cache_dir,
+            result = run_pass(kind, args.workload, args.seed,
+                              cache_dir if kind in (fills, "warm") else None,
                               trace_out, scratch, hard_deadline)
         except PassFailed as exc:
             result = {"kind": kind, "errors": [str(exc)]}
@@ -196,64 +211,66 @@ def bench(args, scratch):
 
     print(f"perfbench: workload={args.workload} seed={args.seed} "
           f"seconds={args.seconds:g} trace={args.trace}")
-    first = attempt("cold")
+    first = attempt(kinds[0])
     if first is None:
         return 1
-    attempt("warm")
-    # Give each kind about half the budget: next comes the kind with
+    for kind in kinds[1:]:
+        attempt(kind)
+    # Share the budget between the timed kinds: next comes the kind with
     # less time spent, if its last pass still fits before the deadline.
+    timed_kinds = [kind for kind in kinds if kind != "prime"]
     while True:
-        fits = [kind for kind in sorted(spent, key=spent.get)
+        fits = [kind for kind in sorted(timed_kinds, key=spent.get)
                 if time.monotonic() + last[kind] <= deadline]
         if not fits:
             break
         attempt(fits[0])
 
-    timed = [a for a in attempts if "wall_s" in a]
-    walls = {kind: [p["wall_s"] for p in timed if p["kind"] == kind]
-             for kind in ("cold", "warm")}
-    if not cached:
-        # No state survives a pass, so every pass is a cold pass and a
-        # warm pass costs exactly what a cold one does.
-        walls["cold"] = walls["warm"] = walls["cold"] + walls["warm"]
-    if not walls["warm"]:
-        print("perfbench: no warm pass ran", file=sys.stderr)
+    ran = [a for a in attempts if "wall_s" in a]
+    walls = {kind: [p["wall_s"] for p in ran if p["kind"] == kind]
+             for kind in kinds}
+    if not walls["cold"] or not walls.get("warm", walls["cold"]):
+        print("perfbench: no cold or warm pass ran", file=sys.stderr)
         return 1
-    rss = [p["peak_rss_mb"] for p in timed
-           if p["kind"] == "cold" or not cached]
     metrics = {
         "wall_s": (statistics.median(walls["cold"]), "s"),
-        "warm_s": (statistics.median(walls["warm"]), "s"),
-        "setup_s": (statistics.median([p["setup_s"] for p in timed]), "s"),
-        "peak_rss_mb": (statistics.median(rss), "MB"),
+        # A workload without state has no warm passes: a repeat costs
+        # exactly what a cold pass does.
+        "warm_s": (statistics.median(walls.get("warm", walls["cold"])),
+                   "s"),
+        "setup_s": (statistics.median([p["setup_s"] for p in ran]), "s"),
+        "peak_rss_mb": (statistics.median(
+            [p["peak_rss_mb"] for p in ran if p["kind"] == "cold"]), "MB"),
     }
     report = {"workload": args.workload, "seed": args.seed,
               "seconds": args.seconds, "trace": args.trace,
               "host": host_fingerprint(first["numpy"]),
               "passes": attempts,
-              "samples": {"cold": len(walls["cold"]),
-                          "warm": len(walls["warm"]),
-                          "setup": len(timed)}}
+              "samples": {kind: len(walls[kind]) for kind in kinds}}
 
     if args.trace:
         trace_out = WORKDIR / f"trace-{args.workload}.json"
-        traced = attempt("cold", trace_out)
-        traced_warm = attempt("warm", scratch / "trace-warm.json")
+        # The traced "cold" pass is the one that fills the cache, if any.
+        traced_kind = fills or "cold"
+        traced = attempt(traced_kind, trace_out)
+        traced_warm = (attempt("warm", scratch / "trace-warm.json")
+                       if "warm" in kinds else traced)
         if traced is None or traced_warm is None:
             print("perfbench: traced pass failed", file=sys.stderr)
             return 1
         per_layer = dict(traced["per_layer"])
-        per_layer["obs.trace_overhead_s"] = (traced["wall_s"]
-                                             - metrics["wall_s"][0])
+        per_layer["obs.trace_overhead_s"] = (
+            traced["wall_s"] - statistics.median(walls[traced_kind]))
         for name in WARM_METRICS:
             per_layer["warm." + name] = traced_warm["per_layer"][name]
         report["per_layer"] = per_layer
-        print_modules(traced["per_layer"], "traced cold pass")
-        print_modules(traced_warm["per_layer"], "traced warm pass")
+        print_modules(traced["per_layer"], f"traced {traced_kind} pass")
+        if traced_warm is not traced:
+            print_modules(traced_warm["per_layer"], "traced warm pass")
         print_ratios(per_layer)
         print(f"trace: {trace_out.relative_to(ROOT)} (overhead "
               f"{per_layer['obs.trace_overhead_s']:+.4f} s over the "
-              f"untraced cold median)")
+              f"untraced {traced_kind} median)")
         out_metrics = {name: {"value": value, "unit": unit_of(name)}
                        for name, value in sorted(per_layer.items())}
     else:
@@ -273,11 +290,17 @@ def bench(args, scratch):
               f" {paper['energy_err']:+.1%}), speedup "
               f"{paper['speedup']:.2f}x (paper {paper['paper_speedup']:.2f}x,"
               f" {paper['speedup_err']:+.1%})")
+    if "prime" in walls:
+        print(f"prime: filling the empty result cache took "
+              f"{statistics.median(walls['prime']):.4f} s")
     print(f"end to end: wall_s {metrics['wall_s'][0]:.4f} s "
           f"(median of {len(walls['cold'])} cold), warm_s "
-          f"{metrics['warm_s'][0]:.4f} s (median of {len(walls['warm'])} "
-          f"warm), setup_s {metrics['setup_s'][0]:.4f} s (median of "
-          f"{len(timed)}), peak_rss_mb {metrics['peak_rss_mb'][0]:.1f}")
+          f"{metrics['warm_s'][0]:.4f} s (median of "
+          f"{len(walls.get('warm', walls['cold']))} "
+          f"{'warm' if 'warm' in walls else 'cold'}), setup_s "
+          f"{metrics['setup_s'][0]:.4f} s (median of {len(ran)}), "
+          f"peak_rss_mb {metrics['peak_rss_mb'][0]:.1f} (median of "
+          f"{len(walls['cold'])} cold)")
     report_path = WORKDIR / (f"report-{args.workload}-seed{args.seed}"
                              f"-trace{args.trace}.json")
     report_path.write_text(json.dumps(report, indent=1, sort_keys=True),
