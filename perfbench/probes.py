@@ -2,8 +2,8 @@
 
 ``install()`` wraps public simulator functions where they are looked up
 (a module that imported a name keeps its own binding, so e.g.
-``repro.arch.systolic.dense_gemm`` is patched beside
-``repro.core.gemm``). Every wrapped call emits one span of category
+``dense_gemm`` is patched in ``repro.arch.systolic`` and in each engine
+module that imported it). Every wrapped call emits one span of category
 ``bench`` through the repo's own :mod:`repro.obs.trace` session, so a
 forked pool worker's calls land on that worker's track. A few probes
 add instants or span arguments that the useful-work ratios need.

@@ -104,18 +104,18 @@ def host_fingerprint(numpy_version):
             "python": platform.python_version(), "numpy": numpy_version}
 
 
-def child_env(scratch):
+def child_env(rundir):
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = str(ROOT / "src")
     # Nothing may reach the default cache under $HOME.
-    env["REPRO_CACHE_DIR"] = str(scratch / "default-cache")
+    env["REPRO_CACHE_DIR"] = str(rundir / "default-cache")
     return env
 
 
-def run_pass(kind, workload, seed, cache_dir, trace_out, scratch, deadline):
+def run_pass(kind, workload, seed, cache_dir, trace_out, rundir, deadline):
     """Launch one pass and wait for it; returns its result dict."""
-    out = scratch / f"pass-{time.monotonic_ns()}.json"
+    out = rundir / f"pass-{time.monotonic_ns()}.json"
     cmd = [sys.executable, str(WORKPASS), "--workload", workload,
            "--seed", str(seed), "--out", str(out)]
     if cache_dir is not None:
@@ -124,7 +124,7 @@ def run_pass(kind, workload, seed, cache_dir, trace_out, scratch, deadline):
         cmd += ["--trace-out", str(trace_out)]
     spawned = time.monotonic()
     # Own session, so a timeout can kill the pass and its pool workers.
-    proc = subprocess.Popen(cmd, env=child_env(scratch), cwd=ROOT,
+    proc = subprocess.Popen(cmd, env=child_env(rundir), cwd=ROOT,
                             stdout=sys.stderr, start_new_session=True)
     try:
         code = proc.wait(timeout=max(1.0, deadline - time.monotonic()))
@@ -156,14 +156,14 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     WORKDIR.mkdir(exist_ok=True)
-    scratch = pathlib.Path(tempfile.mkdtemp(dir=WORKDIR, prefix="run-"))
+    rundir = pathlib.Path(tempfile.mkdtemp(dir=WORKDIR, prefix="run-"))
     try:
-        return bench(args, scratch)
+        return bench(args, rundir)
     finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(rundir, ignore_errors=True)
 
 
-def bench(args, scratch):
+def bench(args, rundir):
     start = time.monotonic()
     deadline = start + args.seconds
     hard_deadline = start + RUN_LIMIT_S
@@ -180,7 +180,7 @@ def bench(args, scratch):
         if kind == fills:
             # Old caches stay until the run ends: deleting thousands of
             # files on a disk with online discard stalls later writes.
-            cache_dir = pathlib.Path(tempfile.mkdtemp(dir=scratch,
+            cache_dir = pathlib.Path(tempfile.mkdtemp(dir=rundir,
                                                       prefix="cache-"))
         # Flush the previous pass's cache writes before this one starts.
         os.sync()
@@ -188,7 +188,7 @@ def bench(args, scratch):
         try:
             result = run_pass(kind, args.workload, args.seed,
                               cache_dir if kind in (fills, "warm") else None,
-                              trace_out, scratch, hard_deadline)
+                              trace_out, rundir, hard_deadline)
         except PassFailed as exc:
             result = {"kind": kind, "errors": [str(exc)]}
             print(f"pass {len(attempts) + 1} {kind}: FAILED: {exc}")
@@ -253,7 +253,7 @@ def bench(args, scratch):
         # The traced "cold" pass is the one that fills the cache, if any.
         traced_kind = fills or "cold"
         traced = attempt(traced_kind, trace_out)
-        traced_warm = (attempt("warm", scratch / "trace-warm.json")
+        traced_warm = (attempt("warm", rundir / "trace-warm.json")
                        if "warm" in kinds else traced)
         if traced is None or traced_warm is None:
             print("perfbench: traced pass failed", file=sys.stderr)
