@@ -27,9 +27,8 @@
 #                   crashes / task hangs / claim failures / HTTP 500s)
 #                   converging to bit-equal or cleanly-failed jobs,
 #                   corrupt result-cache entries quarantined and
-#                   recomputed, and a SIGKILLed `repro dse --checkpoint`
-#                   resumed to an artifact identical to the
-#                   uninterrupted run. Nightly runs it;
+#                   recomputed, and $REPRO_FAULTS arming in a fresh
+#                   interpreter. Nightly runs it;
 #                   bench_fault_overhead.py in the bench sweep gates
 #                   the disabled-guard cost (guards_per_s).
 #   make serve-smoke - end-to-end self-test of the simulation service
@@ -39,9 +38,9 @@
 #                   dedupe, bit-equal results and metric reconciliation.
 #                   Nightly runs it; bench_serve_throughput.py in the
 #                   bench sweep gates the queue's jobs/s rate.
-#   make dse      - full-keyspace adaptive design-space exploration
-#                   (repro dse); writes the artifact (evaluations +
-#                   Pareto frontier + refinement rounds) to
+#   make dse      - exhaustive design-space exploration over the full
+#                   keyspace (repro dse); writes the artifact
+#                   (evaluations + Pareto frontier) to
 #                   dse_frontier.json.
 #
 # Functional-tier execution engine (repro.eval.runner):
@@ -110,7 +109,7 @@ trace:
 # Analytic per-point evaluation is sub-millisecond, so the sweep stays
 # serial (--jobs 1) — a process pool would spend more on pickling than
 # simulating. Payloads memoize in the on-disk result cache, so re-runs
-# and shard merges skip straight to finalization.
+# skip straight to finalization.
 dse:
 	$(PY) -m repro dse --jobs 1 --out dse_frontier.json
 

@@ -1,19 +1,18 @@
 """DSE evaluation-throughput tracking (configs evaluated per second).
 
 Not a paper artifact — this benchmark freezes the sustained rate at
-which the design-space exploration engine (:mod:`repro.design.dse`)
-pushes configurations through the analytic evaluation path, under the
-two regimes that matter for a thousands-of-points sweep:
+which the exhaustive design-space exploration (:mod:`repro.design.dse`)
+pushes configurations through the analytic evaluation path, over the
+whole default keyspace, in two regimes:
 
 - **cold** (no result cache) — every point builds its accelerator,
   prices the closed-form layer events and finalizes through the
   memory-hierarchy/energy pipeline; this is the rate that bounds how
-  large a space one host can cover, so a regression here (a slow
+  large a space one host can sweep, so a regression here (a slow
   constructor, an accidental functional-tier dispatch, a pool fan-out
   of sub-millisecond tasks) directly shrinks explorable spaces;
-- **warm** (result cache primed by an identical sweep) — the re-sweep /
-  shard-merge regime; must hit the cache on >90% of lookups, the
-  acceptance bound for overlapping sweeps sharing one store.
+- **warm** (result cache primed by an identical sweep) — the re-run
+  regime; must hit the cache on >90% of lookups.
 
 Both regimes record ``extra_info.configs_per_s``;
 ``tools/check_bench_regression.py`` prefers that metric for these
@@ -26,13 +25,11 @@ here).
 
 import time
 
-from repro.design.dse import DSEAxes, run_dse
+from repro.design.dse import DSEAxes, DSESpace, run_dse
 from repro.eval.resultcache import ResultCache
 
-#: Large enough for a stable rate and to exercise refinement, small
-#: enough to keep the nightly suite snappy (~700 points evaluated).
+#: The full default keyspace (2,712 points).
 AXES = DSEAxes()
-COARSE_STRIDE = 4
 
 
 def _timed_sweep(benchmark, scenario, result_cache):
@@ -40,15 +37,14 @@ def _timed_sweep(benchmark, scenario, result_cache):
 
     def body():
         start = time.perf_counter()
-        artifact = run_dse(AXES, coarse_stride=COARSE_STRIDE, jobs=1,
-                           result_cache=result_cache)
+        artifact = run_dse(AXES, jobs=1, result_cache=result_cache)
         wallclock["s"] = time.perf_counter() - start
         return artifact
 
     artifact = benchmark.pedantic(body, rounds=1, iterations=1)
     evaluated = len(artifact["evaluations"])
-    assert evaluated >= 500, \
-        f"sweep covered only {evaluated} points — not a meaningful rate"
+    assert evaluated == len(DSESpace(AXES)), \
+        f"sweep covered {evaluated} points, not the whole space"
     assert artifact["frontier"], "sweep produced no Pareto frontier"
     benchmark.extra_info["scenario"] = scenario
     benchmark.extra_info["configs_evaluated"] = evaluated
@@ -64,8 +60,7 @@ def test_bench_dse_analytic_cold(benchmark):
 
 def test_bench_dse_analytic_warm(benchmark, tmp_path):
     cache = ResultCache(tmp_path / "results")
-    run_dse(AXES, coarse_stride=COARSE_STRIDE, jobs=1,
-            result_cache=cache)  # prime (untimed)
+    run_dse(AXES, jobs=1, result_cache=cache)  # prime (untimed)
     cache.hits = cache.misses = 0
     artifact = _timed_sweep(benchmark, "warm", result_cache=cache)
     meta = artifact["meta"]["cache"]

@@ -1,24 +1,20 @@
-"""Run the adaptive design-space exploration engine end to end.
+"""Run the exhaustive design-space exploration end to end.
 
-Scales the Sec. 7 sweep beyond the paper's table: enumerates the
-AxBxC_MxN x (A-DBB bound, SRAM size) keyspace, coarse-samples it,
-evaluates points through the analytic tier, and adaptively refines
-around the (energy x cycles x area) Pareto frontier until stable —
-then demonstrates that a sharded run (two deterministic slices, merged)
-reproduces the unsharded artifact exactly.
+Widens the Sec. 7 sweep beyond the paper's table: enumerates the
+AxBxC_MxN x (A-DBB bound, SRAM size) keyspace, evaluates every point
+through the analytic tier and prints the (energy x cycles x area)
+Pareto frontier.
 
 Equivalent CLI:
 
     python -m repro dse --styles tu,dp --weight-nnz 4 --a-nnz 2,4,8 \\
-        --sram-mb 1.25,2.5 --coarse-stride 3
-    python -m repro dse ... --shard 0/2 --out shard0.json   # per host
-    python -m repro dse --merge shard0.json shard1.json
+        --sram-mb 1.25,2.5
 
 Run:  python examples/dse_sweep.py
 """
 
 from repro.design import DSEAxes, run_dse
-from repro.design.dse import merge_artifacts, render_artifact
+from repro.design.dse import render_artifact
 
 AXES = DSEAxes(
     styles=(True, False),       # time-unrolled and dot-product
@@ -29,27 +25,9 @@ AXES = DSEAxes(
 
 
 def main() -> None:
-    artifact = run_dse(AXES, coarse_stride=3, jobs=1)
+    artifact = run_dse(AXES, jobs=1)
     print(render_artifact(artifact, top=8).render())
-
-    frontier = artifact["frontier"]
-    rounds = artifact["rounds"]
-    print(f"\nrefinement converged in {len(rounds)} round(s):")
-    for entry in rounds:
-        print(f"  round {entry['round']}: +{entry['new_points']} points "
-              f"({entry['evaluated']} total), frontier size "
-              f"{entry['frontier_size']}")
-    print(f"frontier: {', '.join(frontier)}")
-
-    # Distributed flow: each shard evaluates its slice of the coarse
-    # sample; the merge unions them and completes the refinement.
-    shards = [run_dse(AXES, coarse_stride=3, jobs=1, shard=(i, 2))
-              for i in range(2)]
-    merged = merge_artifacts(shards, jobs=1)
-    same = all(merged[k] == artifact[k]
-               for k in merged if k != "meta")
-    print(f"\n2-shard merge reproduces the unsharded artifact: {same}")
-    assert same, "shard merge diverged from the unsharded run"
+    print(f"\nfrontier: {', '.join(artifact['frontier'])}")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,7 @@ Usage::
     python -m repro run mobilenet_v1 --accelerator s2ta-aw --tech 16nm
     python -m repro experiment fig11
     python -m repro sweep --top 10
-    python -m repro dse --shard 0/4 --out shard0.json
-    python -m repro dse --merge shard0.json shard1.json ...
+    python -m repro dse --out dse_frontier.json
     python -m repro serve --port 8737
     python -m repro submit alexnet --accelerator s2ta-aw --quick --wait
     python -m repro jobs
@@ -47,14 +46,10 @@ default ``~/.cache/repro/results``; ``REPRO_RESULT_CACHE=0`` opts out
 globally). The ``xval`` contract gate always simulates cold — a cached
 payload must never be what re-validates the agreement contract.
 
-``repro dse`` scales the Sec. 7 sweep into a distributed, adaptive
-design-space exploration (:mod:`repro.design.dse`): thousands of
-``AxBxC_MxN`` x (A-DBB, SRAM, DRAM bandwidth, tech) points, evaluated
-through the same parallel memoized runner, coarse-sampled then
-adaptively refined around the (energy x cycles x area) Pareto frontier.
-``--shard I/N`` + ``--out`` freeze one deterministic slice per host;
-``--merge`` unions the shard artifacts and completes the refinement,
-reproducing the unsharded artifact exactly.
+``repro dse`` widens the Sec. 7 sweep into an exhaustive design-space
+exploration (:mod:`repro.design.dse`): every ``AxBxC_MxN`` x (A-DBB,
+SRAM, DRAM bandwidth, tech) point, evaluated through the same memoized
+runner, and the (energy x cycles x area) Pareto frontier over them.
 
 Simulation as a service (:mod:`repro.serve`, see docs/serve.md):
 ``repro serve`` runs the long-lived front-end — a persistent SQLite
@@ -369,16 +364,11 @@ def _dse_axes(args):
 
 
 def cmd_dse(args) -> str:
-    """Run (or merge) the adaptive design-space exploration."""
+    """Run the exhaustive design-space exploration."""
     import json as _json
     import pathlib
 
-    from repro.design.dse import (
-        merge_artifacts,
-        parse_shard,
-        render_artifact,
-        run_dse,
-    )
+    from repro.design.dse import render_artifact, run_dse
     from repro.eval.experiments import QUICK_MAX_M
 
     if args.jobs is not None and args.jobs < 0:
@@ -386,59 +376,24 @@ def cmd_dse(args) -> str:
     if args.quick and args.fidelity != "functional":
         raise SystemExit("--quick subsamples the cycle simulator; pass "
                          "--fidelity functional as well")
-    if args.resume is not None and (args.merge or args.shard):
-        raise SystemExit("--resume restores a checkpointed run (its own "
-                         "shard included); it does not combine with "
-                         "--merge or --shard")
     result_cache = None if args.no_result_cache else _default_result_cache()
-    if args.merge:
-        if args.shard is not None:
-            raise SystemExit("--merge consumes shard artifacts; it does "
-                             "not take --shard itself")
-        artifacts = []
-        for path in args.merge:
-            try:
-                artifacts.append(_json.loads(
-                    pathlib.Path(path).read_text()))
-            except (OSError, ValueError) as exc:
-                raise SystemExit(f"cannot read shard artifact "
-                                 f"{path}: {exc}") from None
-        try:
-            artifact = merge_artifacts(artifacts, jobs=args.jobs,
-                                       result_cache=result_cache)
-        except ValueError as exc:
-            raise SystemExit(f"cannot merge: {exc}") from None
-    else:
-        shard = None
-        if args.shard is not None:
-            try:
-                shard = parse_shard(args.shard)
-            except ValueError as exc:
-                raise SystemExit(str(exc)) from None
-        try:
-            artifact = run_dse(
-                _dse_axes(args),
-                coarse_stride=args.coarse_stride,
-                stable_rounds=args.stable_rounds,
-                fidelity=args.fidelity,
-                seed=0 if args.seed is None else args.seed,
-                max_m=QUICK_MAX_M if args.quick else None,
-                jobs=args.jobs,
-                result_cache=result_cache,
-                shard=shard,
-                checkpoint=args.checkpoint,
-                checkpoint_every=args.checkpoint_every,
-                resume=args.resume,
-            )
-        except (OSError, ValueError) as exc:
-            raise SystemExit(str(exc)) from None
+    try:
+        artifact = run_dse(
+            _dse_axes(args),
+            fidelity=args.fidelity,
+            seed=0 if args.seed is None else args.seed,
+            max_m=QUICK_MAX_M if args.quick else None,
+            jobs=args.jobs,
+            result_cache=result_cache,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     lines = []
     if args.out:
         pathlib.Path(args.out).write_text(
             _json.dumps(artifact, indent=2, sort_keys=True) + "\n")
-        lines.append(f"wrote {artifact['phase']} artifact "
-                     f"({len(artifact['evaluations'])} evaluations) "
-                     f"to {args.out}")
+        lines.append(f"wrote artifact ({len(artifact['evaluations'])} "
+                     f"evaluations) to {args.out}")
     lines.append(render_artifact(artifact, top=args.top).render())
     return "\n".join(lines)
 
@@ -811,16 +766,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     dse = sub.add_parser(
         "dse",
-        help="distributed, adaptive design-space exploration",
+        help="exhaustive design-space exploration",
         description="Enumerate the full AxBxC_MxN x (A-DBB, SRAM, DRAM "
-                    "bandwidth, tech) keyspace, evaluate points through "
-                    "the parallel memoized runner, and adaptively refine "
-                    "around the (energy x cycles x area) Pareto frontier "
-                    "until it is stable. --shard I/N evaluates one "
-                    "deterministic slice of the coarse sample and "
-                    "freezes it to --out; --merge unions the per-shard "
-                    "artifacts and completes the refinement, producing "
-                    "output identical to an unsharded run.")
+                    "bandwidth, tech) keyspace, evaluate every point "
+                    "through the memoized runner, and report the "
+                    "(energy x cycles x area) Pareto frontier.")
     dse.add_argument("--styles", default="tu,dp",
                      help="datapath styles to sweep: comma list of "
                           "tu (time-unrolled) / dp (dot-product) "
@@ -838,13 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "channel (default def)")
     dse.add_argument("--tech", default="16nm", metavar="NODE,...",
                      help="technology nodes to sweep (default 16nm)")
-    dse.add_argument("--coarse-stride", type=int, default=4, metavar="K",
-                     help="coarse phase samples every K-th point "
-                          "(default 4); refinement densifies around the "
-                          "frontier")
-    dse.add_argument("--stable-rounds", type=int, default=2, metavar="K",
-                     help="stop once the frontier survives K consecutive "
-                          "refinement rounds (default 2)")
     dse.add_argument("--fidelity", default="analytic",
                      choices=("analytic", "functional"),
                      help="evaluation tier: closed-form analytic "
@@ -859,30 +802,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker processes for the evaluation fan-out; "
                           "0 = one per core; default: $REPRO_JOBS or "
                           "serial")
-    dse.add_argument("--shard", default=None, metavar="I/N",
-                     help="evaluate deterministic slice I of N of the "
-                          "coarse sample and emit a partial artifact "
-                          "(combine with --out, then --merge)")
-    dse.add_argument("--merge", nargs="+", default=None, metavar="JSON",
-                     help="merge per-shard artifacts and run the "
-                          "refinement to completion")
-    dse.add_argument("--checkpoint", default=None, metavar="JSON",
-                     help="atomically snapshot progress here every "
-                          "--checkpoint-every coarse points and every "
-                          "refinement round; resume after a crash with "
-                          "--resume")
-    dse.add_argument("--checkpoint-every", type=int, default=256,
-                     metavar="N",
-                     help="coarse points between checkpoints "
-                          "(default 256)")
-    dse.add_argument("--resume", default=None, metavar="JSON",
-                     help="restore a --checkpoint snapshot and continue "
-                          "(run configuration comes from the snapshot; "
-                          "the final artifact equals an uninterrupted "
-                          "run's)")
     dse.add_argument("--out", default=None, metavar="JSON",
-                     help="write the artifact (evaluations + frontier + "
-                          "rounds) as JSON")
+                     help="write the artifact (evaluations + frontier) "
+                          "as JSON")
     dse.add_argument("--top", type=int, default=12,
                      help="table rows to print (default 12)")
     dse.add_argument("--no-result-cache", action="store_true",

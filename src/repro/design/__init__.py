@@ -13,13 +13,10 @@ package reproduces that flow in model form:
 - :mod:`repro.design.rtlgen`: emit the structural netlist summary
   (module hierarchy with port widths) a given design point would
   generate — the artifact the paper's generator hands to the EDA flow.
-- :mod:`repro.design.dse`: scale the Sec. 7 sweep into a distributed,
-  adaptive design-space exploration — the full ``AxBxC_MxN`` x
-  (A-DBB bound, SRAM size, DRAM bandwidth, tech) keyspace, evaluated
-  through the parallel memoized runner, coarse-sampled and then
-  adaptively refined around the (energy x cycles x area) Pareto
-  frontier; deterministic ``--shard I/N`` partitioning with
-  merge-equals-unsharded artifacts (the ``repro dse`` CLI).
+- :mod:`repro.design.dse`: widen the Sec. 7 sweep to the full
+  ``AxBxC_MxN`` x (A-DBB bound, SRAM size, DRAM bandwidth, tech)
+  keyspace, evaluate every point through the memoized runner and take
+  the (energy x cycles x area) Pareto frontier (the ``repro dse`` CLI).
 """
 
 from repro.design.dse import (
@@ -27,7 +24,6 @@ from repro.design.dse import (
     DSEEvaluation,
     DSEPoint,
     DSESpace,
-    merge_artifacts,
     pareto_frontier_3d,
     run_dse,
 )
@@ -53,5 +49,4 @@ __all__ = [
     "DSESpace",
     "pareto_frontier_3d",
     "run_dse",
-    "merge_artifacts",
 ]

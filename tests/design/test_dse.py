@@ -1,17 +1,14 @@
-"""The distributed, adaptive design-space exploration engine
-(:mod:`repro.design.dse`).
+"""The exhaustive design-space exploration (:mod:`repro.design.dse`).
 
-The ISSUE-7 acceptance bounds, asserted here:
+Pinned here:
 
-- a 2-way sharded run, merged from its per-shard artifacts, is
-  identical to the unsharded run (everything but the cache ``meta``);
-- a warm re-sweep of >= 500 points hits the result cache on > 90% of
-  lookups;
-- adaptive refinement terminates with a stable (energy, cycles, area)
-  Pareto frontier, pinned on a restricted axes slice.
+- the full default keyspace: 2,712 evaluations and its 4-point
+  (energy, cycles, area) Pareto frontier;
+- the frontier of a restricted axes slice, by uid and objectives;
+- a warm re-sweep of the full keyspace hits the result cache on > 90%
+  of lookups.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -22,16 +19,14 @@ from repro.design.dse import (
     DSEPoint,
     DSESpace,
     evaluate_points,
-    merge_artifacts,
     pareto_frontier_3d,
-    parse_shard,
     render_artifact,
     run_dse,
 )
 from repro.eval.resultcache import ResultCache
 
 #: A small slice of the keyspace: one style, one B, three A-DBB bounds
-#: — 114 points, a sub-second sweep with non-trivial refinement.
+#: — 114 points.
 SMALL = DSEAxes(styles=(True,), weight_nnz=(4,), a_nnz=(2, 4, 8),
                 sram_mb=(2.5,))
 
@@ -56,8 +51,10 @@ class TestAxes:
             DSEAxes(a_nnz=(0,))
 
     def test_roundtrips_through_dict(self):
+        """The artifact's ``space.axes`` records every axis losslessly."""
         axes = DSEAxes(dram_gbps=(None, 8.0), techs=("16nm", "65nm"))
-        assert DSEAxes.from_dict(axes.as_dict()) == axes
+        assert DSEAxes(**{name: tuple(values) for name, values
+                          in axes.as_dict().items()}) == axes
 
 
 class TestSpace:
@@ -69,31 +66,6 @@ class TestSpace:
         second = [p.uid for p in DSESpace(SMALL).points]
         assert first == second
         assert len(first) == len(set(first))
-
-    def test_neighbors_stay_in_space_and_are_symmetric(self):
-        space = DSESpace(SMALL)
-        point = space.points[len(space) // 2]
-        neighbors = space.neighbors(point.uid)
-        assert neighbors
-        for other in neighbors:
-            assert other.uid in space
-            back = [p.uid for p in space.neighbors(other.uid)]
-            assert point.uid in back
-
-    def test_scalar_axis_neighbors_step_one_index(self):
-        space = DSESpace(SMALL)
-        point = next(p for p in space.points if p.a_nnz == 4)
-        steps = {n.a_nnz for n in space.neighbors(point.uid)
-                 if n.design == point.design}
-        assert steps == {2, 8}  # both neighbors on the a_nnz axis
-
-    def test_design_neighbors_share_style(self):
-        space = DSESpace(DSEAxes(styles=(True, False), weight_nnz=(4,),
-                                 a_nnz=(4,), sram_mb=(2.5,)))
-        point = space.points[0]
-        for other in space.neighbors(point.uid):
-            assert (other.design.time_unrolled
-                    == point.design.time_unrolled)
 
 
 def _evaluation(tag, energy, cycles, area):
@@ -131,11 +103,10 @@ class TestParetoFrontier3D:
 
 class TestRunDSE:
     def test_pinned_stable_frontier(self):
-        """The refinement converges to one frontier point on the SMALL
-        slice: the paper's 8x4x4_8x8 at the tightest A-DBB bound —
-        pinned exactly (uid) and numerically (objectives)."""
-        artifact = run_dse(SMALL, coarse_stride=3, jobs=1)
-        assert artifact["phase"] == "final"
+        """One frontier point on the SMALL slice: the paper's 8x4x4_8x8
+        at the tightest A-DBB bound — pinned exactly (uid) and
+        numerically (objectives)."""
+        artifact = run_dse(SMALL, jobs=1)
         assert artifact["frontier"] == [
             "8x4x4_8x8.tu.a2.s2.5.bwdef.16nm"]
         best = next(e for e in artifact["evaluations"]
@@ -144,106 +115,50 @@ class TestRunDSE:
         assert best["energy_uj"] == pytest.approx(52.7, abs=0.1)
         assert best["area_mm2"] == pytest.approx(3.70, abs=0.01)
 
-    def test_refinement_terminates_with_stable_frontier(self):
-        artifact = run_dse(SMALL, coarse_stride=4, stable_rounds=2,
-                           jobs=1)
-        rounds = artifact["rounds"]
-        assert 2 <= len(rounds) <= 65
-        evaluated = [r["evaluated"] for r in rounds]
-        assert evaluated == sorted(evaluated)
-        assert evaluated[-1] == len(artifact["evaluations"])
-        # The frontier is genuinely non-dominated over everything seen.
+    def test_full_keyspace_frontier_pinned(self):
+        """Every point of the default keyspace is evaluated, and the
+        artifact's frontier is the Pareto set of those evaluations."""
+        artifact = run_dse(jobs=1)
+        assert artifact["space"]["points"] == 2712
+        assert len(artifact["evaluations"]) == 2712
+        assert artifact["frontier"] == [
+            "4x2x8_8x8.tu.a2.s1.25.bwdef.16nm",
+            "8x2x4_4x16.tu.a2.s1.25.bwdef.16nm",
+            "8x2x4_8x8.tu.a2.s1.25.bwdef.16nm",
+            "4x2x8_4x8.dp.a2.s1.25.bwdef.16nm",
+        ]
         evals = [DSEEvaluation.from_dict(e)
                  for e in artifact["evaluations"]]
         assert artifact["frontier"] == [
             e.uid for e in pareto_frontier_3d(evals)]
 
-    def test_coarse_stride_one_evaluates_everything(self):
-        tiny = DSEAxes(styles=(True,), weight_nnz=(4,), a_nnz=(4,),
-                       sram_mb=(1.25, 2.5))
-        artifact = run_dse(tiny, coarse_stride=1, jobs=1)
-        assert len(artifact["evaluations"]) == len(DSESpace(tiny))
+    def test_artifact_records_the_space(self):
+        artifact = run_dse(SMALL, fidelity="analytic", seed=3, jobs=1)
+        assert set(artifact) == {"artifact", "space", "evaluations",
+                                 "frontier", "meta"}
+        assert artifact["space"] == {
+            "axes": SMALL.as_dict(), "fidelity": "analytic", "seed": 3,
+            "max_m": None, "points": 114}
+        uids = [e["uid"] for e in artifact["evaluations"]]
+        assert uids == sorted(p.uid for p in DSESpace(SMALL).points)
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
-            run_dse(SMALL, coarse_stride=0)
-        with pytest.raises(ValueError):
-            run_dse(SMALL, stable_rounds=0)
+            run_dse(SMALL, fidelity="rtl")
         with pytest.raises(ValueError):
             evaluate_points([], fidelity="rtl")
 
 
-class TestSharding:
-    def test_parse_shard(self):
-        assert parse_shard("0/2") == (0, 2)
-        assert parse_shard("3/4") == (3, 4)
-        for bad in ("2/2", "-1/2", "0/0", "x", "1", "1/2/3"):
-            with pytest.raises(ValueError):
-                parse_shard(bad)
-
-    def test_shards_partition_the_coarse_sample(self):
-        shards = [run_dse(SMALL, coarse_stride=3, jobs=1, shard=(i, 3))
-                  for i in range(3)]
-        owned = [
-            {e["uid"] for e in s["evaluations"]} for s in shards]
-        assert not (owned[0] & owned[1] or owned[0] & owned[2]
-                    or owned[1] & owned[2])
-        coarse = {p.uid for p in DSESpace(SMALL).points[::3]}
-        assert owned[0] | owned[1] | owned[2] == coarse
-
-    def test_merge_identical_to_unsharded(self):
-        """The ISSUE-7 headline bound: shard 0/2 + shard 1/2, merged,
-        equals the unsharded artifact — evaluations, frontier and
-        refinement rounds alike."""
-        unsharded = run_dse(SMALL, coarse_stride=3, jobs=1)
-        shards = [run_dse(SMALL, coarse_stride=3, jobs=1, shard=(i, 2))
-                  for i in range(2)]
-        for shard in shards:
-            assert shard["phase"] == "coarse"
-            assert shard["frontier"] == []
-        merged = merge_artifacts(shards, jobs=1)
-        assert _sans_meta(merged) == _sans_meta(unsharded)
-
-    def test_merge_rejects_incomplete_or_foreign_shards(self):
-        s0, s1 = (run_dse(SMALL, coarse_stride=3, jobs=1, shard=(i, 2))
-                  for i in range(2))
-        with pytest.raises(ValueError):
-            merge_artifacts([])
-        with pytest.raises(ValueError):
-            merge_artifacts([s0])  # shard 1 missing
-        with pytest.raises(ValueError):
-            merge_artifacts([s0, s0])  # duplicate index
-        other = run_dse(SMALL, coarse_stride=4, jobs=1, shard=(1, 2))
-        with pytest.raises(ValueError):
-            merge_artifacts([s0, other])  # different space signature
-        final = run_dse(SMALL, coarse_stride=3, jobs=1)
-        with pytest.raises(ValueError):
-            merge_artifacts([final, s1])  # not a coarse shard
-
-
 class TestResultCacheIntegration:
     def test_warm_resweep_hits_cache(self, tmp_path):
-        """>= 500 points, > 90% hit rate on the re-sweep — the ISSUE-7
-        memoization bound, on the full default keyspace."""
+        """> 90% hit rate on a re-sweep of the full default keyspace."""
         cache = ResultCache(tmp_path / "rc")
-        cold = run_dse(coarse_stride=4, jobs=1, result_cache=cache)
-        assert len(cold["evaluations"]) >= 500
+        cold = run_dse(jobs=1, result_cache=cache)
+        assert len(cold["evaluations"]) == 2712
         cache.hits = cache.misses = 0
-        warm = run_dse(coarse_stride=4, jobs=1, result_cache=cache)
+        warm = run_dse(jobs=1, result_cache=cache)
         assert _sans_meta(warm) == _sans_meta(cold)
         assert warm["meta"]["cache"]["hit_rate"] > 0.90
-
-    def test_shards_share_payloads_with_the_merge_host(self, tmp_path):
-        cache = ResultCache(tmp_path / "rc")
-        shards = [run_dse(SMALL, coarse_stride=3, jobs=1, shard=(i, 2),
-                          result_cache=cache)
-                  for i in range(2)]
-        merged = merge_artifacts(shards, jobs=1, result_cache=cache)
-        # Re-merging is pure cache traffic: zero new simulations.
-        cache.hits = cache.misses = 0
-        again = merge_artifacts(shards, jobs=1, result_cache=cache)
-        assert _sans_meta(again) == _sans_meta(merged)
-        assert again["meta"]["cache"]["hit_rate"] == 1.0
 
 
 class TestFidelity:
@@ -279,104 +194,10 @@ class TestFidelity:
 
 class TestRender:
     def test_render_mentions_frontier_and_counts(self):
-        artifact = run_dse(SMALL, coarse_stride=3, jobs=1)
+        artifact = run_dse(SMALL, jobs=1)
         text = render_artifact(artifact, top=5).render()
         assert "8x4x4_8x8" in text
         assert "Pareto frontier" in text
         assert "114 points in the space" in text
 
-    def test_render_flags_partial_shards(self):
-        shard = run_dse(SMALL, coarse_stride=3, jobs=1, shard=(0, 2))
-        text = render_artifact(shard).render()
-        assert "partial shard 0/2" in text
 
-
-class TestCheckpointResume:
-    """Crash-safe sweeps: checkpoints are atomic snapshots of the only
-    path-dependent state (evaluations, coarse progress, refine
-    rounds/stable counter), so a resumed run's artifact is identical to
-    an uninterrupted one — from any interruption point."""
-
-    def test_resume_mid_coarse_equals_uninterrupted(self, tmp_path,
-                                                    monkeypatch):
-        import repro.design.dse as dse_mod
-
-        base = run_dse(axes=SMALL, coarse_stride=4)
-        ckpt = tmp_path / "ck.json"
-        real = dse_mod.evaluate_points
-        calls = {"n": 0}
-
-        def bomb(points, **kwargs):
-            calls["n"] += 1
-            if calls["n"] > 2:
-                raise KeyboardInterrupt   # "SIGKILL" mid-coarse
-            return real(points, **kwargs)
-
-        monkeypatch.setattr(dse_mod, "evaluate_points", bomb)
-        with pytest.raises(KeyboardInterrupt):
-            run_dse(axes=SMALL, coarse_stride=4,
-                    checkpoint=str(ckpt), checkpoint_every=5)
-        monkeypatch.setattr(dse_mod, "evaluate_points", real)
-
-        state = dse_mod.load_checkpoint(ckpt)
-        assert 0 < state["coarse_done"] < len(DSESpace(SMALL).points[::4])
-        resumed = run_dse(resume=str(ckpt))
-        assert _sans_meta(resumed) == _sans_meta(base)
-
-    def test_resume_mid_refine_equals_uninterrupted(self, tmp_path,
-                                                    monkeypatch):
-        import repro.design.dse as dse_mod
-
-        base = run_dse(axes=SMALL, coarse_stride=4)
-        ckpt = tmp_path / "ck.json"
-        coarse_points = len(DSESpace(SMALL).points[::4])
-        real = dse_mod.evaluate_points
-        calls = {"n": 0}
-        import math
-        coarse_calls = math.ceil(coarse_points / 5)
-
-        def bomb(points, **kwargs):
-            calls["n"] += 1
-            if calls["n"] > coarse_calls + 1:   # die in refine round 2
-                raise KeyboardInterrupt
-            return real(points, **kwargs)
-
-        monkeypatch.setattr(dse_mod, "evaluate_points", bomb)
-        try:
-            run_dse(axes=SMALL, coarse_stride=4,
-                    checkpoint=str(ckpt), checkpoint_every=5)
-            interrupted = False
-        except KeyboardInterrupt:
-            interrupted = True
-        monkeypatch.setattr(dse_mod, "evaluate_points", real)
-
-        if interrupted:   # refinement had >= 2 rounds to interrupt
-            state = dse_mod.load_checkpoint(ckpt)
-            assert state["refine"] is not None
-        resumed = run_dse(resume=str(ckpt))
-        assert _sans_meta(resumed) == _sans_meta(base)
-
-    def test_resume_of_finished_checkpoint_is_idempotent(self, tmp_path):
-        ckpt = tmp_path / "ck.json"
-        base = run_dse(axes=SMALL, coarse_stride=4,
-                       checkpoint=str(ckpt))
-        again = run_dse(resume=str(ckpt))
-        assert _sans_meta(again) == _sans_meta(base)
-
-    def test_checkpoint_validation(self, tmp_path):
-        import json
-
-        from repro.design.dse import load_checkpoint
-
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"artifact": "dse"}))
-        with pytest.raises(ValueError, match="not a DSE checkpoint"):
-            load_checkpoint(bad)
-
-        ckpt = tmp_path / "ck.json"
-        run_dse(axes=SMALL, coarse_stride=8, checkpoint=str(ckpt))
-        data = json.loads(ckpt.read_text())
-        data["space"]["coarse_stride"] = 2   # tampered config
-        ckpt.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="signature"):
-            load_checkpoint(ckpt)

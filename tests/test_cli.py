@@ -210,37 +210,20 @@ class TestCacheCommand:
 
 class TestDSECommand:
     AXES = ["--styles", "tu", "--weight-nnz", "4", "--a-nnz", "2,4,8",
-            "--sram-mb", "2.5", "--coarse-stride", "3"]
+            "--sram-mb", "2.5"]
 
     def test_dse_runs_and_renders(self):
         out = main(["dse"] + self.AXES + ["--top", "5"])
         assert "8x4x4_8x8" in out
         assert "Pareto frontier" in out
 
-    def test_shard_merge_roundtrip_matches_unsharded(self, tmp_path):
-        full = tmp_path / "full.json"
-        main(["dse"] + self.AXES + ["--out", str(full)])
-        shard_paths = []
-        for i in range(2):
-            path = tmp_path / f"s{i}.json"
-            out = main(["dse"] + self.AXES
-                       + ["--shard", f"{i}/2", "--out", str(path)])
-            assert "partial shard" in out
-            shard_paths.append(str(path))
-        merged = tmp_path / "merged.json"
-        out = main(["dse", "--merge"] + shard_paths
-                   + ["--out", str(merged)])
-        assert "Pareto frontier" in out
+    def test_out_writes_the_artifact(self, tmp_path):
         import json
-        full_art = json.loads(full.read_text())
-        merged_art = json.loads(merged.read_text())
-        assert {k: v for k, v in merged_art.items() if k != "meta"} \
-            == {k: v for k, v in full_art.items() if k != "meta"}
-
-    def test_bad_shard_rejected(self):
-        for bad in ("2/2", "x", "1/2/3"):
-            with pytest.raises(SystemExit):
-                main(["dse"] + self.AXES + ["--shard", bad])
+        path = tmp_path / "dse.json"
+        out = main(["dse"] + self.AXES + ["--out", str(path)])
+        artifact = json.loads(path.read_text())
+        assert f"wrote artifact (114 evaluations) to {path}" in out
+        assert artifact["frontier"] == ["8x4x4_8x8.tu.a2.s2.5.bwdef.16nm"]
 
     def test_bad_axis_values_rejected(self):
         with pytest.raises(SystemExit):
@@ -253,24 +236,6 @@ class TestDSECommand:
     def test_quick_requires_functional_fidelity(self):
         with pytest.raises(SystemExit):
             main(["dse"] + self.AXES + ["--quick"])
-
-    def test_merge_rejects_shard_flag_and_unreadable_files(self,
-                                                           tmp_path):
-        with pytest.raises(SystemExit):
-            main(["dse", "--merge", "x.json", "--shard", "0/2"])
-        with pytest.raises(SystemExit):
-            main(["dse", "--merge", str(tmp_path / "missing.json")])
-
-    def test_merge_rejects_foreign_shards(self, tmp_path):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        main(["dse"] + self.AXES + ["--shard", "0/2", "--out", str(a)])
-        main(["dse", "--styles", "dp", "--weight-nnz", "4",
-              "--a-nnz", "2,4,8", "--sram-mb", "2.5",
-              "--coarse-stride", "3", "--shard", "1/2",
-              "--out", str(b)])
-        with pytest.raises(SystemExit):
-            main(["dse", "--merge", str(a), str(b)])
 
 
 class TestObservability:

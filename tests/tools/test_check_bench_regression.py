@@ -15,8 +15,10 @@ cbr = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(cbr)
 
 
-def _bench_file(path, datetime, entries):
-    """Write one pytest-benchmark JSON with (name, mean, extra) entries."""
+def _bench_file(path, datetime, entries, host=None):
+    """Write one pytest-benchmark JSON with (name, mean, extra) entries;
+    ``host=(cpu count, cpu brand, python version)`` adds the
+    ``machine_info`` pytest-benchmark records."""
     payload = {
         "datetime": datetime,
         "benchmarks": [
@@ -25,8 +27,17 @@ def _bench_file(path, datetime, entries):
             for name, mean, extra in entries
         ],
     }
+    if host is not None:
+        count, brand, python = host
+        payload["machine_info"] = {
+            "python_version": python,
+            "cpu": {"count": count, "brand_raw": brand}}
     path.write_text(json.dumps(payload))
     return path
+
+
+SMALL_HOST = (2, "Intel(R) Xeon(R) Processor", "3.11.7")
+BIG_HOST = (64, "AMD EPYC 7763 64-Core Processor", "3.11.7")
 
 
 class TestThroughputOf:
@@ -367,3 +378,72 @@ class TestMain:
     def test_bad_threshold_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             cbr.main(["--dir", str(tmp_path), "--threshold", "2.0"])
+
+
+class TestHostMatching:
+    """Runs are only comparable on the same host: CPU count, CPU brand
+    and Python version from pytest-benchmark's ``machine_info``."""
+
+    def test_fingerprint_reads_machine_info(self, tmp_path):
+        path = _bench_file(tmp_path / "BENCH_1.json", "2026-07-01",
+                           [("t::a", 1.0, None)], host=SMALL_HOST)
+        payload = json.loads(path.read_text())
+        assert cbr.host_fingerprint(payload) == SMALL_HOST
+        assert cbr.host_fingerprint({}) == (None, None, None)
+
+    def test_foreign_host_regression_does_not_fail(self, tmp_path,
+                                                   capsys):
+        _bench_file(tmp_path / "BENCH_1.json", "2026-07-01",
+                    [("t::a", 1.0, None)], host=BIG_HOST)
+        _bench_file(tmp_path / "BENCH_2.json", "2026-07-02",
+                    [("t::a", 5.0, None)], host=SMALL_HOST)  # -80%
+        assert cbr.main(["--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "REGRESSION" not in out and "nothing to check" in out
+
+    def test_foreign_host_candidate_becomes_first_baseline(self, tmp_path,
+                                                           capsys):
+        _bench_file(tmp_path / "BENCH_1.json", "2026-07-01",
+                    [("t::a", 1.0, None)], host=BIG_HOST)
+        cand = _bench_file(tmp_path / "cand.json.tmp", "2026-07-02",
+                           [("t::a", 5.0, None)], host=SMALL_HOST)
+        assert cbr.main(["--dir", str(tmp_path),
+                         "--candidate", str(cand)]) == 0
+        out = capsys.readouterr().out
+        assert "REGRESSION" not in out
+        assert "first one" in out and "2 x Intel(R) Xeon(R)" in out
+
+    def test_empty_foreign_host_candidate_not_promoted(self, tmp_path,
+                                                       capsys):
+        _bench_file(tmp_path / "BENCH_1.json", "2026-07-01",
+                    [("t::a", 1.0, None)], host=BIG_HOST)
+        cand = _bench_file(tmp_path / "cand.json.tmp", "2026-07-02", [],
+                           host=SMALL_HOST)
+        assert cbr.main(["--dir", str(tmp_path),
+                         "--candidate", str(cand)]) == 2
+        assert "no usable benchmark records" in capsys.readouterr().out
+
+    def test_same_host_regression_behind_newer_foreign_file_fails(
+            self, tmp_path, capsys):
+        """A newer file from another host must not hide a regression
+        against the same host's own baseline."""
+        _bench_file(tmp_path / "BENCH_1.json", "2026-07-01",
+                    [("t::a", 1.0, None)], host=SMALL_HOST)
+        _bench_file(tmp_path / "BENCH_2.json", "2026-07-02",
+                    [("t::a", 2.0, None)], host=BIG_HOST)
+        cand = _bench_file(tmp_path / "cand.json.tmp", "2026-07-03",
+                           [("t::a", 2.0, None)], host=SMALL_HOST)
+        assert cbr.main(["--dir", str(tmp_path),
+                         "--candidate", str(cand)]) == 1
+        out = capsys.readouterr().out
+        assert "comparing BENCH_1.json (old)" in out
+        assert "REGRESSION" in out
+
+    def test_newest_promoted_compared_with_same_host_file(self, tmp_path):
+        _bench_file(tmp_path / "BENCH_1.json", "2026-07-01",
+                    [("t::a", 1.0, None)], host=SMALL_HOST)
+        _bench_file(tmp_path / "BENCH_2.json", "2026-07-02",
+                    [("t::a", 2.0, None)], host=BIG_HOST)
+        _bench_file(tmp_path / "BENCH_3.json", "2026-07-03",
+                    [("t::a", 2.0, None)], host=SMALL_HOST)  # -50%
+        assert cbr.main(["--dir", str(tmp_path)]) == 1

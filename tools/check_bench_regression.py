@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Fail CI when the newest benchmark run regresses on throughput.
 
-Diffs the two most recent ``BENCH_*.json`` files (pytest-benchmark
-``--benchmark-json`` output, as produced by ``make nightly``) and exits
-non-zero when any benchmark's throughput dropped by more than the
-threshold (default 10%).
+Diffs the newest ``BENCH_*.json`` file (pytest-benchmark
+``--benchmark-json`` output, as produced by ``make nightly``) against
+the newest earlier one *from the same host* and exits non-zero when any
+benchmark's throughput dropped by more than the threshold (default
+10%). The host fingerprint is pytest-benchmark's ``machine_info``: CPU
+count, CPU brand and Python version. A 2-core baseline says nothing
+about a 64-core run, so files from other hosts are never compared.
 
 Throughput metric per benchmark, in order of preference:
 
@@ -32,12 +35,15 @@ Usage::
     python tools/check_bench_regression.py [--dir DIR] [--threshold 0.10]
     python tools/check_bench_regression.py --candidate RUN.json.tmp
 
-Without ``--candidate`` the newest two promoted BENCH_*.json files are
-diffed (both necessarily passed their own gate). With ``--candidate``
-the given un-promoted run is diffed against the newest promoted
-baseline — the ``make bench`` flow, which only promotes the candidate
-to BENCH_*.json after this check passes, so a regressed run can never
-become the baseline that masks its own regression.
+Without ``--candidate`` the newest promoted BENCH_*.json file is diffed
+against the newest earlier promoted file from its host (both
+necessarily passed their own gate); with no such file there is nothing
+to check. With ``--candidate`` the given un-promoted run is diffed
+against the newest promoted baseline from its host — the ``make bench``
+flow, which only promotes the candidate to BENCH_*.json after this
+check passes, so a regressed run can never become the baseline that
+masks its own regression. A candidate from a host with no promoted
+baseline becomes that host's first baseline.
 
 Benchmarks present in only one of the two files are reported but never
 fail the check (suites grow across PRs).
@@ -100,19 +106,51 @@ def find_bench_files(
     return [(path, payload) for _, _, path, payload in entries], unreadable
 
 
-def check_unreadable(readable: List[Tuple[pathlib.Path, dict]],
+def host_fingerprint(payload: dict) -> Tuple[object, object, object]:
+    """``(cpu count, cpu brand, python version)`` from pytest-benchmark's
+    ``machine_info``; two runs are comparable only when these match.
+    Files without ``machine_info`` share the all-``None`` fingerprint."""
+    machine = payload.get("machine_info") or {}
+    cpu = machine.get("cpu") or {}
+    return (cpu.get("count"), cpu.get("brand_raw") or cpu.get("brand"),
+            machine.get("python_version"))
+
+
+def describe_host(payload: dict) -> str:
+    count, brand, python = host_fingerprint(payload)
+    return f"{count} x {brand}, Python {python}"
+
+
+def newest_same_host(
+    files: List[Tuple[pathlib.Path, dict]], payload: dict,
+) -> Optional[Tuple[pathlib.Path, dict]]:
+    """The newest ``(path, payload)`` of ``files`` (oldest first) whose
+    host fingerprint matches ``payload``'s, or ``None``."""
+    host = host_fingerprint(payload)
+    for path, data in reversed(files):
+        if host_fingerprint(data) == host:
+            return path, data
+    return None
+
+
+def check_unreadable(baseline: Optional[pathlib.Path],
                      unreadable: List[pathlib.Path],
                      strict: bool = True) -> None:
     """Hard-fail only when a corrupt file could belong to the compared
-    newest pair: a truncated latest artifact must fail the gate, but a
+    pair: a truncated latest artifact must fail the gate, but a
     months-old damaged file should not block it forever (it is reported
     as a warning instead).
 
+    ``baseline`` is the comparison baseline (or, when there is none,
+    the newest readable file; ``None`` when nothing is readable, which
+    makes every unreadable artifact suspect). Anything at least as new
+    could have displaced the compared pair.
+
     ``strict=False`` (candidate mode) always downgrades to warnings:
     the candidate comparison runs against the newest *readable*
-    baseline regardless, and failing would wedge the gate permanently —
-    promotions are the only thing that ages a damaged promoted file
-    out of relevance.
+    same-host baseline regardless, and failing would wedge the gate
+    permanently — promotions are the only thing that ages a damaged
+    promoted file out of relevance.
 
     A corrupt file carries no readable ``datetime``, so its age is
     judged by filesystem mtime against the baseline file's mtime — a
@@ -122,16 +160,7 @@ def check_unreadable(readable: List[Tuple[pathlib.Path, dict]],
     inspect."""
     if not unreadable:
         return
-    # Anything newer than the comparison baseline (second-newest
-    # readable file) could have displaced the compared pair; with a
-    # single readable file the baseline is that file, and with none at
-    # all every unreadable artifact is suspect.
-    if len(readable) >= 2:
-        cutoff = readable[-2][0].stat().st_mtime
-    elif readable:
-        cutoff = readable[-1][0].stat().st_mtime
-    else:
-        cutoff = float("-inf")
+    cutoff = float("-inf") if baseline is None else baseline.stat().st_mtime
     fresh = [p for p in unreadable if p.stat().st_mtime >= cutoff]
     if fresh and strict:
         names = ", ".join(p.name for p in fresh)
@@ -219,7 +248,8 @@ def compare(old: Dict[str, Tuple[float, str]],
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="diff the newest two BENCH_*.json files for "
+        description="diff the newest BENCH_*.json file against the "
+                    "newest earlier one from the same host for "
                     "throughput regressions")
     parser.add_argument("--dir", type=pathlib.Path,
                         default=pathlib.Path(__file__).resolve().parent.parent,
@@ -231,58 +261,73 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "check (default 0.10 = 10%%)")
     parser.add_argument("--candidate", type=pathlib.Path, default=None,
                         help="un-promoted benchmark json to gate against "
-                             "the newest promoted baseline (make bench "
-                             "promotes it only if this check passes)")
+                             "the newest promoted same-host baseline "
+                             "(make bench promotes it only if this check "
+                             "passes)")
     args = parser.parse_args(argv)
     configure_logging()
     if not 0 < args.threshold < 1:
         parser.error("--threshold must be in (0, 1)")
 
     files, unreadable = find_bench_files(args.dir)
+    if args.candidate is not None:
+        new_path = args.candidate
+        try:
+            new_data = json.loads(new_path.read_text())
+        except (json.JSONDecodeError, OSError) as exc:
+            _say(f"error: unreadable candidate {new_path.name}: {exc}")
+            return 2
+        baseline = newest_same_host(files, new_data)
+    else:
+        if files:
+            new_path, new_data = files[-1]
+            baseline = newest_same_host(files[:-1], new_data)
+        else:
+            baseline = None
+    reference = baseline or (files[-1] if files else None)
     try:
-        check_unreadable(files, unreadable, strict=args.candidate is None)
+        check_unreadable(None if reference is None else reference[0],
+                         unreadable, strict=args.candidate is None)
     except BenchFileError as exc:
         _say(f"error: {exc}")
         return 2
-    if args.candidate is not None:
-        try:
-            new_data = json.loads(args.candidate.read_text())
-        except (json.JSONDecodeError, OSError) as exc:
-            _say(f"error: unreadable candidate {args.candidate.name}: "
-                 f"{exc}")
+    if args.candidate is not None and baseline is None:
+        if not files and unreadable:
+            # Baselines exist but none is readable: accepting the
+            # candidate unchecked could promote a regressed run as
+            # the new baseline — exactly what this gate prevents.
+            _say("error: no readable promoted baseline (all "
+                 f"{len(unreadable)} BENCH file(s) are corrupt); "
+                 "repair or remove them before promoting "
+                 f"{new_path.name}")
             return 2
-        if not files:
-            if unreadable:
-                # Baselines exist but none is readable: accepting the
-                # candidate unchecked could promote a regressed run as
-                # the new baseline — exactly what this gate prevents.
-                _say("error: no readable promoted baseline (all "
-                     f"{len(unreadable)} BENCH file(s) are corrupt); "
-                     "repair or remove them before promoting "
-                     f"{args.candidate.name}")
-                return 2
-            if not load_throughputs(new_data):
-                # An empty first baseline would wedge every later run
-                # on the compared-nothing check.
-                _say(f"error: candidate {args.candidate.name} has no "
-                     "usable benchmark records; refusing to promote "
-                     "it as the first baseline")
-                return 2
-            _say(f"no promoted baseline under {args.dir}; accepting "
-                 f"{args.candidate.name} as the first one")
-            return 0
-        old_path, old_data = files[-1]
-        new_path = args.candidate
-    else:
+        if not load_throughputs(new_data):
+            # An empty first baseline would wedge every later run
+            # on the compared-nothing check.
+            _say(f"error: candidate {new_path.name} has no usable "
+                 "benchmark records; refusing to promote it as the "
+                 "first baseline")
+            return 2
+        where = "from this host " if files else ""
+        _say(f"no promoted baseline {where}under {args.dir} "
+             f"({describe_host(new_data)}); accepting {new_path.name} "
+             "as this host's first one")
+        return 0
+    if baseline is None:
         if len(files) < 2:
             _say(f"need two BENCH_*.json files under {args.dir} to "
                  f"compare; found {len(files)} — nothing to check")
-            return 0
-        (old_path, old_data), (new_path, new_data) = files[-2], files[-1]
+        else:
+            _say(f"no earlier BENCH_*.json from the host of "
+                 f"{new_path.name} ({describe_host(new_data)}) — "
+                 "nothing to check")
+        return 0
+    old_path, old_data = baseline
     old = load_throughputs(old_data)
     new = load_throughputs(new_data)
-    _say(f"comparing {old_path.name} (old) vs {new_path.name} (new), "
-         f"threshold {args.threshold * 100:.0f}%")
+    _say(f"comparing {old_path.name} (old) vs {new_path.name} (new) on "
+         f"{describe_host(new_data)}, threshold "
+         f"{args.threshold * 100:.0f}%")
     lines, regressions, compared = compare(old, new, args.threshold)
     _say("\n".join(lines))
     if compared == 0:
