@@ -354,10 +354,12 @@ class AcceleratorModel:
     def run_gemm_functional(self, a, w, **kwargs):
         """Run one concrete GEMM on the functional/cycle simulator.
 
-        The simulator compresses any compressed-weight operand through the
-        shared :func:`repro.core.gemm.compress_cached` memo, so sweeping
-        the same workload across variants and density points compresses
-        each weight tensor exactly once.
+        The result's cycles and events are counted from the operands;
+        its ``output`` matrix is computed only when read. Reading a
+        compressed-weight output compresses through the shared
+        :func:`repro.core.gemm.compress_cached` memo, so sweeping the
+        same workload across variants and density points compresses
+        each weight tensor at most once.
         """
         from repro.arch.systolic import SystolicArray
 
@@ -373,6 +375,8 @@ class AcceleratorModel:
     ) -> Tuple[int, EventCounts]:
         """Measured ``(compute_cycles, events)`` of one layer's GEMM on
         synthesized operands — the pre-finalization simulation payload.
+        Only the counts are read, so no GEMM output is computed and no
+        weight tensor is compressed.
 
         This is the unit of work the parallel runner
         (:mod:`repro.eval.runner`) fans out over worker processes and

@@ -169,11 +169,10 @@ class S2TAW(AcceleratorModel):
 
     def _functional_gemm_kwargs(self, layer: LayerSpec) -> dict:
         """Unpruned layers (e.g. the first conv) run the hardware's
-        two-pass dense-weight fallback, matching ``_w_passes``. The
-        simulator compresses pruned weights through the shared
-        :func:`repro.core.gemm.compress_cached` memo, so sweeping the
-        same workload across variants (S2TA-W, S2TA-AW, density points)
-        compresses each weight tensor exactly once."""
+        two-pass dense-weight fallback, matching ``_w_passes``. Events
+        are counted without compressing the weights; only reading the
+        simulator's ``output`` compresses them, through the shared
+        :func:`repro.core.gemm.compress_cached` memo."""
         return {"w_dense": layer.w_nnz > self.datapath_nnz}
 
 
@@ -325,8 +324,7 @@ class S2TAAW(AcceleratorModel):
         fallback). The time-unrolled simulator needs no operand
         compression at all — its event counts are closed-form over
         non-zero counts — so sweeping ``a_nnz`` costs no compression
-        work; only the W-DBB variant (:class:`S2TAW`) compresses
-        weights."""
+        work."""
         return {"a_nnz": min(layer.a_nnz, BLOCK_SIZE),
                 "w_dense": layer.w_nnz > self.w_nnz_hw}
 

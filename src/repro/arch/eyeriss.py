@@ -30,7 +30,8 @@ class-count matmul plus a rotation fold (see ``_mesh_loads``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,11 +81,18 @@ class EyerissV2Config:
 class EyerissV2Result:
     """Result of one simulated GEMM on the row-stationary mesh."""
 
-    output: np.ndarray
     cycles: int
     events: EventCounts
     #: Matched-pair loads per (cluster, PE) mesh slot.
     pe_loads: np.ndarray
+    #: The executed operands; ``output`` is computed from them.
+    a: np.ndarray = field(repr=False, compare=False)
+    w: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def output(self) -> np.ndarray:
+        """The bit-exact ``A @ W`` result, computed on first read."""
+        return dense_gemm(self.a, self.w)
 
     @property
     def mesh_occupancy(self) -> float:
@@ -184,6 +192,5 @@ class EyerissV2Engine:
         events.sram_w_read_bytes = w_stored
         events.sram_a_write_bytes = m * n
         events.mcu_elementwise_ops = m * n
-        out = dense_gemm(a, w)
-        return EyerissV2Result(output=out, cycles=cycles, events=events,
-                               pe_loads=pe_loads)
+        return EyerissV2Result(cycles=cycles, events=events,
+                               pe_loads=pe_loads, a=a, w=w)

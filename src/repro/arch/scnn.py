@@ -30,7 +30,8 @@ row-vector arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,14 +73,21 @@ class SCNNConfig:
 class SCNNResult:
     """Result of one simulated GEMM on the Cartesian-product array."""
 
-    output: np.ndarray
     cycles: int
     events: EventCounts
     #: Multiplier issue slots consumed per PE.
     pe_issue_slots: np.ndarray
+    #: The executed operands; ``output`` is computed from them.
+    a: np.ndarray = field(repr=False, compare=False)
+    w: np.ndarray = field(repr=False, compare=False)
     #: Fired products / available multiplier slots over the makespan —
     #: the emergent fragmentation the module doc describes.
     multiplier_utilization: float = 0.0
+
+    @cached_property
+    def output(self) -> np.ndarray:
+        """The bit-exact ``A @ W`` result, computed on first read."""
+        return dense_gemm(self.a, self.w)
 
 
 class SCNNEngine:
@@ -135,9 +143,8 @@ class SCNNEngine:
         events.sram_w_read_bytes = w_stored
         events.sram_a_write_bytes = m * n
         events.mcu_elementwise_ops = m * n
-        out = dense_gemm(a, w)
         avail = cycles * cfg.hardware_macs
-        return SCNNResult(output=out, cycles=cycles, events=events,
-                          pe_issue_slots=issue,
+        return SCNNResult(cycles=cycles, events=events,
+                          pe_issue_slots=issue, a=a, w=w,
                           multiplier_utilization=fired / avail if avail
                           else 0.0)

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,11 +75,18 @@ class SparTenConfig:
 class SparTenResult:
     """Result of one simulated GEMM on the bitmask inner-join engine."""
 
-    output: np.ndarray
     cycles: int
     events: EventCounts
     #: Final per-PE matched-pair loads of the greedy schedule.
     pe_loads: np.ndarray
+    #: The executed operands; ``output`` is computed from them.
+    a: np.ndarray = field(repr=False, compare=False)
+    w: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def output(self) -> np.ndarray:
+        """The bit-exact ``A @ W`` result, computed on first read."""
+        return dense_gemm(self.a, self.w)
 
     @property
     def load_balance(self) -> float:
@@ -159,6 +167,5 @@ class SparTenEngine:
         events.sram_w_read_bytes = w_stored
         events.sram_a_write_bytes = m * n
         events.mcu_elementwise_ops = m * n
-        out = dense_gemm(a, w)
-        return SparTenResult(output=out, cycles=cycles, events=events,
-                             pe_loads=pe_loads)
+        return SparTenResult(cycles=cycles, events=events,
+                             pe_loads=pe_loads, a=a, w=w)

@@ -1,13 +1,15 @@
 """Output-stationary systolic array simulator (scalar PE and tensor PE).
 
 Simulates one GEMM on a systolic array in any of the paper's four
-execution modes, producing the bit-exact result matrix, the cycle count
-of the output-stationary schedule, and the hardware event counts that
-drive the energy model. Tiles of one layer pipeline back to back, so
-the wavefront fill/drain skew is paid once per GEMM — the same
-convention as the analytic accelerator models, making the two cycle
-models bit-equal on matched geometries (the cross-validation suite
-asserts exact agreement):
+execution modes, producing the cycle count of the output-stationary
+schedule and the hardware event counts that drive the energy model. The
+bit-exact result matrix is computed only when a caller reads
+:attr:`SystolicResult.output`: the full-model pipeline prices events
+alone and never pays for the GEMM itself. Tiles of one layer pipeline
+back to back, so the wavefront fill/drain skew is paid once per GEMM —
+the same convention as the analytic accelerator models, making the two
+cycle models bit-equal on matched geometries (the cross-validation
+suite asserts exact agreement):
 
 - ``DENSE`` — classic scalar-PE SA (Fig. 6a / TPU-style baseline).
 - ``ZVCG`` — scalar-PE SA with zero-value clock gating (Fig. 6b): same
@@ -38,8 +40,8 @@ All event counting is vectorized: the data-dependent fired-MAC counts
 reduce to dot products of per-reduction-index non-zero counts (the
 bitmask-intersection popcount sum separates per index — see
 :mod:`repro.core.reference` for the retained per-block walk they are
-fuzz-tested against). The ``AWDBB`` path needs no operand compression at
-all; ``WDBB`` compresses weights through the shared
+fuzz-tested against). Counting needs no operand compression in any
+mode; reading a ``WDBB`` output compresses weights through the shared
 :func:`repro.core.gemm.compress_cached` memo, so a workload swept across
 modes/density points compresses its weights at most once.
 """
@@ -48,7 +50,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -117,12 +120,30 @@ class SystolicConfig:
 
 @dataclass
 class SystolicResult:
-    """Result of one simulated GEMM."""
+    """Result of one simulated GEMM.
 
-    output: np.ndarray
+    ``output`` is computed on first read from the operands the array
+    executed (``a`` after DAP in ``AWDBB`` mode); ``w_spec`` is set when
+    the weights run compressed (``WDBB``), whose output goes through the
+    DP4M8 kernel on the memoized compressed weights.
+    """
+
     cycles: int
     events: EventCounts
     mode: Mode
+    a: np.ndarray = field(repr=False, compare=False)
+    w: np.ndarray = field(repr=False, compare=False)
+    w_spec: Optional[DBBSpec] = field(default=None, repr=False,
+                                      compare=False)
+
+    @cached_property
+    def output(self) -> np.ndarray:
+        """The bit-exact ``A @ W`` result (int64 accumulation)."""
+        if self.w_spec is None:
+            return dense_gemm(self.a, self.w)
+        # The weight compression memo is shared across the mode/density
+        # sweep: every variant of a workload compresses the same W once.
+        return dbb_gemm(self.a, compress_cached(self.w.T, self.w_spec))
 
     @property
     def mac_utilization(self) -> float:
@@ -234,9 +255,8 @@ class SystolicArray:
                               a_bytes_per_pass=m * k,
                               w_bytes_per_pass=k * n,
                               tiles_m=tiles_m, tiles_n=tiles_n)
-        out = dense_gemm(a, w)
-        return SystolicResult(output=out, cycles=cycles, events=events,
-                              mode=cfg.mode)
+        return SystolicResult(cycles=cycles, events=events, mode=cfg.mode,
+                              a=a, w=w)
 
     # ------------------------------------------------------------------ #
     # S2TA-W: DP4M8 TPE array, compressed weights, dense activations
@@ -315,14 +335,8 @@ class SystolicArray:
                               a_bytes_per_pass=m * k,
                               w_bytes_per_pass=w_bytes_per_pass,
                               tiles_m=tiles_m, tiles_n=tiles_n)
-        if w_dense:
-            out = dense_gemm(a, w)
-        else:
-            # The weight compression memo is shared across the mode/density
-            # sweep: every variant of a workload compresses the same W once.
-            out = dbb_gemm(a, compress_cached(w.T, spec))
-        return SystolicResult(output=out, cycles=cycles, events=events,
-                              mode=cfg.mode)
+        return SystolicResult(cycles=cycles, events=events, mode=cfg.mode,
+                              a=a, w=w, w_spec=None if w_dense else spec)
 
     # ------------------------------------------------------------------ #
     # S2TA-AW: time-unrolled DP1M4 TPE array, both operands compressed
@@ -409,9 +423,8 @@ class SystolicArray:
                               # Activations land in the AB through the DAP
                               # write port in compressed block form.
                               a_write_bytes=a_bytes_per_pass)
-        out = dense_gemm(a_pruned, w)
-        return SystolicResult(output=out, cycles=cycles, events=events,
-                              mode=cfg.mode)
+        return SystolicResult(cycles=cycles, events=events, mode=cfg.mode,
+                              a=a_pruned, w=w)
 
     # ------------------------------------------------------------------ #
 

@@ -78,13 +78,29 @@ def dap_prune(
     The last axis is the channel axis (the paper decomposes activations
     into 1x1xBZ channel blocks); it is zero-padded to a whole number of
     blocks internally, and the padding is stripped from the result.
+
+    When every block (the padded tail included) already holds at most
+    ``nnz`` non-zeros, Top-NNZ keeps exactly the non-zeros, so the
+    result is a copy of the input with ``keep_mask = activations != 0``
+    and ``pruned_fraction = 0.0``, returned without the magnitude
+    selection. Activations synthesized A-DBB-compliant take this path.
     """
     activations = np.asarray(activations)
     nnz = spec.max_nnz if nnz is None else nnz
     if not 0 < nnz <= spec.block_size:
         raise ValueError(f"nnz must be in [1, BZ={spec.block_size}], got {nnz}")
+    spec = spec.with_nnz(nnz) if nnz != spec.max_nnz else spec
     original_shape = activations.shape
     blocks, work_shape, last = blocked_rows(activations, spec.block_size)
+    # Per-block non-zero counts as BZ lane-wise adds: several times
+    # faster than a row reduction over BZ-wide rows.
+    block_nnz = np.zeros(len(blocks), dtype=np.uint16)
+    for lane in blocks.T:
+        block_nnz += lane != 0
+    if block_nnz.max(initial=0) <= nnz:
+        return DAPResult(pruned=activations.copy(),
+                         keep_mask=activations != 0,
+                         spec=spec, pruned_fraction=0.0)
     mask_blocks = topk_block_mask(blocks, nnz)
     pruned_blocks = np.where(mask_blocks, blocks, np.zeros_like(blocks))
     pruned = pruned_blocks.reshape(work_shape)[:, :last].reshape(original_shape)
@@ -97,7 +113,7 @@ def dap_prune(
     return DAPResult(
         pruned=pruned.astype(activations.dtype),
         keep_mask=keep_mask,
-        spec=spec.with_nnz(nnz) if nnz != spec.max_nnz else spec,
+        spec=spec,
         pruned_fraction=float(pruned_fraction),
     )
 

@@ -29,6 +29,7 @@ __all__ = [
     "naive_joint_dbb_gemm",
     "naive_wdbb_fired",
     "naive_awdbb_fired",
+    "naive_dap_prune",
 ]
 
 
@@ -147,3 +148,23 @@ def naive_awdbb_fired(a_dbb: DBBTensor, w_dbb: DBBTensor) -> int:
                 match = a_block.mask & w_block.mask
                 fired += bin(match).count("1")
     return fired
+
+
+def naive_dap_prune(activations: np.ndarray, spec: DBBSpec,
+                    nnz: int) -> np.ndarray:
+    """Per-block Top-``nnz`` DAP along the last axis: each block keeps its
+    ``nnz`` largest magnitudes, the lowest index winning a tie and zeros
+    never counting as kept (the comparator-cascade rule of Fig. 8)."""
+    activations = np.asarray(activations)
+    out = np.zeros(activations.shape, dtype=activations.dtype)
+    flat_in = activations.reshape(-1, activations.shape[-1])
+    flat_out = out.reshape(flat_in.shape)
+    bz = spec.block_size
+    for r in range(flat_in.shape[0]):
+        for start in range(0, flat_in.shape[1], bz):
+            block = flat_in[r, start:start + bz].tolist()
+            by_magnitude = sorted(range(len(block)),
+                                  key=lambda i: -abs(block[i]))
+            for i in by_magnitude[:nnz]:
+                flat_out[r, start + i] = block[i]
+    return out

@@ -87,11 +87,11 @@ def functional_operands(
     The DENSE/ZVCG/WDBB/AWDBB variant sweeps (and the per-layer ``a_nnz``
     density sweep inside AWDBB) all drive the *same* workload through the
     functional simulator; this memo materializes each workload's operands
-    once, and — because the simulator compresses weights through
-    :func:`repro.core.gemm.compress_cached` — each weight tensor is also
-    *compressed* once for the entire sweep instead of per mode and per
-    density point. Returned arrays are shared: treat them as read-only
-    (they are flagged unwriteable and tested so).
+    once, and — because reading a WDBB output compresses weights through
+    :func:`repro.core.gemm.compress_cached` — each weight tensor is
+    *compressed* at most once for the entire sweep instead of per mode
+    and per density point. Returned arrays are shared: treat them as
+    read-only (they are flagged unwriteable and tested so).
 
     This entry-count memo serves the small fixed set of microbench sweep
     points; the full-model functional pipeline synthesizes per-layer

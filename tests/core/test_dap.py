@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dap import (
@@ -12,8 +12,9 @@ from repro.core.dap import (
     dap_prune_blocks,
     tune_layer_nnz,
 )
-from repro.core.dbb import DBBSpec
-from repro.core.pruning import is_dbb_compliant
+from repro.core.dbb import DBBSpec, blocked_rows
+from repro.core.pruning import is_dbb_compliant, topk_block_mask
+from repro.core.reference import naive_dap_prune
 from repro.core.sparsity import random_unstructured
 
 
@@ -106,6 +107,69 @@ class TestDapPrune:
         kept = result.pruned[result.pruned != 0]
         if kept.size:
             assert np.abs(kept).max() == np.abs(x).max()
+
+
+@st.composite
+def _int8_activations(draw):
+    """Ragged int8 activations (last axis not a multiple of BZ) with
+    -128, all-zero blocks and, per block, 0..BZ non-zeros."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = draw(st.integers(1, 6))
+    channels = draw(st.integers(1, 29))
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-128, 128, size=(rows, channels)).astype(np.int8)
+    x[rng.random(x.shape) < draw(st.sampled_from([0.0, 0.4, 0.8]))] = 0
+    x[rng.random(x.shape) < 0.1] = -128
+    x[rng.integers(rows), :8] = 0  # an all-zero block
+    return x
+
+
+def _max_block_nnz(x, bz=8):
+    return int(np.count_nonzero(blocked_rows(x, bz)[0], axis=1).max())
+
+
+class TestCompliantShortCircuit:
+    """``dap_prune`` returns a compliant input as is, without the Top-NNZ
+    selection, and is bit-equal to the selection on every other input."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=_int8_activations(), nnz=st.integers(1, 8),
+           spec_nnz=st.sampled_from([2, 4, 8]))
+    def test_compliant_blocks_skip_selection(self, x, nnz, spec_nnz):
+        from unittest import mock
+
+        spec = DBBSpec(8, spec_nnz)
+        x = naive_dap_prune(x, spec, nnz)  # every block within the bound
+        with mock.patch("repro.core.dap.topk_block_mask",
+                        side_effect=AssertionError("selection ran")):
+            result = dap_prune(x, spec, nnz=nnz)
+        np.testing.assert_array_equal(result.pruned, x)
+        assert result.pruned.dtype == x.dtype
+        assert result.pruned is not x
+        np.testing.assert_array_equal(result.keep_mask, x != 0)
+        assert result.keep_mask.dtype == bool
+        assert result.pruned_fraction == 0.0
+        assert result.spec == (spec if nnz == spec_nnz
+                               else spec.with_nnz(nnz))
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=_int8_activations(), nnz=st.integers(1, 7))
+    def test_over_bound_matches_selection_and_reference(self, x, nnz):
+        spec = DBBSpec(8, 4)
+        if _max_block_nnz(x) <= nnz:
+            x = x.copy()  # fill the first block: over the bound if it fits
+            x[0, :8] = np.arange(1, 9, dtype=np.int8)[:x.shape[1]]
+        assume(_max_block_nnz(x) > nnz)
+        result = dap_prune(x, spec, nnz=nnz)
+        blocks, work_shape, last = blocked_rows(x, 8)
+        mask = topk_block_mask(blocks, nnz).reshape(work_shape)[:, :last]
+        np.testing.assert_array_equal(result.keep_mask, mask)
+        np.testing.assert_array_equal(result.pruned, np.where(mask, x, 0))
+        np.testing.assert_array_equal(result.pruned,
+                                      naive_dap_prune(x, spec, nnz))
+        removed = np.count_nonzero(x) - np.count_nonzero(result.pruned)
+        assert removed > 0
+        assert result.pruned_fraction == removed / np.count_nonzero(x)
 
 
 class TestDapPruneBlocks:

@@ -253,7 +253,8 @@ class TestFunctionalOperandsMemo:
 
 class TestCompressCacheStats:
     def test_hit_miss_accounting_across_mode_sweep(self):
-        """A WDBB density sweep compresses each weight tensor once."""
+        """Reading WDBB outputs across a sweep compresses each weight
+        tensor once."""
         from repro.arch.systolic import Mode, SystolicArray, SystolicConfig
         from repro.core.gemm import (
             clear_compress_cache,
@@ -267,7 +268,7 @@ class TestCompressCacheStats:
             tpe_a=2, tpe_c=2))
         clear_compress_cache()
         for _ in range(3):
-            sim.run_gemm(a, w)
+            sim.run_gemm(a, w).output
         stats = compress_cache_stats()
         assert stats["misses"] == 1
         assert stats["hits"] == 2
@@ -301,24 +302,64 @@ class TestCompressCacheStats:
         assert compress_cache_stats()["misses"] == 4
         clear_compress_cache()
 
-    def test_functional_layer_run_hits_compress_memo(self):
-        """run_layer_functional on the W-DBB variant compresses each
-        layer's weights once across repeated runs and density sweeps."""
+    def test_functional_layer_run_computes_no_output(self, monkeypatch):
+        """The layer pipeline prices events only: repeated W-DBB layer
+        runs compute no GEMM output and compress no weights."""
         from repro.accel import S2TAW
+        from repro.arch import systolic
         from repro.core.gemm import (
             clear_compress_cache,
             compress_cache_stats,
         )
 
+        calls = []
+        for name in ("dense_gemm", "dbb_gemm"):
+            def counting(*args, _fn=getattr(systolic, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(systolic, name, counting)
         layer = _layer(m=16, k=64, n=16, a_density=0.5)
         cache = OperandCache(max_bytes=1 << 24)
         clear_compress_cache()
         accel = S2TAW(rows=2, cols=2, tpe_a=2, tpe_c=2)
         for _ in range(3):
             accel.run_layer_functional(layer, cache=cache)
-        stats = compress_cache_stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == 2
+        assert calls == []
+        assert compress_cache_stats()["misses"] == 0
+        assert compress_cache_stats()["hits"] == 0
+
+    def test_output_read_hits_compress_memo(self, monkeypatch):
+        """Reading a W-DBB output compresses W once across repeated runs,
+        and a second read of the same result reuses the first."""
+        from repro.arch import systolic
+        from repro.arch.systolic import Mode, SystolicArray, SystolicConfig
+        from repro.core.gemm import (
+            clear_compress_cache,
+            compress_cache_stats,
+            dense_gemm,
+        )
+
+        calls = []
+
+        def counting(*args, _fn=systolic.dbb_gemm):
+            calls.append("dbb_gemm")
+            return _fn(*args)
+
+        monkeypatch.setattr(systolic, "dbb_gemm", counting)
+        a, w = spec_operands(_layer(m=16, k=64, n=16, a_density=0.5))
+        sim = SystolicArray(SystolicConfig(
+            rows=2, cols=2, mode=Mode.WDBB, w_spec=DBBSpec(8, 4),
+            tpe_a=2, tpe_c=2))
+        clear_compress_cache()
+        results = [sim.run_gemm(a, w) for _ in range(3)]
+        assert compress_cache_stats()["misses"] == 0
+        for result in results:
+            assert np.array_equal(result.output, dense_gemm(a, w))
+        assert compress_cache_stats()["misses"] == 1
+        assert compress_cache_stats()["hits"] == 2
+        assert len(calls) == 3
+        assert results[0].output is results[0].output  # no recompute
+        assert len(calls) == 3
         clear_compress_cache()
 
 

@@ -2,9 +2,11 @@
 """Profile the simulator's hot paths: one representative GEMM per mode.
 
 Runs ``compress`` plus ``SystolicArray.run_gemm`` in each of the four
-execution modes (and the two raw sparse kernels), the three baseline
-functional engines (SparTen bitmask inner-join, Eyeriss v2 CSC
-row-stationary mesh, SCNN Cartesian-product array), operand synthesis
+execution modes (event counting only: a result's output matrix is
+computed on first read, so the GEMM itself is profiled through the two
+raw sparse kernels), the three baseline functional engines (SparTen
+bitmask inner-join, Eyeriss v2 CSC row-stationary mesh, SCNN
+Cartesian-product array), operand synthesis
 (``blocked_density_operand`` — the functional tier's other hot path),
 and the memory-hierarchy DMA tile-timeline walker under cProfile,
 printing the top-15 functions by cumulative time, so perf PRs can
@@ -51,12 +53,7 @@ def main(argv=None) -> int:
     from repro.arch.systolic import Mode, SystolicArray, SystolicConfig
     from repro.core.dap import dap_prune
     from repro.core.dbb import DBBSpec, compress
-    from repro.core.gemm import (
-        clear_compress_cache,
-        compress_operands,
-        dbb_gemm,
-        joint_dbb_gemm,
-    )
+    from repro.core.gemm import compress_operands, dbb_gemm, joint_dbb_gemm
     from repro.eval import functional_operands
 
     spec = DBBSpec(8, 4)
@@ -82,7 +79,6 @@ def main(argv=None) -> int:
                                 w_spec=spec, a_spec=spec, tpe_a=8, tpe_c=4),
     }
     for name, config in configs.items():
-        clear_compress_cache()  # profile the cold path, not the memo hit
         sim = SystolicArray(config)
         _profile(f"run_gemm {name}", sim.run_gemm, a, w, top=args.top)
 
