@@ -106,12 +106,8 @@ trace:
 		--no-result-cache --trace trace_fig12.json
 	$(PY) -m repro trace summarize trace_fig12.json
 
-# Analytic per-point evaluation is sub-millisecond, so the sweep stays
-# serial (--jobs 1) — a process pool would spend more on pickling than
-# simulating. Payloads memoize in the on-disk result cache, so re-runs
-# skip straight to finalization.
 dse:
-	$(PY) -m repro dse --jobs 1 --out dse_frontier.json
+	$(PY) -m repro dse --out dse_frontier.json
 
 fig-functional:
 	$(PY) -m repro experiment fig11 --functional --jobs 0

@@ -11,9 +11,11 @@ lives in:
   scheduler overhead wrapped around the (sub-millisecond, analytic)
   evaluation, so a regression here means the service plumbing itself —
   admission, WAL commits, claim UPDATEs, batching — got slower;
-- **warm** (result cache primed with identical payloads) — the
-  re-submission regime; evaluation is a cache lookup, so this isolates
-  the pure queue round-trip cost even harder.
+- **warm** (result cache primed by an identical batch) — the
+  re-submission regime. Analytic requests never read the result cache
+  (their closed forms cost less than a lookup), so this regime now
+  measures the same work as cold; it stays as a guard that an attached
+  cache adds nothing to the analytic path.
 
 Both regimes record ``extra_info.jobs_per_s``;
 ``tools/check_bench_regression.py`` prefers that metric for these

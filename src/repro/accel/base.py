@@ -417,9 +417,12 @@ class AcceleratorModel:
     ) -> LayerResult:
         """Execute one layer's GEMM on synthesized operands.
 
+        The simulation runs as a one-task batch of the layer runner
+        (:func:`repro.eval.runner.simulate_layer_tasks`), so
         ``result_cache`` (a :class:`repro.eval.resultcache.ResultCache`)
-        memoizes the simulation payload on disk; finalization always
-        re-runs, so a cache hit is bit-equal to a cold simulation.
+        memoizes the payload on disk exactly as it does for whole
+        models; finalization always re-runs, so a cache hit is
+        bit-equal to a cold simulation.
 
         The measured events feed the same memory model as the analytic
         tier; on exact runs (max_m=None) the per-pass SRAM counters are
@@ -429,18 +432,11 @@ class AcceleratorModel:
         is the same few-percent approximation as everything else
         quick mode reports.
         """
-        if result_cache is not None:
-            key = result_cache.key(self, layer, seed=seed, max_m=max_m)
-            hit = result_cache.get(key)
-            if hit is not None:
-                compute_cycles, events = hit
-            else:
-                compute_cycles, events = self.simulate_layer_functional(
-                    layer, seed=seed, max_m=max_m, cache=cache)
-                result_cache.put(key, compute_cycles, events)
-        else:
-            compute_cycles, events = self.simulate_layer_functional(
-                layer, seed=seed, max_m=max_m, cache=cache)
+        from repro.eval.runner import LayerSimTask, simulate_layer_tasks
+
+        ((compute_cycles, events),) = simulate_layer_tasks(
+            [LayerSimTask(self, layer, seed=seed, max_m=max_m)],
+            result_cache=result_cache, operand_cache=cache)
         return self._finalize_layer(layer, compute_cycles, events)
 
     def run_model_functional(

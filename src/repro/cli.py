@@ -48,8 +48,9 @@ payload must never be what re-validates the agreement contract.
 
 ``repro dse`` widens the Sec. 7 sweep into an exhaustive design-space
 exploration (:mod:`repro.design.dse`): every ``AxBxC_MxN`` x (A-DBB,
-SRAM, DRAM bandwidth, tech) point, evaluated through the same memoized
-runner, and the (energy x cycles x area) Pareto frontier over them.
+SRAM, DRAM bandwidth, tech) point, evaluated in closed form (or, with
+``--fidelity functional``, through the same memoized runner), and the
+(energy x cycles x area) Pareto frontier over them.
 
 Simulation as a service (:mod:`repro.serve`, see docs/serve.md):
 ``repro serve`` runs the long-lived front-end — a persistent SQLite
@@ -60,10 +61,11 @@ expected runtime and batches per-tier into single engine fan-outs, and
 a stdlib HTTP/JSON API (``POST /jobs``, ``GET /jobs[/<id>]``,
 ``GET /metrics``, ``GET /healthz``). ``repro submit`` and ``repro
 jobs`` are the HTTP clients; ``repro warm`` pre-populates the result
-cache for a named (model, accelerator) list without a server. The
-serve-side ``--jobs`` defaults to ``auto`` — serial vs pool picked per
-batch from the miss count and the host's cores, so small-host runs
-never pay pool startup for a handful of tasks.
+cache with functional payloads for a named (model, accelerator) list
+without a server. The serve-side ``--jobs`` defaults to ``auto`` —
+serial vs pool picked per batch from the miss count and the host's
+cores, so small-host runs never pay pool startup for a handful of
+tasks; every ``--jobs`` flag accepts ``auto``.
 
 Observability (:mod:`repro.obs`, see docs/observability.md) is wired
 through every command and off by default: ``experiment`` and ``dse``
@@ -281,8 +283,6 @@ def cmd_experiment(args) -> str:
         raise SystemExit(
             f"--jobs is only supported by "
             f"{', '.join(PARALLEL_ARTIFACTS)}, not {args.artifact!r}")
-    if args.jobs is not None and args.jobs < 0:
-        raise SystemExit("--jobs must be >= 0 (0 = one worker per core)")
     result_cache = None if args.no_result_cache else _default_result_cache()
     if args.artifact in FUNCTIONAL_ARTIFACTS:
         if not args.functional and (args.quick or args.seed is not None
@@ -371,8 +371,6 @@ def cmd_dse(args) -> str:
     from repro.design.dse import render_artifact, run_dse
     from repro.eval.experiments import QUICK_MAX_M
 
-    if args.jobs is not None and args.jobs < 0:
-        raise SystemExit("--jobs must be >= 0 (0 = one worker per core)")
     if args.quick and args.fidelity != "functional":
         raise SystemExit("--quick subsamples the cycle simulator; pass "
                          "--fidelity functional as well")
@@ -438,7 +436,7 @@ def cmd_cache(args) -> str:
 
 
 def _parse_jobs_arg(text):
-    """Serve-side ``--jobs``: ``auto`` (the default) or an int
+    """The argparse type of every ``--jobs`` flag: ``auto`` or an int
     (``0`` = one per core), mirroring the engine's resolver."""
     value = text.strip().lower()
     if value == "auto":
@@ -446,11 +444,12 @@ def _parse_jobs_arg(text):
     try:
         jobs = int(value)
     except ValueError:
-        raise SystemExit(
-            f"--jobs must be an integer (0 = one per core) or 'auto', "
+        raise argparse.ArgumentTypeError(
+            f"must be an integer (0 = one per core) or 'auto', "
             f"got {text!r}") from None
     if jobs < 0:
-        raise SystemExit("--jobs must be >= 0 (0 = one worker per core)")
+        raise argparse.ArgumentTypeError(
+            "must be >= 0 (0 = one worker per core)")
     return jobs
 
 
@@ -465,7 +464,6 @@ def cmd_serve(args) -> str:
 
     from repro.serve import ServeService, default_db_path, run_smoke
 
-    jobs = _parse_jobs_arg(args.jobs)
     result_cache = None if args.no_result_cache else _default_result_cache()
     if args.smoke:
         # Self-test on a throwaway DB unless one was named explicitly —
@@ -481,14 +479,15 @@ def cmd_serve(args) -> str:
     db = args.db if args.db is not None else default_db_path()
     service = ServeService(
         db, host=args.host, port=args.port, workers=args.workers,
-        jobs=jobs, result_cache=result_cache,
+        jobs=args.jobs, result_cache=result_cache,
         batch_limit=args.batch_limit, poll_s=args.poll_s,
         max_pending=args.max_pending, lease_s=args.lease_s)
     requeued, quarantined = service.recovered
     service.start()
     out = obs_logs.output_logger()
     out.info("serving on %s (db=%s, workers=%d, jobs=%s)",
-             service.base_url, service.db_path, service.workers, jobs)
+             service.base_url, service.db_path, service.workers,
+             args.jobs)
     if requeued or quarantined:
         out.info("recovery: re-queued %d expired job(s), quarantined "
                  "%d out of attempts", len(requeued), len(quarantined))
@@ -611,7 +610,8 @@ def cmd_jobs(args) -> str:
 
 
 def cmd_warm(args) -> str:
-    """Pre-populate the result cache for (model, accelerator) pairs."""
+    """Pre-populate the result cache with functional payloads for
+    (model, accelerator) pairs (analytic requests are never cached)."""
     import time as _time
 
     from repro.serve import parse_request, run_requests
@@ -620,7 +620,6 @@ def cmd_warm(args) -> str:
     if cache is None:
         raise SystemExit(
             "warm needs the result cache; unset REPRO_RESULT_CACHE=0")
-    jobs = _parse_jobs_arg(args.jobs)
     models = [t.strip() for t in args.models.split(",") if t.strip()]
     accels = [t.strip() for t in args.accelerators.split(",")
               if t.strip()]
@@ -631,15 +630,14 @@ def cmd_warm(args) -> str:
     for model in models:
         for accel in accels:
             data = {"model": model, "accelerator": accel,
-                    "tier": args.tier, "quick": args.quick,
-                    "seed": args.seed}
+                    "quick": args.quick, "seed": args.seed}
             try:
                 requests.append(parse_request(data))
             except ValueError as exc:
                 raise SystemExit(str(exc)) from None
     before = cache.stats()
     start = _time.perf_counter()
-    results = run_requests(requests, jobs=jobs, result_cache=cache)
+    results = run_requests(requests, jobs=args.jobs, result_cache=cache)
     elapsed = _time.perf_counter() - start
     after = cache.stats()
     lines = []
@@ -747,12 +745,14 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="PJ",
                      help="off-chip DRAM interface energy per byte "
                           "(fig11/fig12; die-only totals unaffected)")
-    exp.add_argument("--jobs", type=int, default=None, metavar="N",
+    exp.add_argument("--jobs", type=_parse_jobs_arg, default=None,
+                     metavar="N|auto",
                      help="worker processes for the functional tier "
                           "(fig11/fig12 with --functional; xval); 0 = "
-                          "one per core; default: $REPRO_JOBS or serial. "
-                          "Results are bit-equal to serial at the same "
-                          "seed")
+                          "one per core; 'auto' picks serial vs pool "
+                          "from the task count; default: $REPRO_JOBS or "
+                          "serial. Results are bit-equal to serial at "
+                          "the same seed")
     exp.add_argument("--no-result-cache", action="store_true",
                      help="skip the on-disk functional-result cache for "
                           "this invocation (see 'repro cache')")
@@ -768,9 +768,9 @@ def build_parser() -> argparse.ArgumentParser:
         "dse",
         help="exhaustive design-space exploration",
         description="Enumerate the full AxBxC_MxN x (A-DBB, SRAM, DRAM "
-                    "bandwidth, tech) keyspace, evaluate every point "
-                    "through the memoized runner, and report the "
-                    "(energy x cycles x area) Pareto frontier.")
+                    "bandwidth, tech) keyspace, evaluate every point, "
+                    "and report the (energy x cycles x area) Pareto "
+                    "frontier.")
     dse.add_argument("--styles", default="tu,dp",
                      help="datapath styles to sweep: comma list of "
                           "tu (time-unrolled) / dp (dot-product) "
@@ -798,9 +798,12 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--quick", action="store_true",
                      help="subsample GEMM rows for a fast functional "
                           "sweep (requires --fidelity functional)")
-    dse.add_argument("--jobs", type=int, default=None, metavar="N",
-                     help="worker processes for the evaluation fan-out; "
-                          "0 = one per core; default: $REPRO_JOBS or "
+    dse.add_argument("--jobs", type=_parse_jobs_arg, default=None,
+                     metavar="N|auto",
+                     help="worker processes for a --fidelity functional "
+                          "sweep (analytic points are evaluated "
+                          "in-process); 0 = one per core; 'auto' picks "
+                          "serial vs pool; default: $REPRO_JOBS or "
                           "serial")
     dse.add_argument("--out", default=None, metavar="JSON",
                      help="write the artifact (evaluations + frontier) "
@@ -808,8 +811,9 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--top", type=int, default=12,
                      help="table rows to print (default 12)")
     dse.add_argument("--no-result-cache", action="store_true",
-                     help="skip the on-disk result cache for this "
-                          "invocation (see 'repro cache')")
+                     help="skip the on-disk result cache for a "
+                          "--fidelity functional sweep (analytic points "
+                          "are never cached; see 'repro cache')")
     _add_obs_flags(dse)
     _add_verbosity_flags(dse)
     dse.set_defaults(func=cmd_dse)
@@ -857,7 +861,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "admission-only (jobs queue but nothing "
                             "executes — e.g. external worker processes "
                             "share the DB) (default 1)")
-    serve.add_argument("--jobs", default="auto", metavar="N|auto",
+    serve.add_argument("--jobs", type=_parse_jobs_arg, default="auto",
+                       metavar="N|auto",
                        help="engine worker processes per batch; 'auto' "
                             "(default) picks serial vs pool from the "
                             "batch's miss count and the host's cores; "
@@ -958,21 +963,22 @@ def build_parser() -> argparse.ArgumentParser:
         "warm",
         help="pre-populate the result cache for popular pairs",
         description="Run every (model, accelerator) pair through the "
-                    "engine with the on-disk result cache attached, so "
-                    "subsequent service jobs (and experiments) for "
-                    "those pairs skip straight to finalization.")
+                    "functional engine with the on-disk result cache "
+                    "attached, so subsequent functional service jobs "
+                    "(and experiments) for those pairs skip straight to "
+                    "finalization. Analytic requests are never cached, "
+                    "so there is nothing to warm for them.")
     warm.add_argument("--models", required=True, metavar="A,B,...",
                       help="comma list of model specs to warm")
     warm.add_argument("--accelerators", required=True,
                       metavar="X,Y,...",
                       help="comma list of accelerator keys to warm")
-    warm.add_argument("--tier", default="functional",
-                      choices=("functional", "analytic"))
     warm.add_argument("--quick", action="store_true",
                       help="warm the quick-mode (subsampled) payloads "
                            "instead of full-size")
     warm.add_argument("--seed", type=int, default=0)
-    warm.add_argument("--jobs", default="auto", metavar="N|auto",
+    warm.add_argument("--jobs", type=_parse_jobs_arg, default="auto",
+                      metavar="N|auto",
                       help="engine worker processes; 'auto' (default) "
                            "adapts to the miss count, 0 = one per core")
     _add_verbosity_flags(warm)

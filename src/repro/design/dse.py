@@ -6,12 +6,13 @@ module keeps that shape on a wider keyspace (:class:`DSESpace`: array
 geometry, TPE dims, datapath style, the DBB weight bound B, the
 per-layer activation DBB bound, SRAM size, DRAM bandwidth and tech
 node — 2,712 points by default): enumerate every point, evaluate each
-one through the memoized layer runner (analytic by default, optionally
-functional), and take the three-dimensional (energy, cycles, area)
-Pareto frontier, so latency-optimal designs survive alongside the
-paper's power pick. The analytic sweep of the default space takes well
-under a second, so nothing is sampled; an interrupted re-run reuses
-every payload already in the result cache. ``repro dse`` is the CLI
+one (analytic by default, optionally functional), and take the
+three-dimensional (energy, cycles, area) Pareto frontier, so
+latency-optimal designs survive alongside the paper's power pick. The
+analytic sweep calls each point's closed forms directly and covers the
+default space in well under a second, so nothing is sampled and
+nothing is cached; only a functional sweep goes through the layer
+runner's process pool and result cache. ``repro dse`` is the CLI
 front-end.
 """
 
@@ -183,6 +184,21 @@ class DSESpace:
         return len(self.points)
 
 
+def _evaluation(point: DSEPoint, accel, result) -> DSEEvaluation:
+    """Flatten one finalized layer result into the artifact row."""
+    runtime_s = result.cycles / (accel.clock_ghz * 1e9)
+    power_mw = (result.energy_pj * 1e-12 / runtime_s * 1e3
+                if runtime_s else 0.0)
+    return DSEEvaluation(
+        uid=point.uid, notation=point.design.notation,
+        time_unrolled=point.design.time_unrolled,
+        weight_nnz=point.design.weight_nnz, a_nnz=point.a_nnz,
+        sram_mb=point.sram_mb, dram_gbps=point.dram_gbps,
+        tech=point.tech, power_mw=power_mw,
+        area_mm2=accel.area_mm2(), cycles=result.cycles,
+        energy_uj=result.energy_uj)
+
+
 def evaluate_points(
     points: Sequence[DSEPoint],
     fidelity: str = "analytic",
@@ -191,46 +207,38 @@ def evaluate_points(
     jobs: Optional[int] = None,
     result_cache=None,
 ) -> Dict[str, DSEEvaluation]:
-    """Evaluate each point's reference workload through the parallel,
-    memoized runner; returns ``{uid: evaluation}``.
+    """Evaluate each point's reference workload; returns
+    ``{uid: evaluation}``.
 
     ``fidelity="analytic"`` (default) prices the closed-form layer
-    events — sub-millisecond per point, which is what makes a
+    events point by point — sub-millisecond each, which is what makes a
     thousands-of-points sweep interactive. ``"functional"`` simulates
     synthesized INT8 operands on the cycle simulator (``seed`` /
-    ``max_m`` as in the full-model experiments). Either way the
-    payloads memoize under tier-separated cache keys.
+    ``max_m`` as in the full-model experiments) through the parallel,
+    memoized layer runner; ``jobs`` and ``result_cache`` apply to that
+    fidelity only.
     """
     from repro.eval.runner import LayerSimTask, simulate_layer_tasks
 
     if fidelity not in ("analytic", "functional"):
         raise ValueError(f"unknown fidelity {fidelity!r}")
-    analytic = fidelity == "analytic"
-    staged = []
-    tasks = []
-    for point in points:
-        accel = point.build()
-        layer = point.layer()
-        staged.append((point, accel, layer))
-        tasks.append(LayerSimTask(accel, layer, seed=seed, max_m=max_m,
-                                  analytic=analytic))
-    payloads = simulate_layer_tasks(tasks, jobs=jobs,
-                                    result_cache=result_cache)
     out: Dict[str, DSEEvaluation] = {}
+    if fidelity == "analytic":
+        for point in points:
+            accel = point.build()
+            out[point.uid] = _evaluation(
+                point, accel, accel.run_layer(point.layer()))
+        return out
+    staged = [(point, point.build(), point.layer()) for point in points]
+    payloads = simulate_layer_tasks(
+        [LayerSimTask(accel, layer, seed=seed, max_m=max_m)
+         for _, accel, layer in staged],
+        jobs=jobs, result_cache=result_cache)
     for (point, accel, layer), (compute_cycles, events) in zip(staged,
                                                                payloads):
-        result = accel._finalize_layer(layer, compute_cycles, events)
-        runtime_s = result.cycles / (accel.clock_ghz * 1e9)
-        power_mw = (result.energy_pj * 1e-12 / runtime_s * 1e3
-                    if runtime_s else 0.0)
-        out[point.uid] = DSEEvaluation(
-            uid=point.uid, notation=point.design.notation,
-            time_unrolled=point.design.time_unrolled,
-            weight_nnz=point.design.weight_nnz, a_nnz=point.a_nnz,
-            sram_mb=point.sram_mb, dram_gbps=point.dram_gbps,
-            tech=point.tech, power_mw=power_mw,
-            area_mm2=accel.area_mm2(), cycles=result.cycles,
-            energy_uj=result.energy_uj)
+        out[point.uid] = _evaluation(
+            point, accel,
+            accel._finalize_layer(layer, compute_cycles, events))
     return out
 
 
@@ -257,7 +265,11 @@ def run_dse(
 ) -> dict:
     """Evaluate every point of the space and return the JSON-ready
     artifact: the space definition, every evaluation (in uid order) and
-    the (energy, cycles, area) Pareto frontier."""
+    the (energy, cycles, area) Pareto frontier. ``jobs`` and
+    ``result_cache`` apply to ``fidelity="functional"`` only; an
+    analytic artifact records the cache as disabled."""
+    if fidelity == "analytic":
+        result_cache = None
     space = DSESpace(axes)
     evaluations = evaluate_points(space.points, fidelity=fidelity,
                                   seed=seed, max_m=max_m, jobs=jobs,

@@ -749,7 +749,7 @@ def xval_functional_vs_analytic(
     stays serial); deltas are bit-equal to a serial run at the same
     seed.
     """
-    from repro.eval.runner import LayerSimTask, simulate_layer_tasks
+    from repro.eval.runner import functional_model_runs
 
     spec = get_spec(model)
     variants: Dict[str, AcceleratorModel] = {
@@ -771,25 +771,19 @@ def xval_functional_vs_analytic(
         return (ana - fun) / fun
 
     # Functional tier: one parallel, memoized fan-out over every
-    # (accelerator, layer) pair; finalization runs in-process.
-    tasks = [LayerSimTask(accel, layer, seed=seed, max_m=max_m)
-             for accel in variants.values() for layer in spec.conv_layers]
-    payloads = simulate_layer_tasks(tasks, jobs=jobs,
-                                    result_cache=result_cache)
-    functional = {
-        (id(task.accel), task.layer.name):
-            task.accel._finalize_layer(task.layer, cycles, events)
-        for task, (cycles, events) in zip(tasks, payloads)
-    }
+    # (accelerator, layer) pair, accelerator-major; finalization runs
+    # in-process.
+    runs = functional_model_runs(
+        [(accel, spec) for accel in variants.values()], conv_only=True,
+        seed=seed, max_m=max_m, jobs=jobs, result_cache=result_cache)
 
     rows = []
     failures = []
     worst = {"cycles": 0.0, "fired": 0.0, "energy": 0.0}
-    for name, accel in variants.items():
+    for (name, accel), run in zip(variants.items(), runs):
         contract = XVAL_CONTRACT[name]
-        for layer in spec.conv_layers:
+        for layer, fun in zip(spec.conv_layers, run.layer_results):
             ana = accel.run_layer(layer)
-            fun = functional[id(accel), layer.name]
             d_cycles = _rel(ana.compute_cycles, fun.compute_cycles)
             d_fired = _rel(ana.events.mac_ops, fun.events.mac_ops)
             d_energy = _rel(ana.energy_pj, fun.energy_pj)

@@ -18,6 +18,11 @@ content hash of everything that determines it —
   simulator's event accounting changes, or stale entries would silently
   survive the change).
 
+Only cycle simulations are cached. A closed-form analytic evaluation
+costs less than its own key, so the analytic tier (the DSE sweep,
+analytic serve requests) recomputes it every time and can never serve
+a stale entry.
+
 Payloads are cached *pre-finalization* (before the memory-hierarchy
 profile and energy pricing run), which is exactly what the parallel
 runner's workers return; finalization re-runs on every consumption, so
@@ -68,8 +73,8 @@ CORRUPT_SUBDIR = "corrupt"
 #: Version salt folded into every cache key. Bump whenever any
 #: functional simulator's event accounting or operand synthesis
 #: changes, so stale entries can never masquerade as fresh results.
-#: (pr7: key schema gained the fidelity-tier field — the DSE engine
-#: caches analytic payloads beside the functional ones.)
+#: A change to the key schema itself (a field added to or dropped from
+#: the fingerprint blob) needs no bump: old entries simply miss.
 CODE_VERSION = "pr7-v1"
 
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -100,32 +105,26 @@ def _canonical(obj):
     return repr(obj)
 
 
-def payload_key(accel, layer, seed: int = 0, max_m: Optional[int] = None,
-                tier: str = "functional") -> str:
+def payload_key(accel, layer, seed: int = 0,
+                max_m: Optional[int] = None) -> str:
     """Content hash of everything that determines one layer's simulation
     payload (see the module docstring for the component list).
 
     Module-level so callers without a cache — the parallel runner's
-    in-batch dedupe under ``--no-result-cache``, the DSE engine's
-    keyspace sharding — fingerprint tasks the exact same way the cache
-    does. ``tier`` separates the two fidelity tiers: a ``"functional"``
-    payload is measured on the cycle simulator, an ``"analytic"`` one is
-    the closed-form ``_layer_events`` result; the two must never share a
-    key even when every config component matches.
+    in-batch dedupe under ``--no-result-cache``, the serve request
+    fingerprint — fingerprint tasks the exact same way the cache does.
     """
     try:
         sim_config = _canonical(accel.functional_sim_config())
         gemm_kwargs = _canonical(accel._functional_gemm_kwargs(layer))
     except NotImplementedError:
-        if tier == "functional":
-            raise
-        # Analytic payloads exist for every model; the class name plus
-        # the design-point fields below still pin the configuration.
+        # A model without a cycle simulator (S2TA-WA) still needs a
+        # fingerprint for analytic serve requests; the class name plus
+        # the design-point fields below pin its configuration.
         sim_config = None
         gemm_kwargs = None
     fingerprint = {
         "code_version": CODE_VERSION,
-        "tier": tier,
         "accel_class": type(accel).__qualname__,
         "accel_name": accel.name,
         "tech": accel.tech,
@@ -149,9 +148,9 @@ def combine_keys(keys, extra=None) -> str:
     The request-level fingerprint of the serve subsystem
     (:mod:`repro.serve`): a whole-job identity is the ordered sequence
     of its layer-task fingerprints (each already covering layer spec,
-    accelerator/memory/energy config, seed, quick cap, tier and the
+    accelerator/memory/energy config, seed, quick cap and the
     :data:`CODE_VERSION` salt) plus any ``extra`` request-level context
-    (model name, conv-only flag) canonicalized the same way the
+    (model name, conv-only flag, tier) canonicalized the same way the
     payload keys are. Two requests share a fingerprint iff every
     simulation *and* finalization input matches — which is exactly when
     the scheduler may serve one simulation to both.
@@ -198,17 +197,6 @@ class ResultCache:
         # Concurrent writers make any in-process total approximate;
         # eviction is best-effort by design.
         self._approx_bytes: Optional[int] = None
-
-    # ------------------------------------------------------------- #
-    # keys
-    # ------------------------------------------------------------- #
-
-    def key(self, accel, layer, seed: int = 0,
-            max_m: Optional[int] = None, tier: str = "functional") -> str:
-        """Content hash of everything that determines one layer's
-        simulation payload — :func:`payload_key` bound to an instance
-        for call-site convenience."""
-        return payload_key(accel, layer, seed=seed, max_m=max_m, tier=tier)
 
     def _entry_path(self, key: str) -> pathlib.Path:
         return self.path / f"{key}.json"

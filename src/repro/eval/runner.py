@@ -33,6 +33,11 @@ Worker processes keep their own process-local
 shrinks each worker's byte budget to its share of the parent's, so the
 aggregate resident operand bytes stay within the configured budget
 (see the OperandCache docs and ``tests/workloads/test_from_spec.py``).
+
+Closed-form evaluations never pass through here: the analytic
+:meth:`~repro.accel.base.AcceleratorModel.run_layer` costs less than a
+task fingerprint, so the DSE, analytic serve requests and the analytic
+artifacts call it directly.
 """
 
 from __future__ import annotations
@@ -80,25 +85,12 @@ MIN_WORKER_OPERAND_BUDGET = 64 * 1024 * 1024
 
 @dataclass(frozen=True, eq=False)
 class LayerSimTask:
-    """One layer-simulation work unit (the fan-out granule).
-
-    ``analytic=True`` evaluates the closed-form tier
-    (:meth:`~repro.accel.base.AcceleratorModel._layer_events`) instead
-    of the cycle simulator — the DSE engine fans thousands of analytic
-    design-point evaluations through the same pool, dedupe and result
-    cache as the functional experiments; the two tiers never share
-    cache keys (the fingerprint carries the tier).
-    """
+    """One layer-simulation work unit (the fan-out granule)."""
 
     accel: AcceleratorModel
     layer: LayerSpec
     seed: int = 0
     max_m: Optional[int] = None
-    analytic: bool = False
-
-    @property
-    def tier(self) -> str:
-        return "analytic" if self.analytic else "functional"
 
 
 #: Below this many tasks a pool's startup/pickling overhead dominates
@@ -186,20 +178,22 @@ def _worker_init(operand_budget: int,
     cache.reset_stats()
 
 
-def _simulate_task(task: LayerSimTask) -> Tuple[int, EventCounts]:
-    """The bare simulation body for one task."""
-    if task.analytic:
-        return task.accel._layer_events(task.layer)
-    return task.accel.simulate_layer_functional(
-        task.layer, seed=task.seed, max_m=task.max_m)
+def _simulate_task(task: LayerSimTask, operand_cache=None
+                   ) -> Tuple[int, EventCounts]:
+    """The simulation body for one task, shared by pool workers and the
+    serial path (``operand_cache`` overrides the process-default
+    operand memo)."""
+    with obs_trace.span(task.layer.name, "layer", accel=task.accel.name):
+        return task.accel.simulate_layer_functional(
+            task.layer, seed=task.seed, max_m=task.max_m,
+            cache=operand_cache)
 
 
 def _task_fault_key(task: LayerSimTask) -> str:
     """Stable identity for fault-injection decisions — same fields the
     result-cache fingerprint covers, minus the (expensive) config hash:
     deterministic across processes and re-orderings."""
-    return (f"{task.accel.name}|{task.layer.name}|{task.seed}|"
-            f"{task.max_m}|{task.tier}")
+    return f"{task.accel.name}|{task.layer.name}|{task.seed}|{task.max_m}"
 
 
 def _run_task(task: LayerSimTask
@@ -217,9 +211,7 @@ def _run_task(task: LayerSimTask
 
     faults.inject("task_execute", _task_fault_key(task))
     start_ns = time.perf_counter_ns()
-    with obs_trace.span(task.layer.name, "layer",
-                        accel=task.accel.name, tier=task.tier):
-        payload = _simulate_task(task)
+    payload = _simulate_task(task)
     end_ns = time.perf_counter_ns()
     stats = default_operand_cache().stats()
     telemetry = {
@@ -315,19 +307,9 @@ def _run_serial(tasks: Sequence[LayerSimTask], indices: Sequence[int],
     compute = registry.histogram("runner.compute_ns")
     payloads: Dict[int, Tuple[int, EventCounts]] = {}
     for i in indices:
-        task = tasks[i]
         start_ns = time.perf_counter_ns()
-        with obs_trace.span(task.layer.name, "layer",
-                            accel=task.accel.name,
-                            tier=task.tier):
-            if task.analytic:
-                payload = task.accel._layer_events(task.layer)
-            else:
-                payload = task.accel.simulate_layer_functional(
-                    task.layer, seed=task.seed,
-                    max_m=task.max_m, cache=operand_cache)
+        payloads[i] = _simulate_task(tasks[i], operand_cache)
         compute.observe(time.perf_counter_ns() - start_ns)
-        payloads[i] = payload
     after = op_cache.stats()
     registry.merge_counts(
         {key: after[key] - before[key]
@@ -455,7 +437,7 @@ def simulate_layer_tasks(
     first_with_key: Dict[str, int] = {}
     for i, task in enumerate(tasks):
         key = payload_key(task.accel, task.layer, seed=task.seed,
-                          max_m=task.max_m, tier=task.tier)
+                          max_m=task.max_m)
         keys.append(key)
         if result_cache is not None:
             hit = result_cache.get(key)

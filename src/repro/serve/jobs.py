@@ -11,20 +11,22 @@ engine: it validates requests (:func:`parse_request`), expands them
 into the engine's :class:`~repro.eval.runner.LayerSimTask` granules
 (:func:`request_tasks`), fingerprints them for dedupe
 (:func:`request_fingerprint` — the ordered per-layer
-:func:`~repro.eval.resultcache.payload_key` sequence combined through
-:func:`~repro.eval.resultcache.combine_keys`, so two requests share a
-fingerprint exactly when the result cache would serve them the same
-payloads), prices them for scheduling (:func:`estimated_cost`) and
-executes whole batches through one
-:func:`~repro.eval.runner.simulate_layer_tasks` fan-out
-(:func:`run_requests`).
+:func:`~repro.eval.resultcache.payload_key` sequence plus the tier and
+the finalization context, combined through
+:func:`~repro.eval.resultcache.combine_keys`), prices them for
+scheduling (:func:`estimated_cost`) and executes whole batches
+(:func:`run_requests`): functional layers through one
+:func:`~repro.eval.runner.simulate_layer_tasks` fan-out, analytic
+requests through the closed-form
+:meth:`~repro.accel.base.AcceleratorModel.run_model`.
 
 Results serialize through :func:`result_payload`; because the tasks,
 finalization and aggregation are the same code the direct
-:meth:`~repro.accel.base.AcceleratorModel.run_model_functional` path
-uses, a served job's payload is bit-equal to a direct in-process run at
-the same request (asserted in ``tests/serve/test_service.py`` — floats
-round-trip JSON exactly via ``repr``).
+:meth:`~repro.accel.base.AcceleratorModel.run_model_functional` and
+``run_model`` paths use, a served job's payload is bit-equal to a
+direct in-process run at the same request (asserted in
+``tests/serve/test_service.py`` — floats round-trip JSON exactly via
+``repr``).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ __all__ = [
     "run_requests",
 ]
 
-#: Fidelity tiers a job may request; mirrors the runner's task tiers.
+#: Fidelity tiers a job may request.
 TIERS = ("functional", "analytic")
 
 #: Result-document schema stamp (pinned in ``tests/serve/``).
@@ -173,12 +175,16 @@ def request_layers(request: SimRequest, spec: ModelSpec
 def request_tasks(request: SimRequest
                   ) -> Tuple[AcceleratorModel, ModelSpec,
                              List[LayerSimTask]]:
-    """Expand one request into its engine task list."""
+    """Expand one request into its per-layer task list (what the
+    fingerprint covers; only functional requests execute the tasks)."""
     spec = get_spec(request.model)
     accel = build_accelerator(request)
+    if request.tier == "functional" and not accel.supports_functional:
+        raise RequestError(
+            f"accelerator {request.accelerator!r} has no functional "
+            f"simulator; request tier 'analytic'")
     max_m = _quick_max_m() if request.quick else None
-    tasks = [LayerSimTask(accel, layer, seed=request.seed, max_m=max_m,
-                          analytic=request.tier == "analytic")
+    tasks = [LayerSimTask(accel, layer, seed=request.seed, max_m=max_m)
              for layer in request_layers(request, spec)]
     return accel, spec, tasks
 
@@ -188,18 +194,19 @@ def request_fingerprint(request: SimRequest,
                         ) -> str:
     """Content fingerprint the scheduler (and the submit-time admission
     path) dedupes on: the ordered per-layer payload keys — each already
-    covering the accelerator/memory/energy config, seed, quick cap,
-    tier and CODE_VERSION — plus the request-level finalization context
-    (model name, layer selection). ``priority`` is deliberately
-    excluded: a high-priority duplicate of a queued request must dedupe
-    onto it, not re-simulate.
+    covering the accelerator/memory/energy config, seed, quick cap and
+    CODE_VERSION — plus the request-level context (tier, model name,
+    layer selection), so an analytic and a functional request never
+    share a fingerprint. ``priority`` is deliberately excluded: a
+    high-priority duplicate of a queued request must dedupe onto it,
+    not re-simulate.
     """
     if tasks is None:
         _, _, tasks = request_tasks(request)
-    keys = [payload_key(t.accel, t.layer, seed=t.seed, max_m=t.max_m,
-                        tier=t.tier) for t in tasks]
+    keys = [payload_key(t.accel, t.layer, seed=t.seed, max_m=t.max_m)
+            for t in tasks]
     extra = {"schema": RESULT_SCHEMA, "model": request.model,
-             "conv_only": request.conv_only}
+             "conv_only": request.conv_only, "tier": request.tier}
     return combine_keys(keys, extra=extra)
 
 
@@ -256,36 +263,36 @@ def run_requests(requests: Sequence[SimRequest], jobs="auto",
                  result_cache=None) -> List[Dict]:
     """Execute many requests as ONE engine batch; results in order.
 
-    Every request's layer tasks flatten into a single
+    Every functional request's layer tasks flatten into a single
     :func:`~repro.eval.runner.simulate_layer_tasks` fan-out (pool
-    occupancy and in-batch dedupe work across jobs — two queued jobs
-    sharing AlexNet layers simulate them once), then each request
-    finalizes through its own accelerator's memory-hierarchy/energy
-    pipeline exactly like the direct ``run_model_functional`` path.
-    Callers group requests by tier first (the scheduler's batch
-    assembly); mixing tiers is legal for the engine but defeats the
-    scheduler's pacing, so :class:`~repro.serve.scheduler.Scheduler`
-    never does it.
+    occupancy, in-batch dedupe and the result cache work across jobs —
+    two queued jobs sharing AlexNet layers simulate them once), then
+    each request finalizes through its own accelerator's
+    memory-hierarchy/energy pipeline exactly like the direct
+    ``run_model_functional`` path. Analytic requests evaluate their
+    closed forms directly through ``run_model``; ``jobs`` and
+    ``result_cache`` do not apply to them. The scheduler groups
+    requests by tier before calling this, but mixing is legal.
     """
     built = [request_tasks(request) for request in requests]
-    all_tasks: List[LayerSimTask] = []
-    for _, _, tasks in built:
-        all_tasks.extend(tasks)
-    payloads = simulate_layer_tasks(all_tasks, jobs=jobs,
-                                    result_cache=result_cache)
+    functional = [task for request, (_, _, tasks) in zip(requests, built)
+                  if request.tier == "functional" for task in tasks]
+    payloads = iter(simulate_layer_tasks(functional, jobs=jobs,
+                                         result_cache=result_cache))
     out: List[Dict] = []
-    pos = 0
-    for accel, spec, tasks in built:
-        run = AccelRunResult(
-            accelerator=accel.name,
-            model=spec.name,
-            tech=accel.tech,
-            clock_ghz=accel.clock_ghz,
-        )
-        for task in tasks:
-            compute_cycles, events = payloads[pos]
-            pos += 1
-            run.layer_results.append(
-                accel._finalize_layer(task.layer, compute_cycles, events))
+    for request, (accel, spec, tasks) in zip(requests, built):
+        if request.tier == "analytic":
+            run = accel.run_model(spec, conv_only=request.conv_only)
+        else:
+            run = AccelRunResult(
+                accelerator=accel.name,
+                model=spec.name,
+                tech=accel.tech,
+                clock_ghz=accel.clock_ghz,
+            )
+            for task in tasks:
+                compute_cycles, events = next(payloads)
+                run.layer_results.append(accel._finalize_layer(
+                    task.layer, compute_cycles, events))
         out.append(result_payload(run))
     return out

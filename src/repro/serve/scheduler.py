@@ -21,9 +21,10 @@ queue through the experiment engine:
 4. **batch** — leaders group into per-fidelity-tier batches (rank
    order preserved; a batch never mixes analytic with functional work,
    property-tested) and each batch executes as ONE
-   :func:`~repro.serve.jobs.run_requests` engine fan-out, so queued
-   jobs share pool occupancy, in-batch layer dedupe and the result
-   cache exactly like one big experiment;
+   :func:`~repro.serve.jobs.run_requests` call: a functional batch is
+   one engine fan-out, so queued jobs share pool occupancy, in-batch
+   layer dedupe and the result cache exactly like one big experiment;
+   an analytic batch evaluates each request's closed forms directly;
 5. **complete/fail** — per-job results land in the store; a request
    that fails to parse or simulate fails its job (and its followers)
    with the diagnostic, never the whole pass.
@@ -142,10 +143,9 @@ def assemble_batches(leaders: Sequence[ParsedJob]
 
     Batches preserve rank order within themselves and emit in order of
     each tier's first appearance; a batch never mixes tiers — analytic
-    points are sub-millisecond closed forms and functional points are
-    seconds of cycle simulation, so a mixed batch would let a flood of
-    cheap analytic work delay a functional job's pool slot (and vice
-    versa make jobs="auto" mis-size the pool).
+    requests are sub-millisecond closed forms and functional ones are
+    seconds of cycle simulation, so a mixed batch would hold cheap
+    analytic results back until the slow simulations finish.
     """
     batches: Dict[str, List[ParsedJob]] = {}
     order: List[str] = []

@@ -46,12 +46,14 @@ def _child_env():
 # ------------------------------------------------------------------ #
 
 
-#: Four distinct analytic requests — small enough that the clean
-#: baseline is sub-second, varied enough that a cross-wired result
+#: Four distinct quick functional requests — small enough that the
+#: clean baseline is sub-second, varied enough that a cross-wired result
 #: (job A served job B's payload) cannot pass the bit-equal check.
+#: Functional, because only cycle simulations run on the worker pool
+#: that the worker_crash / task_hang faults target.
 REQUESTS = [
-    {"model": "lenet5", "accelerator": accel, "tier": "analytic",
-     "seed": seed}
+    {"model": "lenet5", "accelerator": accel, "tier": "functional",
+     "quick": True, "seed": seed}
     for accel in ("s2ta-aw", "sa") for seed in (0, 1)
 ]
 

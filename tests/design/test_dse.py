@@ -2,13 +2,16 @@
 
 Pinned here:
 
-- the full default keyspace: 2,712 evaluations and its 4-point
-  (energy, cycles, area) Pareto frontier;
+- the full default keyspace: 2,712 evaluations, bit-pinned by digest,
+  and its 4-point (energy, cycles, area) Pareto frontier;
 - the frontier of a restricted axes slice, by uid and objectives;
-- a warm re-sweep of the full keyspace hits the result cache on > 90%
-  of lookups.
+- an analytic sweep calls the closed forms directly: it never touches
+  the layer runner or the result cache;
+- a warm functional re-sweep hits the result cache on > 90% of lookups.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -23,12 +26,20 @@ from repro.design.dse import (
     render_artifact,
     run_dse,
 )
+from repro.eval import runner
 from repro.eval.resultcache import ResultCache
 
 #: A small slice of the keyspace: one style, one B, three A-DBB bounds
 #: — 114 points.
 SMALL = DSEAxes(styles=(True,), weight_nnz=(4,), a_nnz=(2, 4, 8),
                 sram_mb=(2.5,))
+
+#: sha256 of the uid-sorted ``as_dict()`` JSON (``sort_keys=True``) of
+#: all 2,712 default-keyspace analytic evaluations, as computed when
+#: every point still went through the layer runner and its result
+#: cache; the direct closed-form path must reproduce it bit for bit.
+FULL_KEYSPACE_SHA256 = (
+    "e72a39c6d51dd45c7c9df9e93a3b4625236f025f73695286f98f8e665e764a92")
 
 
 def _sans_meta(artifact):
@@ -132,6 +143,13 @@ class TestRunDSE:
         assert artifact["frontier"] == [
             e.uid for e in pareto_frontier_3d(evals)]
 
+    def test_full_keyspace_evaluations_bit_pinned(self):
+        evaluations = evaluate_points(DSESpace().points)
+        rows = [evaluations[uid].as_dict() for uid in sorted(evaluations)]
+        digest = hashlib.sha256(
+            json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert digest == FULL_KEYSPACE_SHA256
+
     def test_artifact_records_the_space(self):
         artifact = run_dse(SMALL, fidelity="analytic", seed=3, jobs=1)
         assert set(artifact) == {"artifact", "space", "evaluations",
@@ -150,13 +168,33 @@ class TestRunDSE:
 
 
 class TestResultCacheIntegration:
-    def test_warm_resweep_hits_cache(self, tmp_path):
-        """> 90% hit rate on a re-sweep of the full default keyspace."""
+    def test_analytic_sweep_bypasses_runner_and_cache(self, tmp_path,
+                                                      monkeypatch):
+        batches = []
+        real = runner.simulate_layer_tasks
+
+        def counted(*args, **kwargs):
+            batches.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "simulate_layer_tasks", counted)
         cache = ResultCache(tmp_path / "rc")
-        cold = run_dse(jobs=1, result_cache=cache)
-        assert len(cold["evaluations"]) == 2712
+        artifact = run_dse(SMALL, result_cache=cache)
+        assert len(artifact["evaluations"]) == 114
+        assert batches == []
+        assert cache.hits + cache.misses == 0 and cache.puts == 0
+        assert artifact["meta"]["cache"] == {"enabled": False}
+
+    @pytest.mark.functional
+    def test_warm_resweep_hits_cache(self, tmp_path):
+        """> 90% hit rate on a functional re-sweep of the SMALL slice."""
+        cache = ResultCache(tmp_path / "rc")
+        cold = run_dse(SMALL, fidelity="functional", max_m=32, jobs=1,
+                       result_cache=cache)
+        assert len(cold["evaluations"]) == 114
         cache.hits = cache.misses = 0
-        warm = run_dse(jobs=1, result_cache=cache)
+        warm = run_dse(SMALL, fidelity="functional", max_m=32, jobs=1,
+                       result_cache=cache)
         assert _sans_meta(warm) == _sans_meta(cold)
         assert warm["meta"]["cache"]["hit_rate"] > 0.90
 
@@ -176,7 +214,8 @@ class TestFidelity:
                                    max_m=32, jobs=1,
                                    result_cache=cache)[point.uid]
         assert functional.cycles > 0 and analytic.cycles > 0
-        assert cache.stats()["entries"] == 2  # tiers never collide
+        # Only the cycle simulation is cached; analytic points never are.
+        assert cache.stats()["entries"] == 1
 
     def test_point_build_applies_every_axis(self):
         design = next(iter(DSESpace(SMALL).points)).design

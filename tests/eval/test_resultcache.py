@@ -17,7 +17,8 @@ from repro.accel import S2TAAW, SmtSA, ZvcgSA
 from repro.arch.events import EventCounts
 from repro.energy.costs import DEFAULT_COSTS
 from repro.eval import resultcache
-from repro.eval.resultcache import ResultCache, default_result_cache
+from repro.eval.resultcache import (ResultCache, default_result_cache,
+                                    payload_key)
 from repro.models import get_spec
 
 CONV2 = get_spec("alexnet").conv_layers[1]
@@ -29,40 +30,39 @@ def cache(tmp_path):
 
 
 class TestKey:
-    def test_stable_across_instances(self, cache, tmp_path):
-        other = ResultCache(tmp_path / "elsewhere")
-        assert cache.key(ZvcgSA(), CONV2) == other.key(ZvcgSA(), CONV2)
-        assert cache.key(ZvcgSA(), CONV2) \
-            == cache.key(ZvcgSA(), CONV2, seed=0, max_m=None)
+    def test_stable_across_instances(self):
+        assert payload_key(ZvcgSA(), CONV2) == payload_key(ZvcgSA(), CONV2)
+        assert payload_key(ZvcgSA(), CONV2) \
+            == payload_key(ZvcgSA(), CONV2, seed=0, max_m=None)
 
     @pytest.mark.parametrize("variant", [
-        ("seed", lambda c: c.key(ZvcgSA(), CONV2, seed=1)),
-        ("max_m", lambda c: c.key(ZvcgSA(), CONV2, max_m=64)),
-        ("accel", lambda c: c.key(S2TAAW(), CONV2)),
-        ("accel-config", lambda c: c.key(SmtSA(fifo_depth=4), CONV2)),
-        ("tech", lambda c: c.key(ZvcgSA(tech="65nm"), CONV2)),
-        ("dram", lambda c: c.key(ZvcgSA(dram_gbps=64.0), CONV2)),
-        ("costs", lambda c: c.key(
+        ("seed", lambda: payload_key(ZvcgSA(), CONV2, seed=1)),
+        ("max_m", lambda: payload_key(ZvcgSA(), CONV2, max_m=64)),
+        ("accel", lambda: payload_key(S2TAAW(), CONV2)),
+        ("accel-config", lambda: payload_key(SmtSA(fifo_depth=4), CONV2)),
+        ("tech", lambda: payload_key(ZvcgSA(tech="65nm"), CONV2)),
+        ("dram", lambda: payload_key(ZvcgSA(dram_gbps=64.0), CONV2)),
+        ("costs", lambda: payload_key(
             ZvcgSA(costs=dataclasses.replace(DEFAULT_COSTS,
                                              dram_pj_per_byte=40.0)),
             CONV2)),
-        ("layer-shape", lambda c: c.key(
+        ("layer-shape", lambda: payload_key(
             ZvcgSA(), dataclasses.replace(CONV2, m=CONV2.m + 1))),
-        ("layer-density", lambda c: c.key(
+        ("layer-density", lambda: payload_key(
             ZvcgSA(), dataclasses.replace(CONV2, a_nnz=2))),
     ], ids=lambda v: v[0])
-    def test_key_covers_every_input(self, cache, variant):
+    def test_key_covers_every_input(self, variant):
         _, make_key = variant
-        assert make_key(cache) != cache.key(ZvcgSA(), CONV2)
+        assert make_key() != payload_key(ZvcgSA(), CONV2)
 
-    def test_baseline_smt_depths_share_nothing(self, cache):
-        assert cache.key(SmtSA(fifo_depth=2), CONV2) \
-            != cache.key(SmtSA(fifo_depth=4), CONV2)
+    def test_baseline_smt_depths_share_nothing(self):
+        assert payload_key(SmtSA(fifo_depth=2), CONV2) \
+            != payload_key(SmtSA(fifo_depth=4), CONV2)
 
-    def test_code_version_salts_key(self, cache, monkeypatch):
-        base = cache.key(ZvcgSA(), CONV2)
+    def test_code_version_salts_key(self, monkeypatch):
+        base = payload_key(ZvcgSA(), CONV2)
         monkeypatch.setattr(resultcache, "CODE_VERSION", "other")
-        assert cache.key(ZvcgSA(), CONV2) != base
+        assert payload_key(ZvcgSA(), CONV2) != base
 
 
 class TestStore:
@@ -165,17 +165,6 @@ class TestSizeAccounting:
             cache.put("a", 1, EventCounts(cycles=1))
         assert cache.stats()["entries"] == 2
         assert cache._approx_bytes == cache.stats()["bytes"]
-
-
-class TestPayloadKeyTiers:
-    def test_module_function_matches_bound_method(self, cache):
-        assert resultcache.payload_key(ZvcgSA(), CONV2) \
-            == cache.key(ZvcgSA(), CONV2)
-
-    def test_tiers_never_share_keys(self):
-        accel = ZvcgSA()
-        assert resultcache.payload_key(accel, CONV2, tier="analytic") \
-            != resultcache.payload_key(accel, CONV2, tier="functional")
 
 
 class TestLifetimeStats:

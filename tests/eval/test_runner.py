@@ -246,35 +246,6 @@ class TestCachelessDedupe:
         assert payloads[0][1] is not payloads[1][1]  # no aliasing
 
 
-class TestAnalyticTier:
-    def test_analytic_payload_matches_layer_events(self):
-        accel = S2TAAW()
-        (payload,) = simulate_layer_tasks(
-            [LayerSimTask(accel, CONV2, analytic=True)], jobs=1)
-        assert payload == accel._layer_events(CONV2)
-
-    def test_tiers_never_share_cache_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        accel = ZvcgSA()
-        simulate_layer_tasks(
-            [LayerSimTask(accel, CONV2, max_m=QUICK, analytic=True)],
-            jobs=1, result_cache=cache)
-        assert cache.stats()["entries"] == 1
-        simulate_layer_tasks(
-            [LayerSimTask(accel, CONV2, max_m=QUICK)],
-            jobs=1, result_cache=cache)
-        assert cache.stats()["entries"] == 2
-
-    def test_analytic_warm_rerun_hits(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        tasks = [LayerSimTask(S2TAAW(), CONV2, analytic=True)]
-        cold = simulate_layer_tasks(tasks, jobs=1, result_cache=cache)
-        misses = cache.misses
-        warm = simulate_layer_tasks(tasks, jobs=1, result_cache=cache)
-        assert warm == cold
-        assert cache.misses == misses and cache.hits >= 1
-
-
 class TestTaskTimeoutResolution:
     from repro.eval.runner import _resolve_task_timeout  # noqa: F401
 

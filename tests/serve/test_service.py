@@ -258,13 +258,12 @@ class TestCliVerbs:
 
     def test_warm_populates_cache(self):
         out = main(["warm", "--models", "lenet5",
-                    "--accelerators", "s2ta-aw,sa",
-                    "--tier", "analytic"])
+                    "--accelerators", "s2ta-aw,sa", "--quick"])
         assert "warmed 2 request(s)" in out
+        assert "+0 put(s)" not in out
         # A second pass over the same pairs is served from the cache.
         out = main(["warm", "--models", "lenet5",
-                    "--accelerators", "s2ta-aw,sa",
-                    "--tier", "analytic"])
+                    "--accelerators", "s2ta-aw,sa", "--quick"])
         assert "+0 put(s)" in out
 
     def test_warm_requires_cache(self, monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestListCommands:
@@ -162,6 +162,25 @@ class TestJobsFlag:
     def test_negative_jobs_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "xval", "--jobs", "-1"])
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "xval"],
+        ["dse"],
+        ["serve"],
+        ["warm", "--models", "lenet5", "--accelerators", "sa"],
+    ], ids=lambda argv: argv[0])
+    def test_auto_accepted_by_every_jobs_flag(self, argv):
+        args = build_parser().parse_args(argv + ["--jobs", "auto"])
+        assert args.jobs == "auto"
+        assert build_parser().parse_args(argv + ["--jobs", "3"]).jobs == 3
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--jobs", "many"])
+
+    def test_dse_runs_with_jobs_auto(self):
+        out = main(["dse", "--styles", "tu", "--weight-nnz", "4",
+                    "--a-nnz", "4", "--sram-mb", "2.5", "--jobs", "auto",
+                    "--top", "2"])
+        assert "Pareto frontier" in out
 
 
 class TestCacheCommand:
