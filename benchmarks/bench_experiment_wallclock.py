@@ -30,7 +30,6 @@ import time
 from repro.core.gemm import clear_compress_cache
 from repro.eval.experiments import fig12_alexnet_per_layer
 from repro.eval.resultcache import ResultCache
-from repro.workloads.from_spec import default_operand_cache
 
 PARALLEL_WORKERS = 4
 
@@ -39,8 +38,9 @@ _wallclock = {}
 
 
 def _cold_caches():
-    """Reset every in-process memo so a 'cold' regime is actually cold."""
-    default_operand_cache().clear()
+    """Reset every in-process memo so a 'cold' regime is actually cold
+    (operands are synthesized per batch, so only the compression memo
+    can carry over)."""
     clear_compress_cache()
 
 

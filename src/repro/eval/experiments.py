@@ -95,8 +95,8 @@ def functional_operands(
 
     This entry-count memo serves the small fixed set of microbench sweep
     points; the full-model functional pipeline synthesizes per-layer
-    operands through :class:`repro.workloads.from_spec.OperandCache`,
-    which evicts under a byte budget instead.
+    operands once per operand key and batch instead (see
+    :mod:`repro.eval.runner`).
     """
     from repro.workloads.microbench import microbench_operands, sweep_layer
 

@@ -1,38 +1,40 @@
-"""Parallel, memoized execution engine for the functional tier.
+"""Layer-simulation runner for the functional tier.
 
-Every functional experiment decomposes into independent *layer
-simulation tasks* — one ``(accelerator, layer, seed, max_m)`` point
-whose payload is the measured ``(compute_cycles, EventCounts)`` of
+Every functional experiment decomposes into *layer simulation tasks* —
+one ``(accelerator, layer, seed, max_m)`` point whose payload is the
+measured ``(compute_cycles, EventCounts)`` of
 :meth:`repro.accel.base.AcceleratorModel.simulate_layer_functional`.
-The tasks are embarrassingly parallel (operand synthesis is seeded
-deterministically from the layer spec, so a task's result is
-independent of where or when it runs) and perfectly memoizable (the
-payload is a pure function of the task fingerprint). This module
-exploits both:
+A payload is a pure function of its task (operand synthesis is seeded
+from the layer spec), so it is memoizable and independent of where or
+when it runs. Tasks whose synthesized operands are identical — one
+layer under every accelerator variant, and the repeated shapes inside
+a network (ResNet50's 53 conv layers have 26 operand keys) — form one
+*operand group*, the runner's unit of work.
 
-- :func:`simulate_layer_tasks` fans a task list out over a process
-  pool (``jobs`` workers; ``0`` = all cores; the ``REPRO_JOBS``
-  environment variable supplies the default, which is what lets
-  ``make nightly`` run the whole functional tier parallel by default)
-  and consults a :class:`~repro.eval.resultcache.ResultCache` before
-  dispatching, so overlapping experiments (fig11 / fig12 / xval share
-  AlexNet layers) and re-runs hit the on-disk store instead of
-  re-simulating. Results are returned in task order and are bit-equal
-  to a serial run at the same seed regardless of worker count
-  (asserted in ``tests/eval/test_runner.py``).
-- :func:`functional_model_runs` is the whole-experiment entry point:
-  it flattens many ``(accelerator, model)`` requests into one task
-  batch — so fig11's 4 models x 4 variants saturate the pool as one
-  fan-out, not 16 serial loops — and finalizes each payload through
-  the owning accelerator's memory-hierarchy/energy pipeline in the
-  parent process (finalization is closed-form and cheap; only the
-  simulation fans out).
+:func:`simulate_layer_tasks` runs one batch:
 
-Worker processes keep their own process-local
-:class:`~repro.workloads.from_spec.OperandCache`; the pool initializer
-shrinks each worker's byte budget to its share of the parent's, so the
-aggregate resident operand bytes stay within the configured budget
-(see the OperandCache docs and ``tests/workloads/test_from_spec.py``).
+1. every task is looked up in the
+   :class:`~repro.eval.resultcache.ResultCache` and in-batch duplicates
+   collapse to one simulation, per task;
+2. the remaining tasks group by
+   :func:`~repro.workloads.from_spec.operand_key`;
+3. each group synthesizes its operands once, simulates every task on
+   them and drops them — serially, or one group per process-pool
+   future when ``jobs`` > 1 (``0`` = all cores, ``"auto"`` sizes the
+   pool from the group count, ``$REPRO_JOBS`` supplies the default);
+4. payloads come back in task order, bit-equal to a serial run at the
+   same seed regardless of worker count (asserted in
+   ``tests/eval/test_runner.py``).
+
+:func:`functional_model_runs` is the whole-experiment entry point: it
+flattens many ``(accelerator, model)`` requests into one batch — so
+fig11's 4 models x 4 variants share each layer's synthesis — and
+finalizes each payload through the owning accelerator's
+memory-hierarchy/energy pipeline in the parent process (finalization
+is closed-form and cheap; only the simulation fans out).
+
+Nothing outlives a batch: the next batch synthesizes its operands
+again.
 
 Closed-form evaluations never pass through here: the analytic
 :meth:`~repro.accel.base.AcceleratorModel.run_layer` costs less than a
@@ -60,6 +62,7 @@ from repro.models.specs import LayerSpec, ModelSpec
 from repro.obs import logs as obs_logs
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.workloads.from_spec import operand_key, synthesize_operands
 
 __all__ = [
     "LayerSimTask",
@@ -71,16 +74,9 @@ __all__ = [
 
 log = obs_logs.get_logger(__name__)
 
-#: ``$REPRO_TASK_TIMEOUT`` supplies the default per-task pool timeout
-#: (seconds; unset/empty = wait forever, the pre-robustness behavior).
+#: ``$REPRO_TASK_TIMEOUT`` supplies the default pool timeout for one
+#: dispatched operand group (seconds; unset/empty = wait forever).
 TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
-
-#: Floor on a pool worker's operand-cache byte budget — a worker must
-#: always be able to hold at least one large layer's operands while it
-#: simulates them (entries above the budget are synthesized but not
-#: retained, so correctness never depends on this; only re-synthesis
-#: rate does).
-MIN_WORKER_OPERAND_BUDGET = 64 * 1024 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,27 +89,29 @@ class LayerSimTask:
     max_m: Optional[int] = None
 
 
-#: Below this many tasks a pool's startup/pickling overhead dominates
-#: the simulation work, so ``auto`` stays serial (the BENCH small-host
-#: inversion: quick fig12 parallel-cold 1.22 s vs 0.64 s serial).
+#: Below this many work units (operand groups) a pool's
+#: startup/pickling overhead dominates the simulation work, so ``auto``
+#: stays serial (the BENCH small-host inversion: quick fig12
+#: parallel-cold 1.22 s vs 0.64 s serial).
 AUTO_MIN_TASKS = 4
 
-#: ``auto`` never spins up a worker for fewer than this many tasks —
-#: each worker must amortize its fork + operand-cache warmup over at
-#: least a couple of simulations.
+#: ``auto`` never spins up a worker for fewer than this many work
+#: units — each worker must amortize its fork over at least a couple
+#: of operand groups.
 AUTO_TASKS_PER_WORKER = 2
 
 
 def auto_jobs(task_count: int, cpu_count: Optional[int] = None) -> int:
-    """Serial-vs-pool decision for one batch of ``task_count`` tasks.
+    """Serial-vs-pool decision for one batch of ``task_count`` work
+    units (the runner passes its operand-group count).
 
     The decision table (regression-pinned in
     ``tests/eval/test_runner.py``):
 
     - single-core host -> 1 (a pool can only add overhead);
-    - fewer than :data:`AUTO_MIN_TASKS` tasks -> 1 (startup dominates);
+    - fewer than :data:`AUTO_MIN_TASKS` units -> 1 (startup dominates);
     - otherwise ``min(cpu_count, task_count // AUTO_TASKS_PER_WORKER)``
-      workers, so every worker amortizes its fork over >= 2 tasks and
+      workers, so every worker amortizes its fork over >= 2 units and
       the pool never exceeds the host.
     """
     if task_count < 0:
@@ -159,34 +157,14 @@ def resolve_jobs(jobs, task_count: Optional[int] = None) -> int:
     return jobs
 
 
-def _worker_init(operand_budget: int,
-                 shard_dir: Optional[str] = None) -> None:
-    """Pool initializer: cap this worker's process-local operand cache
-    at its share of the parent's byte budget, zero the fork-inherited
-    cache counters (so the stats this worker returns with its payloads
-    are pure deltas), and — when the parent is tracing — open this
-    worker's trace shard."""
-    from repro.workloads.from_spec import default_operand_cache
-
+def _worker_init(shard_dir: Optional[str] = None) -> None:
+    """Pool initializer: open this worker's trace shard when the parent
+    is tracing, and arm the worker-only faults."""
     obs_trace.reset_for_worker(shard_dir)
     # Arm worker-only faults (worker_crash / task_hang): they must
     # never fire on the parent's serial fallback path, which is what
     # guarantees degradation converges.
     faults.mark_worker()
-    cache = default_operand_cache()
-    cache.resize(operand_budget)
-    cache.reset_stats()
-
-
-def _simulate_task(task: LayerSimTask, operand_cache=None
-                   ) -> Tuple[int, EventCounts]:
-    """The simulation body for one task, shared by pool workers and the
-    serial path (``operand_cache`` overrides the process-default
-    operand memo)."""
-    with obs_trace.span(task.layer.name, "layer", accel=task.accel.name):
-        return task.accel.simulate_layer_functional(
-            task.layer, seed=task.seed, max_m=task.max_m,
-            cache=operand_cache)
 
 
 def _task_fault_key(task: LayerSimTask) -> str:
@@ -196,64 +174,63 @@ def _task_fault_key(task: LayerSimTask) -> str:
     return f"{task.accel.name}|{task.layer.name}|{task.seed}|{task.max_m}"
 
 
-def _run_task(task: LayerSimTask
-              ) -> Tuple[Tuple[int, EventCounts], dict]:
-    """Worker body — module-level so the pool can pickle it.
+def _run_group(group: Sequence[LayerSimTask]
+               ) -> List[Tuple[Tuple[int, EventCounts], int, int]]:
+    """Run one operand group, the body shared by pool workers and the
+    serial path: synthesize the group's operands once, simulate every
+    task on them, then drop them.
 
-    Returns ``(payload, telemetry)``: the simulation result plus this
-    worker's pid, the task's monotonic start/end, and a *cumulative*
-    snapshot of the worker's operand-cache counters. Shipping counters
-    with payloads is what makes worker-side cache statistics survive
-    pool teardown — the parent folds the final snapshot per pid into
-    the process-wide metrics registry (see ``_merge_worker_telemetry``).
+    Returns ``(payload, start_ns, end_ns)`` per task in group order.
+    The synthesis runs inside the first task's ``layer`` span and
+    timing, so traces and ``runner.compute_ns`` charge it to that task.
     """
-    from repro.workloads.from_spec import default_operand_cache
+    operands = None
+    timed = []
+    for task in group:
+        faults.inject("task_execute", _task_fault_key(task))
+        start_ns = time.perf_counter_ns()
+        with obs_trace.span(task.layer.name, "layer",
+                            accel=task.accel.name):
+            if operands is None:
+                operands = synthesize_operands(
+                    task.layer, seed=task.seed, max_m=task.max_m)
+            payload = task.accel.simulate_layer_functional(
+                task.layer, *operands)
+        timed.append((payload, start_ns, time.perf_counter_ns()))
+    return timed
 
-    faults.inject("task_execute", _task_fault_key(task))
-    start_ns = time.perf_counter_ns()
-    payload = _simulate_task(task)
-    end_ns = time.perf_counter_ns()
-    stats = default_operand_cache().stats()
-    telemetry = {
-        "pid": os.getpid(),
-        "start_ns": start_ns,
-        "end_ns": end_ns,
-        "operand_cache": {key: stats[key] for key in
-                          ("hits", "misses", "evictions", "races")},
-    }
-    return payload, telemetry
+
+def _run_group_in_worker(group: Sequence[LayerSimTask]):
+    """Pool worker body — module-level so the pool can pickle it.
+    Returns the group's timed payloads and this worker's pid."""
+    return _run_group(group), os.getpid()
 
 
-def _merge_worker_telemetry(registry, dispatch_ns: int,
-                            telemetry: Sequence[dict]) -> None:
-    """Fold per-task worker telemetry into the parent's registry.
+def _merge_worker_telemetry(registry, dispatch_ns: int, finished
+                            ) -> Dict[int, Tuple[int, EventCounts]]:
+    """Fold the pool's finished groups into the parent's registry and
+    return their payloads by task index.
 
-    Queue wait is measured from batch dispatch to the task's start on
-    a worker (tasks that sat behind others accumulate it); compute is
-    the span on the worker. Operand-cache counters arrive cumulative
-    per worker, so only each pid's largest (= last) snapshot counts,
-    summed across pids.
+    Each finished group is one synthesis (``runner.syntheses``). Queue
+    wait is measured from batch dispatch to each task's start on a
+    worker (tasks that sat behind others accumulate it); compute is the
+    task's span on the worker.
     """
+    payloads: Dict[int, Tuple[int, EventCounts]] = {}
     per_worker_tasks: Dict[int, int] = {}
-    cache_final: Dict[int, Dict[str, int]] = {}
     queue_wait = registry.histogram("runner.queue_wait_ns")
     compute = registry.histogram("runner.compute_ns")
-    for record in telemetry:
-        pid = record["pid"]
-        per_worker_tasks[pid] = per_worker_tasks.get(pid, 0) + 1
-        queue_wait.observe(max(0, record["start_ns"] - dispatch_ns))
-        compute.observe(max(0, record["end_ns"] - record["start_ns"]))
-        snap = cache_final.setdefault(pid, {})
-        for key, value in record["operand_cache"].items():
-            snap[key] = max(snap.get(key, 0), value)
+    for group, timed, pid in finished:
+        per_worker_tasks[pid] = per_worker_tasks.get(pid, 0) + len(group)
+        for i, (payload, start_ns, end_ns) in zip(group, timed):
+            payloads[i] = payload
+            queue_wait.observe(max(0, start_ns - dispatch_ns))
+            compute.observe(max(0, end_ns - start_ns))
+    registry.counter("runner.syntheses").inc(len(finished))
     load = registry.histogram("runner.tasks_per_worker")
     for count in per_worker_tasks.values():
         load.observe(count)
-    totals: Dict[str, int] = {}
-    for snap in cache_final.values():
-        for key, value in snap.items():
-            totals[key] = totals.get(key, 0) + value
-    registry.merge_counts(totals, prefix="operand_cache.")
+    return payloads
 
 
 def _copy_events(payload: Tuple[int, EventCounts]
@@ -266,8 +243,8 @@ def _copy_events(payload: Tuple[int, EventCounts]
 
 
 def _pool_context():
-    """Prefer ``fork`` (cheap start, copy-on-write operand cache);
-    fall back to the platform default elsewhere."""
+    """Prefer ``fork`` (cheap start); fall back to the platform default
+    elsewhere."""
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         return multiprocessing.get_context("fork")
@@ -276,7 +253,7 @@ def _pool_context():
 
 def _resolve_task_timeout(task_timeout_s: Optional[float]
                           ) -> Optional[float]:
-    """Per-task pool timeout: explicit value wins, else
+    """Pool timeout for one operand group: explicit value wins, else
     ``$REPRO_TASK_TIMEOUT`` (seconds), else None (wait forever)."""
     if task_timeout_s is not None:
         if task_timeout_s <= 0:
@@ -293,93 +270,80 @@ def _resolve_task_timeout(task_timeout_s: Optional[float]
     return value
 
 
-def _run_serial(tasks: Sequence[LayerSimTask], indices: Sequence[int],
-                registry, operand_cache
+def _run_serial(tasks: Sequence[LayerSimTask],
+                groups: Sequence[Sequence[int]], registry
                 ) -> Dict[int, Tuple[int, EventCounts]]:
     """The serial execution body — also the degradation target: the
-    pool path re-executes its failed slice here, bit-equal by
+    pool path re-executes its unfinished groups here, bit-equal by
     construction (same simulation entry points, same seeds)."""
-    from repro.workloads.from_spec import default_operand_cache
-
-    op_cache = (operand_cache if operand_cache is not None
-                else default_operand_cache())
-    before = op_cache.stats()
     compute = registry.histogram("runner.compute_ns")
     payloads: Dict[int, Tuple[int, EventCounts]] = {}
-    for i in indices:
-        start_ns = time.perf_counter_ns()
-        payloads[i] = _simulate_task(tasks[i], operand_cache)
-        compute.observe(time.perf_counter_ns() - start_ns)
-    after = op_cache.stats()
-    registry.merge_counts(
-        {key: after[key] - before[key]
-         for key in ("hits", "misses", "evictions", "races")},
-        prefix="operand_cache.")
+    for group in groups:
+        timed = _run_group([tasks[i] for i in group])
+        registry.counter("runner.syntheses").inc()
+        for i, (payload, start_ns, end_ns) in zip(group, timed):
+            payloads[i] = payload
+            compute.observe(end_ns - start_ns)
     return payloads
 
 
-def _run_pool(tasks: Sequence[LayerSimTask], indices: Sequence[int],
-              workers: int, budget: int,
-              task_timeout_s: Optional[float]
-              ) -> Tuple[Dict[int, Tuple[int, EventCounts]],
-                         List[dict], List[int]]:
-    """Fan ``indices`` out over a process pool, surviving pool death.
+def _run_pool(tasks: Sequence[LayerSimTask],
+              groups: Sequence[Sequence[int]], workers: int,
+              task_timeout_s: Optional[float]):
+    """Fan ``groups`` out over a process pool, one future per group,
+    surviving pool death.
 
-    Returns ``(payloads_by_index, telemetry, redo_indices)``. A worker
-    crash (``BrokenProcessPool``) or a per-task timeout stops
-    collection, salvages every already-finished future, and reports the
-    rest in ``redo_indices`` for the caller's serial fallback — the
-    pool path never aborts the experiment. A timeout additionally
-    terminates the (hung) worker processes so the interpreter is not
-    held hostage at exit. A task that raises a *real* simulation error
-    still propagates: degradation is for infrastructure failures, not
-    for masking bugs.
+    Returns ``(finished, redo)``: ``(group, timed payloads, worker
+    pid)`` for every group that completed, and the groups left for the
+    caller's serial fallback. A worker crash (``BrokenProcessPool``) or
+    a group timeout stops collection, salvages every already-finished
+    future, and reports the rest in ``redo`` — the pool path never
+    aborts the experiment. A timeout additionally terminates the (hung)
+    worker processes so the interpreter is not held hostage at exit. A
+    group that raises a *real* simulation error still propagates:
+    degradation is for infrastructure failures, not for masking bugs.
     """
-    payloads: Dict[int, Tuple[int, EventCounts]] = {}
-    telemetry: List[dict] = []
-    redo: List[int] = []
+    finished = []
+    redo: List[Sequence[int]] = []
     hung = False
     pool = ProcessPoolExecutor(
         max_workers=workers, mp_context=_pool_context(),
         initializer=_worker_init,
-        initargs=(budget, obs_trace.active_shard_dir()))
+        initargs=(obs_trace.active_shard_dir(),))
     try:
-        futures = {i: pool.submit(_run_task, tasks[i]) for i in indices}
-        to_collect = list(indices)
-        while to_collect:
-            i = to_collect[0]
+        futures = [pool.submit(_run_group_in_worker,
+                               [tasks[i] for i in group])
+                   for group in groups]
+        done = 0
+        while done < len(groups):
             try:
-                payload, record = futures[i].result(
-                    timeout=task_timeout_s)
+                timed, pid = futures[done].result(timeout=task_timeout_s)
             except FuturesTimeout:
                 hung = True
                 log.warning(
-                    "pool task timed out after %.3g s; degrading the "
-                    "remaining %d task(s) to the serial path",
-                    task_timeout_s, len(to_collect))
+                    "pool group timed out after %.3g s; degrading the "
+                    "remaining %d group(s) to the serial path",
+                    task_timeout_s, len(groups) - done)
                 break
             except BrokenProcessPool:
                 log.warning(
                     "process pool broke (worker died); degrading the "
-                    "remaining %d task(s) to the serial path",
-                    len(to_collect))
+                    "remaining %d group(s) to the serial path",
+                    len(groups) - done)
                 break
-            payloads[i] = payload
-            telemetry.append(record)
-            to_collect.pop(0)
-        for j in to_collect:
-            future = futures[j]
+            finished.append((groups[done], timed, pid))
+            done += 1
+        for group, future in zip(groups[done:], futures[done:]):
             if future.done() and not future.cancelled():
                 try:
-                    payload, record = future.result(timeout=0)
+                    timed, pid = future.result(timeout=0)
                 except Exception:  # noqa: BLE001 — broken future
-                    redo.append(j)
+                    redo.append(group)
                 else:
-                    payloads[j] = payload
-                    telemetry.append(record)
+                    finished.append((group, timed, pid))
             else:
                 future.cancel()
-                redo.append(j)
+                redo.append(group)
     finally:
         if hung:
             # cancel_futures keeps queued work off the dying pool; the
@@ -395,34 +359,33 @@ def _run_pool(tasks: Sequence[LayerSimTask], indices: Sequence[int],
                 except Exception:  # noqa: BLE001 — already dead
                     pass
         pool.shutdown(wait=True, cancel_futures=True)
-    return payloads, telemetry, redo
+    return finished, redo
 
 
 def simulate_layer_tasks(
     tasks: Sequence[LayerSimTask],
     jobs=None,
     result_cache: Optional[ResultCache] = None,
-    operand_cache=None,
     task_timeout_s: Optional[float] = None,
 ) -> List[Tuple[int, EventCounts]]:
-    """Simulate every task, parallel and memoized; results in task order.
+    """Simulate every task, grouped by operand key; results in task
+    order.
 
     Cache hits (and in-batch duplicates — the same key appearing twice
-    in ``tasks``) never dispatch to the pool; misses fan out over
-    ``jobs`` workers (serial when 1 or when only one miss remains) and
-    are frozen into ``result_cache`` as they complete. ``jobs="auto"``
-    resolves per batch from the number of *misses* (cache hits never
-    need a pool) via :func:`auto_jobs`. Task fingerprints are computed
-    whether or not a cache is attached, so in-batch duplicates collapse
-    to one simulation even under ``--no-result-cache``.
-    ``operand_cache`` overrides the process-default operand memo on the
-    *serial* path only — worker processes always use their own
-    process-local caches.
+    in ``tasks``) never simulate; the misses group by
+    :func:`~repro.workloads.from_spec.operand_key`, each group
+    synthesizes once, and payloads are frozen into ``result_cache``.
+    Groups run over ``jobs`` pool workers (serial when 1 or when only
+    one group remains); ``jobs="auto"`` resolves per batch from the
+    number of groups via :func:`auto_jobs`. Task fingerprints are
+    computed whether or not a cache is attached, so in-batch
+    duplicates collapse to one simulation even under
+    ``--no-result-cache``.
 
     **Graceful degradation**: a dying pool (``BrokenProcessPool``) or a
-    per-task timeout (``task_timeout_s``, default from
+    group timeout (``task_timeout_s``, default from
     ``$REPRO_TASK_TIMEOUT``) does not abort the batch — finished
-    futures are salvaged and the rest re-execute on the serial path,
+    groups are salvaged and the rest re-execute on the serial path,
     bit-equal by construction (``runner.degraded`` counts batches,
     ``runner.retries`` counts re-executed tasks).
     """
@@ -452,43 +415,44 @@ def simulate_layer_tasks(
 
     registry.counter("runner.deduped").inc(len(dup_of))
     registry.counter("runner.simulated").inc(len(pending))
-    # Resolved against the post-dedupe/post-cache miss count: a batch
+    by_operands: Dict[tuple, List[int]] = {}
+    for i in pending:
+        task = tasks[i]
+        by_operands.setdefault(
+            operand_key(task.layer, seed=task.seed, max_m=task.max_m),
+            []).append(i)
+    groups = list(by_operands.values())
+    # Resolved against the post-dedupe/post-cache group count: a batch
     # that is mostly cache hits must not pay pool startup for the tail.
-    jobs = resolve_jobs(jobs, task_count=len(pending))
+    jobs = resolve_jobs(jobs, task_count=len(groups))
     task_timeout_s = _resolve_task_timeout(task_timeout_s)
-    if pending:
-        if jobs > 1 and len(pending) > 1:
-            from repro.workloads.from_spec import default_operand_cache
-
-            workers = min(jobs, len(pending))
-            budget = max(default_operand_cache().max_bytes // workers,
-                         MIN_WORKER_OPERAND_BUDGET)
-            registry.counter("runner.pool_batches").inc()
-            registry.gauge("runner.pool_workers").set(workers)
-            dispatch_ns = time.perf_counter_ns()
-            with obs_trace.span("pool", "runner", workers=workers,
-                                tasks=len(pending)):
-                by_index, telemetry, redo = _run_pool(
-                    tasks, pending, workers, budget, task_timeout_s)
-            _merge_worker_telemetry(registry, dispatch_ns, telemetry)
-            if redo:
-                registry.counter("runner.degraded").inc()
-                registry.counter("runner.retries").inc(len(redo))
-                log.warning(
-                    "degraded: re-executing %d of %d pool task(s) "
-                    "serially", len(redo), len(pending))
-                with obs_trace.span("degraded-serial", "runner",
-                                    tasks=len(redo)):
-                    by_index.update(_run_serial(
-                        tasks, redo, registry, operand_cache))
-            payloads = [by_index[i] for i in pending]
-        else:
-            serial = _run_serial(tasks, pending, registry, operand_cache)
-            payloads = [serial[i] for i in pending]
-        for i, payload in zip(pending, payloads):
-            results[i] = payload
-            if result_cache is not None:
-                result_cache.put(keys[i], payload[0], payload[1])
+    if jobs > 1 and len(groups) > 1:
+        workers = min(jobs, len(groups))
+        registry.counter("runner.pool_batches").inc()
+        registry.gauge("runner.pool_workers").set(workers)
+        dispatch_ns = time.perf_counter_ns()
+        with obs_trace.span("pool", "runner", workers=workers,
+                            tasks=len(pending), groups=len(groups)):
+            finished, redo = _run_pool(tasks, groups, workers,
+                                       task_timeout_s)
+        payloads = _merge_worker_telemetry(registry, dispatch_ns,
+                                           finished)
+        if redo:
+            retried = sum(len(group) for group in redo)
+            registry.counter("runner.degraded").inc()
+            registry.counter("runner.retries").inc(retried)
+            log.warning(
+                "degraded: re-executing %d of %d pool group(s) (%d "
+                "task(s)) serially", len(redo), len(groups), retried)
+            with obs_trace.span("degraded-serial", "runner",
+                                tasks=retried):
+                payloads.update(_run_serial(tasks, redo, registry))
+    else:
+        payloads = _run_serial(tasks, groups, registry)
+    for i in pending:
+        results[i] = payloads[i]
+        if result_cache is not None:
+            result_cache.put(keys[i], *payloads[i])
     for i, j in dup_of.items():
         results[i] = results[j]
     if result_cache is not None:
@@ -506,16 +470,15 @@ def functional_model_runs(
     max_m: Optional[int] = None,
     jobs=None,
     result_cache: Optional[ResultCache] = None,
-    operand_cache=None,
 ) -> List[AccelRunResult]:
     """Run many (accelerator, model) pairs as one parallel fan-out.
 
     The full-model experiments route through this: all layer tasks of
     every request flatten into a single :func:`simulate_layer_tasks`
-    batch (maximizing pool occupancy and cache sharing across
-    accelerator variants), then each payload finalizes through its
-    accelerator's memory-hierarchy and energy pipeline exactly as the
-    serial :meth:`~repro.accel.base.AcceleratorModel.run_model_functional`
+    batch (each layer's operands are synthesized once for every
+    accelerator variant, and the pool sees every group), then each
+    payload finalizes through its accelerator's memory-hierarchy and
+    energy pipeline exactly as the serial :meth:`~repro.accel.base.AcceleratorModel.run_model_functional`
     would — the two paths are bit-equal by construction.
     """
     tasks: List[LayerSimTask] = []
@@ -526,9 +489,8 @@ def functional_model_runs(
         tasks.extend(
             LayerSimTask(accel, layer, seed=seed, max_m=max_m)
             for layer in layers)
-    payloads = simulate_layer_tasks(
-        tasks, jobs=jobs, result_cache=result_cache,
-        operand_cache=operand_cache)
+    payloads = simulate_layer_tasks(tasks, jobs=jobs,
+                                    result_cache=result_cache)
     out: List[AccelRunResult] = []
     pos = 0
     for accel, spec, layers in spans:

@@ -16,10 +16,10 @@ time go. This package is the cross-cutting fix:
   manager (frozen by ``benchmarks/bench_obs_overhead.py``).
 - :mod:`repro.obs.metrics` — a process-local registry of counters,
   gauges and histograms. The runner aggregates worker-side telemetry
-  (operand-cache hits/misses/evictions/races, per-worker load balance,
-  queue-wait vs compute time) into it, fixing the lost-stats gap where
-  pool workers' cache counters vanished on exit; the result cache
-  additionally persists lifetime hit/miss totals beside its entries.
+  (operand syntheses, per-worker load balance, queue-wait vs compute
+  time) into it, so pool workers' counts survive their exit; the
+  result cache additionally persists lifetime hit/miss totals beside
+  its entries.
 - :mod:`repro.obs.logs` — the shared standard-library ``logging``
   configuration behind the CLI's ``-v``/``-q`` flags and the
   benchmark/tool diagnostics.

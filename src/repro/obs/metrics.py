@@ -1,7 +1,7 @@
 """Process-local metrics registry: counters, gauges, histograms.
 
-The runner aggregates its own telemetry plus worker-returned cache
-statistics into the process-wide :func:`default_registry`; the CLI
+The runner aggregates its own telemetry plus worker-returned task
+timings and synthesis counts into the process-wide :func:`default_registry`; the CLI
 renders it as a summary table (``--metrics``) and dumps the JSON form
 next to artifacts (``--metrics-out``). Everything is plain dicts of
 numbers so the dump round-trips through ``json`` with no custom
@@ -23,7 +23,7 @@ family under the ``serve.`` prefix — ``serve.jobs_submitted`` /
 *and* in-batch request dedupe), ``serve.batches``,
 ``serve.queue_depth`` / ``serve.jobs_running`` gauges and the
 ``serve.job_wall_ns`` latency histogram — next to the existing
-``runner.`` / ``operand_cache.`` / ``result_cache.`` families, so one
+``runner.`` / ``result_cache.`` families, so one
 ``GET /metrics`` snapshot reconciles service work against engine work
 (asserted in ``tests/serve/test_service.py``).
 """
@@ -146,7 +146,7 @@ class Histogram:
 class MetricsRegistry:
     """Thread-safe named collection of counters, gauges and histograms.
 
-    Names are dotted paths (``runner.tasks``, ``operand_cache.hits``);
+    Names are dotted paths (``runner.tasks``, ``result_cache.hits``);
     the first segment groups the rendered table. Getter methods create
     on first use so instrumentation points never pre-register.
     """
@@ -192,14 +192,6 @@ class MetricsRegistry:
         with self._lock:
             return {name: self._metrics[name].as_dict()
                     for name in sorted(self._metrics)}
-
-    def merge_counts(self, counts: Dict[str, int],
-                     prefix: str = "") -> None:
-        """Fold a flat ``{name: count}`` mapping (e.g. one worker's
-        returned cache stats) into this registry's counters."""
-        for name, value in counts.items():
-            full = f"{prefix}{name}" if prefix else name
-            self.counter(full).inc(int(value))
 
     def json_payload(self) -> dict:
         """The schema-stamped JSON document ``dump_json`` writes —

@@ -4,18 +4,12 @@
   and concrete operand generators for the functional simulator.
 - :mod:`repro.workloads.from_spec`: concrete INT8 operands synthesized
   from analytic :class:`~repro.models.specs.LayerSpec`s (the functional
-  full-model pipeline), memoized under a byte budget.
+  full-model pipeline), grouped by operand key in the layer runner.
 - :mod:`repro.workloads.typical`: the "typical convolution layer" used
   by Fig. 1, Fig. 3 and Fig. 10.
 """
 
-from repro.workloads.from_spec import (
-    OperandCache,
-    blocked_density_operand,
-    default_operand_cache,
-    operands_for_layer,
-    spec_operands,
-)
+from repro.workloads.from_spec import blocked_density_operand, spec_operands
 from repro.workloads.from_trace import run_and_spec, spec_from_trace
 from repro.workloads.microbench import (
     microbench_operands,
@@ -30,9 +24,6 @@ __all__ = [
     "microbench_operands",
     "blocked_density_operand",
     "spec_operands",
-    "OperandCache",
-    "operands_for_layer",
-    "default_operand_cache",
     "TYPICAL_CONV",
     "typical_conv_layer",
     "spec_from_trace",

@@ -26,19 +26,18 @@ equals the analytic models' ``round(elements * density)`` closed form
 whenever ``density <= nnz_cap / block_size`` (above the cap the operand
 saturates at the cap, as before).
 
-Generated operands are memoized in :class:`OperandCache`, an LRU bounded
-by a *byte budget* rather than an entry count (a single VGG conv layer's
-activation matrix is ~29 MB; entry-count caches like ``lru_cache`` grow
-unboundedly in bytes). Cached arrays are returned read-only and shared
-across every accelerator variant in a sweep, so each layer's operands are
-synthesized once per (shape, density, seed) point.
+Nothing is memoized here. The layer runner (:mod:`repro.eval.runner`)
+groups the tasks of a batch by :func:`operand_key`, synthesizes each
+key once with :func:`synthesize_operands`, runs every accelerator of the
+group on those tensors and drops them, so each process holds at most
+one group's operands at a time (a single VGG conv layer's activation
+matrix is ~29 MB).
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from dataclasses import replace
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -48,9 +47,8 @@ from repro.obs import trace as obs_trace
 __all__ = [
     "blocked_density_operand",
     "spec_operands",
-    "OperandCache",
-    "operands_for_layer",
-    "default_operand_cache",
+    "operand_key",
+    "synthesize_operands",
 ]
 
 
@@ -149,144 +147,30 @@ def spec_operands(
         return a, w
 
 
-class OperandCache:
-    """Byte-budget LRU memo for synthesized layer operands.
-
-    Keys on the fields that determine the generated tensors (GEMM shape,
-    DBB bounds, densities, seed); evicts least-recently-used entries once
-    the resident operand bytes exceed ``max_bytes``. Entries larger than
-    the whole budget are synthesized but never retained. Cached arrays
-    are marked read-only — they are shared across accelerator variants.
-
-    **Multi-process semantics** (the parallel experiment runner,
-    :mod:`repro.eval.runner`): the cache is *process-local*. Worker
-    processes never share entries, budget accounting or hit/miss stats
-    with the parent or each other — a ``fork``-started worker inherits a
-    copy-on-write snapshot of the parent's entries (read-only arrays,
-    shared physical pages until evicted) and diverges from there; a
-    ``spawn``-started worker begins empty. The pool initializer calls
-    :meth:`resize` in each worker so that every worker's budget is its
-    share of the parent's total — the aggregate resident bytes across
-    workers stay within one configured budget, and no cross-process
-    locking is needed because no state is shared. Within one process the
-    cache is additionally thread-safe (a lock guards the LRU structure).
-    """
-
-    def __init__(self, max_bytes: int = 512 * 1024 * 1024):
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-        self.max_bytes = max_bytes
-        self._entries: "OrderedDict[tuple, Tuple[np.ndarray, np.ndarray]]" \
-            = OrderedDict()
-        self._lock = threading.Lock()
-        self.current_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.races = 0
-
-    @staticmethod
-    def _key(layer: LayerSpec, seed: int) -> tuple:
-        return (layer.m, layer.k, layer.n, layer.w_nnz, layer.a_nnz,
-                round(layer.w_density, 6), round(layer.a_density, 6), seed)
-
-    def get(self, layer: LayerSpec, seed: int = 0
-            ) -> Tuple[np.ndarray, np.ndarray]:
-        key = self._key(layer, seed)
-        with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return hit
-            self.misses += 1
-        # Synthesis runs outside the lock (it is the expensive part and
-        # touches no shared state); a racing thread may synthesize the
-        # same entry concurrently, in which case the first insert wins
-        # (identical read-only arrays) and the loser's copy is dropped
-        # without touching the byte accounting.
-        a, w = spec_operands(layer, seed=seed)
-        a.setflags(write=False)
-        w.setflags(write=False)
-        item_bytes = a.nbytes + w.nbytes
-        with self._lock:
-            raced = self._entries.get(key)
-            if raced is not None:
-                self._entries.move_to_end(key)
-                self.races += 1
-                return raced
-            if item_bytes <= self.max_bytes:
-                self._entries[key] = (a, w)
-                self.current_bytes += item_bytes
-                self._evict_to_budget()
-        return a, w
-
-    def _evict_to_budget(self) -> None:
-        """Drop LRU entries until within budget (lock held by caller)."""
-        while self.current_bytes > self.max_bytes and len(self._entries) > 1:
-            _, (ea, ew) = self._entries.popitem(last=False)
-            self.current_bytes -= ea.nbytes + ew.nbytes
-            self.evictions += 1
-
-    def resize(self, max_bytes: int) -> None:
-        """Re-budget the cache (evicting LRU entries if shrinking) —
-        how the parallel runner's pool initializer gives each worker its
-        share of the parent's budget."""
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-        with self._lock:
-            self.max_bytes = max_bytes
-            # A shrunk budget may strand a single oversized entry; the
-            # loop below keeps at least one entry, so drop it explicitly
-            # when even alone it exceeds the new budget.
-            self._evict_to_budget()
-            if self.current_bytes > self.max_bytes and self._entries:
-                _, (ea, ew) = self._entries.popitem(last=False)
-                self.current_bytes -= ea.nbytes + ew.nbytes
-                self.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.current_bytes = 0
-            self.reset_stats()
-
-    def reset_stats(self) -> None:
-        """Zero the counters without dropping entries — pool workers
-        call this at init so fork-inherited parent counts never pollute
-        the deltas they return with their task payloads."""
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.races = 0
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "races": self.races,
-            "entries": len(self._entries),
-            "bytes": self.current_bytes,
-        }
-
-    def __len__(self) -> int:
-        return len(self._entries)
+def _rows_capped(layer: LayerSpec, max_m: Optional[int]) -> LayerSpec:
+    """The layer actually synthesized: ``layer`` with at most ``max_m``
+    output-pixel rows (quick mode)."""
+    if max_m is not None and layer.m > max_m:
+        return replace(layer, m=max_m)
+    return layer
 
 
-_DEFAULT_CACHE = OperandCache()
+def operand_key(layer: LayerSpec, seed: int = 0,
+                max_m: Optional[int] = None) -> tuple:
+    """Identity of the operands :func:`synthesize_operands` returns for
+    ``(layer, seed, max_m)``: the fields that determine the generated
+    tensors (capped GEMM shape, DBB bounds, densities, seed), so tasks
+    with equal keys can share one synthesis whatever the layer's name or
+    the accelerator that consumes them."""
+    layer = _rows_capped(layer, max_m)
+    return (layer.m, layer.k, layer.n, layer.w_nnz, layer.a_nnz,
+            round(layer.w_density, 6), round(layer.a_density, 6), seed)
 
 
-def default_operand_cache() -> OperandCache:
-    """The process-wide operand cache shared by the functional runners."""
-    return _DEFAULT_CACHE
-
-
-def operands_for_layer(
-    layer: LayerSpec,
-    seed: int = 0,
-    cache: Optional[OperandCache] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Memoized ``(A, W)`` operands for one layer (read-only arrays)."""
-    cache = _DEFAULT_CACHE if cache is None else cache
-    return cache.get(layer, seed=seed)
+def synthesize_operands(layer: LayerSpec, seed: int = 0,
+                        max_m: Optional[int] = None
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(A, W)`` for one layer task: :func:`spec_operands` of the layer
+    capped at ``max_m`` rows, so ``A`` may have fewer than ``layer.m``
+    rows."""
+    return spec_operands(_rows_capped(layer, max_m), seed=seed)

@@ -38,6 +38,7 @@ from repro.core.dap import dap_prune
 from repro.core.dbb import DBBSpec
 from repro.core.gemm import dense_gemm
 from repro.models.specs import LayerKind, LayerSpec
+from repro.workloads.from_spec import synthesize_operands
 
 SPEC = DBBSpec(8, 4)
 
@@ -179,10 +180,9 @@ def test_layer_payload_equals_forced_output_run(name, layer, seed):
         return sim
 
     forced.run_gemm_functional = run_forced
-    payload = events_only.simulate_layer_functional(layer, seed=seed,
-                                                    max_m=8)
-    assert forced.simulate_layer_functional(layer, seed=seed,
-                                            max_m=8) == payload
+    operands = synthesize_operands(layer, seed=seed, max_m=8)
+    payload = events_only.simulate_layer_functional(layer, *operands)
+    assert forced.simulate_layer_functional(layer, *operands) == payload
     (sim, a, w, kwargs), = executed
     assert a.shape == (8, layer.k)
     a_nnz = kwargs.get("a_nnz", SPEC.block_size)

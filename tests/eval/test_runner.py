@@ -8,11 +8,17 @@ The two contracts everything else leans on:
   and in ``benchmarks/bench_experiment_wallclock.py`` at full size).
 - **Memoization** — cache hits and in-batch duplicates never
   re-simulate, and consumers never alias one ``EventCounts`` object.
+- **Operand groups** — grouped execution (one synthesis per operand
+  key, shared by every task in the group) equals simulating each task
+  alone on operands it synthesized itself.
 """
 
 import os
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accel import S2TAAW, SparTen, ZvcgSA
 from repro.eval.experiments import (
@@ -30,6 +36,8 @@ from repro.eval.runner import (
     simulate_layer_tasks,
 )
 from repro.models import get_spec
+from repro.models.specs import LayerKind, LayerSpec
+from repro.workloads import from_spec
 
 ALEXNET = get_spec("alexnet")
 CONV2 = ALEXNET.conv_layers[1]
@@ -39,6 +47,19 @@ QUICK = 32  # rows per layer in these tests — keeps tier-1 fast
 def _tasks(accels, layers, seed=0, max_m=QUICK):
     return [LayerSimTask(accel, layer, seed=seed, max_m=max_m)
             for accel in accels for layer in layers]
+
+
+def _synthesized(task):
+    """The layer a task's operands come from: ``max_m`` caps the rows."""
+    if task.max_m is not None and task.layer.m > task.max_m:
+        return replace(task.layer, m=task.max_m)
+    return task.layer
+
+
+def _reference(task):
+    """One task simulated alone, on operands it synthesized itself."""
+    a, w = from_spec.spec_operands(_synthesized(task), seed=task.seed)
+    return task.accel.simulate_layer_functional(task.layer, a, w)
 
 
 class TestResolveJobs:
@@ -113,13 +134,7 @@ class TestSimulateLayerTasks:
         layers = ALEXNET.conv_layers[:3]
         tasks = _tasks([ZvcgSA()], layers)
         payloads = simulate_layer_tasks(tasks, jobs=1)
-        serial = [t.accel.simulate_layer_functional(t.layer, seed=0,
-                                                    max_m=QUICK)
-                  for t in tasks]
-        for (cycles, events), (ref_cycles, ref_events) in zip(payloads,
-                                                              serial):
-            assert cycles == ref_cycles
-            assert events == ref_events
+        assert payloads == [_reference(t) for t in tasks]
 
     @pytest.mark.functional
     def test_parallel_bit_equal_serial(self):
@@ -162,6 +177,69 @@ class TestSimulateLayerTasks:
         base = simulate_layer_tasks(_tasks([ZvcgSA()], [CONV2], seed=0))
         other = simulate_layer_tasks(_tasks([ZvcgSA()], [CONV2], seed=1))
         assert base != other
+
+
+_ACCELS = (ZvcgSA(), S2TAAW(), SparTen())
+
+
+@st.composite
+def _task_lists(draw):
+    """Small layers, some renamed copies of others (same operand key,
+    different name), under several accelerators, seeds and ``max_m``
+    caps above and below ``m``."""
+    layers = []
+    for i in range(draw(st.integers(1, 3))):
+        a_nnz = draw(st.integers(1, 8))
+        layers.append(LayerSpec(
+            f"L{i}", LayerKind.CONV, m=draw(st.integers(1, 24)),
+            k=draw(st.integers(1, 40)), n=draw(st.integers(1, 12)),
+            w_nnz=draw(st.sampled_from([2, 4, 8])), a_nnz=a_nnz,
+            act_density=draw(st.sampled_from([0.25, 0.5, 1.0]))
+            * a_nnz / 8))
+    layers += [replace(layer, name=f"{layer.name}-copy")
+               for layer in draw(st.lists(st.sampled_from(layers),
+                                          max_size=2))]
+    return draw(st.lists(st.builds(
+        LayerSimTask, st.sampled_from(_ACCELS), st.sampled_from(layers),
+        seed=st.sampled_from([0, 1]),
+        max_m=st.sampled_from([None, 4, 8, 64])),
+        min_size=1, max_size=8))
+
+
+class TestOperandGroups:
+    @settings(max_examples=25, deadline=None)
+    @given(tasks=_task_lists())
+    def test_grouped_equals_per_task_reference(self, tasks):
+        calls = []
+        real = from_spec.spec_operands
+
+        def counted(layer, seed=0, **kwargs):
+            calls.append((layer.m, layer.k, layer.n, layer.w_nnz,
+                          layer.a_nnz, layer.w_density, layer.a_density,
+                          seed))
+            return real(layer, seed=seed, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(from_spec, "spec_operands", counted)
+            grouped = simulate_layer_tasks(tasks, jobs=1)
+        assert grouped == [_reference(t) for t in tasks]
+        # Exactly one synthesis per distinct operand key.
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {
+            (layer.m, layer.k, layer.n, layer.w_nnz, layer.a_nnz,
+             layer.w_density, layer.a_density, t.seed)
+            for t in tasks for layer in [_synthesized(t)]}
+
+    @pytest.mark.functional
+    def test_pool_equals_serial_with_shared_keys(self):
+        conv1, conv2 = ALEXNET.conv_layers[:2]
+        layers = [conv1, conv2, replace(conv2, name="conv2-copy")]
+        tasks = [LayerSimTask(accel, layer, seed=seed, max_m=QUICK)
+                 for seed in (0, 1) for accel in _ACCELS
+                 for layer in layers]
+        serial = simulate_layer_tasks(tasks, jobs=1)
+        assert simulate_layer_tasks(tasks, jobs=2) == serial
+        assert serial == [_reference(t) for t in tasks]
 
 
 class TestFunctionalModelRuns:

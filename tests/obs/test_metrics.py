@@ -80,24 +80,14 @@ class TestRegistryExport:
                              "mean", "buckets"}
         assert hist["type"] == "histogram"
 
-    def test_merge_counts(self):
-        """The worker-telemetry fold: flat name->count mappings sum
-        into prefixed counters (how per-worker cache stats aggregate)."""
-        reg = MetricsRegistry()
-        reg.merge_counts({"hits": 3, "misses": 1},
-                         prefix="operand_cache.")
-        reg.merge_counts({"hits": 2}, prefix="operand_cache.")
-        assert reg.counter("operand_cache.hits").value == 5
-        assert reg.counter("operand_cache.misses").value == 1
-
     def test_render_groups_by_prefix(self):
         reg = MetricsRegistry()
         reg.counter("runner.tasks").inc(2)
-        reg.counter("operand_cache.hits").inc(1)
+        reg.counter("result_cache.hits").inc(1)
         text = reg.render()
         assert "runner.tasks" in text
-        assert "operand_cache.hits" in text
-        assert text.index("operand_cache.hits") < text.index("runner.tasks")
+        assert "result_cache.hits" in text
+        assert text.index("result_cache.hits") < text.index("runner.tasks")
 
     def test_reset(self):
         reg = MetricsRegistry()
@@ -118,44 +108,43 @@ class TestDefaultRegistry:
 
 
 class TestRunnerAggregation:
-    """The lost-stats fix, end to end: a parallel run's worker-side
-    operand-cache counters land in the parent's registry."""
+    """``runner.syntheses`` counts one synthesis per operand group, on
+    the serial path and in pool workers (returned with the group's
+    payloads), next to the per-task dispatch telemetry."""
 
     @pytest.mark.functional
-    def test_worker_cache_stats_survive_pool_exit(self):
-        from repro.accel import ZvcgSA
+    def test_worker_syntheses_survive_pool_exit(self):
+        from repro.accel import S2TAAW, ZvcgSA
         from repro.eval.runner import LayerSimTask, simulate_layer_tasks
         from repro.models import get_spec
-        from repro.workloads.from_spec import default_operand_cache
 
         layers = get_spec("alexnet").conv_layers[:3]
-        tasks = [LayerSimTask(ZvcgSA(), layer, max_m=16)
-                 for layer in layers]
-        default_operand_cache().clear()
+        tasks = [LayerSimTask(accel, layer, max_m=16)
+                 for accel in (ZvcgSA(), S2TAAW()) for layer in layers]
         reset_default_registry()
         simulate_layer_tasks(tasks, jobs=2)
         reg = default_registry()
         # Workers synthesized the operands (parent never did), yet the
-        # misses are visible here — returned with the task payloads.
-        assert reg.counter("operand_cache.misses").value >= len(layers)
+        # count is visible here — returned with the group payloads.
+        assert reg.counter("runner.syntheses").value == len(layers)
         assert reg.counter("runner.tasks").value == len(tasks)
         assert reg.counter("runner.simulated").value == len(tasks)
+        assert reg.counter("runner.pool_batches").value == 1
         assert reg.histogram("runner.compute_ns").count == len(tasks)
         assert reg.histogram("runner.queue_wait_ns").count == len(tasks)
-        assert reg.histogram("runner.tasks_per_worker").count >= 1
+        assert reg.histogram("runner.tasks_per_worker").sum == len(tasks)
 
     def test_serial_path_stats_also_aggregate(self):
-        from repro.accel import ZvcgSA
+        from repro.accel import S2TAAW, ZvcgSA
         from repro.eval.runner import LayerSimTask, simulate_layer_tasks
         from repro.models import get_spec
-        from repro.workloads.from_spec import OperandCache
 
         layers = get_spec("alexnet").conv_layers[:2]
-        tasks = [LayerSimTask(ZvcgSA(), layer, max_m=8)
-                 for layer in layers]
+        tasks = [LayerSimTask(accel, layer, max_m=8)
+                 for accel in (ZvcgSA(), S2TAAW()) for layer in layers]
         reset_default_registry()
-        cache = OperandCache()
-        simulate_layer_tasks(tasks, jobs=1, operand_cache=cache)
+        simulate_layer_tasks(tasks, jobs=1)
         reg = default_registry()
-        assert reg.counter("operand_cache.misses").value == len(layers)
+        assert reg.counter("runner.syntheses").value == len(layers)
+        assert reg.counter("runner.simulated").value == len(tasks)
         assert reg.histogram("runner.compute_ns").count == len(tasks)

@@ -247,12 +247,10 @@ class TestEngineIntegration:
         from repro.accel import ZvcgSA
         from repro.eval.runner import LayerSimTask, simulate_layer_tasks
         from repro.models import get_spec
-        from repro.workloads.from_spec import default_operand_cache
 
         layers = get_spec("alexnet").conv_layers[:4]
         tasks = [LayerSimTask(ZvcgSA(), layer, max_m=16)
                  for layer in layers]
-        default_operand_cache().clear()
         start_tracing(tmp_path / "run.json")
         simulate_layer_tasks(tasks, jobs=2)
         path = stop_tracing()
