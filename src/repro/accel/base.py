@@ -9,9 +9,9 @@ either of two fidelity tiers:
   — no tensor is ever executed. This is what the experiment runners use
   by default; it prices a whole ImageNet network in milliseconds.
 - **Functional ground truth** (:meth:`AcceleratorModel.run_model_functional`):
-  concrete INT8 operands are synthesized at the layer's real GEMM shape
-  (:mod:`repro.workloads.from_spec`) and executed on the cycle-level
-  simulator (:mod:`repro.arch.systolic`) via the subclass's
+  the DBB non-zero patterns of the layer's operands are synthesized at
+  its real GEMM shape (:mod:`repro.workloads.from_spec`) and executed on
+  the cycle-level simulator (:mod:`repro.arch.systolic`) via the subclass's
   :meth:`AcceleratorModel.functional_sim_config` hook; the *measured*
   event counts price through the same energy model, making the two tiers
   directly comparable (see ``tests/test_cross_validation.py`` and
@@ -441,13 +441,14 @@ class AcceleratorModel:
     ) -> AccelRunResult:
         """Functional-tier counterpart of :meth:`run_model`.
 
-        Every selected layer synthesizes real INT8 operands and executes
-        on the cycle simulator; results aggregate exactly like the
-        analytic path, so ``run_model`` and ``run_model_functional`` are
-        directly comparable run for run. ``jobs``/``result_cache`` route
-        the layer simulations through the parallel, memoized runner
-        (:mod:`repro.eval.runner`); results are bit-equal to the serial
-        path regardless of worker count.
+        Every selected layer synthesizes its operands' non-zero
+        patterns and executes on the cycle simulator; results aggregate
+        exactly like the analytic path, so ``run_model`` and
+        ``run_model_functional`` are directly comparable run for run.
+        ``jobs``/``result_cache`` route the layer simulations through
+        the parallel, memoized runner (:mod:`repro.eval.runner`);
+        results are bit-equal to the serial path regardless of worker
+        count.
         """
         from repro.eval.runner import functional_model_runs
 

@@ -730,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("artifact")
     exp.add_argument("--functional", action="store_true",
                      help="run the functional-simulation tier "
-                          "(fig11/fig12: concrete INT8 GEMMs on the "
+                          "(fig11/fig12: concrete GEMMs on the "
                           "cycle simulator)")
     exp.add_argument("--quick", action="store_true",
                      help="subsample layers for a fast functional check "

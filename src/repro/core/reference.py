@@ -15,6 +15,8 @@ tensors; they are O(M*N*K) Python loops on purpose.
 
 from __future__ import annotations
 
+import math
+from itertools import combinations
 from typing import List
 
 import numpy as np
@@ -30,6 +32,7 @@ __all__ = [
     "naive_wdbb_fired",
     "naive_awdbb_fired",
     "naive_dap_prune",
+    "naive_blocked_density_mask",
 ]
 
 
@@ -167,4 +170,58 @@ def naive_dap_prune(activations: np.ndarray, spec: DBBSpec,
                                   key=lambda i: -abs(block[i]))
             for i in by_magnitude[:nnz]:
                 flat_out[r, start + i] = block[i]
+    return out
+
+
+def naive_blocked_density_mask(rows: int, width: int, nnz_cap: int,
+                               density: float, rng: np.random.Generator,
+                               block_size: int = 8) -> np.ndarray:
+    """Per-block DBB pattern synthesis, consuming the same draws as
+    :func:`repro.workloads.from_spec.blocked_density_mask`.
+
+    Each block's non-zero count starts at ``min(floor(density * valid),
+    cap)``; the deficit to ``round(rows * width * density)`` (clipped to
+    the caps) is handed out in rounds, one "+1" per block per round,
+    remainder classes in descending order; a class with more eligible
+    blocks than the remaining deficit ranks them on one float32 key each
+    (lowest index wins a tie). Each block then takes the
+    ``int(u * count)``-th of its popcount's masks in ascending order,
+    ``u`` one float64 draw per block.
+    """
+    blocks = -(-width // block_size)
+    valid = [min(block_size, width - j * block_size) for j in range(blocks)]
+    cap, nnz, frac = [], [], []
+    for _ in range(rows):
+        for v in valid:
+            target = density * v
+            cap.append(min(nnz_cap, v))
+            nnz.append(min(math.floor(target), cap[-1]))
+            frac.append(target - math.floor(target))
+    deficit = min(round(rows * width * density), sum(cap)) - sum(nnz)
+    while deficit > 0:
+        for remainder in sorted(set(frac), reverse=True):
+            if deficit == 0:
+                break
+            eligible = [b for b in range(len(nnz))
+                        if frac[b] == remainder and nnz[b] < cap[b]]
+            take = min(deficit, len(eligible))
+            if take < len(eligible):
+                keys = rng.random(len(eligible), dtype=np.float32)
+                ranked = sorted(range(len(eligible)),
+                                key=lambda i: (keys[i], i))
+                eligible = [eligible[i] for i in ranked[:take]]
+            for b in eligible:
+                nnz[b] += 1
+            deficit -= take
+    pick = rng.random(len(nnz))
+    out = np.zeros((rows, width), dtype=bool)
+    for b, count in enumerate(nnz):
+        row, col = divmod(b, blocks)
+        v = valid[col]
+        masks = sorted(sum(1 << i for i in chosen)
+                       for chosen in combinations(range(v), count))
+        mask = masks[int(pick[b] * len(masks))]
+        for i in range(v):
+            if mask >> i & 1:
+                out[row, col * block_size + i] = True
     return out

@@ -213,7 +213,7 @@ def evaluate_points(
     ``fidelity="analytic"`` (default) prices the closed-form layer
     events point by point — sub-millisecond each, which is what makes a
     thousands-of-points sweep interactive. ``"functional"`` simulates
-    synthesized INT8 operands on the cycle simulator (``seed`` /
+    synthesized operand patterns on the cycle simulator (``seed`` /
     ``max_m`` as in the full-model experiments) through the parallel,
     memoized layer runner; ``jobs`` and ``result_cache`` apply to that
     fidelity only.

@@ -13,11 +13,12 @@ Two fidelity tiers back the full-model artifacts (Fig. 11 / Fig. 12):
   density profile — milliseconds per network, and what the golden
   headline pins in ``tests/test_golden_headlines.py`` freeze.
 - **Functional ground truth** (``functional=True``): every conv layer
-  synthesizes real INT8 operands at its actual GEMM shape and executes
-  on the cycle-level simulator; measured events price through the same
-  energy model. ``quick=True`` caps the simulated output rows per layer
-  (events extrapolate linearly) so CI can exercise the full pipeline in
-  seconds; leave it off for exact nightly runs.
+  synthesizes its operands' DBB non-zero patterns at its actual GEMM
+  shape and executes on the cycle-level simulator; measured events
+  price through the same energy model. ``quick=True`` caps the
+  simulated output rows per layer (events extrapolate linearly) so CI
+  can exercise the full pipeline in seconds; leave it off for exact
+  nightly runs.
 """
 
 from __future__ import annotations
@@ -526,7 +527,7 @@ def fig11_full_models(functional: bool = False, quick: bool = False,
 
     ``functional=True`` switches from the analytic fast path to honest
     functional simulation: every conv layer of all four networks runs as
-    a concrete INT8 GEMM on the cycle simulator (see the module
+    a concrete GEMM on the cycle simulator (see the module
     docstring's fidelity-tier notes). ``quick=True`` subsamples each
     layer to at most ``QUICK_MAX_M`` output rows for CI. ``dram_gbps``
     replaces the default DRAM channel (32 B/cycle with the paper's conv
@@ -579,7 +580,7 @@ def fig11_full_models(functional: bool = False, quick: bool = False,
             "staged ahead of compute)")
     if functional:
         notes.append(
-            "functional tier: measured events from concrete INT8 GEMMs "
+            "functional tier: measured events from concrete GEMMs "
             + (f"(quick mode, layers subsampled to m<={QUICK_MAX_M})"
                if quick else "at full layer sizes"))
     return ExperimentResult(
@@ -609,7 +610,7 @@ def fig12_alexnet_per_layer(functional: bool = False, quick: bool = False,
                             ) -> ExperimentResult:
     """AlexNet per-layer energy across five accelerators (65/45 nm).
 
-    ``functional=True`` runs *every* row on concrete INT8 operands —
+    ``functional=True`` runs *every* row on concrete operands —
     the systolic family on the cycle simulator, SparTen on the bitmask
     inner-join engine, Eyeriss v2 on the CSC row-stationary mesh: no
     analytic fallback remains in the comparison. ``quick=True``

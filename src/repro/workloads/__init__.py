@@ -2,14 +2,19 @@
 
 - :mod:`repro.workloads.microbench`: the Sec. 8.2 synthetic sweep layers
   and concrete operand generators for the functional simulator.
-- :mod:`repro.workloads.from_spec`: concrete INT8 operands synthesized
+- :mod:`repro.workloads.from_spec`: DBB non-zero patterns synthesized
   from analytic :class:`~repro.models.specs.LayerSpec`s (the functional
-  full-model pipeline), grouped by operand key in the layer runner.
+  full-model pipeline, grouped by operand key in the layer runner), and
+  INT8 values on those patterns for callers that read a GEMM output.
 - :mod:`repro.workloads.typical`: the "typical convolution layer" used
   by Fig. 1, Fig. 3 and Fig. 10.
 """
 
-from repro.workloads.from_spec import blocked_density_operand, spec_operands
+from repro.workloads.from_spec import (
+    blocked_density_mask,
+    spec_int8_operands,
+    spec_operands,
+)
 from repro.workloads.from_trace import run_and_spec, spec_from_trace
 from repro.workloads.microbench import (
     microbench_operands,
@@ -22,8 +27,9 @@ __all__ = [
     "sweep_layer",
     "sparsity_sweep",
     "microbench_operands",
-    "blocked_density_operand",
+    "blocked_density_mask",
     "spec_operands",
+    "spec_int8_operands",
     "TYPICAL_CONV",
     "typical_conv_layer",
     "spec_from_trace",

@@ -20,7 +20,7 @@ from repro.arch.scnn import SCNNConfig, SCNNEngine
 from repro.arch.sparten import SparTenConfig, SparTenEngine, greedy_lpt_loads
 from repro.core.sparsity import density
 from repro.models.specs import LayerKind, LayerSpec
-from repro.workloads.from_spec import spec_operands
+from repro.workloads.from_spec import spec_int8_operands
 
 ENGINES = {
     "SparTen": (SparTenEngine, SparTen),
@@ -30,15 +30,15 @@ ENGINES = {
 
 
 def _case(m, k, n, w_nnz, a_nnz, a_density, seed):
-    """Operands synthesized from a spec + analytic layer at the
-    *measured* densities (the closed forms then count the same stored
-    non-zeros the engines measure)."""
+    """INT8 operands synthesized from a spec (the output checks read
+    values) + analytic layer at the *measured* densities (the closed
+    forms then count the same stored non-zeros the engines measure)."""
     layer = LayerSpec(
         "ragged", LayerKind.CONV, m=m, k=k, n=n,
         w_nnz=w_nnz, a_nnz=a_nnz,
         act_density=min(a_density, a_nnz / 8.0),
     )
-    a, w = spec_operands(layer, seed=seed)
+    a, w = spec_int8_operands(layer, seed=seed)
     measured = LayerSpec(
         "ragged", LayerKind.CONV, m=m, k=k, n=n,
         w_nnz=w_nnz, a_nnz=a_nnz,

@@ -10,10 +10,14 @@ with activations both already compliant and over the bound,
   or not ``output`` was read;
 - ``output`` is ``dense_gemm`` of the DAP-pruned operands;
 - for each of the 8 accelerator models of the cross-validation contract,
-  ``simulate_layer_functional`` equals a run whose output is forced.
+  ``simulate_layer_functional`` equals a run whose output is forced
+  (on INT8 operands, so the forced output is checked on real values),
+  and the payload on the synthesized ``bool`` patterns equals the one
+  on INT8 values placed on those patterns.
 """
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +42,10 @@ from repro.core.dap import dap_prune
 from repro.core.dbb import DBBSpec
 from repro.core.gemm import dense_gemm
 from repro.models.specs import LayerKind, LayerSpec
-from repro.workloads.from_spec import synthesize_operands
+from repro.workloads.from_spec import (
+    spec_int8_operands,
+    synthesize_operands,
+)
 
 SPEC = DBBSpec(8, 4)
 
@@ -180,7 +187,7 @@ def test_layer_payload_equals_forced_output_run(name, layer, seed):
         return sim
 
     forced.run_gemm_functional = run_forced
-    operands = synthesize_operands(layer, seed=seed, max_m=8)
+    operands = spec_int8_operands(replace(layer, m=8), seed=seed)
     payload = events_only.simulate_layer_functional(layer, *operands)
     assert forced.simulate_layer_functional(layer, *operands) == payload
     (sim, a, w, kwargs), = executed
@@ -189,3 +196,17 @@ def test_layer_payload_equals_forced_output_run(name, layer, seed):
     if a_nnz < SPEC.block_size:
         a = dap_prune(a, SPEC, nnz=a_nnz).pruned
     assert np.array_equal(sim.output, dense_gemm(a, w))
+
+
+@pytest.mark.parametrize("name", list(ACCELERATORS))
+@settings(max_examples=8, deadline=None)
+@given(layer=_layers(), seed=st.integers(0, 3))
+def test_layer_payload_ignores_operand_values(name, layer, seed):
+    """The runner's ``bool`` patterns and INT8 values on exactly those
+    patterns give the same payload: no engine reads a value."""
+    accel = ACCELERATORS[name]()
+    masks = synthesize_operands(layer, seed=seed, max_m=8)
+    values = spec_int8_operands(replace(layer, m=8), seed=seed)
+    assert masks[0].dtype == masks[1].dtype == bool
+    assert accel.simulate_layer_functional(layer, *masks) \
+        == accel.simulate_layer_functional(layer, *values)

@@ -64,6 +64,23 @@ class TestKey:
         monkeypatch.setattr(resultcache, "CODE_VERSION", "other")
         assert payload_key(ZvcgSA(), CONV2) != base
 
+    def test_mask_synthesis_salt_retires_sorted_key_entries(
+            self, monkeypatch):
+        """Functional payloads and serve jobs stored under the salt of
+        the sorted-key INT8 synthesis came from another operand stream:
+        neither the cache key nor the serve fingerprint may match."""
+        from repro.serve.jobs import SimRequest, request_fingerprint
+
+        sorted_key_salt = "pr7-v1"
+        assert resultcache.CODE_VERSION != sorted_key_salt
+        request = SimRequest(model="alexnet", accelerator="s2ta-aw",
+                             tier="functional", quick=True)
+        current = (payload_key(S2TAAW(), CONV2, max_m=64),
+                   request_fingerprint(request))
+        monkeypatch.setattr(resultcache, "CODE_VERSION", sorted_key_salt)
+        assert payload_key(S2TAAW(), CONV2, max_m=64) != current[0]
+        assert request_fingerprint(request) != current[1]
+
 
 class TestStore:
     def test_roundtrip(self, cache):

@@ -242,6 +242,28 @@ class TestEngineIntegration:
     """The merged trace of a real parallel run: per-worker tracks and
     every instrumented phase present (the tentpole wiring, end to end)."""
 
+    def test_value_draw_is_its_own_span(self, tmp_path):
+        """INT8 values drawn for an output reader show as ``values``,
+        apart from the ``synthesize`` pattern draw; the runner's pattern
+        synthesis draws no values."""
+        from dataclasses import replace
+
+        from repro.accel import ZvcgSA
+        from repro.eval.runner import LayerSimTask, simulate_layer_tasks
+        from repro.models import get_spec
+        from repro.workloads.from_spec import spec_int8_operands
+
+        layer = get_spec("alexnet").conv_layers[1]
+        start_tracing(tmp_path / "values.json")
+        spec_int8_operands(replace(layer, m=8))
+        simulate_layer_tasks([LayerSimTask(ZvcgSA(), layer, max_m=8)])
+        path = stop_tracing()
+        spans = [(e["cat"], e["name"])
+                 for e in json.loads(path.read_text())["traceEvents"]
+                 if e["ph"] == "B"]
+        assert spans.count(("synthesize", layer.name)) == 2
+        assert spans.count(("values", layer.name)) == 1
+
     @pytest.mark.functional
     def test_parallel_run_produces_per_worker_tracks(self, tmp_path):
         from repro.accel import ZvcgSA

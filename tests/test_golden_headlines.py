@@ -84,12 +84,12 @@ class TestFig12Golden:
 # Deterministic end to end: seeded operand synthesis, deterministic
 # greedy schedules, float64 event arithmetic.
 FUNCTIONAL_BASELINE_GOLDEN = {
-    "Eyeriss-v2": {"conv1": 727.36, "conv2": 385.46, "conv3": 197.29,
-                   "conv4": 144.05, "conv5": 65.29},
-    "SparTen": {"conv1": 482.19, "conv2": 261.17, "conv3": 130.44,
-                "conv4": 95.21, "conv5": 44.35},
-    "SCNN": {"conv1": 200.76, "conv2": 105.86, "conv3": 54.07,
-             "conv4": 39.43, "conv5": 17.73},
+    "Eyeriss-v2": {"conv1": 727.36, "conv2": 385.38, "conv3": 197.27,
+                   "conv4": 144.10, "conv5": 65.27},
+    "SparTen": {"conv1": 482.19, "conv2": 261.12, "conv3": 130.42,
+                "conv4": 95.24, "conv5": 44.34},
+    "SCNN": {"conv1": 200.76, "conv2": 105.84, "conv3": 54.06,
+             "conv4": 39.44, "conv5": 17.73},
 }
 
 

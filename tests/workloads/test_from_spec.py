@@ -1,13 +1,17 @@
 """Tests for spec-driven operand synthesis and the memos around it.
 
-Covers :func:`blocked_density_operand` / :func:`spec_operands` (shape,
-DBB caps, densities, determinism), the experiment sweep memo
-:func:`repro.eval.functional_operands` (read-only guarantee), and the
-weight-compression memo hit/miss accounting in
+Covers :func:`blocked_density_mask` (bit-equal to the naive per-block
+reference, exact total, caps, padding, allocation, uniformity),
+:func:`spec_operands` / :func:`spec_int8_operands` (shape, DBB caps,
+densities, determinism, values on exactly the patterns), the experiment
+sweep memo :func:`repro.eval.functional_operands` (read-only
+guarantee), and the weight-compression memo hit/miss accounting in
 :func:`repro.core.gemm.compress_cached`. Sharing one synthesis across
 the tasks of an operand group is tested with the layer runner in
 ``tests/eval/test_runner.py``.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,9 +20,14 @@ from hypothesis import strategies as st
 
 from repro.core.dbb import DBBSpec
 from repro.core.pruning import is_dbb_compliant
+from repro.core.reference import naive_blocked_density_mask
 from repro.core.sparsity import density
 from repro.models.specs import BLOCK_SIZE, LayerKind, LayerSpec
-from repro.workloads.from_spec import blocked_density_operand, spec_operands
+from repro.workloads.from_spec import (
+    blocked_density_mask,
+    spec_int8_operands,
+    spec_operands,
+)
 
 
 def _layer(m=64, k=96, n=32, w_nnz=4, a_nnz=4, w_density=None,
@@ -36,35 +45,129 @@ def _row_block_nnz(x):
         xp.reshape(x.shape[0], -1, BLOCK_SIZE), axis=2)
 
 
+def _valid_widths(width):
+    kb = -(-width // BLOCK_SIZE)
+    return [min(BLOCK_SIZE, width - j * BLOCK_SIZE) for j in range(kb)]
+
+
+def _caps(width, nnz_cap):
+    return [min(nnz_cap, v) for v in _valid_widths(width)]
+
+
+def _largest_remainder(rows, width, nnz_cap, dens):
+    """Multiset of (valid width, nnz) over blocks of the largest-remainder
+    allocation, computed by sorting every block on its remainder (ties
+    in any order: the multiset does not depend on them)."""
+    blocks = [(v, c, dens * v) for v in _valid_widths(width)
+              for c in [min(nnz_cap, v)]] * rows
+    nnz = [min(int(np.floor(t)), c) for _, c, t in blocks]
+    total = min(round(rows * width * dens), sum(c for _, c, _ in blocks))
+    order = sorted(range(len(blocks)),
+                   key=lambda b: -(blocks[b][2] - np.floor(blocks[b][2])))
+    deficit = total - sum(nnz)
+    while deficit > 0:
+        for b in [b for b in order if nnz[b] < blocks[b][1]][:deficit]:
+            nnz[b] += 1
+            deficit -= 1
+    return Counter((v, k) for (v, _, _), k in zip(blocks, nnz))
+
+
+_mask_cases = st.tuples(
+    st.integers(1, 9),        # rows
+    st.integers(1, 45),       # width — ragged tails included
+    st.integers(1, BLOCK_SIZE),  # nnz_cap
+    st.one_of(st.floats(0.0, 1.0),
+              st.integers(0, 16).map(lambda i: i / 16)),  # tied remainders
+    st.integers(0, 10_000),   # seed
+)
+
+
 class TestBlockedDensityOperand:
+    """:func:`blocked_density_mask`, the DBB pattern of a synthesized
+    operand."""
+
     @given(st.integers(1, 12), st.integers(1, 40), st.integers(1, 8),
            st.floats(0.05, 1.0), st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)
     def test_cap_and_shape_hold_on_ragged_widths(self, rows, width, cap,
                                                  dens, seed):
         rng = np.random.default_rng(seed)
-        out = blocked_density_operand(rows, width, cap,
-                                      min(dens, cap / BLOCK_SIZE), rng)
+        out = blocked_density_mask(rows, width, cap,
+                                   min(dens, cap / BLOCK_SIZE), rng)
         assert out.shape == (rows, width)
-        assert out.dtype == np.int8
+        assert out.dtype == bool
         assert _row_block_nnz(out).max(initial=0) <= cap
 
+    @given(_mask_cases)
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_naive_reference(self, case):
+        rows, width, cap, dens, seed = case
+        fast = blocked_density_mask(rows, width, cap, dens,
+                                    np.random.default_rng(seed))
+        slow = naive_blocked_density_mask(rows, width, cap, dens,
+                                          np.random.default_rng(seed))
+        assert fast.dtype == bool
+        assert fast.shape == (rows, width)
+        np.testing.assert_array_equal(fast, slow)
+
+    @given(_mask_cases)
+    @settings(max_examples=60, deadline=None)
+    def test_total_padding_and_allocation(self, case):
+        rows, width, cap, dens, seed = case
+        out = blocked_density_mask(rows, width, cap, dens,
+                                   np.random.default_rng(seed))
+        caps = _caps(width, cap)
+        per_block = _row_block_nnz(out)
+        # Exact total, clipped to what the caps can hold.
+        total = int(np.count_nonzero(out))
+        assert total == min(round(rows * width * dens), rows * sum(caps))
+        if dens <= cap / BLOCK_SIZE:
+            assert total == round(rows * width * dens)
+        # Per-block cap, and saturation at it above nnz_cap / BZ.
+        assert (per_block <= np.array(caps)).all()
+        if dens >= cap / BLOCK_SIZE and width % BLOCK_SIZE == 0:
+            assert (per_block == cap).all()
+        # No bit in the padding of the ragged tail block.
+        padded = np.lib.stride_tricks.as_strided(
+            out, shape=(rows, len(caps) * BLOCK_SIZE))
+        assert not padded[:, width:].any()
+        # The per-block nnz multiset is the largest-remainder allocation.
+        widths = np.broadcast_to(_valid_widths(width), per_block.shape)
+        assert Counter(zip(widths.ravel().tolist(),
+                           per_block.ravel().tolist())) \
+            == _largest_remainder(rows, width, cap, dens)
+
+    def test_in_block_positions_are_uniform(self):
+        """Fixed seed: 3-of-8 blocks hit all 56 masks, and every
+        position of a ragged 5-wide tail block, equally often."""
+        rows = 56_000
+        out = blocked_density_mask(rows, 13, 3, 3 / 8,
+                                   np.random.default_rng(0))
+        full = np.packbits(out[:, :8], axis=1, bitorder="little").ravel()
+        counts = np.bincount(full, minlength=256)
+        masks = [m for m in range(256) if bin(m).count("1") == 3]
+        assert counts.sum() == counts[masks].sum() == rows
+        # 1000 expected per mask (sd ~31); 56 masks.
+        assert np.abs(counts[masks] - 1000).max() < 150
+        tail = out[:, 8:].sum(axis=0)
+        expected = tail.sum() / 5
+        assert np.abs(tail - expected).max() < 0.02 * expected
+
     def test_density_matches_target(self):
-        rng = np.random.default_rng(0)
-        out = blocked_density_operand(512, 1200, 4, 0.45, rng)
-        assert density(out) == pytest.approx(0.45, abs=0.01)
+        out = blocked_density_mask(512, 1200, 4, 0.45,
+                                   np.random.default_rng(0))
+        assert density(out) == pytest.approx(0.45, abs=1e-6)
 
     def test_full_density_is_exact(self):
-        rng = np.random.default_rng(1)
-        out = blocked_density_operand(16, 37, 8, 1.0, rng)
+        out = blocked_density_mask(16, 37, 8, 1.0, np.random.default_rng(1))
         assert density(out) == 1.0
 
     def test_validation(self):
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError):
-            blocked_density_operand(4, 8, 0, 0.5, rng)
+            blocked_density_mask(4, 8, 0, 0.5, rng)
         with pytest.raises(ValueError):
-            blocked_density_operand(4, 8, 4, 1.5, rng)
+            blocked_density_mask(4, 8, 4, 1.5, rng)
 
 
 class TestSpecOperands:
@@ -72,6 +175,7 @@ class TestSpecOperands:
         layer = _layer(m=33, k=90, n=17, w_nnz=3, a_nnz=2,
                        a_density=0.2)
         a, w = spec_operands(layer)
+        assert a.dtype == w.dtype == bool
         assert a.shape == (33, 90)
         assert w.shape == (90, 17)
         pad = (-90) % BLOCK_SIZE
@@ -96,12 +200,39 @@ class TestSpecOperands:
         np.testing.assert_array_equal(w1, w2)
         assert not np.array_equal(a1, a3)
 
+    def test_int8_values_sit_on_the_patterns(self):
+        layer = _layer(m=40, k=75, n=21, w_nnz=3, a_nnz=5, a_density=0.4)
+        a, w = spec_operands(layer, seed=7)
+        ai, wi = spec_int8_operands(layer, seed=7)
+        assert ai.dtype == wi.dtype == np.int8
+        assert ai.shape == a.shape and wi.shape == w.shape
+        np.testing.assert_array_equal(ai != 0, a)
+        np.testing.assert_array_equal(wi != 0, w)
+        assert ai.min() >= -127 and wi.min() >= -127
+        # Drawing values never moves the patterns.
+        a2, w2 = spec_operands(layer, seed=7)
+        np.testing.assert_array_equal(a, a2)
+        np.testing.assert_array_equal(w, w2)
+        ai2, wi2 = spec_int8_operands(layer, seed=7)
+        np.testing.assert_array_equal(ai, ai2)
+        np.testing.assert_array_equal(wi, wi2)
+
+    def test_int8_values_are_uniform_nonzero(self):
+        a, _ = spec_int8_operands(_layer(m=512, k=512, n=8, a_nnz=8,
+                                         a_density=1.0))
+        counts = np.bincount(a.astype(np.int64).ravel() + 128,
+                             minlength=256)
+        assert counts[128] == 0 and counts[0] == 0
+        values = counts[1:256][np.arange(255) != 127]
+        # 262144 draws over 254 values: ~1032 each (sd ~32).
+        assert np.abs(values - a.size / 254).max() < 200
+
     def test_dap_is_noop_on_generated_activations(self):
         """All four execution modes must see the same element density."""
         from repro.core.dap import dap_prune
 
         layer = _layer(m=64, k=64, a_nnz=3, a_density=0.3)
-        a, _ = spec_operands(layer)
+        a, _ = spec_int8_operands(layer)
         pruned = dap_prune(a, DBBSpec(BLOCK_SIZE, 3)).pruned
         np.testing.assert_array_equal(a, pruned)
 
@@ -130,7 +261,7 @@ class TestCompressCacheStats:
         )
 
         layer = _layer(m=16, k=64, n=16, w_nnz=4, a_density=0.5)
-        a, w = spec_operands(layer)
+        a, w = spec_int8_operands(layer)
         sim = SystolicArray(SystolicConfig(
             rows=2, cols=2, mode=Mode.WDBB, w_spec=DBBSpec(8, 4),
             tpe_a=2, tpe_c=2))
@@ -156,7 +287,7 @@ class TestCompressCacheStats:
         clear_compress_cache()
         tensors = []
         for seed in range(3):
-            _, w = spec_operands(_layer(m=8, k=64, n=8), seed=seed)
+            _, w = spec_int8_operands(_layer(m=8, k=64, n=8), seed=seed)
             tensors.append(np.ascontiguousarray(w.T))
         for w in tensors:
             compress_cached(w, DBBSpec(8, 4))
@@ -213,7 +344,7 @@ class TestCompressCacheStats:
             return _fn(*args)
 
         monkeypatch.setattr(systolic, "dbb_gemm", counting)
-        a, w = spec_operands(_layer(m=16, k=64, n=16, a_density=0.5))
+        a, w = spec_int8_operands(_layer(m=16, k=64, n=16, a_density=0.5))
         sim = SystolicArray(SystolicConfig(
             rows=2, cols=2, mode=Mode.WDBB, w_spec=DBBSpec(8, 4),
             tpe_a=2, tpe_c=2))
