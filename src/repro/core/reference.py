@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.dbb import DBBBlock, DBBSpec, DBBTensor, compress_block, \
     expand_block, pad_to_blocks
+from repro.models.specs import BLOCK_SIZE
 
 __all__ = [
     "naive_compress_blocks",
@@ -174,8 +175,8 @@ def naive_dap_prune(activations: np.ndarray, spec: DBBSpec,
 
 
 def naive_blocked_density_mask(rows: int, width: int, nnz_cap: int,
-                               density: float, rng: np.random.Generator,
-                               block_size: int = 8) -> np.ndarray:
+                               density: float,
+                               rng: np.random.Generator) -> np.ndarray:
     """Per-block DBB pattern synthesis, consuming the same draws as
     :func:`repro.workloads.from_spec.blocked_density_mask`.
 
@@ -188,8 +189,8 @@ def naive_blocked_density_mask(rows: int, width: int, nnz_cap: int,
     ``int(u * count)``-th of its popcount's masks in ascending order,
     ``u`` one float64 draw per block.
     """
-    blocks = -(-width // block_size)
-    valid = [min(block_size, width - j * block_size) for j in range(blocks)]
+    blocks = -(-width // BLOCK_SIZE)
+    valid = [min(BLOCK_SIZE, width - j * BLOCK_SIZE) for j in range(blocks)]
     cap, nnz, frac = [], [], []
     for _ in range(rows):
         for v in valid:
@@ -223,5 +224,5 @@ def naive_blocked_density_mask(rows: int, width: int, nnz_cap: int,
         mask = masks[int(pick[b] * len(masks))]
         for i in range(v):
             if mask >> i & 1:
-                out[row, col * block_size + i] = True
+                out[row, col * BLOCK_SIZE + i] = True
     return out

@@ -28,7 +28,7 @@ Eyeriss v2 / SCNN) cross-validate their sparsity-compressed SRAM and
 DRAM byte counters *bit-for-bit* between the analytic and functional
 tiers: ``count_nonzero`` of a synthesized operand equals the analytic
 models' ``round(elements * density)`` closed form whenever
-``density <= nnz_cap / block_size`` (above the cap the operand
+``density <= nnz_cap / BLOCK_SIZE`` (above the cap the operand
 saturates at the cap).
 
 Callers that read a GEMM output need values: :func:`spec_int8_operands`

@@ -127,7 +127,11 @@ class TestBlockedDensityOperand:
         assert (per_block <= np.array(caps)).all()
         if dens >= cap / BLOCK_SIZE and width % BLOCK_SIZE == 0:
             assert (per_block == cap).all()
-        # No bit in the padding of the ragged tail block.
+        # No bit in the padding of the ragged tail block: ``out`` is a
+        # view of the padded pattern buffer, so read past its width.
+        assert out.base is not None
+        assert out.strides == (len(caps) * BLOCK_SIZE, 1)
+        assert out.base.nbytes >= rows * len(caps) * BLOCK_SIZE
         padded = np.lib.stride_tricks.as_strided(
             out, shape=(rows, len(caps) * BLOCK_SIZE))
         assert not padded[:, width:].any()
