@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.arch.events import EventCounts
 from repro.arch.memory import (
@@ -303,9 +303,15 @@ class AcceleratorModel:
         compute_cycles, events = self._layer_events(layer)
         return self._finalize_layer(layer, compute_cycles, events)
 
+    def prefetch(self, layers: Iterable[LayerSpec]) -> None:
+        """Precompute per-layer state that batches across ``layers``.
+        Subclass hook (SA-SMT simulates its density points in one
+        batch); called by :meth:`run_model` before its layer loop."""
+
     def run_model(self, spec: ModelSpec, conv_only: bool = False
                   ) -> AccelRunResult:
         layers = spec.conv_layers if conv_only else spec.layers
+        self.prefetch(layers)
         result = AccelRunResult(
             accelerator=self.name,
             model=spec.name,

@@ -13,18 +13,33 @@ The paper's INT8 re-implementation measures ~1.6x (T2Q2) and ~1.8x
 energy overhead from the FIFO traffic. This Monte Carlo reproduces the
 speedup mechanism (capped at T, degraded by overflow stalls that shrink
 as Q grows) and counts the FIFO events that drive the energy overhead.
+
+The engine is batched: :meth:`SMTArrayModel.simulate_many` steps any
+number of density points in lockstep on one ``(points, pes)`` occupancy
+array, each point drawing its arrivals from its own generator in
+chunks of 256 cycles (one ``binomial`` call of ``size=(256, pes)``
+yields the same values as 256 calls of ``size=pes``). A point's result
+therefore does not depend on the batch it rides in, and
+:meth:`SMTArrayModel.simulate` is a batch of one. A generator passed in
+is advanced in whole chunks, i.e. past the point's last cycle. The
+one-point cycle walk this replaces is kept as
+:func:`repro.core.reference.naive_smt_simulate`, the property-test
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arch.events import EventCounts
 
 __all__ = ["SMTArrayModel", "SMTResult"]
+
+#: Cycles of arrivals drawn per generator call.
+_CHUNK = 256
 
 
 @dataclass
@@ -87,61 +102,117 @@ class SMTArrayModel:
         ``stream_length`` is the per-thread operand stream length (the
         reduction dimension of the tile). A dense SA processes the same
         ``T`` tiles in ``T * stream_length`` cycles, which defines the
-        speedup denominator.
+        speedup denominator. A batch of one of :meth:`simulate_many`.
         """
-        for name, d in (("weight", weight_density), ("act", act_density)):
-            if not 0.0 <= d <= 1.0:
-                raise ValueError(f"{name} density must be in [0, 1], got {d}")
-        if stream_length < 1:
-            raise ValueError(f"stream_length must be >= 1, got {stream_length}")
         rng = rng or np.random.default_rng(0)
-        p_useful = weight_density * act_density
-        occupancy = np.zeros(self.pes, dtype=np.int64)
-        consumed = 0
-        cycles = 0
-        stall_cycles = 0
-        total_pushes = 0
-        total_pops = 0
+        return self.simulate_many([(weight_density, act_density)],
+                                  stream_length, [rng])[0]
+
+    def simulate_many(
+        self,
+        points: Sequence[Tuple[float, float]],
+        stream_length: int,
+        rngs: Sequence[np.random.Generator],
+    ) -> List[SMTResult]:
+        """Simulate every ``(weight, act)`` density point in lockstep.
+
+        Point ``i`` draws its arrivals from ``rngs[i]`` alone, in the
+        same order as a one-point run, so each result is independent of
+        the batch it rides in (bit-equal to
+        :func:`repro.core.reference.naive_smt_simulate`). Arrivals are
+        drawn ``_CHUNK`` cycles at a time, so each generator ends
+        advanced to a whole chunk past the point's last cycle.
+        """
+        if len(rngs) != len(points):
+            raise ValueError(
+                f"need one rng per point, got {len(rngs)} for "
+                f"{len(points)} points")
+        for w, a in points:
+            for name, d in (("weight", w), ("act", a)):
+                if not 0.0 <= d <= 1.0:
+                    raise ValueError(
+                        f"{name} density must be in [0, 1], got {d}")
+        if stream_length < 1:
+            raise ValueError(
+                f"stream_length must be >= 1, got {stream_length}")
+        T, Q, pes = self.threads, self.fifo_depth, self.pes
+        n_points = len(points)
+        p_useful = [w * a for w, a in points]
+        # A FIFO never holds more than Q, and a trial push adds at most
+        # T, so the narrowest unsigned type holding Q + T suffices.
+        dtype = np.min_scalar_type(Q + T)
+        occupancy = np.zeros((n_points, pes), dtype=dtype)
+        consumed = np.zeros(n_points, dtype=np.int64)
+        cycles = np.zeros(n_points, dtype=np.int64)
+        pushes = np.zeros(n_points, dtype=np.int64)
         # Hard bound so adversarial parameters cannot hang the simulation.
-        max_cycles = stream_length * self.threads * 4 + 64
-        while consumed < stream_length and cycles < max_cycles:
-            cycles += 1
-            # Service: each PE's MAC pops at most one pending pair.
-            served = occupancy > 0
-            occupancy[served] -= 1
-            total_pops += int(np.count_nonzero(served))
-            # Arrivals: all threads advance one stream element in lockstep
-            # unless some PE's FIFO would overflow.
-            arrivals = rng.binomial(self.threads, p_useful, size=self.pes)
-            if np.any(occupancy + arrivals > self.fifo_depth):
-                stall_cycles += 1
-                continue  # global stall: operand wavefront frozen
-            occupancy += arrivals
-            total_pushes += int(arrivals.sum())
-            consumed += 1
-        # Drain the FIFOs, then account the wavefront fill/drain skew.
-        remaining = int(occupancy.max()) if occupancy.size else 0
-        cycles += remaining + self.skew
-        total_pops += int(occupancy.sum())
+        max_cycles = stream_length * T * 4 + 64
+        live = np.arange(n_points)  # points still streaming
+        elapsed = 0
+        while live.size:
+            n = min(_CHUNK, max_cycles - elapsed)
+            # arrivals[k, j]: the arrivals of live point j in cycle k.
+            arrivals = np.empty((n, live.size, pes), dtype=dtype)
+            for j, i in enumerate(live):
+                arrivals[:, j] = rngs[i].binomial(T, p_useful[i],
+                                                  size=(n, pes))
+            # state[k]: occupancy after cycle k; advanced[k]: whether the
+            # wavefront moved in cycle k (no PE's FIFO would overflow).
+            state = np.empty_like(arrivals)
+            advanced = np.empty((n, live.size, 1), dtype=bool)
+            prev = occupancy[live]
+            for k in range(n):
+                cur = state[k]
+                # Service: each PE's MAC pops at most one pending pair.
+                np.subtract(prev, prev > 0, out=cur)
+                trial = cur + arrivals[k]
+                # A global stall freezes the whole operand wavefront.
+                np.all(trial <= Q, axis=1, keepdims=True, out=advanced[k])
+                np.copyto(cur, trial, where=advanced[k])
+                prev = cur
+            # Each point ends at the cycle its stream is consumed, or at
+            # the end of the chunk; later cycles in the chunk are unused.
+            advanced = advanced[:, :, 0]
+            streamed = consumed[live] + np.cumsum(advanced, axis=0)
+            finished = streamed[-1] >= stream_length
+            end = np.where(finished,
+                           np.argmax(streamed >= stream_length, axis=0),
+                           n - 1)
+            cols = np.arange(live.size)
+            pushed = np.cumsum(
+                arrivals.sum(axis=2, dtype=np.int64) * advanced, axis=0)
+            cycles[live] += end + 1
+            pushes[live] += pushed[end, cols]
+            consumed[live] = streamed[end, cols]
+            occupancy[live] = state[end, cols]
+            elapsed += n
+            live = live[~finished] if elapsed < max_cycles else live[:0]
+        # Every cycle so far either advanced the stream or stalled it.
+        stalls = cycles - consumed
+        # Drain the FIFOs, then account the wavefront fill/drain skew
+        # (every point ran >= 1 cycle, so no total below is zero).
+        # Every pair pushed is eventually popped, so pops equal pushes.
+        cycles += occupancy.max(axis=1) + self.skew
         # The dense SA pays the skew once for the same tile, not per thread.
-        dense_cycles = self.threads * stream_length + self.skew
-        speedup = dense_cycles / cycles if cycles else 0.0
-        useful_macs = total_pushes
-        events = EventCounts(
-            mac_ops=useful_macs,
-            gated_mac_ops=cycles * self.pes - useful_macs,
-            fifo_push_ops=total_pushes,
-            fifo_pop_ops=total_pops,
-            cycles=cycles,
-        )
-        utilization = useful_macs / (cycles * self.pes) if cycles else 0.0
-        return SMTResult(
-            cycles=cycles,
-            stall_cycles=stall_cycles,
-            speedup=speedup,
-            mac_utilization=utilization,
-            events=events,
-        )
+        dense_cycles = T * stream_length + self.skew
+        results = []
+        for i in range(n_points):
+            total = int(cycles[i])
+            useful_macs = int(pushes[i])
+            results.append(SMTResult(
+                cycles=total,
+                stall_cycles=int(stalls[i]),
+                speedup=dense_cycles / total,
+                mac_utilization=useful_macs / (total * pes),
+                events=EventCounts(
+                    mac_ops=useful_macs,
+                    gated_mac_ops=total * pes - useful_macs,
+                    fifo_push_ops=useful_macs,
+                    fifo_pop_ops=useful_macs,
+                    cycles=total,
+                ),
+            ))
+        return results
 
     def speedup(
         self,

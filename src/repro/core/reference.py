@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
+from repro.arch.events import EventCounts
+from repro.arch.smt import SMTResult
 from repro.core.dbb import DBBBlock, DBBSpec, DBBTensor, compress_block, \
     expand_block, pad_to_blocks
 from repro.models.specs import BLOCK_SIZE
@@ -34,6 +36,7 @@ __all__ = [
     "naive_awdbb_fired",
     "naive_dap_prune",
     "naive_blocked_density_mask",
+    "naive_smt_simulate",
 ]
 
 
@@ -226,3 +229,67 @@ def naive_blocked_density_mask(rows: int, width: int, nnz_cap: int,
             if mask >> i & 1:
                 out[row, col * BLOCK_SIZE + i] = True
     return out
+
+
+def naive_smt_simulate(model, weight_density: float, act_density: float,
+                       stream_length: int = 2048,
+                       rng: Optional[np.random.Generator] = None):
+    """One-point, cycle-by-cycle SA-SMT queueing walk for ``model`` (an
+    :class:`~repro.arch.smt.SMTArrayModel`): the loop that
+    :meth:`~repro.arch.smt.SMTArrayModel.simulate_many` runs in
+    lockstep over a batch of density points. One ``binomial`` draw of
+    ``size=pes`` per cycle; pops are counted as they happen.
+    """
+    for name, d in (("weight", weight_density), ("act", act_density)):
+        if not 0.0 <= d <= 1.0:
+            raise ValueError(f"{name} density must be in [0, 1], got {d}")
+    if stream_length < 1:
+        raise ValueError(f"stream_length must be >= 1, got {stream_length}")
+    rng = rng or np.random.default_rng(0)
+    p_useful = weight_density * act_density
+    occupancy = np.zeros(model.pes, dtype=np.int64)
+    consumed = 0
+    cycles = 0
+    stall_cycles = 0
+    total_pushes = 0
+    total_pops = 0
+    # Hard bound so adversarial parameters cannot hang the simulation.
+    max_cycles = stream_length * model.threads * 4 + 64
+    while consumed < stream_length and cycles < max_cycles:
+        cycles += 1
+        # Service: each PE's MAC pops at most one pending pair.
+        served = occupancy > 0
+        occupancy[served] -= 1
+        total_pops += int(np.count_nonzero(served))
+        # Arrivals: all threads advance one stream element in lockstep
+        # unless some PE's FIFO would overflow.
+        arrivals = rng.binomial(model.threads, p_useful, size=model.pes)
+        if np.any(occupancy + arrivals > model.fifo_depth):
+            stall_cycles += 1
+            continue  # global stall: operand wavefront frozen
+        occupancy += arrivals
+        total_pushes += int(arrivals.sum())
+        consumed += 1
+    # Drain the FIFOs, then account the wavefront fill/drain skew.
+    remaining = int(occupancy.max()) if occupancy.size else 0
+    cycles += remaining + model.skew
+    total_pops += int(occupancy.sum())
+    # The dense SA pays the skew once for the same tile, not per thread.
+    dense_cycles = model.threads * stream_length + model.skew
+    speedup = dense_cycles / cycles if cycles else 0.0
+    useful_macs = total_pushes
+    events = EventCounts(
+        mac_ops=useful_macs,
+        gated_mac_ops=cycles * model.pes - useful_macs,
+        fifo_push_ops=total_pushes,
+        fifo_pop_ops=total_pops,
+        cycles=cycles,
+    )
+    utilization = useful_macs / (cycles * model.pes) if cycles else 0.0
+    return SMTResult(
+        cycles=cycles,
+        stall_cycles=stall_cycles,
+        speedup=speedup,
+        mac_utilization=utilization,
+        events=events,
+    )

@@ -548,6 +548,12 @@ def fig11_full_models(functional: bool = False, quick: bool = False,
         _functional_runs(variants, specs, seed, max_m, jobs, result_cache)
         if functional else {})
 
+    if not functional:
+        # One SMT batch over all four networks instead of one per model.
+        layers = [layer for spec in specs for layer in spec.conv_layers]
+        for accel in variants.values():
+            accel.prefetch(layers)
+
     def _run(name, accel, spec):
         if functional:
             return functional_runs[name, spec.name]

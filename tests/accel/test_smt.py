@@ -3,7 +3,19 @@
 import pytest
 
 from repro.accel import SmtSA, ZvcgSA
+from repro.arch.smt import SMTArrayModel
+from repro.models import get_spec
 from repro.workloads.typical import typical_conv_layer
+
+FIG11_MODELS = ("resnet50", "vgg16", "mobilenet_v1", "alexnet")
+
+
+def _same_layers(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.compute_cycles == w.compute_cycles, g.layer.name
+        assert g.events == w.events, g.layer.name
+        assert g.energy_pj == w.energy_pj, g.layer.name
 
 
 class TestSmtModel:
@@ -44,3 +56,49 @@ class TestSmtModel:
 
     def test_area_larger_than_zvcg(self):
         assert SmtSA().area_mm2() > ZvcgSA().area_mm2()
+
+
+class TestPrefetch:
+    """Batching the density points must not change any layer's result."""
+
+    @pytest.mark.parametrize("model", FIG11_MODELS)
+    def test_run_model_equals_layer_loop(self, model):
+        spec = get_spec(model)
+        looped = SmtSA()
+        _same_layers(SmtSA().run_model(spec, conv_only=True).layer_results,
+                     [looped.run_layer(layer) for layer in spec.conv_layers])
+
+    def test_shared_instance_equals_fresh_instances(self):
+        shared = SmtSA()
+        shared.prefetch([layer for name in FIG11_MODELS
+                         for layer in get_spec(name).conv_layers])
+        for name in FIG11_MODELS:
+            spec = get_spec(name)
+            _same_layers(
+                shared.run_model(spec, conv_only=True).layer_results,
+                SmtSA().run_model(spec, conv_only=True).layer_results)
+
+    def test_first_asked_densities_win(self, monkeypatch):
+        # Grid key (38, 22) is reached from resnet50's a=0.225 before
+        # vgg16's a=0.22: the batch must simulate the first raw pair,
+        # as the layer loop would.
+        asked = []
+        simulate_many = SMTArrayModel.simulate_many
+
+        def spy(model, points, *args):
+            asked.extend(points)
+            return simulate_many(model, points, *args)
+
+        monkeypatch.setattr(SMTArrayModel, "simulate_many", spy)
+        SmtSA().prefetch([layer for name in ("resnet50", "vgg16")
+                          for layer in get_spec(name).conv_layers])
+        assert (0.375, 0.225) in asked
+        assert (0.375, 0.22) not in asked
+        assert len(asked) == len(set(asked))
+
+    def test_prefetch_skips_cached_keys(self):
+        smt = SmtSA()
+        layer = typical_conv_layer(0.5, 0.5)
+        smt._speedup_cache[(50, 50)] = 1.25
+        smt.prefetch([layer])
+        assert smt._speedup_cache == {(50, 50): 1.25}

@@ -1,9 +1,17 @@
 """Tests for the SA-SMT staging-FIFO queueing simulator."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.accel.smt import SMT_STREAM_LENGTH, SmtSA, _grid_key, _point_seed
+from repro.arch.events import EventCounts
 from repro.arch.smt import SMTArrayModel
+from repro.core.reference import naive_smt_simulate
+from repro.models import get_spec
 
 
 def _rng():
@@ -93,3 +101,73 @@ class TestQueueingBehaviour:
         model = SMTArrayModel(threads=4, fifo_depth=1, pes=512)
         result = model.simulate(1.0, 1.0, 128, rng=_rng())
         assert result.cycles <= 128 * 4 * 4 + 64 + 128 + model.skew
+
+
+FIG11_MODELS = ("resnet50", "vgg16", "mobilenet_v1", "alexnet")
+
+_densities = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+def _assert_same(got, want):
+    assert got.cycles == want.cycles
+    assert got.stall_cycles == want.stall_cycles
+    assert got.speedup == want.speedup
+    assert got.mac_utilization == want.mac_utilization
+    for f in fields(EventCounts):
+        assert getattr(got.events, f.name) == getattr(want.events, f.name), \
+            f.name
+
+
+class TestBatchedEqualsReference:
+    """``simulate_many`` is the one-point cycle walk, run in lockstep."""
+
+    @given(threads=st.integers(1, 4), fifo_depth=st.integers(1, 5),
+           pes=st.integers(1, 80), skew=st.integers(0, 100),
+           stream_length=st.integers(1, 600),
+           points=st.lists(st.tuples(_densities, _densities),
+                           min_size=1, max_size=8),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_naive_point_by_point(self, threads, fifo_depth, pes,
+                                          skew, stream_length, points,
+                                          seed):
+        model = SMTArrayModel(threads, fifo_depth, pes, skew)
+        got = model.simulate_many(
+            points, stream_length,
+            [np.random.default_rng(seed + i) for i in range(len(points))])
+        for i, ((w, a), result) in enumerate(zip(points, got)):
+            _assert_same(result, naive_smt_simulate(
+                model, w, a, stream_length, np.random.default_rng(seed + i)))
+
+    def test_max_cycles_bound(self):
+        # T4Q1 at full density overflows every cycle: the stream never
+        # advances and both paths stop at the hard cycle bound, next to
+        # a point that finishes normally.
+        model = SMTArrayModel(threads=4, fifo_depth=1, pes=8)
+        got = model.simulate_many([(1.0, 1.0), (0.1, 0.1)], 100,
+                                  [_rng(), _rng()])
+        assert got[0].stall_cycles == 100 * 4 * 4 + 64
+        for (w, a), result in zip([(1.0, 1.0), (0.1, 0.1)], got):
+            _assert_same(result, naive_smt_simulate(model, w, a, 100, _rng()))
+
+    def test_one_rng_per_point(self):
+        with pytest.raises(ValueError, match="one rng per point"):
+            SMTArrayModel().simulate_many([(0.5, 0.5)], 16, [])
+
+    def test_speedup_at_matches_reference_on_fig11_keys(self):
+        # Every grid key analytic Fig. 11 asks for, with the first raw
+        # densities that reach it (the memo's first-asked rule).
+        firsts = {}
+        for name in FIG11_MODELS:
+            for layer in get_spec(name).conv_layers:
+                key = _grid_key(layer.w_density, layer.a_density)
+                firsts.setdefault(key, (layer.w_density, layer.a_density))
+        assert len(firsts) == 28
+        smt = SmtSA()
+        model = SMTArrayModel(threads=smt.threads,
+                              fifo_depth=smt.fifo_depth)
+        for key, (w, a) in firsts.items():
+            want = naive_smt_simulate(
+                model, w, a, SMT_STREAM_LENGTH,
+                np.random.default_rng(_point_seed(key)))
+            assert smt.speedup_at(w, a) == max(1.0, want.speedup), key

@@ -287,6 +287,14 @@ class TestObservability:
         assert "coverage" in out
         assert "unmatched" in out
         assert "synthesize" in out or "simulate" in out
+        # Analytic Fig. 11 spends its time in the SA-SMT Monte Carlo,
+        # which the per-phase table names as its own stage.
+        trace = tmp_path / "fig11.json"
+        main(["experiment", "fig11", "--trace", str(trace)])
+        out = main(["trace", "summarize", str(trace)])
+        phases = out.split("per-phase self time")[1].split("top spans")[0]
+        assert any(line.split()[0] == "smt"
+                   for line in phases.strip().splitlines())
 
     def test_trace_summarize_missing_file_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -24,6 +24,16 @@ FIG11_AW_GOLDEN = {
     "average": (2.09, 2.14),
 }
 
+# Fig. 11 analytic SMT-T2Q2 columns: (energy x, speedup x) vs SA-ZVCG.
+# The speedups come from the SA-SMT queueing Monte Carlo, so these pin
+# its seeded draws too.
+FIG11_SMT_GOLDEN = {
+    "resnet50": (0.83, 1.8),
+    "vgg16": (0.87, 1.86),
+    "mobilenet_v1": (0.74, 1.66),
+    "alexnet": (0.65, 1.56),
+}
+
 # Fig. 12 analytic totals (uJ, 1 decimal) and headline ratios.
 FIG12_TOTALS_GOLDEN = {
     "Eyeriss v2 (65nm)": 1519.4,
@@ -49,6 +59,15 @@ class TestFig11Golden:
             f"{model} S2TA-AW energy-x moved from the golden {energy_x}"
         assert row[6] == pytest.approx(speedup_x, abs=0.005), \
             f"{model} S2TA-AW speedup-x moved from the golden {speedup_x}"
+
+    @pytest.mark.parametrize("model", sorted(FIG11_SMT_GOLDEN))
+    def test_smt_columns_pinned(self, result, model):
+        energy_x, speedup_x = FIG11_SMT_GOLDEN[model]
+        row = result.row(model)
+        assert row[1] == pytest.approx(energy_x, abs=0.005), \
+            f"{model} SMT-T2Q2 energy-x moved from the golden {energy_x}"
+        assert row[2] == pytest.approx(speedup_x, abs=0.005), \
+            f"{model} SMT-T2Q2 speedup-x moved from the golden {speedup_x}"
 
     def test_average_tracks_paper(self, result):
         # Sanity on top of the pin: the golden values themselves must
