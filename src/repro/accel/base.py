@@ -303,15 +303,18 @@ class AcceleratorModel:
         compute_cycles, events = self._layer_events(layer)
         return self._finalize_layer(layer, compute_cycles, events)
 
-    def prefetch(self, layers: Iterable[LayerSpec]) -> None:
-        """Precompute per-layer state that batches across ``layers``.
-        Subclass hook (SA-SMT simulates its density points in one
-        batch); called by :meth:`run_model` before its layer loop."""
+    def prefetch(self, densities: Iterable[Tuple[float, float]]) -> None:
+        """Precompute state that batches across the raw ``(w_density,
+        a_density)`` pairs the next layers will ask for, in asking
+        order. Subclass hook (SA-SMT simulates its density points in
+        one batch); :meth:`run_model` calls it before its layer loop
+        and the layer runner before it dispatches a batch."""
 
     def run_model(self, spec: ModelSpec, conv_only: bool = False
                   ) -> AccelRunResult:
         layers = spec.conv_layers if conv_only else spec.layers
-        self.prefetch(layers)
+        self.prefetch((layer.w_density, layer.a_density)
+                      for layer in layers)
         result = AccelRunResult(
             accelerator=self.name,
             model=spec.name,

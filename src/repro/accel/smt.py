@@ -9,15 +9,20 @@ Speedups are memoized per instance on a 1% density grid. Each grid
 point is simulated once, with the raw densities of the *first* layer
 that asks for it (two raw pairs can share a grid point, e.g. ResNet-50's
 ``a=0.225`` and VGG-16's ``a=0.22``) and its own seed
-(:func:`_point_seed`). :meth:`SmtSA.prefetch`, which
-:meth:`~repro.accel.base.AcceleratorModel.run_model` calls before its
-layer loop, fills the memo for a whole layer list from one batched
+(:func:`_point_seed`). :meth:`SmtSA.prefetch` fills the memo for a
+whole sequence of raw ``(w, a)`` pairs from one batched
 :meth:`~repro.arch.smt.SMTArrayModel.simulate_many` call under the same
-first-asked rule; :meth:`SmtSA.speedup_at` simulates a missing point as
-a batch of one (the functional tier, whose measured densities are known
-only after simulation). The memo is deliberately not shared across
-instances: under the first-asked rule, an earlier run's raw densities
-would then decide a later run's speedups.
+first-asked rule. Both tiers batch: the analytic
+:meth:`~repro.accel.base.AcceleratorModel.run_model` prefetches its
+layers' spec densities, and the functional layer runner
+(:mod:`repro.eval.runner`) prefetches, before any task runs, the exact
+densities the synthesized operands will have
+(:func:`~repro.workloads.from_spec.operand_densities`), in serial
+execution order. :meth:`SmtSA.speedup_at` simulates a point nobody
+prefetched as a batch of one (a direct :meth:`run_gemm_functional`
+call). The memo is deliberately not shared across instances: under
+the first-asked rule, an earlier run's raw densities would then decide
+a later run's speedups.
 
 Memory side: the staging FIFOs reorder work *inside* the array — the
 operand streams are the dense ZVCG ones, so the DRAM traffic profile is
@@ -73,18 +78,19 @@ class SmtSA(ZvcgSA):
                                           fifo_depth=fifo_depth)
         self._speedup_cache: Dict[GridKey, float] = {}
 
-    def prefetch(self, layers: Iterable[LayerSpec]) -> None:
-        """Simulate every grid point ``layers`` will ask for in one batch.
+    def prefetch(self, densities: Iterable[Tuple[float, float]]) -> None:
+        """Simulate every grid point ``densities`` will ask for in one
+        batch.
 
-        Walks the layers in order and keeps the *first* raw densities
-        seen per uncached grid key, so the memo ends up exactly as a
-        layer-by-layer :meth:`speedup_at` loop would leave it.
+        Walks the raw ``(w, a)`` pairs in order and keeps the *first*
+        pair seen per uncached grid key, so the memo ends up exactly as
+        a :meth:`speedup_at` loop over the same pairs would leave it.
         """
         pending: Dict[GridKey, Tuple[float, float]] = {}
-        for layer in layers:
-            key = _grid_key(layer.w_density, layer.a_density)
+        for w_density, a_density in densities:
+            key = _grid_key(w_density, a_density)
             if key not in self._speedup_cache:
-                pending.setdefault(key, (layer.w_density, layer.a_density))
+                pending.setdefault(key, (w_density, a_density))
         self._simulate(pending)
 
     def speedup_at(self, w_density: float, a_density: float) -> float:

@@ -264,14 +264,7 @@ class SystolicArray:
 
     def _check_weights(self, w: np.ndarray) -> None:
         spec = self.config.w_spec
-        k = w.shape[0]
-        pad = (-k) % spec.block_size
-        wt = w.T
-        if pad:
-            wt = np.concatenate(
-                [wt, np.zeros((wt.shape[0], pad), dtype=wt.dtype)], axis=1
-            )
-        if not is_dbb_compliant(wt, spec):
+        if not is_dbb_compliant(w.T, spec):
             raise ValueError(
                 f"weights violate the {spec.ratio} W-DBB bound; run "
                 f"prune_weights_dbb first (static offline pruning)"

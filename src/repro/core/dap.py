@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.dbb import DBBSpec, blocked_rows
+from repro.core.dbb import DBBSpec, block_nnz, blocked_rows
 from repro.core.pruning import topk_block_mask
 
 __all__ = [
@@ -90,17 +90,12 @@ def dap_prune(
     if not 0 < nnz <= spec.block_size:
         raise ValueError(f"nnz must be in [1, BZ={spec.block_size}], got {nnz}")
     spec = spec.with_nnz(nnz) if nnz != spec.max_nnz else spec
-    original_shape = activations.shape
-    blocks, work_shape, last = blocked_rows(activations, spec.block_size)
-    # Per-block non-zero counts as BZ lane-wise adds: several times
-    # faster than a row reduction over BZ-wide rows.
-    block_nnz = np.zeros(len(blocks), dtype=np.uint16)
-    for lane in blocks.T:
-        block_nnz += lane != 0
-    if block_nnz.max(initial=0) <= nnz:
+    if block_nnz(activations, spec.block_size).max(initial=0) <= nnz:
         return DAPResult(pruned=activations.copy(),
                          keep_mask=activations != 0,
                          spec=spec, pruned_fraction=0.0)
+    original_shape = activations.shape
+    blocks, work_shape, last = blocked_rows(activations, spec.block_size)
     mask_blocks = topk_block_mask(blocks, nnz)
     pruned_blocks = np.where(mask_blocks, blocks, np.zeros_like(blocks))
     pruned = pruned_blocks.reshape(work_shape)[:, :last].reshape(original_shape)

@@ -59,6 +59,7 @@ __all__ = [
     "expand_block",
     "pad_to_blocks",
     "blocked_rows",
+    "block_nnz",
     "mask_to_positions",
     "positions_to_mask",
     "popcount",
@@ -294,6 +295,30 @@ def blocked_rows(
             [work, np.zeros((work.shape[0], pad), dtype=work.dtype)], axis=1
         )
     return work.reshape(-1, block_size), work.shape, last
+
+
+def block_nnz(tensor: np.ndarray, block_size: int) -> np.ndarray:
+    """Non-zero count of every block of :func:`blocked_rows`, in the
+    same order (blocks run along the last axis; the zero padding of a
+    ragged tail counts nothing).
+
+    Counts on the ``!= 0`` pattern: at ``block_size == 8`` each block is
+    one ``uint64`` of 0/1 bytes, counted by ``np.bitwise_count``;
+    otherwise the pattern's bytes are summed per block.
+    """
+    tensor = np.asarray(tensor)
+    if tensor.size == 0:
+        return np.zeros(0, dtype=np.uint8)
+    last = tensor.shape[-1]
+    work = tensor.reshape(-1, last)
+    # C-ordered and zero-padded whatever the input's layout (the weight
+    # path passes a transposed view).
+    nonzero = np.zeros((work.shape[0], last + (-last) % block_size),
+                       dtype=bool)
+    np.not_equal(work, 0, out=nonzero[:, :last])
+    if block_size == 8:
+        return np.bitwise_count(nonzero.view(np.uint64)).reshape(-1)
+    return nonzero.reshape(-1, block_size).view(np.uint8).sum(axis=1)
 
 
 def _compress_arrays(

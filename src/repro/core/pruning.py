@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.dbb import DBBSpec
+from repro.core.dbb import DBBSpec, block_nnz
 
 __all__ = [
     "topk_block_mask",
@@ -99,14 +99,10 @@ def prune_weights_dbb(
 
 
 def is_dbb_compliant(tensor: np.ndarray, spec: DBBSpec) -> bool:
-    """True when no block exceeds the spec's NNZ bound."""
-    tensor = np.asarray(tensor)
-    flat = tensor.reshape(-1)
-    pad = (-flat.size) % spec.block_size
-    if pad:
-        flat = np.concatenate([flat, np.zeros(pad, dtype=flat.dtype)])
-    counts = np.count_nonzero(flat.reshape(-1, spec.block_size), axis=1)
-    return bool(np.all(counts <= spec.max_nnz))
+    """True when no block (along the last axis, ragged tail
+    zero-padded) exceeds the spec's NNZ bound."""
+    return bool(block_nnz(tensor, spec.block_size).max(initial=0)
+                <= spec.max_nnz)
 
 
 @dataclass

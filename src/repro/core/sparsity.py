@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.dbb import DBBSpec
+from repro.core.dbb import DBBSpec, block_nnz
 
 __all__ = [
     "density",
@@ -39,23 +39,6 @@ def density(tensor: np.ndarray) -> float:
 def sparsity(tensor: np.ndarray) -> float:
     """Fraction of zero elements (``1 - density``)."""
     return 1.0 - density(tensor)
-
-
-def _blocked(tensor: np.ndarray, block_size: int) -> np.ndarray:
-    """Reshape the flattened tensor to (n_blocks, block_size), zero-padded."""
-    flat = np.asarray(tensor).reshape(-1)
-    remainder = flat.size % block_size
-    if remainder:
-        flat = np.concatenate(
-            [flat, np.zeros(block_size - remainder, dtype=flat.dtype)]
-        )
-    return flat.reshape(-1, block_size)
-
-
-def block_nnz(tensor: np.ndarray, block_size: int) -> np.ndarray:
-    """Non-zero count of each ``block_size`` block along the last axis."""
-    blocks = _blocked(tensor, block_size)
-    return np.count_nonzero(blocks, axis=1)
 
 
 def block_nnz_histogram(tensor: np.ndarray, block_size: int) -> Dict[int, int]:

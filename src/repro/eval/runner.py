@@ -18,11 +18,16 @@ a network (ResNet50's 53 conv layers have 26 operand keys) — form one
    collapse to one simulation, per task;
 2. the remaining tasks group by
    :func:`~repro.workloads.from_spec.operand_key`;
-3. each group synthesizes its operands once, simulates every task on
+3. every accelerator prefetches over its remaining tasks, in serial
+   execution order, at the exact densities each group's operands will
+   have (:func:`~repro.workloads.from_spec.operand_densities`) — SA-SMT
+   fills its speedup memo from one batched Monte Carlo, and pool
+   workers inherit the filled memo with their pickled tasks;
+4. each group synthesizes its operands once, simulates every task on
    them and drops them — serially, or one group per process-pool
    future when ``jobs`` > 1 (``0`` = all cores, ``"auto"`` sizes the
    pool from the group count, ``$REPRO_JOBS`` supplies the default);
-4. payloads come back in task order, bit-equal to a serial run at the
+5. payloads come back in task order, bit-equal to a serial run at the
    same seed regardless of worker count (asserted in
    ``tests/eval/test_runner.py``).
 
@@ -62,7 +67,11 @@ from repro.models.specs import LayerSpec, ModelSpec
 from repro.obs import logs as obs_logs
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.workloads.from_spec import operand_key, synthesize_operands
+from repro.workloads.from_spec import (
+    operand_densities,
+    operand_key,
+    synthesize_operands,
+)
 
 __all__ = [
     "LayerSimTask",
@@ -270,6 +279,23 @@ def _resolve_task_timeout(task_timeout_s: Optional[float]
     return value
 
 
+def _prefetch(tasks: Sequence[LayerSimTask],
+              groups: Sequence[Sequence[int]]) -> None:
+    """Call each distinct accelerator's
+    :meth:`~repro.accel.base.AcceleratorModel.prefetch` once, over the
+    ``(w, a)`` densities its tasks in ``groups`` will measure, in the
+    order the serial path runs them (so SA-SMT's first-asked rule
+    picks the same raw pair a task-by-task run would)."""
+    asked: Dict[AcceleratorModel, List[Tuple[float, float]]] = {}
+    for group in groups:
+        first = tasks[group[0]]
+        densities = operand_densities(first.layer, max_m=first.max_m)
+        for i in group:
+            asked.setdefault(tasks[i].accel, []).append(densities)
+    for accel, pairs in asked.items():
+        accel.prefetch(pairs)
+
+
 def _run_serial(tasks: Sequence[LayerSimTask],
                 groups: Sequence[Sequence[int]], registry
                 ) -> Dict[int, Tuple[int, EventCounts]]:
@@ -372,9 +398,10 @@ def simulate_layer_tasks(
     order.
 
     Cache hits (and in-batch duplicates — the same key appearing twice
-    in ``tasks``) never simulate; the misses group by
-    :func:`~repro.workloads.from_spec.operand_key`, each group
-    synthesizes once, and payloads are frozen into ``result_cache``.
+    in ``tasks``) never simulate or prefetch; the misses group by
+    :func:`~repro.workloads.from_spec.operand_key`, every accelerator
+    prefetches over its misses, each group synthesizes once, and
+    payloads are frozen into ``result_cache``.
     Groups run over ``jobs`` pool workers (serial when 1 or when only
     one group remains); ``jobs="auto"`` resolves per batch from the
     number of groups via :func:`auto_jobs`. Task fingerprints are
@@ -422,6 +449,7 @@ def simulate_layer_tasks(
             operand_key(task.layer, seed=task.seed, max_m=task.max_m),
             []).append(i)
     groups = list(by_operands.values())
+    _prefetch(tasks, groups)
     # Resolved against the post-dedupe/post-cache group count: a batch
     # that is mostly cache hits must not pay pool startup for the tail.
     jobs = resolve_jobs(jobs, task_count=len(groups))

@@ -131,14 +131,7 @@ class Conv2d(Layer):
         self.weights = pruned.astype(self.weights.dtype)
 
     def weights_compliant(self, spec: DBBSpec) -> bool:
-        k = self.reduction_dim
-        pad = (-k) % spec.block_size
-        wt = self.weights.T
-        if pad:
-            wt = np.concatenate(
-                [wt, np.zeros((wt.shape[0], pad), dtype=wt.dtype)], axis=1
-            )
-        return is_dbb_compliant(wt, spec)
+        return is_dbb_compliant(self.weights.T, spec)
 
 
 class Linear(Conv2d):

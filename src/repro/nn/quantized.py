@@ -62,14 +62,7 @@ class QuantizedGemmLayer:
         self.weights_q = prune_weights_dbb(wt, spec)[:, :k].T
 
     def weights_compliant(self, spec: DBBSpec) -> bool:
-        k = self.weights_q.shape[0]
-        pad = (-k) % spec.block_size
-        wt = self.weights_q.T
-        if pad:
-            wt = np.concatenate(
-                [wt, np.zeros((wt.shape[0], pad), dtype=wt.dtype)], axis=1
-            )
-        return is_dbb_compliant(wt, spec)
+        return is_dbb_compliant(self.weights_q.T, spec)
 
 
 class QuantizedSequential:

@@ -60,6 +60,7 @@ __all__ = [
     "spec_operands",
     "spec_int8_operands",
     "operand_key",
+    "operand_densities",
     "synthesize_operands",
 ]
 
@@ -87,6 +88,28 @@ def _smallest(keys: np.ndarray, take: int) -> np.ndarray:
     below = np.flatnonzero(keys < kth)
     ties = np.flatnonzero(keys == kth)[:take - below.size]
     return np.concatenate([below, ties])
+
+
+def _allocation(rows: int, width: int, nnz_cap: int, density: float):
+    """Per block column of a ``(rows, width)`` pattern — its cap, the
+    floor of its real-valued target clipped to the cap, and the
+    target's remainder — plus the pattern's exact non-zero total.
+
+    The total is ``round(rows * width * density)`` (the same expression
+    as the analytic models' stored-byte closed forms, so the two tiers
+    agree bit-for-bit on nnz), clipped to what the caps allow and never
+    below the per-block floors: it is exactly what
+    :func:`blocked_density_mask` sets.
+    """
+    kb = -(-width // BLOCK_SIZE)
+    valid = np.full(kb, BLOCK_SIZE, dtype=np.int64)
+    valid[-1] = width - (kb - 1) * BLOCK_SIZE
+    cap = np.minimum(nnz_cap, valid)
+    target = density * valid
+    base = np.minimum(np.floor(target).astype(np.int64), cap)
+    frac = target - np.floor(target)
+    total = min(int(round(rows * width * density)), rows * int(cap.sum()))
+    return cap, base, frac, max(total, rows * int(base.sum()))
 
 
 def blocked_density_mask(
@@ -121,23 +144,14 @@ def blocked_density_mask(
     if not 1 <= nnz_cap <= BLOCK_SIZE:
         raise ValueError(
             f"nnz_cap must be in [1, {BLOCK_SIZE}], got {nnz_cap}")
-    kb = -(-width // BLOCK_SIZE)
+    cap, base, frac, total = _allocation(rows, width, nnz_cap, density)
+    kb = cap.size
     tail = width - (kb - 1) * BLOCK_SIZE
-    # Per block column: valid (non-padding) width, cap, real target.
-    valid = np.full(kb, BLOCK_SIZE, dtype=np.int64)
-    valid[-1] = tail
-    cap = np.minimum(nnz_cap, valid)
-    target = density * valid
-    base = np.minimum(np.floor(target).astype(np.int64), cap)
-    frac = target - np.floor(target)
-    # Largest-remainder allocation of the exact total (same ``round``
-    # expression as the analytic models' stored-byte closed forms, so
-    # the two tiers agree bit-for-bit on nnz). There are at most two
-    # remainders (full blocks and the ragged tail); each round visits
-    # them in descending order and bumps a random subset of the blocks
-    # that still have room.
+    # Largest-remainder allocation of the exact total. There are at
+    # most two remainders (full blocks and the ragged tail); each round
+    # visits them in descending order and bumps a random subset of the
+    # blocks that still have room.
     nnz = np.repeat(base.astype(np.int8)[None, :], rows, axis=0)
-    total = min(int(round(rows * width * density)), rows * int(cap.sum()))
     deficit = total - rows * int(base.sum())
     while deficit > 0:
         for remainder in sorted(set(frac.tolist()), reverse=True):
@@ -252,3 +266,19 @@ def synthesize_operands(layer: LayerSpec, seed: int = 0,
     the layer capped at ``max_m`` rows, so ``A`` may have fewer than
     ``layer.m`` rows."""
     return spec_operands(_rows_capped(layer, max_m), seed=seed)
+
+
+def operand_densities(layer: LayerSpec, max_m: Optional[int] = None
+                      ) -> Tuple[float, float]:
+    """``(w_density, a_density)`` of the operands
+    :func:`synthesize_operands` returns for ``(layer, seed, max_m)`` at
+    any seed, bit-equal to :func:`repro.core.sparsity.density` of each,
+    computed without synthesizing them."""
+    layer = _rows_capped(layer, max_m)
+
+    def exact(rows: int, nnz_cap: int, density: float) -> float:
+        total = _allocation(rows, layer.k, nnz_cap, min(density, 1.0))[3]
+        return total / (rows * layer.k)
+
+    return (exact(layer.n, layer.w_nnz, layer.w_density),
+            exact(layer.m, layer.a_nnz, layer.a_density))

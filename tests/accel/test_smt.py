@@ -10,6 +10,12 @@ from repro.workloads.typical import typical_conv_layer
 FIG11_MODELS = ("resnet50", "vgg16", "mobilenet_v1", "alexnet")
 
 
+def _densities(models):
+    """Raw ``(w, a)`` pairs of the models' conv layers, in order."""
+    return [(layer.w_density, layer.a_density) for name in models
+            for layer in get_spec(name).conv_layers]
+
+
 def _same_layers(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -70,8 +76,7 @@ class TestPrefetch:
 
     def test_shared_instance_equals_fresh_instances(self):
         shared = SmtSA()
-        shared.prefetch([layer for name in FIG11_MODELS
-                         for layer in get_spec(name).conv_layers])
+        shared.prefetch(_densities(FIG11_MODELS))
         for name in FIG11_MODELS:
             spec = get_spec(name)
             _same_layers(
@@ -90,8 +95,7 @@ class TestPrefetch:
             return simulate_many(model, points, *args)
 
         monkeypatch.setattr(SMTArrayModel, "simulate_many", spy)
-        SmtSA().prefetch([layer for name in ("resnet50", "vgg16")
-                          for layer in get_spec(name).conv_layers])
+        SmtSA().prefetch(_densities(("resnet50", "vgg16")))
         assert (0.375, 0.225) in asked
         assert (0.375, 0.22) not in asked
         assert len(asked) == len(set(asked))
@@ -100,5 +104,5 @@ class TestPrefetch:
         smt = SmtSA()
         layer = typical_conv_layer(0.5, 0.5)
         smt._speedup_cache[(50, 50)] = 1.25
-        smt.prefetch([layer])
+        smt.prefetch([(layer.w_density, layer.a_density)])
         assert smt._speedup_cache == {(50, 50): 1.25}

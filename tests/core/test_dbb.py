@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dbb import (
     DBBBlock,
     DBBSpec,
+    block_nnz,
+    blocked_rows,
     compress,
     compress_block,
     decompress,
@@ -164,6 +166,36 @@ class TestPadToBlocks:
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             pad_to_blocks(np.zeros((2, 8)), 8)
+
+
+class TestBlockNnz:
+    """:func:`block_nnz` (popcount / byte sums) equals a
+    ``count_nonzero`` over :func:`blocked_rows`'s blocks."""
+
+    @pytest.mark.parametrize("bz", [4, 8, 16])
+    @pytest.mark.parametrize("transposed", [False, True])
+    @given(dtype=st.sampled_from([bool, np.int8]),
+           shape=st.lists(st.integers(1, 4), min_size=1,
+                          max_size=2).flatmap(
+               lambda lead: st.integers(1, 45).map(
+                   lambda width: (*lead, width))),
+           dens=st.floats(0.0, 1.0), seed=st.integers(0, 10_000))
+    @example(dtype=np.int8, shape=(2, 7), dens=1.0, seed=0)
+    @settings(max_examples=25, deadline=None)
+    def test_equals_count_nonzero(self, bz, transposed, dtype, shape,
+                                  dens, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-127, 128, size=shape)
+        tensor = ((rng.random(shape) < dens) * values).astype(dtype)
+        if transposed:  # the weight path passes a transposed view
+            tensor = np.swapaxes(
+                np.ascontiguousarray(np.swapaxes(tensor, -1, -2)), -1, -2)
+        blocks, _, _ = blocked_rows(tensor, bz)
+        np.testing.assert_array_equal(block_nnz(tensor, bz),
+                                      np.count_nonzero(blocks, axis=1))
+
+    def test_empty(self):
+        assert block_nnz(np.zeros((0, 8)), 8).size == 0
 
 
 class TestDBBTensor:

@@ -11,6 +11,9 @@ The two contracts everything else leans on:
 - **Operand groups** — grouped execution (one synthesis per operand
   key, shared by every task in the group) equals simulating each task
   alone on operands it synthesized itself.
+- **Prefetch** — SA-SMT speedups batched before dispatch equal a
+  task-by-task run in serial group order, and cache hits prefetch
+  nothing.
 """
 
 import os
@@ -20,9 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel import S2TAAW, SparTen, ZvcgSA
+from repro.accel import S2TAAW, SmtSA, SparTen, ZvcgSA
+from repro.arch.smt import SMTArrayModel
 from repro.eval.experiments import (
+    FULL_MODELS,
     QUICK_MAX_M,
+    SYSTOLIC_VARIANTS,
+    _sa_variants,
     fig12_alexnet_per_layer,
     xval_functional_vs_analytic,
 )
@@ -264,6 +271,87 @@ class TestFunctionalModelRuns:
         assert cache.stats()["entries"] == 2 * len(ALEXNET.conv_layers)
 
 
+def _fig11_tasks(max_m=QUICK_MAX_M):
+    """Fig. 11's functional batch on fresh accelerators (model-major,
+    as ``fig11_full_models`` builds it)."""
+    variants = [accel for name, accel in _sa_variants().items()
+                if name in SYSTOLIC_VARIANTS]
+    return [LayerSimTask(accel, layer, seed=0, max_m=max_m)
+            for name in FULL_MODELS for accel in variants
+            for layer in get_spec(name).conv_layers]
+
+
+@pytest.fixture
+def simulate_many_calls(monkeypatch):
+    """Every point list passed to ``SMTArrayModel.simulate_many``."""
+    calls = []
+    real = SMTArrayModel.simulate_many
+
+    def spy(model, points, *args):
+        calls.append(list(points))
+        return real(model, points, *args)
+
+    monkeypatch.setattr(SMTArrayModel, "simulate_many", spy)
+    return calls
+
+
+class TestSmtPrefetch:
+    """The runner fills SA-SMT's speedup memo for a whole batch from
+    one ``simulate_many`` call before any group runs."""
+
+    @pytest.mark.functional
+    def test_equals_task_by_task_in_serial_group_order(
+            self, simulate_many_calls):
+        tasks = _fig11_tasks()
+        payloads = simulate_layer_tasks(tasks, jobs=1)
+        smt = [i for i, t in enumerate(tasks) if isinstance(t.accel, SmtSA)]
+        assert len(simulate_many_calls) == 1
+        # Reference: a fresh instance asks speedup_at one task at a
+        # time (batches of one) in the serial path's order — groups by
+        # first appearance of their operand key, tasks in batch order.
+        fresh = SmtSA()
+        groups = {}
+        for i in smt:
+            t = tasks[i]
+            groups.setdefault(from_spec.operand_key(
+                t.layer, seed=t.seed, max_m=t.max_m), []).append(i)
+        want = {i: fresh.simulate_layer_functional(
+                    tasks[i].layer, *from_spec.synthesize_operands(
+                        tasks[i].layer, seed=0, max_m=QUICK_MAX_M))
+                for group in groups.values() for i in group}
+        assert [payloads[i] for i in smt] == [want[i] for i in smt]
+        assert tasks[smt[0]].accel._speedup_cache == fresh._speedup_cache
+        # The batch holds the raw pairs the reference simulated one by
+        # one, in the same order: the first-asked pair per grid key.
+        # (Pairs sharing a key happen to give equal speedups here, so
+        # the payloads alone cannot tell the order apart.)
+        batch, *singles = simulate_many_calls
+        assert all(len(points) == 1 for points in singles)
+        assert batch == [points[0] for points in singles]
+
+    @pytest.mark.functional
+    def test_pool_equals_serial(self):
+        assert simulate_layer_tasks(_fig11_tasks(), jobs=2) \
+            == simulate_layer_tasks(_fig11_tasks(), jobs=1)
+
+    def test_cached_batch_simulates_nothing(self, tmp_path,
+                                            simulate_many_calls):
+        cache = ResultCache(tmp_path)
+        layers = ALEXNET.conv_layers
+        cold = simulate_layer_tasks(_tasks([SmtSA()], layers),
+                                    result_cache=cache)
+        assert len(simulate_many_calls) == 1
+        warm = simulate_layer_tasks(_tasks([SmtSA()], layers),
+                                    result_cache=cache)
+        assert warm == cold
+        assert len(simulate_many_calls) == 1
+
+    def test_batch_without_smt_simulates_nothing(self,
+                                                 simulate_many_calls):
+        simulate_layer_tasks(_tasks(_ACCELS, ALEXNET.conv_layers[:2]))
+        assert simulate_many_calls == []
+
+
 class TestExperimentDeterminism:
     """The ISSUE-5 acceptance bounds at quick size."""
 
@@ -299,6 +387,29 @@ class TestExperimentDeterminism:
         assert parallel.rows == serial.rows
         assert cached.rows == serial.rows
         assert serial.failures == parallel.failures == cached.failures
+
+    @pytest.mark.functional
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_xval_analytic_smt_ignores_functional_memo(self, monkeypatch,
+                                                       jobs):
+        """The functional batch memoizes SA-SMT at measured densities;
+        xval's analytic column must still read a fresh instance's
+        spec-density speedups, whatever ``jobs``."""
+        analytic = []
+        real = SmtSA.run_layer
+
+        def recorded(self, layer):
+            result = real(self, layer)
+            analytic.append((layer.name, result.compute_cycles))
+            return result
+
+        monkeypatch.setattr(SmtSA, "run_layer", recorded)
+        spec = get_spec("mobilenet_v1")
+        xval_functional_vs_analytic("mobilenet_v1", max_m=QUICK_MAX_M,
+                                    jobs=jobs)
+        fresh = SmtSA()
+        assert analytic == [(layer.name, real(fresh, layer).compute_cycles)
+                            for layer in spec.conv_layers]
 
 
 class TestCachelessDedupe:

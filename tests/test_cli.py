@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -288,13 +291,21 @@ class TestObservability:
         assert "unmatched" in out
         assert "synthesize" in out or "simulate" in out
         # Analytic Fig. 11 spends its time in the SA-SMT Monte Carlo,
-        # which the per-phase table names as its own stage.
-        trace = tmp_path / "fig11.json"
-        main(["experiment", "fig11", "--trace", str(trace)])
-        out = main(["trace", "summarize", str(trace)])
-        phases = out.split("per-phase self time")[1].split("top spans")[0]
-        assert any(line.split()[0] == "smt"
-                   for line in phases.strip().splitlines())
+        # which the per-phase table names as its own stage; so does the
+        # functional one, whose runner prefetches every density point
+        # in one batch: one span per SA-SMT instance, in the parent.
+        for flags in ([], ["--functional", "--quick", "--no-result-cache"]):
+            trace = tmp_path / "fig11.json"
+            main(["experiment", "fig11", *flags, "--trace", str(trace)])
+            out = main(["trace", "summarize", str(trace)])
+            phases = out.split("per-phase self time")[1].split(
+                "top spans")[0]
+            assert any(line.split()[0] == "smt"
+                       for line in phases.strip().splitlines())
+            smt = [e for e in json.loads(trace.read_text())["traceEvents"]
+                   if e.get("cat") == "smt" and e["ph"] == "B"]
+            assert [(e["name"], e["pid"]) for e in smt] \
+                == [("SA-SMT-T2Q2", os.getpid())]
 
     def test_trace_summarize_missing_file_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -2,9 +2,10 @@
 
 Covers :func:`blocked_density_mask` (bit-equal to the naive per-block
 reference, exact total, caps, padding, allocation, uniformity),
-:func:`spec_operands` / :func:`spec_int8_operands` (shape, DBB caps,
-densities, determinism, values on exactly the patterns), the experiment
-sweep memo :func:`repro.eval.functional_operands` (read-only
+:func:`operand_densities` (bit-equal to the synthesized operands'
+densities), :func:`spec_operands` / :func:`spec_int8_operands` (shape,
+DBB caps, densities, determinism, values on exactly the patterns), the
+experiment sweep memo :func:`repro.eval.functional_operands` (read-only
 guarantee), and the weight-compression memo hit/miss accounting in
 :func:`repro.core.gemm.compress_cached`. Sharing one synthesis across
 the tasks of an operand group is tested with the layer runner in
@@ -22,11 +23,15 @@ from repro.core.dbb import DBBSpec
 from repro.core.pruning import is_dbb_compliant
 from repro.core.reference import naive_blocked_density_mask
 from repro.core.sparsity import density
+from repro.eval.experiments import QUICK_MAX_M
+from repro.models import get_spec
 from repro.models.specs import BLOCK_SIZE, LayerKind, LayerSpec
 from repro.workloads.from_spec import (
     blocked_density_mask,
+    operand_densities,
     spec_int8_operands,
     spec_operands,
+    synthesize_operands,
 )
 
 
@@ -140,6 +145,9 @@ class TestBlockedDensityOperand:
         assert Counter(zip(widths.ravel().tolist(),
                            per_block.ravel().tolist())) \
             == _largest_remainder(rows, width, cap, dens)
+        # The closed-form density is the pattern's, bit for bit.
+        layer = _layer(m=rows, k=width, a_nnz=cap, a_density=dens)
+        assert operand_densities(layer)[1] == density(out)
 
     def test_in_block_positions_are_uniform(self):
         """Fixed seed: 3-of-8 blocks hit all 56 masks, and every
@@ -175,6 +183,16 @@ class TestBlockedDensityOperand:
 
 
 class TestSpecOperands:
+    @pytest.mark.parametrize("max_m", [None, QUICK_MAX_M])
+    def test_operand_densities_are_exact(self, max_m):
+        """The runner prefetches SA-SMT at these densities before
+        synthesis: they must equal the measured ones bit for bit."""
+        for name in ("resnet50", "vgg16", "mobilenet_v1", "alexnet"):
+            for layer in get_spec(name).conv_layers:
+                a, w = synthesize_operands(layer, max_m=max_m)
+                assert operand_densities(layer, max_m=max_m) \
+                    == (density(w), density(a)), (name, layer.name)
+
     def test_shapes_and_compliance(self):
         layer = _layer(m=33, k=90, n=17, w_nnz=3, a_nnz=2,
                        a_density=0.2)
