@@ -47,6 +47,7 @@ from repro.arch.memory import (
     SRAMStaging,
     window_duplication,
 )
+from repro.core.sparsity import GemmOperands
 from repro.energy.costs import DEFAULT_COSTS, CostModel
 from repro.energy.model import AreaModel, EnergyBreakdown, EnergyModel
 from repro.energy.tech import get_tech
@@ -360,48 +361,49 @@ class AcceleratorModel:
         the weight-side counters."""
         return events.scaled(factor)
 
-    def run_gemm_functional(self, a, w, **kwargs):
+    def run_gemm_functional(self, operands: GemmOperands, **kwargs):
         """Run one concrete GEMM on the functional/cycle simulator.
 
-        The result's cycles and events are counted from the operands;
-        its ``output`` matrix is computed only when read. Reading a
-        compressed-weight output compresses through the shared
-        :func:`repro.core.gemm.compress_cached` memo, so sweeping the
-        same workload across variants and density points compresses
-        each weight tensor at most once.
+        The result's cycles and events are counted from the operands'
+        non-zero census (filled on first use and shared by every run on
+        the same ``operands``); its ``output`` matrix is computed only
+        when read. Reading a compressed-weight output compresses through
+        the shared :func:`repro.core.gemm.compress_cached` memo, so
+        sweeping the same workload across variants and density points
+        compresses each weight tensor at most once.
         """
         from repro.arch.systolic import SystolicArray
 
-        return SystolicArray(self.functional_sim_config()).run_gemm(
-            a, w, **kwargs)
+        return SystolicArray(self.functional_sim_config()).run(
+            operands, **kwargs)
 
     def simulate_layer_functional(
         self,
         layer: LayerSpec,
-        a,
-        w,
+        operands: GemmOperands,
     ) -> Tuple[int, EventCounts]:
         """Measured ``(compute_cycles, events)`` of one layer's GEMM on
-        the synthesized operands ``a``/``w`` — the pre-finalization
-        simulation payload. Only the counts are read, so no GEMM output
-        is computed and no weight tensor is compressed.
+        the synthesized ``operands`` — the pre-finalization simulation
+        payload. Only the counts are read, so no GEMM output is
+        computed and no weight tensor is compressed.
 
         This is the unit of work the layer runner
         (:mod:`repro.eval.runner`) executes and the result cache
-        (:mod:`repro.eval.resultcache`) memoizes: the runner passes the
-        operands of :func:`repro.workloads.from_spec.synthesize_operands`
-        for (layer, seed, ``max_m``), synthesized once per operand key
-        and shared by every accelerator in the batch. When ``a`` has
-        fewer rows than ``layer.m`` (the ``max_m`` cap of the ``quick``
-        CI mode) the measured events extrapolate linearly back to the
-        full layer.
+        (:mod:`repro.eval.resultcache`) memoizes: the runner passes one
+        census of the operands of
+        :func:`repro.workloads.from_spec.synthesize_operands` for
+        (layer, seed, ``max_m``), synthesized and counted once per
+        operand key and shared by every accelerator in the batch. When
+        ``A`` has fewer rows than ``layer.m`` (the ``max_m`` cap of the
+        ``quick`` CI mode) the measured events extrapolate linearly back
+        to the full layer.
         """
         with obs_trace.span(layer.name, "simulate", accel=self.name):
             sim = self.run_gemm_functional(
-                a, w, **self._functional_gemm_kwargs(layer))
+                operands, **self._functional_gemm_kwargs(layer))
         events = sim.events
         compute_cycles = sim.cycles
-        rows = a.shape[0]
+        rows = operands.a.shape[0]
         if rows != layer.m:
             factor = layer.m / rows
             events = self._scale_functional_events(events, factor)

@@ -104,7 +104,7 @@ class EyerissV2(FixedDataflowModel):
                 f"the analytic model prices {self.hardware_macs}")
         return config
 
-    def run_gemm_functional(self, a, w, **kwargs):
+    def run_gemm_functional(self, operands, **kwargs):
         from repro.arch.eyeriss import EyerissV2Engine
 
-        return EyerissV2Engine(self.functional_sim_config()).run_gemm(a, w)
+        return EyerissV2Engine(self.functional_sim_config()).run(operands)

@@ -97,7 +97,7 @@ class SCNN(FixedDataflowModel):
                 f"the analytic model prices {self.hardware_macs}")
         return config
 
-    def run_gemm_functional(self, a, w, **kwargs):
+    def run_gemm_functional(self, operands, **kwargs):
         from repro.arch.scnn import SCNNEngine
 
-        return SCNNEngine(self.functional_sim_config()).run_gemm(a, w)
+        return SCNNEngine(self.functional_sim_config()).run(operands)

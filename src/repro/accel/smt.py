@@ -143,18 +143,18 @@ class SmtSA(ZvcgSA):
     # Functional cross-check bridge
     # -------------------------------------------------------------- #
 
-    def run_gemm_functional(self, a, w, **kwargs):
+    def run_gemm_functional(self, operands, **kwargs):
         """ZVCG functional execution plus the SMT queueing post-pass.
 
         Exactly like the analytic model, the concrete GEMM executes on
         the ZVCG simulator and ``_smt_postpass`` rescales the result —
-        here at the operands' *measured* densities.
+        here at the operands' *measured* densities, read from the same
+        census the ZVCG run counted.
         """
-        from repro.core.sparsity import density
-
-        result = super().run_gemm_functional(a, w, **kwargs)
+        result = super().run_gemm_functional(operands, **kwargs)
         cycles = self._smt_postpass(
-            result.cycles, result.events, density(w), density(a))
+            result.cycles, result.events, operands.w_density,
+            operands.a_density)
         result.events.cycles = cycles
         result.cycles = cycles
         return result

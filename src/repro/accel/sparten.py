@@ -92,7 +92,7 @@ class SparTen(FixedDataflowModel):
             pass_cap=self.stream_pass_cap,
         )
 
-    def run_gemm_functional(self, a, w, **kwargs):
+    def run_gemm_functional(self, operands, **kwargs):
         from repro.arch.sparten import SparTenEngine
 
-        return SparTenEngine(self.functional_sim_config()).run_gemm(a, w)
+        return SparTenEngine(self.functional_sim_config()).run(operands)

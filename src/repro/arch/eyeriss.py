@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.arch.events import EventCounts
 from repro.core.gemm import dense_gemm
+from repro.core.sparsity import GemmOperands
 
 __all__ = ["EyerissV2Config", "EyerissV2Result", "EyerissV2Engine"]
 
@@ -156,21 +157,21 @@ class EyerissV2Engine:
         term for term with measured counts; the cross-validation suite
         asserts the agreement.
         """
-        a = np.asarray(a)
-        w = np.asarray(w)
-        if a.ndim != 2 or w.ndim != 2 or a.shape[1] != w.shape[0]:
-            raise ValueError(f"shape mismatch: A {a.shape} @ W {w.shape}")
+        return self.run(GemmOperands(a, w))
+
+    def run(self, operands: GemmOperands) -> EyerissV2Result:
+        """:meth:`run_gemm` reading its counts from ``operands``'
+        non-zero census."""
         cfg = self.config
+        a, w = operands.a, operands.w
         m, k = a.shape
         n = w.shape[1]
-        a_nz = a != 0
-        w_nz = w != 0
         # Matched pairs per output = popcount of the CSC column
         # intersection; the mesh mapping reduces over pixel/channel
         # classes without materializing the m x n match matrix (counts
         # below 2**53 keep the float64 BLAS exact — the repo-wide
         # integer-GEMM idiom).
-        pe_loads = self._mesh_loads(a_nz, w_nz)
+        pe_loads = self._mesh_loads(operands.a_mask, operands.w_mask)
         fired = int(pe_loads.sum())
         makespan = -(-int(pe_loads.max(initial=0)) // cfg.macs_per_pe)
         cycles = math.ceil(makespan / cfg.pipeline_utilization)
@@ -186,8 +187,8 @@ class EyerissV2Engine:
         # ~1-bit-per-element column encoding; the small on-chip storage
         # forces activation refills per output-channel group.
         passes = min(max(1, math.ceil(n / cfg.group_cols)), cfg.pass_cap)
-        a_stored = int(np.count_nonzero(a_nz)) + m * k // 8
-        w_stored = int(np.count_nonzero(w_nz)) + k * n // 8
+        a_stored = operands.a_nonzeros + m * k // 8
+        w_stored = operands.w_nonzeros + k * n // 8
         events.sram_a_read_bytes = a_stored * passes
         events.sram_w_read_bytes = w_stored
         events.sram_a_write_bytes = m * n

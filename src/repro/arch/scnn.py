@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.arch.events import EventCounts
 from repro.core.gemm import dense_gemm
+from repro.core.sparsity import GemmOperands
 
 __all__ = ["SCNNConfig", "SCNNResult", "SCNNEngine"]
 
@@ -103,15 +104,16 @@ class SCNNEngine:
         for term with measured counts; the cross-validation suite
         asserts the agreement.
         """
-        a = np.asarray(a)
-        w = np.asarray(w)
-        if a.ndim != 2 or w.ndim != 2 or a.shape[1] != w.shape[0]:
-            raise ValueError(f"shape mismatch: A {a.shape} @ W {w.shape}")
+        return self.run(GemmOperands(a, w))
+
+    def run(self, operands: GemmOperands) -> SCNNResult:
+        """:meth:`run_gemm` reading its counts from ``operands``'
+        non-zero census."""
         cfg = self.config
+        a, w = operands.a, operands.w
         m, k = a.shape
         n = w.shape[1]
-        a_nz = a != 0
-        w_nz = w != 0
+        a_nz = operands.a_mask
         # Spatial interleave: pixel i lives on PE i mod pes. Per-PE
         # non-zero activation counts per reduction index via one padded
         # reshape: (ceil(m/pes), pes, k) summed over the strip axis.
@@ -119,7 +121,7 @@ class SCNNEngine:
         a_pad = np.concatenate(
             [a_nz, np.zeros((pad, k), dtype=bool)]) if pad else a_nz
         na = a_pad.reshape(-1, cfg.pes, k).sum(axis=0, dtype=np.int64)
-        nw = np.count_nonzero(w_nz, axis=1).astype(np.int64)
+        nw = operands.w_row_nnz
         # All-pairs products are useful; fired = sum_k na(pe,k)*nw(k).
         pe_fired = na @ nw
         fired = int(pe_fired.sum())
@@ -137,8 +139,8 @@ class SCNNEngine:
         # non-zero rides with the payload; activations re-stream per
         # output-channel group when not resident.
         passes = min(max(1, math.ceil(n / cfg.group_cols)), cfg.pass_cap)
-        a_stored = int(np.count_nonzero(a_nz)) * 2
-        w_stored = int(np.count_nonzero(w_nz)) * 2
+        a_stored = operands.a_nonzeros * 2
+        w_stored = operands.w_nonzeros * 2
         events.sram_a_read_bytes = a_stored * passes
         events.sram_w_read_bytes = w_stored
         events.sram_a_write_bytes = m * n

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.arch.events import EventCounts
 from repro.core.gemm import dense_gemm
+from repro.core.sparsity import GemmOperands
 
 __all__ = ["SparTenConfig", "SparTenResult", "SparTenEngine"]
 
@@ -128,21 +129,20 @@ class SparTenEngine:
         measured on the concrete operands (stored non-zeros, matched
         pairs); the cross-validation suite asserts the agreement.
         """
-        a = np.asarray(a)
-        w = np.asarray(w)
-        if a.ndim != 2 or w.ndim != 2 or a.shape[1] != w.shape[0]:
-            raise ValueError(f"shape mismatch: A {a.shape} @ W {w.shape}")
+        return self.run(GemmOperands(a, w))
+
+    def run(self, operands: GemmOperands) -> SparTenResult:
+        """:meth:`run_gemm` reading its counts from ``operands``'
+        non-zero census."""
         cfg = self.config
+        a, w = operands.a, operands.w
         m, k = a.shape
         n = w.shape[1]
-        a_nz = a != 0
-        w_nz = w != 0
         # Matched pairs of one output (i, j) = popcount(mask_a[i] &
         # mask_w[j]); summed over a column the triple loop separates
         # per reduction index into a dot product (the systolic-family
         # trick): col_fired[j] = sum_k nnz_a(k) * w_nz[k, j].
-        a_counts = np.count_nonzero(a_nz, axis=0).astype(np.int64)
-        col_fired = a_counts @ w_nz.astype(np.int64)
+        col_fired = operands.a_col_nnz @ operands.w_mask.astype(np.int64)
         fired = int(col_fired.sum())
         # Greedy balance: filters to PEs, longest first; the busiest
         # PE's pair count paces the array.
@@ -161,8 +161,8 @@ class SparTenEngine:
         # plus the 1-bit-per-element occupancy masks; activations
         # re-stream once per group of ``pes`` output columns.
         passes = min(max(1, math.ceil(n / cfg.pes)), cfg.pass_cap)
-        a_stored = int(np.count_nonzero(a_nz)) + m * k // 8
-        w_stored = int(np.count_nonzero(w_nz)) + k * n // 8
+        a_stored = operands.a_nonzeros + m * k // 8
+        w_stored = operands.w_nonzeros + k * n // 8
         events.sram_a_read_bytes = a_stored * passes
         events.sram_w_read_bytes = w_stored
         events.sram_a_write_bytes = m * n

@@ -40,10 +40,18 @@ All event counting is vectorized: the data-dependent fired-MAC counts
 reduce to dot products of per-reduction-index non-zero counts (the
 bitmask-intersection popcount sum separates per index — see
 :mod:`repro.core.reference` for the retained per-block walk they are
-fuzz-tested against). Counting needs no operand compression in any
-mode; reading a ``WDBB`` output compresses weights through the shared
-:func:`repro.core.gemm.compress_cached` memo, so a workload swept across
-modes/density points compresses its weights at most once.
+fuzz-tested against). Every mode reads those counts, and the DBB block
+maxima behind the W-DBB compliance check and DAP's no-op test, from
+the operands' :class:`~repro.core.sparsity.GemmOperands` census:
+:meth:`SystolicArray.run` takes a census, so the layer runner counts
+each operand group once for every mode it runs, while
+:meth:`SystolicArray.run_gemm` builds a fresh one per call. A
+compliant activation tensor runs as-is: DAP is called only when some
+block exceeds the layer's ``a_nnz``. Counting needs no operand
+compression in any mode; reading a ``WDBB`` output compresses weights
+through the shared :func:`repro.core.gemm.compress_cached` memo, so a
+workload swept across modes/density points compresses its weights at
+most once.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ from repro.arch.events import EventCounts
 from repro.core.dap import dap_prune
 from repro.core.dbb import DBBSpec
 from repro.core.gemm import compress_cached, dbb_gemm, dense_gemm
-from repro.core.pruning import is_dbb_compliant
+from repro.core.sparsity import GemmOperands, column_nnz
 
 __all__ = ["Mode", "SystolicConfig", "SystolicResult", "SystolicArray"]
 
@@ -180,18 +188,25 @@ class SystolicArray:
         blocks, and ``AWDBB`` streams uncompressed weight blocks while the
         activation serialization is unchanged.
         """
-        a = np.asarray(a)
-        w = np.asarray(w)
-        if a.ndim != 2 or w.ndim != 2 or a.shape[1] != w.shape[0]:
-            raise ValueError(f"shape mismatch: A {a.shape} @ W {w.shape}")
+        return self.run(GemmOperands(a, w), a_nnz=a_nnz, w_dense=w_dense)
+
+    def run(
+        self,
+        operands: GemmOperands,
+        a_nnz: Optional[int] = None,
+        w_dense: bool = False,
+    ) -> SystolicResult:
+        """:meth:`run_gemm` on operands whose non-zero census may
+        already be filled by earlier runs (the census is read, never
+        reset, so every run on one census sees the same counts)."""
         mode = self.config.mode
         if mode is Mode.DENSE:
-            return self._run_scalar(a, w, zvcg=False)
+            return self._run_scalar(operands, zvcg=False)
         if mode is Mode.ZVCG:
-            return self._run_scalar(a, w, zvcg=True)
+            return self._run_scalar(operands, zvcg=True)
         if mode is Mode.WDBB:
-            return self._run_wdbb(a, w, w_dense=w_dense)
-        return self._run_awdbb(a, w, a_nnz, w_dense=w_dense)
+            return self._run_wdbb(operands, w_dense=w_dense)
+        return self._run_awdbb(operands, a_nnz, w_dense=w_dense)
 
     # ------------------------------------------------------------------ #
     # scalar-PE baselines
@@ -207,9 +222,10 @@ class SystolicArray:
         """Wavefront fill of the output-stationary schedule, in steps."""
         return self.config.rows + self.config.cols - 2
 
-    def _run_scalar(self, a: np.ndarray, w: np.ndarray, zvcg: bool
+    def _run_scalar(self, operands: GemmOperands, zvcg: bool
                     ) -> SystolicResult:
         cfg = self.config
+        a, w = operands.a, operands.w
         m, k = a.shape
         n = w.shape[1]
         tiles_m, tiles_n = self._tile_counts(m, n)
@@ -221,9 +237,7 @@ class SystolicArray:
         # reduction index into one dot product of non-zero counts — the
         # same collapse the DBB modes use (bit-identical with the m*k*n
         # matmul it replaces, at O(mk + kn) instead of O(mkn)).
-        a_nz_cols = np.count_nonzero(a, axis=0).astype(np.int64)
-        w_nz_rows = np.count_nonzero(w, axis=1).astype(np.int64)
-        useful = int(a_nz_cols @ w_nz_rows)
+        useful = int(operands.a_col_nnz @ operands.w_row_nnz)
         events = EventCounts(cycles=cycles)
         if zvcg:
             events.mac_ops = useful
@@ -239,8 +253,8 @@ class SystolicArray:
         # ZVCG gates the register when its operand is zero.
         a_hops = slots  # each activation hop feeds exactly one MAC slot
         w_hops = slots
-        a_active = int(a_nz_cols.sum()) * tiles_n * cfg.cols
-        w_active = int(w_nz_rows.sum()) * tiles_m * cfg.rows
+        a_active = operands.a_nonzeros * tiles_n * cfg.cols
+        w_active = operands.w_nonzeros * tiles_m * cfg.rows
         if zvcg:
             events.operand_reg_ops = min(a_active, a_hops) + min(w_active, w_hops)
             events.gated_operand_reg_ops = (
@@ -262,18 +276,19 @@ class SystolicArray:
     # S2TA-W: DP4M8 TPE array, compressed weights, dense activations
     # ------------------------------------------------------------------ #
 
-    def _check_weights(self, w: np.ndarray) -> None:
+    def _check_weights(self, operands: GemmOperands) -> None:
         spec = self.config.w_spec
-        if not is_dbb_compliant(w.T, spec):
+        if operands.w_block_max(spec.block_size) > spec.max_nnz:
             raise ValueError(
                 f"weights violate the {spec.ratio} W-DBB bound; run "
                 f"prune_weights_dbb first (static offline pruning)"
             )
 
-    def _run_wdbb(self, a: np.ndarray, w: np.ndarray,
+    def _run_wdbb(self, operands: GemmOperands,
                   w_dense: bool = False) -> SystolicResult:
         cfg = self.config
         spec = cfg.w_spec
+        a, w = operands.a, operands.w
         m, k = a.shape
         n = w.shape[1]
         bz = spec.block_size
@@ -285,7 +300,7 @@ class SystolicArray:
             # Uncompressed block, no positional mask.
             w_hop_block_bytes = w_sram_block_bytes = bz
         else:
-            self._check_weights(w)
+            self._check_weights(operands)
             w_hop_block_bytes = spec.max_nnz + int(spec.mask_bytes())
             w_sram_block_bytes = math.ceil(spec.compressed_block_bytes(1))
         tiles_m, tiles_n = self._tile_counts(m, n)
@@ -302,9 +317,7 @@ class SystolicArray:
         # collapses to one dot product of per-index non-zero counts
         # (bit-identical with the per-block walk, see
         # repro.core.reference.naive_wdbb_fired).
-        a_nz_cols = np.count_nonzero(a, axis=0).astype(np.int64)
-        w_nz_rows = np.count_nonzero(w, axis=1).astype(np.int64)
-        fired = int(a_nz_cols @ w_nz_rows)
+        fired = int(operands.a_col_nnz @ operands.w_row_nnz)
         mux = n * k_blocks * passes * spec.max_nnz * m
         events.mac_ops = fired
         events.gated_mac_ops = slots - fired
@@ -335,29 +348,33 @@ class SystolicArray:
     # S2TA-AW: time-unrolled DP1M4 TPE array, both operands compressed
     # ------------------------------------------------------------------ #
 
-    def _run_awdbb(self, a: np.ndarray, w: np.ndarray,
+    def _run_awdbb(self, operands: GemmOperands,
                    a_nnz: Optional[int],
                    w_dense: bool = False) -> SystolicResult:
         cfg = self.config
         w_spec = cfg.w_spec
         if not w_dense:
-            self._check_weights(w)
+            self._check_weights(operands)
         a_spec = cfg.a_spec
         nnz_a = a_spec.max_nnz if a_nnz is None else a_nnz
         if not 1 <= nnz_a <= a_spec.block_size:
             raise ValueError(
                 f"a_nnz must be in [1, {a_spec.block_size}], got {nnz_a}"
             )
+        a, w = operands.a, operands.w
         m, k = a.shape
         n = w.shape[1]
         bz = a_spec.block_size
         k_blocks = math.ceil(k / bz)
         # DAP at the activation-buffer write port (dense bypass when the
-        # layer is tuned to full density).
-        if nnz_a < bz:
+        # layer is tuned to full density). Top-NNZ keeps every non-zero
+        # of a block holding at most NNZ, so a compliant A runs as-is.
+        if nnz_a < bz and operands.a_block_max(bz) > nnz_a:
             a_pruned = dap_prune(a, a_spec, nnz=nnz_a).pruned
+            a_nz_cols = column_nnz(a_pruned)
         else:
             a_pruned = a
+            a_nz_cols = operands.a_col_nnz
         tiles_m, tiles_n = self._tile_counts(m, n)
         tiles = tiles_m * tiles_n
         steps_per_block = nnz_a if nnz_a < bz else bz
@@ -373,9 +390,7 @@ class SystolicArray:
         # bit-identical with the per-block mask walk (see
         # repro.core.reference.naive_awdbb_fired). The dense bypass
         # (nnz_a == BZ) reduces to the same formula.
-        a_nz_cols = np.count_nonzero(a_pruned, axis=0).astype(np.int64)
-        w_nz_rows = np.count_nonzero(w, axis=1).astype(np.int64)
-        fired = int(a_nz_cols @ w_nz_rows)
+        fired = int(a_nz_cols @ operands.w_row_nnz)
         events.mac_ops = fired
         events.gated_mac_ops = slots - fired
         events.mux_ops = m * n * k_blocks * steps_per_block

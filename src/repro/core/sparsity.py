@@ -4,18 +4,23 @@ The paper's microbenchmarks (Sec. 8.2, Fig. 9) sweep synthetic DNN layers
 with controlled weight/activation sparsity. This module provides the
 generators for unstructured (random) sparsity and DBB-compliant sparsity,
 plus the statistics used throughout the evaluation (density, per-block NNZ
-histograms, DBB violation rates).
+histograms, DBB violation rates), and :class:`GemmOperands`, the non-zero
+census every functional engine reads its counts from.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.dbb import DBBSpec, block_nnz
+from repro.obs import trace as obs_trace
 
 __all__ = [
+    "GemmOperands",
+    "column_nnz",
     "density",
     "sparsity",
     "block_nnz",
@@ -34,6 +39,123 @@ def density(tensor: np.ndarray) -> float:
     if tensor.size == 0:
         return 0.0
     return float(np.count_nonzero(tensor)) / tensor.size
+
+
+#: Rows per ``uint8`` partial sum of :func:`column_nnz`: 255 ones still
+#: fit in a byte.
+_CHUNK_ROWS = 255
+
+
+def column_nnz(tensor: np.ndarray) -> np.ndarray:
+    """Non-zero count of every column of a 2-D tensor, as ``int64``.
+
+    Bit-equal to ``np.count_nonzero(tensor, axis=0)``: the 0/1 bytes of
+    the ``bool`` pattern are summed as ``uint8`` over chunks of at most
+    255 rows, and only the chunk sums widen to ``int64`` (a fraction of
+    ``count_nonzero``'s per-column cost). A non-``bool`` tensor is
+    compared with zero first.
+    """
+    tensor = np.asarray(tensor)
+    ones = (tensor if tensor.dtype == bool else tensor != 0).view(np.uint8)
+    rows, cols = ones.shape
+    full = rows - rows % _CHUNK_ROWS
+    counts = ones[full:].sum(axis=0, dtype=np.int64)
+    if full:
+        chunks = ones[:full].reshape(full // _CHUNK_ROWS, _CHUNK_ROWS, cols)
+        counts += chunks.sum(axis=1, dtype=np.uint8).sum(axis=0,
+                                                         dtype=np.int64)
+    return counts
+
+
+class GemmOperands:
+    """The operands of one GEMM ``C = A @ W`` and their non-zero census.
+
+    ``A`` is ``(m, k)`` and ``W`` is ``(k, n)``; DBB blocks run along
+    the reduction axis ``k`` of ``A`` and of ``W.T``. Every count an
+    engine reads is computed on first use, inside a ``count`` trace
+    span, and then shared by every engine run on the same operands
+    (the layer runner builds one census per operand group). The counts
+    are pure functions of the operands, so the arrays must not change
+    while the census is alive; the runner's synthesized masks are
+    read-only.
+    """
+
+    def __init__(self, a: np.ndarray, w: np.ndarray):
+        a = np.asarray(a)
+        w = np.asarray(w)
+        if a.ndim != 2 or w.ndim != 2 or a.shape[1] != w.shape[0]:
+            raise ValueError(f"shape mismatch: A {a.shape} @ W {w.shape}")
+        self.a = a
+        self.w = w
+        self._block_max: Dict[Tuple[str, int], int] = {}
+
+    @cached_property
+    def a_mask(self) -> np.ndarray:
+        """``A != 0`` (``A`` itself when it is already ``bool``)."""
+        if self.a.dtype == bool:
+            return self.a
+        with obs_trace.span("a_mask", "count"):
+            return self.a != 0
+
+    @cached_property
+    def w_mask(self) -> np.ndarray:
+        """``W != 0`` (``W`` itself when it is already ``bool``)."""
+        if self.w.dtype == bool:
+            return self.w
+        with obs_trace.span("w_mask", "count"):
+            return self.w != 0
+
+    @cached_property
+    def a_col_nnz(self) -> np.ndarray:
+        """Non-zeros of ``A`` per reduction index, ``(k,)`` int64."""
+        with obs_trace.span("a_col_nnz", "count"):
+            return column_nnz(self.a_mask)
+
+    @cached_property
+    def w_row_nnz(self) -> np.ndarray:
+        """Non-zeros of ``W`` per reduction index, ``(k,)`` int64."""
+        with obs_trace.span("w_row_nnz", "count"):
+            return column_nnz(self.w_mask.T)
+
+    @property
+    def a_nonzeros(self) -> int:
+        """Total non-zeros of ``A``."""
+        return int(self.a_col_nnz.sum())
+
+    @property
+    def w_nonzeros(self) -> int:
+        """Total non-zeros of ``W``."""
+        return int(self.w_row_nnz.sum())
+
+    @property
+    def a_density(self) -> float:
+        """:func:`density` of ``A``, bit-equal."""
+        return float(self.a_nonzeros) / self.a.size if self.a.size else 0.0
+
+    @property
+    def w_density(self) -> float:
+        """:func:`density` of ``W``, bit-equal."""
+        return float(self.w_nonzeros) / self.w.size if self.w.size else 0.0
+
+    def a_block_max(self, block_size: int) -> int:
+        """Most non-zeros in any ``block_size`` block of ``A`` along
+        ``k`` (0 for an empty ``A``)."""
+        return self._max_block("a", block_size)
+
+    def w_block_max(self, block_size: int) -> int:
+        """Most non-zeros in any ``block_size`` block of ``W.T`` along
+        ``k`` — what the W-DBB compliance check compares."""
+        return self._max_block("w", block_size)
+
+    def _max_block(self, operand: str, block_size: int) -> int:
+        key = (operand, block_size)
+        if key not in self._block_max:
+            tensor = self.a_mask if operand == "a" else self.w_mask.T
+            with obs_trace.span(f"{operand}_block_max", "count",
+                                block_size=block_size):
+                self._block_max[key] = int(
+                    block_nnz(tensor, block_size).max(initial=0))
+        return self._block_max[key]
 
 
 def sparsity(tensor: np.ndarray) -> float:

@@ -23,9 +23,12 @@ a network (ResNet50's 53 conv layers have 26 operand keys) — form one
    have (:func:`~repro.workloads.from_spec.operand_densities`) — SA-SMT
    fills its speedup memo from one batched Monte Carlo, and pool
    workers inherit the filled memo with their pickled tasks;
-4. each group synthesizes its operands once, simulates every task on
-   them and drops them — serially, or one group per process-pool
-   future when ``jobs`` > 1 (``0`` = all cores, ``"auto"`` sizes the
+4. each group synthesizes its operands once, wraps them in one
+   :class:`~repro.core.sparsity.GemmOperands` census (so every count —
+   per-index non-zeros, totals, DBB block maxima — is taken at most
+   once for all of the group's tasks), simulates every task on it and
+   drops both — serially, or one group per process-pool future when
+   ``jobs`` > 1 (``0`` = all cores, ``"auto"`` sizes the
    pool from the group count, ``$REPRO_JOBS`` supplies the default);
 5. payloads come back in task order, bit-equal to a serial run at the
    same seed regardless of worker count (asserted in
@@ -62,6 +65,7 @@ import multiprocessing
 from repro import faults
 from repro.accel.base import AcceleratorModel, AccelRunResult
 from repro.arch.events import EventCounts
+from repro.core.sparsity import GemmOperands
 from repro.eval.resultcache import ResultCache
 from repro.models.specs import LayerSpec, ModelSpec
 from repro.obs import logs as obs_logs
@@ -187,7 +191,7 @@ def _run_group(group: Sequence[LayerSimTask]
                ) -> List[Tuple[Tuple[int, EventCounts], int, int]]:
     """Run one operand group, the body shared by pool workers and the
     serial path: synthesize the group's operands once, simulate every
-    task on them, then drop them.
+    task on their shared non-zero census, then drop both.
 
     Returns ``(payload, start_ns, end_ns)`` per task in group order.
     The synthesis runs inside the first task's ``layer`` span and
@@ -201,10 +205,10 @@ def _run_group(group: Sequence[LayerSimTask]
         with obs_trace.span(task.layer.name, "layer",
                             accel=task.accel.name):
             if operands is None:
-                operands = synthesize_operands(
-                    task.layer, seed=task.seed, max_m=task.max_m)
+                operands = GemmOperands(*synthesize_operands(
+                    task.layer, seed=task.seed, max_m=task.max_m))
             payload = task.accel.simulate_layer_functional(
-                task.layer, *operands)
+                task.layer, operands)
         timed.append((payload, start_ns, time.perf_counter_ns()))
     return timed
 

@@ -3,9 +3,11 @@
 The functional full-model pipeline (``AcceleratorModel.run_model_functional``)
 needs, for every layer of a benchmark network, the *non-zero patterns* of
 its two GEMM operands, matched to the analytic density profile the
-performance model prices. Every functional engine reads only ``a != 0``,
-``w != 0`` and per-axis counts of them, so :func:`spec_operands` returns
-boolean masks:
+performance model prices. Every functional engine reads only the
+non-zero patterns and counts of them — per reduction index, in total
+and per DBB block — from one :class:`~repro.core.sparsity.GemmOperands`
+census per operand pair, so :func:`spec_operands` returns read-only
+boolean masks (the census caches counts of them; a write raises):
 
 - the GEMM shape is the spec's ``m``/``k``/``n`` (the im2col lowering of
   :mod:`repro.nn.im2col` — ``k`` is the patch axis DBB blocks run along,
@@ -40,8 +42,8 @@ whether values were drawn.
 Nothing is memoized here. The layer runner (:mod:`repro.eval.runner`)
 groups the tasks of a batch by :func:`operand_key`, synthesizes each
 key once with :func:`synthesize_operands`, runs every accelerator of the
-group on those masks and drops them, so each process holds at most
-one group's operands at a time.
+group on one census of those masks and drops both, so each process
+holds at most one group's operands at a time.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ def spec_operands(
     ``W`` is ``(k, n)`` whose transpose is W-DBB compliant at ``w_nnz``
     (i.e. compressible by the hardware's static weight path). Densities
     match ``layer.a_density`` / ``layer.w_density`` (exactly in total,
-    up to the caps).
+    up to the caps). Both masks are read-only.
     """
     with obs_trace.span(layer.name, "synthesize",
                         m=layer.m, k=layer.k, n=layer.n, seed=seed):
@@ -210,6 +212,8 @@ def spec_operands(
         a = blocked_density_mask(
             layer.m, layer.k, layer.a_nnz, min(layer.a_density, 1.0),
             rng)
+        a.flags.writeable = False
+        w.flags.writeable = False
         return a, w
 
 

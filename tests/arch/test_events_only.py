@@ -41,6 +41,7 @@ from repro.arch.systolic import Mode, SystolicArray, SystolicConfig
 from repro.core.dap import dap_prune
 from repro.core.dbb import DBBSpec
 from repro.core.gemm import dense_gemm
+from repro.core.sparsity import GemmOperands
 from repro.models.specs import LayerKind, LayerSpec
 from repro.workloads.from_spec import (
     spec_int8_operands,
@@ -180,16 +181,18 @@ def test_layer_payload_equals_forced_output_run(name, layer, seed):
     forced = ACCELERATORS[name]()
     executed = []
 
-    def run_forced(a, w, **kwargs):
-        sim = type(forced).run_gemm_functional(forced, a, w, **kwargs)
+    def run_forced(operands, **kwargs):
+        sim = type(forced).run_gemm_functional(forced, operands, **kwargs)
         sim.output
-        executed.append((sim, a, w, kwargs))
+        executed.append((sim, operands.a, operands.w, kwargs))
         return sim
 
     forced.run_gemm_functional = run_forced
-    operands = spec_int8_operands(replace(layer, m=8), seed=seed)
-    payload = events_only.simulate_layer_functional(layer, *operands)
-    assert forced.simulate_layer_functional(layer, *operands) == payload
+    a, w = spec_int8_operands(replace(layer, m=8), seed=seed)
+    payload = events_only.simulate_layer_functional(
+        layer, GemmOperands(a, w))
+    assert forced.simulate_layer_functional(
+        layer, GemmOperands(a, w)) == payload
     (sim, a, w, kwargs), = executed
     assert a.shape == (8, layer.k)
     a_nnz = kwargs.get("a_nnz", SPEC.block_size)
@@ -208,5 +211,5 @@ def test_layer_payload_ignores_operand_values(name, layer, seed):
     masks = synthesize_operands(layer, seed=seed, max_m=8)
     values = spec_int8_operands(replace(layer, m=8), seed=seed)
     assert masks[0].dtype == masks[1].dtype == bool
-    assert accel.simulate_layer_functional(layer, *masks) \
-        == accel.simulate_layer_functional(layer, *values)
+    assert accel.simulate_layer_functional(layer, GemmOperands(*masks)) \
+        == accel.simulate_layer_functional(layer, GemmOperands(*values))

@@ -194,6 +194,34 @@ class TestBlockNnz:
         np.testing.assert_array_equal(block_nnz(tensor, bz),
                                       np.count_nonzero(blocks, axis=1))
 
+    @pytest.mark.parametrize("bz", [4, 8])
+    @pytest.mark.parametrize("layout", [
+        "read_only", "strided", "transposed", "column_slice",
+        "offset_slice", "flat_offset"])
+    @given(rows=st.integers(1, 6), blocks=st.integers(1, 5),
+           dens=st.floats(0.0, 1.0), seed=st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_bool_layouts(self, bz, layout, rows, blocks, dens, seed):
+        """``bool`` inputs in every layout the census meets count like
+        their ``!= 0`` pattern: in place when C-contiguous and
+        8-aligned in width (including an unaligned start), copied into
+        the padded buffer otherwise."""
+        rng = np.random.default_rng(seed)
+        base = rng.random((rows + 1, 8 * blocks + 3)) < dens
+        tensor = {
+            "read_only": base[:, :8 * blocks].copy(),
+            "strided": base[:, ::2],
+            "transposed": base.T,
+            "column_slice": base[:, :8 * blocks - 3],
+            "offset_slice": base[1:, 3:3 + 8 * blocks].copy()[:, 1:],
+            "flat_offset": base.reshape(-1)[1:1 + 8 * blocks],
+        }[layout]
+        if layout == "read_only":
+            tensor.flags.writeable = False
+        blocks_, _, _ = blocked_rows(tensor, bz)
+        np.testing.assert_array_equal(block_nnz(tensor, bz),
+                                      np.count_nonzero(blocks_, axis=1))
+
     def test_empty(self):
         assert block_nnz(np.zeros((0, 8)), 8).size == 0
 

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.accel import S2TAAW, SmtSA, SparTen, ZvcgSA
 from repro.arch.smt import SMTArrayModel
+from repro.core.sparsity import GemmOperands
 from repro.eval.experiments import (
     FULL_MODELS,
     QUICK_MAX_M,
@@ -66,7 +67,8 @@ def _synthesized(task):
 def _reference(task):
     """One task simulated alone, on operands it synthesized itself."""
     a, w = from_spec.spec_operands(_synthesized(task), seed=task.seed)
-    return task.accel.simulate_layer_functional(task.layer, a, w)
+    return task.accel.simulate_layer_functional(task.layer,
+                                                GemmOperands(a, w))
 
 
 class TestResolveJobs:
@@ -237,6 +239,14 @@ class TestOperandGroups:
              layer.w_density, layer.a_density, t.seed)
             for t in tasks for layer in [_synthesized(t)]}
 
+    def test_synthesized_masks_are_read_only(self):
+        """A group's census caches counts of its masks, so a write to a
+        synthesized mask must fail instead of leaving stale counts."""
+        a, w = from_spec.synthesize_operands(CONV2, seed=0, max_m=QUICK)
+        for mask in (a, w, w.T):
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0, 0] = not mask[0, 0]
+
     @pytest.mark.functional
     def test_pool_equals_serial_with_shared_keys(self):
         conv1, conv2 = ALEXNET.conv_layers[:2]
@@ -316,8 +326,8 @@ class TestSmtPrefetch:
             groups.setdefault(from_spec.operand_key(
                 t.layer, seed=t.seed, max_m=t.max_m), []).append(i)
         want = {i: fresh.simulate_layer_functional(
-                    tasks[i].layer, *from_spec.synthesize_operands(
-                        tasks[i].layer, seed=0, max_m=QUICK_MAX_M))
+                    tasks[i].layer, GemmOperands(*from_spec.synthesize_operands(
+                        tasks[i].layer, seed=0, max_m=QUICK_MAX_M)))
                 for group in groups.values() for i in group}
         assert [payloads[i] for i in smt] == [want[i] for i in smt]
         assert tasks[smt[0]].accel._speedup_cache == fresh._speedup_cache

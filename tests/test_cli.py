@@ -294,14 +294,16 @@ class TestObservability:
         # which the per-phase table names as its own stage; so does the
         # functional one, whose runner prefetches every density point
         # in one batch: one span per SA-SMT instance, in the parent.
+        # The functional engines' operand census is the `count` stage.
         for flags in ([], ["--functional", "--quick", "--no-result-cache"]):
             trace = tmp_path / "fig11.json"
             main(["experiment", "fig11", *flags, "--trace", str(trace)])
             out = main(["trace", "summarize", str(trace)])
-            phases = out.split("per-phase self time")[1].split(
-                "top spans")[0]
-            assert any(line.split()[0] == "smt"
-                       for line in phases.strip().splitlines())
+            phases = {line.split()[0] for line in out.split(
+                "per-phase self time")[1].split("top spans")[0]
+                .strip().splitlines()}
+            assert "smt" in phases
+            assert ("count" in phases) == bool(flags)
             smt = [e for e in json.loads(trace.read_text())["traceEvents"]
                    if e.get("cat") == "smt" and e["ph"] == "B"]
             assert [(e["name"], e["pid"]) for e in smt] \
