@@ -9,8 +9,9 @@ either of two fidelity tiers:
   — no tensor is ever executed. This is what the experiment runners use
   by default; it prices a whole ImageNet network in milliseconds.
 - **Functional ground truth** (:meth:`AcceleratorModel.run_model_functional`):
-  the DBB non-zero patterns of the layer's operands are synthesized at
-  its real GEMM shape (:mod:`repro.workloads.from_spec`) and executed on
+  the DBB non-zero census of the layer's operands is synthesized at its
+  real GEMM shape (:mod:`repro.workloads.from_spec`; masks only for
+  engines that read positions) and executed on
   the cycle-level simulator (:mod:`repro.arch.systolic`) via the subclass's
   :meth:`AcceleratorModel.functional_sim_config` hook; the *measured*
   event counts price through the same energy model, making the two tiers
@@ -390,10 +391,10 @@ class AcceleratorModel:
         This is the unit of work the layer runner
         (:mod:`repro.eval.runner`) executes and the result cache
         (:mod:`repro.eval.resultcache`) memoizes: the runner passes one
-        census of the operands of
-        :func:`repro.workloads.from_spec.synthesize_operands` for
-        (layer, seed, ``max_m``), synthesized and counted once per
-        operand key and shared by every accelerator in the batch. When
+        census, :func:`repro.workloads.from_spec.synthesize_operands`
+        for (layer, seed, ``max_m``), drawn once per operand key and
+        shared by every accelerator in the batch; masks are
+        materialized only for engines that read positions. When
         ``A`` has fewer rows than ``layer.m`` (the ``max_m`` cap of the
         ``quick`` CI mode) the measured events extrapolate linearly back
         to the full layer.
@@ -403,7 +404,7 @@ class AcceleratorModel:
                 operands, **self._functional_gemm_kwargs(layer))
         events = sim.events
         compute_cycles = sim.cycles
-        rows = operands.a.shape[0]
+        rows = operands.m
         if rows != layer.m:
             factor = layer.m / rows
             events = self._scale_functional_events(events, factor)

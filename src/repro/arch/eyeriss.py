@@ -87,13 +87,12 @@ class EyerissV2Result:
     #: Matched-pair loads per (cluster, PE) mesh slot.
     pe_loads: np.ndarray
     #: The executed operands; ``output`` is computed from them.
-    a: np.ndarray = field(repr=False, compare=False)
-    w: np.ndarray = field(repr=False, compare=False)
+    operands: GemmOperands = field(repr=False, compare=False)
 
     @cached_property
     def output(self) -> np.ndarray:
         """The bit-exact ``A @ W`` result, computed on first read."""
-        return dense_gemm(self.a, self.w)
+        return dense_gemm(self.operands.a, self.operands.w)
 
     @property
     def mesh_occupancy(self) -> float:
@@ -163,9 +162,7 @@ class EyerissV2Engine:
         """:meth:`run_gemm` reading its counts from ``operands``'
         non-zero census."""
         cfg = self.config
-        a, w = operands.a, operands.w
-        m, k = a.shape
-        n = w.shape[1]
+        m, k, n = operands.m, operands.k, operands.n
         # Matched pairs per output = popcount of the CSC column
         # intersection; the mesh mapping reduces over pixel/channel
         # classes without materializing the m x n match matrix (counts
@@ -194,4 +191,4 @@ class EyerissV2Engine:
         events.sram_a_write_bytes = m * n
         events.mcu_elementwise_ops = m * n
         return EyerissV2Result(cycles=cycles, events=events,
-                               pe_loads=pe_loads, a=a, w=w)
+                               pe_loads=pe_loads, operands=operands)

@@ -79,8 +79,7 @@ class SCNNResult:
     #: Multiplier issue slots consumed per PE.
     pe_issue_slots: np.ndarray
     #: The executed operands; ``output`` is computed from them.
-    a: np.ndarray = field(repr=False, compare=False)
-    w: np.ndarray = field(repr=False, compare=False)
+    operands: GemmOperands = field(repr=False, compare=False)
     #: Fired products / available multiplier slots over the makespan —
     #: the emergent fragmentation the module doc describes.
     multiplier_utilization: float = 0.0
@@ -88,7 +87,7 @@ class SCNNResult:
     @cached_property
     def output(self) -> np.ndarray:
         """The bit-exact ``A @ W`` result, computed on first read."""
-        return dense_gemm(self.a, self.w)
+        return dense_gemm(self.operands.a, self.operands.w)
 
 
 class SCNNEngine:
@@ -110,9 +109,7 @@ class SCNNEngine:
         """:meth:`run_gemm` reading its counts from ``operands``'
         non-zero census."""
         cfg = self.config
-        a, w = operands.a, operands.w
-        m, k = a.shape
-        n = w.shape[1]
+        m, k, n = operands.m, operands.k, operands.n
         a_nz = operands.a_mask
         # Spatial interleave: pixel i lives on PE i mod pes. Per-PE
         # non-zero activation counts per reduction index via one padded
@@ -147,6 +144,6 @@ class SCNNEngine:
         events.mcu_elementwise_ops = m * n
         avail = cycles * cfg.hardware_macs
         return SCNNResult(cycles=cycles, events=events,
-                          pe_issue_slots=issue, a=a, w=w,
+                          pe_issue_slots=issue, operands=operands,
                           multiplier_utilization=fired / avail if avail
                           else 0.0)

@@ -81,13 +81,12 @@ class SparTenResult:
     #: Final per-PE matched-pair loads of the greedy schedule.
     pe_loads: np.ndarray
     #: The executed operands; ``output`` is computed from them.
-    a: np.ndarray = field(repr=False, compare=False)
-    w: np.ndarray = field(repr=False, compare=False)
+    operands: GemmOperands = field(repr=False, compare=False)
 
     @cached_property
     def output(self) -> np.ndarray:
         """The bit-exact ``A @ W`` result, computed on first read."""
-        return dense_gemm(self.a, self.w)
+        return dense_gemm(self.operands.a, self.operands.w)
 
     @property
     def load_balance(self) -> float:
@@ -135,9 +134,7 @@ class SparTenEngine:
         """:meth:`run_gemm` reading its counts from ``operands``'
         non-zero census."""
         cfg = self.config
-        a, w = operands.a, operands.w
-        m, k = a.shape
-        n = w.shape[1]
+        m, k, n = operands.m, operands.k, operands.n
         # Matched pairs of one output (i, j) = popcount(mask_a[i] &
         # mask_w[j]); summed over a column the triple loop separates
         # per reduction index into a dot product (the systolic-family
@@ -168,4 +165,4 @@ class SparTenEngine:
         events.sram_a_write_bytes = m * n
         events.mcu_elementwise_ops = m * n
         return SparTenResult(cycles=cycles, events=events,
-                             pe_loads=pe_loads, a=a, w=w)
+                             pe_loads=pe_loads, operands=operands)

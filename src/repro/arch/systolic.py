@@ -131,18 +131,32 @@ class SystolicResult:
     """Result of one simulated GEMM.
 
     ``output`` is computed on first read from the operands the array
-    executed (``a`` after DAP in ``AWDBB`` mode); ``w_spec`` is set when
-    the weights run compressed (``WDBB``), whose output goes through the
-    DP4M8 kernel on the memoized compressed weights.
+    executed: ``a`` (``pruned_a`` after DAP in ``AWDBB`` mode, else
+    ``operands.a``) and ``w``, both read lazily from the census, so a
+    result whose operands were never materialized costs no mask.
+    ``w_spec`` is set when the weights run compressed (``WDBB``), whose
+    output goes through the DP4M8 kernel on the memoized compressed
+    weights.
     """
 
     cycles: int
     events: EventCounts
     mode: Mode
-    a: np.ndarray = field(repr=False, compare=False)
-    w: np.ndarray = field(repr=False, compare=False)
+    operands: GemmOperands = field(repr=False, compare=False)
     w_spec: Optional[DBBSpec] = field(default=None, repr=False,
                                       compare=False)
+    pruned_a: Optional[np.ndarray] = field(default=None, repr=False,
+                                           compare=False)
+
+    @property
+    def a(self) -> np.ndarray:
+        """The executed ``A`` (after DAP when it pruned)."""
+        return self.operands.a if self.pruned_a is None else self.pruned_a
+
+    @property
+    def w(self) -> np.ndarray:
+        """The executed ``W``."""
+        return self.operands.w
 
     @cached_property
     def output(self) -> np.ndarray:
@@ -225,9 +239,7 @@ class SystolicArray:
     def _run_scalar(self, operands: GemmOperands, zvcg: bool
                     ) -> SystolicResult:
         cfg = self.config
-        a, w = operands.a, operands.w
-        m, k = a.shape
-        n = w.shape[1]
+        m, k, n = operands.m, operands.k, operands.n
         tiles_m, tiles_n = self._tile_counts(m, n)
         tiles = tiles_m * tiles_n
         # Tiles pipeline back to back; the wavefront skew is paid once.
@@ -270,7 +282,7 @@ class SystolicArray:
                               w_bytes_per_pass=k * n,
                               tiles_m=tiles_m, tiles_n=tiles_n)
         return SystolicResult(cycles=cycles, events=events, mode=cfg.mode,
-                              a=a, w=w)
+                              operands=operands)
 
     # ------------------------------------------------------------------ #
     # S2TA-W: DP4M8 TPE array, compressed weights, dense activations
@@ -288,9 +300,7 @@ class SystolicArray:
                   w_dense: bool = False) -> SystolicResult:
         cfg = self.config
         spec = cfg.w_spec
-        a, w = operands.a, operands.w
-        m, k = a.shape
-        n = w.shape[1]
+        m, k, n = operands.m, operands.k, operands.n
         bz = spec.block_size
         k_blocks = math.ceil(k / bz)
         # Dense-weight fallback (Sec. 4): uncompressed blocks take
@@ -342,7 +352,8 @@ class SystolicArray:
                               w_bytes_per_pass=w_bytes_per_pass,
                               tiles_m=tiles_m, tiles_n=tiles_n)
         return SystolicResult(cycles=cycles, events=events, mode=cfg.mode,
-                              a=a, w=w, w_spec=None if w_dense else spec)
+                              operands=operands,
+                              w_spec=None if w_dense else spec)
 
     # ------------------------------------------------------------------ #
     # S2TA-AW: time-unrolled DP1M4 TPE array, both operands compressed
@@ -361,19 +372,17 @@ class SystolicArray:
             raise ValueError(
                 f"a_nnz must be in [1, {a_spec.block_size}], got {nnz_a}"
             )
-        a, w = operands.a, operands.w
-        m, k = a.shape
-        n = w.shape[1]
+        m, k, n = operands.m, operands.k, operands.n
         bz = a_spec.block_size
         k_blocks = math.ceil(k / bz)
         # DAP at the activation-buffer write port (dense bypass when the
         # layer is tuned to full density). Top-NNZ keeps every non-zero
         # of a block holding at most NNZ, so a compliant A runs as-is.
         if nnz_a < bz and operands.a_block_max(bz) > nnz_a:
-            a_pruned = dap_prune(a, a_spec, nnz=nnz_a).pruned
+            a_pruned = dap_prune(operands.a, a_spec, nnz=nnz_a).pruned
             a_nz_cols = column_nnz(a_pruned)
         else:
-            a_pruned = a
+            a_pruned = None
             a_nz_cols = operands.a_col_nnz
         tiles_m, tiles_n = self._tile_counts(m, n)
         tiles = tiles_m * tiles_n
@@ -432,7 +441,7 @@ class SystolicArray:
                               # write port in compressed block form.
                               a_write_bytes=a_bytes_per_pass)
         return SystolicResult(cycles=cycles, events=events, mode=cfg.mode,
-                              a=a_pruned, w=w)
+                              operands=operands, pruned_a=a_pruned)
 
     # ------------------------------------------------------------------ #
 

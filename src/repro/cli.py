@@ -693,8 +693,9 @@ def _add_obs_flags(sub_parser) -> None:
         "--metrics", action="store_true",
         help="append the engine metrics summary (runner telemetry incl. "
              "pool workers, runner.syntheses = operand groups "
-             "synthesized vs runner.simulated tasks, result-cache "
-             "hits/misses) to the output")
+             "synthesized vs runner.simulated tasks, "
+             "operands.masks_materialized vs operands.census_only "
+             "operands, result-cache hits/misses) to the output")
     sub_parser.add_argument(
         "--metrics-out", default=None, metavar="FILE",
         help="dump the engine metrics as JSON next to the artifact")

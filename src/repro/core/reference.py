@@ -11,12 +11,16 @@ the original implementation did.
 These are ground truth for the bit-exactness fuzz suite
 (``tests/core/test_reference_fuzz.py``) — never call them on large
 tensors; they are O(M*N*K) Python loops on purpose.
+
+One reference is a sampling law rather than a walk:
+:func:`reference_blocked_density_mask` draws a synthesized operand's
+DBB pattern block by block in place, and the census-first synthesis of
+:mod:`repro.workloads.from_spec` is tested against it in distribution
+(``tests/workloads/test_census_law.py``), not bit for bit.
 """
 
 from __future__ import annotations
 
-import math
-from itertools import combinations
 from typing import List, Optional
 
 import numpy as np
@@ -26,6 +30,7 @@ from repro.arch.smt import SMTResult
 from repro.core.dbb import DBBBlock, DBBSpec, DBBTensor, compress_block, \
     expand_block, pad_to_blocks
 from repro.models.specs import BLOCK_SIZE
+from repro.workloads.from_spec import _allocation, _mask_table
 
 __all__ = [
     "naive_compress_blocks",
@@ -35,7 +40,7 @@ __all__ = [
     "naive_wdbb_fired",
     "naive_awdbb_fired",
     "naive_dap_prune",
-    "naive_blocked_density_mask",
+    "reference_blocked_density_mask",
     "naive_smt_simulate",
 ]
 
@@ -177,58 +182,60 @@ def naive_dap_prune(activations: np.ndarray, spec: DBBSpec,
     return out
 
 
-def naive_blocked_density_mask(rows: int, width: int, nnz_cap: int,
-                               density: float,
-                               rng: np.random.Generator) -> np.ndarray:
-    """Per-block DBB pattern synthesis, consuming the same draws as
-    :func:`repro.workloads.from_spec.blocked_density_mask`.
+def _smallest(keys: np.ndarray, take: int) -> np.ndarray:
+    """Indices of the ``take`` smallest ``keys``, ties toward the lowest
+    index (what a stable sort on the keys would keep)."""
+    kth = np.partition(keys, take - 1)[take - 1]
+    below = np.flatnonzero(keys < kth)
+    ties = np.flatnonzero(keys == kth)[:take - below.size]
+    return np.concatenate([below, ties])
 
-    Each block's non-zero count starts at ``min(floor(density * valid),
-    cap)``; the deficit to ``round(rows * width * density)`` (clipped to
-    the caps) is handed out in rounds, one "+1" per block per round,
-    remainder classes in descending order; a class with more eligible
-    blocks than the remaining deficit ranks them on one float32 key each
-    (lowest index wins a tie). Each block then takes the
-    ``int(u * count)``-th of its popcount's masks in ascending order,
-    ``u`` one float64 draw per block.
+
+def reference_blocked_density_mask(rows: int, width: int, nnz_cap: int,
+                                   density: float,
+                                   rng: np.random.Generator) -> np.ndarray:
+    """DBB pattern synthesis drawn block by block in place: the law
+    :func:`repro.workloads.from_spec.blocked_density_census` draws
+    census-first, and the distribution test's reference.
+
+    Every block starts at ``min(floor(density * valid), cap)``; the
+    deficit to ``round(rows * width * density)`` (clipped to the caps)
+    is handed out in rounds, remainder classes in descending order, each
+    class bumping a uniformly random subset of its blocks still below
+    their cap (the smallest of one float32 key per eligible block).
+    Each block's pattern is then uniform among the masks of its
+    popcount inside its valid width (one float64 draw per block
+    indexing its group of the popcount table).
     """
-    blocks = -(-width // BLOCK_SIZE)
-    valid = [min(BLOCK_SIZE, width - j * BLOCK_SIZE) for j in range(blocks)]
-    cap, nnz, frac = [], [], []
-    for _ in range(rows):
-        for v in valid:
-            target = density * v
-            cap.append(min(nnz_cap, v))
-            nnz.append(min(math.floor(target), cap[-1]))
-            frac.append(target - math.floor(target))
-    deficit = min(round(rows * width * density), sum(cap)) - sum(nnz)
+    cap, base, frac, total = _allocation(rows, width, nnz_cap, density)
+    kb = cap.size
+    tail = width - (kb - 1) * BLOCK_SIZE
+    nnz = np.repeat(base.astype(np.int8)[None, :], rows, axis=0)
+    deficit = total - rows * int(base.sum())
     while deficit > 0:
-        for remainder in sorted(set(frac), reverse=True):
+        for remainder in sorted(set(frac.tolist()), reverse=True):
             if deficit == 0:
                 break
-            eligible = [b for b in range(len(nnz))
-                        if frac[b] == remainder and nnz[b] < cap[b]]
-            take = min(deficit, len(eligible))
-            if take < len(eligible):
-                keys = rng.random(len(eligible), dtype=np.float32)
-                ranked = sorted(range(len(eligible)),
-                                key=lambda i: (keys[i], i))
-                eligible = [eligible[i] for i in ranked[:take]]
-            for b in eligible:
-                nnz[b] += 1
+            room = (nnz < cap) & (frac == remainder)
+            eligible = np.flatnonzero(room)
+            take = min(deficit, eligible.size)
+            if take < eligible.size:
+                keys = rng.random(eligible.size, dtype=np.float32)
+                eligible = eligible[_smallest(keys, take)]
+            nnz.reshape(-1)[eligible] += 1
             deficit -= take
-    pick = rng.random(len(nnz))
-    out = np.zeros((rows, width), dtype=bool)
-    for b, count in enumerate(nnz):
-        row, col = divmod(b, blocks)
-        v = valid[col]
-        masks = sorted(sum(1 << i for i in chosen)
-                       for chosen in combinations(range(v), count))
-        mask = masks[int(pick[b] * len(masks))]
-        for i in range(v):
-            if mask >> i & 1:
-                out[row, col * BLOCK_SIZE + i] = True
-    return out
+    pick = rng.random((rows, kb))
+    patterns = np.empty((rows, kb), dtype=np.uint64)
+    full = kb if tail == BLOCK_SIZE else kb - 1
+    for cols, bits in ((slice(0, full), BLOCK_SIZE), (slice(full, kb), tail)):
+        table, offsets, counts = _mask_table(bits)
+        k = nnz[:, cols]
+        u = pick[:, cols]
+        u *= counts.take(k)
+        index = u.astype(np.int16)
+        index += offsets.take(k)
+        patterns[:, cols] = table[index]
+    return patterns.view(bool).reshape(rows, kb * BLOCK_SIZE)[:, :width]
 
 
 def naive_smt_simulate(model, weight_density: float, act_density: float,

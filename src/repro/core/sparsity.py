@@ -71,13 +71,20 @@ class GemmOperands:
     """The operands of one GEMM ``C = A @ W`` and their non-zero census.
 
     ``A`` is ``(m, k)`` and ``W`` is ``(k, n)``; DBB blocks run along
-    the reduction axis ``k`` of ``A`` and of ``W.T``. Every count an
-    engine reads is computed on first use, inside a ``count`` trace
-    span, and then shared by every engine run on the same operands
-    (the layer runner builds one census per operand group). The counts
-    are pure functions of the operands, so the arrays must not change
-    while the census is alive; the runner's synthesized masks are
-    read-only.
+    the reduction axis ``k`` of ``A`` and of ``W.T``. Engines read the
+    shape from :attr:`m` / :attr:`k` / :attr:`n` and every count from
+    the census: per-index non-zeros, totals and DBB block maxima, each
+    shared by every engine run on the same operands (the layer runner
+    builds one census per operand group).
+
+    ``GemmOperands(a, w)`` wraps concrete tensors: each count is taken
+    on first use, inside a ``count`` trace span. The counts are pure
+    functions of the operands, so the arrays must not change while the
+    census is alive. :meth:`from_census` starts from a drawn census
+    instead (:func:`repro.workloads.from_spec.spec_census`): the counts
+    are known up front, and ``A`` / ``W`` (and their masks) are
+    materialized — read-only, inside a ``materialize`` trace span — only
+    when an engine first reads positions or values.
     """
 
     def __init__(self, a: np.ndarray, w: np.ndarray):
@@ -85,9 +92,53 @@ class GemmOperands:
         w = np.asarray(w)
         if a.ndim != 2 or w.ndim != 2 or a.shape[1] != w.shape[0]:
             raise ValueError(f"shape mismatch: A {a.shape} @ W {w.shape}")
+        self.m, self.k = a.shape
+        self.n = w.shape[1]
         self.a = a
         self.w = w
+        self._census = {}
         self._block_max: Dict[Tuple[str, int], int] = {}
+
+    @classmethod
+    def from_census(cls, a, w) -> "GemmOperands":
+        """Operands known by their censuses: ``a`` of ``A`` and ``w`` of
+        ``W.T``, each a :class:`~repro.workloads.from_spec.DbbCensus`
+        (``rows``, ``width``, ``col_nnz``, ``block_size``,
+        ``block_max`` and a ``materialize()`` returning the ``bool``
+        ``(rows, width)`` pattern)."""
+        if a.width != w.width:
+            raise ValueError(
+                f"shape mismatch: A ({a.rows}, {a.width}) @ W "
+                f"({w.width}, {w.rows})")
+        self = cls.__new__(cls)
+        self.m, self.k, self.n = a.rows, a.width, w.rows
+        self._census = {"a": a, "w": w}
+        self.a_col_nnz = a.col_nnz
+        self.w_row_nnz = w.col_nnz
+        self._block_max = {("a", a.block_size): a.block_max,
+                           ("w", w.block_size): w.block_max}
+        return self
+
+    @property
+    def masks_materialized(self) -> int:
+        """How many of the census's operands have been materialized."""
+        return sum(name in self.__dict__ for name in self._census)
+
+    def _materialize(self, name: str) -> np.ndarray:
+        census = self._census[name]
+        with obs_trace.span(name, "materialize", rows=census.rows,
+                            width=census.width):
+            return census.materialize()
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        """``A`` (materialized on first read for a drawn census)."""
+        return self._materialize("a")
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """``W`` (materialized on first read for a drawn census)."""
+        return self._materialize("w").T
 
     @cached_property
     def a_mask(self) -> np.ndarray:
@@ -130,12 +181,14 @@ class GemmOperands:
     @property
     def a_density(self) -> float:
         """:func:`density` of ``A``, bit-equal."""
-        return float(self.a_nonzeros) / self.a.size if self.a.size else 0.0
+        size = self.m * self.k
+        return float(self.a_nonzeros) / size if size else 0.0
 
     @property
     def w_density(self) -> float:
         """:func:`density` of ``W``, bit-equal."""
-        return float(self.w_nonzeros) / self.w.size if self.w.size else 0.0
+        size = self.k * self.n
+        return float(self.w_nonzeros) / size if size else 0.0
 
     def a_block_max(self, block_size: int) -> int:
         """Most non-zeros in any ``block_size`` block of ``A`` along

@@ -75,7 +75,7 @@ CORRUPT_SUBDIR = "corrupt"
 #: changes, so stale entries can never masquerade as fresh results.
 #: A change to the key schema itself (a field added to or dropped from
 #: the fingerprint blob) needs no bump: old entries simply miss.
-CODE_VERSION = "masks-v1"
+CODE_VERSION = "census-v1"
 
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 

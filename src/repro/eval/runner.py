@@ -23,11 +23,15 @@ a network (ResNet50's 53 conv layers have 26 operand keys) — form one
    have (:func:`~repro.workloads.from_spec.operand_densities`) — SA-SMT
    fills its speedup memo from one batched Monte Carlo, and pool
    workers inherit the filled memo with their pickled tasks;
-4. each group synthesizes its operands once, wraps them in one
-   :class:`~repro.core.sparsity.GemmOperands` census (so every count —
-   per-index non-zeros, totals, DBB block maxima — is taken at most
-   once for all of the group's tasks), simulates every task on it and
-   drops both — serially, or one group per process-pool future when
+4. each group draws its operands' non-zero census once
+   (:func:`~repro.workloads.from_spec.synthesize_operands`: per-index
+   non-zeros, totals and DBB block maxima, straight from the
+   allocation law), simulates every task on that one
+   :class:`~repro.core.sparsity.GemmOperands` and drops it. A mask is
+   materialized only when a task reads positions (SparTen, Eyeriss v2,
+   SCNN) and then shared by the group's later tasks; the
+   ``operands.masks_materialized`` / ``operands.census_only`` counters
+   say which. Groups run serially, or one per process-pool future when
    ``jobs`` > 1 (``0`` = all cores, ``"auto"`` sizes the
    pool from the group count, ``$REPRO_JOBS`` supplies the default);
 5. payloads come back in task order, bit-equal to a serial run at the
@@ -65,7 +69,6 @@ import multiprocessing
 from repro import faults
 from repro.accel.base import AcceleratorModel, AccelRunResult
 from repro.arch.events import EventCounts
-from repro.core.sparsity import GemmOperands
 from repro.eval.resultcache import ResultCache
 from repro.models.specs import LayerSpec, ModelSpec
 from repro.obs import logs as obs_logs
@@ -188,14 +191,17 @@ def _task_fault_key(task: LayerSimTask) -> str:
 
 
 def _run_group(group: Sequence[LayerSimTask]
-               ) -> List[Tuple[Tuple[int, EventCounts], int, int]]:
+               ) -> Tuple[List[Tuple[Tuple[int, EventCounts], int, int]],
+                          int]:
     """Run one operand group, the body shared by pool workers and the
-    serial path: synthesize the group's operands once, simulate every
-    task on their shared non-zero census, then drop both.
+    serial path: draw the group's operand census once, simulate every
+    task on it, then drop it.
 
-    Returns ``(payload, start_ns, end_ns)`` per task in group order.
-    The synthesis runs inside the first task's ``layer`` span and
-    timing, so traces and ``runner.compute_ns`` charge it to that task.
+    Returns ``(payload, start_ns, end_ns)`` per task in group order and
+    how many of the group's two operands were materialized as masks.
+    The census draw runs inside the first task's ``layer`` span and
+    timing, so traces and ``runner.compute_ns`` charge it to that task;
+    a materialization is charged to the task that first reads it.
     """
     operands = None
     timed = []
@@ -205,18 +211,26 @@ def _run_group(group: Sequence[LayerSimTask]
         with obs_trace.span(task.layer.name, "layer",
                             accel=task.accel.name):
             if operands is None:
-                operands = GemmOperands(*synthesize_operands(
-                    task.layer, seed=task.seed, max_m=task.max_m))
+                operands = synthesize_operands(
+                    task.layer, seed=task.seed, max_m=task.max_m)
             payload = task.accel.simulate_layer_functional(
                 task.layer, operands)
         timed.append((payload, start_ns, time.perf_counter_ns()))
-    return timed
+    return timed, operands.masks_materialized
 
 
 def _run_group_in_worker(group: Sequence[LayerSimTask]):
     """Pool worker body — module-level so the pool can pickle it.
-    Returns the group's timed payloads and this worker's pid."""
+    Returns the group's timed payloads, its materialized-mask count and
+    this worker's pid."""
     return _run_group(group), os.getpid()
+
+
+def _count_materialized(registry, materialized: int) -> None:
+    """Fold one group's two synthesized operands into the
+    ``operands.*`` counters: materialized as masks, or census only."""
+    registry.counter("operands.masks_materialized").inc(materialized)
+    registry.counter("operands.census_only").inc(2 - materialized)
 
 
 def _merge_worker_telemetry(registry, dispatch_ns: int, finished
@@ -224,7 +238,8 @@ def _merge_worker_telemetry(registry, dispatch_ns: int, finished
     """Fold the pool's finished groups into the parent's registry and
     return their payloads by task index.
 
-    Each finished group is one synthesis (``runner.syntheses``). Queue
+    Each finished group is one synthesis (``runner.syntheses``) of two
+    operands (``operands.*``, from the group's materialized count). Queue
     wait is measured from batch dispatch to each task's start on a
     worker (tasks that sat behind others accumulate it); compute is the
     task's span on the worker.
@@ -233,8 +248,9 @@ def _merge_worker_telemetry(registry, dispatch_ns: int, finished
     per_worker_tasks: Dict[int, int] = {}
     queue_wait = registry.histogram("runner.queue_wait_ns")
     compute = registry.histogram("runner.compute_ns")
-    for group, timed, pid in finished:
+    for group, (timed, materialized), pid in finished:
         per_worker_tasks[pid] = per_worker_tasks.get(pid, 0) + len(group)
+        _count_materialized(registry, materialized)
         for i, (payload, start_ns, end_ns) in zip(group, timed):
             payloads[i] = payload
             queue_wait.observe(max(0, start_ns - dispatch_ns))
@@ -309,8 +325,9 @@ def _run_serial(tasks: Sequence[LayerSimTask],
     compute = registry.histogram("runner.compute_ns")
     payloads: Dict[int, Tuple[int, EventCounts]] = {}
     for group in groups:
-        timed = _run_group([tasks[i] for i in group])
+        timed, materialized = _run_group([tasks[i] for i in group])
         registry.counter("runner.syntheses").inc()
+        _count_materialized(registry, materialized)
         for i, (payload, start_ns, end_ns) in zip(group, timed):
             payloads[i] = payload
             compute.observe(end_ns - start_ns)
@@ -323,8 +340,9 @@ def _run_pool(tasks: Sequence[LayerSimTask],
     """Fan ``groups`` out over a process pool, one future per group,
     surviving pool death.
 
-    Returns ``(finished, redo)``: ``(group, timed payloads, worker
-    pid)`` for every group that completed, and the groups left for the
+    Returns ``(finished, redo)``: ``(group, (timed payloads,
+    materialized masks), worker pid)`` for every group that completed,
+    and the groups left for the
     caller's serial fallback. A worker crash (``BrokenProcessPool``) or
     a group timeout stops collection, salvages every already-finished
     future, and reports the rest in ``redo`` — the pool path never

@@ -2,10 +2,11 @@
 
 - :mod:`repro.workloads.microbench`: the Sec. 8.2 synthetic sweep layers
   and concrete operand generators for the functional simulator.
-- :mod:`repro.workloads.from_spec`: DBB non-zero patterns synthesized
+- :mod:`repro.workloads.from_spec`: DBB non-zero censuses synthesized
   from analytic :class:`~repro.models.specs.LayerSpec`s (the functional
-  full-model pipeline, grouped by operand key in the layer runner), and
-  INT8 values on those patterns for callers that read a GEMM output.
+  full-model pipeline, grouped by operand key in the layer runner), the
+  patterns materialized from them on demand, and INT8 values on those
+  patterns for callers that read a GEMM output.
 - :mod:`repro.workloads.typical`: the "typical convolution layer" used
   by Fig. 1, Fig. 3 and Fig. 10.
 """

@@ -1,13 +1,9 @@
 """Concrete operand synthesis from analytic :class:`LayerSpec`s.
 
 The functional full-model pipeline (``AcceleratorModel.run_model_functional``)
-needs, for every layer of a benchmark network, the *non-zero patterns* of
+needs, for every layer of a benchmark network, the non-zero census of
 its two GEMM operands, matched to the analytic density profile the
-performance model prices. Every functional engine reads only the
-non-zero patterns and counts of them — per reduction index, in total
-and per DBB block — from one :class:`~repro.core.sparsity.GemmOperands`
-census per operand pair, so :func:`spec_operands` returns read-only
-boolean masks (the census caches counts of them; a write raises):
+performance model prices:
 
 - the GEMM shape is the spec's ``m``/``k``/``n`` (the im2col lowering of
   :mod:`repro.nn.im2col` — ``k`` is the patch axis DBB blocks run along,
@@ -23,15 +19,50 @@ Density is hit *exactly in total*: the per-block non-zero counts are a
 largest-remainder allocation of ``round(rows * width * density)``
 non-zeros across blocks (the blocks that get the rounding "+1" are a
 uniformly random subset of each remainder class, which keeps the
-allocation unbiased), and each block's pattern is drawn uniformly from
-the 8-bit masks with that popcount inside the block's valid width. The
+allocation unbiased), and each block's pattern is uniform among the
+8-bit masks with that popcount inside the block's valid width. The
 exact total is what lets the fixed-dataflow baselines (SparTen /
 Eyeriss v2 / SCNN) cross-validate their sparsity-compressed SRAM and
 DRAM byte counters *bit-for-bit* between the analytic and functional
-tiers: ``count_nonzero`` of a synthesized operand equals the analytic
+tiers: the non-zero count of a synthesized operand equals the analytic
 models' ``round(elements * density)`` closed form whenever
 ``density <= nnz_cap / BLOCK_SIZE`` (above the cap the operand
 saturates at the cap).
+
+Because DBB sparsity is statically predictable, the census is drawn
+first and positions only on demand (:func:`blocked_density_census`).
+Rows are exchangeable within a block column (they share its cap, floor
+and remainder), so the law above factors into three steps:
+
+1. *allocation*: per round and remainder class (descending), one
+   ``multivariate_hypergeometric`` draw picks how many blocks of each
+   (block column, popcount level) get the "+1" — the counts of a
+   uniform subset of the class's blocks with room, multi-round
+   allocations included;
+2. *patterns*: per popcount level, one multinomial draw (every column
+   at once: a ``multinomial``, or one pick per block when a column has
+   few blocks per mask) spreads each block column's blocks at that
+   level uniformly over the masks of that popcount. The per-index
+   non-zeros are the mask histograms times the masks' bits; the total
+   is exact by
+   construction and the DBB block maximum is the highest occupied
+   level;
+3. *positions*, only when a mask is read (:meth:`DbbCensus.materialize`):
+   each block column's mask multiset is expanded and one
+   ``permuted(..., axis=0)`` shuffles every column independently —
+   given the census, a uniform arrangement, which is exactly the joint
+   law of drawing each block's pattern in place.
+
+:func:`spec_census` draws the census of both operands of a layer into
+a :class:`~repro.core.sparsity.GemmOperands` that materializes ``A`` /
+``W`` on first read, each permuted from its own ``SeedSequence`` child,
+so a mask never depends on whether or in which order the other operand
+or the values were materialized. SA, SA-ZVCG, SA-SMT, S2TA-W and
+S2TA-AW read only counts, so a Fig. 11 task never builds a mask; SparTen
+(``W``), Eyeriss v2 (both) and SCNN (``A``) read positions, as does
+anything that reads a GEMM output or DAP-prunes. :func:`spec_operands`
+is the census followed by both materializations: read-only ``bool``
+masks.
 
 Callers that read a GEMM output need values: :func:`spec_int8_operands`
 puts uniform non-zero INT8 magnitudes on exactly the patterns
@@ -40,25 +71,29 @@ of the same ``SeedSequence`` entropy, so the patterns never depend on
 whether values were drawn.
 
 Nothing is memoized here. The layer runner (:mod:`repro.eval.runner`)
-groups the tasks of a batch by :func:`operand_key`, synthesizes each
-key once with :func:`synthesize_operands`, runs every accelerator of the
-group on one census of those masks and drops both, so each process
-holds at most one group's operands at a time.
+groups the tasks of a batch by :func:`operand_key`, draws each key's
+census once with :func:`synthesize_operands`, runs every accelerator of
+the group on it and drops it, so each process holds at most one
+group's operands at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.sparsity import GemmOperands
 from repro.models.specs import BLOCK_SIZE, LayerSpec
 from repro.obs import trace as obs_trace
 
 __all__ = [
+    "DbbCensus",
+    "blocked_density_census",
     "blocked_density_mask",
+    "spec_census",
     "spec_operands",
     "spec_int8_operands",
     "operand_key",
@@ -83,15 +118,6 @@ def _mask_table(valid: int):
             offsets.astype(np.int16), counts.astype(np.float64))
 
 
-def _smallest(keys: np.ndarray, take: int) -> np.ndarray:
-    """Indices of the ``take`` smallest ``keys``, ties toward the lowest
-    index (what a stable sort on the keys would keep)."""
-    kth = np.partition(keys, take - 1)[take - 1]
-    below = np.flatnonzero(keys < kth)
-    ties = np.flatnonzero(keys == kth)[:take - below.size]
-    return np.concatenate([below, ties])
-
-
 def _allocation(rows: int, width: int, nnz_cap: int, density: float):
     """Per block column of a ``(rows, width)`` pattern — its cap, the
     floor of its real-valued target clipped to the cap, and the
@@ -101,7 +127,7 @@ def _allocation(rows: int, width: int, nnz_cap: int, density: float):
     as the analytic models' stored-byte closed forms, so the two tiers
     agree bit-for-bit on nnz), clipped to what the caps allow and never
     below the per-block floors: it is exactly what
-    :func:`blocked_density_mask` sets.
+    :func:`blocked_density_census` allocates.
     """
     kb = -(-width // BLOCK_SIZE)
     valid = np.full(kb, BLOCK_SIZE, dtype=np.int64)
@@ -114,15 +140,124 @@ def _allocation(rows: int, width: int, nnz_cap: int, density: float):
     return cap, base, frac, max(total, rows * int(base.sum()))
 
 
-def blocked_density_mask(
+def _allocate_levels(rows: int, cap: np.ndarray, base: np.ndarray,
+                     frac: np.ndarray, total: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """``(block columns, BLOCK_SIZE + 1)`` count of the blocks at each
+    non-zero level after the largest-remainder allocation of ``total``.
+
+    Every block starts at its column's floor. Each round visits the
+    (at most two: full blocks and the ragged tail) remainder classes in
+    descending order and bumps a uniformly random subset of the class's
+    blocks still below their cap — one ``multivariate_hypergeometric``
+    draw of how many come from each (column, level) group, which is how
+    many a uniform subset of the class's blocks holds.
+    """
+    counts = np.zeros((cap.size, BLOCK_SIZE + 1), dtype=np.int64)
+    counts[np.arange(cap.size), base] = rows
+    room = np.arange(BLOCK_SIZE + 1) < cap[:, None]
+    deficit = total - rows * int(base.sum())
+    while deficit > 0:
+        for remainder in sorted(set(frac.tolist()), reverse=True):
+            if deficit == 0:
+                break
+            bumped = np.where(room & (frac == remainder)[:, None], counts, 0)
+            eligible = int(bumped.sum())
+            take = min(deficit, eligible)
+            if take < eligible:
+                groups = np.flatnonzero(bumped)
+                bumped.flat[groups] = rng.multivariate_hypergeometric(
+                    bumped.flat[groups], take)
+            counts -= bumped
+            counts[:, 1:] += bumped[:, :-1]
+            deficit -= take
+    return counts
+
+
+#: Blocks per mask below which :func:`_uniform_counts` draws one mask
+#: per block instead of one multinomial per block column (whose cost
+#: grows with the number of masks, not of blocks).
+_DRAWS_PER_MASK = 16
+
+
+def _uniform_counts(blocks: np.ndarray, size: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """``(len(blocks), size)`` counts of ``blocks[i]`` blocks spread
+    uniformly over ``size`` masks, independently per row — a multinomial
+    law, drawn by whichever of two exact methods is cheaper for the
+    shape: a uniform pick per block (few blocks per mask) or
+    ``multinomial`` (many)."""
+    total = int(blocks.sum())
+    if total >= _DRAWS_PER_MASK * size * blocks.size:
+        return rng.multinomial(blocks, np.full(size, 1.0 / size))
+    picks = rng.integers(0, size, size=total)
+    picks += np.repeat(np.arange(0, blocks.size * size, size), blocks)
+    return np.bincount(picks, minlength=blocks.size * size).reshape(
+        blocks.size, size)
+
+
+class DbbCensus:
+    """Non-zero census of one synthesized ``(rows, width)`` DBB pattern
+    (blocks of ``BLOCK_SIZE`` along ``width``), from which the pattern
+    itself is materialized on demand.
+
+    ``histograms`` holds, per run of block columns sharing one valid
+    width (the full columns, then a ragged tail column), that width and
+    the ``(columns, 2**valid)`` count of blocks holding each entry of
+    the width's mask table. ``col_nnz`` is the non-zeros per index along
+    ``width`` (int64) and ``block_max`` the most non-zeros in any block.
+    ``seed`` seeds :meth:`materialize`'s permutation when no generator
+    is handed to it. This is the census protocol
+    :meth:`repro.core.sparsity.GemmOperands.from_census` reads.
+    """
+
+    block_size = BLOCK_SIZE
+
+    def __init__(self, rows: int, width: int,
+                 histograms: Sequence[Tuple[int, np.ndarray]],
+                 col_nnz: np.ndarray, block_max: int,
+                 seed: Optional[np.random.SeedSequence] = None):
+        self.rows = rows
+        self.width = width
+        self.histograms = tuple(histograms)
+        self.col_nnz = col_nnz
+        self.block_max = block_max
+        self.seed = seed
+
+    def materialize(self, rng: Optional[np.random.Generator] = None
+                    ) -> np.ndarray:
+        """The read-only ``bool`` ``(rows, width)`` pattern: every block
+        column's masks, in a uniformly random row order drawn from
+        ``rng`` (default: a generator on :attr:`seed`)."""
+        if rng is None:
+            rng = np.random.default_rng(self.seed)
+        kb = -(-self.width // BLOCK_SIZE)
+        patterns = np.empty((self.rows, kb), dtype=np.uint64)
+        start = 0
+        for valid, hist in self.histograms:
+            cols = hist.shape[0]
+            masks = np.repeat(np.tile(_mask_table(valid)[0], cols),
+                              hist.ravel())
+            patterns[:, start:start + cols] = masks.reshape(cols,
+                                                            self.rows).T
+            start += cols
+        rng.permuted(patterns, axis=0, out=patterns)
+        out = patterns.view(bool).reshape(
+            self.rows, kb * BLOCK_SIZE)[:, :self.width]
+        out.flags.writeable = False
+        return out
+
+
+def blocked_density_census(
     rows: int,
     width: int,
     nnz_cap: int,
     density: float,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Random ``(rows, width)`` non-zero pattern: per-block NNZ cap +
-    element density.
+    seed: Optional[np.random.SeedSequence] = None,
+) -> DbbCensus:
+    """Census of a random ``(rows, width)`` non-zero pattern: per-block
+    NNZ cap + element density.
 
     Blocks of ``BLOCK_SIZE`` run along the last axis; ``width`` need not
     be a multiple of it (the ragged tail block simply has fewer candidate
@@ -133,13 +268,12 @@ def blocked_density_mask(
     the exact total holds whenever ``density <= nnz_cap / BLOCK_SIZE``;
     above it the pattern saturates at the cap).
 
-    Draws, in order: for each round of the allocation and each remainder
-    class in descending order, one float32 key per block still below its
-    cap when the class has more such blocks than the remaining deficit
-    (the smallest keys get the "+1"); then one float64 per block, which
-    indexes the block's popcount group of :func:`_mask_table`.
-    :func:`repro.core.reference.naive_blocked_density_mask` walks the
-    same draws block by block.
+    Draws, in order: the allocation's ``multivariate_hypergeometric``
+    per round and remainder class that has more blocks with room than
+    the remaining deficit, then per occupied popcount level the uniform
+    mask histogram of the full block columns at that level
+    (:func:`_uniform_counts`), then the same for the tail column.
+    ``seed`` is kept for :meth:`DbbCensus.materialize`.
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
@@ -147,74 +281,86 @@ def blocked_density_mask(
         raise ValueError(
             f"nnz_cap must be in [1, {BLOCK_SIZE}], got {nnz_cap}")
     cap, base, frac, total = _allocation(rows, width, nnz_cap, density)
-    kb = cap.size
-    tail = width - (kb - 1) * BLOCK_SIZE
-    # Largest-remainder allocation of the exact total. There are at
-    # most two remainders (full blocks and the ragged tail); each round
-    # visits them in descending order and bumps a random subset of the
-    # blocks that still have room.
-    nnz = np.repeat(base.astype(np.int8)[None, :], rows, axis=0)
-    deficit = total - rows * int(base.sum())
-    while deficit > 0:
-        for remainder in sorted(set(frac.tolist()), reverse=True):
-            if deficit == 0:
-                break
-            room = (nnz < cap) & (frac == remainder)
-            eligible = np.flatnonzero(room)
-            take = min(deficit, eligible.size)
-            if take < eligible.size:
-                keys = rng.random(eligible.size, dtype=np.float32)
-                eligible = eligible[_smallest(keys, take)]
-            nnz.reshape(-1)[eligible] += 1
-            deficit -= take
-    # Pattern per block: a uniform pick among the masks of its popcount
-    # inside its valid width.
-    pick = rng.random((rows, kb))
-    patterns = np.empty((rows, kb), dtype=np.uint64)
-    full = kb if tail == BLOCK_SIZE else kb - 1
-    for cols, bits in ((slice(0, full), BLOCK_SIZE), (slice(full, kb), tail)):
-        table, offsets, counts = _mask_table(bits)
-        k = nnz[:, cols]
-        u = pick[:, cols]
-        u *= counts.take(k)
-        index = u.astype(np.int16)
-        index += offsets.take(k)
-        patterns[:, cols] = table[index]
-    return patterns.view(bool).reshape(rows, kb * BLOCK_SIZE)[:, :width]
+    levels = _allocate_levels(rows, cap, base, frac, total, rng)
+    full = width // BLOCK_SIZE
+    histograms, col_nnz = [], []
+    for cols, valid in ((slice(0, full), BLOCK_SIZE),
+                        (slice(full, cap.size), width - full * BLOCK_SIZE)):
+        at_level = levels[cols]
+        if not at_level.shape[0]:
+            continue
+        table, offsets, sizes = _mask_table(valid)
+        bits = table.view(np.uint8).reshape(-1, BLOCK_SIZE)[:, :valid]
+        hist = np.zeros((at_level.shape[0], table.size), dtype=np.int64)
+        nnz = np.zeros((at_level.shape[0], valid), dtype=np.int64)
+        for level in np.flatnonzero(at_level.any(axis=0)).tolist():
+            blocks = np.flatnonzero(at_level[:, level])
+            size = int(sizes[level])
+            group = slice(offsets[level], offsets[level] + size)
+            drawn = _uniform_counts(at_level[blocks, level], size, rng)
+            hist[blocks, group] = drawn
+            nnz[blocks] += drawn @ bits[group]
+        histograms.append((valid, hist))
+        col_nnz.append(nnz.ravel())
+    occupied = np.flatnonzero(levels.any(axis=0))
+    return DbbCensus(rows, width, histograms, np.concatenate(col_nnz),
+                     int(occupied[-1]) if occupied.size else 0, seed)
+
+
+def blocked_density_mask(
+    rows: int,
+    width: int,
+    nnz_cap: int,
+    density: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Random read-only ``(rows, width)`` ``bool`` pattern: the census
+    of :func:`blocked_density_census` materialized with the same
+    ``rng``."""
+    return blocked_density_census(rows, width, nnz_cap, density,
+                                  rng).materialize(rng)
 
 
 def _streams(layer: LayerSpec, seed: int):
-    """Independent ``(pattern, value)`` seed streams of one layer."""
+    """Independent seed streams of one layer: the census, the INT8
+    values, and the ``A`` and ``W`` mask permutations."""
     return np.random.SeedSequence(
         [seed, layer.m, layer.k, layer.n, layer.w_nnz, layer.a_nnz]
-    ).spawn(2)
+    ).spawn(4)
+
+
+def spec_census(layer: LayerSpec, seed: int = 0) -> GemmOperands:
+    """The non-zero census of one analytic layer spec's ``(A, W)``
+    operands, as a :class:`~repro.core.sparsity.GemmOperands` that
+    materializes each mask on first read.
+
+    ``A`` is ``(m, k)`` with blocks along ``k`` capped at ``a_nnz``;
+    ``W`` is ``(k, n)`` whose transpose is W-DBB compliant at ``w_nnz``
+    (i.e. compressible by the hardware's static weight path). Densities
+    match ``layer.a_density`` / ``layer.w_density`` (exactly in total,
+    up to the caps).
+    """
+    with obs_trace.span(layer.name, "synthesize",
+                        m=layer.m, k=layer.k, n=layer.n, seed=seed):
+        census, _, a_seed, w_seed = _streams(layer, seed)
+        rng = np.random.default_rng(census)
+        w = blocked_density_census(
+            layer.n, layer.k, layer.w_nnz, min(layer.w_density, 1.0),
+            rng, seed=w_seed)
+        a = blocked_density_census(
+            layer.m, layer.k, layer.a_nnz, min(layer.a_density, 1.0),
+            rng, seed=a_seed)
+        return GemmOperands.from_census(a, w)
 
 
 def spec_operands(
     layer: LayerSpec,
     seed: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Synthesize the ``(A, W)`` non-zero patterns (``bool``) of one
-    analytic layer spec.
-
-    ``A`` is ``(m, k)`` with blocks along ``k`` capped at ``a_nnz``;
-    ``W`` is ``(k, n)`` whose transpose is W-DBB compliant at ``w_nnz``
-    (i.e. compressible by the hardware's static weight path). Densities
-    match ``layer.a_density`` / ``layer.w_density`` (exactly in total,
-    up to the caps). Both masks are read-only.
-    """
-    with obs_trace.span(layer.name, "synthesize",
-                        m=layer.m, k=layer.k, n=layer.n, seed=seed):
-        rng = np.random.default_rng(_streams(layer, seed)[0])
-        w = blocked_density_mask(
-            layer.n, layer.k, layer.w_nnz, min(layer.w_density, 1.0),
-            rng).T
-        a = blocked_density_mask(
-            layer.m, layer.k, layer.a_nnz, min(layer.a_density, 1.0),
-            rng)
-        a.flags.writeable = False
-        w.flags.writeable = False
-        return a, w
+    """The read-only ``(A, W)`` ``bool`` non-zero patterns of
+    :func:`spec_census`, both materialized."""
+    operands = spec_census(layer, seed=seed)
+    return operands.a, operands.w
 
 
 def _int8_on(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -264,12 +410,11 @@ def operand_key(layer: LayerSpec, seed: int = 0,
 
 
 def synthesize_operands(layer: LayerSpec, seed: int = 0,
-                        max_m: Optional[int] = None
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(A, W)`` patterns for one layer task: :func:`spec_operands` of
-    the layer capped at ``max_m`` rows, so ``A`` may have fewer than
-    ``layer.m`` rows."""
-    return spec_operands(_rows_capped(layer, max_m), seed=seed)
+                        max_m: Optional[int] = None) -> GemmOperands:
+    """The operands of one layer task: :func:`spec_census` of the layer
+    capped at ``max_m`` rows, so ``A`` may have fewer than ``layer.m``
+    rows."""
+    return spec_census(_rows_capped(layer, max_m), seed=seed)
 
 
 def operand_densities(layer: LayerSpec, max_m: Optional[int] = None

@@ -210,6 +210,6 @@ def test_layer_payload_ignores_operand_values(name, layer, seed):
     accel = ACCELERATORS[name]()
     masks = synthesize_operands(layer, seed=seed, max_m=8)
     values = spec_int8_operands(replace(layer, m=8), seed=seed)
-    assert masks[0].dtype == masks[1].dtype == bool
-    assert accel.simulate_layer_functional(layer, GemmOperands(*masks)) \
+    assert masks.a.dtype == masks.w.dtype == bool
+    assert accel.simulate_layer_functional(layer, masks) \
         == accel.simulate_layer_functional(layer, GemmOperands(*values))

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.accel import S2TAAW, SmtSA, ZvcgSA
+from repro.accel import S2TAAW, SmtSA, SparTen, ZvcgSA
 from repro.arch.events import EventCounts
 from repro.energy.costs import DEFAULT_COSTS
 from repro.eval import resultcache
@@ -79,6 +79,22 @@ class TestKey:
                    request_fingerprint(request))
         monkeypatch.setattr(resultcache, "CODE_VERSION", sorted_key_salt)
         assert payload_key(S2TAAW(), CONV2, max_m=64) != current[0]
+        assert request_fingerprint(request) != current[1]
+
+    def test_census_salt_retires_mask_synthesis_entries(self, monkeypatch):
+        """Census-first synthesis permutes masks from its own streams:
+        payloads and serve jobs stored under the mask-native salt came
+        from other operands and must not match."""
+        from repro.serve.jobs import SimRequest, request_fingerprint
+
+        mask_salt = "masks-v1"
+        assert resultcache.CODE_VERSION != mask_salt
+        request = SimRequest(model="alexnet", accelerator="sparten",
+                             tier="functional", quick=True)
+        current = (payload_key(SparTen(), CONV2, max_m=64),
+                   request_fingerprint(request))
+        monkeypatch.setattr(resultcache, "CODE_VERSION", mask_salt)
+        assert payload_key(SparTen(), CONV2, max_m=64) != current[0]
         assert request_fingerprint(request) != current[1]
 
 

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel import S2TAAW, SmtSA, SparTen, ZvcgSA
+from repro.accel import SCNN, EyerissV2, S2TAAW, SmtSA, SparTen, ZvcgSA
 from repro.arch.smt import SMTArrayModel
 from repro.core.sparsity import GemmOperands
 from repro.eval.experiments import (
@@ -45,6 +45,7 @@ from repro.eval.runner import (
 )
 from repro.models import get_spec
 from repro.models.specs import LayerKind, LayerSpec
+from repro.obs import metrics as obs_metrics
 from repro.workloads import from_spec
 
 ALEXNET = get_spec("alexnet")
@@ -220,7 +221,7 @@ class TestOperandGroups:
     @given(tasks=_task_lists())
     def test_grouped_equals_per_task_reference(self, tasks):
         calls = []
-        real = from_spec.spec_operands
+        real = from_spec.spec_census
 
         def counted(layer, seed=0, **kwargs):
             calls.append((layer.m, layer.k, layer.n, layer.w_nnz,
@@ -229,7 +230,7 @@ class TestOperandGroups:
             return real(layer, seed=seed, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(from_spec, "spec_operands", counted)
+            mp.setattr(from_spec, "spec_census", counted)
             grouped = simulate_layer_tasks(tasks, jobs=1)
         assert grouped == [_reference(t) for t in tasks]
         # Exactly one synthesis per distinct operand key.
@@ -242,7 +243,8 @@ class TestOperandGroups:
     def test_synthesized_masks_are_read_only(self):
         """A group's census caches counts of its masks, so a write to a
         synthesized mask must fail instead of leaving stale counts."""
-        a, w = from_spec.synthesize_operands(CONV2, seed=0, max_m=QUICK)
+        operands = from_spec.synthesize_operands(CONV2, seed=0, max_m=QUICK)
+        a, w = operands.a, operands.w
         for mask in (a, w, w.T):
             with pytest.raises(ValueError, match="read-only"):
                 mask[0, 0] = not mask[0, 0]
@@ -326,8 +328,8 @@ class TestSmtPrefetch:
             groups.setdefault(from_spec.operand_key(
                 t.layer, seed=t.seed, max_m=t.max_m), []).append(i)
         want = {i: fresh.simulate_layer_functional(
-                    tasks[i].layer, GemmOperands(*from_spec.synthesize_operands(
-                        tasks[i].layer, seed=0, max_m=QUICK_MAX_M)))
+                    tasks[i].layer, from_spec.synthesize_operands(
+                        tasks[i].layer, seed=0, max_m=QUICK_MAX_M))
                 for group in groups.values() for i in group}
         assert [payloads[i] for i in smt] == [want[i] for i in smt]
         assert tasks[smt[0]].accel._speedup_cache == fresh._speedup_cache
@@ -360,6 +362,48 @@ class TestSmtPrefetch:
                                                  simulate_many_calls):
         simulate_layer_tasks(_tasks(_ACCELS, ALEXNET.conv_layers[:2]))
         assert simulate_many_calls == []
+
+
+class TestMaskMaterialization:
+    """Census-first synthesis: a group's masks are built only for the
+    engines that read positions, and the ``operands.*`` counters say
+    how many of each group's two operands were."""
+
+    @staticmethod
+    def _counted(tasks, jobs=1):
+        """``(masks_materialized, census_only, syntheses)`` added by one
+        batch."""
+        names = ("operands.masks_materialized", "operands.census_only",
+                 "runner.syntheses")
+        registry = obs_metrics.default_registry()
+        before = [registry.counter(name).value for name in names]
+        simulate_layer_tasks(tasks, jobs=jobs)
+        return tuple(registry.counter(name).value - start
+                     for name, start in zip(names, before))
+
+    def test_fig11_batch_materializes_no_mask(self):
+        materialized, census_only, groups = self._counted(
+            _fig11_tasks(max_m=QUICK))
+        assert materialized == 0
+        assert census_only == 2 * groups > 0
+
+    @pytest.mark.parametrize("accels,per_group", [
+        ((SparTen(),), 1),      # W's bitmask inner join
+        ((SCNN(),), 1),         # A's per-PE pixel interleave
+        ((EyerissV2(),), 2),    # both CSC operands
+        ((SparTen(), EyerissV2(), SCNN(), S2TAAW()), 2),
+    ], ids=["SparTen", "SCNN", "Eyeriss-v2", "xval-group"])
+    def test_baselines_materialize_what_they_read(self, accels, per_group):
+        materialized, census_only, groups = self._counted(
+            _tasks(accels, ALEXNET.conv_layers))
+        assert groups == len(ALEXNET.conv_layers)
+        assert materialized == per_group * groups
+        assert census_only == (2 - per_group) * groups
+
+    @pytest.mark.functional
+    def test_pool_counts_equal_serial(self):
+        tasks = _tasks((SparTen(), ZvcgSA()), ALEXNET.conv_layers)
+        assert self._counted(tasks, jobs=2) == self._counted(tasks, jobs=1)
 
 
 class TestExperimentDeterminism:

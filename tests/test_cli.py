@@ -290,11 +290,14 @@ class TestObservability:
         assert "coverage" in out
         assert "unmatched" in out
         assert "synthesize" in out or "simulate" in out
+        # SparTen and Eyeriss v2 read positions: Fig. 12 materializes.
+        assert "materialize" in out
         # Analytic Fig. 11 spends its time in the SA-SMT Monte Carlo,
         # which the per-phase table names as its own stage; so does the
         # functional one, whose runner prefetches every density point
         # in one batch: one span per SA-SMT instance, in the parent.
-        # The functional engines' operand census is the `count` stage.
+        # The functional one draws each operand census (`synthesize`)
+        # and no engine of it counts or materializes a mask.
         for flags in ([], ["--functional", "--quick", "--no-result-cache"]):
             trace = tmp_path / "fig11.json"
             main(["experiment", "fig11", *flags, "--trace", str(trace)])
@@ -303,7 +306,8 @@ class TestObservability:
                 "per-phase self time")[1].split("top spans")[0]
                 .strip().splitlines()}
             assert "smt" in phases
-            assert ("count" in phases) == bool(flags)
+            assert ("synthesize" in phases) == bool(flags)
+            assert not phases & {"count", "materialize"}
             smt = [e for e in json.loads(trace.read_text())["traceEvents"]
                    if e.get("cat") == "smt" and e["ph"] == "B"]
             assert [(e["name"], e["pid"]) for e in smt] \

@@ -103,12 +103,12 @@ class TestFig12Golden:
 # Deterministic end to end: seeded operand synthesis, deterministic
 # greedy schedules, float64 event arithmetic.
 FUNCTIONAL_BASELINE_GOLDEN = {
-    "Eyeriss-v2": {"conv1": 727.36, "conv2": 385.38, "conv3": 197.27,
-                   "conv4": 144.10, "conv5": 65.27},
-    "SparTen": {"conv1": 482.19, "conv2": 261.12, "conv3": 130.42,
-                "conv4": 95.24, "conv5": 44.34},
-    "SCNN": {"conv1": 200.76, "conv2": 105.84, "conv3": 54.06,
-             "conv4": 39.44, "conv5": 17.73},
+    "Eyeriss-v2": {"conv1": 727.36, "conv2": 385.43, "conv3": 197.27,
+                   "conv4": 144.08, "conv5": 65.26},
+    "SparTen": {"conv1": 482.19, "conv2": 261.15, "conv3": 130.42,
+                "conv4": 95.23, "conv5": 44.33},
+    "SCNN": {"conv1": 200.76, "conv2": 105.85, "conv3": 54.06,
+             "conv4": 39.43, "conv5": 17.72},
 }
 
 

@@ -1,7 +1,8 @@
 """Tests for spec-driven operand synthesis and the memos around it.
 
-Covers :func:`blocked_density_mask` (bit-equal to the naive per-block
-reference, exact total, caps, padding, allocation, uniformity),
+Covers :func:`blocked_density_mask` (exact total, caps, padding,
+allocation, uniformity; its census and its law are tested in
+``test_census_law.py``),
 :func:`operand_densities` (bit-equal to the synthesized operands'
 densities), :func:`spec_operands` / :func:`spec_int8_operands` (shape,
 DBB caps, densities, determinism, values on exactly the patterns), the
@@ -21,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.core.dbb import DBBSpec
 from repro.core.pruning import is_dbb_compliant
-from repro.core.reference import naive_blocked_density_mask
 from repro.core.sparsity import density
 from repro.eval.experiments import QUICK_MAX_M
 from repro.models import get_spec
@@ -105,18 +105,6 @@ class TestBlockedDensityOperand:
 
     @given(_mask_cases)
     @settings(max_examples=60, deadline=None)
-    def test_bit_equal_to_naive_reference(self, case):
-        rows, width, cap, dens, seed = case
-        fast = blocked_density_mask(rows, width, cap, dens,
-                                    np.random.default_rng(seed))
-        slow = naive_blocked_density_mask(rows, width, cap, dens,
-                                          np.random.default_rng(seed))
-        assert fast.dtype == bool
-        assert fast.shape == (rows, width)
-        np.testing.assert_array_equal(fast, slow)
-
-    @given(_mask_cases)
-    @settings(max_examples=60, deadline=None)
     def test_total_padding_and_allocation(self, case):
         rows, width, cap, dens, seed = case
         out = blocked_density_mask(rows, width, cap, dens,
@@ -189,9 +177,10 @@ class TestSpecOperands:
         synthesis: they must equal the measured ones bit for bit."""
         for name in ("resnet50", "vgg16", "mobilenet_v1", "alexnet"):
             for layer in get_spec(name).conv_layers:
-                a, w = synthesize_operands(layer, max_m=max_m)
+                operands = synthesize_operands(layer, max_m=max_m)
                 assert operand_densities(layer, max_m=max_m) \
-                    == (density(w), density(a)), (name, layer.name)
+                    == (density(operands.w), density(operands.a)), \
+                    (name, layer.name)
 
     def test_shapes_and_compliance(self):
         layer = _layer(m=33, k=90, n=17, w_nnz=3, a_nnz=2,

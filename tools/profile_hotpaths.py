@@ -6,9 +6,11 @@ execution modes (event counting only: a result's output matrix is
 computed on first read, so the GEMM itself is profiled through the two
 raw sparse kernels), the three baseline functional engines (SparTen
 bitmask inner-join, Eyeriss v2 CSC row-stationary mesh, SCNN
-Cartesian-product array), operand synthesis (``spec_operands``, the
-functional tier's ``bool`` non-zero patterns, and
-``spec_int8_operands``, which adds INT8 values for output readers),
+Cartesian-product array), operand synthesis in its three stages (the
+``spec_census`` draw every functional engine counts from, the
+materialization of both ``bool`` masks from that census, which only
+position readers pay, and ``spec_int8_operands``, which adds INT8
+values for output readers),
 and the memory-hierarchy DMA tile-timeline walker under cProfile,
 printing the top-15 functions by cumulative time, so perf PRs can
 measure before/after instead of guessing where the time goes.
@@ -97,15 +99,21 @@ def main(argv=None) -> int:
 
     # --- operand synthesis (the functional tier's other hot path) ---
     from repro.models.specs import LayerKind, LayerSpec
-    from repro.workloads.from_spec import spec_int8_operands, spec_operands
+    from repro.workloads.from_spec import spec_census, spec_int8_operands
 
     layer = LayerSpec("profile", LayerKind.CONV, m=m, k=k, n=n,
                       w_nnz=4, a_nnz=8, weight_density=0.5,
                       act_density=0.5)
-    _profile("spec_operands (pattern synthesis)", spec_operands, layer,
-             top=args.top)
-    _profile("spec_int8_operands (patterns + values)", spec_int8_operands,
-             layer, top=args.top)
+    _profile("spec_census (census draw)", spec_census, layer, top=args.top)
+    census = spec_census(layer)
+
+    def materialize_masks() -> None:
+        census.a, census.w
+
+    _profile("materialize (A and W masks from the census)",
+             materialize_masks, top=args.top)
+    _profile("spec_int8_operands (census + masks + values)",
+             spec_int8_operands, layer, top=args.top)
 
     # --- memory-hierarchy DMA tile-timeline walker (PR-3 code) ---
     from repro.accel import S2TAAW
