@@ -48,7 +48,8 @@
 #   make fig-functional - full-size fig11 + fig12 functional runs on the
 #                   parallel, memoized engine (all cores, on-disk result
 #                   cache; re-runs skip straight to finalization).
-#   make cache-clear    - drop the on-disk functional-result cache
+#   make cache-clear    - delete the on-disk functional-result cache, a
+#                   plain directory of <key>.json files
 #                   ($REPRO_CACHE_DIR, default ~/.cache/repro/results).
 #
 # Observability (repro.obs, see docs/observability.md):
@@ -79,8 +80,8 @@ verify:
 
 # The xval gate always simulates cold (the CLI enforces it): its whole
 # point is to re-validate the *current* simulators against the
-# contract, which a stale cache entry under an unbumped CODE_VERSION
-# salt would mask.
+# contract, which a cached entry from before a simulator change the
+# cache's source salt does not cover would mask.
 nightly:
 	REPRO_JOBS=0 $(PY) -m pytest -q -m slow
 	$(PY) -m repro experiment xval --jobs 0
@@ -114,7 +115,7 @@ fig-functional:
 	$(PY) -m repro experiment fig12 --functional --jobs 0
 
 cache-clear:
-	$(PY) -m repro cache clear
+	rm -rf "$${REPRO_CACHE_DIR:-$$HOME/.cache/repro/results}"
 
 # pytest-benchmark writes its JSON even when assertions fail; stage it
 # under a .tmp name (outside the BENCH_*.json glob) and promote it to a

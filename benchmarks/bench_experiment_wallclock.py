@@ -110,9 +110,6 @@ def test_bench_fig12_functional_cached_warm(benchmark, tmp_path):
            lambda: fig12_alexnet_per_layer(functional=True, seed=0,
                                            jobs=1, result_cache=cache),
            workers=1)
-    stats = cache.stats()
-    benchmark.extra_info["cache_entries"] = stats["entries"]
-    benchmark.extra_info["cache_bytes"] = stats["bytes"]
     assert _rows["cached_warm"] == _rows["serial_cold"], \
         "cache-hit re-run diverged from the cold run"
     speedup = _wallclock["serial_cold"] / _wallclock["cached_warm"]

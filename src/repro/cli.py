@@ -11,7 +11,6 @@ Usage::
     python -m repro serve --port 8737
     python -m repro submit alexnet --accelerator s2ta-aw --quick --wait
     python -m repro jobs
-    python -m repro warm --models alexnet --accelerators s2ta-aw,sparten
 
 Every command prints plain text; ``experiment`` accepts any artifact id
 from DESIGN.md's index (fig1, fig3, fig9a..fig9d, fig10, fig11, fig12,
@@ -40,11 +39,12 @@ the same seed. Simulated layer payloads are memoized in a
 content-addressed on-disk cache keyed on (layer spec, accelerator
 config, energy costs, memory-channel config, seed, code salt), so
 re-runs and overlapping artifacts skip straight to finalization;
-``--no-result-cache`` disables it for one invocation, and ``repro
-cache stats|clear|prune`` manages the store (``$REPRO_CACHE_DIR``,
-default ``~/.cache/repro/results``; ``REPRO_RESULT_CACHE=0`` opts out
-globally). The ``xval`` contract gate always simulates cold — a cached
-payload must never be what re-validates the agreement contract.
+``--no-result-cache`` disables it for one invocation. The store is a
+plain directory of ``<key>.json`` files (``$REPRO_CACHE_DIR``, default
+``~/.cache/repro/results``; delete it to reclaim the space, and
+``REPRO_RESULT_CACHE=0`` opts out globally). The ``xval`` contract
+gate always simulates cold — a cached payload must never be what
+re-validates the agreement contract.
 
 ``repro dse`` widens the Sec. 7 sweep into an exhaustive design-space
 exploration (:mod:`repro.design.dse`): every ``AxBxC_MxN`` x (A-DBB,
@@ -60,12 +60,10 @@ identical requests through the result-cache fingerprints, ranks by
 expected runtime and batches per-tier into single engine fan-outs, and
 a stdlib HTTP/JSON API (``POST /jobs``, ``GET /jobs[/<id>]``,
 ``GET /metrics``, ``GET /healthz``). ``repro submit`` and ``repro
-jobs`` are the HTTP clients; ``repro warm`` pre-populates the result
-cache with functional payloads for a named (model, accelerator) list
-without a server. The serve-side ``--jobs`` defaults to ``auto`` —
-serial vs pool picked per batch from the miss count and the host's
-cores, so small-host runs never pay pool startup for a handful of
-tasks; every ``--jobs`` flag accepts ``auto``.
+jobs`` are the HTTP clients. The serve-side ``--jobs`` defaults to
+``auto`` — serial vs pool picked per batch from the miss count and the
+host's cores, so small-host runs never pay pool startup for a handful
+of tasks; every ``--jobs`` flag accepts ``auto``.
 
 Observability (:mod:`repro.obs`, see docs/observability.md) is wired
 through every command and off by default: ``experiment`` and ``dse``
@@ -298,10 +296,10 @@ def cmd_experiment(args) -> str:
         if args.functional:
             raise SystemExit("xval always runs both tiers; it takes "
                              "--seed and --quick but not --functional")
-        # The contract gate always simulates cold: serving a stale
-        # cached payload (e.g. after a simulator change under an
-        # unbumped CODE_VERSION salt) would make the gate vacuously
-        # re-validate yesterday's results.
+        # The contract gate always simulates cold: a cached payload
+        # (e.g. one whose simulator change fell outside the cache's
+        # source salt) would make the gate vacuously re-validate
+        # yesterday's results.
         result = runner(seed=seed,
                         max_m=QUICK_MAX_M if args.quick else None,
                         jobs=args.jobs, result_cache=None)
@@ -400,39 +398,6 @@ def _default_result_cache():
     from repro.eval.resultcache import default_result_cache
 
     return default_result_cache()
-
-
-def cmd_cache(args) -> str:
-    """Manage the on-disk functional-result cache."""
-    from repro.eval.resultcache import ResultCache, default_cache_dir
-
-    directory = args.dir if args.dir is not None else default_cache_dir()
-    cache = ResultCache(directory)
-    if args.action == "stats":
-        stats = cache.stats()
-        # Lifetime hit/miss totals come from the stats.meta sidecar the
-        # runner folds every batch's counts into — they survive process
-        # (and pool-worker) exit, unlike the old in-memory counters.
-        return "\n".join([
-            f"result cache at {directory}:",
-            f"  entries : {stats['entries']:,}",
-            f"  bytes   : {stats['bytes']:,}",
-            f"  hits    : {stats['lifetime_hits']:,} (lifetime)",
-            f"  misses  : {stats['lifetime_misses']:,} (lifetime)",
-            f"  corrupt : {stats['lifetime_corrupt']:,} (lifetime; "
-            f"quarantined under corrupt/)",
-        ])
-    if args.action == "clear":
-        removed = cache.clear()
-        return f"cleared {removed} cached result(s) from {directory}"
-    # prune: evict oldest entries beyond the size cap
-    max_bytes = int(args.max_mb * 1024 * 1024)
-    if max_bytes <= 0:
-        raise SystemExit("--max-mb must be at least one byte's worth")
-    removed = cache.prune(max_bytes)
-    stats = cache.stats()
-    return (f"pruned {removed} entr{'y' if removed == 1 else 'ies'}; "
-            f"{stats['entries']:,} remain ({stats['bytes']:,} bytes)")
 
 
 def _parse_jobs_arg(text):
@@ -609,51 +574,6 @@ def cmd_jobs(args) -> str:
     return "\n".join(lines)
 
 
-def cmd_warm(args) -> str:
-    """Pre-populate the result cache with functional payloads for
-    (model, accelerator) pairs (analytic requests are never cached)."""
-    import time as _time
-
-    from repro.serve import parse_request, run_requests
-
-    cache = _default_result_cache()
-    if cache is None:
-        raise SystemExit(
-            "warm needs the result cache; unset REPRO_RESULT_CACHE=0")
-    models = [t.strip() for t in args.models.split(",") if t.strip()]
-    accels = [t.strip() for t in args.accelerators.split(",")
-              if t.strip()]
-    if not models or not accels:
-        raise SystemExit("warm needs at least one model and one "
-                         "accelerator")
-    requests = []
-    for model in models:
-        for accel in accels:
-            data = {"model": model, "accelerator": accel,
-                    "quick": args.quick, "seed": args.seed}
-            try:
-                requests.append(parse_request(data))
-            except ValueError as exc:
-                raise SystemExit(str(exc)) from None
-    before = cache.stats()
-    start = _time.perf_counter()
-    results = run_requests(requests, jobs=args.jobs, result_cache=cache)
-    elapsed = _time.perf_counter() - start
-    after = cache.stats()
-    lines = []
-    for request, result in zip(requests, results):
-        lines.append(f"  {result['model']:<14} {result['accelerator']:<10} "
-                     f"{result['total_cycles']:>14,} cycles "
-                     f"{result['energy_uj']:>12,.1f} uJ")
-    payloads = sum(len(r["layers"]) for r in results)
-    lines.append(
-        f"warmed {len(requests)} request(s) / {payloads} layer "
-        f"payload(s) in {elapsed:.2f} s — cache +{after['puts'] - before['puts']} "
-        f"put(s), +{after['hits'] - before['hits']} hit(s), "
-        f"{after['entries']:,} entries ({after['bytes']:,} bytes)")
-    return "\n".join(lines)
-
-
 def cmd_trace(args) -> str:
     """Analyze a merged Chrome-trace artifact offline."""
     from repro.obs.summarize import render_summary, summarize_trace
@@ -757,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "the same seed")
     exp.add_argument("--no-result-cache", action="store_true",
                      help="skip the on-disk functional-result cache for "
-                          "this invocation (see 'repro cache')")
+                          "this invocation")
     _add_obs_flags(exp)
     _add_verbosity_flags(exp)
     exp.set_defaults(func=cmd_experiment)
@@ -815,29 +735,10 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--no-result-cache", action="store_true",
                      help="skip the on-disk result cache for a "
                           "--fidelity functional sweep (analytic points "
-                          "are never cached; see 'repro cache')")
+                          "are never cached)")
     _add_obs_flags(dse)
     _add_verbosity_flags(dse)
     dse.set_defaults(func=cmd_dse)
-
-    cache = sub.add_parser(
-        "cache",
-        help="manage the on-disk functional-result cache",
-        description="The functional tier memoizes simulated layer "
-                    "payloads in a content-addressed on-disk cache "
-                    "(key: layer spec + accelerator config + energy "
-                    "costs + memory-channel config + seed + code "
-                    "salt), so re-runs and overlapping experiments "
-                    "skip straight to finalization. Location: "
-                    "$REPRO_CACHE_DIR, default ~/.cache/repro/results.")
-    cache.add_argument("action", choices=("stats", "clear", "prune"))
-    cache.add_argument("--dir", default=None,
-                       help="cache directory override")
-    cache.add_argument("--max-mb", type=float, default=256,
-                       help="size cap for 'prune' (MB; oldest entries "
-                            "evicted first; default 256)")
-    _add_verbosity_flags(cache)
-    cache.set_defaults(func=cmd_cache)
 
     serve = sub.add_parser(
         "serve",
@@ -960,31 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "of over HTTP")
     _add_verbosity_flags(jobs)
     jobs.set_defaults(func=cmd_jobs)
-
-    warm = sub.add_parser(
-        "warm",
-        help="pre-populate the result cache for popular pairs",
-        description="Run every (model, accelerator) pair through the "
-                    "functional engine with the on-disk result cache "
-                    "attached, so subsequent functional service jobs "
-                    "(and experiments) for those pairs skip straight to "
-                    "finalization. Analytic requests are never cached, "
-                    "so there is nothing to warm for them.")
-    warm.add_argument("--models", required=True, metavar="A,B,...",
-                      help="comma list of model specs to warm")
-    warm.add_argument("--accelerators", required=True,
-                      metavar="X,Y,...",
-                      help="comma list of accelerator keys to warm")
-    warm.add_argument("--quick", action="store_true",
-                      help="warm the quick-mode (subsampled) payloads "
-                           "instead of full-size")
-    warm.add_argument("--seed", type=int, default=0)
-    warm.add_argument("--jobs", type=_parse_jobs_arg, default="auto",
-                      metavar="N|auto",
-                      help="engine worker processes; 'auto' (default) "
-                           "adapts to the miss count, 0 = one per core")
-    _add_verbosity_flags(warm)
-    warm.set_defaults(func=cmd_warm)
 
     trace = sub.add_parser(
         "trace",

@@ -242,18 +242,6 @@ def evaluate_points(
     return out
 
 
-def _cache_meta(result_cache) -> dict:
-    if result_cache is None:
-        return {"enabled": False}
-    lookups = result_cache.hits + result_cache.misses
-    return {
-        "enabled": True,
-        "hits": result_cache.hits,
-        "misses": result_cache.misses,
-        "hit_rate": (result_cache.hits / lookups) if lookups else 0.0,
-    }
-
-
 @traced("dse", "experiment")
 def run_dse(
     axes: Optional[DSEAxes] = None,
@@ -266,10 +254,7 @@ def run_dse(
     """Evaluate every point of the space and return the JSON-ready
     artifact: the space definition, every evaluation (in uid order) and
     the (energy, cycles, area) Pareto frontier. ``jobs`` and
-    ``result_cache`` apply to ``fidelity="functional"`` only; an
-    analytic artifact records the cache as disabled."""
-    if fidelity == "analytic":
-        result_cache = None
+    ``result_cache`` apply to ``fidelity="functional"`` only."""
     space = DSESpace(axes)
     evaluations = evaluate_points(space.points, fidelity=fidelity,
                                   seed=seed, max_m=max_m, jobs=jobs,
@@ -282,7 +267,6 @@ def run_dse(
         "evaluations": [evaluations[uid].as_dict()
                         for uid in sorted(evaluations)],
         "frontier": [e.uid for e in frontier],
-        "meta": {"cache": _cache_meta(result_cache)},
     }
 
 
@@ -313,11 +297,6 @@ def render_artifact(artifact: dict, top: int = 12) -> ExperimentResult:
         f"(energy x cycles x area) Pareto frontier: "
         f"{len(frontier_uids)} points",
     ]
-    cache = artifact["meta"]["cache"]
-    if cache.get("enabled"):
-        notes.append(
-            f"result cache: {cache['hits']} hits / {cache['misses']} "
-            f"misses ({cache['hit_rate']:.1%} hit rate)")
     return ExperimentResult(
         artifact="DSE",
         title="exhaustive AxBxC_MxN design-space exploration "

@@ -56,6 +56,7 @@ artifacts call it directly.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -283,19 +284,26 @@ def _pool_context():
 def _resolve_task_timeout(task_timeout_s: Optional[float]
                           ) -> Optional[float]:
     """Pool timeout for one operand group: explicit value wins, else
-    ``$REPRO_TASK_TIMEOUT`` (seconds), else None (wait forever)."""
-    if task_timeout_s is not None:
-        if task_timeout_s <= 0:
+    ``$REPRO_TASK_TIMEOUT`` (seconds), else None (wait forever). A
+    non-finite value is rejected: ``nan`` would time every group out at
+    once and silently push each pool batch onto the serial path."""
+    source = "task_timeout_s"
+    value = task_timeout_s
+    if value is None:
+        env = os.environ.get(TASK_TIMEOUT_ENV, "").strip()
+        if not env:
+            return None
+        source = TASK_TIMEOUT_ENV
+        try:
+            value = float(env)
+        except ValueError:
             raise ValueError(
-                f"task_timeout_s must be > 0, got {task_timeout_s}")
-        return task_timeout_s
-    env = os.environ.get(TASK_TIMEOUT_ENV, "").strip()
-    if not env:
-        return None
-    value = float(env)
-    if value <= 0:
+                f"{source} must be a number of seconds, got {env!r}"
+            ) from None
+    if not (math.isfinite(value) and value > 0):
         raise ValueError(
-            f"{TASK_TIMEOUT_ENV} must be > 0 seconds, got {env!r}")
+            f"{source} must be a finite number of seconds > 0, got "
+            f"{value!r}")
     return value
 
 
@@ -505,10 +513,6 @@ def simulate_layer_tasks(
             result_cache.put(keys[i], *payloads[i])
     for i, j in dup_of.items():
         results[i] = results[j]
-    if result_cache is not None:
-        # Fold this batch's hit/miss counts into the cache's on-disk
-        # lifetime totals so `repro cache stats` sees cross-run history.
-        result_cache.persist_stats()
     return [_copy_events(results[i]) for i in range(len(tasks))]
 
 

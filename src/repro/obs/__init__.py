@@ -17,9 +17,7 @@ time go. This package is the cross-cutting fix:
 - :mod:`repro.obs.metrics` — a process-local registry of counters,
   gauges and histograms. The runner aggregates worker-side telemetry
   (operand syntheses, per-worker load balance, queue-wait vs compute
-  time) into it, so pool workers' counts survive their exit; the
-  result cache additionally persists lifetime hit/miss totals beside
-  its entries.
+  time) into it, so pool workers' counts survive their exit.
 - :mod:`repro.obs.logs` — the shared standard-library ``logging``
   configuration behind the CLI's ``-v``/``-q`` flags and the
   benchmark/tool diagnostics.
@@ -31,8 +29,7 @@ Instrumentation points import this package only at module load (no
 per-call imports in hot loops) and guard every emission on
 :func:`repro.obs.trace.tracing_enabled`, so the bit-exact hot paths
 are unchanged when tracing is off — the golden pins cannot move, and
-the ``CODE_VERSION`` cache salt is untouched because event accounting
-never changes.
+no cached payload goes stale because event accounting never changes.
 """
 
 from repro.obs import logs, metrics, trace  # noqa: F401

@@ -195,9 +195,9 @@ def request_fingerprint(request: SimRequest,
     """Content fingerprint the scheduler (and the submit-time admission
     path) dedupes on: the ordered per-layer payload keys — each already
     covering the accelerator/memory/energy config, seed, quick cap and
-    CODE_VERSION — plus the request-level context (tier, model name,
-    layer selection), so an analytic and a functional request never
-    share a fingerprint. ``priority`` is deliberately excluded: a
+    the result cache's source salt — plus the request-level context
+    (tier, model name, layer selection), so an analytic and a
+    functional request never share a fingerprint. ``priority`` is deliberately excluded: a
     high-priority duplicate of a queued request must dedupe onto it,
     not re-simulate.
     """

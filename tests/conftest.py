@@ -1,7 +1,7 @@
 """Test-suite isolation for the on-disk functional-result cache.
 
 CLI-level tests exercise ``repro experiment ... --functional`` and
-``repro cache``, which default to the user-level cache directory
+``repro serve``, which default to the user-level cache directory
 (``$REPRO_CACHE_DIR`` / ``~/.cache/repro/results``). Point the default
 at a throwaway directory before any repro module resolves it, so the
 suite neither reads stale user-cache entries (which could mask a

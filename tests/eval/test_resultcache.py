@@ -5,11 +5,12 @@ Key sensitivity is the safety property: two configurations that could
 produce different simulation payloads must never share a key — the
 key must cover the layer spec, the accelerator design point, the
 energy costs, the memory-channel config, the seed and the quick-mode
-cap (the ISSUE-5 key contract), plus the code-version salt.
+cap (the key contract), plus the source salt.
 """
 
 import dataclasses
 import json
+import shutil
 
 import pytest
 
@@ -17,8 +18,8 @@ from repro.accel import S2TAAW, SmtSA, SparTen, ZvcgSA
 from repro.arch.events import EventCounts
 from repro.energy.costs import DEFAULT_COSTS
 from repro.eval import resultcache
-from repro.eval.resultcache import (ResultCache, default_result_cache,
-                                    payload_key)
+from repro.eval.resultcache import (CORRUPT_SUBDIR, ResultCache,
+                                    default_result_cache, payload_key)
 from repro.models import get_spec
 
 CONV2 = get_spec("alexnet").conv_layers[1]
@@ -59,43 +60,47 @@ class TestKey:
         assert payload_key(SmtSA(fifo_depth=2), CONV2) \
             != payload_key(SmtSA(fifo_depth=4), CONV2)
 
-    def test_code_version_salts_key(self, monkeypatch):
-        base = payload_key(ZvcgSA(), CONV2)
-        monkeypatch.setattr(resultcache, "CODE_VERSION", "other")
-        assert payload_key(ZvcgSA(), CONV2) != base
-
-    def test_mask_synthesis_salt_retires_sorted_key_entries(
-            self, monkeypatch):
-        """Functional payloads and serve jobs stored under the salt of
-        the sorted-key INT8 synthesis came from another operand stream:
-        neither the cache key nor the serve fingerprint may match."""
+    def test_source_salt_retires_every_key(self, tmp_path, monkeypatch):
+        """Changing the bytes of any salted module changes every payload
+        key and every serve request fingerprint, so entries stored
+        before a simulator edit can never be served after it."""
         from repro.serve.jobs import SimRequest, request_fingerprint
 
-        sorted_key_salt = "pr7-v1"
-        assert resultcache.CODE_VERSION != sorted_key_salt
+        root = tmp_path / "repro"
+        for source in resultcache.SALT_SOURCES:
+            src = resultcache._PACKAGE_ROOT / source
+            if src.is_dir():
+                shutil.copytree(src, root / source, ignore=shutil
+                                .ignore_patterns("__pycache__"))
+            else:
+                (root / source).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(src, root / source)
+        monkeypatch.setattr(resultcache, "_PACKAGE_ROOT", root)
         request = SimRequest(model="alexnet", accelerator="s2ta-aw",
                              tier="functional", quick=True)
-        current = (payload_key(S2TAAW(), CONV2, max_m=64),
-                   request_fingerprint(request))
-        monkeypatch.setattr(resultcache, "CODE_VERSION", sorted_key_salt)
-        assert payload_key(S2TAAW(), CONV2, max_m=64) != current[0]
-        assert request_fingerprint(request) != current[1]
 
-    def test_census_salt_retires_mask_synthesis_entries(self, monkeypatch):
-        """Census-first synthesis permutes masks from its own streams:
-        payloads and serve jobs stored under the mask-native salt came
-        from other operands and must not match."""
-        from repro.serve.jobs import SimRequest, request_fingerprint
+        def keys():
+            resultcache.code_salt.cache_clear()
+            return ([payload_key(accel, CONV2, max_m=64)
+                     for accel in (ZvcgSA(), S2TAAW(), SmtSA(), SparTen())]
+                    + [request_fingerprint(request)])
 
-        mask_salt = "masks-v1"
-        assert resultcache.CODE_VERSION != mask_salt
-        request = SimRequest(model="alexnet", accelerator="sparten",
-                             tier="functional", quick=True)
-        current = (payload_key(SparTen(), CONV2, max_m=64),
-                   request_fingerprint(request))
-        monkeypatch.setattr(resultcache, "CODE_VERSION", mask_salt)
-        assert payload_key(SparTen(), CONV2, max_m=64) != current[0]
-        assert request_fingerprint(request) != current[1]
+        try:
+            base = keys()
+            modules = sorted(root.rglob("*.py"))
+            assert len(modules) > len(resultcache.SALT_SOURCES)
+            for module in modules:
+                original = module.read_bytes()
+                module.write_bytes(original + b"\n")
+                try:
+                    changed = keys()
+                finally:
+                    module.write_bytes(original)
+                assert all(new != old for new, old in zip(changed, base)), \
+                    module.relative_to(root)
+            assert keys() == base
+        finally:
+            resultcache.code_salt.cache_clear()
 
 
 class TestStore:
@@ -110,57 +115,44 @@ class TestStore:
 
     def test_miss(self, cache):
         assert cache.get("0" * 64) is None
-        assert cache.stats()["misses"] == 1
+        assert cache.misses == 1 and cache.corrupt == 0
 
     def test_corrupt_entry_reads_as_miss(self, cache):
-        cache.put("cafe", 1, EventCounts(cycles=1))
-        (cache.path / "cafe.json").write_text("{truncated")
-        assert cache.get("cafe") is None
+        for raw in (b"{truncated", b"\xff\xfe", b"", b"[1, 2]", b"null",
+                    b'"text"'):
+            cache.put("cafe", 1, EventCounts(cycles=1))
+            (cache.path / "cafe.json").write_bytes(raw)
+            corrupt = cache.corrupt
+            assert cache.get("cafe") is None, raw
+            assert cache.corrupt == corrupt + 1
+            assert not (cache.path / "cafe.json").exists()
+            assert (cache.path / CORRUPT_SUBDIR / "cafe.json").exists()
 
     def test_wrong_schema_reads_as_miss(self, cache):
+        """A parseable entry that is not an integer ``compute_cycles``
+        plus integer counters named after ``EventCounts`` fields is
+        quarantined and counted like unparseable bytes — never raised,
+        never returned as a payload."""
         cache.path.mkdir(parents=True, exist_ok=True)
-        (cache.path / "odd.json").write_text(
-            json.dumps({"compute_cycles": 1,
-                        "events": {"no_such_counter": 3}}))
-        assert cache.get("odd") is None
-
-    def test_clear(self, cache):
-        for i in range(3):
-            cache.put(f"k{i}", i, EventCounts(cycles=i))
-        assert cache.clear() == 3
-        assert cache.stats() == {"entries": 0, "bytes": 0,
-                                 "hits": 0, "misses": 0,
-                                 "puts": 0, "evictions": 0,
-                                 "corrupt": 0,
-                                 "lifetime_hits": 0,
-                                 "lifetime_misses": 0,
-                                 "lifetime_corrupt": 0}
-
-    def test_size_cap_evicts_oldest(self, cache, tmp_path):
-        import os
-        import time
-
-        cache.put("old", 1, EventCounts(cycles=1))
-        cache.put("new", 2, EventCounts(cycles=2))
-        now = time.time()
-        os.utime(cache._entry_path("old"), (now - 100, now - 100))
-        entry_bytes = cache._entry_path("new").stat().st_size
-        assert cache.prune(entry_bytes + 1) == 1
-        assert cache.get("old") is None
-        assert cache.get("new") is not None
-
-    def test_put_enforces_configured_cap(self, tmp_path):
-        small = ResultCache(tmp_path, max_bytes=600)
-        for i in range(5):
-            small.put(f"k{i}", i, EventCounts(cycles=i))
-        assert small.stats()["bytes"] <= 600
-        assert small.stats()["entries"] < 5
-
-    def test_invalid_budgets_rejected(self, tmp_path, cache):
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path, max_bytes=0)
-        with pytest.raises(ValueError):
-            cache.prune(0)
+        for entry in (
+                {"compute_cycles": 1, "events": {"no_such_counter": 3}},
+                {"compute_cycles": None, "events": {"mac_ops": 1}},
+                {"compute_cycles": True, "events": {"mac_ops": 1}},
+                {"compute_cycles": 1.5, "events": {"mac_ops": 1}},
+                {"compute_cycles": "7", "events": {"mac_ops": 1}},
+                {"compute_cycles": 1, "events": {"mac_ops": "abc"}},
+                {"compute_cycles": 1, "events": {"mac_ops": 2.0}},
+                {"compute_cycles": 1, "events": {"mac_ops": False}},
+                {"compute_cycles": 1, "events": {"mac_ops": None}},
+                {"compute_cycles": 1, "events": [["mac_ops", 1]]},
+                {"compute_cycles": 1, "events": None},
+                {"compute_cycles": 1},
+                {"events": {"mac_ops": 1}}):
+            (cache.path / "odd.json").write_text(json.dumps(entry))
+            corrupt = cache.corrupt
+            assert cache.get("odd") is None, entry
+            assert cache.corrupt == corrupt + 1
+            assert not (cache.path / "odd.json").exists()
 
 
 class TestDefaultCache:
@@ -171,87 +163,3 @@ class TestDefaultCache:
     def test_opt_out(self, monkeypatch):
         monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
         assert default_result_cache() is None
-
-
-class TestSizeAccounting:
-    def test_overwrite_keeps_estimate_exact(self, cache):
-        """Re-putting an existing key replaces its bytes on disk, so it
-        must replace them in the running estimate too (the ISSUE-7 fix:
-        overwrites used to double-count and inflate the estimate until
-        eviction ran against a store nowhere near the cap)."""
-        cache.put("k", 1, EventCounts(cycles=1))
-        for i in range(5):
-            cache.put("k", i, EventCounts(cycles=i,
-                                          mac_ops=i * 1000))
-        assert cache._approx_bytes == cache.stats()["bytes"]
-
-    def test_overwrites_do_not_creep_toward_eviction(self, tmp_path):
-        probe = ResultCache(tmp_path / "probe")
-        probe.put("k", 1, EventCounts(cycles=1))
-        entry_bytes = probe._entry_path("k").stat().st_size
-        cache = ResultCache(tmp_path / "rc", max_bytes=4 * entry_bytes)
-        cache.put("a", 1, EventCounts(cycles=1))
-        cache.put("b", 2, EventCounts(cycles=2))
-        # 20 same-key overwrites on a 2-entry store: the inflated
-        # estimate would cross the 4-entry cap and spuriously prune.
-        for _ in range(20):
-            cache.put("a", 1, EventCounts(cycles=1))
-        assert cache.stats()["entries"] == 2
-        assert cache._approx_bytes == cache.stats()["bytes"]
-
-
-class TestLifetimeStats:
-    """The PR-8 sidecar: hit/miss counts survive process exit, so
-    ``repro cache stats`` finally reports real lifetime numbers."""
-
-    def test_persisted_counts_survive_new_instance(self, cache):
-        cache.put("k", 0, EventCounts(cycles=1))
-        cache.get("k")            # hit
-        cache.get("absent")       # miss
-        cache.persist_stats()
-
-        fresh = ResultCache(cache.path)
-        assert fresh.hits == 0 and fresh.misses == 0
-        stats = fresh.stats()
-        assert stats["lifetime_hits"] == 1
-        assert stats["lifetime_misses"] == 1
-
-    def test_persist_is_delta_not_total(self, cache):
-        cache.get("absent")
-        cache.persist_stats()
-        cache.persist_stats()     # no new activity: no double count
-        cache.get("absent")
-        cache.persist_stats()
-        assert cache.lifetime_stats()["misses"] == 2
-
-    def test_live_counts_fold_into_lifetime_view(self, cache):
-        cache.get("absent")
-        cache.persist_stats()
-        cache.get("absent")       # not yet persisted
-        assert cache.stats()["lifetime_misses"] == 2
-
-    def test_sidecar_is_not_a_cache_entry(self, cache):
-        cache.get("absent")
-        cache.persist_stats()
-        # stats.meta must not count as an entry nor be prunable.
-        assert cache.stats()["entries"] == 0
-        cache.prune(max_bytes=1)
-        assert cache.lifetime_stats()["misses"] == 1
-
-    def test_clear_wipes_sidecar(self, cache):
-        cache.get("absent")
-        cache.persist_stats()
-        cache.clear()
-        assert cache.lifetime_stats() == {"hits": 0, "misses": 0,
-                                          "puts": 0, "evictions": 0,
-                                          "corrupt": 0}
-
-    def test_corrupt_sidecar_reads_as_zero(self, cache):
-        cache.path.mkdir(parents=True, exist_ok=True)
-        (cache.path / resultcache.STATS_SIDECAR).write_text("{broken")
-        assert cache.lifetime_stats() == {"hits": 0, "misses": 0,
-                                          "puts": 0, "evictions": 0,
-                                          "corrupt": 0}
-        (cache.path / resultcache.STATS_SIDECAR).write_text(
-            json.dumps({"hits": -5, "misses": "many"}))
-        assert cache.lifetime_stats()["hits"] == 0

@@ -158,7 +158,7 @@ class TestSimulateLayerTasks:
         cache = ResultCache(tmp_path)
         tasks = _tasks([ZvcgSA()], [CONV2])
         cold = simulate_layer_tasks(tasks, jobs=1, result_cache=cache)
-        assert cache.stats()["entries"] == 1
+        assert len(list(cache.path.glob("*.json"))) == 1
         misses_after_cold = cache.misses
         warm = simulate_layer_tasks(tasks, jobs=1, result_cache=cache)
         assert warm == cold
@@ -172,7 +172,7 @@ class TestSimulateLayerTasks:
         payloads = simulate_layer_tasks([task, task, task], jobs=1,
                                         result_cache=cache)
         assert payloads[0] == payloads[1] == payloads[2]
-        assert cache.stats()["entries"] == 1
+        assert len(list(cache.path.glob("*.json"))) == 1
 
     def test_consumers_never_alias_events(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -280,7 +280,8 @@ class TestFunctionalModelRuns:
             [(ZvcgSA(), ALEXNET), (S2TAAW(), ALEXNET)],
             conv_only=True, seed=0, max_m=QUICK, result_cache=cache)
         assert [r.accelerator for r in runs] == ["SA-ZVCG", "S2TA-AW"]
-        assert cache.stats()["entries"] == 2 * len(ALEXNET.conv_layers)
+        assert len(list(cache.path.glob("*.json"))) \
+            == 2 * len(ALEXNET.conv_layers)
 
 
 def _fig11_tasks(max_m=QUICK_MAX_M):
@@ -422,7 +423,7 @@ class TestExperimentDeterminism:
         cache = ResultCache(tmp_path)
         cold = fig12_alexnet_per_layer(functional=True, quick=True,
                                        seed=0, result_cache=cache)
-        assert cache.stats()["entries"] > 0
+        assert len(list(cache.path.glob("*.json"))) > 0
         warm = fig12_alexnet_per_layer(functional=True, quick=True,
                                        seed=0, result_cache=cache)
         assert warm.rows == cold.rows
@@ -505,11 +506,19 @@ class TestTaskTimeoutResolution:
         assert _resolve_task_timeout(None) is None
 
     def test_non_positive_rejected(self, monkeypatch):
+        """Zero, negative and non-finite timeouts are rejected from the
+        argument and the environment alike, naming the source (``nan``
+        would time every group out at once and silently push each pool
+        batch onto the serial path)."""
         from repro.eval.runner import TASK_TIMEOUT_ENV, _resolve_task_timeout
-        with pytest.raises(ValueError):
-            _resolve_task_timeout(0)
-        monkeypatch.setenv(TASK_TIMEOUT_ENV, "-1")
-        with pytest.raises(ValueError):
+        for bad in (0, -1, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="task_timeout_s"):
+                _resolve_task_timeout(bad)
+            monkeypatch.setenv(TASK_TIMEOUT_ENV, str(bad))
+            with pytest.raises(ValueError, match=TASK_TIMEOUT_ENV):
+                _resolve_task_timeout(None)
+        monkeypatch.setenv(TASK_TIMEOUT_ENV, "abc")
+        with pytest.raises(ValueError, match=TASK_TIMEOUT_ENV):
             _resolve_task_timeout(None)
 
 

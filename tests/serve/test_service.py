@@ -255,19 +255,3 @@ class TestCliVerbs:
         with pytest.raises(SystemExit, match="failed"):
             main(["submit", "lenet5", "--accelerator", "sa",
                   "--host", "127.0.0.1", "--port", str(_free_port())])
-
-    def test_warm_populates_cache(self):
-        out = main(["warm", "--models", "lenet5",
-                    "--accelerators", "s2ta-aw,sa", "--quick"])
-        assert "warmed 2 request(s)" in out
-        assert "+0 put(s)" not in out
-        # A second pass over the same pairs is served from the cache.
-        out = main(["warm", "--models", "lenet5",
-                    "--accelerators", "s2ta-aw,sa", "--quick"])
-        assert "+0 put(s)" in out
-
-    def test_warm_requires_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
-        with pytest.raises(SystemExit, match="result cache"):
-            main(["warm", "--models", "lenet5",
-                  "--accelerators", "sa"])

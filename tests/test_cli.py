@@ -170,7 +170,6 @@ class TestJobsFlag:
         ["experiment", "xval"],
         ["dse"],
         ["serve"],
-        ["warm", "--models", "lenet5", "--accelerators", "sa"],
     ], ids=lambda argv: argv[0])
     def test_auto_accepted_by_every_jobs_flag(self, argv):
         args = build_parser().parse_args(argv + ["--jobs", "auto"])
@@ -186,40 +185,36 @@ class TestJobsFlag:
         assert "Pareto frontier" in out
 
 
+def _cache_entries(path):
+    return len(list(path.glob("*.json")))
+
+
 class TestCacheCommand:
-    def test_stats_on_empty_dir(self, tmp_path):
-        out = main(["cache", "stats", "--dir", str(tmp_path / "rc")])
-        assert "entries : 0" in out
+    """How the CLI verbs use the default on-disk result cache (a plain
+    directory of ``<key>.json`` files; there is no verb to manage it)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["cache", "stats"],
+        ["warm", "--models", "lenet5", "--accelerators", "sa"],
+    ], ids=lambda argv: argv[0])
+    def test_management_verbs_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
 
     @pytest.mark.functional
-    def test_functional_run_populates_then_clear(self, tmp_path,
-                                                 monkeypatch):
+    def test_functional_run_populates_the_store(self, tmp_path,
+                                                monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "rc"))
         main(["experiment", "fig12", "--functional", "--quick"])
-        out = main(["cache", "stats"])
-        assert "entries : 25" in out
-        out = main(["cache", "clear"])
-        assert "cleared 25" in out
-        assert "entries : 0" in main(["cache", "stats"])
+        assert _cache_entries(tmp_path / "rc") == 25
 
     @pytest.mark.functional
     def test_no_result_cache_skips_the_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "rc"))
         main(["experiment", "fig12", "--functional", "--quick",
               "--no-result-cache"])
-        assert "entries : 0" in main(["cache", "stats"])
-
-    def test_prune_validates_cap(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["cache", "prune", "--dir", str(tmp_path),
-                  "--max-mb", "0"])
-
-    def test_prune_rejects_sub_byte_fractional_cap(self, tmp_path):
-        # 1e-7 MB truncates to 0 bytes; must be a clean CLI error,
-        # not a ValueError traceback from ResultCache.prune.
-        with pytest.raises(SystemExit):
-            main(["cache", "prune", "--dir", str(tmp_path),
-                  "--max-mb", "0.0000001"])
+        assert _cache_entries(tmp_path / "rc") == 0
 
     @pytest.mark.functional
     def test_xval_gate_always_runs_cold(self, tmp_path, monkeypatch):
@@ -227,7 +222,7 @@ class TestCacheCommand:
         result cache holds entries for its layers."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "rc"))
         main(["experiment", "xval", "--quick"])
-        assert "entries : 0" in main(["cache", "stats"])
+        assert _cache_entries(tmp_path / "rc") == 0
 
 
 class TestDSECommand:
@@ -344,3 +339,24 @@ class TestObservability:
     def test_default_verbosity_prints_payload(self, capsys):
         out = main(["experiment", "fig1"])
         assert out in capsys.readouterr().out
+
+
+class TestMakefileRecipes:
+    def test_every_repro_verb_is_a_subcommand(self):
+        """Every ``python -m repro <verb>`` a Makefile recipe runs must
+        be a subcommand of the parser, so deleting a verb cannot leave
+        a make target dangling."""
+        import argparse
+        import pathlib
+        import re
+
+        makefile = pathlib.Path(__file__).resolve().parents[1] / "Makefile"
+        recipes = [line for line in makefile.read_text().splitlines()
+                   if line.startswith("\t")]
+        verbs = {match for line in recipes
+                 for match in re.findall(r"-m repro\s+([\w-]+)", line)}
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert verbs, "no `-m repro <verb>` recipe found in the Makefile"
+        assert verbs <= set(subparsers.choices), \
+            sorted(verbs - set(subparsers.choices))
