@@ -418,6 +418,19 @@ def _parse_jobs_arg(text):
     return jobs
 
 
+def _parse_seed_arg(text):
+    """The argparse type of every ``--seed`` flag: a non-negative
+    integer (numpy seed sequences reject negative entropy)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _serve_base_url(args) -> str:
     return f"http://{args.host}:{args.port}"
 
@@ -656,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--quick", action="store_true",
                      help="subsample layers for a fast functional check "
                           "(fig11/fig12 with --functional; xval)")
-    exp.add_argument("--seed", type=int, default=None,
+    exp.add_argument("--seed", type=_parse_seed_arg, default=None,
                      help="operand-synthesis seed for the functional tier")
     exp.add_argument("--dram-bw", type=float, default=None,
                      metavar="GB/s",
@@ -715,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="evaluation tier: closed-form analytic "
                           "(default; sub-ms per point) or the cycle "
                           "simulator")
-    dse.add_argument("--seed", type=int, default=None,
+    dse.add_argument("--seed", type=_parse_seed_arg, default=None,
                      help="operand-synthesis seed (functional fidelity)")
     dse.add_argument("--quick", action="store_true",
                      help="subsample GEMM rows for a fast functional "
@@ -819,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--quick", action="store_true",
                         help="subsample output rows like the "
                              "experiment --quick mode")
-    submit.add_argument("--seed", type=int, default=0,
+    submit.add_argument("--seed", type=_parse_seed_arg, default=0,
                         help="operand-synthesis seed (functional tier)")
     submit.add_argument("--priority", type=int, default=0,
                         help="scheduling priority; higher runs first "

@@ -19,6 +19,14 @@ content hash of everything that determines it —
   them retires every stored entry without anyone remembering to bump
   a version.
 
+The key is hashed in two stages (:func:`payload_key`). Stage one
+digests an accelerator: the salt, its class, name, tech node,
+simulator config, costs, DRAM and SRAM. Stage two digests one task:
+that accelerator digest, the accelerator's per-layer GEMM knobs, the
+canonical layer, the seed and the row cap. A batch passes one memo
+dict to every key, so each accelerator is digested and each layer
+canonicalized once per batch instead of once per task.
+
 Only cycle simulations are cached. A closed-form analytic evaluation
 costs less than its own key, so the analytic tier (the DSE sweep,
 analytic serve requests) recomputes it every time and can never serve
@@ -121,40 +129,78 @@ def _canonical(obj):
     return repr(obj)
 
 
-def payload_key(accel, layer, seed: int = 0,
-                max_m: Optional[int] = None) -> str:
-    """Content hash of everything that determines one layer's simulation
-    payload (see the module docstring for the component list).
+def _dumps(obj) -> str:
+    """Canonical compact JSON of ``obj`` (see :func:`_canonical`)."""
+    return json.dumps(_canonical(obj), sort_keys=True,
+                      separators=(",", ":"))
 
-    Module-level so callers without a cache — the parallel runner's
-    in-batch dedupe under ``--no-result-cache``, the serve request
-    fingerprint — fingerprint tasks the exact same way the cache does.
-    """
+
+def _accelerator_digest(accel) -> Tuple[str, bool]:
+    """Stage one of :func:`payload_key`: sha256 over the source salt and
+    everything about ``accel`` that no layer changes (class, name,
+    tech node, simulator config, energy costs, DRAM and SRAM), plus
+    whether ``accel`` has a cycle simulator at all."""
     try:
         sim_config = _canonical(accel.functional_sim_config())
-        gemm_kwargs = _canonical(accel._functional_gemm_kwargs(layer))
+        functional = True
     except NotImplementedError:
         # A model without a cycle simulator (S2TA-WA) still needs a
         # fingerprint for analytic serve requests; the class name plus
         # the design-point fields below pin its configuration.
         sim_config = None
-        gemm_kwargs = None
-    fingerprint = {
+        functional = False
+    blob = _dumps({
         "code_salt": code_salt(),
         "accel_class": type(accel).__qualname__,
         "accel_name": accel.name,
         "tech": accel.tech,
         "sim_config": sim_config,
-        "gemm_kwargs": gemm_kwargs,
-        "costs": _canonical(accel.costs),
-        "dram": _canonical(accel.memory.dram),
-        "sram": _canonical(accel.memory.sram),
-        "layer": _canonical(layer),
-        "seed": int(seed),
-        "max_m": None if max_m is None else int(max_m),
-    }
-    blob = json.dumps(fingerprint, sort_keys=True,
-                      separators=(",", ":"))
+        "costs": accel.costs,
+        "dram": accel.memory.dram,
+        "sram": accel.memory.sram,
+    })
+    return hashlib.sha256(blob.encode()).hexdigest(), functional
+
+
+def _memoized(memo: dict, obj, compute):
+    """``compute(obj)``, once per instance per ``memo``. Entries key on
+    ``id(obj)`` and hold ``obj`` itself, so the id cannot be reused by
+    another object while the memo lives; equal-but-distinct instances
+    (``1`` vs ``1.0`` fields) never share an entry."""
+    entry = memo.get(id(obj))
+    if entry is None:
+        entry = memo[id(obj)] = (obj, compute(obj))
+    return entry[1]
+
+
+def payload_key(accel, layer, seed: int = 0,
+                max_m: Optional[int] = None,
+                memo: Optional[dict] = None) -> str:
+    """Content hash of everything that determines one layer's simulation
+    payload (see the module docstring for the component list).
+
+    Two stages: :func:`_accelerator_digest` hashes the accelerator, and
+    the key is a sha256 over that digest, the accelerator's per-layer
+    GEMM knobs, the canonical layer, ``seed`` and ``max_m``. ``memo``
+    is an optional caller-owned dict that lives for one batch: it
+    caches each accelerator instance's digest and each layer
+    instance's canonical JSON, so a batch hashes every accelerator and
+    layer once. Without it every part is computed afresh; the key is
+    the same either way. A memo must not outlive a batch — it does not
+    notice an accelerator mutated after its first key.
+
+    Module-level so callers without a cache — the parallel runner's
+    in-batch dedupe under ``--no-result-cache``, the serve request
+    fingerprint — fingerprint tasks the exact same way the cache does.
+    """
+    if memo is None:
+        memo = {}
+    accel_digest, functional = _memoized(memo, accel, _accelerator_digest)
+    gemm_kwargs = (_dumps(accel._functional_gemm_kwargs(layer))
+                   if functional else "null")
+    blob = (f'["{accel_digest}",{gemm_kwargs},'
+            f'{_memoized(memo, layer, _dumps)},{int(seed)},'
+            f'{"null" if max_m is None else int(max_m)}]')
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -173,9 +219,7 @@ def combine_keys(keys, extra=None) -> str:
     """
     digest = hashlib.sha256()
     if extra is not None:
-        blob = json.dumps(_canonical(extra), sort_keys=True,
-                          separators=(",", ":"))
-        digest.update(blob.encode())
+        digest.update(_dumps(extra).encode())
         digest.update(b"\x00")
     for key in keys:
         digest.update(key.encode())

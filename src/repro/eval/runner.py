@@ -13,9 +13,12 @@ a network (ResNet50's 53 conv layers have 26 operand keys) — form one
 
 :func:`simulate_layer_tasks` runs one batch:
 
-1. every task is looked up in the
-   :class:`~repro.eval.resultcache.ResultCache` and in-batch duplicates
-   collapse to one simulation, per task;
+1. every task is fingerprinted
+   (:func:`~repro.eval.resultcache.payload_key`, through one memo per
+   batch: each accelerator is digested and each layer canonicalized
+   once, and each task hashes only its own part on top), looked up in
+   the :class:`~repro.eval.resultcache.ResultCache`, and in-batch
+   duplicates collapse to one simulation (the ``lookup`` span);
 2. the remaining tasks group by
    :func:`~repro.workloads.from_spec.operand_key`;
 3. every accelerator prefetches over its remaining tasks, in serial
@@ -34,8 +37,9 @@ a network (ResNet50's 53 conv layers have 26 operand keys) — form one
    say which. Groups run serially, or one per process-pool future when
    ``jobs`` > 1 (``0`` = all cores, ``"auto"`` sizes the
    pool from the group count, ``$REPRO_JOBS`` supplies the default);
-5. payloads come back in task order, bit-equal to a serial run at the
-   same seed regardless of worker count (asserted in
+5. new payloads are frozen into the cache (the ``store`` span) and
+   every payload comes back in task order, bit-equal to a serial run
+   at the same seed regardless of worker count (asserted in
    ``tests/eval/test_runner.py``).
 
 :func:`functional_model_runs` is the whole-experiment entry point: it
@@ -46,7 +50,7 @@ memory-hierarchy/energy pipeline in the parent process (finalization
 is closed-form and cheap; only the simulation fans out).
 
 Nothing outlives a batch: the next batch synthesizes its operands
-again.
+and fingerprints its accelerators again.
 
 Closed-form evaluations never pass through here: the analytic
 :meth:`~repro.accel.base.AcceleratorModel.run_layer` costs less than a
@@ -168,7 +172,7 @@ def resolve_jobs(jobs, task_count: Optional[int] = None) -> int:
                 f"{source} must be an integer worker count (0 = one "
                 f"per core) or 'auto', got {jobs!r}") from None
     if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
+        raise ValueError(f"{source} must be >= 0, got {jobs}")
     if jobs == 0:
         jobs = os.cpu_count() or 1
     return jobs
@@ -427,8 +431,10 @@ def simulate_layer_tasks(
     """Simulate every task, grouped by operand key; results in task
     order.
 
-    Cache hits (and in-batch duplicates — the same key appearing twice
-    in ``tasks``) never simulate or prefetch; the misses group by
+    Every task is fingerprinted through one per-batch
+    :func:`~repro.eval.resultcache.payload_key` memo. Cache hits (and
+    in-batch duplicates — the same key appearing twice in ``tasks``)
+    never simulate or prefetch; the misses group by
     :func:`~repro.workloads.from_spec.operand_key`, every accelerator
     prefetches over its misses, each group synthesizes once, and
     payloads are frozen into ``result_cache``.
@@ -455,20 +461,23 @@ def simulate_layer_tasks(
     pending: List[int] = []
     dup_of: Dict[int, int] = {}
     first_with_key: Dict[str, int] = {}
-    for i, task in enumerate(tasks):
-        key = payload_key(task.accel, task.layer, seed=task.seed,
-                          max_m=task.max_m)
-        keys.append(key)
-        if result_cache is not None:
-            hit = result_cache.get(key)
-            if hit is not None:
-                results[i] = hit
+    key_memo: dict = {}
+    with obs_trace.span("lookup", "runner", tasks=len(tasks)) as lookup:
+        for i, task in enumerate(tasks):
+            key = payload_key(task.accel, task.layer, seed=task.seed,
+                              max_m=task.max_m, memo=key_memo)
+            keys.append(key)
+            if result_cache is not None:
+                hit = result_cache.get(key)
+                if hit is not None:
+                    results[i] = hit
+                    continue
+            if key in first_with_key:
+                dup_of[i] = first_with_key[key]
                 continue
-        if key in first_with_key:
-            dup_of[i] = first_with_key[key]
-            continue
-        first_with_key[key] = i
-        pending.append(i)
+            first_with_key[key] = i
+            pending.append(i)
+        lookup.annotate(hits=len(results))
 
     registry.counter("runner.deduped").inc(len(dup_of))
     registry.counter("runner.simulated").inc(len(pending))
@@ -509,8 +518,10 @@ def simulate_layer_tasks(
         payloads = _run_serial(tasks, groups, registry)
     for i in pending:
         results[i] = payloads[i]
-        if result_cache is not None:
-            result_cache.put(keys[i], *payloads[i])
+    if result_cache is not None:
+        with obs_trace.span("store", "runner", puts=len(pending)):
+            for i in pending:
+                result_cache.put(keys[i], *payloads[i])
     for i, j in dup_of.items():
         results[i] = results[j]
     return [_copy_events(results[i]) for i in range(len(tasks))]

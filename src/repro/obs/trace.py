@@ -27,7 +27,9 @@ Event schema (pinned in ``tests/obs/test_trace.py``): every record
 carries ``name``/``cat``/``ph``/``ts``/``pid``/``tid``; ``ph`` is
 ``"B"``/``"E"`` for span begin/end (always emitted as a matched pair
 by the context manager), ``"i"`` for instants and ``"M"`` for the
-process-name metadata. ``ts`` is integer microseconds.
+process-name metadata. ``ts`` is integer microseconds. Optional
+``args`` ride on ``B`` (the span's keyword arguments), on ``E`` (what
+:meth:`_Span.annotate` added before the span ended) and on instants.
 """
 
 from __future__ import annotations
@@ -71,10 +73,13 @@ class _NullSpan:
     __slots__ = ()
 
     def __enter__(self):
-        return None
+        return self
 
     def __exit__(self, exc_type, exc, tb):
         return False
+
+    def annotate(self, **args) -> None:
+        pass
 
 
 _NULL_SPAN = _NullSpan()
@@ -83,7 +88,7 @@ _NULL_SPAN = _NullSpan()
 class _Span:
     """A live begin/end pair bound to one tracer."""
 
-    __slots__ = ("_tracer", "_name", "_cat", "_args")
+    __slots__ = ("_tracer", "_name", "_cat", "_args", "_end_args")
 
     def __init__(self, tracer: "Tracer", name: str, cat: str,
                  args: Optional[dict]):
@@ -91,14 +96,20 @@ class _Span:
         self._name = name
         self._cat = cat
         self._args = args
+        self._end_args = None
 
     def __enter__(self):
         self._tracer._emit("B", self._name, self._cat, self._args)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self._tracer._emit("E", self._name, self._cat, None)
+        self._tracer._emit("E", self._name, self._cat, self._end_args)
         return False
+
+    def annotate(self, **args) -> None:
+        """Args known only when the span ends; they ride on its ``E``
+        event, which trace viewers merge into the slice's args."""
+        self._end_args = args
 
 
 class Tracer:

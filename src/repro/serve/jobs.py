@@ -139,6 +139,8 @@ def parse_request(data: Dict) -> SimRequest:
         if isinstance(value, bool) or not isinstance(value, int):
             raise RequestError(f"{name} must be an integer, got {value!r}")
         kwargs[name] = value
+    if kwargs["seed"] < 0:
+        raise RequestError(f"seed must be >= 0, got {kwargs['seed']}")
     return SimRequest(**kwargs)
 
 
@@ -197,13 +199,17 @@ def request_fingerprint(request: SimRequest,
     covering the accelerator/memory/energy config, seed, quick cap and
     the result cache's source salt — plus the request-level context
     (tier, model name, layer selection), so an analytic and a
-    functional request never share a fingerprint. ``priority`` is deliberately excluded: a
+    functional request never share a fingerprint. One key memo per
+    request hashes its accelerator once, not once per layer.
+    ``priority`` is deliberately excluded: a
     high-priority duplicate of a queued request must dedupe onto it,
     not re-simulate.
     """
     if tasks is None:
         _, _, tasks = request_tasks(request)
-    keys = [payload_key(t.accel, t.layer, seed=t.seed, max_m=t.max_m)
+    memo: dict = {}
+    keys = [payload_key(t.accel, t.layer, seed=t.seed, max_m=t.max_m,
+                        memo=memo)
             for t in tasks]
     extra = {"schema": RESULT_SCHEMA, "model": request.model,
              "conv_only": request.conv_only, "tier": request.tier}

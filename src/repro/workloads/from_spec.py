@@ -324,6 +324,8 @@ def blocked_density_mask(
 def _streams(layer: LayerSpec, seed: int):
     """Independent seed streams of one layer: the census, the INT8
     values, and the ``A`` and ``W`` mask permutations."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.SeedSequence(
         [seed, layer.m, layer.k, layer.n, layer.w_nnz, layer.a_nnz]
     ).spawn(4)

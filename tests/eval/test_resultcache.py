@@ -21,6 +21,7 @@ from repro.eval import resultcache
 from repro.eval.resultcache import (CORRUPT_SUBDIR, ResultCache,
                                     default_result_cache, payload_key)
 from repro.models import get_spec
+from repro.models.specs import LayerSpec
 
 CONV2 = get_spec("alexnet").conv_layers[1]
 
@@ -101,6 +102,104 @@ class TestKey:
             assert keys() == base
         finally:
             resultcache.code_salt.cache_clear()
+
+
+def _fig11_batch(monkeypatch, cache=None):
+    """Run a quick functional Fig. 11 and return the tasks of its one
+    runner batch."""
+    from repro.eval import experiments, runner
+
+    batches = []
+    simulate = runner.simulate_layer_tasks
+
+    def recording(tasks, **kwargs):
+        batches.append(list(tasks))
+        return simulate(tasks, **kwargs)
+
+    monkeypatch.setattr(runner, "simulate_layer_tasks", recording)
+    experiments.fig11_full_models(functional=True, quick=True, jobs=1,
+                                  result_cache=cache)
+    (tasks,) = batches
+    return tasks
+
+
+class TestBatchKeys:
+    """A runner batch fingerprints through one ``payload_key`` memo
+    (each accelerator digested, each layer canonicalized once); the
+    memo must never change a key."""
+
+    def test_batch_keys_equal_memo_free_keys(self, cache, monkeypatch):
+        tasks = _fig11_batch(monkeypatch, cache)
+        expected = {payload_key(t.accel, t.layer, seed=t.seed,
+                                max_m=t.max_m) for t in tasks}
+        assert len(expected) == len(tasks) == 340
+        assert {p.stem for p in cache.path.glob("*.json")} == expected
+
+    def test_variants_in_one_batch_get_distinct_keys(self, cache):
+        from repro.eval.runner import LayerSimTask, simulate_layer_tasks
+
+        accels = (SmtSA(fifo_depth=2), SmtSA(fifo_depth=4),
+                  ZvcgSA(dram_gbps=64.0))
+        simulate_layer_tasks([LayerSimTask(a, CONV2, max_m=8)
+                              for a in accels], jobs=1, result_cache=cache)
+        expected = {payload_key(a, CONV2, max_m=8) for a in accels}
+        assert len(expected) == 3
+        assert {p.stem for p in cache.path.glob("*.json")} == expected
+
+    def test_memo_dies_with_the_batch(self, cache):
+        """Mutating an accelerator between two batches changes its key:
+        no digest is remembered across batches."""
+        from repro.eval.runner import LayerSimTask, simulate_layer_tasks
+
+        accel = ZvcgSA()
+        task = LayerSimTask(accel, CONV2, max_m=8)
+        simulate_layer_tasks([task], jobs=1, result_cache=cache)
+        before = payload_key(accel, CONV2, max_m=8)
+        accel.costs = dataclasses.replace(DEFAULT_COSTS,
+                                          dram_pj_per_byte=40.0)
+        simulate_layer_tasks([task], jobs=1, result_cache=cache)
+        after = payload_key(accel, CONV2, max_m=8)
+        assert after != before
+        assert cache.hits == 0 and cache.puts == 2
+        assert {p.stem for p in cache.path.glob("*.json")} \
+            == {before, after}
+
+    def test_batch_hashes_each_accel_and_layer_once(self, monkeypatch):
+        digested, canonicalized = [], []
+        digest = resultcache._accelerator_digest
+        dumps = resultcache._dumps
+
+        def count_digest(accel):
+            digested.append(accel)
+            return digest(accel)
+
+        def count_dumps(obj):
+            if isinstance(obj, LayerSpec):
+                canonicalized.append(obj)
+            return dumps(obj)
+
+        monkeypatch.setattr(resultcache, "_accelerator_digest",
+                            count_digest)
+        monkeypatch.setattr(resultcache, "_dumps", count_dumps)
+        tasks = _fig11_batch(monkeypatch)
+        accels = {id(t.accel) for t in tasks}
+        layers = {id(t.layer) for t in tasks}
+        assert (len(accels), len(layers)) == (4, 85)
+        assert sorted(map(id, digested)) == sorted(accels)
+        assert sorted(map(id, canonicalized)) == sorted(layers)
+
+    def test_memo_keys_on_the_instance_not_its_value(self):
+        """Equal layer specs whose fields differ in type (``1`` vs
+        ``1.0``) canonicalize differently; sharing one memo must not
+        hand either the other's key."""
+        as_int = dataclasses.replace(CONV2, weight_density=1)
+        as_float = dataclasses.replace(CONV2, weight_density=1.0)
+        assert as_int == as_float
+        memo = {}
+        assert [payload_key(ZvcgSA(), layer, memo=memo)
+                for layer in (as_int, as_float)] \
+            == [payload_key(ZvcgSA(), layer)
+                for layer in (as_int, as_float)]
 
 
 class TestStore:

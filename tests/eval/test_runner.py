@@ -88,9 +88,13 @@ class TestResolveJobs:
     def test_zero_means_all_cores(self):
         assert resolve_jobs(0) == (os.cpu_count() or 1)
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_jobs(-1)
+    def test_negative_rejected(self, monkeypatch):
+        """The error names where the bad count came from."""
+        monkeypatch.setenv("REPRO_JOBS", "-2")
+        for jobs, source in ((-1, "jobs"), (None, "REPRO_JOBS")):
+            with pytest.raises(ValueError,
+                               match=f"^{source} must be >= 0"):
+                resolve_jobs(jobs)
 
     def test_malformed_env_named_in_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "all")

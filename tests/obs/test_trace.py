@@ -84,6 +84,14 @@ class TestSchemaPin:
         assert isinstance(begin["ts"], int)
         assert end["ts"] - begin["ts"] == 1_000
 
+    def test_annotate_rides_on_the_end_event(self, tmp_path):
+        tracer = Tracer(tmp_path / "s.jsonl", clock=FakeClock())
+        with tracer.span("work", "phase", tasks=3) as span:
+            span.annotate(hits=2)
+        _, begin, end = _shard_events(tracer)
+        assert begin["args"] == {"tasks": 3}
+        assert end["args"] == {"hits": 2}
+
     def test_pid_tid_are_real(self, tmp_path):
         tracer = Tracer(tmp_path / "s.jsonl")
         with tracer.span("w"):
@@ -132,8 +140,8 @@ class TestDisabledPath:
         a = span("x", "y", arg=1)
         b = span("z")
         assert a is b  # the shared singleton — no per-call allocation
-        with a:
-            pass
+        with a as entered:
+            entered.annotate(hits=1)  # a no-op, so callers need no guard
 
     def test_traced_decorator_passthrough(self):
         calls = []

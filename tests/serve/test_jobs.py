@@ -57,6 +57,25 @@ class TestFingerprint:
         assert request_fingerprint(analytic) \
             != request_fingerprint(functional)
 
+    def test_fingerprint_equals_memo_free_keys(self):
+        """The request's one key memo never changes a layer key."""
+        from repro.eval.resultcache import combine_keys, payload_key
+        from repro.serve.jobs import RESULT_SCHEMA
+
+        request = parse_request(dict(ANALYTIC, tier="functional",
+                                     quick=True))
+        _, _, tasks = request_tasks(request)
+        keys = [payload_key(t.accel, t.layer, seed=t.seed, max_m=t.max_m)
+                for t in tasks]
+        extra = {"schema": RESULT_SCHEMA, "model": request.model,
+                 "conv_only": request.conv_only, "tier": request.tier}
+        assert request_fingerprint(request, tasks) \
+            == combine_keys(keys, extra=extra)
+
+    def test_negative_seed_rejected_at_parse(self):
+        with pytest.raises(RequestError, match="seed"):
+            parse_request(dict(ANALYTIC, seed=-1))
+
     def test_priority_does_not_change_fingerprint(self):
         assert request_fingerprint(parse_request(ANALYTIC)) \
             == request_fingerprint(parse_request(dict(ANALYTIC,

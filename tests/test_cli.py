@@ -178,6 +178,18 @@ class TestJobsFlag:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--jobs", "many"])
 
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "fig11"],
+        ["dse"],
+        ["submit", "lenet5"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_a_usage_error(self, argv, capsys):
+        assert build_parser().parse_args(argv + ["--seed", "3"]).seed == 3
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--seed", "-3"])
+        assert exc.value.code == 2
+        assert "--seed: must be >= 0" in capsys.readouterr().err
+
     def test_dse_runs_with_jobs_auto(self):
         out = main(["dse", "--styles", "tu", "--weight-nnz", "4",
                     "--a-nnz", "4", "--sram-mb", "2.5", "--jobs", "auto",
@@ -303,10 +315,22 @@ class TestObservability:
             assert "smt" in phases
             assert ("synthesize" in phases) == bool(flags)
             assert not phases & {"count", "materialize"}
-            smt = [e for e in json.loads(trace.read_text())["traceEvents"]
+            events = json.loads(trace.read_text())["traceEvents"]
+            smt = [e for e in events
                    if e.get("cat") == "smt" and e["ph"] == "B"]
             assert [(e["name"], e["pid"]) for e in smt] \
                 == [("SA-SMT-T2Q2", os.getpid())]
+            # The functional pass is one runner batch: one `lookup`
+            # span (fingerprints + cache reads), on the parent track.
+            lookups = [e for e in events if e.get("cat") == "runner"
+                       and e["name"] == "lookup"]
+            if flags:
+                begin, end = lookups
+                assert begin["pid"] == end["pid"] == os.getpid()
+                assert begin["args"] == {"tasks": 340}
+                assert end["args"] == {"hits": 0}
+            else:
+                assert lookups == []
 
     def test_trace_summarize_missing_file_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

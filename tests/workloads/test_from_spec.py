@@ -182,6 +182,10 @@ class TestSpecOperands:
                     == (density(operands.w), density(operands.a)), \
                     (name, layer.name)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            synthesize_operands(_layer(), seed=-3)
+
     def test_shapes_and_compliance(self):
         layer = _layer(m=33, k=90, n=17, w_nnz=3, a_nnz=2,
                        a_density=0.2)
