@@ -23,8 +23,9 @@ measured mesh imbalance.
 
 All counting is vectorized and never materializes the m x n match
 matrix: the mesh slot of a matched pair depends only on the pixel and
-channel *residue classes*, so per-PE occupancy reduces to one tiny
-class-count matmul plus a rotation fold (see ``_mesh_loads``).
+channel *residue classes*, so per-PE occupancy reduces to tiny
+class-count matmuls over bounded chunks of the operands' DBB bitmasks
+plus a rotation fold (see ``_mesh_loads``).
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class EyerissV2Engine:
     def __init__(self, config: EyerissV2Config = EyerissV2Config()):
         self.config = config
 
-    def _mesh_loads(self, a_nz: np.ndarray, w_nz: np.ndarray) -> np.ndarray:
+    def _mesh_loads(self, operands: GemmOperands) -> np.ndarray:
         """Per-(cluster, PE) matched-pair loads of the row-stationary
         mapping: cluster = channel mod clusters, PE = (pixel + channel
         group) mod PEs — the group rotation keeps single-pixel (FC)
@@ -117,33 +118,33 @@ class EyerissV2Engine:
         ``i mod P`` and on the channel only through ``(j mod C,
         (j // C) mod P)``, so instead of materializing the m x n match
         matrix the loads reduce over *classes*: per-pixel-class non-zero
-        counts (P x k) against per-channel-class counts (k x C*P), one
-        tiny matmul, then the rotation folds the two pixel/group phases
-        together. Bit-identical with the match-matrix bincount it
-        replaces (integer counts, exact in float64), at O((m + n + CP)k)
-        instead of O(mkn).
+        counts (P x k) against each bounded chunk of filters' bitmasks,
+        folded into the chunk's channel classes by a one-hot matmul,
+        then the rotation folds the two pixel/group phases together.
+        Bit-identical with the match-matrix bincount it replaces
+        (:func:`repro.core.reference.naive_eyeriss_mesh_loads`; integer
+        counts below 2**53, exact in float64 whatever the chunking), at
+        O((m + n + CP)k) instead of O(mkn).
         """
         cfg = self.config
         pes = cfg.pes_per_cluster
         clusters = cfg.clusters
-        m, k = a_nz.shape
-        n = w_nz.shape[1]
-        pad = (-m) % pes
-        a_pad = np.concatenate(
-            [a_nz, np.zeros((pad, k), dtype=bool)]) if pad else a_nz
         # row_counts[r, k] = number of non-zero activations at reduction
         # index k among pixels with i mod P == r.
-        row_counts = a_pad.reshape(-1, pes, k).sum(axis=0,
-                                                   dtype=np.float64)
-        j = np.arange(n, dtype=np.int64)
-        col_class = (j % clusters) * pes + (j // clusters) % pes
-        onehot = np.zeros((n, clusters * pes), dtype=np.float64)
-        onehot[j, col_class] = 1.0
-        col_counts = w_nz.astype(np.float64) @ onehot
-        # pair_loads[r, c, g]: matched pairs between pixel class r and
-        # channel class (c, g); the PE of such a pair is (r + g) mod P.
-        pair_loads = np.rint(row_counts @ col_counts).astype(
-            np.int64).reshape(pes, clusters, pes)
+        row_counts = operands.a_class_nnz(pes).astype(np.float64)
+        # pair_loads[r, c * P + g]: matched pairs between pixel class r
+        # and channel class (c, g); the PE of such a pair is
+        # (r + g) mod P.
+        pair_loads = np.zeros((pes, clusters * pes))
+        for start, filters in operands.row_chunks("w"):
+            j = np.arange(start, start + filters.shape[0])
+            onehot = np.zeros((j.size, clusters * pes))
+            onehot[j - start, (j % clusters) * pes
+                   + (j // clusters) % pes] = 1.0
+            pair_loads += (row_counts
+                           @ filters.T.astype(np.float64)) @ onehot
+        pair_loads = np.rint(pair_loads).astype(np.int64).reshape(
+            pes, clusters, pes)
         loads = np.zeros((clusters, pes), dtype=np.int64)
         for r in range(pes):
             loads += np.roll(pair_loads[r], r, axis=1)
@@ -168,7 +169,7 @@ class EyerissV2Engine:
         # classes without materializing the m x n match matrix (counts
         # below 2**53 keep the float64 BLAS exact — the repo-wide
         # integer-GEMM idiom).
-        pe_loads = self._mesh_loads(operands.a_mask, operands.w_mask)
+        pe_loads = self._mesh_loads(operands)
         fired = int(pe_loads.sum())
         makespan = -(-int(pe_loads.max(initial=0)) // cfg.macs_per_pe)
         cycles = math.ceil(makespan / cfg.pipeline_utilization)

@@ -22,9 +22,9 @@ cross-validation artifact reports as a genuine (documented) cycle
 divergence between the tiers. ``m < pes`` leaves PEs idle outright,
 the degenerate FC case.
 
-All counting is vectorized: per-PE activation non-zero counts come from
-one padded reshape of the non-zero mask, and the issue-slot sums are
-row-vector arithmetic.
+All counting is vectorized: per-PE activation non-zero counts are summed
+from bounded row chunks of the activations' DBB bitmasks, and the
+issue-slot sums are row-vector arithmetic, one PE at a time.
 """
 
 from __future__ import annotations
@@ -109,22 +109,21 @@ class SCNNEngine:
         """:meth:`run_gemm` reading its counts from ``operands``'
         non-zero census."""
         cfg = self.config
-        m, k, n = operands.m, operands.k, operands.n
-        a_nz = operands.a_mask
+        m, n = operands.m, operands.n
         # Spatial interleave: pixel i lives on PE i mod pes. Per-PE
-        # non-zero activation counts per reduction index via one padded
-        # reshape: (ceil(m/pes), pes, k) summed over the strip axis.
-        pad = (-m) % cfg.pes
-        a_pad = np.concatenate(
-            [a_nz, np.zeros((pad, k), dtype=bool)]) if pad else a_nz
-        na = a_pad.reshape(-1, cfg.pes, k).sum(axis=0, dtype=np.int64)
+        # non-zero activation counts per reduction index, summed over
+        # the strip axis a bounded chunk of the bitmasks at a time.
+        na = operands.a_class_nnz(cfg.pes)
         nw = operands.w_row_nnz
-        # All-pairs products are useful; fired = sum_k na(pe,k)*nw(k).
-        pe_fired = na @ nw
-        fired = int(pe_fired.sum())
+        # All-pairs products are useful; fired = sum_k nnz_a(k)*nw(k).
+        fired = int(operands.a_col_nnz @ nw)
         # Issue slots: the I x F multiplier array consumes the Cartesian
-        # product in ceil-quantized chunks per (PE, reduction index).
-        issue = (-(-na // cfg.mults_i)) @ (-(-nw // cfg.mults_f))
+        # product in ceil-quantized chunks per (PE, reduction index),
+        # one PE's row at a time (never a widened pes x k copy).
+        slots_w = -(-nw // cfg.mults_f)
+        issue = np.zeros(cfg.pes, dtype=np.int64)
+        for pe, row in enumerate(na):
+            issue[pe] = -(-row.astype(np.int64) // cfg.mults_i) @ slots_w
         cycles = int(issue.max(initial=0))
 
         events = EventCounts(cycles=cycles)

@@ -23,8 +23,9 @@ filter-load imbalance.
 
 Everything is struct-of-arrays numpy (the :mod:`repro.arch.systolic`
 idiom): the per-pair triple loop collapses into one dot product of
-per-reduction-index non-zero counts per output column, and the LPT pass
-walks columns, not pairs.
+per-reduction-index non-zero counts per output column — read from the
+weights' DBB bitmasks a bounded chunk of filters at a time — and the
+LPT pass walks columns, not pairs.
 """
 
 from __future__ import annotations
@@ -138,8 +139,12 @@ class SparTenEngine:
         # Matched pairs of one output (i, j) = popcount(mask_a[i] &
         # mask_w[j]); summed over a column the triple loop separates
         # per reduction index into a dot product (the systolic-family
-        # trick): col_fired[j] = sum_k nnz_a(k) * w_nz[k, j].
-        col_fired = operands.a_col_nnz @ operands.w_mask.astype(np.int64)
+        # trick): col_fired[j] = sum_k nnz_a(k) * w_nz[k, j], one
+        # bounded chunk of filters' bitmasks at a time.
+        col_fired = np.empty(n, dtype=np.int64)
+        for start, filters in operands.row_chunks("w"):
+            col_fired[start:start + filters.shape[0]] = \
+                filters @ operands.a_col_nnz
         fired = int(col_fired.sum())
         # Greedy balance: filters to PEs, longest first; the busiest
         # PE's pair count paces the array.

@@ -12,6 +12,12 @@ These are ground truth for the bit-exactness fuzz suite
 (``tests/core/test_reference_fuzz.py``) — never call them on large
 tensors; they are O(M*N*K) Python loops on purpose.
 
+The fixed-dataflow baselines (:mod:`repro.arch.sparten`,
+:mod:`repro.arch.eyeriss`, :mod:`repro.arch.scnn`) count from bounded
+chunks of the operands' DBB bitmasks; their references build the whole
+``m x n`` match matrix (matched pairs per output) or walk every pixel
+instead.
+
 One reference is a sampling law rather than a walk:
 :func:`reference_blocked_density_mask` draws a synthesized operand's
 DBB pattern block by block in place, and the census-first synthesis of
@@ -42,6 +48,9 @@ __all__ = [
     "naive_dap_prune",
     "reference_blocked_density_mask",
     "naive_smt_simulate",
+    "naive_sparten_column_loads",
+    "naive_eyeriss_mesh_loads",
+    "naive_scnn_issue_slots",
 ]
 
 
@@ -225,7 +234,7 @@ def reference_blocked_density_mask(rows: int, width: int, nnz_cap: int,
             nnz.reshape(-1)[eligible] += 1
             deficit -= take
     pick = rng.random((rows, kb))
-    patterns = np.empty((rows, kb), dtype=np.uint64)
+    patterns = np.empty((rows, kb), dtype=np.uint8)
     full = kb if tail == BLOCK_SIZE else kb - 1
     for cols, bits in ((slice(0, full), BLOCK_SIZE), (slice(full, kb), tail)):
         table, offsets, counts = _mask_table(bits)
@@ -235,7 +244,8 @@ def reference_blocked_density_mask(rows: int, width: int, nnz_cap: int,
         index = u.astype(np.int16)
         index += offsets.take(k)
         patterns[:, cols] = table[index]
-    return patterns.view(bool).reshape(rows, kb * BLOCK_SIZE)[:, :width]
+    return np.unpackbits(patterns, axis=1, count=width,
+                         bitorder="little").view(bool)
 
 
 def naive_smt_simulate(model, weight_density: float, act_density: float,
@@ -300,3 +310,49 @@ def naive_smt_simulate(model, weight_density: float, act_density: float,
         mac_utilization=utilization,
         events=events,
     )
+
+
+def _match_matrix(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Matched non-zero pairs of every output ``(i, j)``:
+    ``popcount(nz(a[i]) & nz(w[:, j]))``, as ``int64``."""
+    return (np.asarray(a) != 0).astype(np.int64) \
+        @ (np.asarray(w) != 0).astype(np.int64)
+
+
+def naive_sparten_column_loads(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Matched pairs per output column (filter) of ``A @ W`` — the jobs
+    SparTen's greedy balance schedules — summed from the match matrix."""
+    return _match_matrix(a, w).sum(axis=0)
+
+
+def naive_eyeriss_mesh_loads(a: np.ndarray, w: np.ndarray, clusters: int,
+                             pes: int) -> np.ndarray:
+    """Per-(cluster, PE) matched-pair loads of Eyeriss v2's
+    row-stationary mapping, flattened cluster-major: output ``(i, j)``
+    runs on cluster ``j mod clusters``, PE ``(i + (j // clusters)) mod
+    pes``; every output's pairs are added to its slot."""
+    match = _match_matrix(a, w)
+    m, n = match.shape
+    loads = np.zeros((clusters, pes), dtype=np.int64)
+    for i in range(m):
+        for j in range(n):
+            loads[j % clusters, (i + j // clusters) % pes] += match[i, j]
+    return loads.reshape(-1)
+
+
+def naive_scnn_issue_slots(a: np.ndarray, w: np.ndarray, pes: int,
+                           mults_i: int, mults_f: int) -> np.ndarray:
+    """Multiplier issue slots per SCNN PE: pixel ``i`` lives on PE
+    ``i mod pes``, and per reduction index a PE spends ``ceil(nnz_a /
+    mults_i) * ceil(nnz_w / mults_f)`` slots on the Cartesian product of
+    its pixels' non-zero activations with the non-zero weights."""
+    a_nz = np.asarray(a) != 0
+    w_nz = (np.asarray(w) != 0).sum(axis=1)
+    m, k = a_nz.shape
+    slots = np.zeros(pes, dtype=np.int64)
+    for pe in range(pes):
+        na = a_nz[pe::pes].sum(axis=0)
+        for kk in range(k):
+            slots[pe] += (-(-int(na[kk]) // mults_i)) \
+                * (-(-int(w_nz[kk]) // mults_f))
+    return slots

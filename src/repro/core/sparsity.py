@@ -67,6 +67,17 @@ def column_nnz(tensor: np.ndarray) -> np.ndarray:
     return counts
 
 
+#: Elements per unpacked ``bool`` row chunk of
+#: :meth:`GemmOperands.row_chunks` (rounded up to whole row groups).
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _unpacked(bits: np.ndarray, width: int) -> np.ndarray:
+    """The ``bool`` ``(rows, width)`` pattern of DBB bitmasks ``bits``."""
+    return np.unpackbits(bits, axis=1, count=width,
+                         bitorder="little").view(bool)
+
+
 class GemmOperands:
     """The operands of one GEMM ``C = A @ W`` and their non-zero census.
 
@@ -75,16 +86,20 @@ class GemmOperands:
     shape from :attr:`m` / :attr:`k` / :attr:`n` and every count from
     the census: per-index non-zeros, totals and DBB block maxima, each
     shared by every engine run on the same operands (the layer runner
-    builds one census per operand group).
+    builds one census per operand group). Engines that read positions
+    read them as the operands' DBB bitmasks (:attr:`a_bits`,
+    :attr:`w_bits`: one byte per 8-block, as S2TA stores them), unpacked
+    a bounded row chunk at a time (:meth:`row_chunks`), so no engine
+    widens a whole operand.
 
     ``GemmOperands(a, w)`` wraps concrete tensors: each count is taken
     on first use, inside a ``count`` trace span. The counts are pure
     functions of the operands, so the arrays must not change while the
     census is alive. :meth:`from_census` starts from a drawn census
     instead (:func:`repro.workloads.from_spec.spec_census`): the counts
-    are known up front, and ``A`` / ``W`` (and their masks) are
-    materialized — read-only, inside a ``materialize`` trace span — only
-    when an engine first reads positions or values.
+    are known up front, the bitmasks are drawn — read-only, inside a
+    ``materialize`` trace span — only when an engine first reads
+    positions, and ``A`` / ``W`` are unpacked from them only when read.
     """
 
     def __init__(self, a: np.ndarray, w: np.ndarray):
@@ -104,8 +119,8 @@ class GemmOperands:
         """Operands known by their censuses: ``a`` of ``A`` and ``w`` of
         ``W.T``, each a :class:`~repro.workloads.from_spec.DbbCensus`
         (``rows``, ``width``, ``col_nnz``, ``block_size``,
-        ``block_max`` and a ``materialize()`` returning the ``bool``
-        ``(rows, width)`` pattern)."""
+        ``block_max`` and a ``bitmasks()`` returning the ``uint8``
+        ``(rows, ceil(width / 8))`` DBB bitmasks)."""
         if a.width != w.width:
             raise ValueError(
                 f"shape mismatch: A ({a.rows}, {a.width}) @ W "
@@ -121,24 +136,45 @@ class GemmOperands:
 
     @property
     def masks_materialized(self) -> int:
-        """How many of the census's operands have been materialized."""
-        return sum(name in self.__dict__ for name in self._census)
+        """How many of the census's operands have had their positions
+        (bitmasks) drawn."""
+        return sum(f"{name}_bits" in self.__dict__ for name in self._census)
 
-    def _materialize(self, name: str) -> np.ndarray:
-        census = self._census[name]
+    def _bits(self, name: str, mask) -> np.ndarray:
+        census = self._census.get(name)
+        if census is None:
+            with obs_trace.span(f"{name}_bits", "count"):
+                return np.packbits(mask(), axis=1, bitorder="little")
         with obs_trace.span(name, "materialize", rows=census.rows,
                             width=census.width):
-            return census.materialize()
+            return census.bitmasks()
+
+    @cached_property
+    def a_bits(self) -> np.ndarray:
+        """DBB bitmasks of ``A``'s rows, ``uint8`` ``(m, ceil(k / 8))``
+        (bit *i* of a byte set when position *i* of its block is
+        non-zero)."""
+        return self._bits("a", lambda: self.a_mask)
+
+    @cached_property
+    def w_bits(self) -> np.ndarray:
+        """DBB bitmasks of ``W.T``'s rows, ``uint8`` ``(n, ceil(k /
+        8))``."""
+        return self._bits("w", lambda: self.w_mask.T)
 
     @cached_property
     def a(self) -> np.ndarray:
-        """``A`` (materialized on first read for a drawn census)."""
-        return self._materialize("a")
+        """``A`` (unpacked from :attr:`a_bits` for a drawn census)."""
+        out = _unpacked(self.a_bits, self.k)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def w(self) -> np.ndarray:
-        """``W`` (materialized on first read for a drawn census)."""
-        return self._materialize("w").T
+        """``W`` (unpacked from :attr:`w_bits` for a drawn census)."""
+        out = _unpacked(self.w_bits, self.k).T
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def a_mask(self) -> np.ndarray:
@@ -155,6 +191,39 @@ class GemmOperands:
             return self.w
         with obs_trace.span("w_mask", "count"):
             return self.w != 0
+
+    def row_chunks(self, operand: str, align: int = 1):
+        """Yield ``(start, chunk)`` over the rows of ``A`` (``operand``
+        ``"a"``) or ``W.T`` (``"w"``): ``chunk`` is rows ``start:start +
+        len(chunk)`` as a C-ordered ``bool`` ``(rows, k)`` array unpacked
+        from the bitmasks, at most about :data:`_CHUNK_ELEMENTS`
+        elements and never more than 255 row groups. Every ``start`` is
+        a multiple of ``align``, so row ``start + i`` is in residue
+        class ``i % align``."""
+        bits = self.a_bits if operand == "a" else self.w_bits
+        groups = _CHUNK_ELEMENTS // (align * max(self.k, 1))
+        rows = align * min(max(groups, 1), 255)
+        for start in range(0, bits.shape[0], rows):
+            yield start, _unpacked(bits[start:start + rows], self.k)
+
+    def a_class_nnz(self, period: int) -> np.ndarray:
+        """Non-zeros of ``A`` per (row class ``i % period``, reduction
+        index): a fresh ``(period, k)`` array of the narrowest unsigned
+        dtype that holds ``ceil(m / period)``, summed chunk by chunk
+        from the bitmasks."""
+        out = np.zeros((period, self.k),
+                       dtype=np.min_scalar_type(-(-self.m // period)))
+        if not self.k:
+            return out
+        for _, chunk in self.row_chunks("a", align=period):
+            rows = chunk.shape[0]
+            full = rows - rows % period
+            if full:
+                # At most 255 row groups per chunk: the sums fit a byte.
+                out += chunk[:full].view(np.uint8).reshape(
+                    -1, period, self.k).sum(axis=0, dtype=np.uint8)
+            out[:rows - full] += chunk[full:]
+        return out
 
     @cached_property
     def a_col_nnz(self) -> np.ndarray:

@@ -30,13 +30,18 @@ a network (ResNet50's 53 conv layers have 26 operand keys) — form one
    (:func:`~repro.workloads.from_spec.synthesize_operands`: per-index
    non-zeros, totals and DBB block maxima, straight from the
    allocation law), simulates every task on that one
-   :class:`~repro.core.sparsity.GemmOperands` and drops it. A mask is
-   materialized only when a task reads positions (SparTen, Eyeriss v2,
-   SCNN) and then shared by the group's later tasks; the
+   :class:`~repro.core.sparsity.GemmOperands` and drops it. An
+   operand's positions — its 1-byte DBB bitmasks — are drawn only when
+   a task reads them (SparTen, Eyeriss v2, SCNN, which unpack bounded
+   row chunks of them) and then shared by the group's later tasks; the
    ``operands.masks_materialized`` / ``operands.census_only`` counters
-   say which. Groups run serially, or one per process-pool future when
-   ``jobs`` > 1 (``0`` = all cores, ``"auto"`` sizes the
-   pool from the group count, ``$REPRO_JOBS`` supplies the default);
+   say which. Groups run serially (the ``serial`` span), or one per
+   process-pool future when ``jobs`` > 1 (the ``pool`` span; ``0`` =
+   all cores, ``$REPRO_JOBS`` supplies the default). ``"auto"`` runs
+   serially below :data:`AUTO_MIN_WORK` synthesized operand elements
+   (Σ(m·k + k·n) over the groups) and otherwise sizes the pool from
+   the group count (:func:`auto_jobs`); both spans carry the decision
+   as args ``jobs``, ``work`` and ``reason``;
 5. new payloads are frozen into the cache (the ``store`` span) and
    every payload comes back in task order, bit-equal to a serial run
    at the same seed regardless of worker count (asserted in
@@ -110,11 +115,16 @@ class LayerSimTask:
     max_m: Optional[int] = None
 
 
-#: Below this many work units (operand groups) a pool's
-#: startup/pickling overhead dominates the simulation work, so ``auto``
-#: stays serial (the BENCH small-host inversion: quick fig12
-#: parallel-cold 1.22 s vs 0.64 s serial).
-AUTO_MIN_TASKS = 4
+#: Below this much synthesized work — Σ(m·k + k·n) operand elements
+#: over a batch's pending operand groups — a pool's fork, pickling and
+#: result transfer cost more than the simulation it spreads, so
+#: ``auto`` stays serial. Measured crossover (2-core Xeon, full-size
+#: conv batches, serial vs 2 workers, fresh interpreters): AlexNet xval
+#: (5.3×10⁶) 0.07–0.08 s vs 0.08–0.13 s, ResNet50 xval (2.1×10⁷)
+#: 0.31–0.36 s vs 0.47–0.61 s, VGG16 xval (9.6×10⁷) 0.51–0.59 s vs
+#: 0.48 s; full functional fig11 (1.3×10⁸) ties, 0.18–0.27 s vs
+#: 0.19–0.22 s, and keeps its pool.
+AUTO_MIN_WORK = 50_000_000
 
 #: ``auto`` never spins up a worker for fewer than this many work
 #: units — each worker must amortize its fork over at least a couple
@@ -122,35 +132,48 @@ AUTO_MIN_TASKS = 4
 AUTO_TASKS_PER_WORKER = 2
 
 
-def auto_jobs(task_count: int, cpu_count: Optional[int] = None) -> int:
+def _auto_decision(task_count: int, work: Optional[int],
+                   cpu_count: Optional[int]) -> Tuple[int, str]:
+    """:func:`auto_jobs` and its reason: ``single-core``,
+    ``below-work``, ``few-groups`` or ``pool``."""
+    if task_count < 0:
+        raise ValueError(f"task_count must be >= 0, got {task_count}")
+    if work is not None and work < 0:
+        raise ValueError(f"work must be >= 0, got {work}")
+    if cpu_count is None:
+        cpu_count = os.cpu_count() or 1
+    if cpu_count <= 1:
+        return 1, "single-core"
+    if work is not None and work < AUTO_MIN_WORK:
+        return 1, "below-work"
+    workers = min(cpu_count, task_count // AUTO_TASKS_PER_WORKER)
+    return (workers, "pool") if workers > 1 else (1, "few-groups")
+
+
+def auto_jobs(task_count: int, work: Optional[int],
+              cpu_count: Optional[int] = None) -> int:
     """Serial-vs-pool decision for one batch of ``task_count`` work
-    units (the runner passes its operand-group count).
+    units (the runner passes its operand-group count) holding ``work``
+    synthesized operand elements (Σ(m·k + k·n) over the groups;
+    ``None`` = unknown, sized as a large batch).
 
     The decision table (regression-pinned in
     ``tests/eval/test_runner.py``):
 
     - single-core host -> 1 (a pool can only add overhead);
-    - fewer than :data:`AUTO_MIN_TASKS` units -> 1 (startup dominates);
+    - less than :data:`AUTO_MIN_WORK` work -> 1 (fork and transfer
+      cost more than the simulation they spread);
     - otherwise ``min(cpu_count, task_count // AUTO_TASKS_PER_WORKER)``
-      workers, so every worker amortizes its fork over >= 2 units and
-      the pool never exceeds the host.
+      workers (1 = serial), so every worker amortizes its fork over
+      >= 2 units and the pool never exceeds the host.
     """
-    if task_count < 0:
-        raise ValueError(f"task_count must be >= 0, got {task_count}")
-    if cpu_count is None:
-        cpu_count = os.cpu_count() or 1
-    if cpu_count <= 1 or task_count < AUTO_MIN_TASKS:
-        return 1
-    return max(1, min(cpu_count, task_count // AUTO_TASKS_PER_WORKER))
+    return _auto_decision(task_count, work, cpu_count)[0]
 
 
-def resolve_jobs(jobs, task_count: Optional[int] = None) -> int:
-    """Worker count: ``None`` defers to ``$REPRO_JOBS`` (default 1,
-    i.e. serial); ``0`` means one worker per core; ``"auto"`` (also
-    accepted from ``$REPRO_JOBS``) picks serial vs pool from
-    ``task_count`` and the host's cores via :func:`auto_jobs`.
-    ``task_count=None`` with ``auto`` sizes for a large batch (one
-    worker per core) — batch-level callers pass the real count."""
+def _resolve(jobs, task_count: Optional[int], work: Optional[int]
+             ) -> Tuple[int, str]:
+    """:func:`resolve_jobs` and its reason: ``explicit`` for a worker
+    count (argument or ``$REPRO_JOBS``), else :func:`_auto_decision`'s."""
     source = "jobs"
     if jobs is None:
         env = os.environ.get("REPRO_JOBS", "").strip()
@@ -163,8 +186,8 @@ def resolve_jobs(jobs, task_count: Optional[int] = None) -> int:
         text = jobs.strip().lower()
         if text == "auto":
             if task_count is None:
-                return os.cpu_count() or 1
-            return auto_jobs(task_count)
+                return os.cpu_count() or 1, "pool"
+            return _auto_decision(task_count, work, None)
         try:
             jobs = int(text)
         except ValueError:
@@ -175,7 +198,19 @@ def resolve_jobs(jobs, task_count: Optional[int] = None) -> int:
         raise ValueError(f"{source} must be >= 0, got {jobs}")
     if jobs == 0:
         jobs = os.cpu_count() or 1
-    return jobs
+    return jobs, "explicit"
+
+
+def resolve_jobs(jobs, task_count: Optional[int] = None,
+                 work: Optional[int] = None) -> int:
+    """Worker count: ``None`` defers to ``$REPRO_JOBS`` (default 1,
+    i.e. serial); ``0`` means one worker per core; ``"auto"`` (also
+    accepted from ``$REPRO_JOBS``) picks serial vs pool from
+    ``task_count``, ``work`` and the host's cores via
+    :func:`auto_jobs`. ``task_count=None`` with ``auto`` sizes for a
+    large batch (one worker per core) — batch-level callers pass the
+    real count and work."""
+    return _resolve(jobs, task_count, work)[0]
 
 
 def _worker_init(shard_dir: Optional[str] = None) -> None:
@@ -440,9 +475,9 @@ def simulate_layer_tasks(
     payloads are frozen into ``result_cache``.
     Groups run over ``jobs`` pool workers (serial when 1 or when only
     one group remains); ``jobs="auto"`` resolves per batch from the
-    number of groups via :func:`auto_jobs`. Task fingerprints are
-    computed whether or not a cache is attached, so in-batch
-    duplicates collapse to one simulation even under
+    groups' synthesized work and count via :func:`auto_jobs`. Task
+    fingerprints are computed whether or not a cache is attached, so
+    in-batch duplicates collapse to one simulation even under
     ``--no-result-cache``.
 
     **Graceful degradation**: a dying pool (``BrokenProcessPool``) or a
@@ -488,18 +523,23 @@ def simulate_layer_tasks(
             operand_key(task.layer, seed=task.seed, max_m=task.max_m),
             []).append(i)
     groups = list(by_operands.values())
+    # Synthesized operand elements, Σ(m·k + k·n) over the groups (the
+    # key's leading fields are the capped GEMM shape).
+    work = sum(m * k + k * n for m, k, n, *_ in by_operands)
     _prefetch(tasks, groups)
-    # Resolved against the post-dedupe/post-cache group count: a batch
-    # that is mostly cache hits must not pay pool startup for the tail.
-    jobs = resolve_jobs(jobs, task_count=len(groups))
+    # Resolved against the post-dedupe/post-cache groups: a batch that
+    # is mostly cache hits must not pay pool startup for the tail.
+    jobs, reason = _resolve(jobs, len(groups), work)
     task_timeout_s = _resolve_task_timeout(task_timeout_s)
+    decision = {"jobs": jobs, "work": work, "reason": reason,
+                "tasks": len(pending), "groups": len(groups)}
     if jobs > 1 and len(groups) > 1:
         workers = min(jobs, len(groups))
         registry.counter("runner.pool_batches").inc()
         registry.gauge("runner.pool_workers").set(workers)
         dispatch_ns = time.perf_counter_ns()
         with obs_trace.span("pool", "runner", workers=workers,
-                            tasks=len(pending), groups=len(groups)):
+                            **decision):
             finished, redo = _run_pool(tasks, groups, workers,
                                        task_timeout_s)
         payloads = _merge_worker_telemetry(registry, dispatch_ns,
@@ -514,8 +554,12 @@ def simulate_layer_tasks(
             with obs_trace.span("degraded-serial", "runner",
                                 tasks=retried):
                 payloads.update(_run_serial(tasks, redo, registry))
+    elif groups:
+        registry.counter("runner.serial_batches").inc()
+        with obs_trace.span("serial", "runner", **decision):
+            payloads = _run_serial(tasks, groups, registry)
     else:
-        payloads = _run_serial(tasks, groups, registry)
+        payloads = {}
     for i in pending:
         results[i] = payloads[i]
     if result_cache is not None:

@@ -47,20 +47,23 @@ and remainder), so the law above factors into three steps:
    is exact by
    construction and the DBB block maximum is the highest occupied
    level;
-3. *positions*, only when a mask is read (:meth:`DbbCensus.materialize`):
-   each block column's mask multiset is expanded and one
-   ``permuted(..., axis=0)`` shuffles every column independently —
+3. *positions*, only when they are read (:meth:`DbbCensus.bitmasks`):
+   each block column's multiset of 1-byte DBB bitmasks is expanded and
+   one ``permuted(..., axis=0)`` shuffles every column independently —
    given the census, a uniform arrangement, which is exactly the joint
    law of drawing each block's pattern in place.
+   :meth:`DbbCensus.materialize` unpacks those bitmasks to a ``bool``
+   mask.
 
 :func:`spec_census` draws the census of both operands of a layer into
-a :class:`~repro.core.sparsity.GemmOperands` that materializes ``A`` /
-``W`` on first read, each permuted from its own ``SeedSequence`` child,
-so a mask never depends on whether or in which order the other operand
-or the values were materialized. SA, SA-ZVCG, SA-SMT, S2TA-W and
-S2TA-AW read only counts, so a Fig. 11 task never builds a mask; SparTen
-(``W``), Eyeriss v2 (both) and SCNN (``A``) read positions, as does
-anything that reads a GEMM output or DAP-prunes. :func:`spec_operands`
+a :class:`~repro.core.sparsity.GemmOperands` that draws the bitmasks of
+``A`` / ``W`` on first read, each permuted from its own
+``SeedSequence`` child, so a pattern never depends on whether or in
+which order the other operand or the values were drawn. SA, SA-ZVCG,
+SA-SMT, S2TA-W and S2TA-AW read only counts, so a Fig. 11 task never
+draws a position; SparTen (``W``), Eyeriss v2 (both) and SCNN (``A``)
+read the bitmasks in bounded row chunks, and anything that reads a GEMM
+output or DAP-prunes unpacks the whole mask. :func:`spec_operands`
 is the census followed by both materializations: read-only ``bool``
 masks.
 
@@ -104,18 +107,17 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def _mask_table(valid: int):
-    """The ``valid``-bit block masks ordered by (popcount, value), each
-    expanded to its ``BLOCK_SIZE`` (= 8) bytes of 0/1 (little bit order,
-    one ``uint64`` per mask), with the offset and count of each popcount
-    group in that order."""
+    """The ``valid``-bit block bitmasks (``uint8``, bit *i* set when
+    position *i* holds a non-zero — the order of
+    :mod:`repro.core.dbb`) sorted by (popcount, value), with the offset
+    and count of each popcount group in that order."""
     masks = np.arange(1 << valid, dtype=np.uint16).astype(np.uint8)
-    bits = np.unpackbits(masks[:, None], axis=1, bitorder="little")
-    pop = bits.sum(axis=1)
+    pop = np.bitwise_count(masks)
     groups = [np.flatnonzero(pop == c) for c in range(valid + 1)]
     counts = np.array([g.size for g in groups])
     offsets = np.cumsum(counts) - counts
-    return (bits[np.concatenate(groups)].view(np.uint64).ravel(),
-            offsets.astype(np.int16), counts.astype(np.float64))
+    return (masks[np.concatenate(groups)], offsets.astype(np.int16),
+            counts.astype(np.float64))
 
 
 def _allocation(rows: int, width: int, nnz_cap: int, density: float):
@@ -191,24 +193,29 @@ def _uniform_counts(blocks: np.ndarray, size: int,
     if total >= _DRAWS_PER_MASK * size * blocks.size:
         return rng.multinomial(blocks, np.full(size, 1.0 / size))
     picks = rng.integers(0, size, size=total)
-    picks += np.repeat(np.arange(0, blocks.size * size, size), blocks)
+    # Row offsets in the narrowest dtype that holds them: the repeat is
+    # as long as the picks.
+    offsets = np.arange(0, blocks.size * size, size,
+                        dtype=np.min_scalar_type(blocks.size * size))
+    picks += np.repeat(offsets, blocks)
     return np.bincount(picks, minlength=blocks.size * size).reshape(
         blocks.size, size)
 
 
 class DbbCensus:
     """Non-zero census of one synthesized ``(rows, width)`` DBB pattern
-    (blocks of ``BLOCK_SIZE`` along ``width``), from which the pattern
-    itself is materialized on demand.
+    (blocks of ``BLOCK_SIZE`` along ``width``), from which the pattern's
+    bitmasks are drawn on demand.
 
     ``histograms`` holds, per run of block columns sharing one valid
     width (the full columns, then a ragged tail column), that width and
     the ``(columns, 2**valid)`` count of blocks holding each entry of
     the width's mask table. ``col_nnz`` is the non-zeros per index along
     ``width`` (int64) and ``block_max`` the most non-zeros in any block.
-    ``seed`` seeds :meth:`materialize`'s permutation when no generator
-    is handed to it. This is the census protocol
-    :meth:`repro.core.sparsity.GemmOperands.from_census` reads.
+    ``seed`` seeds the permutation of :meth:`bitmasks` (and so
+    :meth:`materialize`) when no generator is handed to it. This is the
+    census protocol :meth:`repro.core.sparsity.GemmOperands.from_census`
+    reads.
     """
 
     block_size = BLOCK_SIZE
@@ -224,26 +231,35 @@ class DbbCensus:
         self.block_max = block_max
         self.seed = seed
 
-    def materialize(self, rng: Optional[np.random.Generator] = None
-                    ) -> np.ndarray:
-        """The read-only ``bool`` ``(rows, width)`` pattern: every block
+    def bitmasks(self, rng: Optional[np.random.Generator] = None
+                 ) -> np.ndarray:
+        """The read-only ``uint8`` ``(rows, blocks)`` DBB bitmasks of the
+        pattern (bit *i* of a block set when its position *i* holds a
+        non-zero, the order of :mod:`repro.core.dbb`): every block
         column's masks, in a uniformly random row order drawn from
         ``rng`` (default: a generator on :attr:`seed`)."""
         if rng is None:
             rng = np.random.default_rng(self.seed)
         kb = -(-self.width // BLOCK_SIZE)
-        patterns = np.empty((self.rows, kb), dtype=np.uint64)
+        bits = np.empty((self.rows, kb), dtype=np.uint8)
         start = 0
         for valid, hist in self.histograms:
             cols = hist.shape[0]
             masks = np.repeat(np.tile(_mask_table(valid)[0], cols),
                               hist.ravel())
-            patterns[:, start:start + cols] = masks.reshape(cols,
-                                                            self.rows).T
+            bits[:, start:start + cols] = masks.reshape(cols, self.rows).T
             start += cols
-        rng.permuted(patterns, axis=0, out=patterns)
-        out = patterns.view(bool).reshape(
-            self.rows, kb * BLOCK_SIZE)[:, :self.width]
+        rng.permuted(bits, axis=0, out=bits)
+        bits.flags.writeable = False
+        return bits
+
+    def materialize(self, rng: Optional[np.random.Generator] = None
+                    ) -> np.ndarray:
+        """The read-only ``bool`` ``(rows, width)`` pattern of
+        :meth:`bitmasks`, unpacked into a zero-padded ``(rows,
+        blocks * BLOCK_SIZE)`` buffer."""
+        out = np.unpackbits(self.bitmasks(rng), axis=1,
+                            bitorder="little").view(bool)[:, :self.width]
         out.flags.writeable = False
         return out
 
@@ -273,13 +289,15 @@ def blocked_density_census(
     the remaining deficit, then per occupied popcount level the uniform
     mask histogram of the full block columns at that level
     (:func:`_uniform_counts`), then the same for the tail column.
-    ``seed`` is kept for :meth:`DbbCensus.materialize`.
+    ``seed`` is kept for :meth:`DbbCensus.bitmasks`.
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
     if not 1 <= nnz_cap <= BLOCK_SIZE:
         raise ValueError(
             f"nnz_cap must be in [1, {BLOCK_SIZE}], got {nnz_cap}")
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
     cap, base, frac, total = _allocation(rows, width, nnz_cap, density)
     levels = _allocate_levels(rows, cap, base, frac, total, rng)
     full = width // BLOCK_SIZE
@@ -290,8 +308,9 @@ def blocked_density_census(
         if not at_level.shape[0]:
             continue
         table, offsets, sizes = _mask_table(valid)
-        bits = table.view(np.uint8).reshape(-1, BLOCK_SIZE)[:, :valid]
-        hist = np.zeros((at_level.shape[0], table.size), dtype=np.int64)
+        bits = np.unpackbits(table[:, None], axis=1, count=valid,
+                             bitorder="little")
+        hist = np.zeros((at_level.shape[0], table.size), dtype=np.int32)
         nnz = np.zeros((at_level.shape[0], valid), dtype=np.int64)
         for level in np.flatnonzero(at_level.any(axis=0)).tolist():
             blocks = np.flatnonzero(at_level[:, level])

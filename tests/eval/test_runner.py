@@ -31,12 +31,14 @@ from repro.eval.experiments import (
     QUICK_MAX_M,
     SYSTOLIC_VARIANTS,
     _sa_variants,
+    fig11_full_models,
     fig12_alexnet_per_layer,
     xval_functional_vs_analytic,
 )
 from repro.eval.resultcache import ResultCache
+from repro.eval import runner
 from repro.eval.runner import (
-    AUTO_MIN_TASKS,
+    AUTO_MIN_WORK,
     LayerSimTask,
     auto_jobs,
     functional_model_runs,
@@ -104,30 +106,49 @@ class TestResolveJobs:
 
 class TestAutoJobs:
     """The serial-vs-pool decision table behind ``--jobs auto`` (the
-    serve default). Pins the fix for the small-host inversion where a
-    cold pool lost to the serial path (BENCH: 1.22 s parallel vs
-    0.64 s serial on one CPU)."""
+    serve default): synthesized work decides serial vs pool, the group
+    count sizes the pool. Pins the fix for the small-host inversion
+    where a cold pool lost to the serial path (BENCH: 1.22 s parallel
+    vs 0.64 s serial on one CPU; AlexNet xval 0.45 s vs 0.22 s on two)."""
 
     @pytest.mark.parametrize("task_count,cpu_count,expected", [
         (0, 1, 1),       # nothing to do, nothing to fork
         (100, 1, 1),     # single-core host: a pool only adds overhead
-        (3, 8, 1),       # below AUTO_MIN_TASKS: startup dominates
-        (4, 8, 2),       # each worker amortizes over >= 2 tasks
+        (3, 8, 1),       # one worker would hold all 3 groups: serial
+        (4, 8, 2),       # each worker amortizes over >= 2 groups
         (8, 8, 4),
         (100, 8, 8),     # capped at the host's cores
         (100, 2, 2),     # small host stays small
     ])
     def test_decision_table(self, task_count, cpu_count, expected):
-        assert auto_jobs(task_count, cpu_count=cpu_count) == expected
+        # Enough work for a pool; the group count sizes it.
+        assert auto_jobs(task_count, AUTO_MIN_WORK,
+                         cpu_count=cpu_count) == expected
+
+    @pytest.mark.parametrize("work,cpu_count,expected,reason", [
+        (0, 8, 1, "below-work"),
+        (AUTO_MIN_WORK - 1, 8, 1, "below-work"),
+        (AUTO_MIN_WORK, 8, 8, "pool"),
+        (AUTO_MIN_WORK, 1, 1, "single-core"),
+        (None, 8, 8, "pool"),   # unknown work sizes as a large batch
+    ])
+    def test_work_gate(self, work, cpu_count, expected, reason):
+        assert auto_jobs(100, work, cpu_count=cpu_count) == expected
+        assert runner._auto_decision(100, work, cpu_count) \
+            == (expected, reason)
 
     def test_negative_task_count_rejected(self):
         with pytest.raises(ValueError):
-            auto_jobs(-1, cpu_count=4)
+            auto_jobs(-1, AUTO_MIN_WORK, cpu_count=4)
+        with pytest.raises(ValueError, match="work"):
+            auto_jobs(4, -1, cpu_count=4)
 
     def test_resolve_auto_uses_task_count(self):
-        assert resolve_jobs("auto", task_count=AUTO_MIN_TASKS - 1) == 1
-        assert resolve_jobs("auto", task_count=100) \
-            == auto_jobs(100)
+        assert resolve_jobs("auto", task_count=1, work=AUTO_MIN_WORK) == 1
+        assert resolve_jobs("auto", task_count=100,
+                            work=AUTO_MIN_WORK - 1) == 1
+        assert resolve_jobs("auto", task_count=100, work=AUTO_MIN_WORK) \
+            == auto_jobs(100, AUTO_MIN_WORK)
 
     def test_resolve_auto_without_count_sizes_for_large_batch(self):
         assert resolve_jobs("auto") == (os.cpu_count() or 1)
@@ -141,6 +162,92 @@ class TestAutoJobs:
         tasks = _tasks([ZvcgSA()], layers)
         assert simulate_layer_tasks(tasks, jobs="auto") \
             == simulate_layer_tasks(tasks, jobs=1)
+
+    @pytest.mark.parametrize("artifact,cpus,expected", [
+        ("xval", 2, [(1, "below-work")]),
+        ("fig12", 2, [(1, "below-work")]),
+        ("fig11", 2, [(2, "pool")]),
+        ("fig11", 1, [(1, "single-core")]),
+    ])
+    def test_pinned_workload_decisions(self, monkeypatch, artifact, cpus,
+                                       expected):
+        """What ``auto`` picks for each full-size shipped functional
+        batch: AlexNet xval and fig12 run serially, full fig11 keeps
+        its pool on a 2-core host, and a 1-core host never forks. Each
+        batch stops right after its decision."""
+
+        class Decided(Exception):
+            pass
+
+        decided = []
+        resolve = runner._resolve
+
+        def spy(jobs, task_count, work):
+            decided.append(resolve(jobs, task_count, work))
+            raise Decided
+
+        monkeypatch.setattr(runner, "_resolve", spy)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+        run = {
+            "xval": lambda: xval_functional_vs_analytic(
+                "alexnet", jobs="auto"),
+            "fig12": lambda: fig12_alexnet_per_layer(functional=True,
+                                                     jobs="auto"),
+            "fig11": lambda: fig11_full_models(functional=True,
+                                               jobs="auto"),
+        }[artifact]
+        with pytest.raises(Decided):
+            run()
+        assert decided == expected
+
+    @pytest.mark.functional
+    @pytest.mark.parametrize("jobs,batch,reason", [
+        ("auto", "serial", "below-work"),
+        (1, "serial", "explicit"),
+        (2, "pool", "explicit"),
+    ])
+    def test_decision_on_span_and_counters(self, tmp_path, jobs, batch,
+                                           reason):
+        """Each simulating batch records its decision — ``jobs``,
+        ``work`` (Σ m·k + k·n over its groups) and ``reason`` — on its
+        ``serial`` or ``pool`` runner span, and counts itself in
+        ``runner.serial_batches`` or ``runner.pool_batches``."""
+        import json
+
+        from repro.obs import trace as obs_trace
+
+        tasks = _tasks([ZvcgSA(), SparTen()], ALEXNET.conv_layers[:3])
+        work = sum(l.k * (min(l.m, QUICK) + l.n)
+                   for l in ALEXNET.conv_layers[:3])
+        registry = obs_metrics.default_registry()
+        names = ("runner.serial_batches", "runner.pool_batches")
+        before = [registry.counter(name).value for name in names]
+        obs_trace.start_tracing(tmp_path / "t.json")
+        try:
+            simulate_layer_tasks(tasks, jobs=jobs)
+        finally:
+            path = obs_trace.stop_tracing()
+        spans = [e for e in json.loads(path.read_text())["traceEvents"]
+                 if e.get("cat") == "runner" and e["ph"] == "B"
+                 and e["name"] in ("serial", "pool")]
+        assert [e["name"] for e in spans] == [batch]
+        args = spans[0]["args"]
+        assert (args["jobs"], args["work"], args["reason"]) \
+            == (jobs if isinstance(jobs, int) else 1, work, reason)
+        assert args["groups"] == 3 and args["tasks"] == len(tasks)
+        added = [registry.counter(name).value - start
+                 for name, start in zip(names, before)]
+        assert added == ([1, 0] if batch == "serial" else [0, 1])
+
+    def test_cached_batch_counts_no_execution(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        tasks = _tasks([ZvcgSA()], ALEXNET.conv_layers[:2])
+        simulate_layer_tasks(tasks, jobs=1, result_cache=cache)
+        registry = obs_metrics.default_registry()
+        names = ("runner.serial_batches", "runner.pool_batches")
+        before = [registry.counter(name).value for name in names]
+        simulate_layer_tasks(tasks, jobs="auto", result_cache=cache)
+        assert [registry.counter(name).value for name in names] == before
 
 
 class TestSimulateLayerTasks:

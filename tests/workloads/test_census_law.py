@@ -9,6 +9,10 @@ the mask only on demand. Two obligations:
   maximum, respects the caps, sets no bit past a ragged tail, is
   read-only, and does not depend on which operand — or whether any —
   was read first.
+- **Bitmasks = mask**: :meth:`~repro.workloads.from_spec.DbbCensus.bitmasks`
+  (one ``uint8`` per block, bit *i* = position *i*) unpacks to the
+  materialized mask, and permuting 1-byte bitmasks moves every block
+  exactly as permuting the 8-byte patterns they replaced did.
 - **Same law as the reference**: over thousands of fixed seeds on small
   ragged shapes, the per-index and per-row counts agree in mean and
   variance with
@@ -93,6 +97,64 @@ def test_materialized_mask_equals_drawn_census(case):
     assert not padded[:, width:].any()
     # The permutation is the census's own stream.
     np.testing.assert_array_equal(census.materialize(), mask)
+
+
+@given(_cases())
+@settings(max_examples=40, deadline=None)
+def test_bitmasks_unpack_to_materialized_mask(case):
+    rows, width, cap, dens, seed = case
+    census = blocked_density_census(
+        rows, width, cap, dens, np.random.default_rng(seed),
+        seed=np.random.SeedSequence(seed))
+    bits = census.bitmasks()
+    kb = -(-width // BLOCK_SIZE)
+    assert bits.dtype == np.uint8 and bits.shape == (rows, kb)
+    assert bits.nbytes == rows * kb
+    assert not bits.flags.writeable
+    np.testing.assert_array_equal(
+        np.unpackbits(bits, axis=1, count=width,
+                      bitorder="little").view(bool),
+        census.materialize())
+    # Bit i of a block's byte is its position i (the order of core.dbb).
+    np.testing.assert_array_equal(
+        bits, np.packbits(census.materialize(), axis=1, bitorder="little"))
+
+
+def _uint64_patterns(census, rng):
+    """The mask as materialized before bitmasks: every block as one
+    ``uint64`` of 0/1 bytes, permuted by ``rng``."""
+    kb = -(-census.width // BLOCK_SIZE)
+    patterns = np.empty((census.rows, kb), dtype=np.uint64)
+    start = 0
+    for valid, hist in census.histograms:
+        table = np.unpackbits(from_spec._mask_table(valid)[0][:, None],
+                              axis=1, bitorder="little").view(np.uint64)
+        cols = hist.shape[0]
+        masks = np.repeat(np.tile(table.ravel(), cols), hist.ravel())
+        patterns[:, start:start + cols] = masks.reshape(cols,
+                                                        census.rows).T
+        start += cols
+    rng.permuted(patterns, axis=0, out=patterns)
+    return patterns.view(bool).reshape(census.rows, -1)[:, :census.width]
+
+
+@given(_cases())
+@settings(max_examples=40, deadline=None)
+def test_uint8_bitmasks_permute_like_uint64_patterns(case):
+    """``Generator.permuted`` draws one permutation per column whatever
+    the item size, so 1-byte bitmasks land every block exactly where
+    the 8-byte patterns they replace did: no synthesized mask moved."""
+    rows, width, cap, dens, seed = case
+    census = blocked_density_census(rows, width, cap, dens,
+                                    np.random.default_rng(seed))
+    np.testing.assert_array_equal(
+        census.materialize(np.random.default_rng(seed + 1)),
+        _uint64_patterns(census, np.random.default_rng(seed + 1)))
+
+
+def test_zero_width_rejected():
+    with pytest.raises(ValueError, match="width"):
+        blocked_density_census(5, 0, 4, 0.5, np.random.default_rng(0))
 
 
 def _layer(m, k, n, w_nnz, a_nnz, a_density):
