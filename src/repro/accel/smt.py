@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.accel.sa import ZvcgSA
 from repro.arch.events import EventCounts
-from repro.arch.smt import SMTArrayModel
+from repro.arch.smt import SMTArrayModel, check_densities
 from repro.models.specs import LayerSpec
 from repro.obs import trace as obs_trace
 
@@ -54,7 +54,10 @@ GridKey = Tuple[int, int]
 
 
 def _grid_key(w_density: float, a_density: float) -> GridKey:
-    """The 1% density grid point a raw ``(w, a)`` pair is memoized on."""
+    """The 1% density grid point a raw ``(w, a)`` pair is memoized on.
+    Densities outside [0, 1] (or NaN) are rejected here, before they
+    reach the key or the point's seed."""
+    check_densities(w_density, a_density)
     return round(w_density * 100), round(a_density * 100)
 
 

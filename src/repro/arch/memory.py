@@ -214,39 +214,49 @@ class DRAMConfig:
 
     def bus_bytes(self, logical_bytes: int, streams: int = 1) -> int:
         """Burst-rounded bus bytes for ``streams`` contiguous transfers."""
-        if logical_bytes <= 0 or streams <= 0:
-            return 0
-        per_stream = -(-logical_bytes // streams)
-        bursts = -(-per_stream // self.burst_bytes)
-        return streams * bursts * self.burst_bytes
+        return self._streamed(logical_bytes, streams)[1]
 
     def row_activations(self, logical_bytes: int, streams: int = 1) -> int:
         """Row-buffer activations for ``streams`` contiguous transfers."""
-        if logical_bytes <= 0 or streams <= 0:
-            return 0
-        per_stream = -(-logical_bytes // streams)
-        return streams * -(-per_stream // self.row_bytes)
-
-    def transfer_cycles_array(self, logical_bytes: np.ndarray) -> np.ndarray:
-        """Bus time per transfer, vectorized (one transfer per element):
-        burst-rounded bytes plus row-activation stalls. The single
-        source of the channel's per-transfer timing formula — the
-        scalar :meth:`transfer_cycles` and the per-tile DMA timeline
-        walker both route through it."""
-        arr = np.asarray(logical_bytes, dtype=np.float64)
-        bursts = np.ceil(arr / self.burst_bytes)
-        rows = np.ceil(arr / self.row_bytes)
-        return (bursts * self.burst_bytes / self.bytes_per_cycle
-                + rows * self.row_activate_cycles)
+        return self._streamed(logical_bytes, streams)[2]
 
     def transfer_cycles(self, logical_bytes: int, streams: int = 1) -> float:
         """Bus time of ``streams`` contiguous transfers of
         ``logical_bytes`` total (same per-stream split as
-        :meth:`bus_bytes` / :meth:`row_activations`)."""
+        :meth:`bus_bytes` / :meth:`row_activations`), priced on Python
+        floats: equal to ``streams * transfer_cycles_array(per_stream)``."""
+        return self._streamed(logical_bytes, streams)[0]
+
+    def transfer_cycles_array(self, logical_bytes: np.ndarray) -> np.ndarray:
+        """Bus time per transfer, vectorized (one transfer per element),
+        for the per-tile DMA timeline walker. Same formula as the scalar
+        :meth:`transfer_cycles` (both call :meth:`_transfer_time`)."""
+        return self._transfer_time(
+            np.asarray(logical_bytes, dtype=np.float64), np.ceil)
+
+    def _transfer_time(self, logical_bytes, ceil):
+        """Bus time of one transfer: burst-rounded bytes plus
+        row-activation stalls. The single source of the channel's
+        per-transfer timing formula, for a float (``ceil=math.ceil``)
+        or a float64 array (``ceil=np.ceil``); both run the same IEEE
+        operations in the same order, so they agree bit for bit."""
+        bursts = ceil(logical_bytes / self.burst_bytes)
+        rows = ceil(logical_bytes / self.row_bytes)
+        return (bursts * self.burst_bytes / self.bytes_per_cycle
+                + rows * self.row_activate_cycles)
+
+    def _streamed(self, logical_bytes: int,
+                  streams: int) -> Tuple[float, int, int]:
+        """(bus time, bus bytes, row activations) of ``streams``
+        contiguous transfers of ``logical_bytes`` total, each stream
+        carrying the rounded-up even share."""
         if logical_bytes <= 0 or streams <= 0:
-            return 0.0
+            return 0.0, 0, 0
         per_stream = -(-logical_bytes // streams)
-        return streams * float(self.transfer_cycles_array(per_stream))
+        return (streams * self._transfer_time(float(per_stream), math.ceil),
+                streams * -(-per_stream // self.burst_bytes)
+                * self.burst_bytes,
+                streams * -(-per_stream // self.row_bytes))
 
 
 @dataclass(frozen=True)
@@ -549,25 +559,18 @@ class MemorySystem:
         psum = (k_splits - 1) * 4 * traffic.out_bytes
         w_total = w_payload + w_meta
         a_total = a_payload + a_meta
-        fill_cycles = (
-            self.dram.transfer_cycles(w_total, w_streams)
-            + self.dram.transfer_cycles(a_total, a_streams)
-            + self.dram.transfer_cycles(psum, max(1, k_splits - 1))
-        )
-        drain_cycles = (
-            self.dram.transfer_cycles(traffic.out_bytes)
-            + self.dram.transfer_cycles(psum, max(1, k_splits - 1))
-        )
-        bus_read = (self.dram.bus_bytes(w_total, w_streams)
-                    + self.dram.bus_bytes(a_total, a_streams)
-                    + self.dram.bus_bytes(psum, max(1, k_splits - 1)))
-        bus_write = (self.dram.bus_bytes(traffic.out_bytes)
-                     + self.dram.bus_bytes(psum, max(1, k_splits - 1)))
-        row_acts = (self.dram.row_activations(w_total, w_streams)
-                    + self.dram.row_activations(a_total, a_streams)
-                    + self.dram.row_activations(traffic.out_bytes)
-                    + 2 * self.dram.row_activations(psum,
-                                                    max(1, k_splits - 1)))
+        # Each stream is priced once: (bus time, bus bytes, row
+        # activations); partial sums spill and reload the same stream.
+        w_time, w_bus, w_rows = self.dram._streamed(w_total, w_streams)
+        a_time, a_bus, a_rows = self.dram._streamed(a_total, a_streams)
+        p_time, p_bus, p_rows = self.dram._streamed(psum,
+                                                    max(1, k_splits - 1))
+        o_time, o_bus, o_rows = self.dram._streamed(traffic.out_bytes, 1)
+        fill_cycles = w_time + a_time + p_time
+        drain_cycles = o_time + p_time
+        bus_read = w_bus + a_bus + p_bus
+        bus_write = o_bus + p_bus
+        row_acts = w_rows + a_rows + o_rows + 2 * p_rows
 
         def walk_timeline(dram=self.dram, w_once=w_streams == 1,
                           a_once=a_streams == 1) -> int:

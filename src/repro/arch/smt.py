@@ -17,9 +17,15 @@ as Q grows) and counts the FIFO events that drive the energy overhead.
 The engine is batched: :meth:`SMTArrayModel.simulate_many` steps any
 number of density points in lockstep on one ``(points, pes)`` occupancy
 array, each point drawing its arrivals from its own generator in
-chunks of 256 cycles (one ``binomial`` call of ``size=(256, pes)``
-yields the same values as 256 calls of ``size=pes``). A point's result
-therefore does not depend on the batch it rides in, and
+chunks of 256 cycles. A chunk holds exactly the values of one
+``binomial(T, p, size=(256, pes))`` call (which are those of 256 calls
+of ``size=pes``) and leaves the generator in the same state, but is
+drawn by inversion (:func:`_binomial_into`): one uniform per arrival,
+counted against numpy's own pmf recurrence. ``binomial`` itself draws
+the chunks numpy would not invert (``p`` of 0 or 1, ``T * min(p, 1 - p)
+> 30``) and any chunk in which a uniform would reach numpy's rejection
+branch (after rewinding the generator). A point's result therefore
+does not depend on the batch it rides in, and
 :meth:`SMTArrayModel.simulate` is a batch of one. A generator passed in
 is advanced in whole chunks, i.e. past the point's last cycle. The
 one-point cycle walk this replaces is kept as
@@ -29,6 +35,7 @@ oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -36,10 +43,69 @@ import numpy as np
 
 from repro.arch.events import EventCounts
 
-__all__ = ["SMTArrayModel", "SMTResult"]
+__all__ = ["SMTArrayModel", "SMTResult", "check_densities"]
 
 #: Cycles of arrivals drawn per generator call.
 _CHUNK = 256
+
+
+def _binomial_into(rng: np.random.Generator, trials: int, p: float,
+                   out: np.ndarray, u: np.ndarray, mask: np.ndarray) -> None:
+    """Fill ``out`` with ``rng.binomial(trials, p, size=out.shape)``.
+
+    Bit-equal to that call in the values and in the state it leaves
+    ``rng`` in. For ``trials * min(p, 1 - p) <= 30`` numpy inverts one
+    ``next_double`` per draw, the same doubles ``rng.random`` yields: a
+    draw is the number of pmf steps its uniform outlasts, with the pmf
+    recurrence and the running subtraction done in numpy's order (for
+    ``p > 0.5`` it counts the failures at ``1 - p``). ``u`` (float64)
+    and ``mask`` (bool) are scratch buffers of ``out``'s shape. Every
+    other case is drawn by ``rng.binomial``: no trials, ``p`` of 0
+    (which draws nothing) or 1, the parameters numpy samples by BTPE,
+    and a chunk in which some uniform outlasts ``bound`` steps, i.e.
+    would hit numpy's rejection branch; the generator is rewound first.
+    """
+    flip = p > 0.5
+    p_min = 1.0 - p if flip else p
+    if trials == 0 or not 0.0 < p < 1.0 or p_min * trials > 30.0:
+        out[...] = rng.binomial(trials, p, size=out.shape)
+        return
+    q = 1.0 - p_min
+    mean = trials * p_min
+    bound = int(min(trials, mean + 10.0 * math.sqrt(mean * q + 1)))
+    state = rng.bit_generator.state
+    rng.random(out=u)
+    px = math.exp(trials * math.log(q))
+    # A uniform that stops at step x (u <= px) is <= 0 after the next
+    # subtraction and passes no later step, so counting every step it
+    # passes gives numpy's X without a running mask.
+    np.greater(u, px, out=out)
+    for x in range(1, bound + 1):
+        u -= px
+        px = ((trials - x + 1) * p_min * px) / (x * q)
+        if x < bound:
+            np.greater(u, px, out=mask)
+            out += mask
+    if u.size and u.max() > px:
+        rng.bit_generator.state = state
+        out[...] = rng.binomial(trials, p, size=out.shape)
+    elif flip:
+        np.subtract(trials, out, out=out)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; a bool or a non-integer type is an error."""
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, (int, np.integer))):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_densities(weight_density: float, act_density: float) -> None:
+    """Reject a density outside [0, 1], NaN included."""
+    for name, d in (("weight", weight_density), ("act", act_density)):
+        if not 0.0 <= d <= 1.0:
+            raise ValueError(f"{name} density must be in [0, 1], got {d}")
 
 
 @dataclass
@@ -75,6 +141,10 @@ class SMTArrayModel:
 
     def __init__(self, threads: int = 2, fifo_depth: int = 2, pes: int = 48,
                  skew: int = 94):
+        threads = _integer("threads", threads)
+        fifo_depth = _integer("fifo_depth", fifo_depth)
+        pes = _integer("pes", pes)
+        skew = _integer("skew", skew)
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
         if fifo_depth < 1:
@@ -128,10 +198,7 @@ class SMTArrayModel:
                 f"need one rng per point, got {len(rngs)} for "
                 f"{len(points)} points")
         for w, a in points:
-            for name, d in (("weight", w), ("act", a)):
-                if not 0.0 <= d <= 1.0:
-                    raise ValueError(
-                        f"{name} density must be in [0, 1], got {d}")
+            check_densities(w, a)
         if stream_length < 1:
             raise ValueError(
                 f"stream_length must be >= 1, got {stream_length}")
@@ -141,6 +208,9 @@ class SMTArrayModel:
         # A FIFO never holds more than Q, and a trial push adds at most
         # T, so the narrowest unsigned type holding Q + T suffices.
         dtype = np.min_scalar_type(Q + T)
+        # Draw scratch, reused by every point and chunk.
+        uniforms = np.empty((_CHUNK, pes))
+        passed = np.empty((_CHUNK, pes), dtype=bool)
         occupancy = np.zeros((n_points, pes), dtype=dtype)
         consumed = np.zeros(n_points, dtype=np.int64)
         cycles = np.zeros(n_points, dtype=np.int64)
@@ -154,21 +224,29 @@ class SMTArrayModel:
             # arrivals[k, j]: the arrivals of live point j in cycle k.
             arrivals = np.empty((n, live.size, pes), dtype=dtype)
             for j, i in enumerate(live):
-                arrivals[:, j] = rngs[i].binomial(T, p_useful[i],
-                                                  size=(n, pes))
+                _binomial_into(rngs[i], T, p_useful[i], arrivals[:, j],
+                               uniforms[:n], passed[:n])
             # state[k]: occupancy after cycle k; advanced[k]: whether the
             # wavefront moved in cycle k (no PE's FIFO would overflow).
             state = np.empty_like(arrivals)
             advanced = np.empty((n, live.size, 1), dtype=bool)
+            trial = np.empty((live.size, pes), dtype=dtype)
+            fits = np.empty((live.size, pes), dtype=bool)
+            # Full-shape operands: numpy takes its fast path on these,
+            # where a Python scalar costs ~1 us per call.
+            ones = np.ones_like(trial)
+            depth = np.full_like(trial, Q)
             prev = occupancy[live]
-            for k in range(n):
-                cur = state[k]
+            for cur, arrived, moved in zip(state, arrivals, advanced):
                 # Service: each PE's MAC pops at most one pending pair.
-                np.subtract(prev, prev > 0, out=cur)
-                trial = cur + arrivals[k]
+                np.maximum(prev, ones, out=cur)
+                np.subtract(cur, ones, out=cur)
+                np.add(cur, arrived, out=trial)
                 # A global stall freezes the whole operand wavefront.
-                np.all(trial <= Q, axis=1, keepdims=True, out=advanced[k])
-                np.copyto(cur, trial, where=advanced[k])
+                np.less_equal(trial, depth, out=fits)
+                np.logical_and.reduce(fits, axis=1, keepdims=True,
+                                      out=moved)
+                np.copyto(cur, trial, where=moved)
                 prev = cur
             # Each point ends at the cycle its stream is consumed, or at
             # the end of the chunk; later cycles in the chunk are unused.

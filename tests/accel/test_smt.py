@@ -57,6 +57,21 @@ class TestSmtModel:
     def test_speedup_never_below_one(self):
         assert SmtSA().speedup_at(1.0, 1.0) >= 1.0
 
+    @pytest.mark.parametrize("w, a, name", [
+        (float("nan"), 0.5, "weight"), (0.5, float("nan"), "act"),
+        (-0.1, 0.5, "weight"), (0.5, -0.1, "act"),
+        (1.5, 0.5, "weight"), (0.5, 1.01, "act")])
+    @pytest.mark.parametrize("call", [
+        lambda smt, w, a: smt.speedup_at(w, a),
+        lambda smt, w, a: smt.prefetch([(0.5, 0.5), (w, a)]),
+    ], ids=["speedup_at", "prefetch"])
+    def test_bad_densities_rejected_before_keying(self, call, w, a, name):
+        smt = SmtSA()
+        with pytest.raises(ValueError,
+                           match=f"{name} density must be in \\[0, 1\\]"):
+            call(smt, w, a)
+        assert not smt._speedup_cache
+
     def test_name_reflects_config(self):
         assert SmtSA(threads=2, fifo_depth=4).name == "SA-SMT-T2Q4"
 

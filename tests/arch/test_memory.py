@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.memory import (
     DRAMConfig,
@@ -69,6 +71,28 @@ class TestDRAMConfig:
         stalled = DRAMConfig(bytes_per_cycle=32, row_activate_cycles=10.0)
         assert stalled.transfer_cycles(8192) \
             == base.transfer_cycles(8192) + 10.0 * 4
+
+    @given(logical_bytes=st.integers(1, 2**48), streams=st.integers(1, 64),
+           dram=st.one_of(
+               st.just(DRAMConfig()),
+               st.builds(DRAMConfig.from_bandwidth,
+                         st.floats(0.1, 512.0), st.floats(0.2, 3.0),
+                         burst_bytes=st.sampled_from([1, 16, 32, 64]),
+                         row_bytes=st.sampled_from([512, 1024, 2048]),
+                         row_activate_cycles=st.floats(0.0, 40.0)),
+               st.builds(DRAMConfig,
+                         bytes_per_cycle=st.sampled_from([3.3, 12.8, 1e-3]),
+                         row_activate_cycles=st.sampled_from([0, 7, 2.5]))))
+    @settings(max_examples=400, deadline=None)
+    def test_scalar_transfer_cycles_equals_array(self, logical_bytes,
+                                                 streams, dram):
+        """The scalar price runs on Python floats, the timeline walker's
+        on float64 arrays; they agree bit for bit."""
+        per_stream = -(-logical_bytes // streams)
+        got = dram.transfer_cycles(logical_bytes, streams)
+        want = streams * float(dram.transfer_cycles_array(per_stream))
+        assert type(got) is float
+        assert got.hex() == want.hex()
 
     def test_validation(self):
         with pytest.raises(ValueError):

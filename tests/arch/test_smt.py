@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.accel.smt import SMT_STREAM_LENGTH, SmtSA, _grid_key, _point_seed
 from repro.arch.events import EventCounts
-from repro.arch.smt import SMTArrayModel
+from repro.arch.smt import SMTArrayModel, _binomial_into
 from repro.core.reference import naive_smt_simulate
 from repro.models import get_spec
 
@@ -28,6 +29,20 @@ class TestValidation:
             SMTArrayModel(pes=0)
         with pytest.raises(ValueError):
             SMTArrayModel(skew=-1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("threads", 2.5), ("fifo_depth", 2.5), ("pes", True),
+        ("skew", 1.0), ("threads", np.bool_(True)), ("pes", "48"),
+    ])
+    def test_non_integer_params(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SMTArrayModel(**{name: value})
+
+    def test_numpy_integer_params(self):
+        model = SMTArrayModel(threads=np.int64(2), fifo_depth=np.uint8(2),
+                              pes=np.int32(16), skew=np.int16(94))
+        assert model.simulate(0.5, 0.5, 64, rng=_rng()) \
+            == SMTArrayModel(pes=16).simulate(0.5, 0.5, 64, rng=_rng())
 
     def test_bad_densities(self):
         model = SMTArrayModel()
@@ -171,3 +186,80 @@ class TestBatchedEqualsReference:
                 model, w, a, SMT_STREAM_LENGTH,
                 np.random.default_rng(_point_seed(key)))
             assert smt.speedup_at(w, a) == max(1.0, want.speedup), key
+
+
+class _SpyGenerator(np.random.Generator):
+    """A PCG64 generator that counts its ``binomial`` calls and can plant
+    ``rig`` as the first uniform of every ``random`` call."""
+
+    def __init__(self, seed, rig=None):
+        super().__init__(np.random.PCG64(seed))
+        self.binomial_calls = 0
+        self.rig = rig
+
+    def binomial(self, *args, **kwargs):
+        self.binomial_calls += 1
+        return super().binomial(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        out = super().random(*args, **kwargs)
+        if self.rig is not None and out.size:
+            out.flat[0] = self.rig
+        return out
+
+
+def _draw(rng, trials, p, shape):
+    out = np.empty(shape, dtype=np.int64)
+    _binomial_into(rng, trials, p, out, np.empty(shape),
+                   np.empty(shape, dtype=bool))
+    return out
+
+
+def _assert_same_draw(rng, trials, p, shape, seed):
+    got = _draw(rng, trials, p, shape)
+    want_rng = np.random.default_rng(seed)
+    want = want_rng.binomial(trials, p, size=shape)
+    np.testing.assert_array_equal(got, want)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+_probabilities = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, float(np.nextafter(0.5, 1.0)), 1e-12,
+                     1.0 - 1e-12]),
+    st.floats(0.0, 1.0))
+
+
+class TestInversionDraw:
+    """``_binomial_into`` is ``Generator.binomial``, values and state."""
+
+    @given(trials=st.integers(1, 8), p=_probabilities,
+           shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                  max_side=12),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_binomial(self, trials, p, shape, seed):
+        _assert_same_draw(np.random.default_rng(seed), trials, p, shape,
+                          seed)
+
+    @pytest.mark.parametrize("trials, p", [
+        (1000, 0.001), (1000, 0.999), (2, 0.3), (2, 0.7)])
+    def test_rejection_falls_back_to_binomial(self, trials, p):
+        # The largest double below 1 outlasts every pmf step up to the
+        # bound (the Binomial(1000, 0.001) tail above 15 is ~1e-14, and
+        # at T = 2 the rounded pmf sums to less than it): numpy would
+        # reject and redraw, so the generator is rewound and the whole
+        # chunk comes from binomial.
+        rng = _SpyGenerator(11, rig=float(np.nextafter(1.0, 0.0)))
+        _assert_same_draw(rng, trials, p, (9, 4), 11)
+        assert rng.binomial_calls == 1
+
+    @pytest.mark.parametrize("trials, p, inverted", [
+        (100, 0.5, False), (61, 0.5, False), (3100, 0.99, False),
+        (60, 0.5, True), (30, 0.999, True), (8, 0.2, True)])
+    def test_btpe_parameters_fall_back_to_binomial(self, trials, p,
+                                                   inverted):
+        # numpy inverts while trials * min(p, 1 - p) <= 30 and samples
+        # by BTPE beyond it; both sides of the line match binomial.
+        rng = _SpyGenerator(3)
+        _assert_same_draw(rng, trials, p, (17, 5), 3)
+        assert rng.binomial_calls == (0 if inverted else 1)

@@ -11,9 +11,13 @@ Cartesian-product array), operand synthesis in its three stages (the
 materialization of both ``bool`` masks from that census, which only
 position readers pay, and ``spec_int8_operands``, which adds INT8
 values for output readers),
-and the memory-hierarchy DMA tile-timeline walker under cProfile,
-printing the top-15 functions by cumulative time, so perf PRs can
-measure before/after instead of guessing where the time goes.
+the memory-hierarchy DMA tile-timeline walker, and the analytic tier's
+two loops: the SA-SMT queueing batch of analytic Fig. 11 (its 28
+density points, ``SMT_STREAM_LENGTH`` cycles each) and
+``dse.evaluate_points`` over the default DSE keyspace (every point's
+closed forms and DRAM pricing). Each runs under cProfile, printing the
+top-15 functions by cumulative time, so perf PRs can measure
+before/after instead of guessing where the time goes.
 
 Usage::
 
@@ -130,6 +134,20 @@ def main(argv=None) -> int:
 
     _profile("memory DMA timeline walker (x200)", walk_dma_timeline,
              top=args.top)
+
+    # --- the analytic tier: SA-SMT Monte Carlo and the DSE sweep ---
+    from repro.accel import SmtSA
+    from repro.design import dse
+    from repro.eval.experiments import FULL_MODELS
+    from repro.models import get_spec
+
+    densities = [(conv.w_density, conv.a_density) for name in FULL_MODELS
+                 for conv in get_spec(name).conv_layers]
+    _profile("SmtSA.prefetch (analytic fig11 SMT batch)",
+             SmtSA().prefetch, densities, top=args.top)
+    points = dse.DSESpace().points
+    _profile(f"dse.evaluate_points ({len(points)} analytic points)",
+             dse.evaluate_points, points, top=args.top)
     return 0
 
 
