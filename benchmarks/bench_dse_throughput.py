@@ -3,13 +3,14 @@
 Not a paper artifact — this benchmark freezes the sustained rate at
 which the exhaustive design-space exploration (:mod:`repro.design.dse`)
 pushes configurations through the analytic evaluation path, over the
-whole default keyspace: every point builds its accelerator, prices the
-closed-form layer events and finalizes through the
-memory-hierarchy/energy pipeline. This is the rate that bounds how
-large a space one host can sweep, so a regression here (a slow
-constructor, an accidental functional-tier dispatch, a pool fan-out of
-sub-millisecond work) directly shrinks explorable spaces. Analytic
-points are never cached, so there is no warm regime to track.
+whole default keyspace: points are grouped by (style, B, A-DBB, tech,
+DRAM bandwidth) and each group's closed-form layer events, memory
+profile, energy, power and area are priced as arrays over its
+geometries and SRAM sizes. This is the rate that bounds how large a
+space one host can sweep, so a regression here (a per-point Python
+loop creeping back, an accidental functional-tier dispatch, a pool
+fan-out of sub-millisecond work) directly shrinks explorable spaces.
+Analytic points are never cached, so there is no warm regime to track.
 
 The run records ``extra_info.configs_per_s``;
 ``tools/check_bench_regression.py`` prefers that metric for this

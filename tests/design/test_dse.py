@@ -7,6 +7,12 @@ Pinned here:
 - the frontier of a restricted axes slice, by uid and objectives;
 - an analytic sweep calls the closed forms directly: it never touches
   the layer runner or the result cache;
+- the analytic array pass equals each point's scalar
+  ``build().run_layer(layer())`` exactly (``==``, no tolerance): on the
+  whole default keyspace, on a Hypothesis-sampled widened space and on
+  named corners of the memory model;
+- bad axes and bad points are rejected up front with ``ValueError``;
+- a traced sweep shows one ``dse`` span per priced group;
 - a warm functional re-sweep hits the result cache on > 90% of lookups.
 """
 
@@ -15,19 +21,26 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.design.dse import (
     DSEAxes,
     DSEEvaluation,
     DSEPoint,
     DSESpace,
+    _evaluation as flatten_layer_result,
     evaluate_points,
     pareto_frontier_3d,
     render_artifact,
     run_dse,
 )
+from repro.design.space import DesignPoint
+from repro.energy.tech import TECH_NODES
 from repro.eval import runner
 from repro.eval.resultcache import ResultCache
+from repro.obs import trace as obs_trace
+from repro.obs.summarize import load_trace_events, summarize_trace
 
 #: A small slice of the keyspace: one style, one B, three A-DBB bounds
 #: — 114 points.
@@ -56,6 +69,17 @@ class TestAxes:
             DSEAxes(weight_nnz=(9,))
         with pytest.raises(ValueError):
             DSEAxes(a_nnz=(0,))
+
+    @pytest.mark.parametrize("axes", [
+        {"techs": ("7nm",)},
+        {"sram_mb": (float("inf"),)},
+        {"sram_mb": (float("nan"),)},
+        {"dram_gbps": (None, float("inf"))},
+        {"dram_gbps": (float("nan"),)},
+    ])
+    def test_unknown_tech_and_non_finite_values_rejected(self, axes):
+        with pytest.raises(ValueError):
+            DSEAxes(**axes)
 
     def test_roundtrips_through_dict(self):
         """The artifact's ``space.axes`` records every axis losslessly."""
@@ -235,3 +259,168 @@ class TestRender:
         assert "114 points in the space" in text
 
 
+
+
+#: The paper's time-unrolled 8x4x4_8x8 design point.
+PAPER_TU = DesignPoint(tpe_a=8, tpe_c=4, rows=8, cols=8)
+
+
+class TestPointValidation:
+    @pytest.mark.parametrize("knobs", [
+        {"a_nnz": 0}, {"a_nnz": 9},
+        {"sram_mb": 0.0}, {"sram_mb": -1.0},
+        {"sram_mb": float("inf")}, {"sram_mb": float("nan")},
+        {"dram_gbps": 0.0}, {"dram_gbps": -8.0},
+        {"dram_gbps": float("inf")}, {"dram_gbps": float("nan")},
+        {"tech": "7nm"},
+    ])
+    def test_bad_knob_rejected(self, knobs):
+        """A-DBB 0 used to be priced as A-DBB 1 under uid ``a0``."""
+        with pytest.raises(ValueError):
+            DSEPoint(PAPER_TU, **knobs)
+
+    @pytest.mark.parametrize("design", [
+        DesignPoint(tpe_a=8, tpe_c=4, rows=0, cols=8),
+        DesignPoint(tpe_a=8, tpe_c=0, rows=8, cols=8),
+        # Its MAC count would overflow the array pass's int64 columns.
+        DesignPoint(tpe_a=8, tpe_c=4, rows=2 ** 32, cols=2 ** 32),
+        DesignPoint(tpe_a=8, tpe_c=4, rows=8, cols=8, weight_nnz=9),
+    ])
+    def test_bad_design_rejected(self, design):
+        with pytest.raises(ValueError):
+            DSEPoint(design)
+
+
+def _scalar_evaluation(point):
+    """The oracle: one scalar accelerator and ``run_layer`` per point."""
+    accel = point.build()
+    return flatten_layer_result(point, accel,
+                                accel.run_layer(point.layer()))
+
+
+def _assert_matches_scalar(points):
+    evaluations = evaluate_points(points)
+    expected = {point.uid: _scalar_evaluation(point) for point in points}
+    assert list(evaluations) == list(expected)
+    for uid, evaluation in expected.items():
+        assert evaluations[uid] == evaluation
+        assert type(evaluations[uid].cycles) is int
+        assert type(evaluations[uid].energy_uj) is float
+        assert type(evaluations[uid].power_mw) is float
+        assert type(evaluations[uid].area_mm2) is float
+
+
+@st.composite
+def _point_lists(draw):
+    """Lists of points over a few (style, B, A, tech, bandwidth)
+    groups, so groups hold many geometries. Geometry is any TPE and
+    grid dims, not only the MAC-budget designs, and repeats are
+    likely (a repeated uid must keep its first position)."""
+    groups = draw(st.lists(
+        st.tuples(st.booleans(), st.integers(1, 8), st.integers(1, 8),
+                  st.sampled_from(sorted(TECH_NODES)),
+                  st.sampled_from((None, 0.5, 8.0, 1e4))),
+        min_size=1, max_size=3))
+    tpe = st.sampled_from((1, 2, 4, 8, 16))
+    grid = st.sampled_from((1, 2, 4, 8, 16, 32, 64, 128))
+    sram = st.one_of(st.sampled_from((0.25, 1.25, 2.5, 64.0)),
+                     st.floats(0.25, 64.0))
+
+    def point(group, tpe_a, tpe_c, rows, cols, sram_mb):
+        time_unrolled, weight_nnz, a_nnz, tech, dram_gbps = group
+        design = DesignPoint(tpe_a=tpe_a, tpe_c=tpe_c, rows=rows,
+                             cols=cols, time_unrolled=time_unrolled,
+                             weight_nnz=weight_nnz)
+        return DSEPoint(design, a_nnz=a_nnz, sram_mb=sram_mb,
+                        dram_gbps=dram_gbps, tech=tech)
+
+    return draw(st.lists(
+        st.builds(point, st.sampled_from(groups), tpe, tpe, grid, grid,
+                  sram),
+        min_size=1, max_size=40))
+
+
+def _restreamed(point):
+    """(weights, activations) re-streamed by the scalar memory model:
+    whether each operand's DRAM bytes exceed one pass."""
+    accel = point.build()
+    layer = point.layer()
+    traffic = accel.layer_traffic(layer, accel._layer_events(layer)[1])
+    memory = accel.run_layer(layer).memory
+    assert not memory.weights_resident and not memory.acts_resident
+    return (memory.weight_bytes + memory.weight_meta_bytes
+            > traffic.weights.stored_bytes,
+            memory.act_bytes + memory.act_meta_bytes
+            > traffic.acts.stored_bytes)
+
+
+class TestArrayPassEqualsScalar:
+    """The analytic sweep prices each group of points as arrays; every
+    evaluation equals the scalar ``run_layer`` path exactly."""
+
+    def test_full_default_keyspace(self):
+        _assert_matches_scalar(DSESpace().points)
+
+    @given(_point_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_widened_space(self, points):
+        _assert_matches_scalar(points)
+
+    def test_weights_restream_when_both_overflow(self):
+        point = DSEPoint(DesignPoint(tpe_a=4, tpe_c=2, rows=32, cols=8,
+                                     weight_nnz=2),
+                         a_nnz=8, sram_mb=0.25)
+        assert _restreamed(point) == (True, False)
+        _assert_matches_scalar([point])
+
+    def test_acts_restream_when_both_overflow(self):
+        point = DSEPoint(DesignPoint(tpe_a=1, tpe_c=1, rows=32, cols=64,
+                                     weight_nnz=2),
+                         a_nnz=2, sram_mb=0.25)
+        assert _restreamed(point) == (False, True)
+        _assert_matches_scalar([point])
+
+    def test_memory_bound_point(self):
+        point = DSEPoint(PAPER_TU, a_nnz=2, sram_mb=0.25, dram_gbps=0.5)
+        result = point.build().run_layer(point.layer())
+        assert result.cycles > result.compute_cycles
+        _assert_matches_scalar([point])
+
+    def test_dense_weights_and_activation_bypass(self):
+        """B = 8 (uncompressed weight blocks) on both datapath styles,
+        and A = 8 (the DAP bypass)."""
+        dot_product = DesignPoint(tpe_a=4, tpe_c=4, rows=4, cols=4,
+                                  time_unrolled=False, weight_nnz=8)
+        time_unrolled = DesignPoint(tpe_a=8, tpe_c=4, rows=8, cols=8,
+                                    weight_nnz=8)
+        _assert_matches_scalar([DSEPoint(dot_product, a_nnz=4),
+                                DSEPoint(time_unrolled, a_nnz=4),
+                                DSEPoint(PAPER_TU, a_nnz=8)])
+
+    def test_repeated_uid_keeps_first_position_and_last_value(self):
+        first = DSEPoint(PAPER_TU, a_nnz=4, sram_mb=2.5)
+        other = DSEPoint(PAPER_TU, a_nnz=2, sram_mb=2.5)
+        # Same uid (sizes print with 6 significant digits), other area.
+        again = DSEPoint(PAPER_TU, a_nnz=4, sram_mb=2.5000001)
+        assert again.uid == first.uid
+        evaluations = evaluate_points([first, other, again])
+        assert list(evaluations) == [first.uid, other.uid]
+        assert evaluations[first.uid] == _scalar_evaluation(again)
+
+
+class TestTrace:
+    def test_one_span_per_priced_group(self, tmp_path):
+        obs_trace.start_tracing(tmp_path / "dse.json")
+        try:
+            run_dse(SMALL)
+        finally:
+            path = obs_trace.stop_tracing()
+        groups = [event for event in load_trace_events(path)
+                  if event["cat"] == "dse" and event["ph"] == "B"]
+        assert len(groups) == 3
+        assert sorted(event["args"]["A"] for event in groups) == [2, 4, 8]
+        assert {(event["args"]["style"], event["args"]["B"],
+                 event["args"]["tech"], event["args"]["bw"])
+                for event in groups} == {("tu", 4, "16nm", "def")}
+        assert sum(event["args"]["points"] for event in groups) == 114
+        assert summarize_trace(path)["coverage"] >= 0.9

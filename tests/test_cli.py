@@ -262,6 +262,16 @@ class TestDSECommand:
         with pytest.raises(SystemExit):
             main(["dse", "--sram-mb", ""])
 
+    @pytest.mark.parametrize("flags", [
+        ["--tech", "7nm"], ["--sram-mb", "inf"], ["--sram-mb", "nan"],
+        ["--dram-bw", "inf"],
+    ])
+    def test_bad_axis_values_exit_with_a_message(self, flags):
+        """No traceback: an unknown node or a non-finite size exits
+        through the CLI's ``bad DSE axes`` message."""
+        with pytest.raises(SystemExit, match="^bad DSE axes: "):
+            main(["dse"] + flags)
+
     def test_quick_requires_functional_fidelity(self):
         with pytest.raises(SystemExit):
             main(["dse"] + self.AXES + ["--quick"])

@@ -12,10 +12,12 @@ materialization of both ``bool`` masks from that census, which only
 position readers pay, and ``spec_int8_operands``, which adds INT8
 values for output readers),
 the memory-hierarchy DMA tile-timeline walker, and the analytic tier's
-two loops: the SA-SMT queueing batch of analytic Fig. 11 (its 28
-density points, ``SMT_STREAM_LENGTH`` cycles each) and
-``dse.evaluate_points`` over the default DSE keyspace (every point's
-closed forms and DRAM pricing). Each runs under cProfile, printing the
+loops: the SA-SMT queueing batch of analytic Fig. 11 (its 28 density
+points, ``SMT_STREAM_LENGTH`` cycles each), ``dse.evaluate_points``
+over the default DSE keyspace (the array pass, one numpy pass per
+point group) and, over the same points, the scalar per-point oracle it
+is tested against (``point.build().run_layer(point.layer())``). Each
+runs under cProfile, printing the
 top-15 functions by cumulative time, so perf PRs can measure
 before/after instead of guessing where the time goes.
 
@@ -148,6 +150,13 @@ def main(argv=None) -> int:
     points = dse.DSESpace().points
     _profile(f"dse.evaluate_points ({len(points)} analytic points)",
              dse.evaluate_points, points, top=args.top)
+
+    def scalar_dse_oracle() -> None:
+        for point in points:
+            point.build().run_layer(point.layer())
+
+    _profile(f"scalar DSE oracle ({len(points)} run_layer calls)",
+             scalar_dse_oracle, top=args.top)
     return 0
 
 
