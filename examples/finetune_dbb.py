@@ -2,8 +2,8 @@
 
 Runs the paper's DBB-aware training recipe — progressive per-block
 magnitude weight pruning plus the DAP straight-through estimator — on
-the proxy model/dataset (ImageNet is unavailable offline; DESIGN.md
-Sec. 2 documents the substitution).
+the proxy model/dataset (ImageNet is unavailable offline; the
+``repro.train`` docstring documents the substitution).
 
 Run:  python examples/finetune_dbb.py
 """

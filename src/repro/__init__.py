@@ -22,9 +22,7 @@ contains:
 - ``repro.eval``: experiment runners reproducing every table and figure.
 """
 
-from repro.core.dap import dap_prune, tune_layer_nnz
-from repro.core.dbb import DBBBlock, DBBSpec, DBBTensor, compress, decompress
-from repro.core.pruning import is_dbb_compliant, prune_weights_dbb
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -40,3 +38,16 @@ __all__ = [
     "is_dbb_compliant",
     "__version__",
 ]
+
+# Lazy, so importing one subpackage does not first load the DBB core.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "DBBSpec": "core.dbb",
+    "DBBBlock": "core.dbb",
+    "DBBTensor": "core.dbb",
+    "compress": "core.dbb",
+    "decompress": "core.dbb",
+    "dap_prune": "core.dap",
+    "tune_layer_nnz": "core.dap",
+    "prune_weights_dbb": "core.pruning",
+    "is_dbb_compliant": "core.pruning",
+})

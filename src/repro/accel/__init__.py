@@ -23,6 +23,7 @@ Models:
   of the published non-systolic unstructured-sparse accelerators.
 """
 
+from repro._lazy import lazy_exports
 from repro.accel.base import AcceleratorModel, AccelRunResult, LayerResult
 from repro.accel.eyeriss import EyerissV2
 from repro.accel.fixed import FixedDataflowModel
@@ -31,7 +32,6 @@ from repro.accel.sa import DenseSA, ZvcgSA
 from repro.accel.scnn import SCNN
 from repro.accel.smt import SmtSA
 from repro.accel.sparten import SparTen
-from repro.accel.tiling import TilingAnalysis, analyze_layer, analyze_model
 
 __all__ = [
     "AcceleratorModel",
@@ -51,3 +51,10 @@ __all__ = [
     "analyze_layer",
     "analyze_model",
 ]
+
+# Not on an artifact run's path: each module loads on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "TilingAnalysis": "tiling",
+    "analyze_layer": "tiling",
+    "analyze_model": "tiling",
+})

@@ -24,14 +24,7 @@ Cycle-level functional models of the paper's hardware building blocks:
   the roofline artifacts.
 """
 
-from repro.arch.buffers import FIFO, RegisterFile, Sram
-from repro.arch.dap_hw import DAPHardware
-from repro.arch.datapath import (
-    dp1m4_block,
-    dp4m4_block,
-    dp4m8_block,
-    dp8_dense,
-)
+from repro._lazy import lazy_exports
 from repro.arch.events import EventCounts
 from repro.arch.eyeriss import EyerissV2Config, EyerissV2Engine, EyerissV2Result
 from repro.arch.memory import (
@@ -42,12 +35,10 @@ from repro.arch.memory import (
     OperandStream,
     SRAMStaging,
 )
-from repro.arch.netsim import NetworkSimResult, simulate_network
 from repro.arch.scnn import SCNNConfig, SCNNEngine, SCNNResult
 from repro.arch.smt import SMTArrayModel, SMTResult
 from repro.arch.sparten import SparTenConfig, SparTenEngine, SparTenResult
 from repro.arch.systolic import SystolicArray, SystolicConfig, SystolicResult
-from repro.arch.tpe import TensorPE
 
 __all__ = [
     "EventCounts",
@@ -83,3 +74,18 @@ __all__ = [
     "simulate_network",
     "NetworkSimResult",
 ]
+
+# Not on an artifact run's path: each module loads on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Sram": "buffers",
+    "RegisterFile": "buffers",
+    "FIFO": "buffers",
+    "dp8_dense": "datapath",
+    "dp4m8_block": "datapath",
+    "dp4m4_block": "datapath",
+    "dp1m4_block": "datapath",
+    "DAPHardware": "dap_hw",
+    "TensorPE": "tpe",
+    "simulate_network": "netsim",
+    "NetworkSimResult": "netsim",
+})

@@ -204,7 +204,7 @@ class DRAMConfig:
         the memory wall, so the cap defaults to honest roofline
         semantics on every layer (override via ``cap_streaming_only``).
         """
-        if gb_per_s <= 0:
+        if not (math.isfinite(gb_per_s) and gb_per_s > 0):
             raise ValueError(f"bandwidth must be positive, got {gb_per_s}")
         kwargs.setdefault("cap_streaming_only", False)
         return cls(bytes_per_cycle=gb_per_s / clock_ghz, **kwargs)

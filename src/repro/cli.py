@@ -13,8 +13,8 @@ Usage::
     python -m repro jobs
 
 Every command prints plain text; ``experiment`` accepts any artifact id
-from DESIGN.md's index (fig1, fig3, fig9a..fig9d, fig10, fig11, fig12,
-tbl1..tbl5, sec7, ablation-unroll, ablation-bz, ablation-dap) plus
+(fig1, fig3, fig9a..fig9d, fig10, fig11, fig12, tbl1..tbl5, sec7,
+ablation-unroll, ablation-bz, ablation-dap) plus
 ``xval`` (the functional-vs-analytic cross-validation table over the
 whole comparison set — systolic family *and* the SparTen / Eyeriss v2 /
 SCNN baselines — which exits non-zero when any model breaks its
@@ -80,6 +80,7 @@ stderr, payload on stdout).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Callable, Dict, List, Optional
@@ -133,50 +134,38 @@ PARALLEL_ARTIFACTS = ("fig11", "fig12", "xval")
 
 
 def _experiments() -> Dict[str, Callable]:
-    from repro.eval import (
-        ablation_block_size,
-        ablation_dap_stages,
-        ablation_unroll_axis,
-        dram_bw_sensitivity,
-        fig1_energy_breakdown,
-        fig3_smt_overhead,
-        fig9_microbench,
-        fig10_variant_breakdown,
-        fig11_full_models,
-        fig12_alexnet_per_layer,
-        roofline_analysis,
-        sec7_design_space,
-        tbl1_buffer_per_mac,
-        tbl2_s2ta_breakdown,
-        tbl3_accuracy,
-        tbl4_comparison,
-        tbl5_summary,
-        xval_functional_vs_analytic,
-    )
+    """Artifact id -> runner. Each runner looks its function up on
+    :mod:`repro.eval` when called, so running one artifact never loads
+    the modules of the others (the ablations, the roofline)."""
+    import repro.eval
+
+    def artifact(name: str, *args, **kwargs) -> Callable:
+        return lambda **extra: getattr(repro.eval, name)(*args, **kwargs,
+                                                         **extra)
 
     return {
-        "fig1": fig1_energy_breakdown,
-        "fig3": fig3_smt_overhead,
-        "fig9a": lambda: fig9_microbench("a"),
-        "fig9b": lambda: fig9_microbench("b"),
-        "fig9c": lambda: fig9_microbench("c"),
-        "fig9d": lambda: fig9_microbench("d"),
-        "fig10": fig10_variant_breakdown,
-        "fig11": fig11_full_models,
-        "fig12": fig12_alexnet_per_layer,
-        "xval": xval_functional_vs_analytic,
-        "roofline": roofline_analysis,
-        "roofline-bw": dram_bw_sensitivity,
-        "tbl1": tbl1_buffer_per_mac,
-        "tbl2": tbl2_s2ta_breakdown,
-        "tbl3": lambda: tbl3_accuracy(quick=True),
-        "tbl4-16nm": lambda: tbl4_comparison("16nm"),
-        "tbl4-65nm": lambda: tbl4_comparison("65nm"),
-        "tbl5": tbl5_summary,
-        "sec7": sec7_design_space,
-        "ablation-unroll": ablation_unroll_axis,
-        "ablation-bz": ablation_block_size,
-        "ablation-dap": ablation_dap_stages,
+        "fig1": artifact("fig1_energy_breakdown"),
+        "fig3": artifact("fig3_smt_overhead"),
+        "fig9a": artifact("fig9_microbench", "a"),
+        "fig9b": artifact("fig9_microbench", "b"),
+        "fig9c": artifact("fig9_microbench", "c"),
+        "fig9d": artifact("fig9_microbench", "d"),
+        "fig10": artifact("fig10_variant_breakdown"),
+        "fig11": artifact("fig11_full_models"),
+        "fig12": artifact("fig12_alexnet_per_layer"),
+        "xval": artifact("xval_functional_vs_analytic"),
+        "roofline": artifact("roofline_analysis"),
+        "roofline-bw": artifact("dram_bw_sensitivity"),
+        "tbl1": artifact("tbl1_buffer_per_mac"),
+        "tbl2": artifact("tbl2_s2ta_breakdown"),
+        "tbl3": artifact("tbl3_accuracy", quick=True),
+        "tbl4-16nm": artifact("tbl4_comparison", "16nm"),
+        "tbl4-65nm": artifact("tbl4_comparison", "65nm"),
+        "tbl5": artifact("tbl5_summary"),
+        "sec7": artifact("sec7_design_space"),
+        "ablation-unroll": artifact("ablation_unroll_axis"),
+        "ablation-bz": artifact("ablation_block_size"),
+        "ablation-dap": artifact("ablation_dap_stages"),
     }
 
 
@@ -203,10 +192,10 @@ def cmd_list_accelerators(_args) -> str:
 def _costs_from_args(args):
     from repro.eval.experiments import _costs
 
-    if getattr(args, "dram_pj_per_byte", None) is not None \
-            and args.dram_pj_per_byte <= 0:
+    pj = getattr(args, "dram_pj_per_byte", None)
+    if pj is not None and not (math.isfinite(pj) and pj > 0):
         raise SystemExit("--dram-pj-per-byte must be positive")
-    return _costs(getattr(args, "dram_pj_per_byte", None))
+    return _costs(pj)
 
 
 def cmd_run(args) -> str:
@@ -269,7 +258,8 @@ def cmd_experiment(args) -> str:
         raise SystemExit(
             f"--dram-bw is only supported by "
             f"{', '.join(DRAM_BW_ARTIFACTS)}, not {args.artifact!r}")
-    if args.dram_bw is not None and args.dram_bw <= 0:
+    if args.dram_bw is not None and not (math.isfinite(args.dram_bw)
+                                         and args.dram_bw > 0):
         raise SystemExit("--dram-bw must be a positive bandwidth in GB/s")
     if args.dram_pj_per_byte is not None \
             and args.artifact not in DRAM_PJ_ARTIFACTS:

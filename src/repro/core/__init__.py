@@ -6,6 +6,7 @@ codec, static weight pruning (Sec. 4), dynamic activation pruning (Sec. 5.1)
 and DBB-aware GEMM reference kernels used to validate the hardware models.
 """
 
+from repro._lazy import lazy_exports
 from repro.core.dap import DAPResult, dap_prune, dap_prune_blocks, tune_layer_nnz
 from repro.core.dbb import (
     DBBBlock,
@@ -29,7 +30,6 @@ from repro.core.pruning import (
     is_dbb_compliant,
     prune_weights_dbb,
 )
-from repro.core.serialize import pack, packed_size_bytes, unpack
 from repro.core.sparsity import (
     block_nnz_histogram,
     density,
@@ -66,3 +66,10 @@ __all__ = [
     "unpack",
     "packed_size_bytes",
 ]
+
+# Not on an artifact run's path: each module loads on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "pack": "serialize",
+    "unpack": "serialize",
+    "packed_size_bytes": "serialize",
+})

@@ -21,6 +21,7 @@ package reproduces that flow in model form:
   Pareto frontier (the ``repro dse`` CLI).
 """
 
+from repro._lazy import lazy_exports
 from repro.design.dse import (
     DSEAxes,
     DSEEvaluation,
@@ -29,7 +30,6 @@ from repro.design.dse import (
     pareto_frontier_3d,
     run_dse,
 )
-from repro.design.rtlgen import generate_structure
 from repro.design.space import (
     DesignPoint,
     enumerate_design_space,
@@ -52,3 +52,8 @@ __all__ = [
     "pareto_frontier_3d",
     "run_dse",
 ]
+
+# Not on an artifact run's path: each module loads on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "generate_structure": "rtlgen",
+})

@@ -178,7 +178,10 @@ class DSEEvaluation:
         return (self.energy_uj, self.cycles, self.area_mm2)
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The row's fields, in declaration order. Every field is a
+        primitive, so a shallow copy is the same JSON as
+        ``dataclasses.asdict`` without its per-value deep copy."""
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "DSEEvaluation":

@@ -7,7 +7,7 @@ Event-based costing: the microarchitecture models (:mod:`repro.arch`,
   energy/area/frequency scale factors.
 - :mod:`repro.energy.costs`: per-event energy and per-structure area
   constants in 16 nm, calibrated to the paper's published breakdowns
-  (Fig. 1, Table 1, Table 2 — see DESIGN.md Sec. 6).
+  (Fig. 1, Table 1, Table 2; the module docstring gives the derivation).
 - :mod:`repro.energy.model`: converts :class:`~repro.arch.events.EventCounts`
   into a per-component energy breakdown, and structural parameters into
   area.

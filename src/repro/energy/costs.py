@@ -1,8 +1,8 @@
 """Per-event energy and per-structure area constants (16 nm).
 
 These constants are the calibration layer between event counts and
-joules/mm². They are anchored to the paper's own published data points
-(see DESIGN.md Sec. 6); the derivation:
+joules/mm². They are anchored to the paper's own published data points;
+the derivation:
 
 - SA-ZVCG runs 2048 MACs at 1 GHz and 10.5 TOPS/W at 50%/50% sparsity
   (Table 4) -> total ~0.19 pJ per MAC slot; ZVCG saves 25% vs dense

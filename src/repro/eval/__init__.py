@@ -1,16 +1,12 @@
 """Experiment runners reproducing every table and figure.
 
-One function per paper artifact (see DESIGN.md Sec. 4 for the index);
+One function per paper artifact (``repro experiment <id>`` runs each);
 each returns an :class:`~repro.eval.tables.ExperimentResult` whose
 ``render()`` prints the same rows/series the paper reports, side by side
 with the paper's published values where applicable.
 """
 
-from repro.eval.ablations import (
-    ablation_block_size,
-    ablation_dap_stages,
-    ablation_unroll_axis,
-)
+from repro._lazy import lazy_exports
 from repro.eval.experiments import (
     functional_operands,
     fig1_energy_breakdown,
@@ -28,7 +24,6 @@ from repro.eval.experiments import (
     xval_functional_vs_analytic,
 )
 from repro.eval.resultcache import ResultCache, default_result_cache
-from repro.eval.roofline import dram_bw_sensitivity, roofline_analysis
 from repro.eval.runner import (
     LayerSimTask,
     functional_model_runs,
@@ -64,3 +59,12 @@ __all__ = [
     "ablation_block_size",
     "ablation_dap_stages",
 ]
+
+# Not on an artifact run's path: each module loads on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "roofline_analysis": "roofline",
+    "dram_bw_sensitivity": "roofline",
+    "ablation_unroll_axis": "ablations",
+    "ablation_block_size": "ablations",
+    "ablation_dap_stages": "ablations",
+})

@@ -4,8 +4,8 @@ Each function reproduces one table or figure of the paper's evaluation
 (Sec. 2 and 8) and returns an :class:`ExperimentResult` carrying the
 same rows/series the paper reports, annotated with the paper's published
 values where the artifact states them. Absolute joules are model units
-(see DESIGN.md Sec. 6 on calibration); the reproduction target is the
-shape — orderings, ratios and crossovers.
+(:mod:`repro.energy.costs` documents the calibration); the reproduction
+target is the shape — orderings, ratios and crossovers.
 
 Two fidelity tiers back the full-model artifacts (Fig. 11 / Fig. 12):
 
@@ -45,7 +45,6 @@ from repro.energy.costs import DEFAULT_COSTS, CostModel
 from repro.eval.tables import ExperimentResult
 from repro.models import get_spec
 from repro.obs.trace import traced
-from repro.workloads.microbench import SWEEP_SPARSITIES
 from repro.workloads.typical import typical_conv_layer
 
 __all__ = [
@@ -309,6 +308,8 @@ def tbl2_s2ta_breakdown() -> ExperimentResult:
 
 def fig9_microbench(panel: str) -> ExperimentResult:
     """The Sec. 8.2 synthetic sweeps. ``panel`` is one of a/b/c/d."""
+    from repro.workloads.microbench import SWEEP_SPARSITIES
+
     if panel not in "abcd" or len(panel) != 1:
         raise ValueError(f"panel must be one of 'a'..'d', got {panel!r}")
     accel = {
@@ -439,7 +440,7 @@ def tbl3_accuracy(quick: bool = False,
     """DBB fine-tuning accuracy — proxy-model reproduction of Table 3.
 
     Runs the actual prune-then-finetune pipeline on the synthetic proxy
-    (ImageNet training is unavailable offline; see DESIGN.md Sec. 2) for
+    (ImageNet training is unavailable offline; see :mod:`repro.train`) for
     the paper's sparsity variants, and lists the paper's published rows
     for reference. ``quick`` shrinks the epoch counts for CI use.
     """

@@ -68,13 +68,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import multiprocessing
 
 from repro import faults
 from repro.accel.base import AcceleratorModel, AccelRunResult
@@ -314,6 +309,8 @@ def _copy_events(payload: Tuple[int, EventCounts]
 def _pool_context():
     """Prefer ``fork`` (cheap start); fall back to the platform default
     elsewhere."""
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         return multiprocessing.get_context("fork")
@@ -398,6 +395,11 @@ def _run_pool(tasks: Sequence[LayerSimTask],
     group that raises a *real* simulation error still propagates:
     degradation is for infrastructure failures, not for masking bugs.
     """
+    # The pool stack loads only for a batch that runs in the pool.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import TimeoutError as FuturesTimeout
+    from concurrent.futures.process import BrokenProcessPool
+
     finished = []
     redo: List[Sequence[int]] = []
     hung = False

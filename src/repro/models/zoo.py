@@ -4,11 +4,13 @@
 model. The builders return :class:`repro.nn.Sequential` networks with
 random (He-init) weights — small enough to execute end to end through the
 DBB pipeline and the functional accelerator simulator in tests/examples.
+They import :mod:`repro.nn` when called, so a run that only reads specs
+never loads it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 import numpy as np
 
@@ -19,16 +21,9 @@ from repro.models.mobilenet import mobilenet_v1_spec
 from repro.models.resnet import resnet50_spec
 from repro.models.specs import ModelSpec
 from repro.models.vgg import vgg16_spec
-from repro.nn.layers import (
-    AvgPool2d,
-    Conv2d,
-    DepthwiseConv2d,
-    Flatten,
-    Linear,
-    MaxPool2d,
-    ReLU,
-)
-from repro.nn.model import Sequential
+
+if TYPE_CHECKING:
+    from repro.nn.model import Sequential
 
 __all__ = ["MODEL_SPECS", "get_spec", "build_lenet5", "build_tiny_cnn",
            "build_tiny_mobilenet"]
@@ -55,6 +50,9 @@ def get_spec(name: str) -> ModelSpec:
 
 def build_lenet5(rng: Optional[np.random.Generator] = None) -> Sequential:
     """Runnable LeNet-5 (28x28x1 input) with random weights."""
+    from repro.nn.layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU
+    from repro.nn.model import Sequential
+
     rng = rng or np.random.default_rng(0)
     return Sequential(
         [
@@ -80,6 +78,9 @@ def build_tiny_cnn(rng: Optional[np.random.Generator] = None) -> Sequential:
 
     Channel counts are multiples of BZ=8 so every GEMM blocks cleanly.
     """
+    from repro.nn.layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU
+    from repro.nn.model import Sequential
+
     rng = rng or np.random.default_rng(1)
     return Sequential(
         [
@@ -99,6 +100,10 @@ def build_tiny_cnn(rng: Optional[np.random.Generator] = None) -> Sequential:
 
 def build_tiny_mobilenet(rng: Optional[np.random.Generator] = None) -> Sequential:
     """A depthwise-separable toy net exercising the DW code path."""
+    from repro.nn.layers import (AvgPool2d, Conv2d, DepthwiseConv2d,
+                                 Flatten, Linear, ReLU)
+    from repro.nn.model import Sequential
+
     rng = rng or np.random.default_rng(2)
     return Sequential(
         [

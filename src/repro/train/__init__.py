@@ -7,7 +7,7 @@ layer in front of convolutions whose gradient is the Top-NNZ binary mask
 
 ImageNet training is not available offline, so this package provides a
 minimal reverse-mode autograd engine and runs the *same algorithms* on
-proxy models/datasets (see DESIGN.md Sec. 2): the Table 3 claim being
+proxy models/datasets: the Table 3 claim being
 reproduced is the recovery dynamic — pruning costs accuracy, DBB-aware
 fine-tuning recovers it to within ~1 point of baseline.
 """

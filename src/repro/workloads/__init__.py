@@ -11,16 +11,11 @@
   by Fig. 1, Fig. 3 and Fig. 10.
 """
 
+from repro._lazy import lazy_exports
 from repro.workloads.from_spec import (
     blocked_density_mask,
     spec_int8_operands,
     spec_operands,
-)
-from repro.workloads.from_trace import run_and_spec, spec_from_trace
-from repro.workloads.microbench import (
-    microbench_operands,
-    sparsity_sweep,
-    sweep_layer,
 )
 from repro.workloads.typical import TYPICAL_CONV, typical_conv_layer
 
@@ -36,3 +31,12 @@ __all__ = [
     "spec_from_trace",
     "run_and_spec",
 ]
+
+# Not on an artifact run's path: each module loads on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "sweep_layer": "microbench",
+    "sparsity_sweep": "microbench",
+    "microbench_operands": "microbench",
+    "spec_from_trace": "from_trace",
+    "run_and_spec": "from_trace",
+})

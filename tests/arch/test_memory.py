@@ -104,6 +104,11 @@ class TestDRAMConfig:
         with pytest.raises(ValueError):
             DRAMConfig.from_bandwidth(-4.0)
 
+    @pytest.mark.parametrize("gbps", [math.nan, math.inf, -math.inf])
+    def test_from_bandwidth_rejects_non_finite(self, gbps):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            DRAMConfig.from_bandwidth(gbps)
+
     def test_bandwidth_roundtrip(self):
         dram = DRAMConfig.from_bandwidth(25.6, clock_ghz=1.0)
         assert dram.bandwidth_gbps(1.0) == pytest.approx(25.6)

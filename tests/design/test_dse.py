@@ -16,6 +16,7 @@ Pinned here:
 - a warm functional re-sweep hits the result cache on > 90% of lookups.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -169,6 +170,17 @@ class TestRunDSE:
         digest = hashlib.sha256(
             json.dumps(rows, sort_keys=True).encode()).hexdigest()
         assert digest == FULL_KEYSPACE_SHA256
+
+    def test_artifact_json_equals_a_deep_asdict_build(self):
+        """``as_dict`` is a shallow field copy: the artifact's JSON is
+        byte-identical (values and key order) to one whose rows come
+        from ``dataclasses.asdict``."""
+        artifact = run_dse(jobs=1)
+        evaluations = evaluate_points(DSESpace().points)
+        deep = dict(artifact, evaluations=[
+            dataclasses.asdict(evaluations[uid])
+            for uid in sorted(evaluations)])
+        assert json.dumps(artifact) == json.dumps(deep)
 
     def test_artifact_records_the_space(self):
         artifact = run_dse(SMALL, fidelity="analytic", seed=3, jobs=1)

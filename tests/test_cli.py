@@ -139,6 +139,24 @@ class TestExperiment:
         with pytest.raises(SystemExit):
             main(["experiment", "fig11", "--dram-bw", "-3"])
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("artifact", ["fig11", "roofline"])
+    def test_non_finite_dram_bw_exits_with_a_message(self, artifact, value):
+        """NaN slipped past a ``<= 0`` check into an int conversion
+        (a traceback), and inf priced an infinite channel."""
+        with pytest.raises(SystemExit,
+                           match="^--dram-bw must be a positive bandwidth"):
+            main(["experiment", artifact, f"--dram-bw={value}"])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [["experiment", "fig11"],
+                                      ["run", "lenet5"]])
+    def test_non_finite_dram_pj_per_byte_exits_with_a_message(self, argv,
+                                                              value):
+        with pytest.raises(SystemExit,
+                           match="^--dram-pj-per-byte must be positive"):
+            main(argv + [f"--dram-pj-per-byte={value}"])
+
 
 class TestSweep:
     def test_sweep(self):

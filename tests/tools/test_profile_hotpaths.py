@@ -1,0 +1,39 @@
+"""Tests for the start-up section of the hot-path profiler."""
+
+import importlib.util
+import pathlib
+
+import repro
+
+_SPEC = importlib.util.spec_from_file_location(
+    "profile_hotpaths",
+    pathlib.Path(__file__).resolve().parents[2]
+    / "tools" / "profile_hotpaths.py",
+)
+ph = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ph)
+
+
+def test_import_lines_after_the_marker_fold_per_module():
+    stderr = "\n".join([
+        "import time: self [us] | cumulative | imported package",
+        "import time:       900 |        900 | numpy",
+        ph._MARK,
+        "import time:       300 |        300 |     repro.arch.events",
+        "import time:       200 |        500 |   repro.arch",
+        "import time:        10 |        510 | repro.arch.events",
+    ])
+    assert ph._import_self_times(stderr) == [
+        ("repro.arch.events", 310, 510), ("repro.arch", 200, 500)]
+
+
+def test_startup_report_itemizes_the_artifact_path(monkeypatch):
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    monkeypatch.setenv("PYTHONPATH", str(src))
+    report = ph.startup_report(top=200)
+    modules = {line.split()[-1] for line in report.splitlines()[5:]}
+    assert "repro.eval.runner" in modules
+    assert "repro.design.dse" in modules
+    assert "numpy" not in modules
+    assert "repro.nn" not in modules
+    assert "dataclass creation: " in report

@@ -32,7 +32,7 @@ Generated by `tools/generate_experiments_md.py`. Each section reproduces
 one artifact of the S2TA paper's evaluation; "measured" numbers come
 from this repository's models (energy in calibrated model units — the
 reproduction target is the *shape*: orderings, ratios, crossovers; see
-DESIGN.md Sec. 6 for the calibration anchors). Regenerate any artifact
+`src/repro/energy/costs.py` for the calibration anchors). Regenerate any artifact
 individually via `pytest benchmarks/<file> --benchmark-only` or the
 functions in `repro.eval`.
 

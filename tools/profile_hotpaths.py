@@ -24,19 +24,106 @@ before/after instead of guessing where the time goes.
 Usage::
 
     PYTHONPATH=src python tools/profile_hotpaths.py [--size M K N] [--top N]
+    PYTHONPATH=src python tools/profile_hotpaths.py --startup [--top N]
 
 The workload defaults to the Fig. 9 microbench layer (1024x1152x256,
 4/8 weights, 50% activations) fetched through the shared
 ``repro.eval.functional_operands`` memo; the baseline engines and the
 walker run the same shape through an equivalent conv layer spec.
+
+``--startup`` profiles start-up instead: in a fresh interpreter it
+imports numpy, then the modules an artifact run imports
+(``ARTIFACT_IMPORTS``), and prints the ``-X importtime`` self time of
+every module the second step loads (repro's and the standard-library
+modules they pull in), plus the total time spent creating dataclass
+classes, which every run pays whether or not its bytecode is cached.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import json
+import os
 import pstats
+import subprocess
 import sys
+from typing import Dict, List, Tuple
+
+#: What an artifact run (the CLI's ``experiment`` / ``dse`` verbs, the
+#: benchmark's passes) imports before its first simulation.
+ARTIFACT_IMPORTS = ("repro.eval.runner", "repro.eval.experiments",
+                    "repro.eval.resultcache", "repro.models",
+                    "repro.design.dse")
+
+_MARK = "-- artifact imports --"
+
+#: Run with ``-X importtime``: numpy first (not itemized), then the
+#: artifact imports with ``dataclasses._process_class`` timed; prints
+#: the dataclass count and seconds as JSON.
+_STARTUP_CHILD = f"""
+import sys, time
+import numpy
+import dataclasses
+created = [0, 0.0]
+process_class = dataclasses._process_class
+def timed(cls, *args):
+    start = time.perf_counter()
+    try:
+        return process_class(cls, *args)
+    finally:
+        created[0] += 1
+        created[1] += time.perf_counter() - start
+dataclasses._process_class = timed
+print({_MARK!r}, file=sys.stderr, flush=True)
+for name in {ARTIFACT_IMPORTS!r}:
+    __import__(name)
+print(created)
+"""
+
+
+def _import_self_times(stderr: str) -> List[Tuple[str, int, int]]:
+    """``(module, self us, cumulative us)`` per module loaded after the
+    child's marker, in completion order. A submodule that its package's
+    ``__init__`` imports is logged again when the package returns;
+    those lines fold into the first."""
+    rows: Dict[str, List[int]] = {}
+    for line in stderr.split(_MARK, 1)[1].splitlines():
+        if not line.startswith("import time:"):
+            continue
+        self_us, cum_us, name = line[len("import time:"):].split("|")
+        if self_us.strip().isdigit():
+            row = rows.setdefault(name.strip(), [0, 0])
+            row[0] += int(self_us)
+            row[1] = max(row[1], int(cum_us))
+    return [(name, s, c) for name, (s, c) in rows.items()]
+
+
+def startup_report(top: int = 25) -> str:
+    """Per-module import self time of the artifact import path and the
+    dataclass-creation total, measured in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", _STARTUP_CHILD],
+        capture_output=True, text=True, check=True)
+    rows = _import_self_times(proc.stderr)
+    classes, dataclass_s = json.loads(proc.stdout)
+    ours = [r for r in rows if r[0].split(".")[0] == "repro"]
+    others = [r for r in rows if r[0].split(".")[0] != "repro"]
+    cached = "off" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "on"
+    lines = [
+        f"fresh interpreter; bytecode writing {cached}; "
+        f"imports: {', '.join(ARTIFACT_IMPORTS)}",
+        f"repro: {len(ours)} modules, "
+        f"{sum(r[1] for r in ours) / 1e3:.1f} ms self",
+        f"other modules they pull in: {len(others)}, "
+        f"{sum(r[1] for r in others) / 1e3:.1f} ms self",
+        f"dataclass creation: {classes} classes, {dataclass_s * 1e3:.1f} ms "
+        "(inside the importing modules' self time)",
+        f"{'self ms':>8} {'cum ms':>8}  module",
+    ]
+    for name, self_us, cum_us in sorted(rows, key=lambda r: -r[1])[:top]:
+        lines.append(f"{self_us / 1e3:8.1f} {cum_us / 1e3:8.1f}  {name}")
+    return "\n".join(lines)
 
 
 def _profile(label: str, func, *args, top: int = 15, **kwargs) -> None:
@@ -56,7 +143,14 @@ def main(argv=None) -> int:
                         help="GEMM shape (default: fig. 9 microbench layer)")
     parser.add_argument("--top", type=int, default=15,
                         help="rows of profile output per section")
+    parser.add_argument("--startup", action="store_true",
+                        help="profile the artifact import path in a fresh "
+                             "interpreter instead of the hot paths")
     args = parser.parse_args(argv)
+    if args.startup:
+        print("=== start-up: artifact import path " + "=" * 34)
+        print(startup_report(args.top))
+        return 0
     m, k, n = args.size
 
     from repro.arch.systolic import Mode, SystolicArray, SystolicConfig
