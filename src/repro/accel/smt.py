@@ -24,6 +24,13 @@ call). The memo is deliberately not shared across instances: under
 the first-asked rule, an earlier run's raw densities would then decide
 a later run's speedups.
 
+A batch steps all of its points together, bit-parallel (one bit per
+PE of every point in each big-int operation), until its slowest point
+is done, so its time follows that point's cycle count more than the
+number of points. Each batch's ``smt`` trace span ends with args
+``longest`` (that cycle count) and ``stalls`` (the batch's total
+global-stall cycles).
+
 Memory side: the staging FIFOs reorder work *inside* the array — the
 operand streams are the dense ZVCG ones, so the DRAM traffic profile is
 inherited unchanged from :class:`~repro.accel.sa.ZvcgSA`. The speedup
@@ -108,10 +115,13 @@ class SmtSA(ZvcgSA):
         if not points:
             return
         with obs_trace.span(self.name, "smt", points=len(points),
-                            cycles=SMT_STREAM_LENGTH):
+                            cycles=SMT_STREAM_LENGTH) as batch:
             results = self._queue_model.simulate_many(
                 list(points.values()), SMT_STREAM_LENGTH,
                 [np.random.default_rng(_point_seed(key)) for key in points])
+            # The slowest point sets how many cycles the batch steps.
+            batch.annotate(longest=max(r.cycles for r in results),
+                           stalls=sum(r.stall_cycles for r in results))
         for key, result in zip(points, results):
             self._speedup_cache[key] = max(1.0, result.speedup)
 

@@ -15,26 +15,40 @@ speedup mechanism (capped at T, degraded by overflow stalls that shrink
 as Q grows) and counts the FIFO events that drive the energy overhead.
 
 The engine is batched: :meth:`SMTArrayModel.simulate_many` steps any
-number of density points in lockstep on one ``(points, pes)`` occupancy
-array, each point drawing its arrivals from its own generator in
-chunks of 256 cycles. A chunk holds exactly the values of one
-``binomial(T, p, size=(256, pes))`` call (which are those of 256 calls
-of ``size=pes``) and leaves the generator in the same state, but is
-drawn by inversion (:func:`_binomial_into`): one uniform per arrival,
-counted against numpy's own pmf recurrence. ``binomial`` itself draws
-the chunks numpy would not invert (``p`` of 0 or 1, ``T * min(p, 1 - p)
-> 30``) and any chunk in which a uniform would reach numpy's rejection
-branch (after rewinding the generator). A point's result therefore
-does not depend on the batch it rides in, and
+number of density points in lockstep, each point drawing its arrivals
+from its own generator in chunks of 256 cycles. A chunk holds exactly
+the values of one ``binomial(T, p, size=(256, pes))`` call (which are
+those of 256 calls of ``size=pes``) and leaves the generator in the same
+state, but is drawn by inversion (:func:`_binomial_into`): one uniform
+per arrival, counted against numpy's own pmf recurrence. ``binomial``
+itself draws the chunks numpy would not invert (``p`` of 0 or 1,
+``T * min(p, 1 - p) > 30``) and any chunk in which a uniform would
+reach numpy's rejection branch (after rewinding the generator). A
+point's result therefore does not depend on the batch it rides in, and
 :meth:`SMTArrayModel.simulate` is a batch of one. A generator passed in
-is advanced in whole chunks, i.e. past the point's last cycle. The
-one-point cycle walk this replaces is kept as
+is advanced in whole chunks, i.e. past the point's last cycle.
+
+The lockstep is bit-parallel. Every live point's PEs are packed into
+Python ints, one bit per PE: each point owns a segment of whole 64-bit
+words holding its ``pes`` bits and, above them, a guard bit. The FIFO
+occupancy is held as Q thermometer planes (``occupancy >= j``) and each
+cycle's arrivals as planes ``arrivals >= l``, packed from the chunk's
+draws. One cycle is then a fixed handful of big-int operations for the
+whole batch: service shifts the planes down one level, the trial push
+is an OR of ANDs of carry and arrival planes, a point stalls when its
+segment of the overflow plane ``trial >= Q + 1`` is non-zero (adding
+``pes`` ones carries into its guard bit), and the guard bits, widened
+back into segment masks, pick the trial or the serviced state per
+point. The cycle loop is straight-line code for the model's ``(T, Q)``,
+generated and compiled on first use (:func:`_chunk_stepper`). The
+one-point cycle walk is kept as
 :func:`repro.core.reference.naive_smt_simulate`, the property-test
 oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -91,6 +105,89 @@ def _binomial_into(rng: np.random.Generator, trials: int, p: float,
         out[...] = rng.binomial(trials, p, size=out.shape)
     elif flip:
         np.subtract(trials, out, out=out)
+
+
+def _step_source(threads: int, fifo_depth: int) -> str:
+    """Source of the chunk loop :func:`_chunk_stepper` compiles.
+
+    Names: ``s{j}`` is the state plane ``occupancy >= j`` (j = 1..Q),
+    ``a{l}`` the arrival plane ``arrivals >= l``. After service,
+    ``occupancy >= k`` is the old ``s{k + 1}`` (nothing for k >= Q),
+    and the trial push holds ``>= j`` where an arrival plane alone
+    reaches j, the carry alone does, or ``carry >= k`` meets
+    ``arrivals >= j - k``. Only terms that can be non-zero are written:
+    no plane above ``a{Q + 1}`` is read, and ``trial >= Q + 1`` (the
+    overflow) is empty at T = 1.
+    """
+    Q = fifo_depth
+    levels = min(threads, Q + 1)
+
+    def carry(k: int) -> Optional[str]:
+        return f"s{k + 1}" if k < Q else None
+
+    def rise(j: int) -> str:
+        """``trial >= j`` beyond the carry, as one operand; empty
+        where it is always zero."""
+        terms = [f"a{j}"] if j <= levels else []
+        terms += [f"{carry(k)} & a{j - k}"
+                  for k in range(1, min(j, Q)) if j - k <= levels]
+        joined = " | ".join(terms)
+        return joined if joined.isidentifier() or not joined else \
+            f"({joined})"
+
+    def tuple_of(items: List[str]) -> str:
+        return ", ".join(items) + ("," if len(items) == 1 else "")
+
+    state = tuple_of([f"s{j}" for j in range(1, Q + 1)])
+    # Where the push fits, trial >= j is a superset of carry >= j.
+    update = tuple_of([
+        f"{carry(j)} | {rise(j)} & moved" if carry(j)
+        else f"{rise(j)} & moved" for j in range(1, Q + 1)])
+    overflow = rise(Q + 1)
+    lines = [
+        "def step(state, arrivals, stride, pes, ALL, GUARD):",
+        f"    {state} = state",
+        f"    {tuple_of([f'b{l}' for l in range(1, levels + 1)])} = arrivals",
+        "    from_bytes = int.from_bytes",
+        "    moves = []",
+        "    history = []",
+    ]
+    if not overflow:
+        lines += ["    m = GUARD", "    moved = ALL"]
+    lines += ["    for o in range(0, len(b1), stride):",
+              "        e = o + stride"]
+    lines += [f"        a{l} = from_bytes(b{l}[o:e], 'little')"
+              for l in range(1, levels + 1)]
+    if overflow:
+        # A point whose overflow segment is non-zero carries into its
+        # guard bit; m keeps the guard bits of the points that move,
+        # and m - (m >> pes) widens each into its segment's pes bits.
+        lines += [f"        m = GUARD ^ (({overflow} + ALL) & GUARD)",
+                  "        moved = m - (m >> pes)"]
+    lines += [f"        {state} = {update}",
+              "        moves.append(m)",
+              f"        history.append(({state}))",
+              "    return moves, history"]
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _chunk_stepper(threads: int, fifo_depth: int):
+    """The chunk loop of a ``(T, Q)`` model, compiled on first use.
+
+    ``step(state, arrivals, stride, pes, ALL, GUARD)`` runs one chunk:
+    ``state`` holds the Q occupancy planes of the live points, and
+    ``arrivals`` the ``min(T, Q + 1)`` arrival planes as bytes, one
+    little-endian run of ``stride`` bytes per cycle. ``ALL`` has every
+    segment's pes bits set and ``GUARD`` every guard bit. It returns
+    each cycle's moved guard bits and each cycle's state. Straight-line
+    code keeps a cycle to a fixed handful of
+    big-int operations for the whole batch; a loop over the planes
+    costs several times that.
+    """
+    namespace: dict = {}
+    exec(_step_source(threads, fifo_depth), namespace)
+    return namespace["step"]
 
 
 def _integer(name: str, value) -> int:
@@ -205,72 +302,98 @@ class SMTArrayModel:
         T, Q, pes = self.threads, self.fifo_depth, self.pes
         n_points = len(points)
         p_useful = [w * a for w, a in points]
-        # A FIFO never holds more than Q, and a trial push adds at most
-        # T, so the narrowest unsigned type holding Q + T suffices.
-        dtype = np.min_scalar_type(Q + T)
-        # Draw scratch, reused by every point and chunk.
+        step = _chunk_stepper(T, Q)
+        # Each live point is one segment of the packed planes: its pes
+        # bits, a guard bit at bit pes, zero padding to whole words.
+        words = pes // 64 + 1
+        width = 64 * words
+        low = (1 << pes) - 1
+        dtype = np.min_scalar_type(T)  # holds any arrival count
+        # Draw scratch, reused by every point and chunk. Draws only fill
+        # the first pes of every width entries of the arrivals buffer,
+        # so its padding stays zero for any number of live points.
         uniforms = np.empty((_CHUNK, pes))
         passed = np.empty((_CHUNK, pes), dtype=bool)
-        occupancy = np.zeros((n_points, pes), dtype=dtype)
+        drawn = np.zeros(_CHUNK * n_points * width, dtype=dtype)
         consumed = np.zeros(n_points, dtype=np.int64)
         cycles = np.zeros(n_points, dtype=np.int64)
         pushes = np.zeros(n_points, dtype=np.int64)
+        depth = np.zeros(n_points, dtype=np.int64)  # fullest FIFO at the end
         # Hard bound so adversarial parameters cannot hang the simulation.
         max_cycles = stream_length * T * 4 + 64
         live = np.arange(n_points)  # points still streaming
+        state = (0,) * Q  # occupancy >= j (j = 1..Q) of the live points
         elapsed = 0
         while live.size:
             n = min(_CHUNK, max_cycles - elapsed)
-            # arrivals[k, j]: the arrivals of live point j in cycle k.
-            arrivals = np.empty((n, live.size, pes), dtype=dtype)
+            count = live.size
+            stride = count * width // 8  # bytes of one cycle's plane
+            # arrivals[k, j, :pes]: the arrivals of live point j in cycle k.
+            arrivals = drawn[:n * count * width].reshape(n, count, width)
             for j, i in enumerate(live):
-                _binomial_into(rngs[i], T, p_useful[i], arrivals[:, j],
+                _binomial_into(rngs[i], T, p_useful[i], arrivals[:, j, :pes],
                                uniforms[:n], passed[:n])
-            # state[k]: occupancy after cycle k; advanced[k]: whether the
-            # wavefront moved in cycle k (no PE's FIFO would overflow).
-            state = np.empty_like(arrivals)
-            advanced = np.empty((n, live.size, 1), dtype=bool)
-            trial = np.empty((live.size, pes), dtype=dtype)
-            fits = np.empty((live.size, pes), dtype=bool)
-            # Full-shape operands: numpy takes its fast path on these,
-            # where a Python scalar costs ~1 us per call.
-            ones = np.ones_like(trial)
-            depth = np.full_like(trial, Q)
-            prev = occupancy[live]
-            for cur, arrived, moved in zip(state, arrivals, advanced):
-                # Service: each PE's MAC pops at most one pending pair.
-                np.maximum(prev, ones, out=cur)
-                np.subtract(cur, ones, out=cur)
-                np.add(cur, arrived, out=trial)
-                # A global stall freezes the whole operand wavefront.
-                np.less_equal(trial, depth, out=fits)
-                np.logical_and.reduce(fits, axis=1, keepdims=True,
-                                      out=moved)
-                np.copyto(cur, trial, where=moved)
-                prev = cur
+            # Plane l - 1 holds arrivals >= l: the non-zero bits after
+            # l - 1 saturating decrements in place. No push that fits
+            # holds more than Q, so planes above Q + 1 (the overflow) are
+            # never read, and in a cycle that advances, a point's pushes
+            # are the set bits of its segments, summed over the planes.
+            flat = arrivals.reshape(-1)
+            planes = []
+            arrived = np.zeros((n, count), dtype=np.int64)
+            for level in range(min(T, Q + 1)):
+                if level:
+                    np.maximum(flat, 1, out=flat)
+                    flat -= 1
+                plane = np.packbits(flat, bitorder="little")
+                planes.append(plane.tobytes())
+                ones = np.bitwise_count(plane.view("<u8"))
+                arrived += ones.reshape(n, count, words).sum(axis=2,
+                                                             dtype=np.int64)
+            unit = int.from_bytes(b"\x01".ljust(width // 8, b"\x00") * count,
+                                  "little")
+            moves, history = step(state, planes, stride, pes, unit * low,
+                                  unit << pes)
+            state = history[-1]
+            # advanced[k, j]: whether live point j's wavefront moved in
+            # cycle k (its guard bit in moves[k]).
+            guards = np.frombuffer(
+                b"".join([m.to_bytes(stride, "little") for m in moves]),
+                dtype="<u8").reshape(n, count, words)[:, :, pes // 64]
+            advanced = (guards >> np.uint64(pes % 64)).astype(bool)
             # Each point ends at the cycle its stream is consumed, or at
             # the end of the chunk; later cycles in the chunk are unused.
-            advanced = advanced[:, :, 0]
             streamed = consumed[live] + np.cumsum(advanced, axis=0)
             finished = streamed[-1] >= stream_length
             end = np.where(finished,
                            np.argmax(streamed >= stream_length, axis=0),
                            n - 1)
-            cols = np.arange(live.size)
-            pushed = np.cumsum(
-                arrivals.sum(axis=2, dtype=np.int64) * advanced, axis=0)
+            cols = np.arange(count)
+            pushed = np.cumsum(arrived * advanced, axis=0)
             cycles[live] += end + 1
             pushes[live] += pushed[end, cols]
             consumed[live] = streamed[end, cols]
-            occupancy[live] = state[end, cols]
             elapsed += n
-            live = live[~finished] if elapsed < max_cycles else live[:0]
+            retired = (finished if elapsed < max_cycles
+                       else np.ones(count, dtype=bool))
+            if retired.any():
+                for j in np.flatnonzero(retired).tolist():
+                    depth[live[j]] = sum(1 for plane in history[end[j]]
+                                         if plane >> (j * width) & low)
+                kept = ~retired
+                state = tuple(
+                    int.from_bytes(np.frombuffer(
+                        plane.to_bytes(stride, "little"), dtype=np.uint8
+                    ).reshape(count, width // 8)[kept].tobytes(), "little")
+                    for plane in state)
+                live = live[kept]
+            del moves, history  # freed before the next chunk builds its own
         # Every cycle so far either advanced the stream or stalled it.
         stalls = cycles - consumed
         # Drain the FIFOs, then account the wavefront fill/drain skew
         # (every point ran >= 1 cycle, so no total below is zero).
         # Every pair pushed is eventually popped, so pops equal pushes.
-        cycles += occupancy.max(axis=1) + self.skew
+        cycles += depth + self.skew
         # The dense SA pays the skew once for the same tile, not per thread.
         dense_cycles = T * stream_length + self.skew
         results = []

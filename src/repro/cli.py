@@ -133,40 +133,48 @@ DRAM_PJ_ARTIFACTS = ("fig11", "fig12")
 PARALLEL_ARTIFACTS = ("fig11", "fig12", "xval")
 
 
+#: Every artifact id, in ``all`` order, with the :mod:`repro.eval`
+#: function that renders it and that function's fixed positional and
+#: keyword arguments. Plain names, so building the parser (which lists
+#: the ids) imports nothing.
+ARTIFACTS = (
+    ("fig1", "fig1_energy_breakdown", (), {}),
+    ("fig3", "fig3_smt_overhead", (), {}),
+    ("fig9a", "fig9_microbench", ("a",), {}),
+    ("fig9b", "fig9_microbench", ("b",), {}),
+    ("fig9c", "fig9_microbench", ("c",), {}),
+    ("fig9d", "fig9_microbench", ("d",), {}),
+    ("fig10", "fig10_variant_breakdown", (), {}),
+    ("fig11", "fig11_full_models", (), {}),
+    ("fig12", "fig12_alexnet_per_layer", (), {}),
+    ("xval", "xval_functional_vs_analytic", (), {}),
+    ("roofline", "roofline_analysis", (), {}),
+    ("roofline-bw", "dram_bw_sensitivity", (), {}),
+    ("tbl1", "tbl1_buffer_per_mac", (), {}),
+    ("tbl2", "tbl2_s2ta_breakdown", (), {}),
+    ("tbl3", "tbl3_accuracy", (), {"quick": True}),
+    ("tbl4-16nm", "tbl4_comparison", ("16nm",), {}),
+    ("tbl4-65nm", "tbl4_comparison", ("65nm",), {}),
+    ("tbl5", "tbl5_summary", (), {}),
+    ("sec7", "sec7_design_space", (), {}),
+    ("ablation-unroll", "ablation_unroll_axis", (), {}),
+    ("ablation-bz", "ablation_block_size", (), {}),
+    ("ablation-dap", "ablation_dap_stages", (), {}),
+)
+
+
 def _experiments() -> Dict[str, Callable]:
     """Artifact id -> runner. Each runner looks its function up on
     :mod:`repro.eval` when called, so running one artifact never loads
     the modules of the others (the ablations, the roofline)."""
     import repro.eval
 
-    def artifact(name: str, *args, **kwargs) -> Callable:
+    def artifact(name: str, args: tuple, kwargs: dict) -> Callable:
         return lambda **extra: getattr(repro.eval, name)(*args, **kwargs,
                                                          **extra)
 
-    return {
-        "fig1": artifact("fig1_energy_breakdown"),
-        "fig3": artifact("fig3_smt_overhead"),
-        "fig9a": artifact("fig9_microbench", "a"),
-        "fig9b": artifact("fig9_microbench", "b"),
-        "fig9c": artifact("fig9_microbench", "c"),
-        "fig9d": artifact("fig9_microbench", "d"),
-        "fig10": artifact("fig10_variant_breakdown"),
-        "fig11": artifact("fig11_full_models"),
-        "fig12": artifact("fig12_alexnet_per_layer"),
-        "xval": artifact("xval_functional_vs_analytic"),
-        "roofline": artifact("roofline_analysis"),
-        "roofline-bw": artifact("dram_bw_sensitivity"),
-        "tbl1": artifact("tbl1_buffer_per_mac"),
-        "tbl2": artifact("tbl2_s2ta_breakdown"),
-        "tbl3": artifact("tbl3_accuracy", quick=True),
-        "tbl4-16nm": artifact("tbl4_comparison", "16nm"),
-        "tbl4-65nm": artifact("tbl4_comparison", "65nm"),
-        "tbl5": artifact("tbl5_summary"),
-        "sec7": artifact("sec7_design_space"),
-        "ablation-unroll": artifact("ablation_unroll_axis"),
-        "ablation-bz": artifact("ablation_block_size"),
-        "ablation-dap": artifact("ablation_dap_stages"),
-    }
+    return {artifact_id: artifact(name, args, kwargs)
+            for artifact_id, name, args, kwargs in ARTIFACTS}
 
 
 def cmd_list_models(_args) -> str:
@@ -651,7 +659,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     exp = sub.add_parser("experiment", help="reproduce a paper artifact")
-    exp.add_argument("artifact")
+    exp.add_argument(
+        "artifact", metavar="ARTIFACT",
+        help="artifact id, or 'all' for every one in turn: "
+             + ", ".join(artifact_id for artifact_id, *_ in ARTIFACTS))
     exp.add_argument("--functional", action="store_true",
                      help="run the functional-simulation tier "
                           "(fig11/fig12: concrete GEMMs on the "

@@ -252,10 +252,12 @@ def naive_smt_simulate(model, weight_density: float, act_density: float,
                        stream_length: int = 2048,
                        rng: Optional[np.random.Generator] = None):
     """One-point, cycle-by-cycle SA-SMT queueing walk for ``model`` (an
-    :class:`~repro.arch.smt.SMTArrayModel`): the loop that
-    :meth:`~repro.arch.smt.SMTArrayModel.simulate_many` runs in
-    lockstep over a batch of density points. One ``binomial`` draw of
-    ``size=pes`` per cycle; pops are counted as they happen.
+    :class:`~repro.arch.smt.SMTArrayModel`): what
+    :meth:`~repro.arch.smt.SMTArrayModel.simulate_many` computes for
+    every point of a batch at once, with the PEs of all points packed
+    into the bits of Python ints. One ``binomial`` draw of ``size=pes``
+    per cycle on a per-PE occupancy array; pops are counted as they
+    happen.
     """
     for name, d in (("weight", weight_density), ("act", act_density)):
         if not 0.0 <= d <= 1.0:

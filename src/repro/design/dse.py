@@ -188,13 +188,6 @@ class DSEEvaluation:
         return cls(**data)
 
 
-def _dominates(a: Sequence[float], b: Sequence[float]) -> bool:
-    """Pareto dominance on minimized objective tuples: ``a`` is no
-    worse everywhere and strictly better somewhere."""
-    return (all(x <= y for x, y in zip(a, b))
-            and any(x < y for x, y in zip(a, b)))
-
-
 def pareto_frontier_3d(
     evaluations: Iterable[DSEEvaluation],
 ) -> List[DSEEvaluation]:
@@ -203,17 +196,28 @@ def pareto_frontier_3d(
     Exact objective ties all survive, and the result — content and
     order — is a pure function of the evaluation *set*, independent of
     input order (the property test in ``tests/design/test_dse.py``).
+
+    Ranked by ``(objectives, uid)``, a point can only be dominated by
+    points ahead of it, so the first point still alive is on the
+    frontier (anything ahead of it that dominated it was itself dropped
+    by a frontier point, which then dominates it too). Each round keeps
+    that point and drops every row it strictly dominates in one numpy
+    pass, so the rank costs one pass per frontier point.
     """
     ranked = sorted(evaluations, key=lambda e: (e.objectives, e.uid))
+    # Float rows compare cycles exactly (they stay far below 2**53).
+    objectives = np.array([e.objectives for e in ranked], dtype=float)
+    alive = np.ones(len(ranked), dtype=bool)
     frontier: List[DSEEvaluation] = []
-    for entry in ranked:
-        if any(_dominates(kept.objectives, entry.objectives)
-               for kept in frontier):
-            continue
-        frontier = [kept for kept in frontier
-                    if not _dominates(entry.objectives, kept.objectives)]
-        frontier.append(entry)
-    return sorted(frontier, key=lambda e: (e.objectives, e.uid))
+    first = 0
+    while first < len(ranked):
+        row = objectives[first]
+        frontier.append(ranked[first])
+        alive &= ~((objectives >= row).all(axis=1)
+                   & (objectives > row).any(axis=1))
+        later = np.flatnonzero(alive[first + 1:])
+        first = first + 1 + int(later[0]) if later.size else len(ranked)
+    return frontier
 
 
 class DSESpace:

@@ -1,10 +1,13 @@
 """Tests for the SA-SMT accelerator model (Fig. 3 / Fig. 10 anchors)."""
 
+import json
+
 import pytest
 
 from repro.accel import SmtSA, ZvcgSA
 from repro.arch.smt import SMTArrayModel
 from repro.models import get_spec
+from repro.obs import trace as obs_trace
 from repro.workloads.typical import typical_conv_layer
 
 FIG11_MODELS = ("resnet50", "vgg16", "mobilenet_v1", "alexnet")
@@ -121,3 +124,28 @@ class TestPrefetch:
         smt._speedup_cache[(50, 50)] = 1.25
         smt.prefetch([(layer.w_density, layer.a_density)])
         assert smt._speedup_cache == {(50, 50): 1.25}
+
+    def test_trace_shows_batch_length_and_stalls(self, tmp_path,
+                                                 monkeypatch):
+        # The smt span's end args: the slowest point's cycles (it sets
+        # how long the batch steps) and the stalls of the whole batch.
+        results = []
+        simulate_many = SMTArrayModel.simulate_many
+
+        def spy(model, *args):
+            got = simulate_many(model, *args)
+            results.extend(got)
+            return got
+
+        monkeypatch.setattr(SMTArrayModel, "simulate_many", spy)
+        obs_trace.start_tracing(tmp_path / "smt.json")
+        try:
+            SmtSA().prefetch(_densities(("alexnet",)))
+        finally:
+            path = obs_trace.stop_tracing()
+        ends = [e for e in json.loads(path.read_text())["traceEvents"]
+                if e.get("cat") == "smt" and e["ph"] == "E"]
+        assert len(ends) == 1 and len(results) == 5
+        assert ends[0]["args"] == {
+            "longest": max(r.cycles for r in results),
+            "stalls": sum(r.stall_cycles for r in results)}

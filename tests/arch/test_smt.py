@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.accel.smt import SMT_STREAM_LENGTH, SmtSA, _grid_key, _point_seed
 from repro.arch.events import EventCounts
-from repro.arch.smt import SMTArrayModel, _binomial_into
+from repro.arch.smt import _CHUNK, SMTArrayModel, _binomial_into
 from repro.core.reference import naive_smt_simulate
 from repro.models import get_spec
 
@@ -186,6 +186,63 @@ class TestBatchedEqualsReference:
                 model, w, a, SMT_STREAM_LENGTH,
                 np.random.default_rng(_point_seed(key)))
             assert smt.speedup_at(w, a) == max(1.0, want.speedup), key
+
+
+def _assert_batch_matches_naive(model, points, stream_length, seed=0):
+    got = model.simulate_many(
+        points, stream_length,
+        [np.random.default_rng(seed + i) for i in range(len(points))])
+    for i, ((w, a), result) in enumerate(zip(points, got)):
+        _assert_same(result, naive_smt_simulate(
+            model, w, a, stream_length, np.random.default_rng(seed + i)))
+    return got
+
+
+class TestPackedLayout:
+    """The bit-parallel engine at the edges of its packing: one segment
+    of whole 64-bit words per point (pes bits and a guard bit), chunks of
+    ``_CHUNK`` cycles, and points leaving the packed batch."""
+
+    @pytest.mark.parametrize("pes", [1, 7, 8, 9, 47, 48, 63, 64, 65, 80])
+    def test_segment_widths(self, pes):
+        model = SMTArrayModel(2, 2, pes, skew=3)
+        # One point that crosses a chunk boundary, then 40 that finish
+        # at many different cycles of the first two chunks.
+        _assert_batch_matches_naive(model, [(0.7, 0.8)], 300, seed=pes)
+        densities = np.linspace(0.0, 1.0, 40)
+        _assert_batch_matches_naive(
+            model, list(zip(densities, densities[::-1])), 130, seed=pes)
+
+    def test_finish_on_chunk_boundary(self):
+        # T = 1 never stalls: both points end on cycle 256, the last of
+        # the first chunk.
+        got = _assert_batch_matches_naive(
+            SMTArrayModel(1, 1, 64, skew=0), [(0.5, 0.5), (1.0, 1.0)], 256)
+        assert [r.stall_cycles for r in got] == [0, 0]
+        # Seed 0 at (0.6, 0.6) consumes its 435th element on cycle 512,
+        # the last of the second chunk, beside points that end before
+        # and after it.
+        got = _assert_batch_matches_naive(
+            SMTArrayModel(2, 2, 9, skew=3),
+            [(0.6, 0.6), (0.0, 0.3), (0.9, 0.95)], 435)
+        assert got[0].stall_cycles + 435 == 2 * _CHUNK
+
+    @pytest.mark.parametrize("threads, fifo_depth, pes", [
+        (2, 1, 65), (4, 1, 48)])
+    def test_cap_mid_chunk_beside_normal_point(self, threads, fifo_depth,
+                                               pes):
+        # At full density every push overflows a depth-1 FIFO, so the
+        # first point stalls until the hard bound, which is not a chunk
+        # multiple; the second point ends normally in the first chunk
+        # and leaves the first one alone in the packed batch.
+        stream_length = 40
+        cap = stream_length * threads * 4 + 64
+        assert cap % _CHUNK
+        got = _assert_batch_matches_naive(
+            SMTArrayModel(threads, fifo_depth, pes, skew=5),
+            [(1.0, 1.0), (0.4, 0.3)], stream_length)
+        assert got[0].stall_cycles == cap
+        assert got[1].stall_cycles < cap
 
 
 class _SpyGenerator(np.random.Generator):

@@ -108,7 +108,45 @@ def _evaluation(tag, energy, cycles, area):
         cycles=int(cycles), energy_uj=float(energy))
 
 
+def _dominates(a, b):
+    return (all(x <= y for x, y in zip(a, b))
+            and any(x < y for x, y in zip(a, b)))
+
+
+def _loop_frontier(evaluations):
+    """The frontier as a sequential filter over the ranked points, one
+    dominance test per kept point: the oracle of the numpy rank."""
+    ranked = sorted(evaluations, key=lambda e: (e.objectives, e.uid))
+    frontier = []
+    for entry in ranked:
+        if any(_dominates(kept.objectives, entry.objectives)
+               for kept in frontier):
+            continue
+        frontier = [kept for kept in frontier
+                    if not _dominates(entry.objectives, kept.objectives)]
+        frontier.append(entry)
+    return sorted(frontier, key=lambda e: (e.objectives, e.uid))
+
+
+#: Few distinct values per objective, so exact ties are common.
+_tied_objectives = st.lists(
+    st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+              st.integers(8, 11),
+              st.sampled_from([1.0, 2.0, 3.0])),
+    max_size=40)
+
+
 class TestParetoFrontier3D:
+    @given(objectives=_tied_objectives)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_loop_oracle(self, objectives):
+        evals = [_evaluation(i, *obj) for i, obj in enumerate(objectives)]
+        assert pareto_frontier_3d(evals) == _loop_frontier(evals)
+
+    def test_full_keyspace_equals_loop_oracle(self):
+        evals = list(evaluate_points(DSESpace().points).values())
+        assert pareto_frontier_3d(evals) == _loop_frontier(evals)
+
     def test_nondominated_and_keeps_ties(self):
         tied_a = _evaluation(1, 1.0, 10, 2.0)
         tied_b = _evaluation(2, 1.0, 10, 2.0)

@@ -2,10 +2,14 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from repro.cli import build_parser, main
+import repro
+from repro.cli import ARTIFACTS, _experiments, build_parser, main
 
 
 class TestListCommands:
@@ -53,6 +57,36 @@ class TestExperiment:
     def test_unknown_artifact(self):
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
+
+    def test_unknown_artifact_lists_every_id(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "fig99"])
+        message = str(exc.value)
+        assert message.startswith("unknown artifact 'fig99'; choose from ")
+        for artifact_id, *_ in ARTIFACTS:
+            assert artifact_id in message
+
+    def test_help_lists_every_id(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["experiment", "--help"])
+        assert exc.value.code == 0
+        # argparse wraps the help text; compare it unwrapped.
+        text = " ".join(capsys.readouterr().out.split())
+        ids = ", ".join(artifact_id for artifact_id, *_ in ARTIFACTS)
+        assert f"'all' for every one in turn: {ids}" in text
+
+    def test_ids_are_the_runners(self):
+        assert list(_experiments()) == [a for a, *_ in ARTIFACTS]
+
+    def test_parser_does_not_import_eval(self):
+        code = ("import sys; from repro.cli import build_parser; "
+                "build_parser(); print('repro.eval' in sys.modules)")
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.functional
     def test_fig12_functional_quick(self):

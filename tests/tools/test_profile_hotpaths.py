@@ -1,4 +1,4 @@
-"""Tests for the start-up section of the hot-path profiler."""
+"""Tests for the start-up and SA-SMT sections of the hot-path profiler."""
 
 import importlib.util
 import pathlib
@@ -37,3 +37,11 @@ def test_startup_report_itemizes_the_artifact_path(monkeypatch):
     assert "numpy" not in modules
     assert "repro.nn" not in modules
     assert "dataclass creation: " in report
+
+
+def test_smt_report_splits_both_batch_shapes():
+    lines = ph.smt_report(repeats=1).splitlines()
+    assert lines[1].startswith("analytic fig11   28 points:")
+    assert lines[2].startswith("alexnet           5 points:")
+    assert all(" = draws " in line and " + lockstep " in line
+               for line in lines[1:])

@@ -25,11 +25,20 @@ Usage::
 
     PYTHONPATH=src python tools/profile_hotpaths.py [--size M K N] [--top N]
     PYTHONPATH=src python tools/profile_hotpaths.py --startup [--top N]
+    PYTHONPATH=src python tools/profile_hotpaths.py --smt [--repeats N]
 
 The workload defaults to the Fig. 9 microbench layer (1024x1152x256,
 4/8 weights, 50% activations) fetched through the shared
 ``repro.eval.functional_operands`` memo; the baseline engines and the
 walker run the same shape through an equivalent conv layer spec.
+
+``--smt`` times the two SA-SMT batch shapes the artifacts run, without
+a profiler: the 28-point analytic Fig. 11 batch and the 5-point
+AlexNet batch (``xval`` runs two of these), each as the best of
+``--repeats`` runs in this process, split into the arrival draws
+(``arch.smt._binomial_into``) and the lockstep (everything else:
+packing the draws, stepping the cycles, bookkeeping). The full run
+prints the same lines before the analytic tier's profiles.
 
 ``--startup`` profiles start-up instead: in a fresh interpreter it
 imports numpy, then the modules an artifact run imports
@@ -48,6 +57,7 @@ import os
 import pstats
 import subprocess
 import sys
+import time
 from typing import Dict, List, Tuple
 
 #: What an artifact run (the CLI's ``experiment`` / ``dse`` verbs, the
@@ -126,6 +136,57 @@ def startup_report(top: int = 25) -> str:
     return "\n".join(lines)
 
 
+def smt_batch_times(densities, repeats: int = 5) -> Tuple[float, float]:
+    """Best-of-``repeats`` seconds of one fresh ``SmtSA().prefetch`` over
+    ``densities``: ``(total, arrival draws)``. The draws are timed by
+    wrapping ``arch.smt._binomial_into`` for the duration."""
+    from repro.accel import SmtSA
+    from repro.arch import smt
+
+    draw = smt._binomial_into
+    drawing = [0.0]
+
+    def timed_draw(*args) -> None:
+        start = time.perf_counter()
+        draw(*args)
+        drawing[0] += time.perf_counter() - start
+
+    best = (float("inf"), 0.0)
+    smt._binomial_into = timed_draw
+    try:
+        for _ in range(repeats):
+            drawing[0] = 0.0
+            start = time.perf_counter()
+            SmtSA().prefetch(densities)
+            best = min(best, (time.perf_counter() - start, drawing[0]))
+    finally:
+        smt._binomial_into = draw
+    return best
+
+
+def smt_report(repeats: int = 5) -> str:
+    """Both SA-SMT batch shapes, split into draws and lockstep."""
+    from repro.accel.smt import _grid_key
+    from repro.eval.experiments import FULL_MODELS
+    from repro.models import get_spec
+
+    shapes = {
+        "analytic fig11": [(conv.w_density, conv.a_density)
+                           for name in FULL_MODELS
+                           for conv in get_spec(name).conv_layers],
+        "alexnet": [(conv.w_density, conv.a_density)
+                    for conv in get_spec("alexnet").conv_layers],
+    }
+    lines = [f"best of {repeats}, one fresh SmtSA per run"]
+    for label, densities in shapes.items():
+        total, drawing = smt_batch_times(densities, repeats)
+        points = len({_grid_key(w, a) for w, a in densities})
+        lines.append(f"{label:<15} {points:>3} points: {total * 1e3:6.1f} ms "
+                     f"= draws {drawing * 1e3:5.1f} ms "
+                     f"+ lockstep {(total - drawing) * 1e3:5.1f} ms")
+    return "\n".join(lines)
+
+
 def _profile(label: str, func, *args, top: int = 15, **kwargs) -> None:
     print(f"\n=== {label} " + "=" * max(1, 68 - len(label)))
     profiler = cProfile.Profile()
@@ -146,10 +207,19 @@ def main(argv=None) -> int:
     parser.add_argument("--startup", action="store_true",
                         help="profile the artifact import path in a fresh "
                              "interpreter instead of the hot paths")
+    parser.add_argument("--smt", action="store_true",
+                        help="only time the two SA-SMT batch shapes, "
+                             "split into arrival draws and lockstep")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="runs per SA-SMT batch shape (best is kept)")
     args = parser.parse_args(argv)
     if args.startup:
         print("=== start-up: artifact import path " + "=" * 34)
         print(startup_report(args.top))
+        return 0
+    if args.smt:
+        print("=== SA-SMT batches: draws vs lockstep " + "=" * 31)
+        print(smt_report(args.repeats))
         return 0
     m, k, n = args.size
 
@@ -237,6 +307,8 @@ def main(argv=None) -> int:
     from repro.eval.experiments import FULL_MODELS
     from repro.models import get_spec
 
+    print("\n=== SA-SMT batches: draws vs lockstep " + "=" * 31)
+    print(smt_report(args.repeats))
     densities = [(conv.w_density, conv.a_density) for name in FULL_MODELS
                  for conv in get_spec(name).conv_layers]
     _profile("SmtSA.prefetch (analytic fig11 SMT batch)",
