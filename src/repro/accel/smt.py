@@ -119,7 +119,6 @@ class SmtSA(ZvcgSA):
             results = self._queue_model.simulate_many(
                 list(points.values()), SMT_STREAM_LENGTH,
                 [np.random.default_rng(_point_seed(key)) for key in points])
-            # The slowest point sets how many cycles the batch steps.
             batch.annotate(longest=max(r.cycles for r in results),
                            stalls=sum(r.stall_cycles for r in results))
         for key, result in zip(points, results):

@@ -25,7 +25,7 @@ Usage::
 
     PYTHONPATH=src python tools/profile_hotpaths.py [--size M K N] [--top N]
     PYTHONPATH=src python tools/profile_hotpaths.py --startup [--top N]
-    PYTHONPATH=src python tools/profile_hotpaths.py --smt [--repeats N]
+    PYTHONPATH=src python tools/profile_hotpaths.py --smt
 
 The workload defaults to the Fig. 9 microbench layer (1024x1152x256,
 4/8 weights, 50% activations) fetched through the shared
@@ -35,7 +35,7 @@ walker run the same shape through an equivalent conv layer spec.
 ``--smt`` times the two SA-SMT batch shapes the artifacts run, without
 a profiler: the 28-point analytic Fig. 11 batch and the 5-point
 AlexNet batch (``xval`` runs two of these), each as the best of
-``--repeats`` runs in this process, split into the arrival draws
+five runs in this process, split into the arrival draws
 (``arch.smt._binomial_into``) and the lockstep (everything else:
 packing the draws, stepping the cycles, bookkeeping). The full run
 prints the same lines before the analytic tier's profiles.
@@ -210,8 +210,6 @@ def main(argv=None) -> int:
     parser.add_argument("--smt", action="store_true",
                         help="only time the two SA-SMT batch shapes, "
                              "split into arrival draws and lockstep")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="runs per SA-SMT batch shape (best is kept)")
     args = parser.parse_args(argv)
     if args.startup:
         print("=== start-up: artifact import path " + "=" * 34)
@@ -219,7 +217,7 @@ def main(argv=None) -> int:
         return 0
     if args.smt:
         print("=== SA-SMT batches: draws vs lockstep " + "=" * 31)
-        print(smt_report(args.repeats))
+        print(smt_report())
         return 0
     m, k, n = args.size
 
@@ -308,7 +306,7 @@ def main(argv=None) -> int:
     from repro.models import get_spec
 
     print("\n=== SA-SMT batches: draws vs lockstep " + "=" * 31)
-    print(smt_report(args.repeats))
+    print(smt_report())
     densities = [(conv.w_density, conv.a_density) for name in FULL_MODELS
                  for conv in get_spec(name).conv_layers]
     _profile("SmtSA.prefetch (analytic fig11 SMT batch)",
