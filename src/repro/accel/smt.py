@@ -29,7 +29,8 @@ PE of every point in each big-int operation), until its slowest point
 is done, so its time follows that point's cycle count more than the
 number of points. Each batch's ``smt`` trace span ends with args
 ``longest`` (that cycle count) and ``stalls`` (the batch's total
-global-stall cycles).
+global-stall cycles). A process's first batch is preceded by an
+``import`` span for ``numpy.random``, which numpy loads on first use.
 
 Memory side: the staging FIFOs reorder work *inside* the array — the
 operand streams are the dense ZVCG ones, so the DRAM traffic profile is
@@ -40,7 +41,9 @@ memory wall at a higher DRAM bandwidth than the dense baseline.
 
 from __future__ import annotations
 
+import importlib
 import math
+import sys
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
@@ -114,6 +117,11 @@ class SmtSA(ZvcgSA):
         """Fill the memo for ``points`` (grid key -> raw densities)."""
         if not points:
             return
+        if "numpy.random" not in sys.modules:
+            # numpy loads its random module on first use (~9 ms); time
+            # that apart from the process's first batch.
+            with obs_trace.span("numpy.random", "import"):
+                importlib.import_module("numpy.random")
         with obs_trace.span(self.name, "smt", points=len(points),
                             cycles=SMT_STREAM_LENGTH) as batch:
             results = self._queue_model.simulate_many(

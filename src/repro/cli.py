@@ -416,17 +416,18 @@ def _parse_jobs_arg(text):
     return jobs
 
 
-def _parse_seed_arg(text):
-    """The argparse type of every ``--seed`` flag: a non-negative
-    integer (numpy seed sequences reject negative entropy)."""
+def _non_negative_int(text):
+    """The argparse type of every ``--seed`` flag (numpy seed sequences
+    reject negative entropy) and of ``dse --top`` (a negative count
+    would slice rows off the end of the table)."""
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be an integer, got {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _serve_base_url(args) -> str:
@@ -670,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--quick", action="store_true",
                      help="subsample layers for a fast functional check "
                           "(fig11/fig12 with --functional; xval)")
-    exp.add_argument("--seed", type=_parse_seed_arg, default=None,
+    exp.add_argument("--seed", type=_non_negative_int, default=None,
                      help="operand-synthesis seed for the functional tier")
     exp.add_argument("--dram-bw", type=float, default=None,
                      metavar="GB/s",
@@ -729,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="evaluation tier: closed-form analytic "
                           "(default; sub-ms per point) or the cycle "
                           "simulator")
-    dse.add_argument("--seed", type=_parse_seed_arg, default=None,
+    dse.add_argument("--seed", type=_non_negative_int, default=None,
                      help="operand-synthesis seed (functional fidelity)")
     dse.add_argument("--quick", action="store_true",
                      help="subsample GEMM rows for a fast functional "
@@ -744,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--out", default=None, metavar="JSON",
                      help="write the artifact (evaluations + frontier) "
                           "as JSON")
-    dse.add_argument("--top", type=int, default=12,
+    dse.add_argument("--top", type=_non_negative_int, default=12,
                      help="table rows to print (default 12)")
     dse.add_argument("--no-result-cache", action="store_true",
                      help="skip the on-disk result cache for a "
@@ -833,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--quick", action="store_true",
                         help="subsample output rows like the "
                              "experiment --quick mode")
-    submit.add_argument("--seed", type=_parse_seed_arg, default=0,
+    submit.add_argument("--seed", type=_non_negative_int, default=0,
                         help="operand-synthesis seed (functional tier)")
     submit.add_argument("--priority", type=int, default=0,
                         help="scheduling priority; higher runs first "

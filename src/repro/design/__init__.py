@@ -15,10 +15,10 @@ package reproduces that flow in model form:
   generate — the artifact the paper's generator hands to the EDA flow.
 - :mod:`repro.design.dse`: widen the Sec. 7 sweep to the full
   ``AxBxC_MxN`` x (A-DBB bound, SRAM size, DRAM bandwidth, tech)
-  keyspace, evaluate every point (in closed form, as arrays over each
-  group of points sharing one reference layer, or through the memoized
-  runner at functional fidelity) and take the (energy x cycles x area)
-  Pareto frontier (the ``repro dse`` CLI).
+  keyspace, evaluate every point (in closed form, as arrays, one pass
+  per datapath style and tech node, or through the memoized runner at
+  functional fidelity) and take the (energy x cycles x area) Pareto
+  frontier (the ``repro dse`` CLI).
 """
 
 from repro._lazy import lazy_exports

@@ -10,14 +10,19 @@ one (analytic by default, optionally functional), and take the
 three-dimensional (energy, cycles, area) Pareto frontier, so
 latency-optimal designs survive alongside the paper's power pick.
 
-The analytic sweep prices the points as arrays. Points sharing a
-datapath style, B, A-DBB bound, tech node and DRAM bandwidth share one
-reference layer, and within such a group only the array geometry and
-the SRAM size vary; every closed form on the S2TA ``run_layer`` path
-(layer events, DRAM traffic, residency, fill time, energy, power,
-area) is elementwise integer or IEEE arithmetic over those columns, so
-one numpy pass per group reproduces the scalar path bit for bit (the
-scalar ``run_layer`` stays the oracle, ``tests/design/test_dse.py``).
+The analytic sweep prices the points as arrays, one numpy pass per
+datapath style and tech node (two for the default keyspace). What the
+scalar ``run_layer`` path reads off a point's accelerator, reference
+layer and DRAM channel depends only on its (style, B, A-DBB bound,
+tech node, DRAM bandwidth) group, so it is read once per group from
+one accelerator and gathered into per-point columns beside the array
+geometry and the SRAM size. Every closed form on the S2TA path (layer
+events, DRAM traffic, residency, fill time, energy, power, area) is
+elementwise integer or IEEE arithmetic over those columns, so each
+pass reproduces the scalar path bit for bit (the scalar ``run_layer``
+stays the oracle, ``tests/design/test_dse.py``). Each pass is one
+``dse`` trace span. Point uids are spelled once per design and per
+axis value, and :func:`pareto_frontier_3d` ranks objective columns.
 Nothing is sampled and nothing is cached; only a functional sweep goes
 through the layer runner and its result cache. ``repro dse`` is the
 CLI front-end.
@@ -26,15 +31,16 @@ CLI front-end.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 import numpy as np
 
-from repro.accel.s2ta import S2TAAW, S2TAW
+from repro.accel.base import AcceleratorModel
+from repro.accel.s2ta import S2TAAW
 from repro.arch.events import EventCounts
 from repro.arch.memory import DRAMConfig, SRAMStaging, window_duplication
 from repro.design.space import DesignPoint, enumerate_design_space
@@ -76,6 +82,23 @@ def _check_knobs(dbb_bounds: Iterable[int], sram_mb: Iterable[float],
                              f"{sorted(TECH_NODES)}")
 
 
+def _spell(value: Optional[float]) -> str:
+    """How a uid spells an SRAM size or a DRAM bandwidth: 6 significant
+    digits, ``def`` for the default channel."""
+    return "def" if value is None else f"{value:g}"
+
+
+def _design_tag(design: DesignPoint) -> str:
+    """The design's part of a point uid: notation and datapath style."""
+    return f"{design.notation}.{'tu' if design.time_unrolled else 'dp'}"
+
+
+def _knob_tag(a_nnz: int, sram_mb: float, dram_gbps: Optional[float],
+              tech: str) -> str:
+    """The rest of a point uid, spelled from its knob values."""
+    return f".a{a_nnz}.s{_spell(sram_mb)}.bw{_spell(dram_gbps)}.{tech}"
+
+
 @dataclass(frozen=True)
 class DSEAxes:
     """The swept axes; every tuple is one ordered axis."""
@@ -95,6 +118,16 @@ class DSEAxes:
                 raise ValueError(f"axis {name} has duplicate values")
         _check_knobs(self.weight_nnz + self.a_nnz, self.sram_mb,
                      self.dram_gbps, self.techs)
+        # Distinct values that a uid spells alike would make points
+        # collide in the artifact.
+        for name in ("sram_mb", "dram_gbps"):
+            spelled: dict = {}
+            for value in getattr(self, name):
+                other = spelled.setdefault(_spell(value), value)
+                if other != value:
+                    raise ValueError(
+                        f"axis {name} values {other!r} and {value!r} "
+                        f"share the uid spelling {_spell(value)!r}")
 
     def as_dict(self) -> dict:
         return {field.name: list(getattr(self, field.name))
@@ -112,7 +145,7 @@ class DSEPoint:
 
     Construction rejects knob values no path can price (``ValueError``),
     so the analytic array pass and the scalar ``run_layer`` path accept
-    and refuse the same points.
+    and refuse the same points, and spells the point's ``uid``.
     """
 
     design: DesignPoint
@@ -120,6 +153,8 @@ class DSEPoint:
     sram_mb: float = 2.5
     dram_gbps: Optional[float] = None
     tech: str = "16nm"
+    #: Stable identity — the artifact key.
+    uid: str = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         design = self.design
@@ -129,14 +164,8 @@ class DSEPoint:
                              f"got {design.notation}")
         _check_knobs((design.weight_nnz, self.a_nnz),
                      (self.sram_mb,), (self.dram_gbps,), (self.tech,))
-
-    @functools.cached_property
-    def uid(self) -> str:
-        """Stable identity — the artifact key."""
-        style = "tu" if self.design.time_unrolled else "dp"
-        bw = "def" if self.dram_gbps is None else f"{self.dram_gbps:g}"
-        return (f"{self.design.notation}.{style}.a{self.a_nnz}"
-                f".s{self.sram_mb:g}.bw{bw}.{self.tech}")
+        object.__setattr__(self, "uid", _design_tag(design) + _knob_tag(
+            self.a_nnz, self.sram_mb, self.dram_gbps, self.tech))
 
     def build(self):
         """Instantiate the accelerator at this point (clock derated for
@@ -201,22 +230,27 @@ def pareto_frontier_3d(
     points ahead of it, so the first point still alive is on the
     frontier (anything ahead of it that dominated it was itself dropped
     by a frontier point, which then dominates it too). Each round keeps
-    that point and drops every row it strictly dominates in one numpy
-    pass, so the rank costs one pass per frontier point.
+    that point and drops it and every row it strictly dominates in one
+    numpy pass over the rows still alive.
     """
-    ranked = sorted(evaluations, key=lambda e: (e.objectives, e.uid))
-    # Float rows compare cycles exactly (they stay far below 2**53).
-    objectives = np.array([e.objectives for e in ranked], dtype=float)
-    alive = np.ones(len(ranked), dtype=bool)
+    evaluations = list(evaluations)
+    # Float columns compare cycles exactly (they stay far below 2**53).
+    energy, cycles, area = np.array(
+        [[e.energy_uj for e in evaluations], [e.cycles for e in evaluations],
+         [e.area_mm2 for e in evaluations]], dtype=float)
+    # Stable sorts: uid order first, so exact objective ties keep it.
+    uids = [e.uid for e in evaluations]
+    ranked = np.array(sorted(range(len(uids)), key=uids.__getitem__),
+                      dtype=np.intp)
+    ranked = ranked[np.lexsort((area[ranked], cycles[ranked],
+                                energy[ranked]))]
+    objectives = np.stack((energy, cycles, area), axis=1)[ranked]
     frontier: List[DSEEvaluation] = []
-    first = 0
-    while first < len(ranked):
-        row = objectives[first]
-        frontier.append(ranked[first])
-        alive &= ~((objectives >= row).all(axis=1)
-                   & (objectives > row).any(axis=1))
-        later = np.flatnonzero(alive[first + 1:])
-        first = first + 1 + int(later[0]) if later.size else len(ranked)
+    while len(ranked):
+        row, rest = objectives[0], objectives[1:]
+        frontier.append(evaluations[ranked[0]])
+        alive = ~((rest >= row).all(axis=1) & (rest > row).any(axis=1))
+        ranked, objectives = ranked[1:][alive], rest[alive]
     return frontier
 
 
@@ -224,23 +258,34 @@ class DSESpace:
     """The enumerated keyspace, in one deterministic order."""
 
     def __init__(self, axes: Optional[DSEAxes] = None):
-        self.axes = axes or DSEAxes()
-        designs: List[DesignPoint] = []
-        for style in self.axes.styles:
-            for nnz in self.axes.weight_nnz:
-                designs.extend(enumerate_design_space(
-                    time_unrolled=style, weight_nnz=nnz))
-        self.points: List[DSEPoint] = [
-            DSEPoint(design=design, a_nnz=a, sram_mb=sram,
-                     dram_gbps=bw, tech=tech)
-            for design in designs
-            for a in self.axes.a_nnz
-            for sram in self.axes.sram_mb
-            for bw in self.axes.dram_gbps
-            for tech in self.axes.techs
-        ]
-        if len({p.uid for p in self.points}) != len(self.points):
-            raise ValueError("DSE point uids collide — axes misconfigured")
+        self.axes = axes = axes or DSEAxes()
+        knobs = [(a, sram, bw, tech, _knob_tag(a, sram, bw, tech))
+                 for a in axes.a_nnz
+                 for sram in axes.sram_mb
+                 for bw in axes.dram_gbps
+                 for tech in axes.techs]
+        # DSEAxes validated every knob value and spells each one
+        # distinctly, and the enumerated designs are in range, so each
+        # point is assembled from its parts without DSEPoint's per-point
+        # checks (field by field, as its __init__ does, so the instances
+        # keep their compact attribute storage); each uid is one
+        # concatenation of spelled parts.
+        new, put = object.__new__, object.__setattr__
+        self.points: List[DSEPoint] = []
+        for style in axes.styles:
+            for nnz in axes.weight_nnz:
+                for design in enumerate_design_space(time_unrolled=style,
+                                                     weight_nnz=nnz):
+                    tag = _design_tag(design)
+                    for a, sram, bw, tech, knob_tag in knobs:
+                        point = new(DSEPoint)
+                        put(point, "design", design)
+                        put(point, "a_nnz", a)
+                        put(point, "sram_mb", sram)
+                        put(point, "dram_gbps", bw)
+                        put(point, "tech", tech)
+                        put(point, "uid", tag + knob_tag)
+                        self.points.append(point)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -261,8 +306,70 @@ def _evaluation(point: DSEPoint, accel, result) -> DSEEvaluation:
         energy_uj=result.energy_uj)
 
 
+class _Group(NamedTuple):
+    """What the scalar ``run_layer`` path reads off one group's
+    accelerator, reference layer and DRAM channel: everything that
+    depends on (style, B, A-DBB, tech, DRAM bandwidth) but not on the
+    array geometry or the SRAM size. Gathered per point, each field is
+    a column of the array pass."""
+
+    m: int
+    k: int
+    n: int
+    kb: int                 # reduction blocks, ceil(k / BLOCK_SIZE)
+    window: int             # im2col window duplication of the layer
+    b: int                  # the DBB weight bound B
+    steps: int              # S2TAW block passes, S2TAAW cycles per block
+    fired: int              # round(macs * w_density * a_density)
+    a_block_bytes: int      # S2TAAW only (0 on S2TAW)
+    w_block_bytes: int
+    w_stream_bytes: int
+    w_pay: int              # DRAM block layouts: payload and mask bytes
+    w_mask: int
+    a_pay: int
+    a_mask: int
+    capped: bool            # the default channel's cap: no memory cycles
+    per_clock: bool         # bytes_per_cycle is GB/s, per derated clock
+    bytes_per_cycle: float
+    burst_bytes: int
+    row_bytes: int
+    row_activate_cycles: float
+
+
+def _group(point: DSEPoint) -> Tuple[AcceleratorModel, _Group]:
+    """The accelerator built at ``point`` and its group's scalars."""
+    accel = point.build()
+    layer = point.layer()
+    if isinstance(accel, S2TAAW):
+        b, steps = accel.w_nnz_hw, accel._steps(layer)
+        a_block_bytes = accel._a_block_bytes(layer)
+    else:
+        b, steps = accel.datapath_nnz, accel._w_passes(layer)
+        a_block_bytes = 0
+    (w_pay, w_mask), (a_pay, a_mask) = accel._dram_block_layout(layer)
+    # At 1 GHz an explicit channel's bytes per cycle is its GB/s; the
+    # pass divides it by each point's derated clock, as the lazy memory
+    # system of DSEPoint.build() does.
+    channel = (DRAMConfig() if point.dram_gbps is None
+               else DRAMConfig.from_bandwidth(point.dram_gbps, 1.0))
+    return accel, _Group(
+        m=layer.m, k=layer.k, n=layer.n,
+        kb=math.ceil(layer.k / BLOCK_SIZE),
+        window=window_duplication(layer), b=b, steps=steps,
+        fired=round(layer.macs * layer.w_density * layer.a_density),
+        a_block_bytes=a_block_bytes,
+        w_block_bytes=accel._w_block_bytes(layer),
+        w_stream_bytes=accel._weight_stream_bytes(layer),
+        w_pay=w_pay, w_mask=w_mask, a_pay=a_pay, a_mask=a_mask,
+        capped=channel.cap_streaming_only and not layer.memory_bound,
+        per_clock=point.dram_gbps is not None,
+        bytes_per_cycle=channel.bytes_per_cycle,
+        burst_bytes=channel.burst_bytes, row_bytes=channel.row_bytes,
+        row_activate_cycles=channel.row_activate_cycles)
+
+
 class _Geometry(NamedTuple):
-    """int64 columns of one group's array geometries."""
+    """int64 columns of the points' array geometries."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -274,118 +381,101 @@ class _Geometry(NamedTuple):
     tiles_n: np.ndarray
 
 
-def _dot_product_events(accel: S2TAW, layer: LayerSpec, g: _Geometry
+def _dot_product_events(c: _Group, g: _Geometry
                         ) -> Tuple[np.ndarray, EventCounts]:
-    """:meth:`S2TAW._layer_events` over geometry columns."""
-    kb = math.ceil(layer.k / BLOCK_SIZE)
-    passes = accel._w_passes(layer)
-    nnz = accel.datapath_nnz
+    """:meth:`S2TAW._layer_events` over columns."""
     tiles = g.tiles_m * g.tiles_n
-    compute_cycles = tiles * kb * passes + (g.rows + g.cols - 2)
-    slots = tiles * g.eff_rows * g.eff_cols * kb * passes * nnz
-    fired = round(layer.macs * layer.w_density * layer.a_density)
+    compute_cycles = tiles * c.kb * c.steps + (g.rows + g.cols - 2)
+    slots = tiles * g.eff_rows * g.eff_cols * c.kb * c.steps * c.b
     events = EventCounts()
-    events.mac_ops = fired
-    events.gated_mac_ops = np.maximum(0, slots - fired)
-    events.mux_ops = layer.m * layer.n * kb * passes * nnz
-    acc_slots = layer.m * layer.n * kb * passes
-    acc_fired = min(acc_slots, fired)
+    events.mac_ops = c.fired
+    events.gated_mac_ops = np.maximum(0, slots - c.fired)
+    events.mux_ops = c.m * c.n * c.kb * c.steps * c.b
+    acc_slots = c.m * c.n * c.kb * c.steps
+    acc_fired = np.minimum(acc_slots, c.fired)
     events.acc_reg_ops = acc_fired
     events.gated_acc_reg_ops = acc_slots - acc_fired
-    a_hop_bytes = g.tiles_n * g.cols * layer.m * layer.k
-    w_hop_bytes = (g.tiles_m * g.rows * layer.n * kb
-                   * accel._w_block_bytes(layer))
+    a_hop_bytes = g.tiles_n * g.cols * c.m * c.k
+    w_hop_bytes = g.tiles_m * g.rows * c.n * c.kb * c.w_block_bytes
     events.operand_reg_ops = (a_hop_bytes // np.maximum(1, g.tpe_c // 2)
                               + w_hop_bytes // g.tpe_a)
-    events.sram_a_read_bytes = layer.m * layer.k * g.tiles_n
-    events.sram_w_read_bytes = accel._weight_stream_bytes(layer) * g.tiles_m
-    events.sram_a_write_bytes = layer.m * layer.n
-    events.mcu_elementwise_ops = layer.m * layer.n
+    events.sram_a_read_bytes = c.m * c.k * g.tiles_n
+    events.sram_w_read_bytes = c.w_stream_bytes * g.tiles_m
+    events.sram_a_write_bytes = c.m * c.n
+    events.mcu_elementwise_ops = c.m * c.n
     return compute_cycles, events
 
 
-def _time_unrolled_events(accel: S2TAAW, layer: LayerSpec, g: _Geometry
+def _time_unrolled_events(c: _Group, g: _Geometry
                           ) -> Tuple[np.ndarray, EventCounts]:
-    """:meth:`S2TAAW._layer_events` over geometry columns."""
-    kb = math.ceil(layer.k / BLOCK_SIZE)
-    steps = accel._steps(layer)
+    """:meth:`S2TAAW._layer_events` over columns."""
     tiles = g.tiles_m * g.tiles_n
-    compute_cycles = (tiles * kb + (g.rows + g.cols - 2)) * steps
-    slots = tiles * g.eff_rows * g.eff_cols * kb * steps
-    fired = np.minimum(
-        round(layer.macs * layer.w_density * layer.a_density), slots)
+    compute_cycles = (tiles * c.kb + (g.rows + g.cols - 2)) * c.steps
+    slots = tiles * g.eff_rows * g.eff_cols * c.kb * c.steps
+    fired = np.minimum(c.fired, slots)
     events = EventCounts()
     events.mac_ops = fired
     events.gated_mac_ops = slots - fired
-    events.mux_ops = layer.m * layer.n * kb * steps
-    acc_slots = layer.m * layer.n * kb * steps
+    events.mux_ops = c.m * c.n * c.kb * c.steps
+    acc_slots = c.m * c.n * c.kb * c.steps
     acc_fired = np.minimum(acc_slots, fired)
     events.acc_reg_ops = acc_fired
     events.gated_acc_reg_ops = acc_slots - acc_fired
-    a_block_bytes = accel._a_block_bytes(layer)
-    a_hop_bytes = g.tiles_n * g.cols * layer.m * kb * a_block_bytes
-    w_hop_bytes = (g.tiles_m * g.rows * layer.n * kb
-                   * accel._w_block_bytes(layer))
-    a_reuse = np.minimum(g.tpe_c, accel.w_nnz_hw)
+    a_hop_bytes = g.tiles_n * g.cols * c.m * c.kb * c.a_block_bytes
+    w_hop_bytes = g.tiles_m * g.rows * c.n * c.kb * c.w_block_bytes
+    a_reuse = np.minimum(g.tpe_c, c.b)
     events.operand_reg_ops = (a_hop_bytes // a_reuse
                               + w_hop_bytes // g.tpe_a)
-    events.sram_a_read_bytes = layer.m * kb * a_block_bytes * g.tiles_n
-    events.sram_w_read_bytes = accel._weight_stream_bytes(layer) * g.tiles_m
-    events.sram_a_write_bytes = layer.m * kb * a_block_bytes
-    events.mcu_elementwise_ops = layer.m * layer.n
-    if steps < BLOCK_SIZE:
-        events.dap_compare_ops = layer.m * kb * (BLOCK_SIZE - 1) * steps
+    events.sram_a_read_bytes = c.m * c.kb * c.a_block_bytes * g.tiles_n
+    events.sram_w_read_bytes = c.w_stream_bytes * g.tiles_m
+    events.sram_a_write_bytes = c.m * c.kb * c.a_block_bytes
+    events.mcu_elementwise_ops = c.m * c.n
+    # DAP is bypassed on dense (steps == BLOCK_SIZE) layers.
+    events.dap_compare_ops = np.where(
+        c.steps < BLOCK_SIZE, c.m * c.kb * (BLOCK_SIZE - 1) * c.steps, 0)
     return compute_cycles, events
 
 
-_LAYER_EVENTS = {S2TAW: _dot_product_events, S2TAAW: _time_unrolled_events}
-
-
-def _stream_time(dram: DRAMConfig, logical_bytes: np.ndarray,
+def _stream_time(dram, logical_bytes: np.ndarray,
                  streams: np.ndarray) -> np.ndarray:
-    """Bus time of :meth:`DRAMConfig._streamed` over columns. Streams
+    """Bus time of :meth:`DRAMConfig._streamed` over columns; ``dram``
+    carries the channel's timing fields (scalars or columns). Streams
     are >= 1 here and zero bytes price to 0.0, so its early return
     needs no twin."""
     per_stream = -(-logical_bytes // streams)
-    return streams * dram._transfer_time(per_stream.astype(np.float64),
-                                         np.ceil)
+    return streams * DRAMConfig._transfer_time(
+        dram, per_stream.astype(np.float64), np.ceil)
 
 
-def _price_group(points: Sequence[DSEPoint]) -> List[DSEEvaluation]:
-    """Evaluate points that share (style, B, A-DBB, tech, DRAM
-    bandwidth) in one pass over int64 geometry and float64 SRAM
-    columns.
+def _price_pass(accel: AcceleratorModel, c: _Group, geometry: np.ndarray,
+                sram_mb: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """(power mW, area mm², cycles, energy µJ) columns of points that
+    share a datapath style and tech node; ``geometry`` holds their
+    rows, cols, tpe_a and tpe_c as int64 rows.
 
     Each step is the column twin of the scalar ``DSEPoint.build()`` →
-    ``run_layer`` → :func:`_evaluation` path, in its operation order.
-    The group's reference layer and everything that depends only on
-    the group (block layouts, pass counts, the energy model) come from
-    one accelerator built at the first point.
+    ``run_layer`` → :func:`_evaluation` path, in its operation order;
+    ``c`` holds each point's group scalars and ``accel`` (any point's)
+    the style's and the node's constants: the energy and area costs.
     """
-    first = points[0]
-    accel = first.build()
-    layer = first.layer()
-    rows, cols, tpe_a, tpe_c = np.array(
-        [(p.design.rows, p.design.cols, p.design.tpe_a, p.design.tpe_c)
-         for p in points], dtype=np.int64).T
-    sram_mb = np.array([p.sram_mb for p in points], dtype=np.float64)
+    rows, cols, tpe_a, tpe_c = geometry
     eff_rows, eff_cols = rows * tpe_a, cols * tpe_c
     # math.ceil(m / eff_rows) is exact integer ceil-division here.
     g = _Geometry(rows, cols, tpe_a, tpe_c, eff_rows, eff_cols,
-                  tiles_m=-(-layer.m // eff_rows),
-                  tiles_n=-(-layer.n // eff_cols))
-    compute_cycles, events = _LAYER_EVENTS[type(accel)](accel, layer, g)
+                  tiles_m=-(-c.m // eff_rows), tiles_n=-(-c.n // eff_cols))
+    time_unrolled = isinstance(accel, S2TAAW)
+    layer_events = (_time_unrolled_events if time_unrolled
+                    else _dot_product_events)
+    compute_cycles, events = layer_events(c, g)
     # DSEPoint.build's clock: the node's, derated for the TPE dims.
-    clock_ghz = get_tech(first.tech).clock_ghz * (
+    clock_ghz = get_tech(accel.tech).clock_ghz * (
         1.0 / (1.0 + 0.04 * np.maximum(0, tpe_a + tpe_c - 12)))
 
     # AcceleratorModel.layer_traffic (single-pass streams).
     w_pass = events.sram_w_read_bytes // g.tiles_m
-    a_pass = -(-events.sram_a_read_bytes // g.tiles_n
-               // window_duplication(layer))
-    (w_pay, w_mask), (a_pay, a_mask) = accel._dram_block_layout(layer)
-    w_meta = (w_pass * w_mask) // (w_pay + w_mask)
-    a_meta = (a_pass * a_mask) // (a_pay + a_mask)
+    a_pass = -(-events.sram_a_read_bytes // g.tiles_n // c.window)
+    w_meta = (w_pass * c.w_mask) // (c.w_pay + c.w_mask)
+    a_meta = (a_pass * c.a_mask) // (c.a_pay + c.a_mask)
 
     # AcceleratorModel.memory's staging split. float64 keeps absurd
     # sizes from overflowing; it is exact below 2**53 bytes, and only
@@ -409,79 +499,92 @@ def _price_group(points: Sequence[DSEPoint]) -> List[DSEEvaluation]:
     a_total = (a_pass - a_meta) * a_streams + a_meta * a_streams
 
     # _finalize_layer_body's cap: int(ceil(fill)) only when an explicit
-    # bandwidth enforces the roofline wall (or the layer streams).
-    memory_cycles = np.zeros(len(points))
-    clocks, which = np.unique(clock_ghz, return_inverse=True)
-    channels = [DRAMConfig() if first.dram_gbps is None
-                else DRAMConfig.from_bandwidth(first.dram_gbps, float(clock))
-                for clock in clocks]
-    if not (channels[0].cap_streaming_only and not layer.memory_bound):
-        for index, dram in enumerate(channels):
-            at = which == index
-            memory_cycles[at] = np.ceil(
-                _stream_time(dram, w_total[at], w_streams[at])
-                + _stream_time(dram, a_total[at], a_streams[at]))
+    # bandwidth enforces the roofline wall (or the layer streams). The
+    # channel's timing fields are columns of a stand-in for its self.
+    dram = SimpleNamespace(
+        burst_bytes=c.burst_bytes, row_bytes=c.row_bytes,
+        row_activate_cycles=c.row_activate_cycles,
+        bytes_per_cycle=np.where(c.per_clock, c.bytes_per_cycle / clock_ghz,
+                                 c.bytes_per_cycle))
+    memory_cycles = np.where(
+        c.capped, 0.0, np.ceil(_stream_time(dram, w_total, w_streams)
+                               + _stream_time(dram, a_total, a_streams)))
     # Cycles ride float64 (exact integers: compute counts are far below
-    # 2**53, and the fill bound is a float ceil), so int() below raises
-    # on an infinite fill time exactly where the scalar path does.
+    # 2**53, and the fill bound is a float ceil), so int() on a row
+    # raises on an infinite fill time exactly where the scalar path does.
     cycles = np.maximum(compute_cycles, memory_cycles)
-    cycle_counts = [int(c) for c in cycles.tolist()]
     events.cycles = cycles
     events.dram_read_bytes = w_total + a_total
-    events.dram_write_bytes = layer.m * layer.n  # results; no psums
+    events.dram_write_bytes = c.m * c.n  # results; no psums
     energy_pj = accel.energy_model.breakdown(events).total_pj
 
-    # _evaluation's power and AreaModel.total_mm2.
+    # _evaluation's power and AreaModel.total_mm2. _buffer_bytes reads
+    # only B off the accelerator, so a stand-in carries B's column.
     runtime_s = cycles / (clock_ghz * 1e9)
     power_mw = energy_pj * 1e-12 / runtime_s * 1e3
     macs = rows * cols * tpe_a * tpe_c
-    if isinstance(accel, S2TAW):
-        macs = macs * accel.datapath_nnz
+    if not time_unrolled:
+        macs = macs * c.b
+    buffer_bytes = type(accel)._buffer_bytes(
+        SimpleNamespace(datapath_nnz=c.b, w_nnz_hw=c.b), tpe_a, tpe_c)
     costs = accel.costs
     pe_array = macs * (costs.mac_area_um2
-                       + accel._buffer_bytes(tpe_a, tpe_c)
-                       * costs.buffer_area_um2_per_byte) * 1e-6
+                       + buffer_bytes * costs.buffer_area_um2_per_byte) * 1e-6
     base = (pe_array + sram_mb * costs.sram_area_mm2_per_mb
             + accel.mcus * costs.mcu_area_mm2
             + (costs.dap_area_mm2 if accel.has_dap else 0.0))
-    area_mm2 = base * get_tech(first.tech).area_scale
-
-    return [
-        DSEEvaluation(
-            uid=point.uid, notation=point.design.notation,
-            time_unrolled=point.design.time_unrolled,
-            weight_nnz=point.design.weight_nnz, a_nnz=point.a_nnz,
-            sram_mb=point.sram_mb, dram_gbps=point.dram_gbps,
-            tech=point.tech, power_mw=power, area_mm2=area,
-            cycles=cycle, energy_uj=energy)
-        for point, power, area, cycle, energy in zip(
-            points, power_mw.tolist(), area_mm2.tolist(), cycle_counts,
-            (energy_pj * 1e-6).tolist())
-    ]
-
-
-def _group_key(point: DSEPoint) -> tuple:
-    return (point.design.time_unrolled, point.design.weight_nnz,
-            point.a_nnz, point.tech, point.dram_gbps)
+    area_mm2 = base * get_tech(accel.tech).area_scale
+    return power_mw, area_mm2, cycles, energy_pj * 1e-6
 
 
 def _evaluate_analytic(points: Sequence[DSEPoint]
                        ) -> Dict[str, DSEEvaluation]:
-    groups: Dict[tuple, List[int]] = {}
-    for index, point in enumerate(points):
-        groups.setdefault(_group_key(point), []).append(index)
-    evaluations: List[Optional[DSEEvaluation]] = [None] * len(points)
-    for (time_unrolled, b, a, tech, bw), indices in groups.items():
+    """One :func:`_price_pass` per (style, tech) over the points' group
+    scalars, gathered from one accelerator per (style, B, A-DBB, tech,
+    DRAM bandwidth) group."""
+    if not points:
+        return {}
+    designs = [point.design for point in points]
+    group_ids: Dict[tuple, int] = {}
+    which = np.array([
+        group_ids.setdefault((design.time_unrolled, point.tech,
+                              design.weight_nnz, point.a_nnz,
+                              point.dram_gbps), len(group_ids))
+        for point, design in zip(points, designs)])
+    # Group ids count up in first-seen order: firsts[i] opens group i.
+    firsts = np.unique(which, return_index=True)[1]
+    accels, groups = zip(*[_group(points[i]) for i in firsts.tolist()])
+    group_columns = _Group(*(np.array(field) for field in zip(*groups)))
+    passes: Dict[tuple, List[int]] = {}
+    for group, key in enumerate(group_ids):
+        passes.setdefault(key[:2], []).append(group)
+    geometry = np.array([[d.rows for d in designs], [d.cols for d in designs],
+                         [d.tpe_a for d in designs],
+                         [d.tpe_c for d in designs]], dtype=np.int64)
+    sram_mb = np.array([point.sram_mb for point in points], dtype=np.float64)
+    columns = np.empty((4, len(points)))
+    for (time_unrolled, tech), members in passes.items():
+        at = np.flatnonzero(np.isin(which, members))
         style = "tu" if time_unrolled else "dp"
-        bw = "def" if bw is None else f"{bw:g}"
-        with obs_trace.span(f"{style}.B{b}.a{a}.bw{bw}.{tech}", "dse",
-                            style=style, B=b, A=a, tech=tech, bw=bw,
-                            points=len(indices)):
-            priced = _price_group([points[i] for i in indices])
-        for index, evaluation in zip(indices, priced):
-            evaluations[index] = evaluation
-    return {point.uid: evaluation
-            for point, evaluation in zip(points, evaluations)}
+        with obs_trace.span(f"{style}.{tech}", "dse", style=style,
+                            tech=tech, groups=len(members),
+                            points=len(at)):
+            picked = which[at]
+            columns[:, at] = _price_pass(
+                accels[members[0]],
+                _Group(*(field[picked] for field in group_columns)),
+                geometry[:, at], sram_mb[at])
+    power, area, cycles, energy = columns.tolist()
+    # A uid starts with its design's notation and a dot (_design_tag).
+    return {
+        point.uid: DSEEvaluation(
+            point.uid, point.uid.partition(".")[0], design.time_unrolled,
+            design.weight_nnz, point.a_nnz, point.sram_mb,
+            point.dram_gbps, point.tech, power_mw, area_mm2, int(cycle),
+            energy_uj)
+        for point, design, power_mw, area_mm2, cycle, energy_uj in zip(
+            points, designs, power, area, cycles, energy)
+    }
 
 
 def evaluate_points(
@@ -496,10 +599,11 @@ def evaluate_points(
     ``{uid: evaluation}``.
 
     ``fidelity="analytic"`` (default) prices the closed-form layer
-    events as arrays: one numpy pass per group of points sharing a
-    style, B, A-DBB bound, tech node and DRAM bandwidth, bit-equal to
-    each point's scalar ``build().run_layer(layer())``. The whole
-    default keyspace takes tens of milliseconds. ``"functional"``
+    events as arrays: one numpy pass per datapath style and tech node,
+    over per-point columns of each (B, A-DBB bound, DRAM bandwidth)
+    group's scalars, bit-equal to each point's scalar
+    ``build().run_layer(layer())``. The whole default keyspace takes
+    ~15 ms on a 2-core Xeon. ``"functional"``
     simulates synthesized operand patterns on the cycle simulator
     (``seed`` / ``max_m`` as in the full-model experiments) through the
     layer runner, then finalizes each point; ``jobs`` and

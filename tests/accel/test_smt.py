@@ -1,9 +1,14 @@
 """Tests for the SA-SMT accelerator model (Fig. 3 / Fig. 10 anchors)."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.accel import SmtSA, ZvcgSA
 from repro.arch.smt import SMTArrayModel
 from repro.models import get_spec
@@ -149,3 +154,35 @@ class TestPrefetch:
         assert ends[0]["args"] == {
             "longest": max(r.cycles for r in results),
             "stalls": sum(r.stall_cycles for r in results)}
+
+
+def test_numpy_random_import_is_its_own_span(tmp_path):
+    """In a fresh interpreter the artifact imports leave numpy.random
+    unloaded; the first SA-SMT batch loads it inside an ``import`` span
+    that closes before its ``smt`` span opens, and a later batch
+    imports nothing."""
+    path = tmp_path / "smt.json"
+    code = (
+        "import sys\n"
+        "import repro.eval.experiments, repro.eval.runner\n"
+        "from repro.accel import SmtSA\n"
+        "from repro.obs import trace\n"
+        "print('numpy.random' in sys.modules)\n"
+        f"trace.start_tracing({str(path)!r})\n"
+        "SmtSA().prefetch([(0.5, 0.5)])\n"
+        "SmtSA().prefetch([(0.25, 0.5)])\n"
+        "trace.stop_tracing()\n"
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    spans = [(e["cat"], e["name"], e["ph"])
+             for e in json.loads(path.read_text())["traceEvents"]
+             if e.get("cat") in ("import", "smt")]
+    assert spans == [
+        ("import", "numpy.random", "B"), ("import", "numpy.random", "E"),
+        ("smt", "SA-SMT-T2Q2", "B"), ("smt", "SA-SMT-T2Q2", "E"),
+        ("smt", "SA-SMT-T2Q2", "B"), ("smt", "SA-SMT-T2Q2", "E")]

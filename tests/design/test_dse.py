@@ -12,7 +12,7 @@ Pinned here:
   whole default keyspace, on a Hypothesis-sampled widened space and on
   named corners of the memory model;
 - bad axes and bad points are rejected up front with ``ValueError``;
-- a traced sweep shows one ``dse`` span per priced group;
+- a traced sweep shows one ``dse`` span per priced (style, tech) pass;
 - a warm functional re-sweep hits the result cache on > 90% of lookups.
 """
 
@@ -82,6 +82,17 @@ class TestAxes:
         with pytest.raises(ValueError):
             DSEAxes(**axes)
 
+    @pytest.mark.parametrize("name, values", [
+        ("sram_mb", (2.5, 2.5000001)),
+        ("dram_gbps", (None, 8.0, 8.0000001)),
+    ])
+    def test_values_spelled_alike_rejected(self, name, values):
+        """Distinct values a uid spells alike (6 significant digits)
+        would collide in the artifact; the error names both."""
+        with pytest.raises(ValueError, match=rf"{name} values "
+                           rf"{values[-2]!r} and {values[-1]!r}"):
+            DSEAxes(**{name: values})
+
     def test_roundtrips_through_dict(self):
         """The artifact's ``space.axes`` records every axis losslessly."""
         axes = DSEAxes(dram_gbps=(None, 8.0), techs=("16nm", "65nm"))
@@ -92,6 +103,18 @@ class TestAxes:
 class TestSpace:
     def test_default_space_is_thousands_of_points(self):
         assert len(DSESpace()) >= 2000
+
+    def test_points_equal_directly_constructed_points(self):
+        """The space assembles its points without DSEPoint's checks;
+        each equals, and spells the uid of, the validated point."""
+        axes = DSEAxes(weight_nnz=(2, 8), a_nnz=(3,), sram_mb=(0.25, 5.0),
+                       dram_gbps=(None, 0.5), techs=("16nm", "65nm"))
+        for point in DSESpace(axes).points:
+            built = DSEPoint(point.design, a_nnz=point.a_nnz,
+                             sram_mb=point.sram_mb,
+                             dram_gbps=point.dram_gbps, tech=point.tech)
+            assert point == built
+            assert point.uid == built.uid
 
     def test_enumeration_is_deterministic(self):
         first = [p.uid for p in DSESpace(SMALL).points]
@@ -142,6 +165,9 @@ class TestParetoFrontier3D:
     def test_equals_loop_oracle(self, objectives):
         evals = [_evaluation(i, *obj) for i, obj in enumerate(objectives)]
         assert pareto_frontier_3d(evals) == _loop_frontier(evals)
+
+    def test_empty(self):
+        assert pareto_frontier_3d([]) == []
 
     def test_full_keyspace_equals_loop_oracle(self):
         evals = list(evaluate_points(DSESpace().points).values())
@@ -411,6 +437,15 @@ class TestArrayPassEqualsScalar:
     def test_full_default_keyspace(self):
         _assert_matches_scalar(DSESpace().points)
 
+    def test_passes_spanning_groups(self):
+        """Each (style, tech) pass spans groups that differ in B, A-DBB
+        and DRAM bandwidth (the default channel, a memory-bound 0.5 and
+        8 GB/s); two techs give two passes per style."""
+        axes = DSEAxes(weight_nnz=(2, 4, 8), a_nnz=(2, 8),
+                       sram_mb=(0.25, 2.5), dram_gbps=(None, 0.5, 8.0),
+                       techs=("16nm", "65nm"))
+        _assert_matches_scalar(DSESpace(axes).points)
+
     @given(_point_lists())
     @settings(max_examples=60, deadline=None)
     def test_widened_space(self, points):
@@ -459,18 +494,24 @@ class TestArrayPassEqualsScalar:
 
 
 class TestTrace:
-    def test_one_span_per_priced_group(self, tmp_path):
+    def test_one_span_per_priced_pass(self, tmp_path):
+        """One ``dse`` span per (style, tech) pass, each over its two
+        (B, A-DBB, bandwidth) groups."""
+        axes = DSEAxes(weight_nnz=(4,), a_nnz=(2, 4), sram_mb=(2.5,),
+                       techs=("16nm", "65nm"))
         obs_trace.start_tracing(tmp_path / "dse.json")
         try:
-            run_dse(SMALL)
+            run_dse(axes)
         finally:
             path = obs_trace.stop_tracing()
-        groups = [event for event in load_trace_events(path)
+        passes = [event for event in load_trace_events(path)
                   if event["cat"] == "dse" and event["ph"] == "B"]
-        assert len(groups) == 3
-        assert sorted(event["args"]["A"] for event in groups) == [2, 4, 8]
-        assert {(event["args"]["style"], event["args"]["B"],
-                 event["args"]["tech"], event["args"]["bw"])
-                for event in groups} == {("tu", 4, "16nm", "def")}
-        assert sum(event["args"]["points"] for event in groups) == 114
+        assert len(passes) == 4
+        assert sorted((event["name"], event["args"]["style"],
+                       event["args"]["tech"], event["args"]["groups"])
+                      for event in passes) == [
+            ("dp.16nm", "dp", "16nm", 2), ("dp.65nm", "dp", "65nm", 2),
+            ("tu.16nm", "tu", "16nm", 2), ("tu.65nm", "tu", "65nm", 2)]
+        assert sum(event["args"]["points"] for event in passes) \
+            == len(DSESpace(axes))
         assert summarize_trace(path)["coverage"] >= 0.9

@@ -326,6 +326,21 @@ class TestDSECommand:
         with pytest.raises(SystemExit, match="^bad DSE axes: "):
             main(["dse"] + flags)
 
+    def test_negative_top_is_a_usage_error(self, capsys):
+        """``--top -3`` used to print every row but the last three."""
+        assert build_parser().parse_args(["dse", "--top", "0"]).top == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["dse"] + self.AXES + ["--top", "-3"])
+        assert exc.value.code == 2
+        assert "--top: must be >= 0" in capsys.readouterr().err
+
+    def test_axis_values_spelled_alike_exit_with_a_message(self):
+        """Two sizes that print alike in a uid used to exit with a bare
+        uid-collision error."""
+        with pytest.raises(SystemExit,
+                           match="^bad DSE axes: .*2.5.*2.5000001"):
+            main(["dse", "--sram-mb", "2.5,2.5000001"])
+
     def test_quick_requires_functional_fidelity(self):
         with pytest.raises(SystemExit):
             main(["dse"] + self.AXES + ["--quick"])

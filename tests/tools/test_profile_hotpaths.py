@@ -1,4 +1,5 @@
-"""Tests for the start-up and SA-SMT sections of the hot-path profiler."""
+"""Tests for the start-up, SA-SMT and DSE sections of the hot-path
+profiler."""
 
 import importlib.util
 import pathlib
@@ -45,3 +46,11 @@ def test_smt_report_splits_both_batch_shapes():
     assert lines[2].startswith("alexnet           5 points:")
     assert all(" = draws " in line and " + lockstep " in line
                for line in lines[1:])
+
+
+def test_dse_report_splits_both_keyspaces():
+    lines = ph.dse_report(repeats=1).splitlines()
+    assert lines[1].startswith("default    2712 points:")
+    assert lines[2].startswith("wide      32544 points:")
+    assert all(" space " in line and " + evaluate " in line
+               and " + frontier " in line for line in lines[1:])

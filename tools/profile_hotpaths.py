@@ -15,11 +15,16 @@ the memory-hierarchy DMA tile-timeline walker, and the analytic tier's
 loops: the SA-SMT queueing batch of analytic Fig. 11 (its 28 density
 points, ``SMT_STREAM_LENGTH`` cycles each), ``dse.evaluate_points``
 over the default DSE keyspace (the array pass, one numpy pass per
-point group) and, over the same points, the scalar per-point oracle it
-is tested against (``point.build().run_layer(point.layer())``). Each
-runs under cProfile, printing the
-top-15 functions by cumulative time, so perf PRs can measure
-before/after instead of guessing where the time goes.
+datapath style and tech node) and, over the same points, the scalar
+per-point oracle it is tested against
+(``point.build().run_layer(point.layer())``). Each runs under
+cProfile, printing the top-15 functions by cumulative time, so perf
+PRs can measure before/after instead of guessing where the time goes.
+Before the DSE profiles, the default and the wide keyspace
+(``WIDE_DSE_AXES``: every tech node x four DRAM channels, 32,544
+points) are timed without a profiler, best of five, split into
+building the ``DSESpace``, ``evaluate_points`` and
+``pareto_frontier_3d``.
 
 Usage::
 
@@ -187,6 +192,50 @@ def smt_report(repeats: int = 5) -> str:
     return "\n".join(lines)
 
 
+#: The wide DSE keyspace: the default axes over every tech node and
+#: four DRAM channels, 12x the default's points and groups.
+WIDE_DSE_AXES = {"dram_gbps": (None, 4.0, 16.0, 64.0),
+                 "techs": ("16nm", "45nm", "65nm")}
+
+
+def dse_stage_times(axes=None, repeats: int = 5
+                    ) -> Tuple[int, float, float, float]:
+    """``(points, space, evaluate, frontier)`` of the analytic sweep
+    over ``axes``: seconds of building the ``DSESpace``, of
+    ``evaluate_points`` and of ``pareto_frontier_3d``, from the run of
+    ``repeats`` with the least total time."""
+    from repro.design import dse
+
+    best = (float("inf"),)
+    for _ in range(repeats):
+        start = time.perf_counter()
+        space = dse.DSESpace(axes)
+        built = time.perf_counter()
+        evaluations = dse.evaluate_points(space.points)
+        evaluated = time.perf_counter()
+        dse.pareto_frontier_3d(evaluations.values())
+        end = time.perf_counter()
+        best = min(best, (end - start, built - start, evaluated - built,
+                          end - evaluated))
+    return (len(space),) + best[1:]
+
+
+def dse_report(repeats: int = 5) -> str:
+    """The default and the wide DSE keyspace, split into space,
+    evaluate and frontier."""
+    from repro.design.dse import DSEAxes
+
+    lines = [f"best of {repeats}, one fresh DSESpace per run"]
+    for label, axes in (("default", None),
+                        ("wide", DSEAxes(**WIDE_DSE_AXES))):
+        points, space, evaluate, frontier = dse_stage_times(axes, repeats)
+        lines.append(f"{label:<8} {points:>6} points: "
+                     f"space {space * 1e3:6.1f} ms + "
+                     f"evaluate {evaluate * 1e3:6.1f} ms + "
+                     f"frontier {frontier * 1e3:6.1f} ms")
+    return "\n".join(lines)
+
+
 def _profile(label: str, func, *args, top: int = 15, **kwargs) -> None:
     print(f"\n=== {label} " + "=" * max(1, 68 - len(label)))
     profiler = cProfile.Profile()
@@ -311,6 +360,8 @@ def main(argv=None) -> int:
                  for conv in get_spec(name).conv_layers]
     _profile("SmtSA.prefetch (analytic fig11 SMT batch)",
              SmtSA().prefetch, densities, top=args.top)
+    print("\n=== DSE sweep: space, evaluate, frontier " + "=" * 28)
+    print(dse_report())
     points = dse.DSESpace().points
     _profile(f"dse.evaluate_points ({len(points)} analytic points)",
              dse.evaluate_points, points, top=args.top)
