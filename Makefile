@@ -23,8 +23,8 @@
 #   make check    - just the regression diff of existing BENCH files.
 #   make chaos    - the fault-tolerance acceptance suite (tests/chaos,
 #                   see docs/robustness.md): a serve instance under a
-#                   deterministic fault storm (REPRO_FAULTS worker
-#                   crashes / task hangs / claim failures / HTTP 500s)
+#                   deterministic fault storm (REPRO_FAULTS corrupt
+#                   cache writes and reads / claim failures / HTTP 500s)
 #                   converging to bit-equal or cleanly-failed jobs,
 #                   corrupt result-cache entries quarantined and
 #                   recomputed, and $REPRO_FAULTS arming in a fresh
@@ -46,26 +46,25 @@
 # Functional-tier execution engine (repro.eval.runner):
 #
 #   make fig-functional - full-size fig11 + fig12 functional runs on the
-#                   parallel, memoized engine (all cores, on-disk result
-#                   cache; re-runs skip straight to finalization).
+#                   memoized engine (on-disk result cache; re-runs skip
+#                   straight to finalization).
 #   make cache-clear    - delete the on-disk functional-result cache, a
 #                   plain directory of <key>.json files
 #                   ($REPRO_CACHE_DIR, default ~/.cache/repro/results).
 #
 # Observability (repro.obs, see docs/observability.md):
 #
-#   make trace    - record a Chrome trace of a parallel fig12
-#                   functional run (trace_fig12.json, viewable at
+#   make trace    - record a Chrome trace of a fig12 functional run
+#                   (trace_fig12.json, viewable at
 #                   https://ui.perfetto.dev) and print the offline
 #                   phase-attribution summary. Nightly runs this too,
-#                   so a wiring break (unmatched spans, missing worker
-#                   tracks) surfaces there; bench_obs_overhead.py in
-#                   the bench sweep gates the disabled-path cost.
+#                   so a wiring break (unmatched spans, missing phases)
+#                   surfaces there; bench_obs_overhead.py in the bench
+#                   sweep gates the disabled-path cost.
 #
-# `make nightly` runs the whole functional tier on the parallel runner
-# (REPRO_JOBS=0 = one worker per core) and fails when the xval
+# `make nightly` runs the whole functional tier and fails when the xval
 # agreement contract trips (`repro experiment xval` exits non-zero) or
-# when the benchmark gate regresses — including the new end-to-end
+# when the benchmark gate regresses — including the end-to-end
 # wall-clock metric from bench_experiment_wallclock.py.
 
 PY         := PYTHONPATH=src python
@@ -83,8 +82,8 @@ verify:
 # contract, which a cached entry from before a simulator change the
 # cache's source salt does not cover would mask.
 nightly:
-	REPRO_JOBS=0 $(PY) -m pytest -q -m slow
-	$(PY) -m repro experiment xval --jobs 0
+	$(PY) -m pytest -q -m slow
+	$(PY) -m repro experiment xval
 	$(MAKE) serve-smoke
 	$(MAKE) chaos
 	$(MAKE) trace
@@ -93,8 +92,8 @@ nightly:
 serve-smoke:
 	$(PY) -m repro serve --smoke
 
-# The chaos tests are `slow`-marked (they boot HTTP services and kill
-# subprocesses), so the plain nightly `-m slow` sweep already collects
+# The chaos tests are `slow`-marked (they boot HTTP services and spawn
+# fresh interpreters), so the plain nightly `-m slow` sweep already collects
 # them; this target runs just the fault-tolerance acceptance suite.
 chaos:
 	$(PY) -m pytest -q tests/chaos -m ""
@@ -103,7 +102,7 @@ chaos:
 # box; --no-result-cache so the trace always covers real simulation
 # work (a fully-cached run would attribute everything to finalize).
 trace:
-	$(PY) -m repro experiment fig12 --functional --quick --jobs 4 \
+	$(PY) -m repro experiment fig12 --functional --quick \
 		--no-result-cache --trace trace_fig12.json
 	$(PY) -m repro trace summarize trace_fig12.json
 
@@ -111,8 +110,8 @@ dse:
 	$(PY) -m repro dse --out dse_frontier.json
 
 fig-functional:
-	$(PY) -m repro experiment fig11 --functional --jobs 0
-	$(PY) -m repro experiment fig12 --functional --jobs 0
+	$(PY) -m repro experiment fig11 --functional
+	$(PY) -m repro experiment fig12 --functional
 
 cache-clear:
 	rm -rf "$${REPRO_CACHE_DIR:-$$HOME/.cache/repro/results}"

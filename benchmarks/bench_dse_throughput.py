@@ -8,8 +8,8 @@ DRAM bandwidth) and each group's closed-form layer events, memory
 profile, energy, power and area are priced as arrays over its
 geometries and SRAM sizes. This is the rate that bounds how large a
 space one host can sweep, so a regression here (a per-point Python
-loop creeping back, an accidental functional-tier dispatch, a pool
-fan-out of sub-millisecond work) directly shrinks explorable spaces.
+loop creeping back, an accidental functional-tier dispatch) directly
+shrinks explorable spaces.
 Analytic points are never cached, so there is no warm regime to track.
 
 The run records ``extra_info.configs_per_s``;

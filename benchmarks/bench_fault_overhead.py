@@ -2,7 +2,7 @@
 
 The ISSUE-10 promise, made falsifiable: **disabled fault injection is
 free.** Every injection point in the hot paths (`faults.inject` around
-task execution and queue claims, `faults.mangle` around cache I/O) is
+queue claims and HTTP handling, `faults.mangle` around cache I/O) is
 one module-global load plus a ``None`` check when no registry is
 installed. This file measures that guard in a tight loop and records
 ``guards_per_s`` (the regression gate's metric) plus the per-guard
@@ -33,10 +33,10 @@ GUARDS_PER_REP = 200_000
 #: overhead around one part in ten thousand.
 MAX_DISABLED_GUARD_NS = 3_000
 
-#: Injection points a full-size fig12 functional run crosses (25
-#: layer tasks x inject-per-execution plus two mangles per cache
-#: roundtrip and the serve claim guard) — the projection multiplier
-#: for the <1% whole-run bound.
+#: Injection points a full-size fig12 functional run crosses (two
+#: mangles per cache roundtrip for each of its 25 layer tasks, plus
+#: the serve claim and HTTP guards), rounded up — the projection
+#: multiplier for the <1% whole-run bound.
 FIG12_GUARD_ESTIMATE = 100
 
 
@@ -45,18 +45,18 @@ def _disabled_guard_loop(n: int) -> float:
     inject = faults.inject
     start = time.perf_counter()
     for _ in range(n):
-        inject("task_execute", "bench")
+        inject("queue_claim", "bench")
     return time.perf_counter() - start
 
 
 def _armed_miss_loop(n: int) -> float:
     """Seconds for ``n`` armed-but-missing guards: a registry is
-    installed but ``worker_crash`` is worker-only and this process is
-    the parent, so every call takes the fast not-armed-here exit."""
+    installed but its fault sits on another site, so every call takes
+    the registry's no-fault-at-this-site exit."""
     inject = faults.inject
     start = time.perf_counter()
     for _ in range(n):
-        inject("task_execute", "bench")
+        inject("queue_claim", "bench")
     return time.perf_counter() - start
 
 
@@ -82,10 +82,10 @@ def test_bench_disabled_inject_guard(benchmark):
         f"projected disabled overhead {projected_s * 1e3:.2f}ms " \
         f"exceeds 1% of a 1s experiment"
 
-    # Armed-but-missing cost, tracked (not gated): worker-only faults
-    # in the parent process take the first fast exit inside the
-    # registry, so chaos runs do not slow the coordinating process.
-    faults.configure("worker_crash:p=1:n=1000000")
+    # Armed-but-missing cost, tracked (not gated): a site with no fault
+    # configured takes the first fast exit inside the registry, so a
+    # chaos run does not slow the sites it leaves alone.
+    faults.configure("http_error:p=1:n=1000000")
     try:
         armed = _armed_miss_loop(GUARDS_PER_REP)
     finally:

@@ -39,7 +39,7 @@ GUARDS_PER_REP = 200_000
 MAX_DISABLED_SPAN_NS = 3_000
 
 #: Spans a full-size fig12 functional run emits (5 accelerators x 5
-#: layers x ~4 nested phase spans plus experiment/model/pool framing) —
+#: layers x ~4 nested phase spans plus experiment/model/runner framing) —
 #: the projection multiplier for the <1% whole-run bound.
 FIG12_SPAN_ESTIMATE = 200
 
@@ -79,7 +79,7 @@ def test_bench_disabled_span_guard(benchmark):
 def _cold_fig12_quick() -> None:
     clear_compress_cache()
     fig12_alexnet_per_layer(functional=True, quick=True, seed=0,
-                            jobs=1, result_cache=None)
+                            result_cache=None)
 
 
 def test_bench_tracing_enabled_cost(benchmark, tmp_path):

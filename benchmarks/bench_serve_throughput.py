@@ -45,8 +45,7 @@ def _timed_service(benchmark, scenario, tmp_path, result_cache):
 
     def body():
         with ServeService(tmp_path / f"{scenario}.sqlite3", port=0,
-                          workers=1, jobs=1,
-                          result_cache=result_cache) as service:
+                          workers=1, result_cache=result_cache) as service:
             start = time.perf_counter()
             for request in REQUESTS:
                 submit_job(service.base_url, request)
@@ -71,6 +70,6 @@ def test_bench_serve_jobs_cold(benchmark, tmp_path):
 
 def test_bench_serve_jobs_warm(benchmark, tmp_path):
     cache = ResultCache(tmp_path / "results")
-    run_requests([parse_request(r) for r in REQUESTS], jobs=1,
+    run_requests([parse_request(r) for r in REQUESTS],
                  result_cache=cache)  # prime (untimed)
     _timed_service(benchmark, "warm", tmp_path, result_cache=cache)

@@ -25,7 +25,7 @@ AXES = DSEAxes(
 
 
 def main() -> None:
-    artifact = run_dse(AXES, jobs=1)
+    artifact = run_dse(AXES)
     print(render_artifact(artifact, top=8).render())
     print(f"\nfrontier: {', '.join(artifact['frontier'])}")
 

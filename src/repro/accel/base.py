@@ -448,7 +448,6 @@ class AcceleratorModel:
         conv_only: bool = False,
         seed: int = 0,
         max_m: Optional[int] = None,
-        jobs: Optional[int] = None,
         result_cache=None,
     ) -> AccelRunResult:
         """Functional-tier counterpart of :meth:`run_model`.
@@ -457,16 +456,14 @@ class AcceleratorModel:
         patterns and executes on the cycle simulator; results aggregate
         exactly like the analytic path, so ``run_model`` and
         ``run_model_functional`` are directly comparable run for run.
-        ``jobs``/``result_cache`` route the layer simulations through
-        the parallel, memoized runner (:mod:`repro.eval.runner`);
-        results are bit-equal to the serial path regardless of worker
-        count.
+        The layer simulations run as one batch of the memoized runner
+        (:mod:`repro.eval.runner`), against ``result_cache`` when given.
         """
         from repro.eval.runner import functional_model_runs
 
         return functional_model_runs(
             [(self, spec)], conv_only=conv_only, seed=seed, max_m=max_m,
-            jobs=jobs, result_cache=result_cache)[0]
+            result_cache=result_cache)[0]
 
     # -------------------------------------------------------------- #
 

@@ -30,12 +30,12 @@ enforce the roofline wall on every layer; fig11, fig12 and ``run`` take
 ``--dram-pj-per-byte`` to re-price the reported off-chip component
 (die-only totals are pinned and unaffected).
 
-The functional tier runs on the parallel, memoized experiment engine
-(:mod:`repro.eval.runner`): fig11/fig12 ``--functional`` and ``xval``
-take ``--jobs N`` to fan the per-layer simulations out over N worker
-processes (``--jobs 0`` = one per core; the ``REPRO_JOBS`` environment
-variable sets the default) — results are bit-equal to a serial run at
-the same seed. Simulated layer payloads are memoized in a
+The functional tier runs on the memoized experiment engine
+(:mod:`repro.eval.runner`), one layer simulation after another in this
+process. ``--jobs`` (on ``experiment``, ``dse`` and ``serve``) and the
+``REPRO_JOBS`` environment variable are still accepted, for one
+deprecation window, and ignored with a one-line notice on stderr.
+Simulated layer payloads are memoized in a
 content-addressed on-disk cache keyed on (layer spec, accelerator
 config, energy costs, memory-channel config, seed, code salt), so
 re-runs and overlapping artifacts skip straight to finalization;
@@ -57,19 +57,16 @@ Simulation as a service (:mod:`repro.serve`, see docs/serve.md):
 job queue ($REPRO_SERVE_DB, default ``~/.cache/repro/jobs.sqlite3``)
 with crash recovery on startup, a priority scheduler that dedupes
 identical requests through the result-cache fingerprints, ranks by
-expected runtime and batches per-tier into single engine fan-outs, and
+expected runtime and batches per-tier into single engine batches, and
 a stdlib HTTP/JSON API (``POST /jobs``, ``GET /jobs[/<id>]``,
 ``GET /metrics``, ``GET /healthz``). ``repro submit`` and ``repro
-jobs`` are the HTTP clients. The serve-side ``--jobs`` defaults to
-``auto`` — serial vs pool picked per batch from the miss count and the
-host's cores, so small-host runs never pay pool startup for a handful
-of tasks; every ``--jobs`` flag accepts ``auto``.
+jobs`` are the HTTP clients.
 
 Observability (:mod:`repro.obs`, see docs/observability.md) is wired
 through every command and off by default: ``experiment`` and ``dse``
 take ``--trace FILE`` (or ``REPRO_TRACE=FILE``) to record a Chrome
 trace-event JSON — open it at https://ui.perfetto.dev — with one track
-per pool worker, ``--metrics`` to append the runner/cache counter
+per thread, ``--metrics`` to append the runner/cache counter
 table to the output, and ``--metrics-out FILE`` to dump the same
 registry as JSON; ``repro trace summarize FILE [--top K]`` attributes
 wall-clock to phases offline. ``-v/--verbose`` and ``-q/--quiet``
@@ -128,9 +125,9 @@ DRAM_BW_ARTIFACTS = ("fig11", "fig12", "roofline")
 #: DRAM-energy override (dram_pj_per_byte=).
 DRAM_PJ_ARTIFACTS = ("fig11", "fig12")
 
-#: Artifacts that route layer simulations through the parallel,
-#: memoized runner (jobs=, result_cache=).
-PARALLEL_ARTIFACTS = ("fig11", "fig12", "xval")
+#: Artifacts that route layer simulations through the memoized runner
+#: (result_cache=) and accept the ignored ``--jobs``.
+RUNNER_ARTIFACTS = ("fig11", "fig12", "xval")
 
 
 #: Every artifact id, in ``all`` order, with the :mod:`repro.eval`
@@ -251,7 +248,7 @@ def cmd_experiment(args) -> str:
                 "take the functional flags; "
                 f"{', '.join(DRAM_BW_ARTIFACTS)} take --dram-bw; "
                 f"{', '.join(DRAM_PJ_ARTIFACTS)} take --dram-pj-per-byte; "
-                f"{', '.join(PARALLEL_ARTIFACTS)} take --jobs; "
+                f"{', '.join(RUNNER_ARTIFACTS)} take --jobs; "
                 "xval takes --seed/--quick)")
         return "\n\n".join(run().render()
                            for name, run in experiments.items())
@@ -275,10 +272,10 @@ def cmd_experiment(args) -> str:
             f"--dram-pj-per-byte is only supported by "
             f"{', '.join(DRAM_PJ_ARTIFACTS)}, not {args.artifact!r}")
     _costs_from_args(args)  # shared --dram-pj-per-byte validation
-    if args.jobs is not None and args.artifact not in PARALLEL_ARTIFACTS:
+    if args.jobs is not None and args.artifact not in RUNNER_ARTIFACTS:
         raise SystemExit(
             f"--jobs is only supported by "
-            f"{', '.join(PARALLEL_ARTIFACTS)}, not {args.artifact!r}")
+            f"{', '.join(RUNNER_ARTIFACTS)}, not {args.artifact!r}")
     result_cache = None if args.no_result_cache else _default_result_cache()
     if args.artifact in FUNCTIONAL_ARTIFACTS:
         if not args.functional and (args.quick or args.seed is not None
@@ -289,7 +286,7 @@ def cmd_experiment(args) -> str:
         return runner(functional=args.functional, quick=args.quick,
                       seed=seed, dram_gbps=args.dram_bw,
                       dram_pj_per_byte=args.dram_pj_per_byte,
-                      jobs=args.jobs, result_cache=result_cache).render()
+                      result_cache=result_cache).render()
     if args.artifact == "xval":
         if args.functional:
             raise SystemExit("xval always runs both tiers; it takes "
@@ -300,7 +297,7 @@ def cmd_experiment(args) -> str:
         # yesterday's results.
         result = runner(seed=seed,
                         max_m=QUICK_MAX_M if args.quick else None,
-                        jobs=args.jobs, result_cache=None)
+                        result_cache=None)
         if result.failures:
             # Non-zero exit: a model broke its agreement contract.
             raise SystemExit(result.render())
@@ -377,7 +374,6 @@ def cmd_dse(args) -> str:
             fidelity=args.fidelity,
             seed=0 if args.seed is None else args.seed,
             max_m=QUICK_MAX_M if args.quick else None,
-            jobs=args.jobs,
             result_cache=result_cache,
         )
     except ValueError as exc:
@@ -400,7 +396,8 @@ def _default_result_cache():
 
 def _parse_jobs_arg(text):
     """The argparse type of every ``--jobs`` flag: ``auto`` or an int
-    (``0`` = one per core), mirroring the engine's resolver."""
+    >= 0. The value is ignored (see :func:`_note_ignored_jobs`); the
+    flag still parses as before for one deprecation window."""
     value = text.strip().lower()
     if value == "auto":
         return "auto"
@@ -411,9 +408,16 @@ def _parse_jobs_arg(text):
             f"must be an integer (0 = one per core) or 'auto', "
             f"got {text!r}") from None
     if jobs < 0:
-        raise argparse.ArgumentTypeError(
-            "must be >= 0 (0 = one worker per core)")
+        raise argparse.ArgumentTypeError("must be >= 0")
     return jobs
+
+
+def _note_ignored_jobs(args) -> None:
+    """One stderr line when ``--jobs`` or ``$REPRO_JOBS`` is given."""
+    if args.jobs is not None or os.environ.get("REPRO_JOBS", "").strip():
+        obs_logs.get_logger(__name__).warning(
+            "--jobs and $REPRO_JOBS are ignored: the functional runner "
+            "is serial")
 
 
 def _non_negative_int(text):
@@ -456,15 +460,14 @@ def cmd_serve(args) -> str:
     db = args.db if args.db is not None else default_db_path()
     service = ServeService(
         db, host=args.host, port=args.port, workers=args.workers,
-        jobs=args.jobs, result_cache=result_cache,
+        result_cache=result_cache,
         batch_limit=args.batch_limit, poll_s=args.poll_s,
         max_pending=args.max_pending, lease_s=args.lease_s)
     requeued, quarantined = service.recovered
     service.start()
     out = obs_logs.output_logger()
-    out.info("serving on %s (db=%s, workers=%d, jobs=%s)",
-             service.base_url, service.db_path, service.workers,
-             args.jobs)
+    out.info("serving on %s (db=%s, workers=%d)",
+             service.base_url, service.db_path, service.workers)
     if requeued or quarantined:
         out.info("recovery: re-queued %d expired job(s), quarantined "
                  "%d out of attempts", len(requeued), len(quarantined))
@@ -617,14 +620,14 @@ def _add_obs_flags(sub_parser) -> None:
     """``--trace``/``--metrics`` on the engine-backed subcommands."""
     sub_parser.add_argument(
         "--trace", default=None, metavar="FILE",
-        help="write a Chrome trace-event JSON of this run (per-worker "
-             "tracks; open in Perfetto / chrome://tracing; summarize "
-             "with 'repro trace summarize FILE'). Default: $"
+        help="write a Chrome trace-event JSON of this run (open in "
+             "Perfetto / chrome://tracing; summarize with 'repro trace "
+             "summarize FILE'). Default: $"
              + obs_trace.TRACE_ENV)
     sub_parser.add_argument(
         "--metrics", action="store_true",
-        help="append the engine metrics summary (runner telemetry incl. "
-             "pool workers, runner.syntheses = operand groups "
+        help="append the engine metrics summary (runner telemetry: "
+             "runner.syntheses = operand groups "
              "synthesized vs runner.simulated tasks, "
              "operands.masks_materialized vs operands.census_only "
              "operands, result-cache hits/misses) to the output")
@@ -684,12 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(fig11/fig12; die-only totals unaffected)")
     exp.add_argument("--jobs", type=_parse_jobs_arg, default=None,
                      metavar="N|auto",
-                     help="worker processes for the functional tier "
-                          "(fig11/fig12 with --functional; xval); 0 = "
-                          "one per core; 'auto' picks serial vs pool "
-                          "from the task count; default: $REPRO_JOBS or "
-                          "serial. Results are bit-equal to serial at "
-                          "the same seed")
+                     help="deprecated and ignored: the functional runner "
+                          "is serial")
     exp.add_argument("--no-result-cache", action="store_true",
                      help="skip the on-disk functional-result cache for "
                           "this invocation")
@@ -737,11 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "sweep (requires --fidelity functional)")
     dse.add_argument("--jobs", type=_parse_jobs_arg, default=None,
                      metavar="N|auto",
-                     help="worker processes for a --fidelity functional "
-                          "sweep (analytic points are evaluated "
-                          "in-process); 0 = one per core; 'auto' picks "
-                          "serial vs pool; default: $REPRO_JOBS or "
-                          "serial")
+                     help="deprecated and ignored: the functional runner "
+                          "is serial")
     dse.add_argument("--out", default=None, metavar="JSON",
                      help="write the artifact (evaluations + frontier) "
                           "as JSON")
@@ -759,12 +755,12 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the simulation service (HTTP API + job queue)",
         description="Long-running simulation-as-a-service front-end "
-                    "over the parallel memoized engine: a persistent "
+                    "over the memoized engine: a persistent "
                     "SQLite job queue with crash recovery on startup, "
                     "a priority scheduler (request dedupe through the "
                     "result-cache fingerprints, expected-runtime "
                     "ranking, per-tier batching into single engine "
-                    "fan-outs) and a JSON API: POST /jobs, "
+                    "batches) and a JSON API: POST /jobs, "
                     "GET /jobs[/<id>], GET /metrics, GET /healthz. "
                     "See docs/serve.md.")
     serve.add_argument("--db", default=None, metavar="PATH",
@@ -779,12 +775,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "admission-only (jobs queue but nothing "
                             "executes — e.g. external worker processes "
                             "share the DB) (default 1)")
-    serve.add_argument("--jobs", type=_parse_jobs_arg, default="auto",
+    serve.add_argument("--jobs", type=_parse_jobs_arg, default=None,
                        metavar="N|auto",
-                       help="engine worker processes per batch; 'auto' "
-                            "(default) picks serial vs pool from the "
-                            "batch's miss count and the host's cores; "
-                            "0 = one per core")
+                       help="deprecated and ignored: the functional "
+                            "runner is serial")
     serve.add_argument("--batch-limit", type=int, default=16,
                        metavar="N",
                        help="max jobs claimed per scheduler pass "
@@ -905,6 +899,8 @@ def main(argv: Optional[List[str]] = None) -> str:
     verbosity = (getattr(args, "verbose", 0) - getattr(args, "quiet", 0))
     obs_logs.configure_logging(verbosity)
     log = obs_logs.get_logger(__name__)
+    if hasattr(args, "jobs"):
+        _note_ignored_jobs(args)
 
     # Tracing spans the whole dispatch for the subcommands that opt in
     # (experiment/dse carry --trace; $REPRO_TRACE is the env default).

@@ -592,7 +592,6 @@ def evaluate_points(
     fidelity: str = "analytic",
     seed: int = 0,
     max_m: Optional[int] = None,
-    jobs: Optional[int] = None,
     result_cache=None,
 ) -> Dict[str, DSEEvaluation]:
     """Evaluate each point's reference workload; returns
@@ -606,8 +605,8 @@ def evaluate_points(
     ~15 ms on a 2-core Xeon. ``"functional"``
     simulates synthesized operand patterns on the cycle simulator
     (``seed`` / ``max_m`` as in the full-model experiments) through the
-    layer runner, then finalizes each point; ``jobs`` and
-    ``result_cache`` apply to that fidelity only.
+    layer runner, then finalizes each point; ``result_cache`` applies
+    to that fidelity only.
 
     The result maps each uid to its evaluation in input order (a
     repeated uid keeps its first position and its last evaluation).
@@ -623,7 +622,7 @@ def evaluate_points(
     payloads = simulate_layer_tasks(
         [LayerSimTask(accel, layer, seed=seed, max_m=max_m)
          for _, accel, layer in staged],
-        jobs=jobs, result_cache=result_cache)
+        result_cache=result_cache)
     for (point, accel, layer), (compute_cycles, events) in zip(staged,
                                                                payloads):
         out[point.uid] = _evaluation(
@@ -638,16 +637,17 @@ def run_dse(
     fidelity: str = "analytic",
     seed: int = 0,
     max_m: Optional[int] = None,
-    jobs: Optional[int] = None,
+    jobs=None,
     result_cache=None,
 ) -> dict:
     """Evaluate every point of the space and return the JSON-ready
     artifact: the space definition, every evaluation (in uid order) and
-    the (energy, cycles, area) Pareto frontier. ``jobs`` and
-    ``result_cache`` apply to ``fidelity="functional"`` only."""
+    the (energy, cycles, area) Pareto frontier. ``result_cache``
+    applies to ``fidelity="functional"`` only; ``jobs`` is accepted
+    and ignored (the runner is serial) for one deprecation window."""
     space = DSESpace(axes)
     evaluations = evaluate_points(space.points, fidelity=fidelity,
-                                  seed=seed, max_m=max_m, jobs=jobs,
+                                  seed=seed, max_m=max_m,
                                   result_cache=result_cache)
     frontier = pareto_frontier_3d(evaluations.values())
     return {

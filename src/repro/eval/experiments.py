@@ -494,15 +494,14 @@ def tbl3_accuracy(quick: bool = False,
 # --------------------------------------------------------------------- #
 
 def _functional_runs(accels: Dict[str, AcceleratorModel], specs,
-                     seed: int, max_m: Optional[int],
-                     jobs: Optional[int], result_cache
+                     seed: int, max_m: Optional[int], result_cache
                      ) -> Dict[Tuple[str, str], "AccelRunResult"]:
-    """One parallel fan-out over every (variant, model) pair.
+    """One runner batch over every (variant, model) pair.
 
     Flattening the whole experiment into a single task batch is what
-    lets the process pool stay saturated across models and the result
-    cache deduplicate shared layers; results come back keyed by
-    ``(variant, model-name)`` and are bit-equal to per-model serial
+    lets each layer's operands be synthesized once for every variant
+    and the result cache deduplicate shared layers; results come back
+    keyed by ``(variant, model-name)`` and are bit-equal to per-model
     runs at the same seed.
     """
     from repro.eval.runner import functional_model_runs
@@ -511,7 +510,7 @@ def _functional_runs(accels: Dict[str, AcceleratorModel], specs,
     runs = functional_model_runs(
         [(accels[name], spec) for name, spec in pairs],
         conv_only=True, seed=seed, max_m=max_m,
-        jobs=jobs, result_cache=result_cache)
+        result_cache=result_cache)
     return {(name, spec.name): run
             for (name, spec), run in zip(pairs, runs)}
 
@@ -521,7 +520,7 @@ def fig11_full_models(functional: bool = False, quick: bool = False,
                       seed: int = 0,
                       dram_gbps: Optional[float] = None,
                       dram_pj_per_byte: Optional[float] = None,
-                      jobs: Optional[int] = None,
+                      jobs=None,
                       result_cache=None,
                       ) -> ExperimentResult:
     """Full-model energy reduction and speedup vs SA-ZVCG (16 nm).
@@ -535,9 +534,9 @@ def fig11_full_models(functional: bool = False, quick: bool = False,
     staging assumption) with an explicit bandwidth and the honest
     roofline wall on every layer — the memory-sensitivity axis;
     ``dram_pj_per_byte`` re-prices the reported off-chip component.
-    ``jobs``/``result_cache`` drive the functional tier through the
-    parallel, memoized runner (:mod:`repro.eval.runner`; bit-equal to
-    serial at the same seed).
+    ``result_cache`` backs the functional tier's memoized runner
+    (:mod:`repro.eval.runner`). ``jobs`` is accepted and ignored (the
+    runner is serial); it goes after one deprecation window.
     """
     variants = {k: v for k, v in _sa_variants(
                     dram_gbps=dram_gbps,
@@ -546,7 +545,7 @@ def fig11_full_models(functional: bool = False, quick: bool = False,
     max_m = QUICK_MAX_M if quick else None
     specs = [get_spec(name) for name in FULL_MODELS]
     functional_runs = (
-        _functional_runs(variants, specs, seed, max_m, jobs, result_cache)
+        _functional_runs(variants, specs, seed, max_m, result_cache)
         if functional else {})
 
     if not functional:
@@ -613,7 +612,7 @@ def fig12_alexnet_per_layer(functional: bool = False, quick: bool = False,
                             seed: int = 0,
                             dram_gbps: Optional[float] = None,
                             dram_pj_per_byte: Optional[float] = None,
-                            jobs: Optional[int] = None,
+                            jobs=None,
                             result_cache=None,
                             ) -> ExperimentResult:
     """AlexNet per-layer energy across five accelerators (65/45 nm).
@@ -627,8 +626,9 @@ def fig12_alexnet_per_layer(functional: bool = False, quick: bool = False,
     against its own clock) with the honest roofline wall;
     ``dram_pj_per_byte`` re-prices the reported off-chip component
     (die-only totals are unaffected by construction).
-    ``jobs``/``result_cache`` drive the functional tier through the
-    parallel, memoized runner (bit-equal to serial at the same seed).
+    ``result_cache`` backs the functional tier's memoized runner.
+    ``jobs`` is accepted and ignored (the runner is serial); it goes
+    after one deprecation window.
     """
     spec = get_spec("alexnet")
     kwargs = {"dram_gbps": dram_gbps, "costs": _costs(dram_pj_per_byte)}
@@ -642,7 +642,7 @@ def fig12_alexnet_per_layer(functional: bool = False, quick: bool = False,
     max_m = QUICK_MAX_M if quick else None
     if functional:
         functional_runs = _functional_runs(
-            accels, [spec], seed, max_m, jobs, result_cache)
+            accels, [spec], seed, max_m, result_cache)
         runs = {name: functional_runs[name, spec.name] for name in accels}
     else:
         runs = {name: accel.run_model(spec, conv_only=True)
@@ -734,7 +734,7 @@ def xval_functional_vs_analytic(
     tech: str = "16nm",
     seed: int = 0,
     max_m: Optional[int] = None,
-    jobs: Optional[int] = None,
+    jobs=None,
     result_cache=None,
 ) -> ExperimentResult:
     """Per-layer analytic-vs-functional deltas for one benchmark network.
@@ -753,10 +753,10 @@ def xval_functional_vs_analytic(
     in ``result.failures`` and make ``repro experiment xval`` exit
     non-zero. ``max_m`` subsamples layers (the CLI's ``--quick``),
     switching to the contract's relaxed statistical bounds.
-    ``jobs``/``result_cache`` fan the functional simulations out through
-    the parallel, memoized runner (the analytic side is closed-form and
-    stays serial); deltas are bit-equal to a serial run at the same
-    seed.
+    ``result_cache`` backs the functional tier's memoized runner (the
+    analytic side is closed-form and never cached). ``jobs`` is
+    accepted and ignored (the runner is serial); it goes after one
+    deprecation window.
     """
     from repro.eval.runner import functional_model_runs
 
@@ -779,12 +779,11 @@ def xval_functional_vs_analytic(
             return 0.0 if ana == 0 else float("inf")
         return (ana - fun) / fun
 
-    # Functional tier: one parallel, memoized fan-out over every
-    # (accelerator, layer) pair, accelerator-major; finalization runs
-    # in-process.
+    # Functional tier: one memoized runner batch over every
+    # (accelerator, layer) pair, accelerator-major.
     runs = functional_model_runs(
         [(accel, spec) for accel in variants.values()], conv_only=True,
-        seed=seed, max_m=max_m, jobs=jobs, result_cache=result_cache)
+        seed=seed, max_m=max_m, result_cache=result_cache)
     # Analytic tier: its own SA-SMT, whose memo holds speedups at spec
     # densities only (the functional batch memoized the operands'
     # measured densities, which share some grid keys), prefetched in

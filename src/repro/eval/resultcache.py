@@ -33,8 +33,8 @@ analytic serve requests) recomputes it every time and can never serve
 a stale entry.
 
 Payloads are cached *pre-finalization* (before the memory-hierarchy
-profile and energy pricing run), which is exactly what the parallel
-runner's workers return; finalization re-runs on every consumption, so
+profile and energy pricing run), which is exactly what the runner's
+simulations return; finalization re-runs on every consumption, so
 a cached result is bit-equal to a cold simulation by construction
 (asserted in ``tests/eval/test_runner.py``). The store is a plain
 directory of ``<key>.json`` files (a few hundred bytes each), each
@@ -189,8 +189,8 @@ def payload_key(accel, layer, seed: int = 0,
     the same either way. A memo must not outlive a batch — it does not
     notice an accelerator mutated after its first key.
 
-    Module-level so callers without a cache — the parallel runner's
-    in-batch dedupe under ``--no-result-cache``, the serve request
+    Module-level so callers without a cache — the runner's in-batch
+    dedupe under ``--no-result-cache``, the serve request
     fingerprint — fingerprint tasks the exact same way the cache does.
     """
     if memo is None:

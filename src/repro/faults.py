@@ -5,7 +5,7 @@ single module-global ``None`` check (benchmarked in
 ``benchmarks/bench_fault_overhead.py``, regression-gated like the
 tracer's disabled path). Enable with::
 
-    REPRO_FAULTS="worker_crash:p=0.05,cache_corrupt:p=0.02,task_hang:p=0.01"
+    REPRO_FAULTS="claim_fail:p=0.05,cache_corrupt:p=0.02,http_error:p=0.01"
 
 or programmatically via :func:`configure`. Each element is
 ``name[:k=v]*``; a bare ``seed=N`` element seeds the whole registry
@@ -17,7 +17,6 @@ or programmatically via :func:`configure`. Each element is
              re-spawned process starts fresh counters, which is exactly
              the crash-loop a poison job produces — the queue's
              quarantine path, not a harness artifact.
-- ``s``    — hang duration in seconds (``task_hang`` only, default 3600).
 
 Decisions are deterministic: whether occurrence ``n`` of fault ``name``
 on ``key`` fires is a pure function of ``(seed, name, key, n)`` (SHA-256
@@ -29,13 +28,6 @@ Faults and their injection sites:
 =================== ============== =====================================
 fault               site           effect when it fires
 =================== ============== =====================================
-``worker_crash``    task_execute   ``os._exit(23)`` — *pool workers
-                                   only* (see :func:`mark_worker`), so
-                                   the parent's serial fallback and
-                                   lease-based re-queue stay clean.
-``task_hang``       task_execute   ``time.sleep(s)`` — pool workers
-                                   only; exercises per-task timeouts
-                                   and lease expiry.
 ``cache_corrupt``   cache_write    entry bytes garbled before the
                                    atomic write — a persistent bad
                                    entry for the read-side quarantine.
@@ -58,37 +50,27 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 __all__ = [
     "ENV_VAR", "FAULTS", "SITES", "InjectedFault", "FaultSpec",
     "FaultRegistry", "parse_faults", "configure", "configure_from_env",
-    "reset", "active", "inject", "mangle", "mark_worker", "in_worker",
-    "EXIT_CODE",
+    "reset", "active", "inject", "mangle",
 ]
 
 ENV_VAR = "REPRO_FAULTS"
 
-# Exit status used by worker_crash; distinctive enough to tell an
-# injected crash from a real one in test output.
-EXIT_CODE = 23
-
-# name -> (site, kind, worker_only). Kinds: "exit" / "hang" / "raise"
-# fire through inject(); "corrupt" fires through mangle().
-FAULTS: Mapping[str, Tuple[str, str, bool]] = {
-    "worker_crash": ("task_execute", "exit", True),
-    "task_hang": ("task_execute", "hang", True),
-    "cache_corrupt": ("cache_write", "corrupt", False),
-    "cache_read_flip": ("cache_read", "corrupt", False),
-    "claim_fail": ("queue_claim", "raise", False),
-    "http_error": ("http_handler", "raise", False),
+# name -> (site, kind). Kind "raise" fires through inject();
+# "corrupt" fires through mangle().
+FAULTS: Mapping[str, Tuple[str, str]] = {
+    "cache_corrupt": ("cache_write", "corrupt"),
+    "cache_read_flip": ("cache_read", "corrupt"),
+    "claim_fail": ("queue_claim", "raise"),
+    "http_error": ("http_handler", "raise"),
 }
 
-SITES = tuple(sorted({site for site, _, _ in FAULTS.values()}))
-
-_DEFAULT_HANG_S = 3600.0
+SITES = tuple(sorted({site for site, _ in FAULTS.values()}))
 
 
 class InjectedFault(RuntimeError):
@@ -108,7 +90,6 @@ class FaultSpec:
     name: str
     p: float = 1.0
     max_fires: int = 1
-    hang_s: float = _DEFAULT_HANG_S
 
     def __post_init__(self) -> None:
         if self.name not in FAULTS:
@@ -120,9 +101,6 @@ class FaultSpec:
         if self.max_fires < 1:
             raise ValueError(f"fault {self.name}: n must be >= 1, "
                              f"got {self.max_fires}")
-        if self.hang_s <= 0:
-            raise ValueError(f"fault {self.name}: s must be > 0, "
-                             f"got {self.hang_s}")
 
     @property
     def site(self) -> str:
@@ -131,10 +109,6 @@ class FaultSpec:
     @property
     def kind(self) -> str:
         return FAULTS[self.name][1]
-
-    @property
-    def worker_only(self) -> bool:
-        return FAULTS[self.name][2]
 
 
 def parse_faults(text: str) -> Tuple[int, Tuple[FaultSpec, ...]]:
@@ -163,16 +137,15 @@ def parse_faults(text: str) -> Tuple[int, Tuple[FaultSpec, ...]]:
                     f"fault option {part!r} in {item!r} is not k=v")
             k, v = part.split("=", 1)
             k = k.strip()
-            if k not in ("p", "n", "s"):
+            if k not in ("p", "n"):
                 raise ValueError(
                     f"unknown fault option {k!r} in {item!r} "
-                    "(known: p, n, s)")
+                    "(known: p, n)")
             kwargs[k] = float(v)
         spec = FaultSpec(
             name=name,
             p=kwargs.get("p", 1.0),
             max_fires=int(kwargs.get("n", 1)),
-            hang_s=kwargs.get("s", _DEFAULT_HANG_S),
         )
         if name in seen:
             raise ValueError(f"fault {name!r} configured twice")
@@ -234,27 +207,14 @@ class FaultRegistry:
 
     # -- injection points --------------------------------------------
 
-    def inject(self, site: str, key: str, *, worker: bool) -> None:
+    def inject(self, site: str, key: str) -> None:
         for spec in self._by_site.get(site, ()):
-            if spec.kind == "corrupt":
-                continue
-            if spec.worker_only and not worker:
-                continue
-            if not self._fires(spec, key):
-                continue
-            if spec.kind == "exit":
-                os._exit(EXIT_CODE)
-            if spec.kind == "hang":
-                time.sleep(spec.hang_s)
-                continue
-            raise InjectedFault(spec.name, site, key)
+            if spec.kind == "raise" and self._fires(spec, key):
+                raise InjectedFault(spec.name, site, key)
 
-    def mangle(self, site: str, key: str, data: bytes,
-               *, worker: bool) -> bytes:
+    def mangle(self, site: str, key: str, data: bytes) -> bytes:
         for spec in self._by_site.get(site, ()):
             if spec.kind != "corrupt":
-                continue
-            if spec.worker_only and not worker:
                 continue
             if self._fires(spec, key):
                 # Keep the length, garble the content: json parsing
@@ -272,7 +232,6 @@ class FaultRegistry:
 # -- module-level fast path ------------------------------------------
 
 _REGISTRY: Optional[FaultRegistry] = None
-_IN_WORKER = False
 
 
 def configure(text: Optional[str]) -> Optional[FaultRegistry]:
@@ -295,33 +254,20 @@ def configure_from_env() -> Optional[FaultRegistry]:
 
 
 def reset() -> None:
-    global _REGISTRY, _IN_WORKER
+    global _REGISTRY
     _REGISTRY = None
-    _IN_WORKER = False
 
 
 def active() -> Optional[FaultRegistry]:
     return _REGISTRY
 
 
-def mark_worker() -> None:
-    """Arm worker-only faults; called from the pool initializer so
-    ``worker_crash``/``task_hang`` never fire in the parent (whose
-    serial fallback must stay clean)."""
-    global _IN_WORKER
-    _IN_WORKER = True
-
-
-def in_worker() -> bool:
-    return _IN_WORKER
-
-
 def inject(site: str, key: str) -> None:
-    """Injection point for exit/hang/raise faults. Near-free when no
-    registry is installed (one global load + None check)."""
+    """Injection point for raise faults. Near-free when no registry is
+    installed (one global load + None check)."""
     if _REGISTRY is None:
         return
-    _REGISTRY.inject(site, key, worker=_IN_WORKER)
+    _REGISTRY.inject(site, key)
 
 
 def mangle(site: str, key: str, data: bytes) -> bytes:
@@ -329,9 +275,9 @@ def mangle(site: str, key: str, data: bytes) -> bytes:
     garbled. Near-free when no registry is installed."""
     if _REGISTRY is None:
         return data
-    return _REGISTRY.mangle(site, key, data, worker=_IN_WORKER)
+    return _REGISTRY.mangle(site, key, data)
 
 
-# Inherit REPRO_FAULTS at import so pool workers (fresh interpreters
-# with the parent's environment) self-arm without plumbing.
+# Arm from REPRO_FAULTS at import, so the CLI and a served instance
+# started under it are armed without plumbing.
 configure_from_env()

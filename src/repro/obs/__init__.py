@@ -1,23 +1,19 @@
 """Zero-dependency observability layer: tracing, metrics, logging.
 
-The experiment engine got fast (PR 5) and distributed (PR 7) before it
-got observable: a single ``print`` in the CLI, process-local cache
-counters that died with their pool workers, and an offline profiling
-script were the only windows into where wall-clock and energy-model
-time go. This package is the cross-cutting fix:
+The windows into where wall-clock and energy-model time go, shared by
+every command:
 
 - :mod:`repro.obs.trace` — a span/event tracer with injected monotonic
   clocks emitting Chrome trace-event JSON (open the artifact in
   Perfetto / ``chrome://tracing``). Spans nest experiment -> model ->
-  layer -> (synthesize, simulate, memory-walk, finalize); pool workers
-  write per-process shard files the parent merges into one trace with
-  per-worker tracks. Off by default, and provably free when off: the
-  disabled path is one module-global load and a shared no-op context
-  manager (frozen by ``benchmarks/bench_obs_overhead.py``).
+  layer -> (synthesize, simulate, memory-walk, finalize). Off by
+  default, and provably free when off: the disabled path is one
+  module-global load and a shared no-op context manager (frozen by
+  ``benchmarks/bench_obs_overhead.py``).
 - :mod:`repro.obs.metrics` — a process-local registry of counters,
-  gauges and histograms. The runner aggregates worker-side telemetry
-  (operand syntheses, per-worker load balance, queue-wait vs compute
-  time) into it, so pool workers' counts survive their exit.
+  gauges and histograms: the runner's batch telemetry (operand
+  syntheses, per-task compute time, dedupe), the result cache's
+  hits and misses and the service's job counts.
 - :mod:`repro.obs.logs` — the shared standard-library ``logging``
   configuration behind the CLI's ``-v``/``-q`` flags and the
   benchmark/tool diagnostics.

@@ -1,20 +1,16 @@
 """Process-local metrics registry: counters, gauges, histograms.
 
-The runner aggregates its own telemetry plus worker-returned task
-timings and synthesis counts into the process-wide :func:`default_registry`; the CLI
-renders it as a summary table (``--metrics``) and dumps the JSON form
-next to artifacts (``--metrics-out``). Everything is plain dicts of
+The runner records its task timings and synthesis counts into the
+process-wide :func:`default_registry`; the CLI renders it as a summary
+table (``--metrics``) and dumps the JSON form next to artifacts
+(``--metrics-out``). Everything is plain dicts of
 numbers so the dump round-trips through ``json`` with no custom
 encoders; the field layout is pinned in ``tests/obs/test_metrics.py``.
 
 Counters only go up (``inc``); gauges hold the last ``set`` value and
 take ``inc``/``dec`` deltas for level-style quantities; histograms keep
-count/sum/min/max plus fixed buckets so per-worker load-balance and
-queue-wait distributions survive aggregation without storing every
-observation. Worker processes never touch this module's registry
-directly — they return raw numbers with their task payloads and the
-parent folds them in (see ``eval/runner.py``), which is what fixes the
-lost-stats gap called out in the ROADMAP.
+count/sum/min/max plus fixed buckets so distributions such as the
+per-task compute time survive without storing every observation.
 
 The serve subsystem (:mod:`repro.serve`) registers the service-level
 family under the ``serve.`` prefix — ``serve.jobs_submitted`` /
@@ -239,5 +235,5 @@ def default_registry() -> MetricsRegistry:
 
 
 def reset_default_registry() -> None:
-    """Clear the process-wide registry (tests, pool-worker init)."""
+    """Clear the process-wide registry (tests)."""
     _DEFAULT.reset()

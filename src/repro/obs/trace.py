@@ -1,17 +1,14 @@
 """Span/event tracer emitting Chrome trace-event JSON.
 
-One :class:`Tracer` serves one process: it appends trace events as JSON
-lines to a per-process *shard* file (line-buffered, so a ``fork``-ed
-pool worker never inherits half-written buffers) and the parent's
-:class:`TraceSession` merges every shard into a single Chrome
+One :class:`Tracer` serves one process: it keeps its trace events in
+memory (under a lock — the service emits spans from several threads),
+and :meth:`TraceSession.finalize` writes them as a single Chrome
 trace-event artifact — ``{"traceEvents": [...]}`` — that Perfetto and
-``chrome://tracing`` open directly, with one track per process (the
-parent plus every pool worker).
+``chrome://tracing`` open directly, one track per thread.
 
 Clock discipline: a tracer samples the **injected** ``clock`` callable
-it was constructed with (default :func:`time.perf_counter_ns` —
-``CLOCK_MONOTONIC``, comparable across fork-started processes on the
-same host) exactly once per event. Nothing in this module reaches for
+it was constructed with (default :func:`time.perf_counter_ns`)
+exactly once per event. Nothing in this module reaches for
 an ambient wall clock in a hot loop, and tests inject fake clocks for
 deterministic timestamps.
 
@@ -38,7 +35,6 @@ import functools
 import json
 import os
 import pathlib
-import shutil
 import threading
 import time
 from typing import Callable, List, Optional
@@ -53,10 +49,8 @@ __all__ = [
     "traced",
     "tracing_enabled",
     "current_tracer",
-    "active_shard_dir",
     "start_tracing",
     "stop_tracing",
-    "reset_for_worker",
 ]
 
 #: Environment variable the CLI honors as the default ``--trace FILE``.
@@ -113,22 +107,14 @@ class _Span:
 
 
 class Tracer:
-    """Appends this process's trace events to one JSONL shard file."""
+    """Collects this process's trace events in memory."""
 
-    def __init__(self, shard_path, clock: Callable[[], int] = None,
-                 process_label: str = "repro"):
-        self.shard_path = pathlib.Path(shard_path)
+    def __init__(self, clock: Callable[[], int] = None):
         self._clock = clock if clock is not None else time.perf_counter_ns
         self.pid = os.getpid()
-        self.events_emitted = 0
+        self.events: List[dict] = []
         self._lock = threading.Lock()
-        # Line-buffered: each event flushes as one complete line, so a
-        # fork sees an empty buffer and a killed worker loses at most
-        # its final partial line (the merge tolerates that).
-        self._file = open(self.shard_path, "a", buffering=1,
-                          encoding="utf-8")
-        self._emit("M", "process_name", "__metadata",
-                   {"name": process_label})
+        self._emit("M", "process_name", "__metadata", {"name": "repro"})
 
     # ------------------------------------------------------------- #
 
@@ -144,11 +130,8 @@ class Tracer:
         }
         if args:
             event["args"] = args
-        line = json.dumps(event, separators=(",", ":"), sort_keys=True)
         with self._lock:
-            if not self._file.closed:
-                self._file.write(line + "\n")
-                self.events_emitted += 1
+            self.events.append(event)
 
     def span(self, name: str, cat: str = "repro", **args) -> _Span:
         """Context manager emitting a matched B/E pair around its body."""
@@ -157,60 +140,29 @@ class Tracer:
     def instant(self, name: str, cat: str = "repro", **args) -> None:
         self._emit("i", name, cat, args or None)
 
-    def close(self) -> None:
-        with self._lock:
-            if not self._file.closed:
-                self._file.close()
-
 
 class TraceSession:
-    """Parent-side lifecycle: shard directory, parent tracer, merge.
+    """One traced run: the process's tracer and the artifact it writes.
 
-    ``out_path`` names the final Chrome-trace JSON; shards accumulate
-    under ``<out_path>.shards/`` until :meth:`finalize` merges them and
-    removes the directory. Worker processes join the session through
-    :func:`reset_for_worker` (called by the pool initializer with
-    :func:`active_shard_dir`).
+    ``out_path`` names the Chrome-trace JSON that :meth:`finalize`
+    writes.
     """
 
     def __init__(self, out_path, clock: Callable[[], int] = None):
         self.out_path = pathlib.Path(out_path)
         if self.out_path.parent and not self.out_path.parent.exists():
             self.out_path.parent.mkdir(parents=True, exist_ok=True)
-        self.shard_dir = pathlib.Path(str(self.out_path) + ".shards")
-        self.shard_dir.mkdir(parents=True, exist_ok=True)
-        # A crashed earlier session must not leak its shards into ours.
-        for stale in self.shard_dir.glob("*.jsonl"):
-            stale.unlink()
-        self._clock = clock
-        self.tracer = Tracer(
-            self.shard_dir / f"parent-{os.getpid()}.jsonl",
-            clock=clock, process_label="repro")
-
-    def read_events(self) -> List[dict]:
-        """Parse every shard's events (tolerating a truncated tail)."""
-        events: List[dict] = []
-        for shard in sorted(self.shard_dir.glob("*.jsonl")):
-            for line in shard.read_text(encoding="utf-8").splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    events.append(json.loads(line))
-                except ValueError:
-                    continue  # half-written final line of a dead worker
-        return events
+        self.tracer = Tracer(clock=clock)
 
     def finalize(self) -> pathlib.Path:
-        """Merge all shards into the Chrome-trace artifact and clean up.
+        """Write the Chrome-trace artifact.
 
-        Events sort by timestamp; Python's stable sort preserves each
-        shard's emit order for equal timestamps, so B/E pairs on one
-        track never invert.
+        Events sort by timestamp; Python's stable sort preserves emit
+        order for equal timestamps, so B/E pairs on one track never
+        invert.
         """
-        self.tracer.close()
-        events = self.read_events()
-        events.sort(key=lambda e: e.get("ts", 0))
+        with self.tracer._lock:
+            events = sorted(self.tracer.events, key=lambda e: e["ts"])
         payload = {
             "traceEvents": events,
             "displayTimeUnit": "ms",
@@ -220,7 +172,6 @@ class TraceSession:
         self.out_path.write_text(
             json.dumps(payload, separators=(",", ":")) + "\n",
             encoding="utf-8")
-        shutil.rmtree(self.shard_dir, ignore_errors=True)
         return self.out_path
 
 
@@ -274,15 +225,9 @@ def traced(name: str, cat: str = "repro"):
     return decorate
 
 
-def active_shard_dir() -> Optional[str]:
-    """The running session's shard directory (what the pool initializer
-    forwards to workers), or ``None`` when tracing is off."""
-    return None if _SESSION is None else str(_SESSION.shard_dir)
-
-
 def start_tracing(out_path, clock: Callable[[], int] = None
                   ) -> TraceSession:
-    """Install a session + parent tracer for this process."""
+    """Install a session and its tracer for this process."""
     global _TRACER, _SESSION
     if _SESSION is not None:
         raise RuntimeError(
@@ -294,33 +239,10 @@ def start_tracing(out_path, clock: Callable[[], int] = None
 
 
 def stop_tracing() -> Optional[pathlib.Path]:
-    """Finalize the active session (merge shards, write the artifact);
-    returns the artifact path, or ``None`` when tracing was off."""
+    """Finalize the active session (write the artifact); returns the
+    artifact path, or ``None`` when tracing was off."""
     global _TRACER, _SESSION
     if _SESSION is None:
         return None
     session, _SESSION, _TRACER = _SESSION, None, None
     return session.finalize()
-
-
-def reset_for_worker(shard_dir: Optional[str]) -> None:
-    """Pool-worker initializer hook.
-
-    A ``fork``-started worker inherits the parent's module globals —
-    including an open tracer whose shard must stay the parent's alone.
-    This drops the inherited state and, when the session is tracing,
-    opens this worker's own shard so its spans land on a separate
-    pid track in the merged artifact.
-    """
-    global _TRACER, _SESSION
-    _SESSION = None
-    if _TRACER is not None:
-        # Close the inherited handle (line buffering means there is
-        # nothing of the parent's left to flush from this copy).
-        _TRACER.close()
-        _TRACER = None
-    if shard_dir:
-        pid = os.getpid()
-        _TRACER = Tracer(
-            pathlib.Path(shard_dir) / f"worker-{pid}.jsonl",
-            process_label=f"repro pool worker {pid}")

@@ -1,6 +1,6 @@
 """Simulation as a service (``repro serve``).
 
-Wraps the parallel, memoized experiment engine in a long-running
+Wraps the memoized experiment engine in a long-running
 service: a persistent SQLite job queue (:mod:`repro.serve.queue`), a
 priority scheduler with request dedupe and per-tier batching
 (:mod:`repro.serve.scheduler`), a stdlib HTTP/JSON API

@@ -171,10 +171,12 @@ class BacklogFull(RuntimeError):
 
 
 class ServeService:
-    """Store + scheduler thread(s) + HTTP server, one lifecycle."""
+    """Store + scheduler thread(s) + HTTP server, one lifecycle.
+    ``jobs`` is accepted and ignored (the runner is serial) for one
+    deprecation window."""
 
     def __init__(self, db_path, host: str = "127.0.0.1", port: int = 0,
-                 workers: int = 1, jobs="auto",
+                 workers: int = 1, jobs=None,
                  result_cache=_DEFAULT_CACHE, batch_limit: int = 16,
                  poll_s: float = 0.1, max_pending: Optional[int] = None,
                  lease_s: float = DEFAULT_LEASE_S):
@@ -185,7 +187,7 @@ class ServeService:
                 f"max_pending must be >= 1, got {max_pending}")
         self.db_path = str(db_path)
         self.store = JobStore(self.db_path)
-        self.scheduler = Scheduler(self.store, jobs=jobs,
+        self.scheduler = Scheduler(self.store,
                                    result_cache=result_cache,
                                    batch_limit=batch_limit,
                                    poll_s=poll_s, lease_s=lease_s)

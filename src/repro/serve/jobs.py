@@ -16,7 +16,7 @@ the finalization context, combined through
 :func:`~repro.eval.resultcache.combine_keys`), prices them for
 scheduling (:func:`estimated_cost`) and executes whole batches
 (:func:`run_requests`): functional layers through one
-:func:`~repro.eval.runner.simulate_layer_tasks` fan-out, analytic
+:func:`~repro.eval.runner.simulate_layer_tasks` batch, analytic
 requests through the closed-form
 :meth:`~repro.accel.base.AcceleratorModel.run_model`.
 
@@ -265,25 +265,26 @@ def result_payload(run: AccelRunResult) -> Dict:
     }
 
 
-def run_requests(requests: Sequence[SimRequest], jobs="auto",
+def run_requests(requests: Sequence[SimRequest], jobs=None,
                  result_cache=None) -> List[Dict]:
     """Execute many requests as ONE engine batch; results in order.
 
     Every functional request's layer tasks flatten into a single
-    :func:`~repro.eval.runner.simulate_layer_tasks` fan-out (pool
-    occupancy, in-batch dedupe and the result cache work across jobs —
-    two queued jobs sharing AlexNet layers simulate them once), then
+    :func:`~repro.eval.runner.simulate_layer_tasks` batch (in-batch
+    dedupe, shared operand synthesis and the result cache work across
+    jobs — two queued jobs sharing AlexNet layers simulate them once), then
     each request finalizes through its own accelerator's
     memory-hierarchy/energy pipeline exactly like the direct
     ``run_model_functional`` path. Analytic requests evaluate their
-    closed forms directly through ``run_model``; ``jobs`` and
-    ``result_cache`` do not apply to them. The scheduler groups
-    requests by tier before calling this, but mixing is legal.
+    closed forms directly through ``run_model``; ``result_cache`` does
+    not apply to them. The scheduler groups requests by tier before
+    calling this, but mixing is legal. ``jobs`` is accepted and ignored
+    (the runner is serial) for one deprecation window.
     """
     built = [request_tasks(request) for request in requests]
     functional = [task for request, (_, _, tasks) in zip(requests, built)
                   if request.tier == "functional" for task in tasks]
-    payloads = iter(simulate_layer_tasks(functional, jobs=jobs,
+    payloads = iter(simulate_layer_tasks(functional,
                                          result_cache=result_cache))
     out: List[Dict] = []
     for request, (accel, spec, tasks) in zip(requests, built):

@@ -22,7 +22,7 @@ queue through the experiment engine:
    order preserved; a batch never mixes analytic with functional work,
    property-tested) and each batch executes as ONE
    :func:`~repro.serve.jobs.run_requests` call: a functional batch is
-   one engine fan-out, so queued jobs share pool occupancy, in-batch
+   one runner batch, so queued jobs share operand synthesis, in-batch
    layer dedupe and the result cache exactly like one big experiment;
    an analytic batch evaluates each request's closed forms directly;
 5. **complete/fail** — per-job results land in the store; a request
@@ -200,9 +200,11 @@ class _LeaseHeartbeat:
 
 class Scheduler:
     """Drains a :class:`~repro.serve.queue.JobStore` through the
-    experiment engine (see module docstring for the pass anatomy)."""
+    experiment engine (see module docstring for the pass anatomy).
+    ``jobs`` is accepted and ignored (the runner is serial) for one
+    deprecation window."""
 
-    def __init__(self, store: JobStore, jobs="auto",
+    def __init__(self, store: JobStore, jobs=None,
                  result_cache=_DEFAULT_CACHE, batch_limit: int = 16,
                  poll_s: float = 0.1, owner: Optional[str] = None,
                  lease_s: float = DEFAULT_LEASE_S,
@@ -213,7 +215,6 @@ class Scheduler:
         if lease_s <= 0:
             raise ValueError(f"lease_s must be > 0, got {lease_s}")
         self.store = store
-        self.jobs = jobs
         if result_cache is _DEFAULT_CACHE:
             from repro.eval.resultcache import default_result_cache
 
@@ -314,7 +315,6 @@ class Scheduler:
         try:
             with _LeaseHeartbeat(self.store, member_ids, self.lease_s):
                 results = run_requests([p.request for p in batch],
-                                       jobs=self.jobs,
                                        result_cache=self.result_cache)
         except Exception as exc:  # noqa: BLE001 — job-level isolation
             log.exception("batch of %d job(s) failed", len(batch))

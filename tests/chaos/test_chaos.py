@@ -3,15 +3,16 @@
 Every test arms the deterministic fault registry (:mod:`repro.faults`),
 then asserts the system converges to the fault-free answer:
 
-- a serve instance under a fault storm (worker crashes, task hangs,
-  claim failures, HTTP 500s) finishes every job either ``done`` with a
-  result bit-equal to the clean run or ``failed``/``quarantined`` with
-  a recorded error — never hung, never silently wrong;
+- a serve instance under a fault storm (corrupt result-cache writes
+  and reads, claim failures, HTTP 500s) finishes every job either
+  ``done`` with a result bit-equal to the clean run or
+  ``failed``/``quarantined`` with a recorded error — never hung, never
+  silently wrong;
 - corrupted result-cache entries are quarantined on read and
   recomputed, converging back to bit-equal results and clean hits.
 
-Marked ``slow``: these boot HTTP services, fork worker pools and spawn
-fresh interpreters — nightly tier, excluded from the default run.
+Marked ``slow``: these boot HTTP services and spawn fresh interpreters
+— nightly tier, excluded from the default run.
 """
 
 import os
@@ -49,18 +50,19 @@ def _child_env():
 #: Four distinct quick functional requests — small enough that the
 #: clean baseline is sub-second, varied enough that a cross-wired result
 #: (job A served job B's payload) cannot pass the bit-equal check.
-#: Functional, because only cycle simulations run on the worker pool
-#: that the worker_crash / task_hang faults target.
+#: Functional, because only cycle simulations read and write the result
+#: cache that the cache_corrupt / cache_read_flip faults target.
 REQUESTS = [
     {"model": "lenet5", "accelerator": accel, "tier": "functional",
      "quick": True, "seed": seed}
     for accel in ("s2ta-aw", "sa") for seed in (0, 1)
 ]
 
-#: The storm: most task executions crash a pool worker once, half hang
-#: once (cut short by the 1 s task timeout), the scheduler's first two
-#: claims raise, and half the HTTP requests 500 (twice per endpoint).
-STORM = ("seed=3,worker_crash:p=0.7,task_hang:p=0.5:s=60,"
+#: The storm: every result-cache read of the primed entries comes back
+#: garbled once, most rewrites land garbled on disk, the scheduler's
+#: first two claims raise, and half the HTTP requests 500 (twice per
+#: endpoint).
+STORM = ("seed=3,cache_read_flip:p=1,cache_corrupt:p=0.7,"
          "claim_fail:p=1:n=2,http_error:p=0.5:n=2")
 
 
@@ -90,12 +92,14 @@ def _wait_tolerant(base_url, job_id, timeout_s=120.0):
 
 class TestServeUnderFaultStorm:
     def test_every_job_converges_bit_equal_or_cleanly_failed(
-            self, tmp_path, monkeypatch):
-        # Clean baseline results, one per distinct request.
+            self, tmp_path):
+        # Clean baseline results, one per distinct request; they also
+        # prime the result cache the storm then reads.
         baseline = {}
+        cache_dir = tmp_path / "cache"
         with ServeService(tmp_path / "clean.sqlite3", port=0,
-                          workers=1, jobs=2,
-                          result_cache=None) as service:
+                          workers=1,
+                          result_cache=ResultCache(cache_dir)) as service:
             ids = [submit_job(service.base_url, req)["id"]
                    for req in REQUESTS]
             for req, jid in zip(REQUESTS, ids):
@@ -104,13 +108,13 @@ class TestServeUnderFaultStorm:
                 baseline[(req["accelerator"], req["seed"])] = \
                     job["result"]
 
-        # Same requests under the storm. The 1 s task timeout turns
-        # injected hangs into degraded (serial, bit-equal) re-runs.
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "1.0")
+        # Same requests under the storm: each garbled cache read is
+        # quarantined and re-simulated bit-equal.
         faults.configure(STORM)
         try:
             with ServeService(tmp_path / "chaos.sqlite3", port=0,
-                              workers=1, jobs=2, result_cache=None,
+                              workers=1,
+                              result_cache=ResultCache(cache_dir),
                               lease_s=30.0) as service:
                 ids = [_submit_tolerant(service.base_url, req)["id"]
                        for req in REQUESTS]
@@ -132,8 +136,10 @@ class TestServeUnderFaultStorm:
         finally:
             faults.reset()
         # The storm must have actually hit something, or this test
-        # proves nothing. claim_fail is p=1, so it always fires.
+        # proves nothing. claim_fail and cache_read_flip are p=1, so
+        # they always fire.
         assert fired.get("claim_fail", 0) >= 1, fired
+        assert fired.get("cache_read_flip", 0) >= 1, fired
         assert sum(fired.values()) >= 3, fired
 
 
@@ -150,28 +156,25 @@ class TestCacheCorruptionChaos:
     def test_corrupt_entries_quarantined_then_recomputed(self, tmp_path):
         tasks = [LayerSimTask(ZvcgSA(), CONV2, seed=seed, max_m=32)
                  for seed in (0, 1)]
-        clean = simulate_layer_tasks(tasks, jobs=1, result_cache=None)
+        clean = simulate_layer_tasks(tasks, result_cache=None)
 
         cache = ResultCache(tmp_path / "cache")
         # Every key's *first* write lands corrupted (per-key budget of
         # one fire); rewrites after quarantine are clean.
         faults.configure("seed=1,cache_corrupt:p=1")
         try:
-            cold = simulate_layer_tasks(tasks, jobs=1,
-                                        result_cache=cache)
+            cold = simulate_layer_tasks(tasks, result_cache=cache)
             assert cold == clean  # computed fresh; corruption is at rest
             # The poisoned entries are detected on read, quarantined,
             # recomputed bit-equal and re-written clean.
-            warm = simulate_layer_tasks(tasks, jobs=1,
-                                        result_cache=cache)
+            warm = simulate_layer_tasks(tasks, result_cache=cache)
             assert warm == clean
             assert cache.corrupt == len(tasks)
             quarantined = list(
                 (tmp_path / "cache" / "corrupt").glob("*.json"))
             assert len(quarantined) == len(tasks)
             # Third pass: the rewritten entries serve as real hits.
-            third = simulate_layer_tasks(tasks, jobs=1,
-                                         result_cache=cache)
+            third = simulate_layer_tasks(tasks, result_cache=cache)
             assert third == clean
             assert cache.hits >= len(tasks)
             assert cache.corrupt == len(tasks)  # no new detections
@@ -186,15 +189,14 @@ class TestCacheCorruptionChaos:
 
 class TestEnvArming:
     def test_repro_faults_env_arms_a_fresh_interpreter(self):
-        """Pool workers are fresh interpreters that self-arm from
-        ``$REPRO_FAULTS`` at import — the mechanism the whole worker
-        fault family rides on."""
+        """A fresh interpreter self-arms from ``$REPRO_FAULTS`` at
+        import — how the CLI and a served instance are armed."""
         env = _child_env()
-        env[faults.ENV_VAR] = "worker_crash:p=0.25"
+        env[faults.ENV_VAR] = "claim_fail:p=0.25"
         code = ("import sys\n"
                 "from repro import faults\n"
                 "reg = faults.active()\n"
                 "sys.exit(0 if reg is not None and\n"
-                "         reg.specs[0].name == 'worker_crash' else 1)\n")
+                "         reg.specs[0].name == 'claim_fail' else 1)\n")
         assert subprocess.run([sys.executable, "-c", code],
                               env=env, timeout=60).returncode == 0

@@ -19,10 +19,6 @@ os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-test-cache-")
 # A REPRO_FAULTS leaking in from the caller's shell would arm fault
 # injection for the entire suite (repro.faults reads it at import).
 os.environ.pop("REPRO_FAULTS", None)
-# REPRO_JOBS is deliberately left alone: `make nightly` exports
-# REPRO_JOBS=0 so the slow functional tier runs on the parallel runner,
-# and results are bit-equal at any worker count — the determinism tests
-# that compare regimes pin their worker counts explicitly.
 
 
 @pytest.fixture(autouse=True)

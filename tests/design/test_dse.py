@@ -202,7 +202,7 @@ class TestRunDSE:
         """One frontier point on the SMALL slice: the paper's 8x4x4_8x8
         at the tightest A-DBB bound — pinned exactly (uid) and
         numerically (objectives)."""
-        artifact = run_dse(SMALL, jobs=1)
+        artifact = run_dse(SMALL)
         assert artifact["frontier"] == [
             "8x4x4_8x8.tu.a2.s2.5.bwdef.16nm"]
         best = next(e for e in artifact["evaluations"]
@@ -214,7 +214,7 @@ class TestRunDSE:
     def test_full_keyspace_frontier_pinned(self):
         """Every point of the default keyspace is evaluated, and the
         artifact's frontier is the Pareto set of those evaluations."""
-        artifact = run_dse(jobs=1)
+        artifact = run_dse()
         assert artifact["space"]["points"] == 2712
         assert len(artifact["evaluations"]) == 2712
         assert artifact["frontier"] == [
@@ -239,7 +239,7 @@ class TestRunDSE:
         """``as_dict`` is a shallow field copy: the artifact's JSON is
         byte-identical (values and key order) to one whose rows come
         from ``dataclasses.asdict``."""
-        artifact = run_dse(jobs=1)
+        artifact = run_dse()
         evaluations = evaluate_points(DSESpace().points)
         deep = dict(artifact, evaluations=[
             dataclasses.asdict(evaluations[uid])
@@ -247,7 +247,7 @@ class TestRunDSE:
         assert json.dumps(artifact) == json.dumps(deep)
 
     def test_artifact_records_the_space(self):
-        artifact = run_dse(SMALL, fidelity="analytic", seed=3, jobs=1)
+        artifact = run_dse(SMALL, fidelity="analytic", seed=3)
         assert set(artifact) == {"artifact", "space", "evaluations",
                                  "frontier"}
         assert artifact["space"] == {
@@ -284,11 +284,11 @@ class TestResultCacheIntegration:
     def test_warm_resweep_hits_cache(self, tmp_path):
         """> 90% hit rate on a functional re-sweep of the SMALL slice."""
         cache = ResultCache(tmp_path / "rc")
-        cold = run_dse(SMALL, fidelity="functional", max_m=32, jobs=1,
+        cold = run_dse(SMALL, fidelity="functional", max_m=32,
                        result_cache=cache)
         assert len(cold["evaluations"]) == 114
         cache.hits = cache.misses = 0
-        warm = run_dse(SMALL, fidelity="functional", max_m=32, jobs=1,
+        warm = run_dse(SMALL, fidelity="functional", max_m=32,
                        result_cache=cache)
         assert warm == cold
         assert cache.hits / (cache.hits + cache.misses) > 0.90
@@ -303,10 +303,10 @@ class TestFidelity:
         point = next(p for p in space.points
                      if p.design.notation == "8x4x4_8x8")
         functional = evaluate_points([point], fidelity="functional",
-                                     max_m=32, jobs=1,
+                                     max_m=32,
                                      result_cache=cache)[point.uid]
         analytic = evaluate_points([point], fidelity="analytic",
-                                   max_m=32, jobs=1,
+                                   max_m=32,
                                    result_cache=cache)[point.uid]
         assert functional.cycles > 0 and analytic.cycles > 0
         # Only the cycle simulation is cached; analytic points never are.
@@ -328,7 +328,7 @@ class TestFidelity:
 
 class TestRender:
     def test_render_mentions_frontier_and_counts(self):
-        artifact = run_dse(SMALL, jobs=1)
+        artifact = run_dse(SMALL)
         text = render_artifact(artifact, top=5).render()
         assert "8x4x4_8x8" in text
         assert "Pareto frontier" in text

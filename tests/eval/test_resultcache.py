@@ -117,7 +117,7 @@ def _fig11_batch(monkeypatch, cache=None):
         return simulate(tasks, **kwargs)
 
     monkeypatch.setattr(runner, "simulate_layer_tasks", recording)
-    experiments.fig11_full_models(functional=True, quick=True, jobs=1,
+    experiments.fig11_full_models(functional=True, quick=True,
                                   result_cache=cache)
     (tasks,) = batches
     return tasks
@@ -141,7 +141,7 @@ class TestBatchKeys:
         accels = (SmtSA(fifo_depth=2), SmtSA(fifo_depth=4),
                   ZvcgSA(dram_gbps=64.0))
         simulate_layer_tasks([LayerSimTask(a, CONV2, max_m=8)
-                              for a in accels], jobs=1, result_cache=cache)
+                              for a in accels], result_cache=cache)
         expected = {payload_key(a, CONV2, max_m=8) for a in accels}
         assert len(expected) == 3
         assert {p.stem for p in cache.path.glob("*.json")} == expected
@@ -153,11 +153,11 @@ class TestBatchKeys:
 
         accel = ZvcgSA()
         task = LayerSimTask(accel, CONV2, max_m=8)
-        simulate_layer_tasks([task], jobs=1, result_cache=cache)
+        simulate_layer_tasks([task], result_cache=cache)
         before = payload_key(accel, CONV2, max_m=8)
         accel.costs = dataclasses.replace(DEFAULT_COSTS,
                                           dram_pj_per_byte=40.0)
-        simulate_layer_tasks([task], jobs=1, result_cache=cache)
+        simulate_layer_tasks([task], result_cache=cache)
         after = payload_key(accel, CONV2, max_m=8)
         assert after != before
         assert cache.hits == 0 and cache.puts == 2

@@ -64,7 +64,7 @@ class TestRegistryExport:
         """Field names of the --metrics-out JSON artifact."""
         reg = MetricsRegistry()
         reg.counter("runner.tasks").inc(7)
-        reg.gauge("runner.pool_workers").set(4)
+        reg.gauge("serve.queue_depth").set(4)
         reg.histogram("runner.compute_ns").observe(1000)
         out = tmp_path / "metrics.json"
         reg.dump_json(out)
@@ -73,8 +73,8 @@ class TestRegistryExport:
         assert payload["schema"] == "repro.obs.metrics/v1"
         metrics = payload["metrics"]
         assert metrics["runner.tasks"] == {"type": "counter", "value": 7}
-        assert metrics["runner.pool_workers"] == {"type": "gauge",
-                                                  "value": 4}
+        assert metrics["serve.queue_depth"] == {"type": "gauge",
+                                                "value": 4}
         hist = metrics["runner.compute_ns"]
         assert set(hist) == {"type", "count", "sum", "min", "max",
                              "mean", "buckets"}
@@ -108,31 +108,8 @@ class TestDefaultRegistry:
 
 
 class TestRunnerAggregation:
-    """``runner.syntheses`` counts one synthesis per operand group, on
-    the serial path and in pool workers (returned with the group's
-    payloads), next to the per-task dispatch telemetry."""
-
-    @pytest.mark.functional
-    def test_worker_syntheses_survive_pool_exit(self):
-        from repro.accel import S2TAAW, ZvcgSA
-        from repro.eval.runner import LayerSimTask, simulate_layer_tasks
-        from repro.models import get_spec
-
-        layers = get_spec("alexnet").conv_layers[:3]
-        tasks = [LayerSimTask(accel, layer, max_m=16)
-                 for accel in (ZvcgSA(), S2TAAW()) for layer in layers]
-        reset_default_registry()
-        simulate_layer_tasks(tasks, jobs=2)
-        reg = default_registry()
-        # Workers synthesized the operands (parent never did), yet the
-        # count is visible here — returned with the group payloads.
-        assert reg.counter("runner.syntheses").value == len(layers)
-        assert reg.counter("runner.tasks").value == len(tasks)
-        assert reg.counter("runner.simulated").value == len(tasks)
-        assert reg.counter("runner.pool_batches").value == 1
-        assert reg.histogram("runner.compute_ns").count == len(tasks)
-        assert reg.histogram("runner.queue_wait_ns").count == len(tasks)
-        assert reg.histogram("runner.tasks_per_worker").sum == len(tasks)
+    """``runner.syntheses`` counts one synthesis per operand group, next
+    to the per-task telemetry."""
 
     def test_serial_path_stats_also_aggregate(self):
         from repro.accel import S2TAAW, ZvcgSA
@@ -143,7 +120,7 @@ class TestRunnerAggregation:
         tasks = [LayerSimTask(accel, layer, max_m=8)
                  for accel in (ZvcgSA(), S2TAAW()) for layer in layers]
         reset_default_registry()
-        simulate_layer_tasks(tasks, jobs=1)
+        simulate_layer_tasks(tasks)
         reg = default_registry()
         assert reg.counter("runner.syntheses").value == len(layers)
         assert reg.counter("runner.simulated").value == len(tasks)

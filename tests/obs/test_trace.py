@@ -4,10 +4,10 @@ The contracts the PR-8 acceptance criteria pin:
 
 - every span emits a matched B/E pair with valid pid/tid and correct
   nesting (a child's B/E falls inside its parent's on the same track);
-- the merged multi-worker trace round-trips through ``json.loads``
-  with **stable field names** (the Chrome trace-event schema, pinned
-  verbatim in :class:`TestSchemaPin` — breaking it breaks saved
-  Perfetto workflows);
+- the written trace round-trips through ``json.loads`` with **stable
+  field names** (the Chrome trace-event schema, pinned verbatim in
+  :class:`TestSchemaPin` — breaking it breaks saved Perfetto
+  workflows);
 - disabled tracing is a no-op: the shared null span, no allocation per
   call site, no files touched.
 """
@@ -18,12 +18,9 @@ import threading
 
 import pytest
 
-from repro.obs import trace as obs_trace
 from repro.obs.trace import (
     SCHEMA_VERSION,
     Tracer,
-    TraceSession,
-    reset_for_worker,
     span,
     start_tracing,
     stop_tracing,
@@ -52,10 +49,9 @@ class FakeClock:
         return self.now
 
 
-def _shard_events(tracer: Tracer):
-    tracer.close()
-    return [json.loads(line) for line in
-            tracer.shard_path.read_text().splitlines()]
+def _events(tracer: Tracer):
+    """The tracer's events as they serialize."""
+    return json.loads(json.dumps(tracer.events))
 
 
 class TestSchemaPin:
@@ -67,10 +63,10 @@ class TestSchemaPin:
         assert SCHEMA_VERSION == 1
 
     def test_span_event_fields(self, tmp_path):
-        tracer = Tracer(tmp_path / "s.jsonl", clock=FakeClock())
+        tracer = Tracer(clock=FakeClock())
         with tracer.span("work", "phase", detail=3):
             pass
-        meta, begin, end = _shard_events(tracer)
+        meta, begin, end = _events(tracer)
         assert meta["ph"] == "M"
         assert meta["name"] == "process_name"
         assert set(begin) == {"name", "cat", "ph", "ts", "pid", "tid",
@@ -85,29 +81,29 @@ class TestSchemaPin:
         assert end["ts"] - begin["ts"] == 1_000
 
     def test_annotate_rides_on_the_end_event(self, tmp_path):
-        tracer = Tracer(tmp_path / "s.jsonl", clock=FakeClock())
+        tracer = Tracer(clock=FakeClock())
         with tracer.span("work", "phase", tasks=3) as span:
             span.annotate(hits=2)
-        _, begin, end = _shard_events(tracer)
+        _, begin, end = _events(tracer)
         assert begin["args"] == {"tasks": 3}
         assert end["args"] == {"hits": 2}
 
     def test_pid_tid_are_real(self, tmp_path):
-        tracer = Tracer(tmp_path / "s.jsonl")
+        tracer = Tracer()
         with tracer.span("w"):
             pass
-        events = _shard_events(tracer)
+        events = _events(tracer)
         assert all(e["pid"] == os.getpid() for e in events)
         assert all(e["tid"] == threading.get_native_id() for e in events)
 
 
 class TestSpanIntegrity:
     def test_every_span_has_matched_begin_end(self, tmp_path):
-        tracer = Tracer(tmp_path / "s.jsonl", clock=FakeClock())
+        tracer = Tracer(clock=FakeClock())
         for i in range(5):
             with tracer.span(f"s{i}"):
                 pass
-        events = _shard_events(tracer)
+        events = _events(tracer)
         begins = [e for e in events if e["ph"] == "B"]
         ends = [e for e in events if e["ph"] == "E"]
         assert len(begins) == len(ends) == 5
@@ -115,21 +111,21 @@ class TestSpanIntegrity:
 
     def test_nesting_order(self, tmp_path):
         """A child's B/E pair falls strictly inside its parent's."""
-        tracer = Tracer(tmp_path / "s.jsonl", clock=FakeClock())
+        tracer = Tracer(clock=FakeClock())
         with tracer.span("outer"):
             with tracer.span("inner"):
                 pass
-        phases = [(e["name"], e["ph"]) for e in _shard_events(tracer)
+        phases = [(e["name"], e["ph"]) for e in _events(tracer)
                   if e["ph"] in "BE"]
         assert phases == [("outer", "B"), ("inner", "B"),
                           ("inner", "E"), ("outer", "E")]
 
     def test_exception_still_closes_span(self, tmp_path):
-        tracer = Tracer(tmp_path / "s.jsonl")
+        tracer = Tracer()
         with pytest.raises(RuntimeError):
             with tracer.span("doomed"):
                 raise RuntimeError("boom")
-        events = _shard_events(tracer)
+        events = _events(tracer)
         assert [e["ph"] for e in events if e["name"] == "doomed"] \
             == ["B", "E"]
 
@@ -155,49 +151,51 @@ class TestDisabledPath:
         assert calls == [21]
 
 
-class TestSessionMerge:
-    def test_merged_trace_round_trips(self, tmp_path):
-        """Parent + synthetic worker shards merge into one artifact
-        that round-trips through ``json.loads`` with per-pid tracks."""
+class TestSession:
+    def test_trace_round_trips(self, tmp_path):
+        """A session writes one artifact that round-trips through
+        ``json.loads``, with the process-name metadata, sorted by
+        ``ts``, and leaves nothing else next to it."""
         out = tmp_path / "trace.json"
-        session = start_tracing(out)
+        start_tracing(out, clock=FakeClock())
         with span("experiment", "experiment"):
-            pass
-        # Simulate two pool workers joining via their shard files.
-        for fake_pid in (99991, 99992):
-            worker = Tracer(
-                session.shard_dir / f"worker-{fake_pid}.jsonl",
-                clock=FakeClock(),
-                process_label=f"repro pool worker {fake_pid}")
-            worker.pid = fake_pid
-            with worker.span("conv1", "layer"):
+            with span("conv1", "layer"):
                 pass
-            worker.close()
         path = stop_tracing()
         assert path == out
+        assert sorted(tmp_path.iterdir()) == [out]
         payload = json.loads(out.read_text())
         assert set(payload) == {"traceEvents", "displayTimeUnit",
                                 "otherData"}
         assert payload["otherData"]["schemaVersion"] == SCHEMA_VERSION
         events = payload["traceEvents"]
-        pids = {e["pid"] for e in events}
-        assert pids == {os.getpid(), 99991, 99992}
-        labels = {(e["args"] or {}).get("name")
-                  for e in events if e["ph"] == "M"}
-        assert "repro pool worker 99991" in labels
-        # The shard directory is consumed by the merge.
-        assert not session.shard_dir.exists()
+        assert {e["pid"] for e in events} == {os.getpid()}
+        assert [(e["name"], e["args"]) for e in events if e["ph"] == "M"] \
+            == [("process_name", {"name": "repro"})]
+        assert [e["ts"] for e in events] == sorted(e["ts"] for e in events)
+        assert [(e["name"], e["ph"]) for e in events if e["ph"] in "BE"] \
+            == [("experiment", "B"), ("conv1", "B"), ("conv1", "E"),
+                ("experiment", "E")]
 
-    def test_truncated_worker_tail_is_skipped(self, tmp_path):
-        session = start_tracing(tmp_path / "t.json")
-        shard = session.shard_dir / "worker-123.jsonl"
-        good = json.dumps({"name": "ok", "cat": "c", "ph": "i",
-                           "ts": 1, "pid": 123, "tid": 1})
-        shard.write_text(good + "\n" + '{"name": "half')
+    def test_spans_from_threads_all_land(self, tmp_path):
+        """Serve emits spans from several threads into one tracer."""
+        start_tracing(tmp_path / "t.json")
+
+        def work(i):
+            for _ in range(50):
+                with span(f"w{i}", "test"):
+                    pass
+
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
         path = stop_tracing()
-        names = [e["name"]
-                 for e in json.loads(path.read_text())["traceEvents"]]
-        assert "ok" in names
+        events = json.loads(path.read_text())["traceEvents"]
+        assert len([e for e in events if e["ph"] == "B"]) == 200
+        assert len([e for e in events if e["ph"] == "E"]) == 200
 
     def test_double_start_rejected(self, tmp_path):
         start_tracing(tmp_path / "a.json")
@@ -207,48 +205,10 @@ class TestSessionMerge:
     def test_stop_without_session_is_none(self):
         assert stop_tracing() is None
 
-    def test_stale_shards_cleaned_on_start(self, tmp_path):
-        out = tmp_path / "t.json"
-        shard_dir = tmp_path / "t.json.shards"
-        shard_dir.mkdir()
-        (shard_dir / "worker-1.jsonl").write_text(
-            json.dumps({"name": "stale", "cat": "c", "ph": "i",
-                        "ts": 1, "pid": 1, "tid": 1}) + "\n")
-        start_tracing(out)
-        path = stop_tracing()
-        names = [e["name"]
-                 for e in json.loads(path.read_text())["traceEvents"]]
-        assert "stale" not in names
-
-
-class TestWorkerReset:
-    def test_reset_without_shard_dir_disables(self, tmp_path):
-        start_tracing(tmp_path / "t.json")
-        assert tracing_enabled()
-        reset_for_worker(None)
-        assert not tracing_enabled()
-        assert obs_trace.active_shard_dir() is None
-
-    def test_reset_with_shard_dir_opens_worker_shard(self, tmp_path):
-        shard_dir = tmp_path / "shards"
-        shard_dir.mkdir()
-        reset_for_worker(str(shard_dir))
-        try:
-            assert tracing_enabled()
-            with span("work", "layer"):
-                pass
-            shard = shard_dir / f"worker-{os.getpid()}.jsonl"
-            assert shard.exists()
-            names = [json.loads(line)["name"]
-                     for line in shard.read_text().splitlines()]
-            assert "work" in names
-        finally:
-            reset_for_worker(None)
-
 
 class TestEngineIntegration:
-    """The merged trace of a real parallel run: per-worker tracks and
-    every instrumented phase present (the tentpole wiring, end to end)."""
+    """The trace of a real runner batch: every instrumented phase
+    present, end to end."""
 
     def test_value_draw_is_its_own_span(self, tmp_path):
         """INT8 values drawn for an output reader show as ``values``,
@@ -273,27 +233,26 @@ class TestEngineIntegration:
         assert spans.count(("values", layer.name)) == 1
 
     @pytest.mark.functional
-    def test_parallel_run_produces_per_worker_tracks(self, tmp_path):
-        from repro.accel import ZvcgSA
+    def test_traced_batch_round_trips_through_summarize(self, tmp_path):
+        """A traced runner batch writes only its artifact (no shard
+        directory), on one process track with every span matched."""
+        from repro.accel import SparTen, ZvcgSA
         from repro.eval.runner import LayerSimTask, simulate_layer_tasks
         from repro.models import get_spec
+        from repro.obs.summarize import load_trace_events, summarize_trace
 
-        layers = get_spec("alexnet").conv_layers[:4]
-        tasks = [LayerSimTask(ZvcgSA(), layer, max_m=16)
-                 for layer in layers]
-        start_tracing(tmp_path / "run.json")
-        simulate_layer_tasks(tasks, jobs=2)
-        path = stop_tracing()
-        events = json.loads(path.read_text())["traceEvents"]
-        worker_pids = {e["pid"] for e in events
-                       if e["ph"] == "M"
-                       and "pool worker" in (e["args"] or {})["name"]}
-        assert len(worker_pids) >= 1
-        assert worker_pids.isdisjoint({os.getpid()})
-        cats = {e["cat"] for e in events}
-        assert {"runner", "layer", "synthesize", "simulate"} <= cats
-        # Matched B/E per (pid, tid) — integrity at real concurrency.
-        for pid in {e["pid"] for e in events}:
-            track = [e for e in events if e["pid"] == pid]
-            assert (len([e for e in track if e["ph"] == "B"])
-                    == len([e for e in track if e["ph"] == "E"]))
+        layers = get_spec("alexnet").conv_layers[:2]
+        out = tmp_path / "run.json"
+        start_tracing(out)
+        simulate_layer_tasks([LayerSimTask(accel, layer, max_m=16)
+                              for accel in (ZvcgSA(), SparTen())
+                              for layer in layers])
+        stop_tracing()
+        assert not (tmp_path / "run.json.shards").exists()
+        events = load_trace_events(out)
+        assert {e["pid"] for e in events} == {os.getpid()}
+        assert {"runner", "layer", "synthesize", "simulate"} \
+            <= {e["cat"] for e in events}
+        summary = summarize_trace(out)
+        assert summary["unmatched_events"] == 0
+        assert list(summary["tracks"]) == [str(os.getpid())]

@@ -29,7 +29,7 @@ class TestAnalyticRequests:
     @pytest.mark.parametrize("conv_only", [True, False])
     def test_served_result_bit_equal_to_run_model(self, conv_only):
         request = parse_request(dict(ANALYTIC, conv_only=conv_only))
-        (served,) = run_requests([request], jobs=1)
+        (served,) = run_requests([request])
         accel, spec, _ = request_tasks(request)
         direct = result_payload(accel.run_model(spec, conv_only=conv_only))
         # Through JSON, as a client reads it back.
@@ -38,7 +38,7 @@ class TestAnalyticRequests:
     def test_s2ta_wa_fingerprints_and_runs(self):
         request = parse_request(dict(ANALYTIC, accelerator="s2ta-wa"))
         assert len(request_fingerprint(request)) == 64
-        (served,) = run_requests([request], jobs=1)
+        (served,) = run_requests([request])
         assert served["accelerator"] == "S2TA-WA"
         assert len(served["layers"]) == len(get_spec("lenet5").conv_layers)
         assert served["total_cycles"] > 0

@@ -167,8 +167,8 @@ def store(tmp_path):
 @pytest.fixture
 def scheduler(store):
     # result_cache=None: these tests pin scheduler behaviour, not the
-    # cache; jobs=1 keeps the analytic batches serial and fast.
-    return Scheduler(store, jobs=1, result_cache=None)
+    # cache.
+    return Scheduler(store, result_cache=None)
 
 
 class TestSchedulerPass:
@@ -244,8 +244,7 @@ class TestSchedulerPass:
             _submit(store, dict(ANALYTIC, seed=seed))
         # batch_limit=1 leaves pending work after the first pass; an
         # already-expired deadline must raise instead of spinning.
-        blocked = Scheduler(store, jobs=1, result_cache=None,
-                            batch_limit=1)
+        blocked = Scheduler(store, result_cache=None, batch_limit=1)
         with pytest.raises(TimeoutError):
             blocked.drain(timeout_s=-1)
 
@@ -254,7 +253,7 @@ class TestSchedulerPass:
         job_id, _ = _submit(store, ANALYTIC)
         # A claim whose (forged) lease is long expired by real now.
         store.claim("dead-worker", now=0.0, lease_s=1.0)
-        scheduler = Scheduler(store, jobs=1, result_cache=None)
+        scheduler = Scheduler(store, result_cache=None)
         requeued, quarantined = scheduler.recover()
         assert requeued == [job_id] and quarantined == []
         registry = obs_metrics.default_registry()
@@ -280,8 +279,7 @@ class TestWorkerCrashRecovery:
         "from repro.serve.queue import JobStore\n"
         "from repro.serve.scheduler import Scheduler\n"
         "store = JobStore(sys.argv[1])\n"
-        "sched = Scheduler(store, jobs=1, result_cache=None,\n"
-        "                  owner='doomed')\n"
+        "sched = Scheduler(store, result_cache=None, owner='doomed')\n"
         "claimed = sched.store.claim(sched.owner, limit=1,\n"
         "                            lease_s=0.3)\n"
         "assert claimed, 'nothing to claim'\n"
@@ -306,7 +304,7 @@ class TestWorkerCrashRecovery:
         # back once its (short) lease runs out, and runs it to
         # completion — the backoff gate only delays the retry.
         time.sleep(0.4)  # let the dead worker's 0.3 s lease expire
-        scheduler = Scheduler(store, jobs=1, result_cache=None)
+        scheduler = Scheduler(store, result_cache=None)
         requeued, quarantined = scheduler.recover()
         assert requeued == [job_id] and quarantined == []
         assert scheduler.recover() == ([], [])  # exactly once
@@ -340,7 +338,7 @@ class TestHungWorkerRecovery:
         # Undisturbed baseline of the identical request, out of band.
         with JobStore(tmp_path / "baseline.sqlite3") as clean:
             base_id, _ = _submit(clean, ANALYTIC)
-            Scheduler(clean, jobs=1, result_cache=None).drain(
+            Scheduler(clean, result_cache=None).drain(
                 timeout_s=120)
             baseline = clean.get(base_id).result
 
@@ -353,7 +351,7 @@ class TestHungWorkerRecovery:
             proc.send_signal(signal.SIGSTOP)   # hung, not dead
             time.sleep(0.4)                    # its 0.3 s lease expires
 
-            scheduler = Scheduler(store, jobs=1, result_cache=None)
+            scheduler = Scheduler(store, result_cache=None)
             requeued, quarantined = scheduler.recover()
             assert requeued == [job_id] and quarantined == []
             scheduler.drain(timeout_s=120)

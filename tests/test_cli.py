@@ -208,6 +208,32 @@ class TestJobsFlag:
                     "--jobs", "2"])
         assert "functional simulation" in out
 
+    @pytest.mark.functional
+    def test_ignored_jobs_noted_once_and_output_unchanged(self):
+        """``--jobs`` and ``$REPRO_JOBS`` stay accepted for one
+        deprecation window: each prints one notice on stderr and
+        changes nothing on stdout."""
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_JOBS"}
+        env["PYTHONPATH"] = src
+        argv = [sys.executable, "-m", "repro", "experiment", "fig12",
+                "--functional", "--quick", "--no-result-cache"]
+        notice = "--jobs and $REPRO_JOBS are ignored"
+
+        def run(extra=(), **more_env):
+            proc = subprocess.run(argv + list(extra),
+                                  env=dict(env, **more_env),
+                                  capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            return proc
+
+        bare = run()
+        assert notice not in bare.stderr
+        for proc in (run(["--jobs", "4"]), run(REPRO_JOBS="0")):
+            assert proc.stderr.count(notice) == 1, proc.stderr
+            assert proc.stdout == bare.stdout
+
     def test_jobs_requires_functional_on_full_model_artifacts(self):
         with pytest.raises(SystemExit):
             main(["experiment", "fig12", "--jobs", "2"])

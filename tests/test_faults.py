@@ -3,8 +3,7 @@
 The contracts the chaos suite leans on: strict config parsing (a typo
 cannot silently disable a chaos run), decisions that are a pure
 function of ``(seed, name, key, occurrence)``, per-key fire budgets so
-in-process retries converge, worker-only gating so the parent's serial
-fallback can never crash or hang, and a disabled path that is a no-op.
+in-process retries converge, and a disabled path that is a no-op.
 """
 
 import pytest
@@ -27,16 +26,16 @@ def _clean_registry():
 
 class TestParse:
     def test_defaults(self):
-        seed, specs = parse_faults("worker_crash")
+        seed, specs = parse_faults("claim_fail")
         assert seed == 0
-        assert specs == (FaultSpec("worker_crash"),)
+        assert specs == (FaultSpec("claim_fail"),)
 
     def test_full_syntax(self):
         seed, specs = parse_faults(
-            "seed=7,worker_crash:p=0.5:n=2,task_hang:s=9.5")
+            "seed=7,claim_fail:p=0.5:n=2,http_error:n=3")
         assert seed == 7
-        assert specs[0] == FaultSpec("worker_crash", p=0.5, max_fires=2)
-        assert specs[1].hang_s == 9.5
+        assert specs == (FaultSpec("claim_fail", p=0.5, max_fires=2),
+                         FaultSpec("http_error", max_fires=3))
 
     def test_empty_elements_skipped(self):
         assert parse_faults("") == (0, ())
@@ -45,11 +44,11 @@ class TestParse:
 
     @pytest.mark.parametrize("bad", [
         "no_such_fault",
-        "worker_crash:q=1",           # unknown option
-        "worker_crash:p",             # not k=v
-        "worker_crash:p=2",           # p out of range
-        "worker_crash:n=0",           # budget must be >= 1
-        "task_hang:s=0",              # hang must be > 0
+        "claim_fail:q=1",             # unknown option
+        "claim_fail:s=1",             # unknown option (no hang kind)
+        "claim_fail:p",               # not k=v
+        "claim_fail:p=2",             # p out of range
+        "claim_fail:n=0",             # budget must be >= 1
         "claim_fail,claim_fail",      # configured twice
     ])
     def test_strict_rejection(self, bad):
@@ -78,7 +77,7 @@ class TestDeterminism:
             out = []
             for i in range(40):
                 try:
-                    reg.inject("queue_claim", f"key-{i % 4}", worker=False)
+                    reg.inject("queue_claim", f"key-{i % 4}")
                     out.append(False)
                 except InjectedFault:
                     out.append(True)
@@ -93,10 +92,10 @@ class TestBudget:
     def test_one_fire_per_key_by_default(self):
         reg = FaultRegistry(seed=0, specs=parse_faults("claim_fail")[1])
         with pytest.raises(InjectedFault):
-            reg.inject("queue_claim", "k", worker=False)
-        reg.inject("queue_claim", "k", worker=False)  # budget spent
+            reg.inject("queue_claim", "k")
+        reg.inject("queue_claim", "k")  # budget spent
         with pytest.raises(InjectedFault):
-            reg.inject("queue_claim", "other", worker=False)  # fresh key
+            reg.inject("queue_claim", "other")  # fresh key
         assert reg.counts() == {"claim_fail": 2}
 
     def test_budget_counts_fires_not_occurrences(self):
@@ -107,7 +106,7 @@ class TestBudget:
         fired = 0
         for _ in range(200):
             try:
-                reg.inject("queue_claim", "k", worker=False)
+                reg.inject("queue_claim", "k")
             except InjectedFault:
                 fired += 1
         assert fired == 3
@@ -116,18 +115,8 @@ class TestBudget:
 class TestGating:
     def test_disabled_is_a_noop(self):
         assert faults.active() is None
-        faults.inject("task_execute", "k")          # nothing raises
+        faults.inject("queue_claim", "k")           # nothing raises
         assert faults.mangle("cache_write", "k", b"data") == b"data"
-
-    def test_worker_only_faults_spare_the_parent(self):
-        faults.configure("task_hang:s=0.01")
-        import time
-        start = time.monotonic()
-        faults.inject("task_execute", "k")          # parent: not armed
-        assert time.monotonic() - start < 0.005
-        faults.mark_worker()
-        faults.inject("task_execute", "k")          # now it hangs
-        assert time.monotonic() - start >= 0.01
 
     def test_configure_empty_uninstalls(self):
         faults.configure("claim_fail")
