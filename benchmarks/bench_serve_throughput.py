@@ -17,14 +17,19 @@ lives in:
   measures the same work as cold; it stays as a guard that an attached
   cache adds nothing to the analytic path.
 
-Both regimes record ``extra_info.jobs_per_s``;
-``tools/check_bench_regression.py`` prefers that metric for these
-records, so the nightly gate fails on a >10% throughput drop. The
-analytic tier keeps each job's engine work negligible by design —
-benchmarking functional simulation wall-clock is
+Both regimes time ``ROUNDS`` rounds, each on a fresh SQLite queue
+file, and record the median round's ``extra_info.jobs_per_s``: one
+round's rate swings by tens of percent between back-to-back runs of the
+same code on a small host, so a single round would trip or pass the
+gate on noise. ``tools/check_bench_regression.py`` prefers that metric
+for these records, so the nightly gate fails on a >10% throughput
+drop. The analytic tier keeps each job's engine work negligible by
+design — benchmarking functional simulation wall-clock is
 ``bench_experiment_wallclock.py``'s job, not this file's.
 """
 
+import itertools
+import statistics
 import time
 
 from repro.eval.resultcache import ResultCache
@@ -40,27 +45,35 @@ REQUESTS = [{"model": "lenet5", "accelerator": "s2ta-aw",
             for seed in range(N_JOBS)]
 
 
-def _timed_service(benchmark, scenario, tmp_path, result_cache):
-    wallclock = {}
+#: Timed rounds per regime; the median round's rate is recorded.
+ROUNDS = 5
 
-    def body():
-        with ServeService(tmp_path / f"{scenario}.sqlite3", port=0,
-                          workers=1, result_cache=result_cache) as service:
+
+def _timed_service(benchmark, scenario, tmp_path, result_cache):
+    queues = itertools.count()
+    wallclocks = []
+
+    def fresh_queue():
+        return (tmp_path / f"{scenario}-{next(queues)}.sqlite3",), {}
+
+    def body(queue_path):
+        with ServeService(queue_path, port=0, workers=1,
+                          result_cache=result_cache) as service:
             start = time.perf_counter()
             for request in REQUESTS:
                 submit_job(service.base_url, request)
             service.wait_idle(timeout_s=300)
-            wallclock["s"] = time.perf_counter() - start
+            wallclocks.append(time.perf_counter() - start)
             counts = service.store.counts()
-        return counts
+        assert counts["done"] == N_JOBS, f"jobs did not all finish: {counts}"
 
-    counts = benchmark.pedantic(body, rounds=1, iterations=1)
-    assert counts["done"] == N_JOBS, f"jobs did not all finish: {counts}"
+    benchmark.pedantic(body, setup=fresh_queue, rounds=ROUNDS, iterations=1)
+    wallclock = statistics.median(wallclocks)
     benchmark.extra_info["scenario"] = scenario
     benchmark.extra_info["jobs_completed"] = N_JOBS
-    benchmark.extra_info["wallclock_s"] = round(wallclock["s"], 4)
-    benchmark.extra_info["jobs_per_s"] = round(
-        N_JOBS / wallclock["s"], 2)
+    benchmark.extra_info["rounds"] = len(wallclocks)
+    benchmark.extra_info["wallclock_s"] = round(wallclock, 4)
+    benchmark.extra_info["jobs_per_s"] = round(N_JOBS / wallclock, 2)
 
 
 def test_bench_serve_jobs_cold(benchmark, tmp_path):

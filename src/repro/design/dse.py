@@ -21,17 +21,23 @@ events, DRAM traffic, residency, fill time, energy, power, area) is
 elementwise integer or IEEE arithmetic over those columns, so each
 pass reproduces the scalar path bit for bit (the scalar ``run_layer``
 stays the oracle, ``tests/design/test_dse.py``). Each pass is one
-``dse`` trace span. Point uids are spelled once per design and per
-axis value, and :func:`pareto_frontier_3d` ranks objective columns.
-Nothing is sampled and nothing is cached; only a functional sweep goes
-through the layer runner and its result cache. ``repro dse`` is the
-CLI front-end.
+``dse`` trace span.
+
+Points (:class:`DSEPoint`) and artifact rows (:class:`DSEEvaluation`)
+are named tuples, so a sweep builds them in bulk from columns with
+``_make`` instead of one Python ``__init__`` per point: the space
+spells each uid once per design and per axis value, the analytic sweep
+zips its priced columns into rows, and :func:`pareto_frontier_3d`
+ranks objective columns. Nothing is sampled and nothing is cached;
+only a functional sweep goes through the layer runner and its result
+cache. ``repro dse`` is the CLI front-end.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
@@ -139,33 +145,53 @@ class DSEAxes:
 _MAX_DIM = 2 ** 20
 
 
-@dataclass(frozen=True)
-class DSEPoint:
-    """One fully-specified configuration in the DSE keyspace.
-
-    Construction rejects knob values no path can price (``ValueError``),
-    so the analytic array pass and the scalar ``run_layer`` path accept
-    and refuse the same points, and spells the point's ``uid``.
-    """
+class _PointFields(NamedTuple):
+    """:class:`DSEPoint`'s fields, in order; the subclass validates."""
 
     design: DesignPoint
-    a_nnz: int = 4
-    sram_mb: float = 2.5
-    dram_gbps: Optional[float] = None
-    tech: str = "16nm"
-    #: Stable identity — the artifact key.
-    uid: str = dataclasses.field(init=False, repr=False, compare=False)
+    a_nnz: int
+    sram_mb: float
+    dram_gbps: Optional[float]
+    tech: str
+    #: Stable identity — the artifact key, spelled from the other fields.
+    uid: str
 
-    def __post_init__(self):
-        design = self.design
+
+class DSEPoint(_PointFields):
+    """One fully-specified configuration in the DSE keyspace: a named
+    tuple ``(design, a_nnz, sram_mb, dram_gbps, tech, uid)``.
+
+    Construction takes the five knobs, rejects values no path can price
+    (``ValueError``), so the analytic array pass and the scalar
+    ``run_layer`` path accept and refuse the same points, and spells the
+    point's ``uid``. ``DSEPoint._make`` assembles an already-validated
+    point from its six fields as they are (:class:`DSESpace` does).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, design: DesignPoint, a_nnz: int = 4,
+                sram_mb: float = 2.5, dram_gbps: Optional[float] = None,
+                tech: str = "16nm") -> "DSEPoint":
         dims = (design.tpe_a, design.tpe_c, design.rows, design.cols)
         if min(dims) < 1 or max(dims) > _MAX_DIM:
             raise ValueError(f"design dims must be in [1, {_MAX_DIM}], "
                              f"got {design.notation}")
-        _check_knobs((design.weight_nnz, self.a_nnz),
-                     (self.sram_mb,), (self.dram_gbps,), (self.tech,))
-        object.__setattr__(self, "uid", _design_tag(design) + _knob_tag(
-            self.a_nnz, self.sram_mb, self.dram_gbps, self.tech))
+        _check_knobs((design.weight_nnz, a_nnz), (sram_mb,), (dram_gbps,),
+                     (tech,))
+        return super().__new__(
+            cls, design, a_nnz, sram_mb, dram_gbps, tech,
+            _design_tag(design) + _knob_tag(a_nnz, sram_mb, dram_gbps, tech))
+
+    def __getnewargs__(self) -> tuple:
+        """The knobs ``__new__`` takes, so ``copy`` and ``pickle``
+        rebuild (and re-spell) the point."""
+        return self[:5]
+
+    def _replace(self, **knobs) -> "DSEPoint":
+        """A validated point with some knobs changed and its uid
+        re-spelled."""
+        return DSEPoint(**dict(zip(self._fields[:5], self), **knobs))
 
     def build(self):
         """Instantiate the accelerator at this point (clock derated for
@@ -184,8 +210,7 @@ class DSEPoint:
             a_density=self.a_nnz / BLOCK_SIZE)
 
 
-@dataclass(frozen=True)
-class DSEEvaluation:
+class DSEEvaluation(NamedTuple):
     """Flattened PPA of one evaluated point (JSON-artifact row)."""
 
     uid: str
@@ -207,14 +232,18 @@ class DSEEvaluation:
         return (self.energy_uj, self.cycles, self.area_mm2)
 
     def as_dict(self) -> dict:
-        """The row's fields, in declaration order. Every field is a
-        primitive, so a shallow copy is the same JSON as
-        ``dataclasses.asdict`` without its per-value deep copy."""
-        return dict(vars(self))
+        """The row's fields, in declaration order (``_asdict``)."""
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: dict) -> "DSEEvaluation":
         return cls(**data)
+
+
+def _column(records: Iterable[tuple], name: str) -> Iterable:
+    """One field of every record, lazily and without a Python loop
+    (``design.rows`` reaches into a point's design)."""
+    return map(operator.attrgetter(name), records)
 
 
 def pareto_frontier_3d(
@@ -231,26 +260,33 @@ def pareto_frontier_3d(
     frontier (anything ahead of it that dominated it was itself dropped
     by a frontier point, which then dominates it too). Each round keeps
     that point and drops it and every row it strictly dominates in one
-    numpy pass over the rows still alive.
+    numpy pass over the rows still alive. The objective columns are
+    read without a Python loop over the rows.
     """
     evaluations = list(evaluations)
-    # Float columns compare cycles exactly (they stay far below 2**53).
-    energy, cycles, area = np.array(
-        [[e.energy_uj for e in evaluations], [e.cycles for e in evaluations],
-         [e.area_mm2 for e in evaluations]], dtype=float)
-    # Stable sorts: uid order first, so exact objective ties keep it.
-    uids = [e.uid for e in evaluations]
-    ranked = np.array(sorted(range(len(uids)), key=uids.__getitem__),
-                      dtype=np.intp)
-    ranked = ranked[np.lexsort((area[ranked], cycles[ranked],
-                                energy[ranked]))]
-    objectives = np.stack((energy, cycles, area), axis=1)[ranked]
-    frontier: List[DSEEvaluation] = []
-    while len(ranked):
-        row, rest = objectives[0], objectives[1:]
-        frontier.append(evaluations[ranked[0]])
-        alive = ~((rest >= row).all(axis=1) & (rest > row).any(axis=1))
-        ranked, objectives = ranked[1:][alive], rest[alive]
+    if not evaluations:
+        return []
+    with obs_trace.span("frontier", "dse",
+                        points=len(evaluations)) as span:
+        # Float columns compare cycles exactly (they stay far below
+        # 2**53).
+        energy, cycles, area = (
+            np.fromiter(_column(evaluations, name), float, len(evaluations))
+            for name in ("energy_uj", "cycles", "area_mm2"))
+        # Stable sorts: uid order first, so exact objective ties keep it.
+        uids = list(_column(evaluations, "uid"))
+        ranked = np.array(sorted(range(len(uids)), key=uids.__getitem__),
+                          dtype=np.intp)
+        ranked = ranked[np.lexsort((area[ranked], cycles[ranked],
+                                    energy[ranked]))]
+        objectives = np.stack((energy, cycles, area), axis=1)[ranked]
+        frontier: List[DSEEvaluation] = []
+        while len(ranked):
+            row, rest = objectives[0], objectives[1:]
+            frontier.append(evaluations[ranked[0]])
+            alive = ~((rest >= row).all(axis=1) & (rest > row).any(axis=1))
+            ranked, objectives = ranked[1:][alive], rest[alive]
+        span.annotate(frontier=len(frontier))
     return frontier
 
 
@@ -259,33 +295,28 @@ class DSESpace:
 
     def __init__(self, axes: Optional[DSEAxes] = None):
         self.axes = axes = axes or DSEAxes()
-        knobs = [(a, sram, bw, tech, _knob_tag(a, sram, bw, tech))
-                 for a in axes.a_nnz
-                 for sram in axes.sram_mb
-                 for bw in axes.dram_gbps
-                 for tech in axes.techs]
-        # DSEAxes validated every knob value and spells each one
-        # distinctly, and the enumerated designs are in range, so each
-        # point is assembled from its parts without DSEPoint's per-point
-        # checks (field by field, as its __init__ does, so the instances
-        # keep their compact attribute storage); each uid is one
-        # concatenation of spelled parts.
-        new, put = object.__new__, object.__setattr__
-        self.points: List[DSEPoint] = []
-        for style in axes.styles:
-            for nnz in axes.weight_nnz:
-                for design in enumerate_design_space(time_unrolled=style,
-                                                     weight_nnz=nnz):
-                    tag = _design_tag(design)
-                    for a, sram, bw, tech, knob_tag in knobs:
-                        point = new(DSEPoint)
-                        put(point, "design", design)
-                        put(point, "a_nnz", a)
-                        put(point, "sram_mb", sram)
-                        put(point, "dram_gbps", bw)
-                        put(point, "tech", tech)
-                        put(point, "uid", tag + knob_tag)
-                        self.points.append(point)
+        with obs_trace.span("space", "dse") as span:
+            knobs = [(a, sram, bw, tech, _knob_tag(a, sram, bw, tech))
+                     for a in axes.a_nnz
+                     for sram in axes.sram_mb
+                     for bw in axes.dram_gbps
+                     for tech in axes.techs]
+            designs = [(design, _design_tag(design))
+                       for style in axes.styles
+                       for nnz in axes.weight_nnz
+                       for design in enumerate_design_space(
+                           time_unrolled=style, weight_nnz=nnz)]
+            # DSEAxes validated every knob value and spells each one
+            # distinctly, and the enumerated designs are in range, so
+            # each point is assembled from its parts by _make, without
+            # DSEPoint's per-point checks; each uid is one concatenation
+            # of spelled parts.
+            make = DSEPoint._make
+            self.points: List[DSEPoint] = [
+                make((design, a, sram, bw, tech, tag + knob_tag))
+                for design, tag in designs
+                for a, sram, bw, tech, knob_tag in knobs]
+            span.annotate(points=len(self.points))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -541,28 +572,31 @@ def _evaluate_analytic(points: Sequence[DSEPoint]
                        ) -> Dict[str, DSEEvaluation]:
     """One :func:`_price_pass` per (style, tech) over the points' group
     scalars, gathered from one accelerator per (style, B, A-DBB, tech,
-    DRAM bandwidth) group."""
+    DRAM bandwidth) group. Point fields are read as lazy columns
+    (:func:`_column`): no transposed copy of the points is kept."""
     if not points:
         return {}
-    designs = [point.design for point in points]
-    group_ids: Dict[tuple, int] = {}
-    which = np.array([
-        group_ids.setdefault((design.time_unrolled, point.tech,
-                              design.weight_nnz, point.a_nnz,
-                              point.dram_gbps), len(group_ids))
-        for point, design in zip(points, designs)])
-    # Group ids count up in first-seen order: firsts[i] opens group i.
-    firsts = np.unique(which, return_index=True)[1]
-    accels, groups = zip(*[_group(points[i]) for i in firsts.tolist()])
-    group_columns = _Group(*(np.array(field) for field in zip(*groups)))
-    passes: Dict[tuple, List[int]] = {}
-    for group, key in enumerate(group_ids):
-        passes.setdefault(key[:2], []).append(group)
-    geometry = np.array([[d.rows for d in designs], [d.cols for d in designs],
-                         [d.tpe_a for d in designs],
-                         [d.tpe_c for d in designs]], dtype=np.int64)
-    sram_mb = np.array([point.sram_mb for point in points], dtype=np.float64)
-    columns = np.empty((4, len(points)))
+    n = len(points)
+    with obs_trace.span("groups", "dse", points=n) as span:
+        group_ids: Dict[tuple, int] = {}
+        which = np.array([
+            group_ids.setdefault(key, len(group_ids)) for key in zip(*(
+                _column(points, name) for name in (
+                    "design.time_unrolled", "tech", "design.weight_nnz",
+                    "a_nnz", "dram_gbps")))])
+        # Group ids count up in first-seen order: firsts[i] opens group i.
+        firsts = np.unique(which, return_index=True)[1]
+        accels, groups = zip(*[_group(points[i]) for i in firsts.tolist()])
+        group_columns = _Group(*(np.array(field) for field in zip(*groups)))
+        passes: Dict[tuple, List[int]] = {}
+        for group, key in enumerate(group_ids):
+            passes.setdefault(key[:2], []).append(group)
+        geometry = np.array([
+            np.fromiter(_column(points, f"design.{dim}"), np.int64, n)
+            for dim in ("rows", "cols", "tpe_a", "tpe_c")])
+        sram = np.fromiter(_column(points, "sram_mb"), np.float64, n)
+        span.annotate(groups=len(group_ids))
+    columns = np.empty((4, n))
     for (time_unrolled, tech), members in passes.items():
         at = np.flatnonzero(np.isin(which, members))
         style = "tu" if time_unrolled else "dp"
@@ -573,18 +607,19 @@ def _evaluate_analytic(points: Sequence[DSEPoint]
             columns[:, at] = _price_pass(
                 accels[members[0]],
                 _Group(*(field[picked] for field in group_columns)),
-                geometry[:, at], sram_mb[at])
-    power, area, cycles, energy = columns.tolist()
-    # A uid starts with its design's notation and a dot (_design_tag).
-    return {
-        point.uid: DSEEvaluation(
-            point.uid, point.uid.partition(".")[0], design.time_unrolled,
-            design.weight_nnz, point.a_nnz, point.sram_mb,
-            point.dram_gbps, point.tech, power_mw, area_mm2, int(cycle),
-            energy_uj)
-        for point, design, power_mw, area_mm2, cycle, energy_uj in zip(
-            points, designs, power, area, cycles, energy)
-    }
+                geometry[:, at], sram[at])
+    with obs_trace.span("rows", "dse", points=n):
+        power, area, cycles, energy = columns.tolist()
+        uids = list(_column(points, "uid"))
+        # A uid starts with its design's notation and a dot
+        # (_design_tag). int() raises on an infinite fill time.
+        evaluations = map(DSEEvaluation._make, zip(
+            uids, [uid.partition(".")[0] for uid in uids], *(
+                _column(points, name) for name in (
+                    "design.time_unrolled", "design.weight_nnz", "a_nnz",
+                    "sram_mb", "dram_gbps", "tech")),
+            power, area, map(int, cycles), energy))
+        return dict(zip(uids, evaluations))
 
 
 def evaluate_points(
@@ -602,11 +637,12 @@ def evaluate_points(
     over per-point columns of each (B, A-DBB bound, DRAM bandwidth)
     group's scalars, bit-equal to each point's scalar
     ``build().run_layer(layer())``. The whole default keyspace takes
-    ~15 ms on a 2-core Xeon. ``"functional"``
-    simulates synthesized operand patterns on the cycle simulator
-    (``seed`` / ``max_m`` as in the full-model experiments) through the
-    layer runner, then finalizes each point; ``result_cache`` applies
-    to that fidelity only.
+    ~7 ms on a 2-core Xeon (best of five in one process; ~12 ms as a
+    fresh interpreter's first call). ``"functional"`` simulates
+    synthesized operand patterns on the cycle simulator (``seed`` /
+    ``max_m`` as in the full-model experiments) through the layer
+    runner, then finalizes each point; ``result_cache`` applies to that
+    fidelity only.
 
     The result maps each uid to its evaluation in input order (a
     repeated uid keeps its first position and its last evaluation).
@@ -650,14 +686,15 @@ def run_dse(
                                   seed=seed, max_m=max_m,
                                   result_cache=result_cache)
     frontier = pareto_frontier_3d(evaluations.values())
-    return {
-        "artifact": "dse",
-        "space": {"axes": space.axes.as_dict(), "fidelity": fidelity,
-                  "seed": seed, "max_m": max_m, "points": len(space)},
-        "evaluations": [evaluations[uid].as_dict()
-                        for uid in sorted(evaluations)],
-        "frontier": [e.uid for e in frontier],
-    }
+    with obs_trace.span("artifact", "dse", rows=len(evaluations)):
+        return {
+            "artifact": "dse",
+            "space": {"axes": space.axes.as_dict(), "fidelity": fidelity,
+                      "seed": seed, "max_m": max_m, "points": len(space)},
+            "evaluations": [evaluations[uid].as_dict()
+                            for uid in sorted(evaluations)],
+            "frontier": [e.uid for e in frontier],
+        }
 
 
 def render_artifact(artifact: dict, top: int = 12) -> ExperimentResult:

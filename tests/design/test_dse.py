@@ -12,13 +12,17 @@ Pinned here:
   whole default keyspace, on a Hypothesis-sampled widened space and on
   named corners of the memory model;
 - bad axes and bad points are rejected up front with ``ValueError``;
-- a traced sweep shows one ``dse`` span per priced (style, tech) pass;
+- points and rows (named tuples) are immutable and survive ``copy``,
+  ``pickle`` and the artifact's dict form;
+- a traced sweep shows one ``dse`` span per priced (style, tech) pass
+  and one per stage around them;
 - a warm functional re-sweep hits the result cache on > 90% of lookups.
 """
 
-import dataclasses
+import copy
 import hashlib
 import json
+import pickle
 import random
 
 import pytest
@@ -237,12 +241,14 @@ class TestRunDSE:
 
     def test_artifact_json_equals_a_deep_asdict_build(self):
         """``as_dict`` is a shallow field copy: the artifact's JSON is
-        byte-identical (values and key order) to one whose rows come
-        from ``dataclasses.asdict``."""
+        byte-identical (values and key order) to one whose rows are
+        deep copies built field by field, in ``DSEEvaluation._fields``
+        order."""
         artifact = run_dse()
         evaluations = evaluate_points(DSESpace().points)
         deep = dict(artifact, evaluations=[
-            dataclasses.asdict(evaluations[uid])
+            {name: copy.deepcopy(getattr(evaluations[uid], name))
+             for name in DSEEvaluation._fields}
             for uid in sorted(evaluations)])
         assert json.dumps(artifact) == json.dumps(deep)
 
@@ -365,6 +371,49 @@ class TestPointValidation:
     def test_bad_design_rejected(self, design):
         with pytest.raises(ValueError):
             DSEPoint(design)
+
+
+class TestRecords:
+    """Points and rows are named tuples: immutable, and they survive
+    ``copy``, ``pickle`` and the artifact's dict form."""
+
+    POINT = DSEPoint(PAPER_TU, a_nnz=2, sram_mb=1.25, dram_gbps=8.0,
+                     tech="65nm")
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy,
+        lambda value: pickle.loads(pickle.dumps(value)),
+    ])
+    def test_point_and_row_round_trip(self, clone):
+        row = evaluate_points([self.POINT])[self.POINT.uid]
+        for value in (self.POINT, row):
+            cloned = clone(value)
+            assert type(cloned) is type(value)
+            assert cloned == value
+        assert clone(self.POINT).uid == "8x4x4_8x8.tu.a2.s1.25.bw8.65nm"
+
+    @pytest.mark.parametrize("name", [*DSEPoint._fields, "other"])
+    def test_point_attributes_cannot_be_assigned(self, name):
+        with pytest.raises(AttributeError):
+            setattr(self.POINT, name, 3)
+
+    def test_uid_cannot_be_passed_in(self):
+        with pytest.raises(TypeError):
+            DSEPoint(PAPER_TU, uid="p0")
+
+    def test_replace_validates_and_respells(self):
+        point = self.POINT._replace(a_nnz=4)
+        assert point == DSEPoint(PAPER_TU, a_nnz=4, sram_mb=1.25,
+                                 dram_gbps=8.0, tech="65nm")
+        assert point.uid == "8x4x4_8x8.tu.a4.s1.25.bw8.65nm"
+        with pytest.raises(ValueError):
+            self.POINT._replace(a_nnz=0)
+
+    def test_rows_round_trip_through_dicts(self):
+        evaluations = evaluate_points(DSESpace(SMALL).points)
+        assert len(evaluations) == 114
+        for row in evaluations.values():
+            assert DSEEvaluation.from_dict(row.as_dict()) == row
 
 
 def _scalar_evaluation(point):
@@ -504,14 +553,21 @@ class TestTrace:
             run_dse(axes)
         finally:
             path = obs_trace.stop_tracing()
-        passes = [event for event in load_trace_events(path)
-                  if event["cat"] == "dse" and event["ph"] == "B"]
+        spans = [event for event in load_trace_events(path)
+                 if event["cat"] == "dse" and event["ph"] == "B"]
+        stages = ["space", "groups", "rows", "frontier", "artifact"]
+        assert [event["name"] for event in spans
+                if event["name"] in stages] == stages
+        points = len(DSESpace(axes))
+        for event in spans:
+            if event["name"] in ("groups", "rows", "frontier"):
+                assert event["args"]["points"] == points
+        passes = [event for event in spans if event["name"] not in stages]
         assert len(passes) == 4
         assert sorted((event["name"], event["args"]["style"],
                        event["args"]["tech"], event["args"]["groups"])
                       for event in passes) == [
             ("dp.16nm", "dp", "16nm", 2), ("dp.65nm", "dp", "65nm", 2),
             ("tu.16nm", "tu", "16nm", 2), ("tu.65nm", "tu", "65nm", 2)]
-        assert sum(event["args"]["points"] for event in passes) \
-            == len(DSESpace(axes))
+        assert sum(event["args"]["points"] for event in passes) == points
         assert summarize_trace(path)["coverage"] >= 0.9

@@ -3,6 +3,7 @@ profiler."""
 
 import importlib.util
 import pathlib
+import re
 
 import repro
 
@@ -53,4 +54,8 @@ def test_dse_report_splits_both_keyspaces():
     assert lines[1].startswith("default    2712 points:")
     assert lines[2].startswith("wide      32544 points:")
     assert all(" space " in line and " + evaluate " in line
-               and " + frontier " in line for line in lines[1:])
+               and " + frontier " in line for line in lines[1:3])
+    assert len(lines) == 4
+    assert re.fullmatch(r"import repro\.design\.dse: +\d+\.\d ms in a fresh "
+                        r"interpreter after the other artifact imports "
+                        r"\(bytecode writing (on|off)\)", lines[3])

@@ -24,7 +24,8 @@ Before the DSE profiles, the default and the wide keyspace
 (``WIDE_DSE_AXES``: every tech node x four DRAM channels, 32,544
 points) are timed without a profiler, best of five, split into
 building the ``DSESpace``, ``evaluate_points`` and
-``pareto_frontier_3d``.
+``pareto_frontier_3d``, beside the best of five fresh-interpreter
+imports of ``repro.design.dse`` (after the other artifact imports).
 
 Usage::
 
@@ -59,6 +60,7 @@ import argparse
 import cProfile
 import json
 import os
+import pathlib
 import pstats
 import subprocess
 import sys
@@ -220,9 +222,39 @@ def dse_stage_times(axes=None, repeats: int = 5
     return (len(space),) + best[1:]
 
 
+#: Run in a fresh interpreter: numpy and the artifact imports other
+#: than the DSE module, then ``repro.design.dse`` timed; prints seconds.
+_DSE_IMPORT_CHILD = f"""
+import time
+import numpy
+for name in {[m for m in ARTIFACT_IMPORTS if m != "repro.design.dse"]!r}:
+    __import__(name)
+start = time.perf_counter()
+import repro.design.dse
+print(time.perf_counter() - start)
+"""
+
+
+def dse_import_time(repeats: int = 5) -> float:
+    """Best-of-``repeats`` seconds of importing ``repro.design.dse``,
+    each in a fresh interpreter that has already loaded what an
+    artifact run loads before it (numpy, the runner, the experiments,
+    the result cache and the model specs)."""
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return min(float(subprocess.run(
+        [sys.executable, "-c", _DSE_IMPORT_CHILD], env=env,
+        capture_output=True, text=True, check=True).stdout)
+        for _ in range(repeats))
+
+
 def dse_report(repeats: int = 5) -> str:
     """The default and the wide DSE keyspace, split into space,
-    evaluate and frontier."""
+    evaluate and frontier, and the fresh-interpreter import of the
+    module that runs them."""
     from repro.design.dse import DSEAxes
 
     lines = [f"best of {repeats}, one fresh DSESpace per run"]
@@ -233,6 +265,11 @@ def dse_report(repeats: int = 5) -> str:
                      f"space {space * 1e3:6.1f} ms + "
                      f"evaluate {evaluate * 1e3:6.1f} ms + "
                      f"frontier {frontier * 1e3:6.1f} ms")
+    cached = "off" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "on"
+    lines.append(f"import repro.design.dse: "
+                 f"{dse_import_time(repeats) * 1e3:6.1f} ms in a fresh "
+                 f"interpreter after the other artifact imports "
+                 f"(bytecode writing {cached})")
     return "\n".join(lines)
 
 
