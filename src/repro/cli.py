@@ -32,9 +32,7 @@ enforce the roofline wall on every layer; fig11, fig12 and ``run`` take
 
 The functional tier runs on the memoized experiment engine
 (:mod:`repro.eval.runner`), one layer simulation after another in this
-process. ``--jobs`` (on ``experiment``, ``dse`` and ``serve``) and the
-``REPRO_JOBS`` environment variable are still accepted, for one
-deprecation window, and ignored with a one-line notice on stderr.
+process.
 Simulated layer payloads are memoized in a
 content-addressed on-disk cache keyed on (layer spec, accelerator
 config, energy costs, memory-channel config, seed, code salt), so
@@ -124,11 +122,6 @@ DRAM_BW_ARTIFACTS = ("fig11", "fig12", "roofline")
 #: Artifacts whose runners price the off-chip component and take a
 #: DRAM-energy override (dram_pj_per_byte=).
 DRAM_PJ_ARTIFACTS = ("fig11", "fig12")
-
-#: Artifacts that route layer simulations through the memoized runner
-#: (result_cache=) and accept the ignored ``--jobs``.
-RUNNER_ARTIFACTS = ("fig11", "fig12", "xval")
-
 
 #: Every artifact id, in ``all`` order, with the :mod:`repro.eval`
 #: function that renders it and that function's fixed positional and
@@ -238,17 +231,15 @@ def cmd_experiment(args) -> str:
     seed = 0 if args.seed is None else args.seed
     if args.artifact == "all":
         if (functional_requested or args.dram_bw is not None
-                or args.dram_pj_per_byte is not None
-                or args.jobs is not None):
+                or args.dram_pj_per_byte is not None):
             raise SystemExit(
-                "--functional/--quick/--seed/--jobs/--dram-bw/"
+                "--functional/--quick/--seed/--dram-bw/"
                 "--dram-pj-per-byte "
                 "apply to a single artifact, not 'all' "
                 f"({', '.join(FUNCTIONAL_ARTIFACTS)} "
                 "take the functional flags; "
                 f"{', '.join(DRAM_BW_ARTIFACTS)} take --dram-bw; "
                 f"{', '.join(DRAM_PJ_ARTIFACTS)} take --dram-pj-per-byte; "
-                f"{', '.join(RUNNER_ARTIFACTS)} take --jobs; "
                 "xval takes --seed/--quick)")
         return "\n\n".join(run().render()
                            for name, run in experiments.items())
@@ -272,16 +263,11 @@ def cmd_experiment(args) -> str:
             f"--dram-pj-per-byte is only supported by "
             f"{', '.join(DRAM_PJ_ARTIFACTS)}, not {args.artifact!r}")
     _costs_from_args(args)  # shared --dram-pj-per-byte validation
-    if args.jobs is not None and args.artifact not in RUNNER_ARTIFACTS:
-        raise SystemExit(
-            f"--jobs is only supported by "
-            f"{', '.join(RUNNER_ARTIFACTS)}, not {args.artifact!r}")
     result_cache = None if args.no_result_cache else _default_result_cache()
     if args.artifact in FUNCTIONAL_ARTIFACTS:
-        if not args.functional and (args.quick or args.seed is not None
-                                    or args.jobs is not None):
+        if not args.functional and (args.quick or args.seed is not None):
             raise SystemExit(
-                "--quick/--seed/--jobs tune the functional tier; pass "
+                "--quick/--seed tune the functional tier; pass "
                 "--functional as well")
         return runner(functional=args.functional, quick=args.quick,
                       seed=seed, dram_gbps=args.dram_bw,
@@ -392,32 +378,6 @@ def _default_result_cache():
     from repro.eval.resultcache import default_result_cache
 
     return default_result_cache()
-
-
-def _parse_jobs_arg(text):
-    """The argparse type of every ``--jobs`` flag: ``auto`` or an int
-    >= 0. The value is ignored (see :func:`_note_ignored_jobs`); the
-    flag still parses as before for one deprecation window."""
-    value = text.strip().lower()
-    if value == "auto":
-        return "auto"
-    try:
-        jobs = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer (0 = one per core) or 'auto', "
-            f"got {text!r}") from None
-    if jobs < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return jobs
-
-
-def _note_ignored_jobs(args) -> None:
-    """One stderr line when ``--jobs`` or ``$REPRO_JOBS`` is given."""
-    if args.jobs is not None or os.environ.get("REPRO_JOBS", "").strip():
-        obs_logs.get_logger(__name__).warning(
-            "--jobs and $REPRO_JOBS are ignored: the functional runner "
-            "is serial")
 
 
 def _non_negative_int(text):
@@ -685,10 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="PJ",
                      help="off-chip DRAM interface energy per byte "
                           "(fig11/fig12; die-only totals unaffected)")
-    exp.add_argument("--jobs", type=_parse_jobs_arg, default=None,
-                     metavar="N|auto",
-                     help="deprecated and ignored: the functional runner "
-                          "is serial")
     exp.add_argument("--no-result-cache", action="store_true",
                      help="skip the on-disk functional-result cache for "
                           "this invocation")
@@ -734,10 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--quick", action="store_true",
                      help="subsample GEMM rows for a fast functional "
                           "sweep (requires --fidelity functional)")
-    dse.add_argument("--jobs", type=_parse_jobs_arg, default=None,
-                     metavar="N|auto",
-                     help="deprecated and ignored: the functional runner "
-                          "is serial")
     dse.add_argument("--out", default=None, metavar="JSON",
                      help="write the artifact (evaluations + frontier) "
                           "as JSON")
@@ -775,10 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "admission-only (jobs queue but nothing "
                             "executes — e.g. external worker processes "
                             "share the DB) (default 1)")
-    serve.add_argument("--jobs", type=_parse_jobs_arg, default=None,
-                       metavar="N|auto",
-                       help="deprecated and ignored: the functional "
-                            "runner is serial")
     serve.add_argument("--batch-limit", type=int, default=16,
                        metavar="N",
                        help="max jobs claimed per scheduler pass "
@@ -899,8 +847,6 @@ def main(argv: Optional[List[str]] = None) -> str:
     verbosity = (getattr(args, "verbose", 0) - getattr(args, "quiet", 0))
     obs_logs.configure_logging(verbosity)
     log = obs_logs.get_logger(__name__)
-    if hasattr(args, "jobs"):
-        _note_ignored_jobs(args)
 
     # Tracing spans the whole dispatch for the subcommands that opt in
     # (experiment/dse carry --trace; $REPRO_TRACE is the env default).

@@ -39,6 +39,7 @@ import dataclasses
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from types import SimpleNamespace
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
@@ -673,14 +674,12 @@ def run_dse(
     fidelity: str = "analytic",
     seed: int = 0,
     max_m: Optional[int] = None,
-    jobs=None,
     result_cache=None,
 ) -> dict:
     """Evaluate every point of the space and return the JSON-ready
     artifact: the space definition, every evaluation (in uid order) and
     the (energy, cycles, area) Pareto frontier. ``result_cache``
-    applies to ``fidelity="functional"`` only; ``jobs`` is accepted
-    and ignored (the runner is serial) for one deprecation window."""
+    applies to ``fidelity="functional"`` only."""
     space = DSESpace(axes)
     evaluations = evaluate_points(space.points, fidelity=fidelity,
                                   seed=seed, max_m=max_m,
@@ -691,8 +690,10 @@ def run_dse(
             "artifact": "dse",
             "space": {"axes": space.axes.as_dict(), "fidelity": fidelity,
                       "seed": seed, "max_m": max_m, "points": len(space)},
-            "evaluations": [evaluations[uid].as_dict()
-                            for uid in sorted(evaluations)],
+            # Each row's as_dict(), without a method call per row.
+            "evaluations": list(map(dict, map(
+                zip, repeat(DSEEvaluation._fields),
+                map(evaluations.__getitem__, sorted(evaluations))))),
             "frontier": [e.uid for e in frontier],
         }
 

@@ -520,7 +520,6 @@ def fig11_full_models(functional: bool = False, quick: bool = False,
                       seed: int = 0,
                       dram_gbps: Optional[float] = None,
                       dram_pj_per_byte: Optional[float] = None,
-                      jobs=None,
                       result_cache=None,
                       ) -> ExperimentResult:
     """Full-model energy reduction and speedup vs SA-ZVCG (16 nm).
@@ -535,8 +534,7 @@ def fig11_full_models(functional: bool = False, quick: bool = False,
     roofline wall on every layer — the memory-sensitivity axis;
     ``dram_pj_per_byte`` re-prices the reported off-chip component.
     ``result_cache`` backs the functional tier's memoized runner
-    (:mod:`repro.eval.runner`). ``jobs`` is accepted and ignored (the
-    runner is serial); it goes after one deprecation window.
+    (:mod:`repro.eval.runner`).
     """
     variants = {k: v for k, v in _sa_variants(
                     dram_gbps=dram_gbps,
@@ -612,6 +610,8 @@ def fig12_alexnet_per_layer(functional: bool = False, quick: bool = False,
                             seed: int = 0,
                             dram_gbps: Optional[float] = None,
                             dram_pj_per_byte: Optional[float] = None,
+                            # The frozen perfbench/workpass.py still
+                            # passes jobs="auto"; drop both together.
                             jobs=None,
                             result_cache=None,
                             ) -> ExperimentResult:
@@ -627,8 +627,7 @@ def fig12_alexnet_per_layer(functional: bool = False, quick: bool = False,
     ``dram_pj_per_byte`` re-prices the reported off-chip component
     (die-only totals are unaffected by construction).
     ``result_cache`` backs the functional tier's memoized runner.
-    ``jobs`` is accepted and ignored (the runner is serial); it goes
-    after one deprecation window.
+    ``jobs`` is ignored (the runner is serial).
     """
     spec = get_spec("alexnet")
     kwargs = {"dram_gbps": dram_gbps, "costs": _costs(dram_pj_per_byte)}
@@ -734,6 +733,8 @@ def xval_functional_vs_analytic(
     tech: str = "16nm",
     seed: int = 0,
     max_m: Optional[int] = None,
+    # The frozen perfbench/workpass.py still passes jobs="auto"; drop
+    # both together.
     jobs=None,
     result_cache=None,
 ) -> ExperimentResult:
@@ -755,8 +756,7 @@ def xval_functional_vs_analytic(
     switching to the contract's relaxed statistical bounds.
     ``result_cache`` backs the functional tier's memoized runner (the
     analytic side is closed-form and never cached). ``jobs`` is
-    accepted and ignored (the runner is serial); it goes after one
-    deprecation window.
+    ignored (the runner is serial).
     """
     from repro.eval.runner import functional_model_runs
 

@@ -171,12 +171,10 @@ class BacklogFull(RuntimeError):
 
 
 class ServeService:
-    """Store + scheduler thread(s) + HTTP server, one lifecycle.
-    ``jobs`` is accepted and ignored (the runner is serial) for one
-    deprecation window."""
+    """Store + scheduler thread(s) + HTTP server, one lifecycle."""
 
     def __init__(self, db_path, host: str = "127.0.0.1", port: int = 0,
-                 workers: int = 1, jobs=None,
+                 workers: int = 1,
                  result_cache=_DEFAULT_CACHE, batch_limit: int = 16,
                  poll_s: float = 0.1, max_pending: Optional[int] = None,
                  lease_s: float = DEFAULT_LEASE_S):

@@ -265,7 +265,7 @@ def result_payload(run: AccelRunResult) -> Dict:
     }
 
 
-def run_requests(requests: Sequence[SimRequest], jobs=None,
+def run_requests(requests: Sequence[SimRequest],
                  result_cache=None) -> List[Dict]:
     """Execute many requests as ONE engine batch; results in order.
 
@@ -278,8 +278,7 @@ def run_requests(requests: Sequence[SimRequest], jobs=None,
     ``run_model_functional`` path. Analytic requests evaluate their
     closed forms directly through ``run_model``; ``result_cache`` does
     not apply to them. The scheduler groups requests by tier before
-    calling this, but mixing is legal. ``jobs`` is accepted and ignored
-    (the runner is serial) for one deprecation window.
+    calling this, but mixing is legal.
     """
     built = [request_tasks(request) for request in requests]
     functional = [task for request, (_, _, tasks) in zip(requests, built)

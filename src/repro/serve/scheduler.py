@@ -200,11 +200,9 @@ class _LeaseHeartbeat:
 
 class Scheduler:
     """Drains a :class:`~repro.serve.queue.JobStore` through the
-    experiment engine (see module docstring for the pass anatomy).
-    ``jobs`` is accepted and ignored (the runner is serial) for one
-    deprecation window."""
+    experiment engine (see module docstring for the pass anatomy)."""
 
-    def __init__(self, store: JobStore, jobs=None,
+    def __init__(self, store: JobStore,
                  result_cache=_DEFAULT_CACHE, batch_limit: int = 16,
                  poll_s: float = 0.1, owner: Optional[str] = None,
                  lease_s: float = DEFAULT_LEASE_S,

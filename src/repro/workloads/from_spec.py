@@ -42,11 +42,14 @@ and remainder), so the law above factors into three steps:
 2. *patterns*: per popcount level, one multinomial draw (every column
    at once: a ``multinomial``, or one pick per block when a column has
    few blocks per mask) spreads each block column's blocks at that
-   level uniformly over the masks of that popcount. The per-index
-   non-zeros are the mask histograms times the masks' bits; the total
-   is exact by
-   construction and the DBB block maximum is the highest occupied
-   level;
+   level uniformly over the masks of that popcount. Picks are drawn
+   from the same stream in runs of whole rows of at most a fixed
+   number of picks, which draws exactly what one call would, so the
+   draw's working set does not grow with the operand. The mask
+   histograms are kept in the narrowest unsigned dtype that holds
+   ``rows``. The per-index non-zeros are the mask histograms times the
+   masks' bits; the total is exact by construction and the DBB block
+   maximum is the highest occupied level;
 3. *positions*, only when they are read (:meth:`DbbCensus.bitmasks`):
    each block column's multiset of 1-byte DBB bitmasks is expanded and
    one ``permuted(..., axis=0)`` shuffles every column independently —
@@ -83,8 +86,8 @@ group's operands at a time.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -181,6 +184,11 @@ def _allocate_levels(rows: int, cap: np.ndarray, base: np.ndarray,
 #: grows with the number of masks, not of blocks).
 _DRAWS_PER_MASK = 16
 
+#: Most picks :func:`_uniform_counts` draws at once. Its pick arrays
+#: are bounded by this, not by the operand (a row with more blocks is
+#: a run of its own).
+_PICK_RUN = 1 << 16
+
 
 def _uniform_counts(blocks: np.ndarray, size: int,
                     rng: np.random.Generator) -> np.ndarray:
@@ -188,11 +196,36 @@ def _uniform_counts(blocks: np.ndarray, size: int,
     uniformly over ``size`` masks, independently per row — a multinomial
     law, drawn by whichever of two exact methods is cheaper for the
     shape: a uniform pick per block (few blocks per mask) or
-    ``multinomial`` (many)."""
+    ``multinomial`` (many).
+
+    The picks are drawn in runs of whole rows, at most
+    :data:`_PICK_RUN` picks a run. Consecutive ``integers`` calls on
+    one generator draw exactly what one call for all the picks would,
+    values and generator state alike, so the run size never moves a
+    count."""
     total = int(blocks.sum())
     if total >= _DRAWS_PER_MASK * size * blocks.size:
         return rng.multinomial(blocks, np.full(size, 1.0 / size))
-    picks = rng.integers(0, size, size=total)
+    if total <= _PICK_RUN:
+        return _picked_counts(blocks, size, rng)
+    counts = np.empty((blocks.size, size), dtype=np.int64)
+    ends = np.cumsum(blocks)
+    start = 0
+    while start < blocks.size:
+        # The most whole rows from ``start`` within one run.
+        stop = max(start + 1, int(np.searchsorted(
+            ends, ends[start] - blocks[start] + _PICK_RUN, side="right")))
+        counts[start:stop] = _picked_counts(blocks[start:stop], size, rng)
+        start = stop
+    return counts
+
+
+def _picked_counts(blocks: np.ndarray, size: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """One run of :func:`_uniform_counts`' pick path: a uniform pick
+    per block, counted per row. Its arrays die on return, before the
+    next run draws."""
+    picks = rng.integers(0, size, size=int(blocks.sum()))
     # Row offsets in the narrowest dtype that holds them: the repeat is
     # as long as the picks.
     offsets = np.arange(0, blocks.size * size, size,
@@ -210,9 +243,11 @@ class DbbCensus:
     ``histograms`` holds, per run of block columns sharing one valid
     width (the full columns, then a ragged tail column), that width and
     the ``(columns, 2**valid)`` count of blocks holding each entry of
-    the width's mask table. ``col_nnz`` is the non-zeros per index along
-    ``width`` (int64) and ``block_max`` the most non-zeros in any block.
-    ``seed`` seeds the permutation of :meth:`bitmasks` (and so
+    the width's mask table, in the narrowest unsigned dtype that holds
+    ``rows``. ``col_nnz`` is the non-zeros per index along ``width``
+    (int64) and ``block_max`` the most non-zeros in any block. ``seed``
+    (a ``SeedSequence``, or a zero-argument callable that builds one on
+    first use) seeds the permutation of :meth:`bitmasks` (and so
     :meth:`materialize`) when no generator is handed to it. This is the
     census protocol :meth:`repro.core.sparsity.GemmOperands.from_census`
     reads.
@@ -223,7 +258,9 @@ class DbbCensus:
     def __init__(self, rows: int, width: int,
                  histograms: Sequence[Tuple[int, np.ndarray]],
                  col_nnz: np.ndarray, block_max: int,
-                 seed: Optional[np.random.SeedSequence] = None):
+                 seed: Union[np.random.SeedSequence,
+                             Callable[[], np.random.SeedSequence],
+                             None] = None):
         self.rows = rows
         self.width = width
         self.histograms = tuple(histograms)
@@ -239,7 +276,8 @@ class DbbCensus:
         column's masks, in a uniformly random row order drawn from
         ``rng`` (default: a generator on :attr:`seed`)."""
         if rng is None:
-            rng = np.random.default_rng(self.seed)
+            seed = self.seed() if callable(self.seed) else self.seed
+            rng = np.random.default_rng(seed)
         kb = -(-self.width // BLOCK_SIZE)
         bits = np.empty((self.rows, kb), dtype=np.uint8)
         start = 0
@@ -270,7 +308,8 @@ def blocked_density_census(
     nnz_cap: int,
     density: float,
     rng: np.random.Generator,
-    seed: Optional[np.random.SeedSequence] = None,
+    seed: Union[np.random.SeedSequence,
+                Callable[[], np.random.SeedSequence], None] = None,
 ) -> DbbCensus:
     """Census of a random ``(rows, width)`` non-zero pattern: per-block
     NNZ cap + element density.
@@ -301,6 +340,7 @@ def blocked_density_census(
     cap, base, frac, total = _allocation(rows, width, nnz_cap, density)
     levels = _allocate_levels(rows, cap, base, frac, total, rng)
     full = width // BLOCK_SIZE
+    count = np.min_scalar_type(rows)  # no mask holds more than every row
     histograms, col_nnz = [], []
     for cols, valid in ((slice(0, full), BLOCK_SIZE),
                         (slice(full, cap.size), width - full * BLOCK_SIZE)):
@@ -310,7 +350,7 @@ def blocked_density_census(
         table, offsets, sizes = _mask_table(valid)
         bits = np.unpackbits(table[:, None], axis=1, count=valid,
                              bitorder="little")
-        hist = np.zeros((at_level.shape[0], table.size), dtype=np.int32)
+        hist = np.zeros((at_level.shape[0], table.size), dtype=count)
         nnz = np.zeros((at_level.shape[0], valid), dtype=np.int64)
         for level in np.flatnonzero(at_level.any(axis=0)).tolist():
             blocks = np.flatnonzero(at_level[:, level])
@@ -340,14 +380,22 @@ def blocked_density_mask(
                                   rng).materialize(rng)
 
 
-def _streams(layer: LayerSpec, seed: int):
-    """Independent seed streams of one layer: the census, the INT8
-    values, and the ``A`` and ``W`` mask permutations."""
+#: The independent seed streams of one layer, as child indices of its
+#: ``SeedSequence``: the census, the INT8 values, and the ``A`` and
+#: ``W`` mask permutations.
+_CENSUS, _VALUES, _A, _W = range(4)
+
+
+def _stream(layer: LayerSpec, seed: int,
+            child: int) -> np.random.SeedSequence:
+    """Seed stream ``child`` of one layer, built alone: it equals
+    ``SeedSequence(entropy).spawn(4)[child]`` at about a fifth of the
+    cost of the whole spawn."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.SeedSequence(
-        [seed, layer.m, layer.k, layer.n, layer.w_nnz, layer.a_nnz]
-    ).spawn(4)
+        [seed, layer.m, layer.k, layer.n, layer.w_nnz, layer.a_nnz],
+        spawn_key=(child,))
 
 
 def spec_census(layer: LayerSpec, seed: int = 0) -> GemmOperands:
@@ -363,14 +411,13 @@ def spec_census(layer: LayerSpec, seed: int = 0) -> GemmOperands:
     """
     with obs_trace.span(layer.name, "synthesize",
                         m=layer.m, k=layer.k, n=layer.n, seed=seed):
-        census, _, a_seed, w_seed = _streams(layer, seed)
-        rng = np.random.default_rng(census)
+        rng = np.random.default_rng(_stream(layer, seed, _CENSUS))
         w = blocked_density_census(
             layer.n, layer.k, layer.w_nnz, min(layer.w_density, 1.0),
-            rng, seed=w_seed)
+            rng, seed=partial(_stream, layer, seed, _W))
         a = blocked_density_census(
             layer.m, layer.k, layer.a_nnz, min(layer.a_density, 1.0),
-            rng, seed=a_seed)
+            rng, seed=partial(_stream, layer, seed, _A))
         return GemmOperands.from_census(a, w)
 
 
@@ -404,7 +451,7 @@ def spec_int8_operands(
     a, w = spec_operands(layer, seed=seed)
     with obs_trace.span(layer.name, "values",
                         m=layer.m, k=layer.k, n=layer.n, seed=seed):
-        rng = np.random.default_rng(_streams(layer, seed)[1])
+        rng = np.random.default_rng(_stream(layer, seed, _VALUES))
         w = _int8_on(w.T, rng).T
         a = _int8_on(a, rng)
         return a, w

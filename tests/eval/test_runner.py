@@ -364,7 +364,7 @@ class TestExperimentDeterminism:
 
     @pytest.mark.functional
     def test_fig12_ignores_jobs(self):
-        """``jobs`` stays accepted for one deprecation window and
+        """``jobs`` stays accepted (the frozen benchmark passes it) and
         changes nothing."""
         bare = fig12_alexnet_per_layer(functional=True, quick=True,
                                        jobs=None)

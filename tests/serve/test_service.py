@@ -38,7 +38,6 @@ ANALYTIC = {"model": "lenet5", "accelerator": "s2ta-aw",
 @contextlib.contextmanager
 def _service(tmp_path, **kwargs):
     kwargs.setdefault("workers", 1)
-    kwargs.setdefault("jobs", 1)
     kwargs.setdefault("result_cache", None)
     with ServeService(tmp_path / "jobs.sqlite3", port=0,
                       **kwargs) as service:

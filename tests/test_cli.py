@@ -201,63 +201,7 @@ class TestSweep:
         assert "8x4x4" in out
 
 
-class TestJobsFlag:
-    @pytest.mark.functional
-    def test_fig12_functional_with_jobs(self):
-        out = main(["experiment", "fig12", "--functional", "--quick",
-                    "--jobs", "2"])
-        assert "functional simulation" in out
-
-    @pytest.mark.functional
-    def test_ignored_jobs_noted_once_and_output_unchanged(self):
-        """``--jobs`` and ``$REPRO_JOBS`` stay accepted for one
-        deprecation window: each prints one notice on stderr and
-        changes nothing on stdout."""
-        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
-        env = {k: v for k, v in os.environ.items() if k != "REPRO_JOBS"}
-        env["PYTHONPATH"] = src
-        argv = [sys.executable, "-m", "repro", "experiment", "fig12",
-                "--functional", "--quick", "--no-result-cache"]
-        notice = "--jobs and $REPRO_JOBS are ignored"
-
-        def run(extra=(), **more_env):
-            proc = subprocess.run(argv + list(extra),
-                                  env=dict(env, **more_env),
-                                  capture_output=True, text=True,
-                                  timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            return proc
-
-        bare = run()
-        assert notice not in bare.stderr
-        for proc in (run(["--jobs", "4"]), run(REPRO_JOBS="0")):
-            assert proc.stderr.count(notice) == 1, proc.stderr
-            assert proc.stdout == bare.stdout
-
-    def test_jobs_requires_functional_on_full_model_artifacts(self):
-        with pytest.raises(SystemExit):
-            main(["experiment", "fig12", "--jobs", "2"])
-
-    def test_jobs_rejected_for_non_parallel_artifacts(self):
-        with pytest.raises(SystemExit):
-            main(["experiment", "fig1", "--jobs", "2"])
-
-    def test_negative_jobs_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["experiment", "xval", "--jobs", "-1"])
-
-    @pytest.mark.parametrize("argv", [
-        ["experiment", "xval"],
-        ["dse"],
-        ["serve"],
-    ], ids=lambda argv: argv[0])
-    def test_auto_accepted_by_every_jobs_flag(self, argv):
-        args = build_parser().parse_args(argv + ["--jobs", "auto"])
-        assert args.jobs == "auto"
-        assert build_parser().parse_args(argv + ["--jobs", "3"]).jobs == 3
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(argv + ["--jobs", "many"])
-
+class TestVerbFlags:
     @pytest.mark.parametrize("argv", [
         ["experiment", "fig11"],
         ["dse"],
@@ -270,11 +214,17 @@ class TestJobsFlag:
         assert exc.value.code == 2
         assert "--seed: must be >= 0" in capsys.readouterr().err
 
-    def test_dse_runs_with_jobs_auto(self):
-        out = main(["dse", "--styles", "tu", "--weight-nnz", "4",
-                    "--a-nnz", "4", "--sram-mb", "2.5", "--jobs", "auto",
-                    "--top", "2"])
-        assert "Pareto frontier" in out
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "xval"],
+        ["dse"],
+        ["serve"],
+    ], ids=lambda argv: argv[0])
+    def test_jobs_flag_is_gone(self, argv, capsys):
+        """The functional runner is serial: no verb takes ``--jobs``."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 def _cache_entries(path):

@@ -1,11 +1,12 @@
-"""Tests for the start-up, SA-SMT and DSE sections of the hot-path
-profiler."""
+"""Tests for the start-up, SA-SMT, census and DSE sections of the
+hot-path profiler."""
 
 import importlib.util
 import pathlib
 import re
 
 import repro
+from repro.models.specs import LayerKind, LayerSpec
 
 _SPEC = importlib.util.spec_from_file_location(
     "profile_hotpaths",
@@ -59,3 +60,11 @@ def test_dse_report_splits_both_keyspaces():
     assert re.fullmatch(r"import repro\.design\.dse: +\d+\.\d ms in a fresh "
                         r"interpreter after the other artifact imports "
                         r"\(bytecode writing (on|off)\)", lines[3])
+
+
+def test_census_report_prints_time_and_traced_peak():
+    layer = LayerSpec("L", LayerKind.CONV, m=64, k=200, n=32, w_nnz=4,
+                      a_nnz=8, weight_density=0.5, act_density=0.5)
+    assert re.fullmatch(r"spec_census 64x200x32: \d+\.\d ms, traced peak "
+                        r"\d+\.\d\d MB \(retained \d+\.\d\d MB\)",
+                        ph.census_report(layer, repeats=1))

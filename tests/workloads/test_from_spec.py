@@ -13,7 +13,9 @@ the tasks of an operand group is tested with the layer runner in
 ``tests/eval/test_runner.py``.
 """
 
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,13 +28,19 @@ from repro.core.sparsity import density
 from repro.eval.experiments import QUICK_MAX_M
 from repro.models import get_spec
 from repro.models.specs import BLOCK_SIZE, LayerKind, LayerSpec
+from repro.workloads import from_spec
 from repro.workloads.from_spec import (
     blocked_density_mask,
     operand_densities,
+    spec_census,
     spec_int8_operands,
     spec_operands,
     synthesize_operands,
 )
+
+#: Traced peak bound of ``TestBoundedCensusDraw``'s synthetic census
+#: (~5.3 MB drawn in runs, ~42 MB drawn in one run).
+CENSUS_PEAK_BOUND = 10 * 2**20
 
 
 def _layer(m=64, k=96, n=32, w_nnz=4, a_nnz=4, w_density=None,
@@ -250,6 +258,73 @@ class TestSpecOperands:
         a, _ = spec_int8_operands(layer)
         pruned = dap_prune(a, DBBSpec(BLOCK_SIZE, 3)).pruned
         np.testing.assert_array_equal(a, pruned)
+
+
+class TestBoundedCensusDraw:
+    """The census draw's transient memory is bounded by construction:
+    picks are drawn in runs of whole rows (bit-equal to one draw) and
+    the mask histograms use the narrowest count dtype."""
+
+    @staticmethod
+    def _one_shot(blocks, size, rng):
+        """The pick path as one draw: every pick at once, each counted
+        into its row by ``np.add.at``."""
+        picks = rng.integers(0, size, size=int(blocks.sum()))
+        counts = np.zeros((blocks.size, size), dtype=np.int64)
+        np.add.at(counts, (np.repeat(np.arange(blocks.size), blocks),
+                           picks), 1)
+        return counts
+
+    @pytest.mark.parametrize("run", [1, 7, 10**9])
+    @given(blocks=st.lists(st.integers(1, 300), min_size=1, max_size=40),
+           size=st.integers(3, 255), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_pick_runs_equal_one_draw(self, run, blocks, size, seed):
+        blocks = np.array(blocks)
+        rng = np.random.default_rng(seed)
+        with mock.patch.object(from_spec, "_PICK_RUN", run), \
+                mock.patch.object(from_spec, "_DRAWS_PER_MASK", 10**9):
+            counts = from_spec._uniform_counts(blocks, size, rng)
+        oracle = np.random.default_rng(seed)
+        np.testing.assert_array_equal(
+            counts, self._one_shot(blocks, size, oracle))
+        # The generator is left exactly where one draw leaves it.
+        np.testing.assert_array_equal(rng.integers(0, 2**62, size=3),
+                                      oracle.integers(0, 2**62, size=3))
+        assert rng.random() == oracle.random()
+
+    def test_census_peak_is_bounded(self):
+        """3.1M weight blocks at one popcount level: one pick per block.
+        Drawn in one run, the ``int64`` picks and their row offsets
+        alone would take ~37 MB; in runs, the peak is the retained
+        census plus one ``(columns, masks)`` count array and one run."""
+        layer = _layer(m=16, k=25088, n=1000, w_nnz=4, a_nnz=8,
+                       w_density=0.5, a_density=0.5)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            operands = spec_census(layer)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < CENSUS_PEAK_BOUND, peak
+        for census, rows in ((operands._census["w"], layer.n),
+                             (operands._census["a"], layer.m)):
+            for _, hist in census.histograms:
+                assert hist.dtype == np.min_scalar_type(rows)
+
+    def test_streams_are_the_spawned_children(self):
+        layer = _layer(m=33, k=90, n=17, w_nnz=3, a_nnz=2)
+        for seed in (0, 7):
+            children = np.random.SeedSequence(
+                [seed, layer.m, layer.k, layer.n, layer.w_nnz,
+                 layer.a_nnz]).spawn(4)
+            for child, spawned in enumerate(children):
+                stream = from_spec._stream(layer, seed, child)
+                np.testing.assert_array_equal(
+                    stream.generate_state(8), spawned.generate_state(8))
+        assert [from_spec._CENSUS, from_spec._VALUES, from_spec._A,
+                from_spec._W] == [0, 1, 2, 3]
 
 
 class TestFunctionalOperandsMemo:

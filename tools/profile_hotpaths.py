@@ -7,7 +7,8 @@ computed on first read, so the GEMM itself is profiled through the two
 raw sparse kernels), the three baseline functional engines (SparTen
 bitmask inner-join, Eyeriss v2 CSC row-stationary mesh, SCNN
 Cartesian-product array), operand synthesis in its three stages (the
-``spec_census`` draw every functional engine counts from, the
+``spec_census`` draw every functional engine counts from, whose
+best-of-five time and ``tracemalloc`` peak are printed first, the
 materialization of both ``bool`` masks from that census, which only
 position readers pay, and ``spec_int8_operands``, which adds INT8
 values for output readers),
@@ -65,6 +66,7 @@ import pstats
 import subprocess
 import sys
 import time
+import tracemalloc
 from typing import Dict, List, Tuple
 
 #: What an artifact run (the CLI's ``experiment`` / ``dse`` verbs, the
@@ -273,6 +275,29 @@ def dse_report(repeats: int = 5) -> str:
     return "\n".join(lines)
 
 
+def census_report(layer, repeats: int = 5) -> str:
+    """The census stage of ``layer``: the best-of-``repeats`` time of
+    ``spec_census``, then the ``tracemalloc`` peak and retained size of
+    one more, traced draw."""
+    from repro.workloads.from_spec import spec_census
+
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        spec_census(layer)
+        best = min(best, time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        operands = spec_census(layer)  # noqa: F841 (retained below)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (f"spec_census {layer.m}x{layer.k}x{layer.n}: "
+            f"{best * 1e3:.1f} ms, traced peak {(peak - base) / 1e6:.2f} MB"
+            f" (retained {(retained - base) / 1e6:.2f} MB)")
+
+
 def _profile(label: str, func, *args, top: int = 15, **kwargs) -> None:
     print(f"\n=== {label} " + "=" * max(1, 68 - len(label)))
     profiler = cProfile.Profile()
@@ -358,6 +383,8 @@ def main(argv=None) -> int:
     layer = LayerSpec("profile", LayerKind.CONV, m=m, k=k, n=n,
                       w_nnz=4, a_nnz=8, weight_density=0.5,
                       act_density=0.5)
+    print("\n=== census draw: time and traced peak " + "=" * 31)
+    print(census_report(layer))
     _profile("spec_census (census draw)", spec_census, layer, top=args.top)
     census = spec_census(layer)
 
