@@ -1,16 +1,15 @@
 # Two test tiers (see pytest.ini and ROADMAP.md):
 #
-#   make verify   - tier 1: the full default suite minus `slow`-marked
-#                   full-size functional runs; stays under a minute and
-#                   is what every PR must keep green. Includes the
-#                   quick-mode functional checks of all seven
-#                   accelerator models (systolic family + SparTen /
-#                   Eyeriss v2 / SCNN engines) and the seed-fixed
-#                   functional baseline pins.
-#   make nightly  - tier 2: the `slow` tier (full-size fig11/fig12
-#                   functional runs over every model, no analytic
-#                   fallback) plus every benchmarks/bench_*.py artifact
-#                   run — bench_functional_vs_analytic enforces the
+#   make verify   - tier 1: the full default suite minus the `slow`-marked
+#                   chaos suite; stays around a minute and is what
+#                   every PR must keep green. Includes the full-size
+#                   functional fig11/fig12 and xval checks of all
+#                   seven accelerator models (systolic family +
+#                   SparTen / Eyeriss v2 / SCNN engines) and the
+#                   seed-fixed functional baseline pins.
+#   make nightly  - tier 2: the `slow` tier (the chaos suite) plus
+#                   every benchmarks/bench_*.py artifact run —
+#                   bench_functional_vs_analytic enforces the
 #                   full-size XVAL_CONTRACT via `repro experiment xval`
 #                   semantics — recording a timestamped
 #                   BENCH_<utc>.json, then diffing the newest two BENCH
@@ -98,11 +97,10 @@ serve-smoke:
 chaos:
 	$(PY) -m pytest -q tests/chaos -m ""
 
-# Quick-mode so the traced run stays seconds even on a loaded nightly
-# box; --no-result-cache so the trace always covers real simulation
-# work (a fully-cached run would attribute everything to finalize).
+# --no-result-cache so the trace always covers real simulation work
+# (a fully-cached run would attribute everything to finalize).
 trace:
-	$(PY) -m repro experiment fig12 --functional --quick \
+	$(PY) -m repro experiment fig12 --functional \
 		--no-result-cache --trace trace_fig12.json
 	$(PY) -m repro trace summarize trace_fig12.json
 

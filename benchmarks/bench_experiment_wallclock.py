@@ -16,8 +16,8 @@ Each regime's ``extra_info.wallclock_s`` lands in ``BENCH_*.json``;
 alongside the kernel throughput metrics, so an experiment-level
 slowdown fails the nightly gate even when per-kernel MACs/s stay flat.
 The two regimes must also agree bit-for-bit — the determinism
-contract of the runner, asserted here at full size (tier-1 asserts it
-at quick size in ``tests/eval/test_runner.py``).
+contract of the runner, asserted here and in tier-1's
+``tests/eval/test_runner.py``.
 """
 
 import time

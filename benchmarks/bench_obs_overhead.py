@@ -11,7 +11,7 @@ Two promises from the obs design, made falsifiable:
   functional run to bound the whole-experiment overhead far under the
   1% acceptance budget.
 - **Enabled tracing is cheap enough to leave on when needed.** A
-  fig12-quick functional run is timed back-to-back with tracing off
+  full-size fig12 functional run is timed back-to-back with tracing off
   and on (same seed, same cold caches) and both wall-clocks land in
   ``extra_info``, so the *enabled* cost is tracked release over
   release too — it has no hard gate (it is opt-in), but a silent 10x
@@ -76,23 +76,22 @@ def test_bench_disabled_span_guard(benchmark):
         f"exceeds 1% of a 1s experiment"
 
 
-def _cold_fig12_quick() -> None:
+def _cold_fig12() -> None:
     clear_compress_cache()
-    fig12_alexnet_per_layer(functional=True, quick=True, seed=0,
-                            result_cache=None)
+    fig12_alexnet_per_layer(functional=True, seed=0, result_cache=None)
 
 
 def test_bench_tracing_enabled_cost(benchmark, tmp_path):
-    """fig12-quick wall-clock with tracing off vs on, same conditions."""
+    """fig12 wall-clock with tracing off vs on, same conditions."""
     start = time.perf_counter()
-    _cold_fig12_quick()
+    _cold_fig12()
     off_s = time.perf_counter() - start
 
     def traced_run():
         session = obs_trace.start_tracing(tmp_path / "bench-trace.json")
         start = time.perf_counter()
         try:
-            _cold_fig12_quick()
+            _cold_fig12()
         finally:
             obs_trace.stop_tracing()
         traced_run.elapsed = time.perf_counter() - start

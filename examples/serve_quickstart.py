@@ -2,7 +2,7 @@
 
 Boots `repro serve` on an ephemeral port, then walks the client side:
 
-1. submit a quick functional AlexNet job over HTTP and wait for it;
+1. submit a functional AlexNet job over HTTP and wait for it;
 2. submit the identical request again — it dedupes, no re-simulation;
 3. verify the served result is bit-equal to a direct in-process run;
 4. warm the scheduler with a batch of analytic design points;
@@ -22,11 +22,10 @@ from repro.serve import (
     submit_job,
     wait_for_job,
 )
-from repro.eval.experiments import QUICK_MAX_M
 
 
 REQUEST = {"model": "alexnet", "accelerator": "s2ta-aw",
-           "tier": "functional", "quick": True, "seed": 0}
+           "tier": "functional", "seed": 0}
 
 
 def main() -> None:
@@ -55,7 +54,7 @@ def main() -> None:
         # 3. bit-equal to the direct in-process run ------------------- #
         accel, spec, _ = request_tasks(parse_request(REQUEST))
         direct = result_payload(accel.run_model_functional(
-            spec, conv_only=True, seed=0, max_m=QUICK_MAX_M))
+            spec, conv_only=True, seed=0))
         assert job["result"] == direct
         print("served result is bit-equal to run_model_functional")
 

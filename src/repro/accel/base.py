@@ -126,13 +126,6 @@ class AccelRunResult:
         return 1.0 / energy_j if energy_j > 0 else 0.0
 
     @property
-    def effective_tops(self) -> float:
-        """Dense-equivalent throughput: 2 ops per dense MAC over runtime."""
-        ops = 2.0 * sum(r.layer.macs for r in self.layer_results)
-        runtime = self.runtime_s
-        return ops / runtime / 1e12 if runtime > 0 else 0.0
-
-    @property
     def effective_tops_per_watt(self) -> float:
         energy_j = self.energy_uj * 1e-6
         ops = 2.0 * sum(r.layer.macs for r in self.layer_results)
@@ -353,15 +346,6 @@ class AcceleratorModel:
         """Per-layer ``run_gemm`` knobs (A-DBB density, dense fallback)."""
         return {}
 
-    def _scale_functional_events(self, events: EventCounts,
-                                 factor: float) -> EventCounts:
-        """Extrapolate quick-mode (row-subsampled) events back to the
-        full layer. The default scales every counter linearly; models
-        whose weight streams are independent of the output-row count
-        (the fixed-dataflow comparison points) override this to exempt
-        the weight-side counters."""
-        return events.scaled(factor)
-
     def run_gemm_functional(self, operands: GemmOperands, **kwargs):
         """Run one concrete GEMM on the functional/cycle simulator.
 
@@ -391,31 +375,20 @@ class AcceleratorModel:
         This is the unit of work the layer runner
         (:mod:`repro.eval.runner`) executes and the result cache
         (:mod:`repro.eval.resultcache`) memoizes: the runner passes one
-        census, :func:`repro.workloads.from_spec.synthesize_operands`
-        for (layer, seed, ``max_m``), drawn once per operand key and
-        shared by every accelerator in the batch; masks are
-        materialized only for engines that read positions. When
-        ``A`` has fewer rows than ``layer.m`` (the ``max_m`` cap of the
-        ``quick`` CI mode) the measured events extrapolate linearly back
-        to the full layer.
+        census, :func:`repro.workloads.from_spec.spec_census` for
+        (layer, seed), drawn once per operand key and shared by every
+        accelerator in the batch; masks are materialized only for
+        engines that read positions.
         """
         with obs_trace.span(layer.name, "simulate", accel=self.name):
             sim = self.run_gemm_functional(
                 operands, **self._functional_gemm_kwargs(layer))
-        events = sim.events
-        compute_cycles = sim.cycles
-        rows = operands.m
-        if rows != layer.m:
-            factor = layer.m / rows
-            events = self._scale_functional_events(events, factor)
-            compute_cycles = int(round(compute_cycles * factor))
-        return compute_cycles, events
+        return sim.cycles, sim.events
 
     def run_layer_functional(
         self,
         layer: LayerSpec,
         seed: int = 0,
-        max_m: Optional[int] = None,
         result_cache=None,
     ) -> LayerResult:
         """Execute one layer's GEMM on synthesized operands.
@@ -428,17 +401,14 @@ class AcceleratorModel:
         bit-equal to a cold simulation.
 
         The measured events feed the same memory model as the analytic
-        tier; on exact runs (max_m=None) the per-pass SRAM counters are
-        bit-equal across tiers, so the DRAM bytes cross-validate
-        exactly (asserted in tests/test_cross_validation.py). Quick
-        runs extrapolate the counters linearly, so their DRAM profile
-        is the same few-percent approximation as everything else
-        quick mode reports.
+        tier; the per-pass SRAM counters are bit-equal across tiers, so
+        the DRAM bytes cross-validate exactly (asserted in
+        tests/test_cross_validation.py).
         """
         from repro.eval.runner import LayerSimTask, simulate_layer_tasks
 
         ((compute_cycles, events),) = simulate_layer_tasks(
-            [LayerSimTask(self, layer, seed=seed, max_m=max_m)],
+            [LayerSimTask(self, layer, seed=seed)],
             result_cache=result_cache)
         return self._finalize_layer(layer, compute_cycles, events)
 
@@ -447,7 +417,6 @@ class AcceleratorModel:
         spec: ModelSpec,
         conv_only: bool = False,
         seed: int = 0,
-        max_m: Optional[int] = None,
         result_cache=None,
     ) -> AccelRunResult:
         """Functional-tier counterpart of :meth:`run_model`.
@@ -462,7 +431,7 @@ class AcceleratorModel:
         from repro.eval.runner import functional_model_runs
 
         return functional_model_runs(
-            [(self, spec)], conv_only=conv_only, seed=seed, max_m=max_m,
+            [(self, spec)], conv_only=conv_only, seed=seed,
             result_cache=result_cache)[0]
 
     # -------------------------------------------------------------- #

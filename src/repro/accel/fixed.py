@@ -70,12 +70,3 @@ class FixedDataflowModel(AcceleratorModel):
             result.events.mcu_elementwise_ops * 2.0 * scale
         )
         return result
-
-    def _scale_functional_events(self, events: EventCounts,
-                                 factor: float) -> EventCounts:
-        """Quick-mode extrapolation: every counter scales with the
-        simulated output rows except the weight stream, which these
-        dataflows fetch in full regardless of ``m``."""
-        scaled = events.scaled(factor)
-        scaled.sram_w_read_bytes = events.sram_w_read_bytes
-        return scaled

@@ -62,15 +62,6 @@ class EventCounts:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
 
-    def scaled(self, factor: float) -> "EventCounts":
-        """Scale every counter (used to extrapolate a sampled tile)."""
-        if factor < 0:
-            raise ValueError(f"scale factor must be >= 0, got {factor}")
-        scaled = {}
-        for f in fields(self):
-            scaled[f.name] = int(round(getattr(self, f.name) * factor))
-        return EventCounts(**scaled)
-
     @property
     def total_mac_slots(self) -> int:
         """Fired plus gated MAC issue slots (utilization denominator)."""

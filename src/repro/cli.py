@@ -9,7 +9,7 @@ Usage::
     python -m repro sweep --top 10
     python -m repro dse --out dse_frontier.json
     python -m repro serve --port 8737
-    python -m repro submit alexnet --accelerator s2ta-aw --quick --wait
+    python -m repro submit alexnet --accelerator s2ta-aw --wait
     python -m repro jobs
 
 Every command prints plain text; ``experiment`` accepts any artifact id
@@ -18,15 +18,14 @@ ablation-unroll, ablation-bz, ablation-dap) plus
 ``xval`` (the functional-vs-analytic cross-validation table over the
 whole comparison set — systolic family *and* the SparTen / Eyeriss v2 /
 SCNN baselines — which exits non-zero when any model breaks its
-agreement contract; ``--quick`` subsamples the layers, ``--seed`` picks
-the operand synthesis), ``roofline`` (per-layer roofline placement from
-the memory-hierarchy model) and ``roofline-bw`` (the DRAM-bandwidth
-sensitivity sweep). The full-model artifacts (fig11, fig12) take
-``--functional`` to run the honest functional-simulation tier instead
-of the analytic fast path, ``--quick`` to subsample layers for a fast
-check, and ``--seed`` for operand synthesis; fig11, fig12 and roofline
-take ``--dram-bw <GB/s>`` to replace the default DRAM channel and
-enforce the roofline wall on every layer; fig11, fig12 and ``run`` take
+agreement contract; ``--seed`` picks the operand synthesis),
+``roofline`` (per-layer roofline placement from the memory-hierarchy
+model) and ``roofline-bw`` (the DRAM-bandwidth sensitivity sweep). The
+full-model artifacts (fig11, fig12) take ``--functional`` to run the
+honest functional-simulation tier instead of the analytic fast path,
+and ``--seed`` for operand synthesis; fig11, fig12 and roofline take
+``--dram-bw <GB/s>`` to replace the default DRAM channel and enforce
+the roofline wall on every layer; fig11, fig12 and ``run`` take
 ``--dram-pj-per-byte`` to re-price the reported off-chip component
 (die-only totals are pinned and unaffected).
 
@@ -113,7 +112,7 @@ ACCELERATORS: Dict[str, Callable] = {
 
 
 #: Artifacts whose runners take the functional-tier keywords
-#: (functional=, quick=, seed=).
+#: (functional=, seed=).
 FUNCTIONAL_ARTIFACTS = ("fig11", "fig12")
 
 #: Artifacts whose runners take a DRAM-bandwidth override (dram_gbps=).
@@ -223,24 +222,20 @@ def cmd_run(args) -> str:
 
 
 def cmd_experiment(args) -> str:
-    from repro.eval.experiments import QUICK_MAX_M
-
     experiments = _experiments()
-    functional_requested = (args.functional or args.quick
-                            or args.seed is not None)
+    functional_requested = args.functional or args.seed is not None
     seed = 0 if args.seed is None else args.seed
     if args.artifact == "all":
         if (functional_requested or args.dram_bw is not None
                 or args.dram_pj_per_byte is not None):
             raise SystemExit(
-                "--functional/--quick/--seed/--dram-bw/"
-                "--dram-pj-per-byte "
+                "--functional/--seed/--dram-bw/--dram-pj-per-byte "
                 "apply to a single artifact, not 'all' "
                 f"({', '.join(FUNCTIONAL_ARTIFACTS)} "
                 "take the functional flags; "
                 f"{', '.join(DRAM_BW_ARTIFACTS)} take --dram-bw; "
                 f"{', '.join(DRAM_PJ_ARTIFACTS)} take --dram-pj-per-byte; "
-                "xval takes --seed/--quick)")
+                "xval takes --seed)")
         return "\n\n".join(run().render()
                            for name, run in experiments.items())
     try:
@@ -265,32 +260,30 @@ def cmd_experiment(args) -> str:
     _costs_from_args(args)  # shared --dram-pj-per-byte validation
     result_cache = None if args.no_result_cache else _default_result_cache()
     if args.artifact in FUNCTIONAL_ARTIFACTS:
-        if not args.functional and (args.quick or args.seed is not None):
+        if not args.functional and args.seed is not None:
             raise SystemExit(
-                "--quick/--seed tune the functional tier; pass "
+                "--seed tunes the functional tier; pass "
                 "--functional as well")
-        return runner(functional=args.functional, quick=args.quick,
-                      seed=seed, dram_gbps=args.dram_bw,
+        return runner(functional=args.functional, seed=seed,
+                      dram_gbps=args.dram_bw,
                       dram_pj_per_byte=args.dram_pj_per_byte,
                       result_cache=result_cache).render()
     if args.artifact == "xval":
         if args.functional:
             raise SystemExit("xval always runs both tiers; it takes "
-                             "--seed and --quick but not --functional")
+                             "--seed but not --functional")
         # The contract gate always simulates cold: a cached payload
         # (e.g. one whose simulator change fell outside the cache's
         # source salt) would make the gate vacuously re-validate
         # yesterday's results.
-        result = runner(seed=seed,
-                        max_m=QUICK_MAX_M if args.quick else None,
-                        result_cache=None)
+        result = runner(seed=seed, result_cache=None)
         if result.failures:
             # Non-zero exit: a model broke its agreement contract.
             raise SystemExit(result.render())
         return result.render()
     if functional_requested:
         raise SystemExit(
-            f"--functional/--quick/--seed are only supported by "
+            f"--functional/--seed are only supported by "
             f"{', '.join(FUNCTIONAL_ARTIFACTS)} and xval, "
             f"not {args.artifact!r}")
     if args.artifact == "roofline":
@@ -348,10 +341,9 @@ def cmd_dse(args) -> str:
     import pathlib
 
     from repro.design.dse import render_artifact, run_dse
-    from repro.eval.experiments import QUICK_MAX_M
 
-    if args.quick and args.fidelity != "functional":
-        raise SystemExit("--quick subsamples the cycle simulator; pass "
+    if args.seed is not None and args.fidelity != "functional":
+        raise SystemExit("--seed tunes the functional tier; pass "
                          "--fidelity functional as well")
     result_cache = None if args.no_result_cache else _default_result_cache()
     try:
@@ -359,7 +351,6 @@ def cmd_dse(args) -> str:
             _dse_axes(args),
             fidelity=args.fidelity,
             seed=0 if args.seed is None else args.seed,
-            max_m=QUICK_MAX_M if args.quick else None,
             result_cache=result_cache,
         )
     except ValueError as exc:
@@ -455,7 +446,6 @@ def cmd_submit(args) -> str:
         "accelerator": args.accelerator,
         "tier": args.tier,
         "conv_only": not args.all_layers,
-        "quick": args.quick,
         "seed": args.seed,
         "priority": args.priority,
     }
@@ -631,9 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run the functional-simulation tier "
                           "(fig11/fig12: concrete GEMMs on the "
                           "cycle simulator)")
-    exp.add_argument("--quick", action="store_true",
-                     help="subsample layers for a fast functional check "
-                          "(fig11/fig12 with --functional; xval)")
     exp.add_argument("--seed", type=_non_negative_int, default=None,
                      help="operand-synthesis seed for the functional tier")
     exp.add_argument("--dram-bw", type=float, default=None,
@@ -686,10 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default; sub-ms per point) or the cycle "
                           "simulator")
     dse.add_argument("--seed", type=_non_negative_int, default=None,
-                     help="operand-synthesis seed (functional fidelity)")
-    dse.add_argument("--quick", action="store_true",
-                     help="subsample GEMM rows for a fast functional "
-                          "sweep (requires --fidelity functional)")
+                     help="operand-synthesis seed (requires --fidelity "
+                          "functional)")
     dse.add_argument("--out", default=None, metavar="JSON",
                      help="write the artifact (evaluations + frontier) "
                           "as JSON")
@@ -773,9 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--all-layers", action="store_true",
                         help="simulate every layer (default: conv "
                              "layers only, like fig11/fig12)")
-    submit.add_argument("--quick", action="store_true",
-                        help="subsample output rows like the "
-                             "experiment --quick mode")
     submit.add_argument("--seed", type=_non_negative_int, default=0,
                         help="operand-synthesis seed (functional tier)")
     submit.add_argument("--priority", type=int, default=0,

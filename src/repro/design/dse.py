@@ -627,7 +627,6 @@ def evaluate_points(
     points: Sequence[DSEPoint],
     fidelity: str = "analytic",
     seed: int = 0,
-    max_m: Optional[int] = None,
     result_cache=None,
 ) -> Dict[str, DSEEvaluation]:
     """Evaluate each point's reference workload; returns
@@ -640,10 +639,10 @@ def evaluate_points(
     ``build().run_layer(layer())``. The whole default keyspace takes
     ~7 ms on a 2-core Xeon (best of five in one process; ~12 ms as a
     fresh interpreter's first call). ``"functional"`` simulates
-    synthesized operand patterns on the cycle simulator (``seed`` /
-    ``max_m`` as in the full-model experiments) through the layer
-    runner, then finalizes each point; ``result_cache`` applies to that
-    fidelity only.
+    synthesized operand patterns on the cycle simulator (``seed`` as in
+    the full-model experiments) through the layer runner, then
+    finalizes each point; ``result_cache`` applies to that fidelity
+    only.
 
     The result maps each uid to its evaluation in input order (a
     repeated uid keeps its first position and its last evaluation).
@@ -657,7 +656,7 @@ def evaluate_points(
     out: Dict[str, DSEEvaluation] = {}
     staged = [(point, point.build(), point.layer()) for point in points]
     payloads = simulate_layer_tasks(
-        [LayerSimTask(accel, layer, seed=seed, max_m=max_m)
+        [LayerSimTask(accel, layer, seed=seed)
          for _, accel, layer in staged],
         result_cache=result_cache)
     for (point, accel, layer), (compute_cycles, events) in zip(staged,
@@ -673,7 +672,6 @@ def run_dse(
     axes: Optional[DSEAxes] = None,
     fidelity: str = "analytic",
     seed: int = 0,
-    max_m: Optional[int] = None,
     result_cache=None,
 ) -> dict:
     """Evaluate every point of the space and return the JSON-ready
@@ -682,14 +680,13 @@ def run_dse(
     applies to ``fidelity="functional"`` only."""
     space = DSESpace(axes)
     evaluations = evaluate_points(space.points, fidelity=fidelity,
-                                  seed=seed, max_m=max_m,
-                                  result_cache=result_cache)
+                                  seed=seed, result_cache=result_cache)
     frontier = pareto_frontier_3d(evaluations.values())
     with obs_trace.span("artifact", "dse", rows=len(evaluations)):
         return {
             "artifact": "dse",
             "space": {"axes": space.axes.as_dict(), "fidelity": fidelity,
-                      "seed": seed, "max_m": max_m, "points": len(space)},
+                      "seed": seed, "points": len(space)},
             # Each row's as_dict(), without a method call per row.
             "evaluations": list(map(dict, map(
                 zip, repeat(DSEEvaluation._fields),

@@ -78,16 +78,6 @@ class EnergyBreakdown:
             dram=self.dram + other.dram,
         )
 
-    def scaled(self, factor: float) -> "EnergyBreakdown":
-        return EnergyBreakdown(
-            datapath=self.datapath * factor,
-            buffers=self.buffers * factor,
-            sram=self.sram * factor,
-            dap=self.dap * factor,
-            actfn=self.actfn * factor,
-            dram=self.dram * factor,
-        )
-
 
 class EnergyModel:
     """Prices event counts at a technology node."""

@@ -15,10 +15,7 @@ Two fidelity tiers back the full-model artifacts (Fig. 11 / Fig. 12):
 - **Functional ground truth** (``functional=True``): every conv layer
   synthesizes its operands' DBB non-zero patterns at its actual GEMM
   shape and executes on the cycle-level simulator; measured events
-  price through the same energy model. ``quick=True`` caps the
-  simulated output rows per layer (events extrapolate linearly) so CI
-  can exercise the full pipeline in seconds; leave it off for exact
-  nightly runs.
+  price through the same energy model.
 """
 
 from __future__ import annotations
@@ -69,10 +66,6 @@ FULL_MODELS = ("resnet50", "vgg16", "mobilenet_v1", "alexnet")
 #: The systolic comparison set of the full-model artifacts (Fig. 11)
 #: and the roofline analysis — keep the two artifacts in lockstep.
 SYSTOLIC_VARIANTS = ("SA-ZVCG", "SMT-T2Q2", "S2TA-W", "S2TA-AW")
-
-#: ``quick=True`` caps the simulated output-pixel rows per layer at this
-#: many (events extrapolate linearly back to the full layer).
-QUICK_MAX_M = 128
 
 
 @lru_cache(maxsize=32)
@@ -494,7 +487,7 @@ def tbl3_accuracy(quick: bool = False,
 # --------------------------------------------------------------------- #
 
 def _functional_runs(accels: Dict[str, AcceleratorModel], specs,
-                     seed: int, max_m: Optional[int], result_cache
+                     seed: int, result_cache
                      ) -> Dict[Tuple[str, str], "AccelRunResult"]:
     """One runner batch over every (variant, model) pair.
 
@@ -509,15 +502,13 @@ def _functional_runs(accels: Dict[str, AcceleratorModel], specs,
     pairs = [(name, spec) for spec in specs for name in accels]
     runs = functional_model_runs(
         [(accels[name], spec) for name, spec in pairs],
-        conv_only=True, seed=seed, max_m=max_m,
-        result_cache=result_cache)
+        conv_only=True, seed=seed, result_cache=result_cache)
     return {(name, spec.name): run
             for (name, spec), run in zip(pairs, runs)}
 
 
 @traced("fig11", "experiment")
-def fig11_full_models(functional: bool = False, quick: bool = False,
-                      seed: int = 0,
+def fig11_full_models(functional: bool = False, seed: int = 0,
                       dram_gbps: Optional[float] = None,
                       dram_pj_per_byte: Optional[float] = None,
                       result_cache=None,
@@ -527,11 +518,10 @@ def fig11_full_models(functional: bool = False, quick: bool = False,
     ``functional=True`` switches from the analytic fast path to honest
     functional simulation: every conv layer of all four networks runs as
     a concrete GEMM on the cycle simulator (see the module
-    docstring's fidelity-tier notes). ``quick=True`` subsamples each
-    layer to at most ``QUICK_MAX_M`` output rows for CI. ``dram_gbps``
-    replaces the default DRAM channel (32 B/cycle with the paper's conv
-    staging assumption) with an explicit bandwidth and the honest
-    roofline wall on every layer — the memory-sensitivity axis;
+    docstring's fidelity-tier notes). ``dram_gbps`` replaces the
+    default DRAM channel (32 B/cycle with the paper's conv staging
+    assumption) with an explicit bandwidth and the honest roofline
+    wall on every layer — the memory-sensitivity axis;
     ``dram_pj_per_byte`` re-prices the reported off-chip component.
     ``result_cache`` backs the functional tier's memoized runner
     (:mod:`repro.eval.runner`).
@@ -540,10 +530,9 @@ def fig11_full_models(functional: bool = False, quick: bool = False,
                     dram_gbps=dram_gbps,
                     costs=_costs(dram_pj_per_byte)).items()
                 if k in SYSTOLIC_VARIANTS}
-    max_m = QUICK_MAX_M if quick else None
     specs = [get_spec(name) for name in FULL_MODELS]
     functional_runs = (
-        _functional_runs(variants, specs, seed, max_m, result_cache)
+        _functional_runs(variants, specs, seed, result_cache)
         if functional else {})
 
     if not functional:
@@ -586,8 +575,7 @@ def fig11_full_models(functional: bool = False, quick: bool = False,
     if functional:
         notes.append(
             "functional tier: measured events from concrete GEMMs "
-            + (f"(quick mode, layers subsampled to m<={QUICK_MAX_M})"
-               if quick else "at full layer sizes"))
+            "at full layer sizes")
     return ExperimentResult(
         artifact="Figure 11",
         title="Full-model energy reduction / speedup vs SA-ZVCG (16 nm, "
@@ -606,8 +594,7 @@ def fig11_full_models(functional: bool = False, quick: bool = False,
 # --------------------------------------------------------------------- #
 
 @traced("fig12", "experiment")
-def fig12_alexnet_per_layer(functional: bool = False, quick: bool = False,
-                            seed: int = 0,
+def fig12_alexnet_per_layer(functional: bool = False, seed: int = 0,
                             dram_gbps: Optional[float] = None,
                             dram_pj_per_byte: Optional[float] = None,
                             # The frozen perfbench/workpass.py still
@@ -620,10 +607,9 @@ def fig12_alexnet_per_layer(functional: bool = False, quick: bool = False,
     ``functional=True`` runs *every* row on concrete operands —
     the systolic family on the cycle simulator, SparTen on the bitmask
     inner-join engine, Eyeriss v2 on the CSC row-stationary mesh: no
-    analytic fallback remains in the comparison. ``quick=True``
-    subsamples each layer to ``QUICK_MAX_M`` output rows. ``dram_gbps``
-    swaps in an explicit DRAM channel (each accelerator converts
-    against its own clock) with the honest roofline wall;
+    analytic fallback remains in the comparison. ``dram_gbps`` swaps
+    in an explicit DRAM channel (each accelerator converts against its
+    own clock) with the honest roofline wall;
     ``dram_pj_per_byte`` re-prices the reported off-chip component
     (die-only totals are unaffected by construction).
     ``result_cache`` backs the functional tier's memoized runner.
@@ -638,10 +624,9 @@ def fig12_alexnet_per_layer(functional: bool = False, quick: bool = False,
         "S2TA-W (65nm)": S2TAW(tech="65nm", **kwargs),
         "S2TA-AW (65nm)": S2TAAW(tech="65nm", **kwargs),
     }
-    max_m = QUICK_MAX_M if quick else None
     if functional:
-        functional_runs = _functional_runs(
-            accels, [spec], seed, max_m, result_cache)
+        functional_runs = _functional_runs(accels, [spec], seed,
+                                           result_cache)
         runs = {name: functional_runs[name, spec.name] for name in accels}
     else:
         runs = {name: accel.run_model(spec, conv_only=True)
@@ -669,9 +654,7 @@ def fig12_alexnet_per_layer(functional: bool = False, quick: bool = False,
         notes.append(
             "functional tier for every row: systolic family on the "
             "cycle simulator, SparTen on the bitmask inner-join engine, "
-            "Eyeriss v2 on the CSC row-stationary mesh"
-            + (f"; quick mode, layers subsampled to m<={QUICK_MAX_M}"
-               if quick else ""))
+            "Eyeriss v2 on the CSC row-stationary mesh")
     return ExperimentResult(
         artifact="Figure 12",
         title="AlexNet per-layer energy per inference (uJ)"
@@ -693,18 +676,13 @@ class XvalContract:
     ``fired``/``energy`` are relative bounds enforced on every conv
     layer; ``cycles`` is the relative compute-cycle bound (``0.0`` =
     bit-equal, ``None`` = reported but not enforced); ``exact`` asserts
-    bit-equal SRAM bytes and per-operand-class DRAM bytes. Quick
-    (row-subsampled) runs extrapolate events linearly, so they enforce
-    the relaxed ``quick_fired``/``quick_energy`` bounds and waive the
-    cycle and exactness checks.
+    bit-equal SRAM bytes and per-operand-class DRAM bytes.
     """
 
     fired: float = 0.01
     energy: float = 0.06
     cycles: Optional[float] = 0.0
     exact: bool = True
-    quick_fired: float = 0.05
-    quick_energy: float = 0.12
 
 
 #: The seven-model agreement contract of the cross-validation artifact
@@ -732,7 +710,6 @@ def xval_functional_vs_analytic(
     model: str = "alexnet",
     tech: str = "16nm",
     seed: int = 0,
-    max_m: Optional[int] = None,
     # The frozen perfbench/workpass.py still passes jobs="auto"; drop
     # both together.
     jobs=None,
@@ -752,9 +729,7 @@ def xval_functional_vs_analytic(
 
     Every row is checked against :data:`XVAL_CONTRACT`; violations land
     in ``result.failures`` and make ``repro experiment xval`` exit
-    non-zero. ``max_m`` subsamples layers (the CLI's ``--quick``),
-    switching to the contract's relaxed statistical bounds.
-    ``result_cache`` backs the functional tier's memoized runner (the
+    non-zero. ``result_cache`` backs the functional tier's memoized runner (the
     analytic side is closed-form and never cached). ``jobs`` is
     ignored (the runner is serial).
     """
@@ -772,7 +747,6 @@ def xval_functional_vs_analytic(
         "Eyeriss-v2": EyerissV2(),
         "SCNN": SCNN(),
     }
-    quick = max_m is not None
 
     def _rel(ana: float, fun: float) -> float:
         if fun == 0:
@@ -783,7 +757,7 @@ def xval_functional_vs_analytic(
     # (accelerator, layer) pair, accelerator-major.
     runs = functional_model_runs(
         [(accel, spec) for accel in variants.values()], conv_only=True,
-        seed=seed, max_m=max_m, result_cache=result_cache)
+        seed=seed, result_cache=result_cache)
     # Analytic tier: its own SA-SMT, whose memo holds speedups at spec
     # densities only (the functional batch memoized the operands'
     # measured densities, which share some grid keys), prefetched in
@@ -828,26 +802,23 @@ def xval_functional_vs_analytic(
             worst["energy"] = max(worst["energy"], abs(d_energy))
             # --- contract enforcement ---
             tag = f"{name}/{layer.name}"
-            fired_tol = contract.quick_fired if quick else contract.fired
-            energy_tol = contract.quick_energy if quick else contract.energy
-            if abs(d_fired) > fired_tol:
+            if abs(d_fired) > contract.fired:
                 failures.append(
                     f"{tag}: fired-MAC delta {d_fired * 100:.2f}% exceeds "
-                    f"{fired_tol * 100:g}%")
-            if abs(d_energy) > energy_tol:
+                    f"{contract.fired * 100:g}%")
+            if abs(d_energy) > contract.energy:
                 failures.append(
                     f"{tag}: energy delta {d_energy * 100:.2f}% exceeds "
-                    f"{energy_tol * 100:g}%")
-            if not quick:
-                if contract.cycles is not None and (
-                        abs(d_cycles) > contract.cycles):
-                    failures.append(
-                        f"{tag}: cycle delta {d_cycles * 100:.2f}% exceeds "
-                        f"{contract.cycles * 100:g}%")
-                if contract.exact and not (sram_exact and dram_exact):
-                    failures.append(
-                        f"{tag}: SRAM/DRAM byte counters not bit-equal "
-                        "between tiers")
+                    f"{contract.energy * 100:g}%")
+            if contract.cycles is not None and (
+                    abs(d_cycles) > contract.cycles):
+                failures.append(
+                    f"{tag}: cycle delta {d_cycles * 100:.2f}% exceeds "
+                    f"{contract.cycles * 100:g}%")
+            if contract.exact and not (sram_exact and dram_exact):
+                failures.append(
+                    f"{tag}: SRAM/DRAM byte counters not bit-equal "
+                    "between tiers")
     return ExperimentResult(
         artifact="Cross-validation",
         title=f"Analytic vs functional per-layer deltas ({model}, {tech})",

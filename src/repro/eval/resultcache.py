@@ -13,7 +13,7 @@ content hash of everything that determines it —
 - the accelerator design point (class, functional simulator config,
   per-layer GEMM knobs, technology node),
 - the energy cost model and the memory-channel/staging configuration,
-- the operand-synthesis seed and the quick-mode row cap,
+- the operand-synthesis seed,
 - a source salt (:func:`code_salt`): a sha256 over the bytes of every
   module that simulates, synthesizes or prices a layer, so any edit to
   them retires every stored entry without anyone remembering to bump
@@ -23,7 +23,7 @@ The key is hashed in two stages (:func:`payload_key`). Stage one
 digests an accelerator: the salt, its class, name, tech node,
 simulator config, costs, DRAM and SRAM. Stage two digests one task:
 that accelerator digest, the accelerator's per-layer GEMM knobs, the
-canonical layer, the seed and the row cap. A batch passes one memo
+canonical layer and the seed. A batch passes one memo
 dict to every key, so each accelerator is digested and each layer
 canonicalized once per batch instead of once per task.
 
@@ -174,15 +174,14 @@ def _memoized(memo: dict, obj, compute):
 
 
 def payload_key(accel, layer, seed: int = 0,
-                max_m: Optional[int] = None,
                 memo: Optional[dict] = None) -> str:
     """Content hash of everything that determines one layer's simulation
     payload (see the module docstring for the component list).
 
     Two stages: :func:`_accelerator_digest` hashes the accelerator, and
     the key is a sha256 over that digest, the accelerator's per-layer
-    GEMM knobs, the canonical layer, ``seed`` and ``max_m``. ``memo``
-    is an optional caller-owned dict that lives for one batch: it
+    GEMM knobs, the canonical layer and ``seed``. ``memo`` is an
+    optional caller-owned dict that lives for one batch: it
     caches each accelerator instance's digest and each layer
     instance's canonical JSON, so a batch hashes every accelerator and
     layer once. Without it every part is computed afresh; the key is
@@ -199,8 +198,7 @@ def payload_key(accel, layer, seed: int = 0,
     gemm_kwargs = (_dumps(accel._functional_gemm_kwargs(layer))
                    if functional else "null")
     blob = (f'["{accel_digest}",{gemm_kwargs},'
-            f'{_memoized(memo, layer, _dumps)},{int(seed)},'
-            f'{"null" if max_m is None else int(max_m)}]')
+            f'{_memoized(memo, layer, _dumps)},{int(seed)}]')
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -210,7 +208,7 @@ def combine_keys(keys, extra=None) -> str:
     The request-level fingerprint of the serve subsystem
     (:mod:`repro.serve`): a whole-job identity is the ordered sequence
     of its layer-task fingerprints (each already covering layer spec,
-    accelerator/memory/energy config, seed, quick cap and the
+    accelerator/memory/energy config, seed and the
     :func:`code_salt`) plus any ``extra`` request-level context
     (model name, conv-only flag, tier) canonicalized the same way the
     payload keys are. Two requests share a fingerprint iff every

@@ -1,7 +1,7 @@
 """Layer-simulation runner for the functional tier.
 
 Every functional experiment decomposes into *layer simulation tasks* —
-one ``(accelerator, layer, seed, max_m)`` point whose payload is the
+one ``(accelerator, layer, seed)`` point whose payload is the
 measured ``(compute_cycles, EventCounts)`` of
 :meth:`repro.accel.base.AcceleratorModel.simulate_layer_functional`.
 A payload is a pure function of its task (operand synthesis is seeded
@@ -29,7 +29,7 @@ a network (ResNet50's 53 conv layers have 26 operand keys) — form one
    ``work`` — Σ(m·k + k·n) synthesized operand elements over the
    groups — ``tasks`` and ``groups``). Each group draws its operands'
    non-zero census once
-   (:func:`~repro.workloads.from_spec.synthesize_operands`: per-index
+   (:func:`~repro.workloads.from_spec.spec_census`: per-index
    non-zeros, totals and DBB block maxima, straight from the
    allocation law), simulates every task on that one
    :class:`~repro.core.sparsity.GemmOperands` and drops it. An
@@ -71,7 +71,7 @@ from repro.obs import trace as obs_trace
 from repro.workloads.from_spec import (
     operand_densities,
     operand_key,
-    synthesize_operands,
+    spec_census,
 )
 
 __all__ = [
@@ -88,7 +88,6 @@ class LayerSimTask:
     accel: AcceleratorModel
     layer: LayerSpec
     seed: int = 0
-    max_m: Optional[int] = None
 
 
 def _copy_events(payload: Tuple[int, EventCounts]
@@ -109,8 +108,7 @@ def _prefetch(tasks: Sequence[LayerSimTask],
     pair a task-by-task run would)."""
     asked: Dict[AcceleratorModel, List[Tuple[float, float]]] = {}
     for group in groups:
-        first = tasks[group[0]]
-        densities = operand_densities(first.layer, max_m=first.max_m)
+        densities = operand_densities(tasks[group[0]].layer)
         for i in group:
             asked.setdefault(tasks[i].accel, []).append(densities)
     for accel, pairs in asked.items():
@@ -138,8 +136,7 @@ def _run_serial(tasks: Sequence[LayerSimTask],
             with obs_trace.span(task.layer.name, "layer",
                                 accel=task.accel.name):
                 if operands is None:
-                    operands = synthesize_operands(
-                        task.layer, seed=task.seed, max_m=task.max_m)
+                    operands = spec_census(task.layer, seed=task.seed)
                 payloads[i] = task.accel.simulate_layer_functional(
                     task.layer, operands)
             compute.observe(time.perf_counter_ns() - start_ns)
@@ -180,7 +177,7 @@ def simulate_layer_tasks(
     with obs_trace.span("lookup", "runner", tasks=len(tasks)) as lookup:
         for i, task in enumerate(tasks):
             key = payload_key(task.accel, task.layer, seed=task.seed,
-                              max_m=task.max_m, memo=key_memo)
+                              memo=key_memo)
             keys.append(key)
             if result_cache is not None:
                 hit = result_cache.get(key)
@@ -199,14 +196,13 @@ def simulate_layer_tasks(
     by_operands: Dict[tuple, List[int]] = {}
     for i in pending:
         task = tasks[i]
-        by_operands.setdefault(
-            operand_key(task.layer, seed=task.seed, max_m=task.max_m),
-            []).append(i)
+        by_operands.setdefault(operand_key(task.layer, seed=task.seed),
+                               []).append(i)
     groups = list(by_operands.values())
     if groups:
         _prefetch(tasks, groups)
         # Synthesized operand elements, Σ(m·k + k·n) over the groups
-        # (the key's leading fields are the capped GEMM shape).
+        # (the key's leading fields are the GEMM shape).
         work = sum(m * k + k * n for m, k, n, *_ in by_operands)
         registry.counter("runner.serial_batches").inc()
         with obs_trace.span("serial", "runner", work=work,
@@ -226,7 +222,6 @@ def functional_model_runs(
     *,
     conv_only: bool = False,
     seed: int = 0,
-    max_m: Optional[int] = None,
     result_cache: Optional[ResultCache] = None,
 ) -> List[AccelRunResult]:
     """Run many (accelerator, model) pairs as one batch.
@@ -243,8 +238,7 @@ def functional_model_runs(
         layers = list(spec.conv_layers if conv_only else spec.layers)
         spans.append((accel, spec, layers))
         tasks.extend(
-            LayerSimTask(accel, layer, seed=seed, max_m=max_m)
-            for layer in layers)
+            LayerSimTask(accel, layer, seed=seed) for layer in layers)
     payloads = simulate_layer_tasks(tasks, result_cache=result_cache)
     out: List[AccelRunResult] = []
     pos = 0

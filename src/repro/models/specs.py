@@ -153,13 +153,6 @@ class ModelSpec:
             return float(BLOCK_SIZE)
         return sum(l.a_nnz * l.macs for l in layers) / total
 
-    def mac_weighted_act_density(self, conv_only: bool = True) -> float:
-        layers = self.conv_layers if conv_only else self.layers
-        total = sum(l.macs for l in layers)
-        if total == 0:
-            return 1.0
-        return sum(l.a_density * l.macs for l in layers) / total
-
     def __repr__(self) -> str:
         return (f"ModelSpec({self.name!r}, layers={len(self.layers)}, "
                 f"macs={self.total_macs / 1e6:.1f}M)")

@@ -4,7 +4,7 @@ A *job* is one ``(model, accelerator)`` simulation request — a row of a
 fig11/fig12-class artifact — expressed as a small JSON document::
 
     {"model": "alexnet", "accelerator": "s2ta-aw",
-     "tier": "functional", "quick": true, "seed": 0, "priority": 5}
+     "tier": "functional", "seed": 0, "priority": 5}
 
 This module is the bridge between that wire format and the experiment
 engine: it validates requests (:func:`parse_request`), expands them
@@ -77,7 +77,6 @@ class SimRequest:
     tech: Optional[str] = None   # None = the accelerator's default node
     tier: str = "functional"
     conv_only: bool = True
-    quick: bool = False
     seed: int = 0
     priority: int = 0
 
@@ -85,7 +84,7 @@ class SimRequest:
         return dataclasses.asdict(self)
 
 
-_BOOL_FIELDS = ("conv_only", "quick")
+_BOOL_FIELDS = ("conv_only",)
 _INT_FIELDS = ("seed", "priority")
 
 
@@ -150,12 +149,6 @@ def _accelerator_factories():
     return ACCELERATORS
 
 
-def _quick_max_m() -> int:
-    from repro.eval.experiments import QUICK_MAX_M
-
-    return QUICK_MAX_M
-
-
 def build_accelerator(request: SimRequest) -> AcceleratorModel:
     """Instantiate the request's accelerator design point."""
     factory = _accelerator_factories()[request.accelerator]
@@ -185,8 +178,7 @@ def request_tasks(request: SimRequest
         raise RequestError(
             f"accelerator {request.accelerator!r} has no functional "
             f"simulator; request tier 'analytic'")
-    max_m = _quick_max_m() if request.quick else None
-    tasks = [LayerSimTask(accel, layer, seed=request.seed, max_m=max_m)
+    tasks = [LayerSimTask(accel, layer, seed=request.seed)
              for layer in request_layers(request, spec)]
     return accel, spec, tasks
 
@@ -196,8 +188,8 @@ def request_fingerprint(request: SimRequest,
                         ) -> str:
     """Content fingerprint the scheduler (and the submit-time admission
     path) dedupes on: the ordered per-layer payload keys — each already
-    covering the accelerator/memory/energy config, seed, quick cap and
-    the result cache's source salt — plus the request-level context
+    covering the accelerator/memory/energy config, seed and the
+    result cache's source salt — plus the request-level context
     (tier, model name, layer selection), so an analytic and a
     functional request never share a fingerprint. One key memo per
     request hashes its accelerator once, not once per layer.
@@ -208,8 +200,7 @@ def request_fingerprint(request: SimRequest,
     if tasks is None:
         _, _, tasks = request_tasks(request)
     memo: dict = {}
-    keys = [payload_key(t.accel, t.layer, seed=t.seed, max_m=t.max_m,
-                        memo=memo)
+    keys = [payload_key(t.accel, t.layer, seed=t.seed, memo=memo)
             for t in tasks]
     extra = {"schema": RESULT_SCHEMA, "model": request.model,
              "conv_only": request.conv_only, "tier": request.tier}
@@ -219,21 +210,16 @@ def request_fingerprint(request: SimRequest,
 def estimated_cost(request: SimRequest) -> float:
     """Expected-runtime proxy for scheduling (arbitrary units, larger =
     slower): the functional tier walks every simulated output row, so
-    cost tracks the simulated MAC volume (quick mode caps ``m``);
-    analytic evaluation is closed-form and size-independent, so one
-    constant per layer. Only the *ordering* matters — the scheduler
-    runs cheap jobs first within a priority class.
+    cost tracks the simulated MAC volume; analytic evaluation is
+    closed-form and size-independent, so one constant per layer. Only
+    the *ordering* matters — the scheduler runs cheap jobs first within
+    a priority class.
     """
     spec = get_spec(request.model)
     layers = request_layers(request, spec)
     if request.tier == "analytic":
         return ANALYTIC_LAYER_COST * len(layers)
-    max_m = _quick_max_m() if request.quick else None
-    total = 0.0
-    for layer in layers:
-        m = layer.m if max_m is None else min(layer.m, max_m)
-        total += m * layer.k * layer.n / 1e6
-    return total
+    return sum(layer.m * layer.k * layer.n / 1e6 for layer in layers)
 
 
 def result_payload(run: AccelRunResult) -> Dict:

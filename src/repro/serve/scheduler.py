@@ -9,7 +9,7 @@ queue through the experiment engine:
 2. **rank** — claimed jobs order by :func:`job_rank`:
    ``(-priority, estimated_cost, id)``. Within a priority class cheap
    jobs run first (shortest-expected-job-first keeps mean latency low
-   when a 30 s full-size run and five quick jobs share the queue), and
+   when a 30 s run and five short jobs share the queue), and
    the submission id breaks every remaining tie, so the order is total
    and deterministic — the Hypothesis property suite in
    ``tests/serve/test_scheduler.py`` pins both;

@@ -78,14 +78,13 @@ whether values were drawn.
 
 Nothing is memoized here. The layer runner (:mod:`repro.eval.runner`)
 groups the tasks of a batch by :func:`operand_key`, draws each key's
-census once with :func:`synthesize_operands`, runs every accelerator of
+census once with :func:`spec_census`, runs every accelerator of
 the group on it and drops it, so each process holds at most one
 group's operands at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -104,7 +103,6 @@ __all__ = [
     "spec_int8_operands",
     "operand_key",
     "operand_densities",
-    "synthesize_operands",
 ]
 
 
@@ -457,41 +455,21 @@ def spec_int8_operands(
         return a, w
 
 
-def _rows_capped(layer: LayerSpec, max_m: Optional[int]) -> LayerSpec:
-    """The layer actually synthesized: ``layer`` with at most ``max_m``
-    output-pixel rows (quick mode)."""
-    if max_m is not None and layer.m > max_m:
-        return replace(layer, m=max_m)
-    return layer
-
-
-def operand_key(layer: LayerSpec, seed: int = 0,
-                max_m: Optional[int] = None) -> tuple:
-    """Identity of the operands :func:`synthesize_operands` returns for
-    ``(layer, seed, max_m)``: the fields that determine the generated
-    patterns (capped GEMM shape, DBB bounds, densities, seed), so tasks
-    with equal keys can share one synthesis whatever the layer's name or
-    the accelerator that consumes them."""
-    layer = _rows_capped(layer, max_m)
+def operand_key(layer: LayerSpec, seed: int = 0) -> tuple:
+    """Identity of the operands :func:`spec_census` returns for
+    ``(layer, seed)``: the fields that determine the generated patterns
+    (GEMM shape, DBB bounds, densities, seed), so tasks with equal keys
+    can share one synthesis whatever the layer's name or the accelerator
+    that consumes them."""
     return (layer.m, layer.k, layer.n, layer.w_nnz, layer.a_nnz,
             round(layer.w_density, 6), round(layer.a_density, 6), seed)
 
 
-def synthesize_operands(layer: LayerSpec, seed: int = 0,
-                        max_m: Optional[int] = None) -> GemmOperands:
-    """The operands of one layer task: :func:`spec_census` of the layer
-    capped at ``max_m`` rows, so ``A`` may have fewer than ``layer.m``
-    rows."""
-    return spec_census(_rows_capped(layer, max_m), seed=seed)
-
-
-def operand_densities(layer: LayerSpec, max_m: Optional[int] = None
-                      ) -> Tuple[float, float]:
-    """``(w_density, a_density)`` of the operands
-    :func:`synthesize_operands` returns for ``(layer, seed, max_m)`` at
-    any seed, bit-equal to :func:`repro.core.sparsity.density` of each,
-    computed without synthesizing them."""
-    layer = _rows_capped(layer, max_m)
+def operand_densities(layer: LayerSpec) -> Tuple[float, float]:
+    """``(w_density, a_density)`` of the operands :func:`spec_census`
+    returns for ``layer`` at any seed, bit-equal to
+    :func:`repro.core.sparsity.density` of each, computed without
+    synthesizing them."""
 
     def exact(rows: int, nnz_cap: int, density: float) -> float:
         total = _allocation(rows, layer.k, nnz_cap, min(density, 1.0))[3]

@@ -24,16 +24,6 @@ class TestEventCounts:
         with pytest.raises(TypeError):
             EventCounts() + 3
 
-    def test_scaled(self):
-        a = EventCounts(mac_ops=10, cycles=4)
-        b = a.scaled(2.5)
-        assert b.mac_ops == 25
-        assert b.cycles == 10
-
-    def test_scaled_negative_rejected(self):
-        with pytest.raises(ValueError):
-            EventCounts().scaled(-1)
-
     def test_utilization(self):
         e = EventCounts(mac_ops=3, gated_mac_ops=1)
         assert e.total_mac_slots == 4

@@ -17,7 +17,6 @@ with activations both already compliant and over the bound,
 """
 
 import copy
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,10 +42,7 @@ from repro.core.dbb import DBBSpec
 from repro.core.gemm import dense_gemm
 from repro.core.sparsity import GemmOperands
 from repro.models.specs import LayerKind, LayerSpec
-from repro.workloads.from_spec import (
-    spec_int8_operands,
-    synthesize_operands,
-)
+from repro.workloads.from_spec import spec_census, spec_int8_operands
 
 SPEC = DBBSpec(8, 4)
 
@@ -188,13 +184,13 @@ def test_layer_payload_equals_forced_output_run(name, layer, seed):
         return sim
 
     forced.run_gemm_functional = run_forced
-    a, w = spec_int8_operands(replace(layer, m=8), seed=seed)
+    a, w = spec_int8_operands(layer, seed=seed)
     payload = events_only.simulate_layer_functional(
         layer, GemmOperands(a, w))
     assert forced.simulate_layer_functional(
         layer, GemmOperands(a, w)) == payload
     (sim, a, w, kwargs), = executed
-    assert a.shape == (8, layer.k)
+    assert a.shape == (layer.m, layer.k)
     a_nnz = kwargs.get("a_nnz", SPEC.block_size)
     if a_nnz < SPEC.block_size:
         a = dap_prune(a, SPEC, nnz=a_nnz).pruned
@@ -208,8 +204,8 @@ def test_layer_payload_ignores_operand_values(name, layer, seed):
     """The runner's ``bool`` patterns and INT8 values on exactly those
     patterns give the same payload: no engine reads a value."""
     accel = ACCELERATORS[name]()
-    masks = synthesize_operands(layer, seed=seed, max_m=8)
-    values = spec_int8_operands(replace(layer, m=8), seed=seed)
+    masks = spec_census(layer, seed=seed)
+    values = spec_int8_operands(layer, seed=seed)
     assert masks.a.dtype == masks.w.dtype == bool
     assert accel.simulate_layer_functional(layer, masks) \
         == accel.simulate_layer_functional(layer, GemmOperands(*values))

@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -47,14 +48,14 @@ def _child_env():
 # ------------------------------------------------------------------ #
 
 
-#: Four distinct quick functional requests — small enough that the
+#: Four distinct functional requests — small enough that the
 #: clean baseline is sub-second, varied enough that a cross-wired result
 #: (job A served job B's payload) cannot pass the bit-equal check.
 #: Functional, because only cycle simulations read and write the result
 #: cache that the cache_corrupt / cache_read_flip faults target.
 REQUESTS = [
     {"model": "lenet5", "accelerator": accel, "tier": "functional",
-     "quick": True, "seed": seed}
+     "seed": seed}
     for accel in ("s2ta-aw", "sa") for seed in (0, 1)
 ]
 
@@ -154,7 +155,7 @@ CONV2 = ALEXNET.conv_layers[1]
 
 class TestCacheCorruptionChaos:
     def test_corrupt_entries_quarantined_then_recomputed(self, tmp_path):
-        tasks = [LayerSimTask(ZvcgSA(), CONV2, seed=seed, max_m=32)
+        tasks = [LayerSimTask(ZvcgSA(), replace(CONV2, m=32), seed=seed)
                  for seed in (0, 1)]
         clean = simulate_layer_tasks(tasks, result_cache=None)
 

@@ -258,7 +258,7 @@ class TestRunDSE:
                                  "frontier"}
         assert artifact["space"] == {
             "axes": SMALL.as_dict(), "fidelity": "analytic", "seed": 3,
-            "max_m": None, "points": 114}
+            "points": 114}
         uids = [e["uid"] for e in artifact["evaluations"]]
         assert uids == sorted(p.uid for p in DSESpace(SMALL).points)
 
@@ -290,12 +290,10 @@ class TestResultCacheIntegration:
     def test_warm_resweep_hits_cache(self, tmp_path):
         """> 90% hit rate on a functional re-sweep of the SMALL slice."""
         cache = ResultCache(tmp_path / "rc")
-        cold = run_dse(SMALL, fidelity="functional", max_m=32,
-                       result_cache=cache)
+        cold = run_dse(SMALL, fidelity="functional", result_cache=cache)
         assert len(cold["evaluations"]) == 114
         cache.hits = cache.misses = 0
-        warm = run_dse(SMALL, fidelity="functional", max_m=32,
-                       result_cache=cache)
+        warm = run_dse(SMALL, fidelity="functional", result_cache=cache)
         assert warm == cold
         assert cache.hits / (cache.hits + cache.misses) > 0.90
 
@@ -309,10 +307,8 @@ class TestFidelity:
         point = next(p for p in space.points
                      if p.design.notation == "8x4x4_8x8")
         functional = evaluate_points([point], fidelity="functional",
-                                     max_m=32,
                                      result_cache=cache)[point.uid]
         analytic = evaluate_points([point], fidelity="analytic",
-                                   max_m=32,
                                    result_cache=cache)[point.uid]
         assert functional.cycles > 0 and analytic.cycles > 0
         # Only the cycle simulation is cached; analytic points never are.

@@ -64,7 +64,6 @@ class TestEnergyBreakdown:
         assert c.datapath == 4
         assert c.sram == 2
         assert c.dap == 1
-        assert a.scaled(2.0).datapath == 2
 
 
 class TestEnergyModel:

@@ -92,28 +92,27 @@ class TestHeadlineClaims:
 
 
 class TestFunctionalTier:
-    """The functional=True path of the full-model artifacts.
-
-    Quick mode (layer subsampling) runs in tier-1; the full-size runs
-    carry the ``slow`` marker and run nightly-style alongside
-    ``benchmarks/bench_functional_vs_analytic.py``.
-    """
+    """The functional=True path of the full-model artifacts, at full
+    layer size."""
 
     @pytest.mark.functional
-    def test_fig12_functional_quick(self):
-        result = fig12_alexnet_per_layer(functional=True, quick=True)
+    def test_fig12_functional(self):
+        result = fig12_alexnet_per_layer(functional=True)
         assert "functional simulation" in result.title
         assert any("functional tier for every row" in note
                    for note in result.notes)
         totals = {row[0]: row[-1] for row in result.rows}
         # The ground truth reproduces the headline ordering.
         assert totals["S2TA-AW (65nm)"] == min(totals.values())
-        # The baselines now run their own engines (no analytic
-        # fallback); measured totals track the analytic rows closely.
+        # The baselines run their own engines (no analytic fallback);
+        # measured totals track the analytic rows closely.
         analytic = fig12_alexnet_per_layer()
         for name in ("SparTen (45nm)", "Eyeriss v2 (65nm)"):
             assert totals[name] == pytest.approx(
                 analytic.row(name)[-1], rel=0.05), name
+        for name in ("SA-ZVCG (65nm)", "S2TA-W (65nm)", "S2TA-AW (65nm)"):
+            assert totals[name] == pytest.approx(
+                analytic.row(name)[-1], rel=0.06), name
 
     def test_dram_pj_per_byte_leaves_die_totals_pinned(self):
         """--dram-pj-per-byte re-prices only the reported off-chip
@@ -137,49 +136,24 @@ class TestFunctionalTier:
             base.breakdown.total_pj)
 
     @pytest.mark.functional
-    def test_fig11_functional_quick_headlines(self):
-        result = fig11_full_models(functional=True, quick=True)
+    def test_fig11_functional_headlines(self):
+        """Honest simulation of all four networks lands inside the
+        paper's envelope and tracks the analytic tier."""
+        result = fig11_full_models(functional=True)
         assert "functional simulation" in result.title
         average = result.row("average")
-        # Honest simulation must land inside the paper's envelope even
-        # under quick-mode subsampling.
         assert average[5] == pytest.approx(2.08, abs=0.35)
         assert average[6] == pytest.approx(2.11, abs=0.40)
         for row in result.rows[:-1]:
             assert row[1] < 1.0  # SMT still worse than ZVCG on energy
+        ana_avg = fig11_full_models().row("average")
+        assert average[5] == pytest.approx(ana_avg[5], abs=0.15)
+        assert average[6] == pytest.approx(ana_avg[6], abs=0.25)
 
     @pytest.mark.functional
     def test_xval_artifact(self):
         from repro.eval import xval_functional_vs_analytic
 
-        # Subsampled runs extrapolate events, so exactness is waived
-        # (the exact contract at full size lives in
-        # tests/test_cross_validation.py and the nightly benchmark);
-        # the deltas must still stay small.
-        result = xval_functional_vs_analytic(max_m=128)
+        result = xval_functional_vs_analytic()
         assert result.artifact == "Cross-validation"
-        for row in result.rows:
-            assert abs(row[3]) < 5.0, row   # fired MACs %
-            assert abs(row[4]) < 12.0, row  # energy %
-
-    @pytest.mark.functional
-    @pytest.mark.slow
-    def test_fig11_functional_full(self):
-        """Full-size honest simulation of all four networks (nightly)."""
-        result = fig11_full_models(functional=True)
-        analytic = fig11_full_models()
-        fun_avg = result.row("average")
-        ana_avg = analytic.row("average")
-        assert fun_avg[5] == pytest.approx(ana_avg[5], abs=0.15)
-        assert fun_avg[6] == pytest.approx(ana_avg[6], abs=0.25)
-
-    @pytest.mark.functional
-    @pytest.mark.slow
-    def test_fig12_functional_full(self):
-        result = fig12_alexnet_per_layer(functional=True)
-        totals = {row[0]: row[-1] for row in result.rows}
-        assert totals["S2TA-AW (65nm)"] == min(totals.values())
-        analytic = fig12_alexnet_per_layer()
-        for accel in ("SA-ZVCG (65nm)", "S2TA-W (65nm)", "S2TA-AW (65nm)"):
-            assert totals[accel] == pytest.approx(
-                analytic.row(accel)[-1], rel=0.06)
+        assert result.failures == []

@@ -4,8 +4,8 @@
 Key sensitivity is the safety property: two configurations that could
 produce different simulation payloads must never share a key — the
 key must cover the layer spec, the accelerator design point, the
-energy costs, the memory-channel config, the seed and the quick-mode
-cap (the key contract), plus the source salt.
+energy costs, the memory-channel config and the seed (the key
+contract), plus the source salt.
 """
 
 import dataclasses
@@ -24,6 +24,8 @@ from repro.models import get_spec
 from repro.models.specs import LayerSpec
 
 CONV2 = get_spec("alexnet").conv_layers[1]
+#: CONV2 with 8 output rows, for tests that simulate it.
+CONV2_SMALL = dataclasses.replace(CONV2, m=8)
 
 
 @pytest.fixture()
@@ -35,11 +37,10 @@ class TestKey:
     def test_stable_across_instances(self):
         assert payload_key(ZvcgSA(), CONV2) == payload_key(ZvcgSA(), CONV2)
         assert payload_key(ZvcgSA(), CONV2) \
-            == payload_key(ZvcgSA(), CONV2, seed=0, max_m=None)
+            == payload_key(ZvcgSA(), CONV2, seed=0)
 
     @pytest.mark.parametrize("variant", [
         ("seed", lambda: payload_key(ZvcgSA(), CONV2, seed=1)),
-        ("max_m", lambda: payload_key(ZvcgSA(), CONV2, max_m=64)),
         ("accel", lambda: payload_key(S2TAAW(), CONV2)),
         ("accel-config", lambda: payload_key(SmtSA(fifo_depth=4), CONV2)),
         ("tech", lambda: payload_key(ZvcgSA(tech="65nm"), CONV2)),
@@ -78,11 +79,11 @@ class TestKey:
                 shutil.copy2(src, root / source)
         monkeypatch.setattr(resultcache, "_PACKAGE_ROOT", root)
         request = SimRequest(model="alexnet", accelerator="s2ta-aw",
-                             tier="functional", quick=True)
+                             tier="functional")
 
         def keys():
             resultcache.code_salt.cache_clear()
-            return ([payload_key(accel, CONV2, max_m=64)
+            return ([payload_key(accel, CONV2)
                      for accel in (ZvcgSA(), S2TAAW(), SmtSA(), SparTen())]
                     + [request_fingerprint(request)])
 
@@ -105,8 +106,8 @@ class TestKey:
 
 
 def _fig11_batch(monkeypatch, cache=None):
-    """Run a quick functional Fig. 11 and return the tasks of its one
-    runner batch."""
+    """Run a functional Fig. 11 and return the tasks of its one runner
+    batch."""
     from repro.eval import experiments, runner
 
     batches = []
@@ -117,8 +118,7 @@ def _fig11_batch(monkeypatch, cache=None):
         return simulate(tasks, **kwargs)
 
     monkeypatch.setattr(runner, "simulate_layer_tasks", recording)
-    experiments.fig11_full_models(functional=True, quick=True,
-                                  result_cache=cache)
+    experiments.fig11_full_models(functional=True, result_cache=cache)
     (tasks,) = batches
     return tasks
 
@@ -130,8 +130,8 @@ class TestBatchKeys:
 
     def test_batch_keys_equal_memo_free_keys(self, cache, monkeypatch):
         tasks = _fig11_batch(monkeypatch, cache)
-        expected = {payload_key(t.accel, t.layer, seed=t.seed,
-                                max_m=t.max_m) for t in tasks}
+        expected = {payload_key(t.accel, t.layer, seed=t.seed)
+                    for t in tasks}
         assert len(expected) == len(tasks) == 340
         assert {p.stem for p in cache.path.glob("*.json")} == expected
 
@@ -140,9 +140,9 @@ class TestBatchKeys:
 
         accels = (SmtSA(fifo_depth=2), SmtSA(fifo_depth=4),
                   ZvcgSA(dram_gbps=64.0))
-        simulate_layer_tasks([LayerSimTask(a, CONV2, max_m=8)
+        simulate_layer_tasks([LayerSimTask(a, CONV2_SMALL)
                               for a in accels], result_cache=cache)
-        expected = {payload_key(a, CONV2, max_m=8) for a in accels}
+        expected = {payload_key(a, CONV2_SMALL) for a in accels}
         assert len(expected) == 3
         assert {p.stem for p in cache.path.glob("*.json")} == expected
 
@@ -152,13 +152,13 @@ class TestBatchKeys:
         from repro.eval.runner import LayerSimTask, simulate_layer_tasks
 
         accel = ZvcgSA()
-        task = LayerSimTask(accel, CONV2, max_m=8)
+        task = LayerSimTask(accel, CONV2_SMALL)
         simulate_layer_tasks([task], result_cache=cache)
-        before = payload_key(accel, CONV2, max_m=8)
+        before = payload_key(accel, CONV2_SMALL)
         accel.costs = dataclasses.replace(DEFAULT_COSTS,
                                           dram_pj_per_byte=40.0)
         simulate_layer_tasks([task], result_cache=cache)
-        after = payload_key(accel, CONV2, max_m=8)
+        after = payload_key(accel, CONV2_SMALL)
         assert after != before
         assert cache.hits == 0 and cache.puts == 2
         assert {p.stem for p in cache.path.glob("*.json")} \

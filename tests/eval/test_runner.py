@@ -3,8 +3,7 @@
 The contracts everything else leans on:
 
 - **Determinism** — a cache-hit re-run is bit-equal to a cold run
-  (asserted here at quick size and in
-  ``benchmarks/bench_experiment_wallclock.py`` at full size).
+  (asserted here and in ``benchmarks/bench_experiment_wallclock.py``).
 - **Memoization** — cache hits and in-batch duplicates never
   re-simulate, and consumers never alias one ``EventCounts`` object.
 - **Operand groups** — grouped execution (one synthesis per operand
@@ -24,9 +23,9 @@ from hypothesis import strategies as st
 from repro.accel import SCNN, EyerissV2, S2TAAW, SmtSA, SparTen, ZvcgSA
 from repro.arch.smt import SMTArrayModel
 from repro.core.sparsity import GemmOperands
+from repro.eval import runner
 from repro.eval.experiments import (
     FULL_MODELS,
-    QUICK_MAX_M,
     SYSTOLIC_VARIANTS,
     _sa_variants,
     fig12_alexnet_per_layer,
@@ -45,24 +44,22 @@ from repro.workloads import from_spec
 
 ALEXNET = get_spec("alexnet")
 CONV2 = ALEXNET.conv_layers[1]
-QUICK = 32  # rows per layer in these tests — keeps tier-1 fast
+ROWS = 32  # output rows per layer in most tests — keeps tier-1 fast
 
 
-def _tasks(accels, layers, seed=0, max_m=QUICK):
-    return [LayerSimTask(accel, layer, seed=seed, max_m=max_m)
+def _small(layer):
+    """``layer`` with at most ``ROWS`` output rows."""
+    return replace(layer, m=min(layer.m, ROWS))
+
+
+def _tasks(accels, layers, seed=0):
+    return [LayerSimTask(accel, _small(layer), seed=seed)
             for accel in accels for layer in layers]
-
-
-def _synthesized(task):
-    """The layer a task's operands come from: ``max_m`` caps the rows."""
-    if task.max_m is not None and task.layer.m > task.max_m:
-        return replace(task.layer, m=task.max_m)
-    return task.layer
 
 
 def _reference(task):
     """One task simulated alone, on operands it synthesized itself."""
-    a, w = from_spec.spec_operands(_synthesized(task), seed=task.seed)
+    a, w = from_spec.spec_operands(task.layer, seed=task.seed)
     return task.accel.simulate_layer_functional(task.layer,
                                                 GemmOperands(a, w))
 
@@ -83,7 +80,7 @@ class TestSimulateLayerTasks:
         from repro.obs import trace as obs_trace
 
         tasks = _tasks([ZvcgSA(), SparTen()], ALEXNET.conv_layers[:3])
-        work = sum(l.k * (min(l.m, QUICK) + l.n)
+        work = sum(l.k * (min(l.m, ROWS) + l.n)
                    for l in ALEXNET.conv_layers[:3])
         counter = obs_metrics.default_registry().counter(
             "runner.serial_batches")
@@ -112,7 +109,7 @@ class TestSimulateLayerTasks:
         assert counter.value == before
 
     def test_task_exceptions_propagate(self):
-        bad = LayerSimTask(S2TAAW(), CONV2, seed=0, max_m=-7)
+        bad = LayerSimTask(S2TAAW(), _small(CONV2), seed=-7)
         with pytest.raises(Exception):
             simulate_layer_tasks([bad])
 
@@ -130,7 +127,7 @@ class TestSimulateLayerTasks:
 
     def test_in_batch_duplicates_simulate_once(self, tmp_path):
         cache = ResultCache(tmp_path)
-        task = LayerSimTask(ZvcgSA(), CONV2, seed=0, max_m=QUICK)
+        task = LayerSimTask(ZvcgSA(), _small(CONV2), seed=0)
         payloads = simulate_layer_tasks([task, task, task],
                                         result_cache=cache)
         assert payloads[0] == payloads[1] == payloads[2]
@@ -138,7 +135,7 @@ class TestSimulateLayerTasks:
 
     def test_consumers_never_alias_events(self, tmp_path):
         cache = ResultCache(tmp_path)
-        task = LayerSimTask(ZvcgSA(), CONV2, seed=0, max_m=QUICK)
+        task = LayerSimTask(ZvcgSA(), _small(CONV2), seed=0)
         first, second = simulate_layer_tasks([task, task],
                                              result_cache=cache)
         assert first[1] is not second[1]
@@ -157,8 +154,7 @@ _ACCELS = (ZvcgSA(), S2TAAW(), SparTen())
 @st.composite
 def _task_lists(draw):
     """Small layers, some renamed copies of others (same operand key,
-    different name), under several accelerators, seeds and ``max_m``
-    caps above and below ``m``."""
+    different name), under several accelerators and seeds."""
     layers = []
     for i in range(draw(st.integers(1, 3))):
         a_nnz = draw(st.integers(1, 8))
@@ -173,8 +169,7 @@ def _task_lists(draw):
                                           max_size=2))]
     return draw(st.lists(st.builds(
         LayerSimTask, st.sampled_from(_ACCELS), st.sampled_from(layers),
-        seed=st.sampled_from([0, 1]),
-        max_m=st.sampled_from([None, 4, 8, 64])),
+        seed=st.sampled_from([0, 1])),
         min_size=1, max_size=8))
 
 
@@ -192,7 +187,7 @@ class TestOperandGroups:
             return real(layer, seed=seed, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(from_spec, "spec_census", counted)
+            mp.setattr(runner, "spec_census", counted)
             grouped = simulate_layer_tasks(tasks)
         assert grouped == [_reference(t) for t in tasks]
         # Exactly one synthesis per distinct operand key.
@@ -200,12 +195,12 @@ class TestOperandGroups:
         assert set(calls) == {
             (layer.m, layer.k, layer.n, layer.w_nnz, layer.a_nnz,
              layer.w_density, layer.a_density, t.seed)
-            for t in tasks for layer in [_synthesized(t)]}
+            for t in tasks for layer in [t.layer]}
 
     def test_synthesized_masks_are_read_only(self):
         """A group's census caches counts of its masks, so a write to a
         synthesized mask must fail instead of leaving stale counts."""
-        operands = from_spec.synthesize_operands(CONV2, seed=0, max_m=QUICK)
+        operands = from_spec.spec_census(_small(CONV2), seed=0)
         a, w = operands.a, operands.w
         for mask in (a, w, w.T):
             with pytest.raises(ValueError, match="read-only"):
@@ -214,8 +209,9 @@ class TestOperandGroups:
     @pytest.mark.functional
     def test_shared_keys_equal_per_task_reference(self):
         conv1, conv2 = ALEXNET.conv_layers[:2]
-        layers = [conv1, conv2, replace(conv2, name="conv2-copy")]
-        tasks = [LayerSimTask(accel, layer, seed=seed, max_m=QUICK)
+        layers = [_small(conv1), _small(conv2),
+                  replace(_small(conv2), name="conv2-copy")]
+        tasks = [LayerSimTask(accel, layer, seed=seed)
                  for seed in (0, 1) for accel in _ACCELS
                  for layer in layers]
         assert simulate_layer_tasks(tasks) \
@@ -226,10 +222,9 @@ class TestFunctionalModelRuns:
     def test_matches_run_model_functional(self):
         accel = ZvcgSA()
         batched, = functional_model_runs([(accel, ALEXNET)],
-                                         conv_only=True, seed=0,
-                                         max_m=QUICK)
+                                         conv_only=True, seed=0)
         direct = accel.run_model_functional(ALEXNET, conv_only=True,
-                                            seed=0, max_m=QUICK)
+                                            seed=0)
         assert batched.energy_uj == direct.energy_uj
         assert batched.total_cycles == direct.total_cycles
         assert [r.events for r in batched.layer_results] \
@@ -239,18 +234,18 @@ class TestFunctionalModelRuns:
         cache = ResultCache(tmp_path)
         runs = functional_model_runs(
             [(ZvcgSA(), ALEXNET), (S2TAAW(), ALEXNET)],
-            conv_only=True, seed=0, max_m=QUICK, result_cache=cache)
+            conv_only=True, seed=0, result_cache=cache)
         assert [r.accelerator for r in runs] == ["SA-ZVCG", "S2TA-AW"]
         assert len(list(cache.path.glob("*.json"))) \
             == 2 * len(ALEXNET.conv_layers)
 
 
-def _fig11_tasks(max_m=QUICK_MAX_M):
+def _fig11_tasks():
     """Fig. 11's functional batch on fresh accelerators (model-major,
     as ``fig11_full_models`` builds it)."""
     variants = [accel for name, accel in _sa_variants().items()
                 if name in SYSTOLIC_VARIANTS]
-    return [LayerSimTask(accel, layer, seed=0, max_m=max_m)
+    return [LayerSimTask(accel, layer, seed=0)
             for name in FULL_MODELS for accel in variants
             for layer in get_spec(name).conv_layers]
 
@@ -288,10 +283,10 @@ class TestSmtPrefetch:
         for i in smt:
             t = tasks[i]
             groups.setdefault(from_spec.operand_key(
-                t.layer, seed=t.seed, max_m=t.max_m), []).append(i)
+                t.layer, seed=t.seed), []).append(i)
         want = {i: fresh.simulate_layer_functional(
-                    tasks[i].layer, from_spec.synthesize_operands(
-                        tasks[i].layer, seed=0, max_m=QUICK_MAX_M))
+                    tasks[i].layer, from_spec.spec_census(
+                        tasks[i].layer, seed=0))
                 for group in groups.values() for i in group}
         assert [payloads[i] for i in smt] == [want[i] for i in smt]
         assert tasks[smt[0]].accel._speedup_cache == fresh._speedup_cache
@@ -339,8 +334,7 @@ class TestMaskMaterialization:
                      for name, start in zip(names, before))
 
     def test_fig11_batch_materializes_no_mask(self):
-        materialized, census_only, groups = self._counted(
-            _fig11_tasks(max_m=QUICK))
+        materialized, census_only, groups = self._counted(_fig11_tasks())
         assert materialized == 0
         assert census_only == 2 * groups > 0
 
@@ -360,39 +354,34 @@ class TestMaskMaterialization:
 
 class TestExperimentDeterminism:
     """Cache hits, and the ignored ``jobs`` keyword, leave the
-    artifacts bit-equal (quick size)."""
+    artifacts bit-equal."""
 
     @pytest.mark.functional
     def test_fig12_ignores_jobs(self):
         """``jobs`` stays accepted (the frozen benchmark passes it) and
         changes nothing."""
-        bare = fig12_alexnet_per_layer(functional=True, quick=True,
-                                       jobs=None)
-        auto = fig12_alexnet_per_layer(functional=True, quick=True,
-                                       jobs="auto")
+        bare = fig12_alexnet_per_layer(functional=True, jobs=None)
+        auto = fig12_alexnet_per_layer(functional=True, jobs="auto")
         assert auto.rows == bare.rows
 
     @pytest.mark.functional
     def test_fig12_cache_hit_bit_equal_cold(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cold = fig12_alexnet_per_layer(functional=True, quick=True,
-                                       seed=0, result_cache=cache)
+        cold = fig12_alexnet_per_layer(functional=True, seed=0,
+                                       result_cache=cache)
         assert len(list(cache.path.glob("*.json"))) > 0
-        warm = fig12_alexnet_per_layer(functional=True, quick=True,
-                                       seed=0, result_cache=cache)
+        warm = fig12_alexnet_per_layer(functional=True, seed=0,
+                                       result_cache=cache)
         assert warm.rows == cold.rows
-        bare = fig12_alexnet_per_layer(functional=True, quick=True,
-                                       seed=0)
+        bare = fig12_alexnet_per_layer(functional=True, seed=0)
         assert bare.rows == cold.rows
 
     @pytest.mark.functional
     def test_xval_cached_bit_equal_cold(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cold = xval_functional_vs_analytic(max_m=QUICK_MAX_M, seed=0,
-                                           result_cache=cache)
-        cached = xval_functional_vs_analytic(max_m=QUICK_MAX_M, seed=0,
-                                             result_cache=cache)
-        bare = xval_functional_vs_analytic(max_m=QUICK_MAX_M, seed=0)
+        cold = xval_functional_vs_analytic(seed=0, result_cache=cache)
+        cached = xval_functional_vs_analytic(seed=0, result_cache=cache)
+        bare = xval_functional_vs_analytic(seed=0)
         assert cached.rows == cold.rows == bare.rows
         assert cold.failures == cached.failures == bare.failures
 
@@ -411,7 +400,7 @@ class TestExperimentDeterminism:
 
         monkeypatch.setattr(SmtSA, "run_layer", recorded)
         spec = get_spec("mobilenet_v1")
-        xval_functional_vs_analytic("mobilenet_v1", max_m=QUICK_MAX_M)
+        xval_functional_vs_analytic("mobilenet_v1")
         fresh = SmtSA()
         assert analytic == [(layer.name, real(fresh, layer).compute_cycles)
                             for layer in spec.conv_layers]
@@ -432,7 +421,7 @@ class TestCachelessDedupe:
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(ZvcgSA, "simulate_layer_functional", counted)
-        tasks = [LayerSimTask(ZvcgSA(), CONV2, seed=0, max_m=QUICK)
+        tasks = [LayerSimTask(ZvcgSA(), _small(CONV2), seed=0)
                  for _ in range(3)]
         payloads = simulate_layer_tasks(tasks, result_cache=None)
         assert len(calls) == 1

@@ -112,12 +112,15 @@ class TestRunnerAggregation:
     to the per-task telemetry."""
 
     def test_serial_path_stats_also_aggregate(self):
+        from dataclasses import replace
+
         from repro.accel import S2TAAW, ZvcgSA
         from repro.eval.runner import LayerSimTask, simulate_layer_tasks
         from repro.models import get_spec
 
-        layers = get_spec("alexnet").conv_layers[:2]
-        tasks = [LayerSimTask(accel, layer, max_m=8)
+        layers = [replace(layer, m=8)
+                  for layer in get_spec("alexnet").conv_layers[:2]]
+        tasks = [LayerSimTask(accel, layer)
                  for accel in (ZvcgSA(), S2TAAW()) for layer in layers]
         reset_default_registry()
         simulate_layer_tasks(tasks)

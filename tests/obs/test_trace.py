@@ -221,10 +221,10 @@ class TestEngineIntegration:
         from repro.models import get_spec
         from repro.workloads.from_spec import spec_int8_operands
 
-        layer = get_spec("alexnet").conv_layers[1]
+        layer = replace(get_spec("alexnet").conv_layers[1], m=8)
         start_tracing(tmp_path / "values.json")
-        spec_int8_operands(replace(layer, m=8))
-        simulate_layer_tasks([LayerSimTask(ZvcgSA(), layer, max_m=8)])
+        spec_int8_operands(layer)
+        simulate_layer_tasks([LayerSimTask(ZvcgSA(), layer)])
         path = stop_tracing()
         spans = [(e["cat"], e["name"])
                  for e in json.loads(path.read_text())["traceEvents"]
@@ -236,15 +236,18 @@ class TestEngineIntegration:
     def test_traced_batch_round_trips_through_summarize(self, tmp_path):
         """A traced runner batch writes only its artifact (no shard
         directory), on one process track with every span matched."""
+        from dataclasses import replace
+
         from repro.accel import SparTen, ZvcgSA
         from repro.eval.runner import LayerSimTask, simulate_layer_tasks
         from repro.models import get_spec
         from repro.obs.summarize import load_trace_events, summarize_trace
 
-        layers = get_spec("alexnet").conv_layers[:2]
+        layers = [replace(layer, m=16)
+                  for layer in get_spec("alexnet").conv_layers[:2]]
         out = tmp_path / "run.json"
         start_tracing(out)
-        simulate_layer_tasks([LayerSimTask(accel, layer, max_m=16)
+        simulate_layer_tasks([LayerSimTask(accel, layer)
                               for accel in (ZvcgSA(), SparTen())
                               for layer in layers])
         stop_tracing()

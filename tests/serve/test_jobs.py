@@ -62,11 +62,9 @@ class TestFingerprint:
         from repro.eval.resultcache import combine_keys, payload_key
         from repro.serve.jobs import RESULT_SCHEMA
 
-        request = parse_request(dict(ANALYTIC, tier="functional",
-                                     quick=True))
+        request = parse_request(dict(ANALYTIC, tier="functional"))
         _, _, tasks = request_tasks(request)
-        keys = [payload_key(t.accel, t.layer, seed=t.seed, max_m=t.max_m)
-                for t in tasks]
+        keys = [payload_key(t.accel, t.layer, seed=t.seed) for t in tasks]
         extra = {"schema": RESULT_SCHEMA, "model": request.model,
                  "conv_only": request.conv_only, "tier": request.tier}
         assert request_fingerprint(request, tasks) \

@@ -203,8 +203,7 @@ class TestSchedulerPass:
         obs_metrics.reset_default_registry()
         a, _ = _submit(store, dict(ANALYTIC, seed=1))
         f, _ = _submit(store, {"model": "lenet5", "accelerator": "sa",
-                               "tier": "functional", "quick": True,
-                               "seed": 1})
+                               "tier": "functional", "seed": 1})
         assert scheduler.run_once() == 2
         assert store.get(a).state == "done"
         assert store.get(f).state == "done"
@@ -220,6 +219,20 @@ class TestSchedulerPass:
         bad = store.get(bad_id)
         assert bad.state == "failed"
         assert "unparseable request" in bad.error
+        assert store.get(ok_id).state == "done"
+
+    def test_stored_quick_row_fails_job_not_pass(self, store, scheduler):
+        # A row queued before quick mode was removed still carries the
+        # field; admission no longer accepts it, so it fails alone.
+        old_id, _ = store.submit(
+            {"model": "lenet5", "accelerator": "sa",
+             "tier": "functional", "quick": True, "seed": 0}, "fp-quick")
+        ok_id, _ = _submit(store, ANALYTIC)
+        assert scheduler.run_once() == 2
+        old = store.get(old_id)
+        assert old.state == "failed"
+        assert "unparseable request" in old.error
+        assert "unknown request field(s): quick" in old.error
         assert store.get(ok_id).state == "done"
 
     def test_simulation_failure_isolated_to_its_batch(self, store,

@@ -1,7 +1,7 @@
 """End-to-end service tests: real HTTP on an ephemeral port, real
 scheduler threads, real SIGKILL.
 
-The headline acceptance test submits the same fig12-class quick
+The headline acceptance test submits the same fig12-class
 functional job twice concurrently, asserts the second dedupes onto the
 first, that exactly one simulation executed, that the served result is
 bit-equal to a direct in-process ``run_model_functional`` call, and
@@ -21,7 +21,6 @@ import urllib.request
 import pytest
 
 from repro.cli import main
-from repro.eval.experiments import QUICK_MAX_M
 from repro.obs import metrics as obs_metrics
 from repro.serve.api import ServeService, http_json, submit_job, \
     wait_for_job
@@ -29,8 +28,8 @@ from repro.serve.jobs import parse_request, request_tasks, result_payload
 from repro.serve.queue import JobStore
 
 
-FIG12_QUICK = {"model": "alexnet", "accelerator": "s2ta-aw",
-               "tier": "functional", "quick": True, "seed": 0}
+FIG12 = {"model": "alexnet", "accelerator": "s2ta-aw",
+         "tier": "functional", "seed": 0}
 ANALYTIC = {"model": "lenet5", "accelerator": "s2ta-aw",
             "tier": "analytic"}
 
@@ -51,8 +50,7 @@ class TestEndToEnd:
             responses = [None, None]
 
             def post(slot):
-                responses[slot] = submit_job(service.base_url,
-                                             FIG12_QUICK)
+                responses[slot] = submit_job(service.base_url, FIG12)
 
             threads = [threading.Thread(target=post, args=(i,))
                        for i in range(2)]
@@ -72,10 +70,10 @@ class TestEndToEnd:
             assert job["state"] == "done", job.get("error")
 
             # Bit-equal to a direct in-process run at the same request.
-            request = parse_request(FIG12_QUICK)
+            request = parse_request(FIG12)
             accel, spec, _ = request_tasks(request)
             direct = result_payload(accel.run_model_functional(
-                spec, conv_only=True, seed=0, max_m=QUICK_MAX_M))
+                spec, conv_only=True, seed=0))
             assert job["result"] == direct
 
             # /metrics reconciles: two admissions, one dedupe hit, one
@@ -138,6 +136,11 @@ class TestApiSurface:
             status, body = http_json("POST", f"{base}/jobs",
                                      dict(ANALYTIC, sed=1))
             assert status == 400 and "unknown request field" in body["error"]
+            # Every functional run is full size; no ``quick`` field.
+            status, body = http_json("POST", f"{base}/jobs",
+                                     dict(FIG12, quick=True))
+            assert status == 400
+            assert body["error"] == "unknown request field(s): quick"
             assert http_json("GET", f"{base}/jobs/999")[0] == 404
             assert http_json("GET", f"{base}/jobs/abc")[0] == 400
             assert http_json("GET", f"{base}/nope")[0] == 404

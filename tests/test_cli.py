@@ -91,16 +91,21 @@ class TestExperiment:
         assert proc.stdout.strip() == "False"
 
     @pytest.mark.functional
-    def test_fig12_functional_quick(self):
-        out = main(["experiment", "fig12", "--functional", "--quick"])
+    def test_fig12_functional(self):
+        out = main(["experiment", "fig12", "--functional"])
         assert "functional simulation" in out
-        assert "quick mode" in out
+        assert "functional tier for every row" in out
 
     def test_functional_flag_rejected_for_non_full_model_artifacts(self):
         with pytest.raises(SystemExit):
             main(["experiment", "fig1", "--functional"])
         with pytest.raises(SystemExit):
-            main(["experiment", "all", "--quick"])
+            main(["experiment", "all", "--seed", "1"])
+
+    def test_seed_requires_functional(self):
+        with pytest.raises(SystemExit, match="^--seed tunes the functional "
+                                             "tier; pass --functional"):
+            main(["experiment", "fig11", "--seed", "5"])
 
     @pytest.mark.functional
     def test_xval_artifact(self):
@@ -110,10 +115,10 @@ class TestExperiment:
         assert "DRAM exact" in out
 
     @pytest.mark.functional
-    def test_xval_quick_lists_all_seven_models(self):
+    def test_xval_lists_all_seven_models(self):
         """The regression gate: every model of the paper's comparison
         runs both tiers, and a clean run exits zero."""
-        out = main(["experiment", "xval", "--quick"])
+        out = main(["experiment", "xval"])
         for name in ("SA-ZVCG", "SMT-T2Q2", "S2TA-W", "S2TA-AW",
                      "SparTen", "Eyeriss-v2", "SCNN"):
             assert name in out, name
@@ -127,10 +132,9 @@ class TestExperiment:
 
         monkeypatch.setitem(
             experiments.XVAL_CONTRACT, "SparTen",
-            experiments.XvalContract(fired=0.0, energy=0.0,
-                                     quick_fired=0.0, quick_energy=0.0))
+            experiments.XvalContract(fired=0.0, energy=0.0))
         with pytest.raises(SystemExit) as excinfo:
-            main(["experiment", "xval", "--quick"])
+            main(["experiment", "xval"])
         assert "SparTen" in str(excinfo.value)
         assert "exceeds" in str(excinfo.value)
 
@@ -226,6 +230,18 @@ class TestVerbFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "fig11", "--functional"],
+        ["dse", "--fidelity", "functional"],
+        ["submit", "lenet5"],
+    ], ids=lambda argv: argv[0])
+    def test_quick_flag_is_gone(self, argv, capsys):
+        """Every functional run is full size: no verb takes ``--quick``."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--quick"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quick" in capsys.readouterr().err
+
 
 def _cache_entries(path):
     return len(list(path.glob("*.json")))
@@ -248,14 +264,13 @@ class TestCacheCommand:
     def test_functional_run_populates_the_store(self, tmp_path,
                                                 monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "rc"))
-        main(["experiment", "fig12", "--functional", "--quick"])
+        main(["experiment", "fig12", "--functional"])
         assert _cache_entries(tmp_path / "rc") == 25
 
     @pytest.mark.functional
     def test_no_result_cache_skips_the_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "rc"))
-        main(["experiment", "fig12", "--functional", "--quick",
-              "--no-result-cache"])
+        main(["experiment", "fig12", "--functional", "--no-result-cache"])
         assert _cache_entries(tmp_path / "rc") == 0
 
     @pytest.mark.functional
@@ -263,7 +278,7 @@ class TestCacheCommand:
         """The contract gate must re-simulate even when the default
         result cache holds entries for its layers."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "rc"))
-        main(["experiment", "xval", "--quick"])
+        main(["experiment", "xval"])
         assert _cache_entries(tmp_path / "rc") == 0
 
 
@@ -317,9 +332,13 @@ class TestDSECommand:
                            match="^bad DSE axes: .*2.5.*2.5000001"):
             main(["dse", "--sram-mb", "2.5,2.5000001"])
 
-    def test_quick_requires_functional_fidelity(self):
-        with pytest.raises(SystemExit):
-            main(["dse"] + self.AXES + ["--quick"])
+    def test_seed_requires_functional_fidelity(self):
+        """An analytic sweep draws no operands, so a seed would be
+        recorded in the artifact without being used."""
+        with pytest.raises(SystemExit, match="^--seed tunes the functional "
+                                             "tier; pass --fidelity "
+                                             "functional"):
+            main(["dse"] + self.AXES + ["--seed", "5"])
 
 
 class TestObservability:
@@ -346,7 +365,7 @@ class TestObservability:
     def test_trace_summarize_roundtrip(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         trace = tmp_path / "fig12.json"
-        main(["experiment", "fig12", "--functional", "--quick",
+        main(["experiment", "fig12", "--functional",
               "--no-result-cache", "--trace", str(trace)])
         out = main(["trace", "summarize", str(trace), "--top", "5"])
         assert "coverage" in out
@@ -360,7 +379,7 @@ class TestObservability:
         # in one batch: one span per SA-SMT instance, in the parent.
         # The functional one draws each operand census (`synthesize`)
         # and no engine of it counts or materializes a mask.
-        for flags in ([], ["--functional", "--quick", "--no-result-cache"]):
+        for flags in ([], ["--functional", "--no-result-cache"]):
             trace = tmp_path / "fig11.json"
             main(["experiment", "fig11", *flags, "--trace", str(trace)])
             out = main(["trace", "summarize", str(trace)])

@@ -423,25 +423,13 @@ class TestFunctionalPipelineAgreement:
         assert not ana.memory.weights_resident, tag
         assert ana.memory.weight_bytes > ana.memory.act_bytes, tag
 
-    def test_quick_subsampling_tracks_full_run(self):
-        """``max_m`` extrapolation stays within a few percent of exact."""
-        from repro.models import get_spec
-
-        layer = get_spec("alexnet").layer("conv2")
-        accel = S2TAAW()
-        full = accel.run_layer_functional(layer)
-        quick = accel.run_layer_functional(layer, max_m=128)
-        assert quick.energy_pj == pytest.approx(full.energy_pj, rel=0.10)
-        assert quick.compute_cycles == pytest.approx(
-            full.compute_cycles, rel=0.10)
-
     def test_functional_model_run_aggregates(self):
         """run_model_functional mirrors run_model's aggregation."""
         from repro.models import get_spec
 
         spec = get_spec("alexnet")
         accel = ZvcgSA()
-        run = accel.run_model_functional(spec, conv_only=True, max_m=64)
+        run = accel.run_model_functional(spec, conv_only=True)
         assert run.accelerator == accel.name
         assert len(run.layer_results) == len(spec.conv_layers)
         assert run.total_cycles == sum(r.cycles for r in run.layer_results)
@@ -541,18 +529,3 @@ class TestBaselineFunctionalAgreement:
                 assert ana.compute_cycles == pytest.approx(
                     fun.compute_cycles, rel=rtol), \
                     f"{accel.name}/{layer.name}"
-
-    def test_quick_subsampling_tracks_full_run(self):
-        """The weight stream is exempt from the linear row
-        extrapolation (it does not scale with m), so quick-mode energy
-        stays within a few percent of exact for every baseline."""
-        from repro.models import get_spec
-
-        layer = get_spec("alexnet").layer("conv2")
-        for accel in self._accels():
-            full = accel.run_layer_functional(layer)
-            quick = accel.run_layer_functional(layer, max_m=128)
-            assert quick.energy_pj == pytest.approx(
-                full.energy_pj, rel=0.10), accel.name
-            assert quick.events.sram_w_read_bytes \
-                == full.events.sram_w_read_bytes, accel.name

@@ -5,7 +5,7 @@ The functional-simulation migration turned the analytic models into the
 two decimals so that refactors of either tier cannot silently shift the
 numbers the reproduction reports against the paper. The functional tier
 of the baseline accelerators (SparTen / Eyeriss v2 / SCNN) is pinned
-too (seed-fixed quick runs, 2 decimals) so refactors of the new engines
+too (seed-fixed full-size runs, 2 decimals) so refactors of the new engines
 cannot silently drift the baselines the headline speedups are measured
 against. If a change moves one of these on purpose (e.g. a calibration
 fix), update the pin in the same commit and say why in its message.
@@ -99,15 +99,15 @@ class TestFig12Golden:
 
 
 # Functional-tier pins for the baseline engines: per-layer energies (uJ,
-# 2 decimals) of seed-0 quick (m<=128) runs of the Fig. 12 conv stack.
+# 2 decimals) of seed-0 full-size runs of the Fig. 12 conv stack.
 # Deterministic end to end: seeded operand synthesis, deterministic
 # greedy schedules, float64 event arithmetic.
 FUNCTIONAL_BASELINE_GOLDEN = {
-    "Eyeriss-v2": {"conv1": 727.36, "conv2": 385.43, "conv3": 197.27,
-                   "conv4": 144.08, "conv5": 65.26},
-    "SparTen": {"conv1": 482.19, "conv2": 261.15, "conv3": 130.42,
-                "conv4": 95.23, "conv5": 44.33},
-    "SCNN": {"conv1": 200.76, "conv2": 105.85, "conv3": 54.06,
+    "Eyeriss-v2": {"conv1": 727.36, "conv2": 385.39, "conv3": 197.24,
+                   "conv4": 144.06, "conv5": 65.25},
+    "SparTen": {"conv1": 482.19, "conv2": 261.12, "conv3": 130.40,
+                "conv4": 95.22, "conv5": 44.33},
+    "SCNN": {"conv1": 200.76, "conv2": 105.84, "conv3": 54.06,
              "conv4": 39.43, "conv5": 17.72},
 }
 
@@ -123,7 +123,7 @@ class TestFunctionalBaselineGolden:
         spec = get_spec("alexnet")
         return {
             accel.name: accel.run_model_functional(
-                spec, conv_only=True, seed=0, max_m=128)
+                spec, conv_only=True, seed=0)
             for accel in (EyerissV2(), SparTen(), SCNN())
         }
 

@@ -30,7 +30,7 @@ OFF_THE_PATH = [
     "repro.accel.tiling", "repro.core.serialize",
     "repro.arch.tpe", "repro.arch.datapath", "repro.arch.buffers",
     "repro.arch.dap_hw",
-    "multiprocessing", "concurrent.futures",
+    "multiprocessing", "concurrent.futures", "numpy.random",
 ]
 
 

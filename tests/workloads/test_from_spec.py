@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro.core.dbb import DBBSpec
 from repro.core.pruning import is_dbb_compliant
 from repro.core.sparsity import density
-from repro.eval.experiments import QUICK_MAX_M
 from repro.models import get_spec
 from repro.models.specs import BLOCK_SIZE, LayerKind, LayerSpec
 from repro.workloads import from_spec
@@ -35,7 +34,6 @@ from repro.workloads.from_spec import (
     spec_census,
     spec_int8_operands,
     spec_operands,
-    synthesize_operands,
 )
 
 #: Traced peak bound of ``TestBoundedCensusDraw``'s synthetic census
@@ -179,20 +177,19 @@ class TestBlockedDensityOperand:
 
 
 class TestSpecOperands:
-    @pytest.mark.parametrize("max_m", [None, QUICK_MAX_M])
-    def test_operand_densities_are_exact(self, max_m):
+    def test_operand_densities_are_exact(self):
         """The runner prefetches SA-SMT at these densities before
         synthesis: they must equal the measured ones bit for bit."""
         for name in ("resnet50", "vgg16", "mobilenet_v1", "alexnet"):
             for layer in get_spec(name).conv_layers:
-                operands = synthesize_operands(layer, max_m=max_m)
-                assert operand_densities(layer, max_m=max_m) \
+                operands = spec_census(layer)
+                assert operand_densities(layer) \
                     == (density(operands.w), density(operands.a)), \
                     (name, layer.name)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
-            synthesize_operands(_layer(), seed=-3)
+            spec_census(_layer(), seed=-3)
 
     def test_shapes_and_compliance(self):
         layer = _layer(m=33, k=90, n=17, w_nnz=3, a_nnz=2,
