@@ -3,15 +3,18 @@
 #   make verify   - tier 1: the full default suite minus the `slow`-marked
 #                   chaos suite; stays around a minute and is what
 #                   every PR must keep green. Includes the full-size
-#                   functional fig11/fig12 and xval checks of all
-#                   seven accelerator models (systolic family +
-#                   SparTen / Eyeriss v2 / SCNN engines) and the
-#                   seed-fixed functional baseline pins.
-#   make nightly  - tier 2: the `slow` tier (the chaos suite) plus
-#                   every benchmarks/bench_*.py artifact run —
-#                   bench_functional_vs_analytic enforces the
-#                   full-size XVAL_CONTRACT via `repro experiment xval`
-#                   semantics — recording a timestamped
+#                   functional fig11/fig12 runs, the full-size
+#                   XVAL_CONTRACT of all four networks (AlexNet,
+#                   ResNet-50, VGG-16, MobileNet-v1) over all seven
+#                   accelerator models (systolic family + SparTen /
+#                   Eyeriss v2 / SCNN engines) and the seed-fixed
+#                   functional baseline pins.
+#   make nightly  - tier 2: the `slow` tier (the chaos suite, run once)
+#                   and `repro experiment xval` (AlexNet only), the
+#                   serve smoke test and the trace, plus every
+#                   benchmarks/bench_*.py artifact run —
+#                   bench_functional_vs_analytic checks AlexNet's
+#                   full-size XVAL_CONTRACT — recording a timestamped
 #                   BENCH_<utc>.json, then diffing the newest two BENCH
 #                   files and failing on >10% throughput regression.
 #
@@ -27,8 +30,8 @@
 #                   converging to bit-equal or cleanly-failed jobs,
 #                   corrupt result-cache entries quarantined and
 #                   recomputed, and $REPRO_FAULTS arming in a fresh
-#                   interpreter. Nightly runs it;
-#                   bench_fault_overhead.py in the bench sweep gates
+#                   interpreter. Nightly runs it through its `-m slow`
+#                   step; bench_fault_overhead.py in the bench sweep gates
 #                   the disabled-guard cost (guards_per_s).
 #   make serve-smoke - end-to-end self-test of the simulation service
 #                   (repro serve --smoke): boots the HTTP service on an
@@ -61,10 +64,10 @@
 #                   surfaces there; bench_obs_overhead.py in the bench
 #                   sweep gates the disabled-path cost.
 #
-# `make nightly` runs the whole functional tier and fails when the xval
-# agreement contract trips (`repro experiment xval` exits non-zero) or
-# when the benchmark gate regresses — including the end-to-end
-# wall-clock metric from bench_experiment_wallclock.py.
+# `make nightly` fails when AlexNet's xval agreement contract trips
+# (`repro experiment xval` exits non-zero) or when the benchmark gate
+# regresses — including the end-to-end wall-clock metric from
+# bench_experiment_wallclock.py.
 
 PY         := PYTHONPATH=src python
 STAMP      := $(shell date -u +%Y%m%dT%H%M%SZ)
@@ -84,7 +87,6 @@ nightly:
 	$(PY) -m pytest -q -m slow
 	$(PY) -m repro experiment xval
 	$(MAKE) serve-smoke
-	$(MAKE) chaos
 	$(MAKE) trace
 	$(MAKE) bench
 
@@ -92,8 +94,8 @@ serve-smoke:
 	$(PY) -m repro serve --smoke
 
 # The chaos tests are `slow`-marked (they boot HTTP services and spawn
-# fresh interpreters), so the plain nightly `-m slow` sweep already collects
-# them; this target runs just the fault-tolerance acceptance suite.
+# fresh interpreters), so nightly's `-m slow` step runs them; this
+# target runs just the fault-tolerance acceptance suite on its own.
 chaos:
 	$(PY) -m pytest -q tests/chaos -m ""
 

@@ -4,7 +4,8 @@ The paper's motivating deployment question (Sec. 1): on a mobile SoC
 power budget, which sparsity mechanism actually pays? This example runs
 two very different networks — compact MobileNetV1 (dense-ish
 activations) and heavy VGG-16 (very sparse late activations) — through
-every accelerator model and prints per-layer and whole-network PPA.
+every accelerator model and prints per-layer and whole-network power,
+performance and area.
 
 Run:  python examples/mobilenet_accelerator_choice.py
 """

@@ -14,7 +14,7 @@ contains:
 - ``repro.arch``: cycle-level functional models of the datapaths, the
   DAP hardware array, staging FIFOs and the systolic (tensor) array.
 - ``repro.energy``: technology scaling and calibrated component costs.
-- ``repro.accel``: accelerator PPA models (SA, SA-ZVCG, SA-SMT, S2TA-W,
+- ``repro.accel``: accelerator cost models (SA, SA-ZVCG, SA-SMT, S2TA-W,
   S2TA-AW, SparTen, Eyeriss v2).
 - ``repro.design``: design-space exploration ("RTL generator" analogue).
 - ``repro.train``: minimal autograd + DBB-aware fine-tuning.

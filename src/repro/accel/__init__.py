@@ -1,4 +1,4 @@
-"""Accelerator PPA models.
+"""Accelerator power, performance and area models.
 
 Analytic (closed-form) models of every accelerator the paper evaluates,
 operating on :class:`~repro.models.specs.LayerSpec` workloads. Event

@@ -60,7 +60,7 @@ __all__ = ["LayerResult", "AccelRunResult", "AcceleratorModel"]
 
 @dataclass
 class LayerResult:
-    """PPA of one layer on one accelerator."""
+    """Power, performance and area of one layer on one accelerator."""
 
     layer: LayerSpec
     compute_cycles: int
@@ -88,7 +88,8 @@ class LayerResult:
 
 @dataclass
 class AccelRunResult:
-    """PPA of a whole network on one accelerator."""
+    """Power, performance and area of a whole network on one
+    accelerator."""
 
     accelerator: str
     model: str

@@ -8,7 +8,7 @@ off-chip (DMA) traffic when they do not fit — e.g. VGG-16's fc6 weights
 (~98 MB dense) stream from DRAM every inference, which is why FC layers
 are memory bound at batch 1 (Sec. 8.3).
 
-This is *capacity* analysis tooling on top of the PPA models; the
+This is *capacity* analysis tooling on top of the accelerator models; the
 timing and energy of the off-chip traffic it quantifies live in the
 memory-hierarchy subsystem (:mod:`repro.arch.memory`), which every
 accelerator model now runs per layer (per-operand-class DRAM bytes,

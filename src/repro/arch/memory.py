@@ -1,7 +1,7 @@
 """Memory-hierarchy model: DRAM channel + double-buffered SRAM staging.
 
 The paper's energy and cycle headlines depend on off-chip traffic as
-much as on MAC activity; this module is the memory side of the PPA
+much as on MAC activity; this module is the memory side of the cost
 models. It replaces the old flat DMA cap (``ceil(stream_bytes / 32)``,
 applied only to FC/depthwise layers) with a first-class hierarchy:
 

@@ -6,7 +6,6 @@ Usage::
     python -m repro list-accelerators
     python -m repro run mobilenet_v1 --accelerator s2ta-aw --tech 16nm
     python -m repro experiment fig11
-    python -m repro sweep --top 10
     python -m repro dse --out dse_frontier.json
     python -m repro serve --port 8737
     python -m repro submit alexnet --accelerator s2ta-aw --wait
@@ -289,12 +288,6 @@ def cmd_experiment(args) -> str:
     if args.artifact == "roofline":
         return runner(dram_gbps=args.dram_bw).render()
     return runner().render()
-
-
-def cmd_sweep(args) -> str:
-    from repro.eval import sec7_design_space
-
-    return sec7_design_space(top=args.top).render()
 
 
 _STYLE_FLAGS = {"tu": True, "dp": False}
@@ -639,10 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_verbosity_flags(exp)
     exp.set_defaults(func=cmd_experiment)
 
-    sweep = sub.add_parser("sweep", help="Sec. 7 design-space sweep")
-    sweep.add_argument("--top", type=int, default=8)
-    sweep.set_defaults(func=cmd_sweep)
-
     dse = sub.add_parser(
         "dse",
         help="exhaustive design-space exploration",
@@ -816,8 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_verbosity_flags(trace)
     trace.set_defaults(func=cmd_trace)
 
-    for extra in (run, sweep):
-        _add_verbosity_flags(extra)
+    _add_verbosity_flags(run)
     return parser
 
 

@@ -9,6 +9,10 @@ node — 2,712 points by default): enumerate every point, evaluate each
 one (analytic by default, optionally functional), and take the
 three-dimensional (energy, cycles, area) Pareto frontier, so
 latency-optimal designs survive alongside the paper's power pick.
+Sec. 7 itself is the one-value-per-axis slice :data:`SEC7_AXES` of
+that keyspace, priced by the same pass, ranked by the same
+:func:`pareto_frontier` on (power, area) and picked by
+:func:`select_lowest_power`.
 
 The analytic sweep prices the points as arrays, one numpy pass per
 datapath style and tech node (two for the default keyspace). What the
@@ -27,10 +31,11 @@ Points (:class:`DSEPoint`) and artifact rows (:class:`DSEEvaluation`)
 are named tuples, so a sweep builds them in bulk from columns with
 ``_make`` instead of one Python ``__init__`` per point: the space
 spells each uid once per design and per axis value, the analytic sweep
-zips its priced columns into rows, and :func:`pareto_frontier_3d`
-ranks objective columns. Nothing is sampled and nothing is cached;
+zips its priced columns into rows, and :func:`pareto_frontier` ranks
+objective columns. Nothing is sampled and nothing is cached;
 only a functional sweep goes through the layer runner and its result
-cache. ``repro dse`` is the CLI front-end.
+cache. ``repro dse`` is the CLI front-end, ``repro experiment sec7``
+the Sec. 7 one.
 """
 
 from __future__ import annotations
@@ -59,8 +64,10 @@ from repro.obs.trace import traced
 from repro.workloads.typical import typical_conv_layer
 
 __all__ = [
-    "DSEAxes", "DSEPoint", "DSEEvaluation", "DSESpace",
-    "evaluate_points", "pareto_frontier_3d", "run_dse", "render_artifact",
+    "DSEAxes", "DSEPoint", "DSEEvaluation", "DSESpace", "SEC7_AXES",
+    "DSE_OBJECTIVES", "SEC7_OBJECTIVES", "evaluate_points",
+    "pareto_frontier", "pareto_frontier_3d",
+    "select_lowest_power", "run_dse", "render_artifact",
 ]
 
 
@@ -141,6 +148,12 @@ class DSEAxes:
                 for field in dataclasses.fields(self)}
 
 
+#: The paper's Sec. 7 sweep: one value per knob axis (time-unrolled,
+#: B = 4, A-DBB 4, 2.5 MB SRAM, the default channel, 16 nm).
+SEC7_AXES = DSEAxes(styles=(True,), weight_nnz=(4,), a_nnz=(4,),
+                    sram_mb=(2.5,))
+
+
 #: Largest TPE or grid dim of a point: it keeps every event count of
 #: the reference layer inside the analytic array pass's int64 columns.
 _MAX_DIM = 2 ** 20
@@ -212,7 +225,8 @@ class DSEPoint(_PointFields):
 
 
 class DSEEvaluation(NamedTuple):
-    """Flattened PPA of one evaluated point (JSON-artifact row)."""
+    """Flattened power, performance and area of one evaluated point
+    (JSON-artifact row)."""
 
     uid: str
     notation: str
@@ -247,22 +261,27 @@ def _column(records: Iterable[tuple], name: str) -> Iterable:
     return map(operator.attrgetter(name), records)
 
 
-def pareto_frontier_3d(
-    evaluations: Iterable[DSEEvaluation],
-) -> List[DSEEvaluation]:
-    """Non-dominated points on (energy, cycles, area).
+#: The DSE frontier's objectives and the Sec. 7 area-vs-power plane, as
+#: row field names; every objective is minimized.
+DSE_OBJECTIVES = ("energy_uj", "cycles", "area_mm2")
+SEC7_OBJECTIVES = ("power_mw", "area_mm2")
+
+
+def pareto_frontier(evaluations: Iterable[DSEEvaluation],
+                    objectives: Sequence[str]) -> List[DSEEvaluation]:
+    """Non-dominated rows on the named objective columns.
 
     Exact objective ties all survive, and the result — content and
     order — is a pure function of the evaluation *set*, independent of
-    input order (the property test in ``tests/design/test_dse.py``).
+    input order (the property tests in ``tests/design/test_dse.py``).
 
-    Ranked by ``(objectives, uid)``, a point can only be dominated by
-    points ahead of it, so the first point still alive is on the
-    frontier (anything ahead of it that dominated it was itself dropped
-    by a frontier point, which then dominates it too). Each round keeps
-    that point and drops it and every row it strictly dominates in one
-    numpy pass over the rows still alive. The objective columns are
-    read without a Python loop over the rows.
+    Ranked by ``(objectives, uid)``, a row can only be dominated by rows
+    ahead of it, so the first row still alive is on the frontier
+    (anything ahead of it that beat it was itself dropped by a frontier
+    row, which then beats it too). Each round keeps that row and drops
+    it and every row it strictly beats in one numpy pass over the rows
+    still alive. The objective columns are read without a Python loop
+    over the rows.
     """
     evaluations = list(evaluations)
     if not evaluations:
@@ -271,24 +290,50 @@ def pareto_frontier_3d(
                         points=len(evaluations)) as span:
         # Float columns compare cycles exactly (they stay far below
         # 2**53).
-        energy, cycles, area = (
+        columns = [
             np.fromiter(_column(evaluations, name), float, len(evaluations))
-            for name in ("energy_uj", "cycles", "area_mm2"))
-        # Stable sorts: uid order first, so exact objective ties keep it.
+            for name in objectives]
+        # Stable sorts: uid order first, so exact objective ties keep it;
+        # lexsort's last key is the first objective.
         uids = list(_column(evaluations, "uid"))
         ranked = np.array(sorted(range(len(uids)), key=uids.__getitem__),
                           dtype=np.intp)
-        ranked = ranked[np.lexsort((area[ranked], cycles[ranked],
-                                    energy[ranked]))]
-        objectives = np.stack((energy, cycles, area), axis=1)[ranked]
+        ranked = ranked[np.lexsort([column[ranked]
+                                    for column in reversed(columns)])]
+        values = np.stack(columns, axis=1)[ranked]
         frontier: List[DSEEvaluation] = []
         while len(ranked):
-            row, rest = objectives[0], objectives[1:]
+            row, rest = values[0], values[1:]
             frontier.append(evaluations[ranked[0]])
             alive = ~((rest >= row).all(axis=1) & (rest > row).any(axis=1))
-            ranked, objectives = ranked[1:][alive], rest[alive]
+            ranked, values = ranked[1:][alive], rest[alive]
         span.annotate(frontier=len(frontier))
     return frontier
+
+
+def pareto_frontier_3d(
+    evaluations: Iterable[DSEEvaluation],
+) -> List[DSEEvaluation]:
+    """Non-dominated rows on (energy, cycles, area): the DSE frontier."""
+    return pareto_frontier(evaluations, DSE_OBJECTIVES)
+
+
+def select_lowest_power(evaluations: Iterable[DSEEvaluation],
+                        area_budget_mm2: float = math.inf
+                        ) -> DSEEvaluation:
+    """The paper's Sec. 7 selection rule: lowest power within the area
+    budget.
+
+    Power ties break toward the smaller die, then the uid (which starts
+    with the notation), so the pick does not depend on enumeration
+    order.
+    """
+    feasible = [e for e in evaluations if e.area_mm2 <= area_budget_mm2]
+    if not feasible:
+        raise ValueError(
+            f"no design fits the {area_budget_mm2} mm^2 budget")
+    return min(feasible,
+               key=operator.attrgetter("power_mw", "area_mm2", "uid"))
 
 
 class DSESpace:

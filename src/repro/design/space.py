@@ -1,38 +1,32 @@
-"""AxBxC_MxN design-space enumeration and PPA evaluation (Sec. 7).
+"""AxBxC_MxN design-space enumeration (Sec. 7).
 
 A design point fixes the TPE outer-product dims (A, C), the array grid
 (M, N) and the datapath style (time-unrolled DP1M4 vs dot-product
 DP4M8, i.e. B=4 weight NNZ in both cases). The paper constrains the
 space to 4 TOPS peak dense throughput (2048 MACs at 1 GHz in 16 nm),
 sweeps, keeps the area-vs-power frontier, and picks the lowest-power
-point: the time-unrolled 8x4x4_8x8.
+point: the time-unrolled 8x4x4_8x8. The sweep itself is a slice of the
+DSE keyspace (:mod:`repro.design.dse`), priced and ranked there.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator
 
 from repro.accel.s2ta import S2TAAW, S2TAW
-from repro.models.specs import LayerSpec
-from repro.workloads.typical import typical_conv_layer
 
-__all__ = [
-    "DesignPoint",
-    "PPA",
-    "enumerate_design_space",
-    "evaluate_point",
-    "pareto_frontier",
-    "select_lowest_power",
-    "TARGET_MACS",
-]
+__all__ = ["DesignPoint", "enumerate_design_space", "TARGET_MACS"]
 
 # 4 TOPS peak dense at 1 GHz (2 ops/MAC) = 2048 MACs.
 TARGET_MACS = 2048
 
 _GRID_DIMS = (1, 2, 4, 8, 16, 32, 64, 128)
 _TPE_DIMS = (1, 2, 4, 8, 16)
+# Bound on the array and TPE aspect ratios: extremely skewed arrays
+# would not close timing (the paper notes larger TPEs marginally reduce
+# clock frequency).
+_MAX_ASPECT = 4.0
 
 
 @dataclass(frozen=True)
@@ -58,10 +52,6 @@ class DesignPoint:
         if not self.time_unrolled:
             per_tpe *= self.weight_nnz
         return self.rows * self.cols * per_tpe
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.tpe_a == 1 and self.tpe_c == 1
 
     @property
     def clock_ghz(self) -> float:
@@ -98,36 +88,11 @@ class DesignPoint:
                      datapath_nnz=self.weight_nnz, **kwargs)
 
 
-@dataclass(frozen=True)
-class PPA:
-    """Evaluated power/performance/area of a design point."""
+def enumerate_design_space(time_unrolled: bool = True,
+                           weight_nnz: int = 4) -> Iterator[DesignPoint]:
+    """All configurations hitting the MAC budget exactly, within the
+    aspect-ratio bound.
 
-    point: DesignPoint
-    power_mw: float
-    area_mm2: float
-    cycles: int
-    energy_uj: float
-
-    def dominates(self, other: "PPA") -> bool:
-        """Pareto dominance on (power, area) — lower is better."""
-        return (self.power_mw <= other.power_mw
-                and self.area_mm2 <= other.area_mm2
-                and (self.power_mw < other.power_mw
-                     or self.area_mm2 < other.area_mm2))
-
-
-def enumerate_design_space(
-    target_macs: int = TARGET_MACS,
-    time_unrolled: bool = True,
-    max_tpe: int = 16,
-    max_aspect: float = 4.0,
-    weight_nnz: int = 4,
-) -> Iterator[DesignPoint]:
-    """All configurations hitting the MAC budget exactly.
-
-    ``max_aspect`` bounds the array and TPE aspect ratios — extremely
-    skewed arrays are excluded as they would not close timing (the
-    paper notes larger TPEs marginally reduce clock frequency).
     ``weight_nnz`` is the DBB weight bound B: time-unrolled datapaths
     serialize it (one MAC per DP unit regardless of B), dot-product
     datapaths instantiate B MACs per unit (DP4M8 at the default B=4).
@@ -135,22 +100,20 @@ def enumerate_design_space(
     mac_multiplier = 1 if time_unrolled else weight_nnz
     for tpe_a in _TPE_DIMS:
         for tpe_c in _TPE_DIMS:
-            if tpe_a > max_tpe or tpe_c > max_tpe:
-                continue
             per_tpe = tpe_a * tpe_c * mac_multiplier
-            if target_macs % per_tpe:
+            if TARGET_MACS % per_tpe:
                 continue
-            grid = target_macs // per_tpe
+            grid = TARGET_MACS // per_tpe
             for rows in _GRID_DIMS:
                 if grid % rows:
                     continue
                 cols = grid // rows
                 if cols not in _GRID_DIMS:
                     continue
-                if max(rows / cols, cols / rows) > max_aspect:
+                if max(rows / cols, cols / rows) > _MAX_ASPECT:
                     continue
                 if tpe_a > 1 and tpe_c > 1:
-                    if max(tpe_a / tpe_c, tpe_c / tpe_a) > max_aspect:
+                    if max(tpe_a / tpe_c, tpe_c / tpe_a) > _MAX_ASPECT:
                         continue
                 point = DesignPoint(tpe_a=tpe_a, tpe_c=tpe_c,
                                     rows=rows, cols=cols,
@@ -158,56 +121,3 @@ def enumerate_design_space(
                                     weight_nnz=weight_nnz)
                 if point.meets_throughput:
                     yield point
-
-
-def evaluate_point(
-    point: DesignPoint,
-    layer: Optional[LayerSpec] = None,
-    tech: str = "16nm",
-) -> PPA:
-    """Run the reference workload on a design point and report PPA."""
-    layer = layer or typical_conv_layer(0.5, 0.5)
-    accel = point.build(tech=tech)
-    accel.clock_ghz = accel.clock_ghz * point.clock_ghz  # TPE derate
-    result = accel.run_layer(layer)
-    runtime_s = result.cycles / (accel.clock_ghz * 1e9)
-    power_mw = (result.energy_pj * 1e-12) / runtime_s * 1e3 if runtime_s else 0.0
-    return PPA(
-        point=point,
-        power_mw=power_mw,
-        area_mm2=accel.area_mm2(),
-        cycles=result.cycles,
-        energy_uj=result.breakdown.total_uj,
-    )
-
-
-def pareto_frontier(evaluations: List[PPA]) -> List[PPA]:
-    """Non-dominated points on the area-vs-power plane.
-
-    Exact ties survive (dominance needs a strict improvement in at
-    least one objective) and the returned order is a pure function of
-    the evaluations, independent of input order.
-    """
-    frontier = [
-        ppa for ppa in evaluations
-        if not any(other.dominates(ppa) for other in evaluations)
-    ]
-    return sorted(frontier,
-                  key=lambda p: (p.power_mw, p.area_mm2, p.point.notation))
-
-
-def select_lowest_power(
-    evaluations: List[PPA], area_budget_mm2: float = math.inf
-) -> PPA:
-    """The paper's selection rule: lowest power within the area budget.
-
-    Power ties break toward the smaller die, then the notation, so the
-    pick is deterministic regardless of enumeration order.
-    """
-    feasible = [p for p in evaluations if p.area_mm2 <= area_budget_mm2]
-    if not feasible:
-        raise ValueError(
-            f"no design fits the {area_budget_mm2} mm^2 budget"
-        )
-    return min(feasible,
-               key=lambda p: (p.power_mw, p.area_mm2, p.point.notation))

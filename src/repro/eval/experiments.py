@@ -967,25 +967,29 @@ def tbl5_summary() -> ExperimentResult:
 # Section 7: design-space exploration
 # --------------------------------------------------------------------- #
 
-def sec7_design_space(top: int = 8) -> ExperimentResult:
-    """The AxBxC_MxN sweep and its area/power frontier (Sec. 7)."""
-    from repro.design import (
-        enumerate_design_space,
-        evaluate_point,
+def sec7_design_space() -> ExperimentResult:
+    """The AxBxC_MxN sweep and its area/power frontier (Sec. 7): the
+    ``SEC7_AXES`` slice of the DSE keyspace, its eight lowest-energy
+    points listed."""
+    from repro.design.dse import (
+        SEC7_AXES,
+        SEC7_OBJECTIVES,
+        DSESpace,
+        evaluate_points,
         pareto_frontier,
         select_lowest_power,
     )
 
-    evaluations = [evaluate_point(p) for p in enumerate_design_space()]
-    frontier = pareto_frontier(evaluations)
+    evaluations = list(evaluate_points(DSESpace(SEC7_AXES).points).values())
+    frontier = {e.uid for e in pareto_frontier(evaluations, SEC7_OBJECTIVES)}
     best = select_lowest_power(evaluations)
-    ranked = sorted(evaluations, key=lambda e: e.energy_uj)[:top]
+    ranked = sorted(evaluations, key=lambda e: e.energy_uj)[:8]
     rows = [
-        [e.point.notation,
+        [e.notation,
          round(e.power_mw, 1),
          round(e.area_mm2, 2),
          round(e.energy_uj, 1),
-         "yes" if e in frontier else "no",
+         "yes" if e.uid in frontier else "no",
          "<-- selected" if e is best else ""]
         for e in ranked
     ]
@@ -998,6 +1002,6 @@ def sec7_design_space(top: int = 8) -> ExperimentResult:
         rows=rows,
         notes=[f"{len(evaluations)} feasible points; the paper selects "
                f"8x4x4_8x8 — the same 8x4x4 TPE wins here (grid "
-               f"{best.point.rows}x{best.point.cols}, within a few "
+               f"{best.notation.partition('_')[2]}, within a few "
                f"percent of the 8x8 grid)"],
     )

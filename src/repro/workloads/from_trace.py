@@ -1,6 +1,6 @@
 """Build accelerator workloads from executed-model traces.
 
-The bridge between the functional substrate and the PPA models: run any
+The bridge between the functional substrate and the accelerator models: run any
 :class:`repro.nn.Sequential` on real inputs (optionally with DAP), and
 convert the per-layer trace — measured GEMM shapes and densities — into
 :class:`~repro.models.specs.LayerSpec` workloads the accelerator models

@@ -5,6 +5,8 @@ Pinned here:
 - the full default keyspace: 2,712 evaluations, bit-pinned by digest,
   and its 4-point (energy, cycles, area) Pareto frontier;
 - the frontier of a restricted axes slice, by uid and objectives;
+- the one frontier equals a loop oracle, keeps exact ties and ignores
+  input order on both objective sets (the DSE's and Sec. 7's);
 - an analytic sweep calls the closed forms directly: it never touches
   the layer runner or the result cache;
 - the analytic array pass equals each point's scalar
@@ -30,12 +32,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.design.dse import (
+    DSE_OBJECTIVES,
+    SEC7_OBJECTIVES,
     DSEAxes,
     DSEEvaluation,
     DSEPoint,
     DSESpace,
     _evaluation as flatten_layer_result,
     evaluate_points,
+    pareto_frontier,
     pareto_frontier_3d,
     render_artifact,
     run_dse,
@@ -127,11 +132,11 @@ class TestSpace:
         assert len(first) == len(set(first))
 
 
-def _evaluation(tag, energy, cycles, area):
+def _evaluation(tag, energy, cycles, area, power=1.0):
     return DSEEvaluation(
         uid=f"p{tag}", notation=f"n{tag}", time_unrolled=True,
         weight_nnz=4, a_nnz=4, sram_mb=2.5, dram_gbps=None,
-        tech="16nm", power_mw=1.0, area_mm2=float(area),
+        tech="16nm", power_mw=float(power), area_mm2=float(area),
         cycles=int(cycles), energy_uj=float(energy))
 
 
@@ -140,25 +145,32 @@ def _dominates(a, b):
             and any(x < y for x, y in zip(a, b)))
 
 
-def _loop_frontier(evaluations):
+def _loop_frontier(evaluations, objectives=DSE_OBJECTIVES):
     """The frontier as a sequential filter over the ranked points, one
     dominance test per kept point: the oracle of the numpy rank."""
-    ranked = sorted(evaluations, key=lambda e: (e.objectives, e.uid))
+    def values(entry):
+        return tuple(getattr(entry, name) for name in objectives)
+
+    ranked = sorted(evaluations, key=lambda e: (values(e), e.uid))
     frontier = []
     for entry in ranked:
-        if any(_dominates(kept.objectives, entry.objectives)
+        if any(_dominates(values(kept), values(entry))
                for kept in frontier):
             continue
         frontier = [kept for kept in frontier
-                    if not _dominates(entry.objectives, kept.objectives)]
+                    if not _dominates(values(entry), values(kept))]
         frontier.append(entry)
-    return sorted(frontier, key=lambda e: (e.objectives, e.uid))
+    return sorted(frontier, key=lambda e: (values(e), e.uid))
 
+
+#: Both objective sets of the one frontier: the DSE's and Sec. 7's.
+_OBJECTIVE_SETS = (DSE_OBJECTIVES, SEC7_OBJECTIVES)
 
 #: Few distinct values per objective, so exact ties are common.
 _tied_objectives = st.lists(
     st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.0]),
               st.integers(8, 11),
+              st.sampled_from([1.0, 2.0, 3.0]),
               st.sampled_from([1.0, 2.0, 3.0])),
     max_size=40)
 
@@ -169,6 +181,14 @@ class TestParetoFrontier3D:
     def test_equals_loop_oracle(self, objectives):
         evals = [_evaluation(i, *obj) for i, obj in enumerate(objectives)]
         assert pareto_frontier_3d(evals) == _loop_frontier(evals)
+        for names in _OBJECTIVE_SETS:
+            frontier = pareto_frontier(evals, names)
+            assert frontier == _loop_frontier(evals, names)
+            # Objective-tied rows survive or fall together.
+            kept = {tuple(getattr(e, n) for n in names) for e in frontier}
+            assert [e for e in evals
+                    if tuple(getattr(e, n) for n in names) in kept] == [
+                e for e in evals if e in frontier]
 
     def test_empty(self):
         assert pareto_frontier_3d([]) == []
@@ -188,17 +208,30 @@ class TestParetoFrontier3D:
         assert "p1" in uids and "p2" in uids
         assert "p3" not in uids
         assert "p4" in uids  # wins on energy, loses on cycles/area
+        # The same on (power, area), ranked by objectives, then uid.
+        tied_a = _evaluation(1, 1.0, 10, 2.0, power=100.0)
+        tied_b = _evaluation(2, 9.0, 90, 2.0, power=100.0)
+        dominated = _evaluation(3, 0.1, 1, 3.0, power=200.0)
+        tradeoff = _evaluation(4, 1.0, 10, 5.0, power=50.0)
+        frontier = pareto_frontier(
+            [dominated, tied_b, tradeoff, tied_a], SEC7_OBJECTIVES)
+        assert [e.uid for e in frontier] == ["p4", "p1", "p2"]
 
     def test_order_independent(self):
         rnd = random.Random(7)
         evals = [_evaluation(i, rnd.choice([1.0, 2.0, 3.0]),
                              rnd.choice([10, 20, 30]),
-                             rnd.choice([1.0, 2.0]))
+                             rnd.choice([1.0, 2.0]),
+                             rnd.choice([100.0, 200.0, 300.0]))
                  for i in range(30)]
-        reference = pareto_frontier_3d(evals)
+        references = [pareto_frontier(evals, names)
+                      for names in _OBJECTIVE_SETS]
+        assert references[0] == pareto_frontier_3d(evals)
         for _ in range(10):
             rnd.shuffle(evals)
-            assert pareto_frontier_3d(evals) == reference
+            assert pareto_frontier_3d(evals) == references[0]
+            assert [pareto_frontier(evals, names)
+                    for names in _OBJECTIVE_SETS] == references
 
 
 class TestRunDSE:

@@ -1,18 +1,22 @@
-"""Tests for the Sec. 7 design-space exploration."""
+"""Tests for the Sec. 7 design-space exploration: the enumerated
+points, and their slice of the DSE keyspace priced, ranked and picked.
+The frontier's own properties are tested in ``test_dse.py``."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.design import (
+    SEC7_AXES,
+    SEC7_OBJECTIVES,
     DesignPoint,
+    DSEEvaluation,
+    DSESpace,
     enumerate_design_space,
-    evaluate_point,
     generate_structure,
     pareto_frontier,
     select_lowest_power,
 )
-from repro.design.space import PPA, TARGET_MACS
+from repro.design.dse import evaluate_points
+from repro.design.space import TARGET_MACS
 
 
 class TestDesignPoint:
@@ -59,40 +63,53 @@ class TestEnumeration:
         assert "4x4x4_4x8" in {p.notation for p in points}
 
 
+def _tpe(evaluation):
+    """(A, C) of a row, read off its AxBxC_MxN notation."""
+    a, _, c = evaluation.notation.partition("_")[0].split("x")
+    return int(a), int(c)
+
+
 class TestEvaluationAndSelection:
     @pytest.fixture(scope="class")
     def evaluations(self):
-        return [evaluate_point(p) for p in enumerate_design_space()]
+        return list(evaluate_points(DSESpace(SEC7_AXES).points).values())
+
+    def test_slice_is_the_enumerated_space(self):
+        assert ([p.design for p in DSESpace(SEC7_AXES).points]
+                == list(enumerate_design_space()))
 
     def test_paper_tpe_shape_wins(self, evaluations):
         """Sec. 7: the sweep selects the time-unrolled 8x4x4 TPE (the
         paper's grid is 8x8; 4x16 evaluates within a fraction of a
         percent — see EXPERIMENTS.md)."""
         best = select_lowest_power(evaluations)
-        assert (best.point.tpe_a, best.point.tpe_c) == (8, 4)
-        assert best.point.time_unrolled
+        assert _tpe(best) == (8, 4)
+        assert best.time_unrolled
 
     def test_paper_grid_close_to_best(self, evaluations):
         """The paper's exact 8x8 grid lands within ~10% of our model's
         best 8x4x4 grid (4x16): the gap is the AB-vs-WB per-access cost
         asymmetry acting on tile reuse, see EXPERIMENTS.md."""
         best = select_lowest_power(evaluations)
-        paper = next(e for e in evaluations
-                     if e.point.notation == "8x4x4_8x8")
+        paper = next(e for e in evaluations if e.notation == "8x4x4_8x8")
         assert paper.energy_uj <= best.energy_uj * 1.12
 
     def test_tpe_beats_scalar_like_points(self, evaluations):
         """Bigger TPEs increase reuse: small-TPE points burn more power."""
         best = select_lowest_power(evaluations)
-        small = [e for e in evaluations if e.point.tpe_a * e.point.tpe_c <= 2]
+        small = [e for e in evaluations
+                 if _tpe(e)[0] * _tpe(e)[1] <= 2]
         if small:
             assert min(e.power_mw for e in small) > best.power_mw
 
     def test_frontier_is_nondominated(self, evaluations):
-        frontier = pareto_frontier(evaluations)
-        assert frontier
+        frontier = pareto_frontier(evaluations, SEC7_OBJECTIVES)
+        assert [e.notation for e in frontier] == ["8x4x4_4x16"]
         for a in frontier:
-            assert not any(b.dominates(a) for b in evaluations)
+            assert not any(
+                b.power_mw <= a.power_mw and b.area_mm2 <= a.area_mm2
+                and (b.power_mw, b.area_mm2) != (a.power_mw, a.area_mm2)
+                for b in evaluations)
 
     def test_selection_respects_area_budget(self, evaluations):
         with pytest.raises(ValueError):
@@ -121,14 +138,16 @@ class TestRtlGen:
         assert generate_structure(p) == generate_structure(p)
 
 
-def _ppa(tag: int, power: float, area: float, energy: float = 1.0,
-         cycles: int = 100) -> PPA:
-    """Synthetic PPA with a unique notation per ``tag`` (the tiebreak
-    key) — lets selection/frontier properties be tested on exact
-    objective values instead of whatever the cost model produces."""
-    return PPA(point=DesignPoint(tpe_a=1, tpe_c=1, rows=1, cols=tag),
-               power_mw=float(power), area_mm2=float(area),
-               cycles=cycles, energy_uj=float(energy))
+def _row(tag: int, power: float, area: float,
+         energy: float = 1.0) -> DSEEvaluation:
+    """Synthetic row with a unique uid per ``tag`` (the tiebreak key) —
+    lets the selection rule be tested on exact objective values instead
+    of whatever the cost model produces."""
+    return DSEEvaluation(
+        uid=f"p{tag:02d}", notation=f"n{tag}", time_unrolled=True,
+        weight_nnz=4, a_nnz=4, sram_mb=2.5, dram_gbps=None, tech="16nm",
+        power_mw=float(power), area_mm2=float(area), cycles=100,
+        energy_uj=float(energy))
 
 
 class TestSelectionRule:
@@ -139,58 +158,30 @@ class TestSelectionRule:
     def test_minimizes_power_not_energy(self):
         # Lower draw but longer runtime => more energy. The paper's
         # rule picks it anyway.
-        frugal = _ppa(1, power=100.0, area=2.0, energy=500.0)
-        hasty = _ppa(2, power=400.0, area=2.0, energy=50.0)
+        frugal = _row(1, power=100.0, area=2.0, energy=500.0)
+        hasty = _row(2, power=400.0, area=2.0, energy=50.0)
         assert select_lowest_power([hasty, frugal]) == frugal
 
     def test_area_budget_excludes_lower_power_designs(self):
-        small = _ppa(1, power=300.0, area=1.0)
-        big = _ppa(2, power=100.0, area=10.0)
+        small = _row(1, power=300.0, area=1.0)
+        big = _row(2, power=100.0, area=10.0)
         assert select_lowest_power([small, big]) == big
         assert select_lowest_power([small, big],
                                    area_budget_mm2=5.0) == small
 
     def test_power_ties_break_toward_smaller_die(self):
-        lean = _ppa(1, power=100.0, area=1.0)
-        bulky = _ppa(2, power=100.0, area=2.0)
+        lean = _row(2, power=100.0, area=1.0)
+        bulky = _row(1, power=100.0, area=2.0)
         assert select_lowest_power([bulky, lean]) == lean
+        # Then toward the smaller uid, which starts with the notation.
+        twin = _row(0, power=100.0, area=1.0)
+        assert select_lowest_power([bulky, lean, twin]) == twin
 
     def test_selection_is_enumeration_order_independent(self):
-        evals = [_ppa(i, power=100.0 + (i % 3), area=2.0 + (i % 2))
+        evals = [_row(i, power=100.0 + (i % 3), area=2.0 + (i % 2))
                  for i in range(8)]
         picks = {select_lowest_power(list(reversed(evals))),
                  select_lowest_power(evals),
                  select_lowest_power(sorted(evals,
                                             key=lambda p: p.area_mm2))}
         assert len(picks) == 1
-
-
-class TestFrontierProperties:
-    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
-                    min_size=1, max_size=24),
-           st.randoms(use_true_random=False))
-    @settings(max_examples=60, deadline=None)
-    def test_order_independent(self, grid, rnd):
-        """The frontier — content *and* order — is a pure function of
-        the evaluation set (small integer grids force plenty of exact
-        objective ties)."""
-        evals = [_ppa(i, power=p, area=a)
-                 for i, (p, a) in enumerate(grid)]
-        shuffled = list(evals)
-        rnd.shuffle(shuffled)
-        assert pareto_frontier(shuffled) == pareto_frontier(evals)
-
-    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                    min_size=1, max_size=24))
-    @settings(max_examples=60, deadline=None)
-    def test_keeps_exact_ties(self, grid):
-        """Dominance requires a strict improvement, so objective-tied
-        points survive or fall together — never an arbitrary winner."""
-        evals = [_ppa(i, power=p, area=a)
-                 for i, (p, a) in enumerate(grid)]
-        frontier = pareto_frontier(evals)
-        assert frontier
-        kept = {(e.power_mw, e.area_mm2) for e in frontier}
-        for e in evals:
-            if (e.power_mw, e.area_mm2) in kept:
-                assert e in frontier

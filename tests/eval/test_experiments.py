@@ -68,8 +68,8 @@ class TestEveryArtifactRenders:
         assert any("ResNet-50V1" in note for note in result.notes)
 
     def test_sec7(self):
-        result = sec7_design_space(top=5)
-        assert len(result.rows) == 5
+        result = sec7_design_space()
+        assert len(result.rows) == 8
         assert any(row[5] for row in result.rows)  # a selected point
 
 
@@ -157,3 +157,13 @@ class TestFunctionalTier:
         result = xval_functional_vs_analytic()
         assert result.artifact == "Cross-validation"
         assert result.failures == []
+
+    @pytest.mark.functional
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("model", ["resnet50", "vgg16", "mobilenet_v1"])
+    def test_xval_contract_holds(self, model, seed):
+        """The full-size contract holds for the other three networks
+        (``test_xval_artifact`` covers AlexNet)."""
+        from repro.eval import xval_functional_vs_analytic
+
+        assert xval_functional_vs_analytic(model, seed=seed).failures == []

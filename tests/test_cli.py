@@ -199,10 +199,22 @@ class TestExperiment:
 
 
 class TestSweep:
+    def test_sweep_verb_is_gone(self, capsys):
+        """``repro experiment sec7`` is the one Sec. 7 entry point."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'sweep'" in capsys.readouterr().err
+
     def test_sweep(self):
-        out = main(["sweep", "--top", "3"])
+        """The Sec. 7 sweep lists its points and marks the pick."""
+        out = main(["experiment", "sec7"])
         assert "Section 7" in out
         assert "8x4x4" in out
+        selected = [line for line in out.splitlines()
+                    if "<-- selected" in line]
+        assert len(selected) == 1
+        assert selected[0].startswith("8x4x4_4x16 ")
 
 
 class TestVerbFlags:

@@ -143,6 +143,5 @@ class TestAcceleratorEdges:
         from repro.design import DesignPoint, generate_structure
 
         scalar = DesignPoint(tpe_a=1, tpe_c=1, rows=32, cols=64)
-        assert scalar.is_scalar
         text = generate_structure(scalar)
         assert "2048x tpe" in text
