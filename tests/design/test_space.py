@@ -1,8 +1,11 @@
 """Tests for the Sec. 7 design-space exploration: the enumerated
 points, and their slice of the DSE keyspace priced, ranked and picked.
-The frontier's own properties are tested in ``test_dse.py``."""
+The frontier's tie and order properties on (power, area) are tested
+here; on every objective set against a loop oracle in ``test_dse.py``."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.design import (
     SEC7_AXES,
@@ -185,3 +188,35 @@ class TestSelectionRule:
                  select_lowest_power(sorted(evals,
                                             key=lambda p: p.area_mm2))}
         assert len(picks) == 1
+
+
+class TestFrontierProperties:
+    """The ranked frontier on the Sec. 7 objectives (power, area)."""
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                    min_size=1, max_size=24),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_order_independent(self, grid, rnd):
+        """The frontier — content *and* order — is a pure function of
+        the evaluation set (small integer grids force plenty of exact
+        objective ties)."""
+        evals = [_row(i, power=p, area=a) for i, (p, a) in enumerate(grid)]
+        shuffled = list(evals)
+        rnd.shuffle(shuffled)
+        assert (pareto_frontier(shuffled, SEC7_OBJECTIVES)
+                == pareto_frontier(evals, SEC7_OBJECTIVES))
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                    min_size=1, max_size=24))
+    @settings(max_examples=60, deadline=None)
+    def test_keeps_exact_ties(self, grid):
+        """Dominance requires a strict improvement, so objective-tied
+        points survive or fall together — never an arbitrary winner."""
+        evals = [_row(i, power=p, area=a) for i, (p, a) in enumerate(grid)]
+        frontier = pareto_frontier(evals, SEC7_OBJECTIVES)
+        assert frontier
+        kept = {(e.power_mw, e.area_mm2) for e in frontier}
+        for e in evals:
+            if (e.power_mw, e.area_mm2) in kept:
+                assert e in frontier
