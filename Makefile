@@ -32,7 +32,7 @@
 #                   recomputed, and $REPRO_FAULTS arming in a fresh
 #                   interpreter. Nightly runs it through its `-m slow`
 #                   step; bench_fault_overhead.py in the bench sweep gates
-#                   the disabled-guard cost (guards_per_s).
+#                   the disabled-guard cost (throughput in guards/s).
 #   make serve-smoke - end-to-end self-test of the simulation service
 #                   (repro serve --smoke): boots the HTTP service on an
 #                   ephemeral port and a throwaway queue DB, submits a

@@ -5,7 +5,7 @@ free.** Every injection point in the hot paths (`faults.inject` around
 queue claims and HTTP handling, `faults.mangle` around cache I/O) is
 one module-global load plus a ``None`` check when no registry is
 installed. This file measures that guard in a tight loop and records
-``guards_per_s`` (the regression gate's metric) plus the per-guard
+guards per second (the regression gate's ``throughput``) plus the per-guard
 nanosecond cost, then projects it against the guard count of a real
 fig12 functional run to bound the whole-experiment overhead far under
 any observable budget.
@@ -68,7 +68,8 @@ def test_bench_disabled_inject_guard(benchmark):
         lambda: _disabled_guard_loop(GUARDS_PER_REP),
         rounds=5, iterations=1, warmup_rounds=1)
     per_guard_ns = elapsed / GUARDS_PER_REP * 1e9
-    benchmark.extra_info["guards_per_s"] = round(GUARDS_PER_REP / elapsed)
+    benchmark.extra_info["throughput"] = round(GUARDS_PER_REP / elapsed)
+    benchmark.extra_info["unit"] = "guards/s"
     benchmark.extra_info["disabled_guard_ns"] = round(per_guard_ns, 1)
     assert per_guard_ns < MAX_DISABLED_GUARD_NS, \
         f"disabled inject guard costs {per_guard_ns:.0f}ns"

@@ -2,16 +2,17 @@
 
 Not a paper artifact — this benchmark freezes the memory subsystem's
 whole-network outputs so the perf trajectory (``BENCH_*.json`` via
-pytest-benchmark ``extra_info``) tracks both the profiler's own speed
-(the vectorized tile-timeline walker runs inside ``run_model``) and the
-modeled numbers:
+pytest-benchmark ``extra_info``) tracks both the memory profile's own
+speed (every layer of ``run_model`` is profiled; the tile-timeline
+walker runs only when ``overlapped_cycles`` is read, which this
+benchmark does not) and the modeled numbers:
 
 - ``dram_gb_per_s`` — total modeled DRAM traffic over the modeled
   runtime (the sustained channel load the design point implies),
 - ``memory_bound_fraction`` — share of layers whose honest operand-fill
   time exceeds compute (profile-level, independent of the enforced cap),
-- per-operand-class byte totals (weights / activations / partial sums /
-  DBB metadata / outputs).
+- per-operand-class byte totals (weights / activations / DBB metadata /
+  outputs; output-stationary accumulation spills no partial sums).
 """
 
 import pytest
@@ -24,8 +25,8 @@ ACCELS = {"sa-zvcg": ZvcgSA, "s2ta-aw": S2TAAW}
 
 
 def _traffic_stats(run):
-    total = {"weights": 0, "activations": 0, "partial_sums": 0,
-             "dbb_metadata": 0, "outputs": 0}
+    total = {"weights": 0, "activations": 0, "dbb_metadata": 0,
+             "outputs": 0}
     bound = 0
     for r in run.layer_results:
         for key, val in r.memory.by_class().items():

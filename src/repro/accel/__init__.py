@@ -23,7 +23,6 @@ Models:
   of the published non-systolic unstructured-sparse accelerators.
 """
 
-from repro._lazy import lazy_exports
 from repro.accel.base import AcceleratorModel, AccelRunResult, LayerResult
 from repro.accel.eyeriss import EyerissV2
 from repro.accel.fixed import FixedDataflowModel
@@ -47,14 +46,4 @@ __all__ = [
     "SCNN",
     "SparTen",
     "EyerissV2",
-    "TilingAnalysis",
-    "analyze_layer",
-    "analyze_model",
 ]
-
-# Not on an artifact run's path: each module loads on first use.
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "TilingAnalysis": "tiling",
-    "analyze_layer": "tiling",
-    "analyze_model": "tiling",
-})

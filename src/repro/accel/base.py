@@ -23,8 +23,8 @@ either of two fidelity tiers:
 In both tiers the base class runs the layer through the
 memory-hierarchy model (:mod:`repro.arch.memory`): every layer gets an
 exact per-operand-class DRAM profile and a fill-bandwidth bound, and
-``cycles = max(compute, memory)``. At the default channel (32 B/cycle,
-no row stalls) this reproduces the old flat DMA cap as a special case —
+``cycles = max(compute, memory)``. At the default channel (32 B/cycle)
+this reproduces the old flat DMA cap as a special case —
 conv layers stay compute bound and FC/depthwise layers hit the Sec. 8.3
 streaming floor — while making DRAM bandwidth a sweepable axis. Events
 price through the :class:`~repro.energy.model.EnergyModel` (off-chip
@@ -153,15 +153,13 @@ class AcceleratorModel:
     wb_fraction = 0.2
 
     def __init__(self, tech: str = "16nm", costs: CostModel = DEFAULT_COSTS,
-                 dram: Optional[DRAMConfig] = None,
                  dram_gbps: Optional[float] = None):
         self.tech = tech
         self.costs = costs
         self.energy_model = EnergyModel(tech=tech, costs=costs)
         self.clock_ghz = get_tech(tech).clock_ghz
-        if dram is not None and dram_gbps is not None:
-            raise ValueError("pass either dram= or dram_gbps=, not both")
-        self._dram = dram
+        if dram_gbps is not None:
+            DRAMConfig.check_bandwidth(dram_gbps)
         self._dram_gbps = dram_gbps
         self._memory: Optional[MemorySystem] = None
 
@@ -176,13 +174,11 @@ class AcceleratorModel:
         after construction, e.g. Eyeriss v2's 200 MHz).
         """
         if self._memory is None:
-            dram = self._dram
-            if dram is None:
-                if self._dram_gbps is not None:
-                    dram = DRAMConfig.from_bandwidth(self._dram_gbps,
-                                                     self.clock_ghz)
-                else:
-                    dram = DRAMConfig()
+            if self._dram_gbps is None:
+                dram = DRAMConfig()
+            else:
+                dram = DRAMConfig.from_bandwidth(self._dram_gbps,
+                                                 self.clock_ghz)
             sram_bytes = int(self.sram_mb * 1024 * 1024)
             wb = max(1, int(sram_bytes * self.wb_fraction))
             self._memory = MemorySystem(
@@ -249,11 +245,6 @@ class AcceleratorModel:
             out_bytes=layer.m * layer.n,
             tiles_m=tiles_m,
             tiles_n=tiles_n,
-            # Output-stationary: partial sums live in the PE accumulators
-            # while operands *stream* through the staging halves, so the
-            # reduction never splits along K and no psums spill (the
-            # psum traffic class stays available for other dataflows).
-            k_strip_bytes=0,
         )
 
     def _finalize_layer(self, layer: LayerSpec, compute_cycles: int,

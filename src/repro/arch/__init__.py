@@ -19,9 +19,11 @@ Cycle-level functional models of the paper's hardware building blocks:
   with hierarchical cluster occupancy.
 - :mod:`repro.arch.scnn`: SCNN's Cartesian-product PEs with the
   result-scatter crossbar.
-- :mod:`repro.arch.memory`: the memory hierarchy — DRAM channel,
-  double-buffered SRAM staging, and the tile-schedule DMA walker behind
-  the roofline artifacts.
+- :mod:`repro.arch.memory`: the memory hierarchy — DRAM channel
+  (bandwidth, burst granule), double-buffered SRAM staging, each
+  layer's per-operand-class DRAM bytes and fill time, and the
+  tile-schedule DMA walker behind the roofline artifacts. The dataflows
+  accumulate on chip, so no partial sum spills to DRAM.
 """
 
 from repro._lazy import lazy_exports

@@ -6,17 +6,22 @@ models. It replaces the old flat DMA cap (``ceil(stream_bytes / 32)``,
 applied only to FC/depthwise layers) with a first-class hierarchy:
 
 - :class:`DRAMConfig` — one DRAM channel: sustained bandwidth in bytes
-  per accelerator cycle, minimum burst granule, and row-buffer-aware
-  accounting (row span + optional activate stall per row crossing).
+  per accelerator cycle and the minimum burst granule.
 - :class:`SRAMStaging` — the software-managed on-chip staging buffers
   (512 KB weight buffer + 2 MB activation buffer on S2TA, Sec. 6.3),
   double-buffered: one half computes while the other fills, so only
   half of each buffer is usable for residency.
 - :class:`MemorySystem` — prices one layer: residency against the
   staging buffers decides re-stream multiplicities, per-operand-class
-  DRAM bytes are counted exactly (weights, activations, partial sums,
-  DBB metadata), and a vectorized tile-schedule walker turns the
-  layer's tiling into a per-tile DMA timeline overlapped with compute.
+  DRAM bytes are counted exactly (weights, activations, DBB metadata,
+  outputs), and a vectorized tile-schedule walker turns the layer's
+  tiling into a per-tile DMA timeline overlapped with compute.
+
+No dataflow modelled here spills partial sums: the systolic family
+accumulates output-stationary in the PE accumulators (S2TA, like STA)
+while operands stream through the staging halves, and the
+fixed-dataflow comparison points keep theirs on chip. The reduction
+never splits along K, and the only DRAM write is the result write-back.
 
 Two cycle numbers come out of a :class:`LayerMemoryProfile`:
 
@@ -27,7 +32,7 @@ Two cycle numbers come out of a :class:`LayerMemoryProfile`:
   through the activation-buffer write port and overlaps, so it is
   *reported and priced* but not part of the cap — exactly the
   convention of the old DMA cap, which the default configuration
-  reproduces as a special case (32 B/cycle, no row stalls).
+  reproduces as a special case (32 B/cycle).
 - ``overlapped_cycles`` — the double-buffered tile timeline: the first
   tile's fill cannot overlap anything, after that tile ``t+1``'s DMA
   (next fill + posted write-back of ``t``) hides under tile ``t``'s
@@ -64,30 +69,24 @@ __all__ = [
 ]
 
 
-def window_duplication(layer: LayerSpec, streaming: bool = True) -> int:
+def window_duplication(layer: LayerSpec) -> int:
     """Im2col duplication factor (KH*KW) between the compact feature map
-    and the GEMM view, recovered from the largest square-kernel divisor
-    of K — exact for the model zoo's 11x11, 7x7, 5x5, 3x3 and 1x1 conv
-    layers.
+    in DRAM and the GEMM view, recovered from the largest square-kernel
+    divisor of K — exact for the model zoo's 11x11, 7x7, 5x5, 3x3 and
+    1x1 conv layers.
 
-    FC layers have no spatial window in either view (their K is a plain
-    channel axis, even when it happens to divide by a square). With
-    ``streaming=True`` (the DRAM-traffic view) only standard conv layers
-    get the on-the-fly expansion: depthwise layers stream
+    Only standard conv layers get the on-the-fly expansion. FC layers
+    have no spatial window (their K is a plain channel axis, even when
+    it happens to divide by a square); depthwise layers stream
     channel-serial, which defeats the im2col address generators — their
     windows re-stream expanded (the Sec. 8.3 convention that makes
-    depthwise layers DMA bound at batch 1). ``streaming=False`` is the
-    on-chip *capacity* view (what the AB stores), where the compact
-    footprint applies to conv *and* depthwise — used by the tiling
-    analysis in :mod:`repro.accel.tiling`.
+    depthwise layers DMA bound at batch 1).
 
     Specs that state ``LayerSpec.window`` explicitly bypass the divisor
     inference — e.g. a 1x1 conv whose channel count happens to divide by
     9 would otherwise be mis-detected as a 3x3.
     """
-    if layer.kind is LayerKind.FC:
-        return 1
-    if streaming and layer.kind is not LayerKind.CONV:
+    if layer.kind is not LayerKind.CONV:
         return 1
     if layer.window is not None:
         return layer.window
@@ -164,10 +163,7 @@ class DRAMConfig:
     cycle (the legacy DMA fill constant was 32 B/cycle); use
     :meth:`from_bandwidth` to spec an absolute bandwidth in GB/s at a
     given accelerator clock. ``burst_bytes`` is the minimum transfer
-    granule (bus bytes round up per stream). ``row_bytes`` is the
-    row-buffer span; every row crossing of a streamed transfer counts
-    one activation, stalling ``row_activate_cycles`` (0 by default, so
-    the default configuration degenerates to the legacy flat cap).
+    granule (bus bytes round up per stream).
 
     ``cap_streaming_only`` selects the paper's evaluation semantics
     (the default): the fill-bandwidth *cap* is enforced only on the
@@ -183,18 +179,22 @@ class DRAMConfig:
 
     bytes_per_cycle: float = 32.0
     burst_bytes: int = 32
-    row_bytes: int = 2048
-    row_activate_cycles: float = 0.0
     cap_streaming_only: bool = True
 
     def __post_init__(self) -> None:
         if self.bytes_per_cycle <= 0:
             raise ValueError(
                 f"bytes_per_cycle must be positive, got {self.bytes_per_cycle}")
-        if self.burst_bytes < 1 or self.row_bytes < 1:
-            raise ValueError("burst_bytes and row_bytes must be >= 1")
-        if self.row_activate_cycles < 0:
-            raise ValueError("row_activate_cycles must be >= 0")
+        if self.burst_bytes < 1:
+            raise ValueError("burst_bytes must be >= 1")
+
+    @staticmethod
+    def check_bandwidth(gb_per_s: float) -> float:
+        """``gb_per_s`` if it is a finite positive bandwidth, else
+        ``ValueError``."""
+        if not (math.isfinite(gb_per_s) and gb_per_s > 0):
+            raise ValueError(f"bandwidth must be positive, got {gb_per_s}")
+        return gb_per_s
 
     @classmethod
     def from_bandwidth(cls, gb_per_s: float, clock_ghz: float = 1.0,
@@ -204,59 +204,35 @@ class DRAMConfig:
         the memory wall, so the cap defaults to honest roofline
         semantics on every layer (override via ``cap_streaming_only``).
         """
-        if not (math.isfinite(gb_per_s) and gb_per_s > 0):
-            raise ValueError(f"bandwidth must be positive, got {gb_per_s}")
         kwargs.setdefault("cap_streaming_only", False)
-        return cls(bytes_per_cycle=gb_per_s / clock_ghz, **kwargs)
-
-    def bandwidth_gbps(self, clock_ghz: float = 1.0) -> float:
-        return self.bytes_per_cycle * clock_ghz
-
-    def bus_bytes(self, logical_bytes: int, streams: int = 1) -> int:
-        """Burst-rounded bus bytes for ``streams`` contiguous transfers."""
-        return self._streamed(logical_bytes, streams)[1]
-
-    def row_activations(self, logical_bytes: int, streams: int = 1) -> int:
-        """Row-buffer activations for ``streams`` contiguous transfers."""
-        return self._streamed(logical_bytes, streams)[2]
-
-    def transfer_cycles(self, logical_bytes: int, streams: int = 1) -> float:
-        """Bus time of ``streams`` contiguous transfers of
-        ``logical_bytes`` total (same per-stream split as
-        :meth:`bus_bytes` / :meth:`row_activations`), priced on Python
-        floats: equal to ``streams * transfer_cycles_array(per_stream)``."""
-        return self._streamed(logical_bytes, streams)[0]
+        return cls(bytes_per_cycle=cls.check_bandwidth(gb_per_s) / clock_ghz,
+                   **kwargs)
 
     def transfer_cycles_array(self, logical_bytes: np.ndarray) -> np.ndarray:
         """Bus time per transfer, vectorized (one transfer per element),
         for the per-tile DMA timeline walker. Same formula as the scalar
-        :meth:`transfer_cycles` (both call :meth:`_transfer_time`)."""
+        :meth:`_stream_time` (both call :meth:`_transfer_time`)."""
         return self._transfer_time(
             np.asarray(logical_bytes, dtype=np.float64), np.ceil)
 
     def _transfer_time(self, logical_bytes, ceil):
-        """Bus time of one transfer: burst-rounded bytes plus
-        row-activation stalls. The single source of the channel's
-        per-transfer timing formula, for a float (``ceil=math.ceil``)
-        or a float64 array (``ceil=np.ceil``); both run the same IEEE
-        operations in the same order, so they agree bit for bit."""
-        bursts = ceil(logical_bytes / self.burst_bytes)
-        rows = ceil(logical_bytes / self.row_bytes)
-        return (bursts * self.burst_bytes / self.bytes_per_cycle
-                + rows * self.row_activate_cycles)
+        """Bus time of one transfer: its burst-rounded bytes over the
+        bandwidth. The single source of the channel's per-transfer
+        timing formula, for a float (``ceil=math.ceil``) or a float64
+        array (``ceil=np.ceil``); both run the same IEEE operations in
+        the same order, so they agree bit for bit."""
+        return (ceil(logical_bytes / self.burst_bytes) * self.burst_bytes
+                / self.bytes_per_cycle)
 
-    def _streamed(self, logical_bytes: int,
-                  streams: int) -> Tuple[float, int, int]:
-        """(bus time, bus bytes, row activations) of ``streams``
-        contiguous transfers of ``logical_bytes`` total, each stream
-        carrying the rounded-up even share."""
+    def _stream_time(self, logical_bytes: int, streams: int) -> float:
+        """Bus time of ``streams`` contiguous transfers of
+        ``logical_bytes`` total, each stream carrying the rounded-up
+        even share, priced on Python floats: equal to ``streams *
+        transfer_cycles_array(per_stream)``."""
         if logical_bytes <= 0 or streams <= 0:
-            return 0.0, 0, 0
+            return 0.0
         per_stream = -(-logical_bytes // streams)
-        return (streams * self._transfer_time(float(per_stream), math.ceil),
-                streams * -(-per_stream // self.burst_bytes)
-                * self.burst_bytes,
-                streams * -(-per_stream // self.row_bytes))
+        return streams * self._transfer_time(float(per_stream), math.ceil)
 
 
 @dataclass(frozen=True)
@@ -265,7 +241,6 @@ class SRAMStaging:
 
     wb_bytes: int = 512 * 1024
     ab_bytes: int = 2 * 1024 * 1024
-    double_buffered: bool = True
 
     def __post_init__(self) -> None:
         if self.wb_bytes < 1 or self.ab_bytes < 1:
@@ -273,13 +248,13 @@ class SRAMStaging:
 
     @property
     def usable_wb(self) -> int:
-        """Weight-buffer bytes available for residency (half when
-        double-buffered: one half computes while the other fills)."""
-        return self.wb_bytes // 2 if self.double_buffered else self.wb_bytes
+        """Weight-buffer bytes available for residency: half, since one
+        half computes while the other fills."""
+        return self.wb_bytes // 2
 
     @property
     def usable_ab(self) -> int:
-        return self.ab_bytes // 2 if self.double_buffered else self.ab_bytes
+        return self.ab_bytes // 2
 
 
 @dataclass(frozen=True)
@@ -316,9 +291,7 @@ class LayerTraffic:
     ``weights``/``acts`` are single-pass streams with their tiling
     re-stream multiplicities (output-stationary: weights re-stream per
     output-row tile pass, activations per output-column tile pass).
-    ``out_bytes`` is the result write-back, ``k_strip_bytes`` the
-    largest single-column-strip weight working set (decides whether the
-    reduction must split along K and spill partial sums).
+    ``out_bytes`` is the result write-back.
 
     ``fixed_schedule`` marks dataflows whose refill pattern is baked
     into the published design (SCNN / SparTen / Eyeriss v2): every
@@ -333,7 +306,6 @@ class LayerTraffic:
     out_bytes: int
     tiles_m: int = 1
     tiles_n: int = 1
-    k_strip_bytes: int = 0
     fixed_schedule: bool = False
 
     def __post_init__(self) -> None:
@@ -354,19 +326,11 @@ class LayerMemoryProfile:
     act_bytes: int
     act_meta_bytes: int
     out_bytes: int
-    psum_read_bytes: int
-    psum_write_bytes: int
-    # Residency decisions and reduction splitting.
+    # Residency decisions.
     weights_resident: bool
     acts_resident: bool
-    k_splits: int
-    # Channel-level accounting.
-    bus_read_bytes: int
-    bus_write_bytes: int
-    row_activations: int
     # Timing.
     fill_cycles: float        # operand-fill bus time (reads), fractional
-    dma_cycles: float         # total bus-busy time incl. write-back
     memory_cycles: int        # ceil(fill_cycles): the roofline cap
     compute_cycles: int
     # Lazy per-tile timeline: walking the tile schedule costs numpy work
@@ -389,12 +353,11 @@ class LayerMemoryProfile:
     @property
     def dram_read_bytes(self) -> int:
         return (self.weight_bytes + self.weight_meta_bytes
-                + self.act_bytes + self.act_meta_bytes
-                + self.psum_read_bytes)
+                + self.act_bytes + self.act_meta_bytes)
 
     @property
     def dram_write_bytes(self) -> int:
-        return self.out_bytes + self.psum_write_bytes
+        return self.out_bytes
 
     @property
     def total_dram_bytes(self) -> int:
@@ -419,7 +382,6 @@ class LayerMemoryProfile:
         return {
             "weights": self.weight_bytes,
             "activations": self.act_bytes,
-            "partial_sums": self.psum_read_bytes + self.psum_write_bytes,
             "dbb_metadata": self.meta_bytes,
             "outputs": self.out_bytes,
         }
@@ -437,8 +399,6 @@ def _tile_dma_bytes(
     traffic: LayerTraffic,
     w_total: int,
     a_total: int,
-    psum_read: int,
-    psum_write: int,
     weights_once: bool,
     acts_once: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -468,9 +428,7 @@ def _tile_dma_bytes(
         reads[:tm] += a_strips.sum(axis=0)  # all during the first pass
     else:
         reads += a_strips.reshape(-1)
-    reads += _split_even(psum_read, tiles)
-    writes = _split_even(traffic.out_bytes + psum_write, tiles).astype(
-        np.float64)
+    writes = _split_even(traffic.out_bytes, tiles).astype(np.float64)
     return reads, writes
 
 
@@ -550,32 +508,15 @@ class MemorySystem:
         w_meta = w.meta_bytes * w_streams
         a_payload = a.payload_bytes * a_streams
         a_meta = a.meta_bytes * a_streams
-        # Reduction splitting: when even one column strip's weights
-        # exceed the usable WB, K splits and 32-bit partial sums spill
-        # to DRAM and reload once per extra split.
-        k_splits = 1
-        if traffic.k_strip_bytes > self.sram.usable_wb:
-            k_splits = -(-traffic.k_strip_bytes // self.sram.usable_wb)
-        psum = (k_splits - 1) * 4 * traffic.out_bytes
         w_total = w_payload + w_meta
         a_total = a_payload + a_meta
-        # Each stream is priced once: (bus time, bus bytes, row
-        # activations); partial sums spill and reload the same stream.
-        w_time, w_bus, w_rows = self.dram._streamed(w_total, w_streams)
-        a_time, a_bus, a_rows = self.dram._streamed(a_total, a_streams)
-        p_time, p_bus, p_rows = self.dram._streamed(psum,
-                                                    max(1, k_splits - 1))
-        o_time, o_bus, o_rows = self.dram._streamed(traffic.out_bytes, 1)
-        fill_cycles = w_time + a_time + p_time
-        drain_cycles = o_time + p_time
-        bus_read = w_bus + a_bus + p_bus
-        bus_write = o_bus + p_bus
-        row_acts = w_rows + a_rows + o_rows + 2 * p_rows
+        fill_cycles = (self.dram._stream_time(w_total, w_streams)
+                       + self.dram._stream_time(a_total, a_streams))
 
         def walk_timeline(dram=self.dram, w_once=w_streams == 1,
                           a_once=a_streams == 1) -> int:
             reads, writes = _tile_dma_bytes(
-                traffic, w_total, a_total, psum, psum,
+                traffic, w_total, a_total,
                 weights_once=w_once, acts_once=a_once)
             return _overlapped_cycles(dram, reads, writes, compute_cycles)
 
@@ -586,16 +527,9 @@ class MemorySystem:
             act_bytes=a_payload,
             act_meta_bytes=a_meta,
             out_bytes=traffic.out_bytes,
-            psum_read_bytes=psum,
-            psum_write_bytes=psum,
             weights_resident=weights_resident,
             acts_resident=acts_resident,
-            k_splits=k_splits,
-            bus_read_bytes=bus_read,
-            bus_write_bytes=bus_write,
-            row_activations=row_acts,
             fill_cycles=fill_cycles,
-            dma_cycles=fill_cycles + drain_cycles,
             memory_cycles=int(math.ceil(fill_cycles)),
             compute_cycles=int(compute_cycles),
             _timeline=walk_timeline,

@@ -409,8 +409,6 @@ class _Group(NamedTuple):
     per_clock: bool         # bytes_per_cycle is GB/s, per derated clock
     bytes_per_cycle: float
     burst_bytes: int
-    row_bytes: int
-    row_activate_cycles: float
 
 
 def _group(point: DSEPoint) -> Tuple[AcceleratorModel, _Group]:
@@ -441,8 +439,7 @@ def _group(point: DSEPoint) -> Tuple[AcceleratorModel, _Group]:
         capped=channel.cap_streaming_only and not layer.memory_bound,
         per_clock=point.dram_gbps is not None,
         bytes_per_cycle=channel.bytes_per_cycle,
-        burst_bytes=channel.burst_bytes, row_bytes=channel.row_bytes,
-        row_activate_cycles=channel.row_activate_cycles)
+        burst_bytes=channel.burst_bytes)
 
 
 class _Geometry(NamedTuple):
@@ -515,7 +512,7 @@ def _time_unrolled_events(c: _Group, g: _Geometry
 
 def _stream_time(dram, logical_bytes: np.ndarray,
                  streams: np.ndarray) -> np.ndarray:
-    """Bus time of :meth:`DRAMConfig._streamed` over columns; ``dram``
+    """Bus time of :meth:`DRAMConfig._stream_time` over columns; ``dram``
     carries the channel's timing fields (scalars or columns). Streams
     are >= 1 here and zero bytes price to 0.0, so its early return
     needs no twin."""
@@ -565,8 +562,8 @@ def _price_pass(accel: AcceleratorModel, c: _Group, geometry: np.ndarray,
 
     # MemorySystem._profile_body: a stream's stored bytes are its pass
     # bytes; only when both operands overflow their (double-buffered)
-    # halves does one re-stream, whichever moves fewer bytes. S2TA's
-    # traffic has no K strip, so no partial sums spill.
+    # halves does one re-stream, whichever moves fewer bytes. No
+    # partial sums spill (output-stationary accumulation).
     both_overflow = (w_pass > wb // 2) & (a_pass > ab // 2)
     w_restreams = (w_pass * g.tiles_m + a_pass
                    <= a_pass * g.tiles_n + w_pass)
@@ -579,8 +576,7 @@ def _price_pass(accel: AcceleratorModel, c: _Group, geometry: np.ndarray,
     # bandwidth enforces the roofline wall (or the layer streams). The
     # channel's timing fields are columns of a stand-in for its self.
     dram = SimpleNamespace(
-        burst_bytes=c.burst_bytes, row_bytes=c.row_bytes,
-        row_activate_cycles=c.row_activate_cycles,
+        burst_bytes=c.burst_bytes,
         bytes_per_cycle=np.where(c.per_clock, c.bytes_per_cycle / clock_ghz,
                                  c.bytes_per_cycle))
     memory_cycles = np.where(

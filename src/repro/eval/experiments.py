@@ -838,7 +838,7 @@ def xval_functional_vs_analytic(
             "fragmentation on small feature maps is emergent in the "
             "functional tier)",
             "DRAM exact = per-operand-class off-chip bytes (weights, "
-            "activations, partial sums, DBB metadata, outputs) agree "
+            "activations, DBB metadata, outputs) agree "
             "bit-for-bit between tiers",
             "contract: " + "; ".join(
                 f"{name} fired<{c.fired * 100:g}% energy<{c.energy * 100:g}%"

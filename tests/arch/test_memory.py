@@ -22,24 +22,22 @@ from repro.models.specs import LayerKind, LayerSpec
 
 
 def _traffic(w=1000, w_meta=0, a=500, a_meta=0, out=100,
-             tiles_m=4, tiles_n=2, k_strip=0):
+             tiles_m=4, tiles_n=2):
     return LayerTraffic(
         weights=OperandStream(w, w_meta, passes=tiles_m),
         acts=OperandStream(a, a_meta, passes=tiles_n),
         out_bytes=out,
         tiles_m=tiles_m,
         tiles_n=tiles_n,
-        k_strip_bytes=k_strip,
     )
 
 
 class TestDRAMConfig:
     def test_defaults_reproduce_legacy_dma(self):
-        """32 B/cycle, no row stalls, streaming-only cap: the legacy
-        flat DMA model is the default channel's special case."""
+        """32 B/cycle, streaming-only cap: the legacy flat DMA model is
+        the default channel's special case."""
         dram = DRAMConfig()
         assert dram.bytes_per_cycle == 32.0
-        assert dram.row_activate_cycles == 0.0
         assert dram.cap_streaming_only
 
     def test_from_bandwidth_converts_at_clock(self):
@@ -51,45 +49,29 @@ class TestDRAMConfig:
             8.0, cap_streaming_only=True).cap_streaming_only
 
     def test_bus_bytes_burst_rounding(self):
-        dram = DRAMConfig(burst_bytes=32)
-        assert dram.bus_bytes(0) == 0
-        assert dram.bus_bytes(1) == 32
-        assert dram.bus_bytes(64) == 64
-        assert dram.bus_bytes(65) == 96
+        """At one byte per cycle the bus time is the bus bytes."""
+        dram = DRAMConfig(bytes_per_cycle=1.0, burst_bytes=32)
+        assert dram.transfer_cycles_array(
+            np.array([0, 1, 64, 65])).tolist() == [0, 32, 64, 96]
+        assert dram._stream_time(0, 1) == 0.0
         # per-stream rounding: 2 streams of 33 bytes -> 2 x 64
-        assert dram.bus_bytes(66, streams=2) == 128
-
-    def test_row_activations(self):
-        dram = DRAMConfig(row_bytes=2048)
-        assert dram.row_activations(0) == 0
-        assert dram.row_activations(2048) == 1
-        assert dram.row_activations(2049) == 2
-        assert dram.row_activations(4096, streams=2) == 2
-
-    def test_transfer_cycles_includes_row_stalls(self):
-        base = DRAMConfig(bytes_per_cycle=32, row_activate_cycles=0.0)
-        stalled = DRAMConfig(bytes_per_cycle=32, row_activate_cycles=10.0)
-        assert stalled.transfer_cycles(8192) \
-            == base.transfer_cycles(8192) + 10.0 * 4
+        assert dram._stream_time(66, 2) == 128.0
 
     @given(logical_bytes=st.integers(1, 2**48), streams=st.integers(1, 64),
            dram=st.one_of(
                st.just(DRAMConfig()),
                st.builds(DRAMConfig.from_bandwidth,
                          st.floats(0.1, 512.0), st.floats(0.2, 3.0),
-                         burst_bytes=st.sampled_from([1, 16, 32, 64]),
-                         row_bytes=st.sampled_from([512, 1024, 2048]),
-                         row_activate_cycles=st.floats(0.0, 40.0)),
+                         burst_bytes=st.sampled_from([1, 16, 32, 64])),
                st.builds(DRAMConfig,
-                         bytes_per_cycle=st.sampled_from([3.3, 12.8, 1e-3]),
-                         row_activate_cycles=st.sampled_from([0, 7, 2.5]))))
+                         bytes_per_cycle=st.sampled_from([3.3, 12.8, 1e-3]))))
     @settings(max_examples=400, deadline=None)
     def test_scalar_transfer_cycles_equals_array(self, logical_bytes,
                                                  streams, dram):
         """The scalar price runs on Python floats, the timeline walker's
         on float64 arrays; they agree bit for bit."""
         per_stream = -(-logical_bytes // streams)
-        got = dram.transfer_cycles(logical_bytes, streams)
+        got = dram._stream_time(logical_bytes, streams)
         want = streams * float(dram.transfer_cycles_array(per_stream))
         assert type(got) is float
         assert got.hex() == want.hex()
@@ -100,8 +82,6 @@ class TestDRAMConfig:
         with pytest.raises(ValueError):
             DRAMConfig(burst_bytes=0)
         with pytest.raises(ValueError):
-            DRAMConfig(row_activate_cycles=-1)
-        with pytest.raises(ValueError):
             DRAMConfig.from_bandwidth(-4.0)
 
     @pytest.mark.parametrize("gbps", [math.nan, math.inf, -math.inf])
@@ -110,8 +90,8 @@ class TestDRAMConfig:
             DRAMConfig.from_bandwidth(gbps)
 
     def test_bandwidth_roundtrip(self):
-        dram = DRAMConfig.from_bandwidth(25.6, clock_ghz=1.0)
-        assert dram.bandwidth_gbps(1.0) == pytest.approx(25.6)
+        dram = DRAMConfig.from_bandwidth(25.6, clock_ghz=0.8)
+        assert dram.bytes_per_cycle * 0.8 == pytest.approx(25.6)
 
 
 class TestSRAMStaging:
@@ -119,9 +99,6 @@ class TestSRAMStaging:
         sram = SRAMStaging(wb_bytes=512 * 1024, ab_bytes=2 * 1024 * 1024)
         assert sram.usable_wb == 256 * 1024
         assert sram.usable_ab == 1024 * 1024
-        flat = SRAMStaging(wb_bytes=1024, ab_bytes=1024,
-                           double_buffered=False)
-        assert flat.usable_wb == 1024
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -153,14 +130,14 @@ class TestSplitAndWalk:
         for w_once in (True, False):
             for a_once in (True, False):
                 reads, writes = _tile_dma_bytes(
-                    traffic, 999, 517, 7, 7, w_once, a_once)
+                    traffic, 999, 517, w_once, a_once)
                 assert len(reads) == 12
-                assert reads.sum() == pytest.approx(999 + 517 + 7)
-                assert writes.sum() == pytest.approx(101 + 7)
+                assert reads.sum() == pytest.approx(999 + 517)
+                assert writes.sum() == pytest.approx(101)
 
     def test_resident_weights_fetch_at_pass_starts(self):
         traffic = _traffic(w=800, a=0, out=0, tiles_m=4, tiles_n=2)
-        reads, _ = _tile_dma_bytes(traffic, 800, 0, 0, 0,
+        reads, _ = _tile_dma_bytes(traffic, 800, 0,
                                    weights_once=True, acts_once=True)
         # strips land at schedule indices 0 and tiles_m
         assert reads[0] == 400 and reads[4] == 400
@@ -248,22 +225,6 @@ class TestMemorySystemProfile:
         assert prof.meta_bytes == 300
         assert prof.by_class()["dbb_metadata"] == 300
 
-    def test_k_split_spills_partial_sums(self):
-        sys = self._system()
-        # one column strip (3000 B) exceeds the 1024-usable WB -> 3 splits
-        traffic = _traffic(w=6000, a=100, out=500, tiles_m=1, tiles_n=2,
-                           k_strip=3000)
-        prof = sys.profile(traffic, compute_cycles=10)
-        assert prof.k_splits == 3
-        assert prof.psum_read_bytes == 2 * 4 * 500
-        assert prof.psum_write_bytes == 2 * 4 * 500
-        assert prof.by_class()["partial_sums"] == 2 * 2 * 4 * 500
-
-    def test_no_psum_without_strip_overflow(self):
-        prof = self._system().profile(_traffic(), compute_cycles=10)
-        assert prof.k_splits == 1
-        assert prof.psum_read_bytes == 0
-
     def test_read_write_split(self):
         prof = self._system().profile(
             _traffic(w=1000, a=500, out=300), compute_cycles=10)
@@ -275,21 +236,16 @@ class TestMemorySystemProfile:
         """The cap covers operand fills; write-back drains overlapped."""
         prof = self._system(burst_bytes=1).profile(
             _traffic(w=320, a=320, out=999999), compute_cycles=10)
+        assert prof.fill_cycles == (320 + 320) / 32
         assert prof.memory_cycles == math.ceil((320 + 320) / 32)
-        assert prof.dma_cycles > prof.fill_cycles
 
     def test_burst_rounding_inflates_bus_bytes(self):
+        """The fill moves whole bursts: 65 B of weights take two 64 B
+        bursts and 1 B of activations one."""
         prof = self._system(burst_bytes=64).profile(
             _traffic(w=65, a=1, out=1), compute_cycles=10)
-        assert prof.bus_read_bytes == 128 + 64
-        assert prof.bus_write_bytes == 64
-
-    def test_row_stalls_slow_the_fill(self):
-        fast = self._system().profile(_traffic(w=8192), 10)
-        slow = self._system(row_activate_cycles=20.0).profile(
-            _traffic(w=8192), 10)
-        assert slow.memory_cycles > fast.memory_cycles
-        assert slow.row_activations >= 4
+        assert prof.fill_cycles == (128 + 64) / 32
+        assert prof.dram_read_bytes == 65 + 1
 
     def test_memory_bound_flag(self):
         sys = self._system()
@@ -322,15 +278,6 @@ class TestWindowDuplication:
             LayerSpec("f", LayerKind.FC, m=1, k=9216, n=10)) == 1
         assert window_duplication(
             LayerSpec("d", LayerKind.DWCONV, m=100, k=9, n=1)) == 1
-
-    def test_capacity_view_kind_awareness(self):
-        """FC never has a window (AlexNet fc6's k=9216 divides by 9 but
-        is a plain channel axis); depthwise keeps its window in the
-        on-chip capacity view (the AB stores the compact feature map)."""
-        fc = LayerSpec("f", LayerKind.FC, m=1, k=9216, n=10)
-        assert window_duplication(fc, streaming=False) == 1
-        dw = LayerSpec("d", LayerKind.DWCONV, m=100, k=9, n=1)
-        assert window_duplication(dw, streaming=False) == 9
 
 
 class TestAcceleratorIntegration:
@@ -384,11 +331,14 @@ class TestAcceleratorIntegration:
         assert result.events.dram_read_bytes \
             == result.memory.dram_read_bytes
 
-    def test_dram_and_dram_gbps_mutually_exclusive(self):
+    @pytest.mark.parametrize("gbps", [0, -1, math.nan, math.inf])
+    def test_bad_bandwidth_rejected_at_construction(self, gbps):
+        """A bad ``dram_gbps`` fails when the accelerator is built, with
+        the channel's own message, not later inside a run."""
         from repro.accel import ZvcgSA
 
-        with pytest.raises(ValueError):
-            ZvcgSA(dram=DRAMConfig(), dram_gbps=8.0)
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            ZvcgSA(dram_gbps=gbps)
 
     def test_eyeriss_converts_bandwidth_at_its_own_clock(self):
         """dram_gbps must convert against the 200 MHz published clock,

@@ -27,7 +27,7 @@ OFF_THE_PATH = [
     "repro.arch.netsim", "repro.workloads.from_trace",
     "repro.workloads.microbench",
     "repro.eval.ablations", "repro.eval.roofline", "repro.design.rtlgen",
-    "repro.accel.tiling", "repro.core.serialize",
+    "repro.core.serialize",
     "repro.arch.tpe", "repro.arch.datapath", "repro.arch.buffers",
     "repro.arch.dap_hw",
     "multiprocessing", "concurrent.futures", "numpy.random",

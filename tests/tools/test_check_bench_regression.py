@@ -40,10 +40,17 @@ SMALL_HOST = (2, "Intel(R) Xeon(R) Processor", "3.11.7")
 BIG_HOST = (64, "AMD EPYC 7763 64-Core Processor", "3.11.7")
 
 
+def _rate(throughput, unit, **extra):
+    """A benchmark's ``extra_info`` with its recorded throughput."""
+    return dict(extra, throughput=throughput, unit=unit)
+
+
 class TestThroughputOf:
     def test_prefers_macs_per_s(self):
+        """A recorded throughput (the kernel benchmarks' MACs/s) wins
+        over the pytest-benchmark call rate."""
         record = {"stats": {"mean": 0.5},
-                  "extra_info": {"macs_per_s": 1e9}}
+                  "extra_info": _rate(1e9, "macs/s")}
         assert cbr.throughput_of(record) == (1e9, "macs/s")
 
     def test_falls_back_to_call_rate(self):
@@ -52,70 +59,57 @@ class TestThroughputOf:
 
     def test_wallclock_beats_call_rate(self):
         """The experiment-wallclock benchmarks gate on their recorded
-        end-to-end seconds (inverted to higher-is-better), not on the
+        end-to-end seconds, inverted to higher-is-better, not on the
         pytest-benchmark mean."""
         record = {"stats": {"mean": 0.5},
-                  "extra_info": {"wallclock_s": 2.0, "workers": 4}}
+                  "extra_info": _rate(0.5, "runs/s (wall-clock)",
+                                      wallclock_s=2.0, workers=4)}
         assert cbr.throughput_of(record) == (0.5, "runs/s (wall-clock)")
 
     def test_macs_per_s_beats_wallclock(self):
         record = {"stats": {"mean": 0.5},
-                  "extra_info": {"macs_per_s": 1e9, "wallclock_s": 2.0}}
+                  "extra_info": _rate(1e9, "macs/s", wallclock_s=2.0)}
         assert cbr.throughput_of(record) == (1e9, "macs/s")
 
-    def test_configs_per_s_between_macs_and_wallclock(self):
-        """The DSE benchmarks gate on configs evaluated per second —
-        preferred over their own wallclock_s, outranked by macs_per_s."""
-        record = {"stats": {"mean": 0.5},
-                  "extra_info": {"configs_per_s": 1500.0,
-                                 "wallclock_s": 2.0}}
-        assert cbr.throughput_of(record) == (1500.0, "configs/s")
-        record["extra_info"]["macs_per_s"] = 1e9
-        assert cbr.throughput_of(record) == (1e9, "macs/s")
-
-    def test_jobs_per_s_between_spans_and_wallclock(self):
-        """The serve benchmarks gate on queue jobs completed per
-        second — preferred over their own wallclock_s, outranked by
-        the engine-level rates."""
-        record = {"stats": {"mean": 0.5},
-                  "extra_info": {"jobs_per_s": 40.0,
-                                 "wallclock_s": 2.0}}
-        assert cbr.throughput_of(record) == (40.0, "jobs/s")
-        record["extra_info"]["spans_per_s"] = 1e6
-        assert cbr.throughput_of(record) == (1e6, "spans/s")
+    def test_one_convention_ignores_other_keys(self):
+        """Only ``throughput`` + ``unit`` are read: the per-benchmark
+        rate keys of older BENCH files fall back to the call rate (a
+        one-time METRIC-CHANGED against those files), and so does a
+        throughput without a unit."""
+        legacy = {"stats": {"mean": 0.5},
+                  "extra_info": {"macs_per_s": 1e9, "configs_per_s": 1500.0,
+                                 "spans_per_s": 1e6, "jobs_per_s": 40.0,
+                                 "guards_per_s": 1e7, "wallclock_s": 4.0}}
+        assert cbr.throughput_of(legacy) == (2.0, "runs/s")
+        unitless = {"stats": {"mean": 0.5}, "extra_info": {"throughput": 9.0}}
+        assert cbr.throughput_of(unitless) == (2.0, "runs/s")
 
     def test_jobs_per_s_regression_fails_gate(self, tmp_path):
         _bench_file(tmp_path / "BENCH_1.json", "2026-01-01T00:00:00",
-                    [("t::serve", 1.0, {"jobs_per_s": 50.0})])
+                    [("t::serve", 1.0, _rate(50.0, "jobs/s"))])
         _bench_file(tmp_path / "BENCH_2.json", "2026-01-02T00:00:00",
-                    [("t::serve", 1.0, {"jobs_per_s": 40.0})])
+                    [("t::serve", 1.0, _rate(40.0, "jobs/s"))])
         assert cbr.main(["--dir", str(tmp_path)]) == 1
         _bench_file(tmp_path / "BENCH_3.json", "2026-01-03T00:00:00",
-                    [("t::serve", 1.0, {"jobs_per_s": 39.5})])
+                    [("t::serve", 1.0, _rate(39.5, "jobs/s"))])
         assert cbr.main(["--dir", str(tmp_path)]) == 0
 
     def test_configs_per_s_regression_fails_gate(self, tmp_path):
         _bench_file(tmp_path / "BENCH_1.json", "2026-01-01T00:00:00",
-                    [("t::dse", 1.0, {"configs_per_s": 1000.0})])
+                    [("t::dse", 1.0, _rate(1000.0, "configs/s"))])
         _bench_file(tmp_path / "BENCH_2.json", "2026-01-02T00:00:00",
-                    [("t::dse", 1.0, {"configs_per_s": 800.0})])
+                    [("t::dse", 1.0, _rate(800.0, "configs/s"))])
         assert cbr.main(["--dir", str(tmp_path)]) == 1
         _bench_file(tmp_path / "BENCH_3.json", "2026-01-03T00:00:00",
-                    [("t::dse", 1.0, {"configs_per_s": 790.0})])
+                    [("t::dse", 1.0, _rate(790.0, "configs/s"))])
         assert cbr.main(["--dir", str(tmp_path)]) == 0
 
     def test_wallclock_regression_fails_gate(self, tmp_path, capsys):
-        import json
-
         def bench_file(path, stamp, wallclock):
-            path.write_text(json.dumps({
-                "datetime": stamp,
-                "benchmarks": [{
-                    "fullname": "bench::fig12_wallclock",
-                    "stats": {"mean": wallclock},
-                    "extra_info": {"wallclock_s": wallclock},
-                }],
-            }))
+            _bench_file(path, stamp, [(
+                "bench::fig12_wallclock", wallclock,
+                _rate(1.0 / wallclock, "runs/s (wall-clock)",
+                      wallclock_s=wallclock))])
 
         bench_file(tmp_path / "BENCH_1.json", "2026-07-29T00:00:00", 10.0)
         bench_file(tmp_path / "BENCH_2.json", "2026-07-30T00:00:00", 15.0)
@@ -129,10 +123,10 @@ class TestThroughputOf:
 class TestMain:
     def test_passes_when_throughput_holds(self, tmp_path, capsys):
         _bench_file(tmp_path / "BENCH_1.json", "2026-07-01", [
-            ("t::a", 1.0, None), ("t::b", 1.0, {"macs_per_s": 100.0}),
+            ("t::a", 1.0, None), ("t::b", 1.0, _rate(100.0, "macs/s")),
         ])
         _bench_file(tmp_path / "BENCH_2.json", "2026-07-02", [
-            ("t::a", 0.95, None), ("t::b", 1.0, {"macs_per_s": 99.0}),
+            ("t::a", 0.95, None), ("t::b", 1.0, _rate(99.0, "macs/s")),
         ])
         assert cbr.main(["--dir", str(tmp_path)]) == 0
         assert "no throughput regressions" in capsys.readouterr().out
@@ -276,16 +270,16 @@ class TestMain:
         assert "NEW" in out and "REMOVED" in out
 
     def test_metric_change_is_a_fresh_baseline(self, tmp_path, capsys):
-        """A benchmark that gains (or loses) macs_per_s between runs is
-        incomparable across units and must neither pass silently with a
-        bogus delta nor fail as a fake regression."""
+        """A benchmark that gains (or loses) a recorded throughput
+        between runs is incomparable across units and must neither pass
+        silently with a bogus delta nor fail as a fake regression."""
         _bench_file(tmp_path / "BENCH_1.json", "2026-07-01", [
             ("t::a", 1.0, None),
-            ("t::b", 1.0, {"macs_per_s": 1e9}),
+            ("t::b", 1.0, _rate(1e9, "macs/s")),
             ("t::stable", 1.0, None),
         ])
         _bench_file(tmp_path / "BENCH_2.json", "2026-07-02", [
-            ("t::a", 1.0, {"macs_per_s": 1e9}),  # gained the metric
+            ("t::a", 1.0, _rate(1e9, "macs/s")),  # gained the metric
             ("t::b", 1.0, None),                 # lost the metric
             ("t::stable", 1.0, None),
         ])
@@ -302,7 +296,7 @@ class TestMain:
             ("t::a", 1.0, None),
         ])
         _bench_file(tmp_path / "BENCH_2.json", "2026-07-02", [
-            ("t::a", 1.0, {"macs_per_s": 1e9}),
+            ("t::a", 1.0, _rate(1e9, "macs/s")),
         ])
         assert cbr.main(["--dir", str(tmp_path)]) == 2
         assert "compared nothing" in capsys.readouterr().out
