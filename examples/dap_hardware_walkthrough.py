@@ -2,8 +2,8 @@
 
 Shows each magnitude-maxpool stage selecting the next-largest element,
 the cumulative Top-k bitmask after every stage, bit-exactness against
-the algorithmic DAP, and per-layer NNZ tuning on real activations from
-a runnable CNN.
+the algorithmic DAP, and per-layer NNZ tuning on INT8 ReLU activations
+of growing sparsity.
 
 Run:  python examples/dap_hardware_walkthrough.py
 """
@@ -14,7 +14,6 @@ from repro.arch.dap_hw import DAPHardware
 from repro.core.dap import dap_prune, tune_layer_nnz
 from repro.core.dbb import DBBSpec
 from repro.core.sparsity import density
-from repro.models.zoo import build_tiny_cnn
 
 
 def main() -> None:
@@ -43,23 +42,20 @@ def main() -> None:
     print("\nhardware cascade == software Top-NNZ, bit-exact over a "
           "16x64 tensor")
 
-    # Per-layer NNZ tuning on real activations (Sec. 5.2: density varies
-    # wildly across layers, so S2TA-AW tunes NNZ per layer).
-    model = build_tiny_cnn()
-    x = np.abs(rng.normal(size=(4, 16, 16, 8)))
-    result = model.forward(x)
-    print("\nper-layer A-DBB tuning on a runnable CNN "
+    # Per-layer NNZ tuning (Sec. 5.2: density varies wildly across
+    # layers, so S2TA-AW tunes NNZ per layer). Seeded INT8 ReLU outputs
+    # whose pre-activations shift down layer by layer stand in for a
+    # network's increasingly sparse feature maps.
+    print("\nper-layer A-DBB tuning on INT8 ReLU activations "
           "(keep 97% of L1 mass):")
-    captured = x
-    for layer in model.layers:
-        captured = layer.forward(captured)
-        if layer.name.startswith("relu"):
-            flat = captured.reshape(-1, captured.shape[-1])
-            nnz = tune_layer_nnz(flat, DBBSpec(8, 4), keep_threshold=0.97)
-            label = f"{nnz}/8" if nnz < 8 else "8/8 (dense bypass)"
-            print(f"  after {layer.name:<8} density {density(captured):.2f} "
-                  f"-> tuned A-DBB {label}")
-    del result
+    for name, shift in (("conv1", 1.5), ("conv2", 0.5), ("conv3", -0.5),
+                        ("conv4", -1.0), ("conv5", -1.5)):
+        pre = rng.normal(loc=shift, size=(256, 64))
+        acts = np.clip(np.rint(pre * 32), 0, 127).astype(np.int8)
+        nnz = tune_layer_nnz(acts, DBBSpec(8, 4), keep_threshold=0.97)
+        label = f"{nnz}/8" if nnz < 8 else "8/8 (dense bypass)"
+        print(f"  {name:<6} density {density(acts):.2f} "
+              f"-> tuned A-DBB {label}")
 
 
 if __name__ == "__main__":

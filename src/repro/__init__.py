@@ -6,9 +6,6 @@ contains:
 
 - ``repro.core``: Density Bound Block (DBB) sparsity — block format,
   weight pruning, dynamic activation pruning (DAP), sparse GEMM kernels.
-- ``repro.quant``: INT8 quantization substrate.
-- ``repro.nn``: a small numpy CNN inference substrate (conv/fc/pool layers,
-  im2col lowering).
 - ``repro.models``: model zoo with per-layer GEMM shapes and density
   profiles (LeNet-5, AlexNet, VGG-16, MobileNetV1, ResNet-50V1, I-BERT).
 - ``repro.arch``: cycle-level functional models of the datapaths, the
@@ -17,7 +14,8 @@ contains:
 - ``repro.accel``: accelerator cost models (SA, SA-ZVCG, SA-SMT, S2TA-W,
   S2TA-AW, SparTen, Eyeriss v2).
 - ``repro.design``: design-space exploration ("RTL generator" analogue).
-- ``repro.train``: minimal autograd + DBB-aware fine-tuning.
+- ``repro.train``: minimal autograd + DBB-aware fine-tuning, and the
+  NHWC im2col lowering of convolutions to GEMM.
 - ``repro.workloads``: layer/GEMM workload descriptions.
 - ``repro.eval``: experiment runners reproducing every table and figure.
 """

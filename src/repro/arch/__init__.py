@@ -73,8 +73,6 @@ __all__ = [
     "SCNNEngine",
     "SCNNResult",
     "TensorPE",
-    "simulate_network",
-    "NetworkSimResult",
 ]
 
 # Not on an artifact run's path: each module loads on first use.
@@ -88,6 +86,4 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "dp1m4_block": "datapath",
     "DAPHardware": "dap_hw",
     "TensorPE": "tpe",
-    "simulate_network": "netsim",
-    "NetworkSimResult": "netsim",
 })

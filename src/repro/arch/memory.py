@@ -182,9 +182,10 @@ class DRAMConfig:
     cap_streaming_only: bool = True
 
     def __post_init__(self) -> None:
-        if self.bytes_per_cycle <= 0:
-            raise ValueError(
-                f"bytes_per_cycle must be positive, got {self.bytes_per_cycle}")
+        if not (math.isfinite(self.bytes_per_cycle)
+                and self.bytes_per_cycle > 0):
+            raise ValueError("bytes_per_cycle must be finite and positive, "
+                             f"got {self.bytes_per_cycle}")
         if self.burst_bytes < 1:
             raise ValueError("burst_bytes must be >= 1")
 

@@ -375,7 +375,7 @@ class DBBTensor:
     """A 2-D tensor compressed in DBB format along its last axis.
 
     The paper blocks tensors along the channel dimension (Fig. 5); after
-    im2col lowering (``repro.nn.im2col``) that is the GEMM reduction axis,
+    im2col lowering (``repro.train.im2col``) that is the GEMM reduction axis,
     which is the last axis here. Rows are independent; each row is a
     sequence of compressed blocks.
 

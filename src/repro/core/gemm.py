@@ -5,7 +5,7 @@ against. All kernels compute ``C = A @ W`` with INT32 accumulation of INT8
 operands (the accelerator's native mode) and are bit-exact with numpy's
 dense matmul on the decompressed operands.
 
-Orientation convention (matches ``repro.nn.im2col`` lowering):
+Orientation convention (matches ``repro.train.im2col`` lowering):
 
 - ``A`` is ``(M, K)`` — activations, M output pixels by K reduction.
 - ``W`` is ``(K, N)`` — weights, N output channels.

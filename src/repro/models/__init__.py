@@ -1,16 +1,12 @@
 """Benchmark model zoo.
 
-Two kinds of artifacts:
-
-- **Analytic model specs** (:class:`~repro.models.specs.ModelSpec`): the
-  per-layer GEMM shapes and DBB density profiles of the paper's benchmark
-  networks (LeNet-5, AlexNet, VGG-16, MobileNetV1, ResNet-50V1, I-BERT).
-  These drive the performance/energy models; layer shapes follow the
-  original architectures and density profiles are encoded to match the
-  per-model averages the paper reports in Table 3.
-- **Runnable models** (:mod:`~repro.models.zoo`): small numpy networks
-  (LeNet-5 and a tiny CNN) that execute end to end through the DBB
-  pipeline and the functional accelerator simulator.
+Analytic model specs (:class:`~repro.models.specs.ModelSpec`): the
+per-layer GEMM shapes and DBB density profiles of the paper's benchmark
+networks (LeNet-5, AlexNet, VGG-16, MobileNetV1, ResNet-50V1, I-BERT),
+registered by name in :mod:`~repro.models.zoo`. These drive the
+performance/energy models; layer shapes follow the original
+architectures and density profiles are encoded to match the per-model
+averages the paper reports in Table 3.
 """
 
 from repro.models.alexnet import alexnet_spec
@@ -20,7 +16,7 @@ from repro.models.mobilenet import mobilenet_v1_spec
 from repro.models.resnet import resnet50_spec
 from repro.models.specs import LayerKind, LayerSpec, ModelSpec
 from repro.models.vgg import vgg16_spec
-from repro.models.zoo import MODEL_SPECS, build_lenet5, build_tiny_cnn, get_spec
+from repro.models.zoo import MODEL_SPECS, get_spec
 
 __all__ = [
     "LayerKind",
@@ -34,6 +30,4 @@ __all__ = [
     "ibert_spec",
     "MODEL_SPECS",
     "get_spec",
-    "build_lenet5",
-    "build_tiny_cnn",
 ]

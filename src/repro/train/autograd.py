@@ -13,6 +13,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.train.im2col import im2col, im2col_indices
+
 __all__ = ["Tensor", "cross_entropy"]
 
 
@@ -136,10 +138,8 @@ class Tensor:
 
         ``self`` is ``(N, H, W, C)``; ``weights`` is ``(KH*KW*C, F)`` with
         the channel axis innermost along the reduction — the same lowered
-        layout the inference layers and the DBB blocking use.
+        layout the DBB blocking uses.
         """
-        from repro.nn.im2col import im2col, im2col_indices
-
         if self.data.ndim != 4:
             raise ValueError(f"conv2d expects NHWC input, got {self.shape}")
         n, h, w_dim, c = self.data.shape

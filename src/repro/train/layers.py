@@ -120,9 +120,9 @@ class DAPLayer(Module):
 class Conv2dModule(Module):
     """Trainable NHWC convolution with optional W-DBB weight mask.
 
-    Weights are stored lowered as ``(KH*KW*C, F)`` — identical to the
-    inference layers — so per-block pruning runs down each column with
-    the channel axis innermost.
+    Weights are stored lowered as ``(KH*KW*C, F)`` — the im2col GEMM
+    layout — so per-block pruning runs down each column with the channel
+    axis innermost.
     """
 
     def __init__(self, in_channels: int, out_channels: int,

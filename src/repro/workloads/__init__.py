@@ -28,8 +28,6 @@ __all__ = [
     "spec_int8_operands",
     "TYPICAL_CONV",
     "typical_conv_layer",
-    "spec_from_trace",
-    "run_and_spec",
 ]
 
 # Not on an artifact run's path: each module loads on first use.
@@ -37,6 +35,4 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "sweep_layer": "microbench",
     "sparsity_sweep": "microbench",
     "microbench_operands": "microbench",
-    "spec_from_trace": "from_trace",
-    "run_and_spec": "from_trace",
 })

@@ -78,11 +78,15 @@ class TestDRAMConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DRAMConfig(bytes_per_cycle=0)
-        with pytest.raises(ValueError):
             DRAMConfig(burst_bytes=0)
         with pytest.raises(ValueError):
             DRAMConfig.from_bandwidth(-4.0)
+
+    @pytest.mark.parametrize("bytes_per_cycle",
+                             [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_non_finite_bytes_per_cycle(self, bytes_per_cycle):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            DRAMConfig(bytes_per_cycle=bytes_per_cycle)
 
     @pytest.mark.parametrize("gbps", [math.nan, math.inf, -math.inf])
     def test_from_bandwidth_rejects_non_finite(self, gbps):

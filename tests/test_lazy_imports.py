@@ -23,9 +23,7 @@ ARTIFACT_IMPORTS = ["repro.eval.runner", "repro.eval.experiments",
                     "repro.eval.resultcache", "repro.models",
                     "repro.design.dse"]
 OFF_THE_PATH = [
-    "repro.nn", "repro.quant", "repro.train", "repro.serve",
-    "repro.arch.netsim", "repro.workloads.from_trace",
-    "repro.workloads.microbench",
+    "repro.train", "repro.serve", "repro.workloads.microbench",
     "repro.eval.ablations", "repro.eval.roofline", "repro.design.rtlgen",
     "repro.core.serialize",
     "repro.arch.tpe", "repro.arch.datapath", "repro.arch.buffers",
@@ -61,10 +59,10 @@ class TestLazyReExports:
 
 
 def test_lazy_name_is_the_defining_module_object():
-    from repro.arch.netsim import simulate_network
+    from repro.arch.dap_hw import DAPHardware
     from repro.core.serialize import pack
 
-    assert repro.arch.simulate_network is simulate_network
+    assert repro.arch.DAPHardware is DAPHardware
     assert repro.core.pack is pack
 
 

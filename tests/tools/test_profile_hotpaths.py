@@ -38,7 +38,7 @@ def test_startup_report_itemizes_the_artifact_path(monkeypatch):
     assert "repro.eval.runner" in modules
     assert "repro.design.dse" in modules
     assert "numpy" not in modules
-    assert "repro.nn" not in modules
+    assert "repro.train" not in modules
     assert "dataclass creation: " in report
 
 

@@ -8,7 +8,9 @@ from repro.core.pruning import is_dbb_compliant
 from repro.train import dbb_finetune
 from repro.train.autograd import Tensor, cross_entropy
 from repro.train.data import synthetic_images
+from repro.train.im2col import im2col
 from repro.train.layers import Conv2dModule, SmallCNN
+from tests.train.conv_reference import reference_conv
 
 
 def numerical_grad(f, x, eps=1e-6):
@@ -28,14 +30,12 @@ def numerical_grad(f, x, eps=1e-6):
 
 
 class TestConvAutograd:
-    def test_forward_matches_inference_layer(self):
-        from repro.nn.layers import Conv2d
-
+    def test_forward_matches_reference_conv(self):
         rng = np.random.default_rng(0)
         x_data = rng.normal(size=(2, 6, 6, 3))
         w_data = rng.normal(size=(27, 4))
         out = Tensor(x_data).conv2d(Tensor(w_data), (3, 3), 1, 1)
-        ref = Conv2d(3, 4, (3, 3), padding=1, weights=w_data).forward(x_data)
+        ref = reference_conv(x_data, w_data, (3, 3), 1, 1)
         np.testing.assert_allclose(out.data, ref, rtol=1e-10)
 
     def test_weight_gradient_numerical(self):
@@ -47,8 +47,6 @@ class TestConvAutograd:
         Tensor(x_data).conv2d(w, (2, 2), 1, 0).sum().backward()
 
         def f():
-            from repro.nn.im2col import im2col
-
             patches, _, _ = im2col(x_data, (2, 2), 1, 0)
             return (patches @ w_data).sum()
 
@@ -64,8 +62,6 @@ class TestConvAutograd:
         x.conv2d(Tensor(w_data), (3, 3), 1, 1).sum().backward()
 
         def f():
-            from repro.nn.im2col import im2col
-
             patches, _, _ = im2col(x_data, (3, 3), 1, 1)
             return (patches @ w_data).sum()
 
@@ -81,8 +77,6 @@ class TestConvAutograd:
         x.conv2d(w, (2, 2), 2, 0).sum().backward()
 
         def f():
-            from repro.nn.im2col import im2col
-
             patches, _, _ = im2col(x_data, (2, 2), 2, 0)
             return (patches @ w_data).sum()
 

@@ -3,25 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn.im2col import conv_output_size, im2col
-
-
-def _reference_conv(x, w, kernel, stride, padding):
-    """Naive NHWC convolution for cross-checking the GEMM lowering."""
-    n, h, width, c = x.shape
-    kh, kw = kernel
-    f = w.shape[-1]
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    oh = conv_output_size(h, kh, stride, padding)
-    ow = conv_output_size(width, kw, stride, padding)
-    out = np.zeros((n, oh, ow, f))
-    for b in range(n):
-        for i in range(oh):
-            for j in range(ow):
-                patch = xp[b, i * stride:i * stride + kh,
-                           j * stride:j * stride + kw, :]
-                out[b, i, j] = patch.reshape(-1) @ w
-    return out
+from repro.train.im2col import conv_output_size, im2col
+from tests.train.conv_reference import reference_conv
 
 
 class TestConvOutputSize:
@@ -65,5 +48,5 @@ class TestIm2col:
         w = rng.normal(size=(kernel[0] * kernel[1] * 3, 5))
         patches, oh, ow = im2col(x, kernel, stride, padding)
         got = (patches @ w).reshape(2, oh, ow, 5)
-        ref = _reference_conv(x, w, kernel, stride, padding)
+        ref = reference_conv(x, w, kernel, stride, padding)
         np.testing.assert_allclose(got, ref, rtol=1e-10)
