@@ -15,6 +15,8 @@ Sizes: small (toy), medium (the fig. 9 microbench layer), large
 object-per-block backend).
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,8 @@ from repro.core.gemm import (
     gemm_mac_count,
     joint_dbb_gemm,
 )
-from repro.eval import functional_operands
+from repro.models.specs import LayerKind, LayerSpec
+from repro.workloads.from_spec import spec_int8_operands
 
 SPEC = DBBSpec(8, 4)
 
@@ -38,9 +41,18 @@ SIZES = {
 }
 
 
+@lru_cache(maxsize=None)
 def _operands(size):
+    """INT8 operands of one size, built once: 4/8 DBB weights and
+    activations with no DBB cap at density 9/16. The census spreads
+    non-zeros evenly, so half the activation blocks hold 5 and DAP
+    prunes them to the 4/8 bound (at density 1/2 every block would
+    hold 4 and DAP would have nothing to prune)."""
     m, k, n = SIZES[size]
-    return functional_operands(m, k, n, w_nnz=4, a_density=0.5)
+    layer = LayerSpec(f"bench_{size}", LayerKind.CONV, m=m, k=k, n=n,
+                      w_nnz=4, a_nnz=8, weight_density=0.5,
+                      act_density=0.5625)
+    return spec_int8_operands(layer)
 
 
 def _record_macs_per_s(benchmark, size):
@@ -111,6 +123,7 @@ def test_bench_run_gemm(benchmark, size, mode):
     benchmark.extra_info["mode"] = mode
     benchmark.extra_info["cycles"] = result.cycles
     assert result.cycles > 0
+    assert (result.pruned_a is not None) == (mode == "awdbb")
 
 
 def test_weight_compression_memo_shared_across_modes():

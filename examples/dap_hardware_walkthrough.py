@@ -28,7 +28,8 @@ def main() -> None:
               f"{trace.selected_position} (value {kept:+d}) "
               f"-> cumulative mask {trace.cumulative_mask:#04x}")
     top4, _, _ = hw.prune_block(block, nnz=4)
-    print(f"4/8 output: values {list(top4.values)}, mask {top4.mask:#04x} "
+    values = [int(v) for v in top4.values]
+    print(f"4/8 output: values {values}, mask {top4.mask:#04x} "
           f"(paper: [4, 5, -7, 6], 0x4D)")
     print(f"comparator ops for 5 stages: {events.dap_compare_ops} "
           f"(= 5 x (BZ-1))")

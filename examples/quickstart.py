@@ -36,7 +36,8 @@ def main() -> None:
     x = np.array([[0, 5, 0, -3, 0, 0, 7, 1]], dtype=np.int8)
     tensor = compress(x, spec)
     block = tensor.row_blocks(0)[0]
-    print(f"block values={list(block.values)} mask={block.mask:#04x} "
+    values = [int(v) for v in block.values]
+    print(f"block values={values} mask={block.mask:#04x} "
           f"positions={block.positions}")
     assert np.array_equal(decompress(tensor, dtype=np.int8), x)
 

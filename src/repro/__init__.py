@@ -9,13 +9,15 @@ contains:
 - ``repro.models``: model zoo with per-layer GEMM shapes and density
   profiles (LeNet-5, AlexNet, VGG-16, MobileNetV1, ResNet-50V1, I-BERT).
 - ``repro.arch``: cycle-level functional models of the datapaths, the
-  DAP hardware array, staging FIFOs and the systolic (tensor) array.
+  DAP hardware array, the SA-SMT staging-FIFO queueing simulator, the
+  systolic (tensor) array, the sparse baselines' PE arrays and the
+  memory hierarchy.
 - ``repro.energy``: technology scaling and calibrated component costs.
 - ``repro.accel``: accelerator cost models (SA, SA-ZVCG, SA-SMT, S2TA-W,
   S2TA-AW, SparTen, Eyeriss v2).
 - ``repro.design``: design-space exploration ("RTL generator" analogue).
-- ``repro.train``: minimal autograd + DBB-aware fine-tuning, and the
-  NHWC im2col lowering of convolutions to GEMM.
+- ``repro.train``: minimal autograd + DBB-aware fine-tuning of the
+  Table 3 proxy MLP.
 - ``repro.workloads``: layer/GEMM workload descriptions.
 - ``repro.eval``: experiment runners reproducing every table and figure.
 """

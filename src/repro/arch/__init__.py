@@ -4,8 +4,6 @@ Cycle-level functional models of the paper's hardware building blocks:
 
 - :mod:`repro.arch.events`: hardware event counters shared by every model
   (the energy model charges per event).
-- :mod:`repro.arch.buffers`: SRAM / register / FIFO buffer models with
-  access accounting.
 - :mod:`repro.arch.datapath`: the Fig. 6 datapath family — DP8, DP8+ZVCG,
   DP4M8 (W-DBB), DP4M4 (fixed joint DBB) and the time-unrolled DP1M4.
 - :mod:`repro.arch.dap_hw`: the cascaded magnitude-maxpool DAP array
@@ -50,9 +48,6 @@ __all__ = [
     "OperandStream",
     "LayerTraffic",
     "LayerMemoryProfile",
-    "Sram",
-    "RegisterFile",
-    "FIFO",
     "dp8_dense",
     "dp4m8_block",
     "dp4m4_block",
@@ -77,9 +72,6 @@ __all__ = [
 
 # Not on an artifact run's path: each module loads on first use.
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "Sram": "buffers",
-    "RegisterFile": "buffers",
-    "FIFO": "buffers",
     "dp8_dense": "datapath",
     "dp4m8_block": "datapath",
     "dp4m4_block": "datapath",

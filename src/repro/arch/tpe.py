@@ -9,7 +9,8 @@ scalar PE (Fig. 7b).
 
 The systolic simulator uses equivalent closed-form event math for
 speed; this module is the unit-level ground truth it is validated
-against in the tests (same psums, cycles and MAC events).
+against in the tests (same psums, cycles and fired MACs on a one-TPE,
+one-block GEMM, in both datapath styles).
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from repro.core.pruning import (
     prune_weights_dbb,
 )
 from repro.core.sparsity import (
-    block_nnz_histogram,
     density,
     random_dbb_tensor,
     random_unstructured,
@@ -59,7 +58,6 @@ __all__ = [
     "dbb_gemm",
     "joint_dbb_gemm",
     "density",
-    "block_nnz_histogram",
     "random_unstructured",
     "random_dbb_tensor",
     "pack",

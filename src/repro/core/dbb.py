@@ -375,8 +375,9 @@ class DBBTensor:
     """A 2-D tensor compressed in DBB format along its last axis.
 
     The paper blocks tensors along the channel dimension (Fig. 5); after
-    im2col lowering (``repro.train.im2col``) that is the GEMM reduction axis,
-    which is the last axis here. Rows are independent; each row is a
+    im2col lowering of an NHWC convolution, the GEMM reduction axis is the
+    patch axis ``k = kh * kw * cin`` with the channel innermost, and it is
+    the last axis here. Rows are independent; each row is a
     sequence of compressed blocks.
 
     Attributes

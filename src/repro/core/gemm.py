@@ -5,9 +5,10 @@ against. All kernels compute ``C = A @ W`` with INT32 accumulation of INT8
 operands (the accelerator's native mode) and are bit-exact with numpy's
 dense matmul on the decompressed operands.
 
-Orientation convention (matches ``repro.train.im2col`` lowering):
+Orientation convention (the im2col lowering of an NHWC convolution):
 
-- ``A`` is ``(M, K)`` — activations, M output pixels by K reduction.
+- ``A`` is ``(M, K)`` — activations, M output pixels by K reduction,
+  where ``K = kh * kw * cin`` is the patch axis (channel innermost).
 - ``W`` is ``(K, N)`` — weights, N output channels.
 - DBB blocks run along ``K`` (the channel/reduction axis), so activations
   are compressed row-wise and weights column-wise; :class:`DBBTensor`

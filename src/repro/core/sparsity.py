@@ -1,11 +1,10 @@
-"""Sparsity statistics and synthetic sparse-tensor generators.
+"""Operand non-zero censuses and synthetic sparse-tensor generators.
 
-The paper's microbenchmarks (Sec. 8.2, Fig. 9) sweep synthetic DNN layers
-with controlled weight/activation sparsity. This module provides the
-generators for unstructured (random) sparsity and DBB-compliant sparsity,
-plus the statistics used throughout the evaluation (density, per-block NNZ
-histograms, DBB violation rates), and :class:`GemmOperands`, the non-zero
-census every functional engine reads its counts from.
+:class:`GemmOperands` is the non-zero census every functional engine
+reads its counts from (with :func:`column_nnz`, its per-column count
+kernel). Beside it: :func:`density`, the non-zero fraction, and the
+random generators of unstructured and DBB-compliant INT8 tensors that
+the ablations and the kernel tests draw their operands from.
 """
 
 from __future__ import annotations
@@ -22,14 +21,9 @@ __all__ = [
     "GemmOperands",
     "column_nnz",
     "density",
-    "sparsity",
     "block_nnz",
-    "block_nnz_histogram",
-    "dbb_violation_rate",
     "random_unstructured",
     "random_dbb_tensor",
-    "relu_activations",
-    "effective_block_density",
 ]
 
 
@@ -280,43 +274,6 @@ class GemmOperands:
         return self._block_max[key]
 
 
-def sparsity(tensor: np.ndarray) -> float:
-    """Fraction of zero elements (``1 - density``)."""
-    return 1.0 - density(tensor)
-
-
-def block_nnz_histogram(tensor: np.ndarray, block_size: int) -> Dict[int, int]:
-    """Histogram {nnz: block count} over all blocks."""
-    counts = block_nnz(tensor, block_size)
-    values, freqs = np.unique(counts, return_counts=True)
-    return {int(v): int(f) for v, f in zip(values, freqs)}
-
-
-def dbb_violation_rate(tensor: np.ndarray, spec: DBBSpec) -> float:
-    """Fraction of blocks exceeding the spec's density bound.
-
-    For an unstructured tensor this predicts how much DAP/pruning must
-    remove; for a correctly pruned tensor it is exactly 0.
-    """
-    counts = block_nnz(tensor, spec.block_size)
-    if counts.size == 0:
-        return 0.0
-    return float(np.mean(counts > spec.max_nnz))
-
-
-def effective_block_density(tensor: np.ndarray, spec: DBBSpec) -> float:
-    """Average post-DAP stored density: mean(min(nnz, NNZ)) / BZ.
-
-    This is the density the time-unrolled S2TA-AW datapath actually
-    processes when blocks with fewer than NNZ non-zeros finish early is
-    not exploited (the paper serializes ``na`` cycles per block where
-    ``na`` is the layer's configured NNZ); it is used to estimate what a
-    given NNZ choice preserves.
-    """
-    counts = np.minimum(block_nnz(tensor, spec.block_size), spec.max_nnz)
-    return float(np.mean(counts)) / spec.block_size
-
-
 def random_unstructured(
     shape: Tuple[int, ...],
     density_target: float,
@@ -374,21 +331,3 @@ def random_dbb_tensor(
         flat[i, positions] = magnitude * sign
     return out.reshape(shape).astype(dtype)
 
-
-def relu_activations(
-    shape: Tuple[int, ...],
-    density_target: float,
-    rng: Optional[np.random.Generator] = None,
-    dtype=np.int8,
-) -> np.ndarray:
-    """Synthetic post-ReLU activations: non-negative with controlled density.
-
-    CNN activations after ReLU are zero-or-positive; the non-zero magnitudes
-    follow a half-normal-ish distribution which matters for DAP magnitude
-    ranking. Used by the DAP microbenchmarks.
-    """
-    rng = rng or np.random.default_rng()
-    raw = rng.normal(0.0, 42.0, size=shape)
-    threshold = np.quantile(raw, 1.0 - density_target) if density_target < 1.0 else -np.inf
-    out = np.where(raw > threshold, np.clip(np.abs(raw), 1, 127), 0)
-    return out.astype(dtype)

@@ -8,7 +8,6 @@ with the paper's published values where applicable.
 
 from repro._lazy import lazy_exports
 from repro.eval.experiments import (
-    functional_operands,
     fig1_energy_breakdown,
     fig3_smt_overhead,
     fig9_microbench,
@@ -41,7 +40,6 @@ __all__ = [
     "functional_model_runs",
     "roofline_analysis",
     "dram_bw_sensitivity",
-    "functional_operands",
     "fig1_energy_breakdown",
     "fig3_smt_overhead",
     "fig9_microbench",

@@ -21,7 +21,6 @@ Two fidelity tiers back the full-model artifacts (Fig. 11 / Fig. 12):
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -45,7 +44,6 @@ from repro.obs.trace import traced
 from repro.workloads.typical import typical_conv_layer
 
 __all__ = [
-    "functional_operands",
     "fig1_energy_breakdown",
     "fig3_smt_overhead",
     "fig9_microbench",
@@ -66,39 +64,6 @@ FULL_MODELS = ("resnet50", "vgg16", "mobilenet_v1", "alexnet")
 #: The systolic comparison set of the full-model artifacts (Fig. 11)
 #: and the roofline analysis — keep the two artifacts in lockstep.
 SYSTOLIC_VARIANTS = ("SA-ZVCG", "SMT-T2Q2", "S2TA-W", "S2TA-AW")
-
-
-@lru_cache(maxsize=32)
-def functional_operands(
-    m: int, k: int, n: int,
-    w_nnz: int = 4,
-    a_density: float = 0.5,
-    seed: int = 0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Memoized concrete INT8 operands for one functional sweep point.
-
-    The DENSE/ZVCG/WDBB/AWDBB variant sweeps (and the per-layer ``a_nnz``
-    density sweep inside AWDBB) all drive the *same* workload through the
-    functional simulator; this memo materializes each workload's operands
-    once, and — because reading a WDBB output compresses weights through
-    :func:`repro.core.gemm.compress_cached` — each weight tensor is
-    *compressed* at most once for the entire sweep instead of per mode
-    and per density point. Returned arrays are shared: treat them as
-    read-only (they are flagged unwriteable and tested so).
-
-    This entry-count memo serves the small fixed set of microbench sweep
-    points; the full-model functional pipeline synthesizes per-layer
-    operands once per operand key and batch instead (see
-    :mod:`repro.eval.runner`).
-    """
-    from repro.workloads.microbench import microbench_operands, sweep_layer
-
-    w_sparsity = 1.0 - (w_nnz / 8.0)
-    layer = sweep_layer(w_sparsity, 1.0 - a_density, m=m, k=k, n=n)
-    a, w = microbench_operands(layer, rng=np.random.default_rng(seed))
-    a.setflags(write=False)
-    w.setflags(write=False)
-    return a, w
 
 
 def _costs(dram_pj_per_byte: Optional[float] = None) -> CostModel:
@@ -299,10 +264,12 @@ def tbl2_s2ta_breakdown() -> ExperimentResult:
 # Figure 9
 # --------------------------------------------------------------------- #
 
+#: Fig. 9's x-axis: DBB sparsity levels 0%..87.5% (NNZ 8..1 of BZ=8).
+SWEEP_SPARSITIES = (0.0, 0.25, 0.50, 0.625, 0.75, 0.875)
+
+
 def fig9_microbench(panel: str) -> ExperimentResult:
     """The Sec. 8.2 synthetic sweeps. ``panel`` is one of a/b/c/d."""
-    from repro.workloads.microbench import SWEEP_SPARSITIES
-
     if panel not in "abcd" or len(panel) != 1:
         raise ValueError(f"panel must be one of 'a'..'d', got {panel!r}")
     accel = {

@@ -7,38 +7,26 @@ layer in front of convolutions whose gradient is the Top-NNZ binary mask
 
 ImageNet training is not available offline, so this package provides a
 minimal reverse-mode autograd engine and runs the *same algorithms* on
-proxy models/datasets: the Table 3 claim being
+a proxy ReLU MLP (``Dense`` GEMM layers, DAP in front of each hidden
+GEMM) over a synthetic classification set: the Table 3 claim being
 reproduced is the recovery dynamic — pruning costs accuracy, DBB-aware
 fine-tuning recovers it to within ~1 point of baseline.
 """
 
 from repro.train.autograd import Tensor, cross_entropy
-from repro.train.data import synthetic_classification, synthetic_images
+from repro.train.data import synthetic_classification
 from repro.train.finetune import FinetuneReport, accuracy, dbb_finetune, train
-from repro.train.layers import (
-    MLP,
-    Conv2dModule,
-    DAPLayer,
-    Dense,
-    FlattenModule,
-    ReLULayer,
-    Sequential,
-    SmallCNN,
-)
+from repro.train.layers import MLP, DAPLayer, Dense, ReLULayer, Sequential
 from repro.train.optim import SGD
 
 __all__ = [
     "Tensor",
     "cross_entropy",
     "Dense",
-    "Conv2dModule",
-    "FlattenModule",
     "ReLULayer",
     "DAPLayer",
     "Sequential",
     "MLP",
-    "SmallCNN",
-    "synthetic_images",
     "SGD",
     "synthetic_classification",
     "train",

@@ -13,8 +13,6 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.train.im2col import im2col, im2col_indices
-
 __all__ = ["Tensor", "cross_entropy"]
 
 
@@ -122,48 +120,6 @@ class Tensor:
             self._accumulate(grad * mask)
 
         return self._make(out_data, (self,), backward)
-
-    def reshape(self, *shape: int) -> "Tensor":
-        original = self.data.shape
-        out_data = self.data.reshape(*shape)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.reshape(original))
-
-        return self._make(out_data, (self,), backward)
-
-    def conv2d(self, weights: "Tensor", kernel: Tuple[int, int],
-               stride: int = 1, padding: int = 0) -> "Tensor":
-        """NHWC convolution via im2col, differentiable in x and weights.
-
-        ``self`` is ``(N, H, W, C)``; ``weights`` is ``(KH*KW*C, F)`` with
-        the channel axis innermost along the reduction — the same lowered
-        layout the DBB blocking uses.
-        """
-        if self.data.ndim != 4:
-            raise ValueError(f"conv2d expects NHWC input, got {self.shape}")
-        n, h, w_dim, c = self.data.shape
-        patches, oh, ow = im2col(self.data, kernel, stride, padding)
-        out_data = (patches @ weights.data).reshape(
-            n, oh, ow, weights.data.shape[1])
-        rows, cols, _, _ = im2col_indices(h, w_dim, kernel, stride, padding)
-
-        def backward(grad: np.ndarray) -> None:
-            grad_flat = grad.reshape(n * oh * ow, -1)
-            weights._accumulate(patches.T @ grad_flat)
-            if self.requires_grad:
-                # scatter-add the patch gradients back into the image
-                grad_patches = (grad_flat @ weights.data.T).reshape(
-                    n, oh * ow, kernel[0] * kernel[1], c)
-                padded = np.zeros(
-                    (n, h + 2 * padding, w_dim + 2 * padding, c))
-                np.add.at(padded, (slice(None), rows, cols, slice(None)),
-                          grad_patches)
-                if padding:
-                    padded = padded[:, padding:-padding, padding:-padding, :]
-                self._accumulate(padded)
-
-        return self._make(out_data, (self, weights), backward)
 
     def sum(self) -> "Tensor":
         out_data = np.asarray(self.data.sum())

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["Dataset", "synthetic_classification", "synthetic_images"]
+__all__ = ["Dataset", "synthetic_classification"]
 
 
 @dataclass
@@ -65,45 +65,6 @@ def synthetic_classification(
         prototypes[c, active] = rng.uniform(0.5, 1.5, size=active.size)
     labels = rng.integers(0, classes, size=samples)
     x = prototypes[labels] + rng.normal(0.0, noise, size=(samples, features))
-    x = np.maximum(x, 0.0)
-    split = int(samples * (1.0 - test_fraction))
-    return Dataset(
-        x_train=x[:split], y_train=labels[:split],
-        x_test=x[split:], y_test=labels[split:],
-    )
-
-
-def synthetic_images(
-    samples: int = 800,
-    hw: int = 8,
-    channels: int = 8,
-    classes: int = 6,
-    noise: float = 0.8,
-    test_fraction: float = 0.25,
-    rng: Optional[np.random.Generator] = None,
-) -> Dataset:
-    """NHWC image classification proxy for the CNN fine-tuning runs.
-
-    Each class has a spatially-structured prototype (a blob of active
-    channels at a class-specific location); samples are rectified noisy
-    copies. Flattened arrays are reshaped by the caller's CNN modules,
-    so ``x_*`` here keep the NHWC shape.
-    """
-    if channels % 8:
-        raise ValueError(f"channels must be a multiple of BZ=8, got {channels}")
-    rng = rng or np.random.default_rng(0)
-    prototypes = np.zeros((classes, hw, hw, channels))
-    for c in range(classes):
-        cy, cx = rng.integers(1, hw - 1, size=2)
-        active = rng.choice(channels, size=max(2, channels // 3),
-                            replace=False)
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                prototypes[c, (cy + dy) % hw, (cx + dx) % hw, active] = (
-                    rng.uniform(0.8, 1.8))
-    labels = rng.integers(0, classes, size=samples)
-    x = prototypes[labels] + rng.normal(0.0, noise,
-                                        size=(samples, hw, hw, channels))
     x = np.maximum(x, 0.0)
     split = int(samples * (1.0 - test_fraction))
     return Dataset(

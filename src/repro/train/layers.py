@@ -117,60 +117,6 @@ class DAPLayer(Module):
         return x.apply_mask(mask)
 
 
-class Conv2dModule(Module):
-    """Trainable NHWC convolution with optional W-DBB weight mask.
-
-    Weights are stored lowered as ``(KH*KW*C, F)`` — the im2col GEMM
-    layout — so per-block pruning runs down each column with the channel
-    axis innermost.
-    """
-
-    def __init__(self, in_channels: int, out_channels: int,
-                 kernel=(3, 3), stride: int = 1, padding: int = 1,
-                 rng: Optional[np.random.Generator] = None):
-        rng = rng or np.random.default_rng()
-        k = kernel[0] * kernel[1] * in_channels
-        scale = np.sqrt(2.0 / k)
-        self.kernel = kernel
-        self.stride = stride
-        self.padding = padding
-        self.weight = Tensor(rng.normal(0.0, scale, size=(k, out_channels)),
-                             requires_grad=True)
-        self.weight_mask: Optional[np.ndarray] = None
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.conv2d(self.weight, self.kernel, self.stride, self.padding)
-
-    def parameters(self) -> List[Tensor]:
-        return [self.weight]
-
-    def prune_to_dbb(self, spec: DBBSpec, keep: Optional[int] = None) -> None:
-        keep = spec.max_nnz if keep is None else keep
-        k, n = self.weight.data.shape
-        pad = (-k) % spec.block_size
-        wt = self.weight.data.T
-        if pad:
-            wt = np.concatenate(
-                [wt, np.zeros((n, pad), dtype=wt.dtype)], axis=1)
-        mask = topk_block_mask(wt.reshape(-1, spec.block_size), keep)
-        mask = mask.reshape(n, k + pad)[:, :k].T
-        self.weight_mask = mask
-        self.apply_weight_mask()
-
-    def apply_weight_mask(self) -> None:
-        if self.weight_mask is not None:
-            self.weight.data *= self.weight_mask
-
-    def weight_density(self) -> float:
-        return float(np.count_nonzero(self.weight.data)
-                     / self.weight.data.size)
-
-
-class FlattenModule(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.data.shape[0], -1)
-
-
 class Sequential(Module):
     def __init__(self, modules: List[Module]):
         if not modules:
@@ -188,13 +134,9 @@ class Sequential(Module):
             params.extend(module.parameters())
         return params
 
-    def dense_layers(self) -> List[Dense]:
+    def prunable_layers(self) -> List[Dense]:
+        """The GEMM-bearing modules W-DBB pruning applies to."""
         return [m for m in self.modules if isinstance(m, Dense)]
-
-    def prunable_layers(self) -> List[Module]:
-        """GEMM-bearing modules with W-DBB support (Dense and conv)."""
-        return [m for m in self.modules
-                if isinstance(m, (Dense, Conv2dModule))]
 
     def dap_layers(self) -> List[DAPLayer]:
         return [m for m in self.modules if isinstance(m, DAPLayer)]
@@ -202,36 +144,6 @@ class Sequential(Module):
     def apply_weight_masks(self) -> None:
         for layer in self.prunable_layers():
             layer.apply_weight_mask()
-
-
-def SmallCNN(
-    channels: int,
-    classes: int,
-    hw: int = 8,
-    hidden_channels: int = 16,
-    dap_spec: Optional[DBBSpec] = None,
-    dap_nnz: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> Sequential:
-    """A two-conv CNN proxy (stride-2 downsampling, no pooling).
-
-    DAP sits in front of the second conv, matching the paper's placement
-    of DAP before convolutions (never the input layer).
-    """
-    rng = rng or np.random.default_rng(0)
-    modules: List[Module] = [
-        Conv2dModule(channels, hidden_channels, rng=rng),
-        ReLULayer(),
-    ]
-    if dap_spec is not None:
-        modules.append(DAPLayer(dap_spec, nnz=dap_nnz))
-    modules += [
-        Conv2dModule(hidden_channels, hidden_channels, stride=2, rng=rng),
-        ReLULayer(),
-        FlattenModule(),
-        Dense(hidden_channels * (hw // 2) ** 2, classes, rng=rng),
-    ]
-    return Sequential(modules)
 
 
 def MLP(

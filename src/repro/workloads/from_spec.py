@@ -6,7 +6,7 @@ its two GEMM operands, matched to the analytic density profile the
 performance model prices:
 
 - the GEMM shape is the spec's ``m``/``k``/``n`` (the im2col lowering of
-  :mod:`repro.train.im2col` — ``k`` is the patch axis DBB blocks run along,
+  the layer: ``k = kh * kw * cin`` is the patch axis DBB blocks run along,
   and need not be a multiple of ``BZ``);
 - weights satisfy the layer's W-DBB bound (``w_nnz`` per ``BZ`` block)
   with element density ``layer.w_density``;

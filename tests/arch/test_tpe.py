@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.arch.systolic import Mode, SystolicArray, SystolicConfig
 from repro.arch.tpe import TensorPE
 from repro.core.dap import dap_prune
 from repro.core.dbb import DBBSpec, compress_block
 from repro.core.pruning import prune_weights_dbb
+from repro.core.sparsity import random_unstructured
 
 
 def _blocks(seed, count, nnz=None, spec=DBBSpec(8, 4), compressed=True):
@@ -97,3 +99,39 @@ class TestDotProductTPE:
     def test_repr(self):
         assert "dot-product" in repr(TensorPE(2, 2, time_unrolled=False))
         assert "time-unrolled" in repr(TensorPE(2, 2))
+
+
+class TestMatchesSystolicArray:
+    """A one-TPE array (``rows = cols = 1``) on a one-block GEMM (K = BZ
+    = 8) is a single exchange of the TPE: ``TensorPE.step`` gives the
+    array's output, cycles and fired MACs."""
+
+    @pytest.mark.parametrize("time_unrolled", [True, False],
+                             ids=["awdbb", "wdbb"])
+    def test_single_tile_psums_cycles_and_macs(self, time_unrolled):
+        w_spec = DBBSpec(8, 4)
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            tpe_a, tpe_c, a_nnz = (int(v) for v in rng.integers(1, 5, 3))
+            a = random_unstructured((tpe_a, 8), rng.uniform(0.3, 1.0),
+                                    rng=rng)
+            w = prune_weights_dbb(
+                random_unstructured((tpe_c, 8), 1.0, rng=rng), w_spec).T
+            w_blocks = [compress_block(col, w_spec) for col in w.T]
+            if time_unrolled:
+                a_spec = DBBSpec(8, a_nnz)
+                a_blocks = [compress_block(row, a_spec)
+                            for row in dap_prune(a, a_spec).pruned]
+                mode = Mode.AWDBB
+            else:
+                a_blocks, a_nnz, mode = list(a), None, Mode.WDBB
+            array = SystolicArray(SystolicConfig(
+                rows=1, cols=1, mode=mode, w_spec=w_spec,
+                tpe_a=tpe_a, tpe_c=tpe_c))
+            run = array.run_gemm(a, w, a_nnz=a_nnz)
+            step = TensorPE(tpe_a, tpe_c, time_unrolled).step(
+                a_blocks, w_blocks)
+            np.testing.assert_array_equal(step.psums, run.output,
+                                          err_msg=f"seed {seed}")
+            assert step.cycles == run.cycles, seed
+            assert step.events.mac_ops == run.events.mac_ops, seed

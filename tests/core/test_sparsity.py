@@ -1,4 +1,5 @@
-"""Tests for sparsity statistics and synthetic tensor generators."""
+"""Tests for the operand census, density and the synthetic tensor
+generators."""
 
 import numpy as np
 import pytest
@@ -9,14 +10,9 @@ from repro.core.dbb import DBBSpec
 from repro.core.sparsity import (
     GemmOperands,
     block_nnz,
-    block_nnz_histogram,
-    dbb_violation_rate,
     density,
-    effective_block_density,
     random_dbb_tensor,
     random_unstructured,
-    relu_activations,
-    sparsity,
 )
 
 
@@ -29,7 +25,6 @@ class TestDensity:
 
     def test_half(self):
         assert density(np.array([0, 1, 0, 2])) == 0.5
-        assert sparsity(np.array([0, 1, 0, 2])) == 0.5
 
     def test_empty(self):
         assert density(np.array([])) == 0.0
@@ -44,29 +39,6 @@ class TestBlockNNZ:
         x = np.ones(10)
         counts = block_nnz(x, 8)
         np.testing.assert_array_equal(counts, [8, 2])
-
-    def test_histogram(self):
-        x = np.array([1, 0, 0, 0, 2, 3, 0, 4])
-        assert block_nnz_histogram(x, 4) == {1: 1, 3: 1}
-
-
-class TestViolationRate:
-    def test_compliant_tensor_zero_rate(self):
-        spec = DBBSpec(8, 4)
-        x = random_dbb_tensor((4, 32), spec, rng=np.random.default_rng(1))
-        assert dbb_violation_rate(x, spec) == 0.0
-
-    def test_dense_tensor_full_violation(self):
-        spec = DBBSpec(8, 4)
-        x = np.ones((2, 16))
-        assert dbb_violation_rate(x, spec) == 1.0
-
-    def test_random_dense50_violates_sometimes(self):
-        # Bernoulli(0.5) over BZ=8 exceeds 4 non-zeros ~36% of the time.
-        spec = DBBSpec(8, 4)
-        x = random_unstructured((100, 80), 0.5, rng=np.random.default_rng(2))
-        rate = dbb_violation_rate(x, spec)
-        assert 0.25 < rate < 0.45
 
 
 class TestGenerators:
@@ -100,29 +72,11 @@ class TestGenerators:
         with pytest.raises(ValueError):
             random_dbb_tensor((2, 16), DBBSpec(8, 4), nnz=9)
 
-    def test_relu_activations_nonnegative(self):
-        x = relu_activations((64, 64), 0.4, rng=np.random.default_rng(7))
-        assert x.min() >= 0
-        assert density(x) == pytest.approx(0.4, abs=0.05)
-
     @given(st.floats(0.1, 0.9), st.integers(0, 10))
     @settings(max_examples=20)
     def test_property_unstructured_density(self, target, seed):
         x = random_unstructured((64, 64), target, rng=np.random.default_rng(seed))
         assert density(x) == pytest.approx(target, abs=0.06)
-
-
-class TestEffectiveBlockDensity:
-    def test_dense_input_clamps_to_bound(self):
-        spec = DBBSpec(8, 4)
-        assert effective_block_density(np.ones(16), spec) == pytest.approx(0.5)
-
-    def test_sparse_input_below_bound(self):
-        spec = DBBSpec(8, 4)
-        x = np.zeros(16)
-        x[0] = 1.0
-        # one block with 1 nnz, one with 0 -> mean 0.5 nnz / 8
-        assert effective_block_density(x, spec) == pytest.approx(0.5 / 8)
 
 
 class TestGemmOperands:

@@ -48,6 +48,12 @@ class TestEveryArtifactRenders:
         assert f"Figure 9{panel}" == result.artifact
         assert len(result.rows) == 6  # the sweep's six sparsity points
 
+    def test_fig9_sweep_covers_the_nnz_axis(self):
+        from repro.eval.experiments import SWEEP_SPARSITIES
+
+        assert [round((1 - s) * 8) for s in SWEEP_SPARSITIES] == [
+            8, 6, 4, 3, 2, 1]
+
     def test_fig9_invalid_panel(self):
         with pytest.raises(ValueError):
             fig9_microbench("e")

@@ -28,3 +28,7 @@ def test_example_runs(script):
         f"{script} failed:\nstdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
     )
     assert proc.stdout.strip(), f"{script} produced no output"
+    # numpy scalars print as ``np.int8(5)``; examples print plain numbers.
+    for numpy_repr in ("np.int", "np.float"):
+        assert numpy_repr not in proc.stdout, (
+            f"{script} printed a numpy scalar repr:\n{proc.stdout}")

@@ -23,11 +23,10 @@ ARTIFACT_IMPORTS = ["repro.eval.runner", "repro.eval.experiments",
                     "repro.eval.resultcache", "repro.models",
                     "repro.design.dse"]
 OFF_THE_PATH = [
-    "repro.train", "repro.serve", "repro.workloads.microbench",
+    "repro.train", "repro.serve",
     "repro.eval.ablations", "repro.eval.roofline", "repro.design.rtlgen",
     "repro.core.serialize",
-    "repro.arch.tpe", "repro.arch.datapath", "repro.arch.buffers",
-    "repro.arch.dap_hw",
+    "repro.arch.tpe", "repro.arch.datapath", "repro.arch.dap_hw",
     "multiprocessing", "concurrent.futures", "numpy.random",
 ]
 

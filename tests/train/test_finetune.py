@@ -161,7 +161,7 @@ class TestTable3Dynamic:
         spec = DBBSpec(8, 2)
         dbb_finetune(model, data, w_spec=spec, rng=rng,
                      baseline_epochs=3, finetune_epochs=3)
-        for layer in model.dense_layers()[1:]:
+        for layer in model.prunable_layers()[1:]:
             assert is_dbb_compliant(layer.weight.data.T, spec)
 
     def test_first_layer_not_pruned(self):
@@ -170,7 +170,7 @@ class TestTable3Dynamic:
         model = MLP(64, [32], 12, rng=rng)
         dbb_finetune(model, data, w_spec=DBBSpec(8, 2), rng=rng,
                      baseline_epochs=2, finetune_epochs=2)
-        first = model.dense_layers()[0]
+        first = model.prunable_layers()[0]
         assert first.weight_mask is None
         assert first.weight_density() > 0.9
 

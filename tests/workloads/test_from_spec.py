@@ -5,9 +5,8 @@ allocation, uniformity; its census and its law are tested in
 ``test_census_law.py``),
 :func:`operand_densities` (bit-equal to the synthesized operands'
 densities), :func:`spec_operands` / :func:`spec_int8_operands` (shape,
-DBB caps, densities, determinism, values on exactly the patterns), the
-experiment sweep memo :func:`repro.eval.functional_operands` (read-only
-guarantee), and the weight-compression memo hit/miss accounting in
+DBB caps, densities, determinism, values on exactly the patterns), and
+the weight-compression memo hit/miss accounting in
 :func:`repro.core.gemm.compress_cached`. Sharing one synthesis across
 the tasks of an operand group is tested with the layer runner in
 ``tests/eval/test_runner.py``.
@@ -322,19 +321,6 @@ class TestBoundedCensusDraw:
                     stream.generate_state(8), spawned.generate_state(8))
         assert [from_spec._CENSUS, from_spec._VALUES, from_spec._A,
                 from_spec._W] == [0, 1, 2, 3]
-
-
-class TestFunctionalOperandsMemo:
-    def test_read_only_flags_enforced(self):
-        from repro.eval import functional_operands
-
-        a, w = functional_operands(16, 32, 8)
-        assert not a.flags.writeable
-        assert not w.flags.writeable
-        with pytest.raises(ValueError):
-            a[0, 0] = 1
-        a2, w2 = functional_operands(16, 32, 8)
-        assert a is a2 and w is w2  # lru_cache identity
 
 
 class TestCompressCacheStats:

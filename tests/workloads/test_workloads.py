@@ -1,20 +1,7 @@
-"""Tests for microbenchmark and typical-conv workload generators."""
+"""Tests for the typical-conv workload layer."""
 
-import numpy as np
-import pytest
-
-from repro.core.dbb import DBBSpec
-from repro.core.pruning import is_dbb_compliant
-from repro.core.sparsity import density
 from repro.models.specs import LayerKind
-from repro.workloads import (
-    TYPICAL_CONV,
-    microbench_operands,
-    sparsity_sweep,
-    sweep_layer,
-    typical_conv_layer,
-)
-from repro.workloads.microbench import SWEEP_SPARSITIES
+from repro.workloads import TYPICAL_CONV, typical_conv_layer
 
 
 class TestTypicalConv:
@@ -32,52 +19,3 @@ class TestTypicalConv:
         assert TYPICAL_CONV.a_nnz == 3
         assert TYPICAL_CONV.w_nnz == 4
 
-
-class TestSweepLayer:
-    def test_sparsity_mapping(self):
-        layer = sweep_layer(0.875, 0.5)
-        assert layer.w_nnz == 1
-        assert layer.a_nnz == 4
-        assert layer.w_density == pytest.approx(0.125)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sweep_layer(1.0, 0.5)
-        with pytest.raises(ValueError):
-            sweep_layer(0.5, -0.1)
-
-    def test_sweep_covers_fig9_axis(self):
-        layers = list(sparsity_sweep(a_sparsity=0.5))
-        assert len(layers) == len(SWEEP_SPARSITIES)
-        assert [l.w_nnz for l in layers] == [8, 6, 4, 3, 2, 1]
-
-    def test_sweep_names_unique(self):
-        names = [l.name for l in sparsity_sweep(0.2)]
-        assert len(set(names)) == len(names)
-
-
-class TestMicrobenchOperands:
-    def test_shapes_and_sparsity(self):
-        layer = sweep_layer(0.5, 0.5, m=32, k=64, n=16)
-        a, w = microbench_operands(layer, rng=np.random.default_rng(0))
-        assert a.shape == (32, 64)
-        assert w.shape == (64, 16)
-        assert density(a) == pytest.approx(0.5, abs=0.1)
-        assert density(w) == pytest.approx(0.5, abs=0.02)
-
-    def test_weights_dbb_compliant(self):
-        layer = sweep_layer(0.5, 0.5, m=8, k=64, n=16)
-        _, w = microbench_operands(layer, rng=np.random.default_rng(1))
-        assert is_dbb_compliant(w.T, DBBSpec(8, 4))
-
-    def test_unpadded_k_pruned(self):
-        layer = sweep_layer(0.5, 0.5, m=8, k=60, n=16)
-        _, w = microbench_operands(layer, rng=np.random.default_rng(2))
-        padded = np.concatenate([w.T, np.zeros((16, 4), dtype=w.dtype)], axis=1)
-        assert is_dbb_compliant(padded, DBBSpec(8, 4))
-
-    def test_unstructured_option(self):
-        layer = sweep_layer(0.5, 0.5, m=8, k=64, n=16)
-        _, w = microbench_operands(layer, rng=np.random.default_rng(3),
-                                   dbb_weights=False)
-        assert density(w) == pytest.approx(0.5, abs=0.1)

@@ -34,10 +34,13 @@ Usage::
     PYTHONPATH=src python tools/profile_hotpaths.py --startup [--top N]
     PYTHONPATH=src python tools/profile_hotpaths.py --smt
 
-The workload defaults to the Fig. 9 microbench layer (1024x1152x256,
-4/8 weights, 50% activations) fetched through the shared
-``repro.eval.functional_operands`` memo; the baseline engines and the
-walker run the same shape through an equivalent conv layer spec.
+The workload defaults to the Fig. 9 microbench layer shape
+(1024x1152x256): one conv layer spec, 4/8 weights and activations with
+no DBB cap at density 9/16, whose INT8 operands
+``repro.workloads.from_spec.spec_int8_operands`` synthesizes once. The
+census spreads non-zeros evenly, so half the activation blocks hold 5
+and DAP prunes them to 4/8. Every engine, the synthesis stages and the
+walker run that same layer.
 
 ``--smt`` times the two SA-SMT batch shapes the artifacts run, without
 a profiler: the 28-point analytic Fig. 11 batch and the 5-point
@@ -336,11 +339,15 @@ def main(argv=None) -> int:
     from repro.core.dap import dap_prune
     from repro.core.dbb import DBBSpec, compress
     from repro.core.gemm import compress_operands, dbb_gemm, joint_dbb_gemm
-    from repro.eval import functional_operands
+    from repro.models.specs import LayerKind, LayerSpec
+    from repro.workloads.from_spec import spec_census, spec_int8_operands
 
     spec = DBBSpec(8, 4)
-    a, w = functional_operands(m, k, n, w_nnz=4, a_density=0.5)
-    print(f"workload: {m}x{k}x{n}, 4/8 weights, 50% dense activations")
+    layer = LayerSpec("profile", LayerKind.CONV, m=m, k=k, n=n,
+                      w_nnz=4, a_nnz=8, weight_density=0.5,
+                      act_density=0.5625)
+    a, w = spec_int8_operands(layer)
+    print(f"workload: {m}x{k}x{n}, 4/8 weights, 56% dense activations")
 
     _profile("compress (W)", compress, w.T, spec, top=args.top)
 
@@ -377,12 +384,6 @@ def main(argv=None) -> int:
         _profile(name, engine.run_gemm, a, w, top=args.top)
 
     # --- operand synthesis (the functional tier's other hot path) ---
-    from repro.models.specs import LayerKind, LayerSpec
-    from repro.workloads.from_spec import spec_census, spec_int8_operands
-
-    layer = LayerSpec("profile", LayerKind.CONV, m=m, k=k, n=n,
-                      w_nnz=4, a_nnz=8, weight_density=0.5,
-                      act_density=0.5)
     print("\n=== census draw: time and traced peak " + "=" * 31)
     print(census_report(layer))
     _profile("spec_census (census draw)", spec_census, layer, top=args.top)
