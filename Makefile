@@ -1,18 +1,16 @@
-# Two test tiers (see pytest.ini and ROADMAP.md):
+# Two test tiers (see ROADMAP.md):
 #
-#   make verify   - tier 1: the full default suite minus the `slow`-marked
-#                   chaos suite; stays around a minute and is what
-#                   every PR must keep green. Includes the full-size
-#                   functional fig11/fig12 runs, the full-size
-#                   XVAL_CONTRACT of all four networks (AlexNet,
-#                   ResNet-50, VGG-16, MobileNet-v1) over all seven
-#                   accelerator models (systolic family + SparTen /
-#                   Eyeriss v2 / SCNN engines) and the seed-fixed
-#                   functional baseline pins.
-#   make nightly  - tier 2: the `slow` tier (the chaos suite, run once)
-#                   and `repro experiment xval` (AlexNet only), the
-#                   serve smoke test and the trace, plus every
-#                   benchmarks/bench_*.py artifact run —
+#   make verify   - tier 1: the full default suite; stays around a
+#                   minute and is what every PR must keep green.
+#                   Includes the full-size functional fig11/fig12
+#                   runs, the full-size XVAL_CONTRACT of all four
+#                   networks (AlexNet, ResNet-50, VGG-16, MobileNet-v1)
+#                   over all seven accelerator models (systolic family
+#                   + SparTen / Eyeriss v2 / SCNN engines) and the
+#                   seed-fixed functional baseline pins.
+#   make nightly  - tier 2: `repro experiment xval` (AlexNet only)
+#                   and the trace, plus every benchmarks/bench_*.py
+#                   artifact run —
 #                   bench_functional_vs_analytic checks AlexNet's
 #                   full-size XVAL_CONTRACT — recording a timestamped
 #                   BENCH_<utc>.json, then diffing the newest two BENCH
@@ -23,23 +21,6 @@
 #                   so nightly also gates the DSE engine's
 #                   configs-evaluated-per-second rate.
 #   make check    - just the regression diff of existing BENCH files.
-#   make chaos    - the fault-tolerance acceptance suite (tests/chaos,
-#                   see docs/robustness.md): a serve instance under a
-#                   deterministic fault storm (REPRO_FAULTS corrupt
-#                   cache writes and reads / claim failures / HTTP 500s)
-#                   converging to bit-equal or cleanly-failed jobs,
-#                   corrupt result-cache entries quarantined and
-#                   recomputed, and $REPRO_FAULTS arming in a fresh
-#                   interpreter. Nightly runs it through its `-m slow`
-#                   step; bench_fault_overhead.py in the bench sweep gates
-#                   the disabled-guard cost (throughput in guards/s).
-#   make serve-smoke - end-to-end self-test of the simulation service
-#                   (repro serve --smoke): boots the HTTP service on an
-#                   ephemeral port and a throwaway queue DB, submits a
-#                   job + a duplicate + a distinct one, and asserts
-#                   dedupe, bit-equal results and metric reconciliation.
-#                   Nightly runs it; bench_serve_throughput.py in the
-#                   bench sweep gates the queue's jobs/s rate.
 #   make dse      - exhaustive design-space exploration over the full
 #                   keyspace (repro dse); writes the artifact
 #                   (evaluations + Pareto frontier) to
@@ -73,8 +54,7 @@ PY         := PYTHONPATH=src python
 STAMP      := $(shell date -u +%Y%m%dT%H%M%SZ)
 BENCH_JSON := BENCH_$(STAMP).json
 
-.PHONY: verify nightly bench check dse fig-functional cache-clear trace \
-	serve-smoke chaos
+.PHONY: verify nightly bench check dse fig-functional cache-clear trace
 
 verify:
 	$(PY) -m pytest -x -q
@@ -84,20 +64,9 @@ verify:
 # contract, which a cached entry from before a simulator change the
 # cache's source salt does not cover would mask.
 nightly:
-	$(PY) -m pytest -q -m slow
 	$(PY) -m repro experiment xval
-	$(MAKE) serve-smoke
 	$(MAKE) trace
 	$(MAKE) bench
-
-serve-smoke:
-	$(PY) -m repro serve --smoke
-
-# The chaos tests are `slow`-marked (they boot HTTP services and spawn
-# fresh interpreters), so nightly's `-m slow` step runs them; this
-# target runs just the fault-tolerance acceptance suite on its own.
-chaos:
-	$(PY) -m pytest -q tests/chaos -m ""
 
 # --no-result-cache so the trace always covers real simulation work
 # (a fully-cached run would attribute everything to finalize).

@@ -7,9 +7,6 @@ Usage::
     python -m repro run mobilenet_v1 --accelerator s2ta-aw --tech 16nm
     python -m repro experiment fig11
     python -m repro dse --out dse_frontier.json
-    python -m repro serve --port 8737
-    python -m repro submit alexnet --accelerator s2ta-aw --wait
-    python -m repro jobs
 
 Every command prints plain text; ``experiment`` accepts any artifact id
 (fig1, fig3, fig9a..fig9d, fig10, fig11, fig12, tbl1..tbl5, sec7,
@@ -48,16 +45,6 @@ SRAM, DRAM bandwidth, tech) point, evaluated in closed form (or, with
 ``--fidelity functional``, through the same memoized runner), and the
 (energy x cycles x area) Pareto frontier over them.
 
-Simulation as a service (:mod:`repro.serve`, see docs/serve.md):
-``repro serve`` runs the long-lived front-end — a persistent SQLite
-job queue ($REPRO_SERVE_DB, default ``~/.cache/repro/jobs.sqlite3``)
-with crash recovery on startup, a priority scheduler that dedupes
-identical requests through the result-cache fingerprints, ranks by
-expected runtime and batches per-tier into single engine batches, and
-a stdlib HTTP/JSON API (``POST /jobs``, ``GET /jobs[/<id>]``,
-``GET /metrics``, ``GET /healthz``). ``repro submit`` and ``repro
-jobs`` are the HTTP clients.
-
 Observability (:mod:`repro.obs`, see docs/observability.md) is wired
 through every command and off by default: ``experiment`` and ``dse``
 take ``--trace FILE`` (or ``REPRO_TRACE=FILE``) to record a Chrome
@@ -75,7 +62,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.obs import logs as obs_logs
@@ -378,160 +364,6 @@ def _non_negative_int(text):
     return value
 
 
-def _serve_base_url(args) -> str:
-    return f"http://{args.host}:{args.port}"
-
-
-def cmd_serve(args) -> str:
-    """Run the simulation service (or its smoke self-test)."""
-    import tempfile
-    import time as _time
-
-    from repro.serve import ServeService, default_db_path, run_smoke
-
-    result_cache = None if args.no_result_cache else _default_result_cache()
-    if args.smoke:
-        # Self-test on a throwaway DB unless one was named explicitly —
-        # the smoke run must never mingle with a production queue.
-        db = args.db or os.path.join(
-            tempfile.mkdtemp(prefix="repro-serve-smoke-"), "jobs.sqlite3")
-        try:
-            return run_smoke(db, result_cache=result_cache)
-        except (RuntimeError, TimeoutError) as exc:
-            raise SystemExit(f"serve smoke FAILED: {exc}") from None
-    if args.lease_s <= 0:
-        raise SystemExit("--lease-s must be positive")
-    db = args.db if args.db is not None else default_db_path()
-    service = ServeService(
-        db, host=args.host, port=args.port, workers=args.workers,
-        result_cache=result_cache,
-        batch_limit=args.batch_limit, poll_s=args.poll_s,
-        max_pending=args.max_pending, lease_s=args.lease_s)
-    requeued, quarantined = service.recovered
-    service.start()
-    out = obs_logs.output_logger()
-    out.info("serving on %s (db=%s, workers=%d)",
-             service.base_url, service.db_path, service.workers)
-    if requeued or quarantined:
-        out.info("recovery: re-queued %d expired job(s), quarantined "
-                 "%d out of attempts", len(requeued), len(quarantined))
-    try:
-        while True:
-            _time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.stop()
-    return "serve: shut down"
-
-
-#: ``repro submit --wait`` exits with this when the job is still in
-#: flight at the deadline — distinguishable from a failed job (1).
-EXIT_WAIT_TIMEOUT = 4
-
-
-def cmd_submit(args) -> str:
-    """Submit one job to a running service over HTTP."""
-    from repro.serve import submit_job, wait_for_job
-
-    request = {
-        "model": args.model,
-        "accelerator": args.accelerator,
-        "tier": args.tier,
-        "conv_only": not args.all_layers,
-        "seed": args.seed,
-        "priority": args.priority,
-    }
-    if args.tech is not None:
-        request["tech"] = args.tech
-    base = _serve_base_url(args)
-    try:
-        admitted = submit_job(base, request)
-    except (RuntimeError, OSError) as exc:
-        raise SystemExit(f"submit to {base} failed: {exc}") from None
-    verb = "deduped onto job" if admitted["deduped"] else "queued as job"
-    lines = [f"{verb} {admitted['id']} (state {admitted['state']})"]
-    if args.wait:
-        try:
-            job = wait_for_job(base, admitted["id"],
-                               timeout_s=args.timeout)
-        except TimeoutError as exc:
-            # Distinct exit code so wrappers can tell "still running,
-            # deadline elapsed" (retryable: poll again / re---wait)
-            # from a job that actually failed.
-            print(str(exc), file=sys.stderr)
-            raise SystemExit(EXIT_WAIT_TIMEOUT) from None
-        except (RuntimeError, OSError) as exc:
-            raise SystemExit(str(exc)) from None
-        if job["state"] != "done":
-            raise SystemExit(
-                f"job {job['id']} {job['state']}: {job.get('error')}")
-        result = job["result"]
-        lines += [
-            f"{result['model']} on {result['accelerator']} "
-            f"({result['tech']}):",
-            f"  cycles : {result['total_cycles']:,}",
-            f"  energy : {result['energy_uj']:,.1f} uJ",
-            f"  layers : {len(result['layers'])}",
-        ]
-    return "\n".join(lines)
-
-
-def cmd_jobs(args) -> str:
-    """List queue contents — over HTTP, or straight off a DB file
-    (``--db``; works while no server is up, e.g. post-crash triage)."""
-    if args.quarantined:
-        if args.state not in (None, "quarantined"):
-            raise SystemExit("--quarantined conflicts with "
-                             f"--state {args.state}")
-        args.state = "quarantined"
-    if args.db is not None:
-        from repro.serve import JobStore
-
-        with JobStore(args.db) as store:
-            try:
-                jobs = [job.to_dict() for job in
-                        store.list_jobs(state=args.state,
-                                        limit=args.limit)]
-            except ValueError as exc:
-                raise SystemExit(str(exc)) from None
-            counts = store.counts()
-    else:
-        from repro.serve import http_json
-
-        base = _serve_base_url(args)
-        query = f"limit={args.limit}"
-        if args.state:
-            query += f"&state={args.state}"
-        try:
-            status, body = http_json("GET", f"{base}/jobs?{query}")
-            _, health = http_json("GET", f"{base}/healthz")
-        except OSError as exc:
-            raise SystemExit(f"cannot reach {base}: {exc}") from None
-        if status != 200:
-            raise SystemExit(f"jobs listing failed ({status}): "
-                             f"{body.get('error', body)}")
-        jobs = body["jobs"]
-        counts = health["counts"]
-    lines = [("queue: "
-              + "  ".join(f"{state}={counts.get(state, 0)}"
-                          for state in ("pending", "running", "done",
-                                        "failed", "quarantined")))]
-    if jobs:
-        lines.append(f"  {'id':>5} {'state':<11} {'prio':>4} {'att':>3} "
-                     f"{'model':<14} {'accel':<10} {'tier':<10}")
-    for job in jobs:
-        req = job["request"]
-        lines.append(
-            f"  {job['id']:>5} {job['state']:<11} {job['priority']:>4} "
-            f"{job['attempts']:>3} {req.get('model', '?'):<14} "
-            f"{req.get('accelerator', '?'):<10} "
-            f"{req.get('tier', '?'):<10}")
-        if job["state"] == "quarantined" and job.get("error"):
-            lines.append(f"        ^ {job['error']}")
-    return "\n".join(lines)
-
-
 def cmd_trace(args) -> str:
     """Analyze a merged Chrome-trace artifact offline."""
     from repro.obs.summarize import render_summary, summarize_trace
@@ -676,119 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_flags(dse)
     _add_verbosity_flags(dse)
     dse.set_defaults(func=cmd_dse)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the simulation service (HTTP API + job queue)",
-        description="Long-running simulation-as-a-service front-end "
-                    "over the memoized engine: a persistent "
-                    "SQLite job queue with crash recovery on startup, "
-                    "a priority scheduler (request dedupe through the "
-                    "result-cache fingerprints, expected-runtime "
-                    "ranking, per-tier batching into single engine "
-                    "batches) and a JSON API: POST /jobs, "
-                    "GET /jobs[/<id>], GET /metrics, GET /healthz. "
-                    "See docs/serve.md.")
-    serve.add_argument("--db", default=None, metavar="PATH",
-                       help="SQLite job-store path (default: "
-                            "$REPRO_SERVE_DB or "
-                            "~/.cache/repro/jobs.sqlite3)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8737,
-                       help="listen port; 0 = ephemeral (default 8737)")
-    serve.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="scheduler threads draining the queue; 0 = "
-                            "admission-only (jobs queue but nothing "
-                            "executes — e.g. external worker processes "
-                            "share the DB) (default 1)")
-    serve.add_argument("--batch-limit", type=int, default=16,
-                       metavar="N",
-                       help="max jobs claimed per scheduler pass "
-                            "(default 16)")
-    serve.add_argument("--poll-s", type=float, default=0.1,
-                       metavar="S",
-                       help="idle-queue poll interval (default 0.1)")
-    serve.add_argument("--max-pending", type=int, default=None,
-                       metavar="N",
-                       help="admission control: reject submissions "
-                            "(HTTP 503) while the pending backlog is "
-                            "at N (default: unbounded)")
-    serve.add_argument("--lease-s", type=float, default=30.0,
-                       metavar="S",
-                       help="running-job lease duration; a worker that "
-                            "stops heartbeating for S seconds forfeits "
-                            "the job (re-queued with backoff, or "
-                            "quarantined out of attempts) (default 30)")
-    serve.add_argument("--no-result-cache", action="store_true",
-                       help="serve without the on-disk result cache "
-                            "(every job re-simulates)")
-    serve.add_argument("--smoke", action="store_true",
-                       help="boot on an ephemeral port + throwaway DB, "
-                            "run the end-to-end dedupe/metrics "
-                            "self-test, exit non-zero on failure")
-    _add_verbosity_flags(serve)
-    serve.set_defaults(func=cmd_serve)
-
-    submit = sub.add_parser(
-        "submit",
-        help="submit a simulation job to a running service",
-        description="POST one (model, accelerator) request to a repro "
-                    "serve instance. Identical requests dedupe onto "
-                    "the existing job (same id, one simulation).")
-    submit.add_argument("model", choices=sorted(MODEL_SPECS))
-    submit.add_argument("--accelerator", default="s2ta-aw",
-                        choices=sorted(ACCELERATORS))
-    submit.add_argument("--tech", default=None,
-                        help="technology node (default: the "
-                             "accelerator's own)")
-    submit.add_argument("--tier", default="functional",
-                        choices=("functional", "analytic"),
-                        help="fidelity tier (default functional)")
-    submit.add_argument("--all-layers", action="store_true",
-                        help="simulate every layer (default: conv "
-                             "layers only, like fig11/fig12)")
-    submit.add_argument("--seed", type=_non_negative_int, default=0,
-                        help="operand-synthesis seed (functional tier)")
-    submit.add_argument("--priority", type=int, default=0,
-                        help="scheduling priority; higher runs first "
-                             "(default 0)")
-    submit.add_argument("--host", default="127.0.0.1")
-    submit.add_argument("--port", type=int, default=8737)
-    submit.add_argument("--wait", action="store_true",
-                        help="block until the job finishes and print "
-                             "its result summary")
-    submit.add_argument("--timeout", type=float, default=600,
-                        metavar="S",
-                        help="--wait deadline in seconds (default 600); "
-                             f"exits {EXIT_WAIT_TIMEOUT} if the job is "
-                             "still in flight at the deadline")
-    _add_verbosity_flags(submit)
-    submit.set_defaults(func=cmd_submit)
-
-    jobs = sub.add_parser(
-        "jobs",
-        help="list the service's job queue",
-        description="Queue state summary plus the most recent jobs — "
-                    "over HTTP from a running service, or directly "
-                    "off the SQLite file with --db (works with no "
-                    "server up, e.g. post-crash triage).")
-    jobs.add_argument("--state", default=None,
-                      choices=("pending", "running", "done", "failed",
-                               "quarantined"),
-                      help="only jobs in this state")
-    jobs.add_argument("--quarantined", action="store_true",
-                      help="shorthand for --state quarantined (jobs "
-                           "that repeatedly took a worker down; they "
-                           "never run again without manual action)")
-    jobs.add_argument("--limit", type=int, default=20,
-                      help="rows to show, newest first (default 20)")
-    jobs.add_argument("--host", default="127.0.0.1")
-    jobs.add_argument("--port", type=int, default=8737)
-    jobs.add_argument("--db", default=None, metavar="PATH",
-                      help="read the job store file directly instead "
-                           "of over HTTP")
-    _add_verbosity_flags(jobs)
-    jobs.set_defaults(func=cmd_jobs)
 
     trace = sub.add_parser(
         "trace",

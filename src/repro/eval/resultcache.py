@@ -28,8 +28,8 @@ dict to every key, so each accelerator is digested and each layer
 canonicalized once per batch instead of once per task.
 
 Only cycle simulations are cached. A closed-form analytic evaluation
-costs less than its own key, so the analytic tier (the DSE sweep,
-analytic serve requests) recomputes it every time and can never serve
+costs less than its own key, so the analytic tier (the DSE sweep and
+the analytic artifacts) recomputes it every time and can never serve
 a stale entry.
 
 Payloads are cached *pre-finalization* (before the memory-hierarchy
@@ -62,12 +62,11 @@ import pathlib
 import tempfile
 from typing import Optional, Tuple
 
-from repro import faults
 from repro.arch.events import EventCounts
 from repro.obs import metrics as obs_metrics
 
 __all__ = ["CORRUPT_SUBDIR", "SALT_SOURCES", "ResultCache", "code_salt",
-           "combine_keys", "default_result_cache", "payload_key"]
+           "default_result_cache", "payload_key"]
 
 #: Quarantine subdirectory for corrupt entries. Entry lookups never
 #: descend into it, so a bad entry can never be re-hit.
@@ -135,31 +134,23 @@ def _dumps(obj) -> str:
                       separators=(",", ":"))
 
 
-def _accelerator_digest(accel) -> Tuple[str, bool]:
+def _accelerator_digest(accel) -> str:
     """Stage one of :func:`payload_key`: sha256 over the source salt and
     everything about ``accel`` that no layer changes (class, name,
-    tech node, simulator config, energy costs, DRAM and SRAM), plus
-    whether ``accel`` has a cycle simulator at all."""
-    try:
-        sim_config = _canonical(accel.functional_sim_config())
-        functional = True
-    except NotImplementedError:
-        # A model without a cycle simulator (S2TA-WA) still needs a
-        # fingerprint for analytic serve requests; the class name plus
-        # the design-point fields below pin its configuration.
-        sim_config = None
-        functional = False
+    tech node, simulator config, energy costs, DRAM and SRAM). A model
+    without a cycle simulator (S2TA-WA) raises ``NotImplementedError``
+    here, as its simulation would."""
     blob = _dumps({
         "code_salt": code_salt(),
         "accel_class": type(accel).__qualname__,
         "accel_name": accel.name,
         "tech": accel.tech,
-        "sim_config": sim_config,
+        "sim_config": accel.functional_sim_config(),
         "costs": accel.costs,
         "dram": accel.memory.dram,
         "sram": accel.memory.sram,
     })
-    return hashlib.sha256(blob.encode()).hexdigest(), functional
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _memoized(memo: dict, obj, compute):
@@ -188,41 +179,17 @@ def payload_key(accel, layer, seed: int = 0,
     the same either way. A memo must not outlive a batch — it does not
     notice an accelerator mutated after its first key.
 
-    Module-level so callers without a cache — the runner's in-batch
-    dedupe under ``--no-result-cache``, the serve request
-    fingerprint — fingerprint tasks the exact same way the cache does.
+    Module-level so the runner's in-batch dedupe under
+    ``--no-result-cache`` fingerprints tasks the exact same way the
+    cache does.
     """
     if memo is None:
         memo = {}
-    accel_digest, functional = _memoized(memo, accel, _accelerator_digest)
-    gemm_kwargs = (_dumps(accel._functional_gemm_kwargs(layer))
-                   if functional else "null")
+    accel_digest = _memoized(memo, accel, _accelerator_digest)
+    gemm_kwargs = _dumps(accel._functional_gemm_kwargs(layer))
     blob = (f'["{accel_digest}",{gemm_kwargs},'
             f'{_memoized(memo, layer, _dumps)},{int(seed)}]')
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def combine_keys(keys, extra=None) -> str:
-    """Order-sensitive content hash over per-layer payload keys.
-
-    The request-level fingerprint of the serve subsystem
-    (:mod:`repro.serve`): a whole-job identity is the ordered sequence
-    of its layer-task fingerprints (each already covering layer spec,
-    accelerator/memory/energy config, seed and the
-    :func:`code_salt`) plus any ``extra`` request-level context
-    (model name, conv-only flag, tier) canonicalized the same way the
-    payload keys are. Two requests share a fingerprint iff every
-    simulation *and* finalization input matches — which is exactly when
-    the scheduler may serve one simulation to both.
-    """
-    digest = hashlib.sha256()
-    if extra is not None:
-        digest.update(_dumps(extra).encode())
-        digest.update(b"\x00")
-    for key in keys:
-        digest.update(key.encode())
-        digest.update(b"\n")
-    return digest.hexdigest()
 
 
 class ResultCache:
@@ -266,7 +233,6 @@ class ResultCache:
             obs_metrics.default_registry().counter(
                 "result_cache.misses").inc()
             return None
-        raw = faults.mangle("cache_read", key, raw)
         try:
             payload = json.loads(raw)
             compute_cycles = payload["compute_cycles"]
@@ -312,11 +278,6 @@ class ResultCache:
             "compute_cycles": int(compute_cycles),
             "events": events.as_dict(),
         }, sort_keys=True)
-        # Chaos-suite injection point: a fired cache_corrupt fault
-        # garbles the entry on its way to disk, exercising the
-        # read-side quarantine end to end.
-        blob = faults.mangle("cache_write", key, blob.encode()).decode(
-            "utf-8", errors="replace")
         fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:

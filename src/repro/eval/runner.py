@@ -52,8 +52,8 @@ and fingerprints its accelerators again.
 
 Closed-form evaluations never pass through here: the analytic
 :meth:`~repro.accel.base.AcceleratorModel.run_layer` costs less than a
-task fingerprint, so the DSE, analytic serve requests and the analytic
-artifacts call it directly.
+task fingerprint, so the DSE and the analytic artifacts call it
+directly.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ every command:
   default, and provably free when off: the disabled path is one
   module-global load and a shared no-op context manager (frozen by
   ``benchmarks/bench_obs_overhead.py``).
-- :mod:`repro.obs.metrics` — a process-local registry of counters,
-  gauges and histograms: the runner's batch telemetry (operand
-  syntheses, per-task compute time, dedupe), the result cache's
-  hits and misses and the service's job counts.
+- :mod:`repro.obs.metrics` — a process-local registry of counters
+  and histograms: the runner's batch telemetry (operand syntheses,
+  per-task compute time, dedupe) and the result cache's hits and
+  misses.
 - :mod:`repro.obs.logs` — the shared standard-library ``logging``
   configuration behind the CLI's ``-v``/``-q`` flags and the
   benchmark/tool diagnostics.

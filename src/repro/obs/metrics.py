@@ -1,4 +1,4 @@
-"""Process-local metrics registry: counters, gauges, histograms.
+"""Process-local metrics registry: counters and histograms.
 
 The runner records its task timings and synthesis counts into the
 process-wide :func:`default_registry`; the CLI renders it as a summary
@@ -7,21 +7,9 @@ table (``--metrics``) and dumps the JSON form next to artifacts
 numbers so the dump round-trips through ``json`` with no custom
 encoders; the field layout is pinned in ``tests/obs/test_metrics.py``.
 
-Counters only go up (``inc``); gauges hold the last ``set`` value and
-take ``inc``/``dec`` deltas for level-style quantities; histograms keep
-count/sum/min/max plus fixed buckets so distributions such as the
-per-task compute time survive without storing every observation.
-
-The serve subsystem (:mod:`repro.serve`) registers the service-level
-family under the ``serve.`` prefix — ``serve.jobs_submitted`` /
-``serve.jobs_completed`` / ``serve.jobs_failed`` /
-``serve.jobs_requeued`` counters, ``serve.dedupe_hits`` (submit-time
-*and* in-batch request dedupe), ``serve.batches``,
-``serve.queue_depth`` / ``serve.jobs_running`` gauges and the
-``serve.job_wall_ns`` latency histogram — next to the existing
-``runner.`` / ``result_cache.`` families, so one
-``GET /metrics`` snapshot reconciles service work against engine work
-(asserted in ``tests/serve/test_service.py``).
+Counters only go up (``inc``); histograms keep count/sum/min/max plus
+fixed buckets so distributions such as the per-task compute time
+survive without storing every observation.
 """
 
 from __future__ import annotations
@@ -32,7 +20,6 @@ from typing import Dict, List, Optional
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "default_registry",
@@ -65,30 +52,6 @@ class Counter:
 
     def as_dict(self):
         return {"type": "counter", "value": self.value}
-
-
-class Gauge:
-    """Last-value gauge. ``inc``/``dec`` adjust the held value by a
-    delta — what level-style gauges (queue depth, in-flight jobs) need
-    when no single site knows the absolute value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, delta: float = 1.0) -> None:
-        self.value += delta
-
-    def dec(self, delta: float = 1.0) -> None:
-        self.value -= delta
-
-    def as_dict(self):
-        return {"type": "gauge", "value": self.value}
 
 
 class Histogram:
@@ -140,7 +103,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Thread-safe named collection of counters, gauges and histograms.
+    """Thread-safe named collection of counters and histograms.
 
     Names are dotted paths (``runner.tasks``, ``result_cache.hits``);
     the first segment groups the rendered table. Getter methods create
@@ -166,9 +129,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
     def histogram(self, name: str, buckets=DEFAULT_BUCKETS) -> Histogram:
         return self._get(name, Histogram, buckets)
 
@@ -189,16 +149,12 @@ class MetricsRegistry:
             return {name: self._metrics[name].as_dict()
                     for name in sorted(self._metrics)}
 
-    def json_payload(self) -> dict:
-        """The schema-stamped JSON document ``dump_json`` writes —
-        also what the serve API's ``GET /metrics`` returns, so offline
-        dumps and the live endpoint share one pinned shape."""
-        return {"schema": "repro.obs.metrics/v1",
-                "metrics": self.as_dict()}
-
     def dump_json(self, path) -> None:
+        """Write the schema-stamped JSON document of :meth:`as_dict`."""
+        payload = {"schema": "repro.obs.metrics/v1",
+                   "metrics": self.as_dict()}
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.json_payload(), fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     def render(self) -> str:
@@ -220,8 +176,6 @@ class MetricsRegistry:
                          f"min={data['min']} max={data['max']}")
             else:
                 value = data["value"]
-                if isinstance(value, float) and value == int(value):
-                    value = int(value)
             lines.append(f"  {name:<{width}} : {value}")
         return "\n".join(lines)
 

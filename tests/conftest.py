@@ -1,7 +1,7 @@
 """Test-suite isolation for the on-disk functional-result cache.
 
-CLI-level tests exercise ``repro experiment ... --functional`` and
-``repro serve``, which default to the user-level cache directory
+CLI-level tests exercise ``repro experiment ... --functional``, which
+defaults to the user-level cache directory
 (``$REPRO_CACHE_DIR`` / ``~/.cache/repro/results``). Point the default
 at a throwaway directory before any repro module resolves it, so the
 suite neither reads stale user-cache entries (which could mask a
@@ -13,19 +13,4 @@ directory. Tests that need cache behavior construct explicit
 import os
 import tempfile
 
-import pytest
-
 os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-test-cache-")
-# A REPRO_FAULTS leaking in from the caller's shell would arm fault
-# injection for the entire suite (repro.faults reads it at import).
-os.environ.pop("REPRO_FAULTS", None)
-
-
-@pytest.fixture(autouse=True)
-def _fault_injection_hygiene():
-    """No test may leave the process-wide fault registry armed — a
-    leaked registry would crash or corrupt every test that follows."""
-    yield
-    from repro import faults
-
-    faults.reset()

@@ -31,7 +31,7 @@ from repro.eval.experiments import (
     fig12_alexnet_per_layer,
     xval_functional_vs_analytic,
 )
-from repro.eval.resultcache import ResultCache
+from repro.eval.resultcache import CORRUPT_SUBDIR, ResultCache
 from repro.eval.runner import (
     LayerSimTask,
     functional_model_runs,
@@ -124,6 +124,28 @@ class TestSimulateLayerTasks:
         # The warm pass looked up once and missed zero times.
         assert cache.misses == misses_after_cold
         assert cache.hits >= 1
+
+    def test_corrupt_entries_quarantined_then_recomputed(self, tmp_path):
+        """A garbled entry is detected on read, quarantined, recomputed
+        bit-equal and rewritten clean; the next pass hits it."""
+        tasks = [LayerSimTask(ZvcgSA(), _small(CONV2), seed=seed)
+                 for seed in (0, 1)]
+        clean = simulate_layer_tasks(tasks)
+        cache = ResultCache(tmp_path / "cache")
+        assert simulate_layer_tasks(tasks, result_cache=cache) == clean
+        entries = sorted(cache.path.glob("*.json"))
+        assert len(entries) == len(tasks)
+        for entry in entries:
+            entry.write_bytes(b"\x00{garbled")
+
+        assert simulate_layer_tasks(tasks, result_cache=cache) == clean
+        assert cache.corrupt == len(tasks)
+        assert len(list((cache.path / CORRUPT_SUBDIR).glob("*.json"))) \
+            == len(tasks)
+        hits = cache.hits
+        assert simulate_layer_tasks(tasks, result_cache=cache) == clean
+        assert cache.hits == hits + len(tasks)
+        assert cache.corrupt == len(tasks)
 
     def test_in_batch_duplicates_simulate_once(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -36,7 +36,7 @@ class TestCounter:
         reg = MetricsRegistry()
         reg.counter("a")
         with pytest.raises(TypeError, match="Counter"):
-            reg.gauge("a")
+            reg.histogram("a")
 
 
 class TestHistogram:
@@ -64,7 +64,6 @@ class TestRegistryExport:
         """Field names of the --metrics-out JSON artifact."""
         reg = MetricsRegistry()
         reg.counter("runner.tasks").inc(7)
-        reg.gauge("serve.queue_depth").set(4)
         reg.histogram("runner.compute_ns").observe(1000)
         out = tmp_path / "metrics.json"
         reg.dump_json(out)
@@ -73,8 +72,6 @@ class TestRegistryExport:
         assert payload["schema"] == "repro.obs.metrics/v1"
         metrics = payload["metrics"]
         assert metrics["runner.tasks"] == {"type": "counter", "value": 7}
-        assert metrics["serve.queue_depth"] == {"type": "gauge",
-                                                "value": 4}
         hist = metrics["runner.compute_ns"]
         assert set(hist) == {"type", "count", "sum", "min", "max",
                              "mean", "buckets"}

@@ -178,7 +178,7 @@ class TestSession:
                 ("experiment", "E")]
 
     def test_spans_from_threads_all_land(self, tmp_path):
-        """Serve emits spans from several threads into one tracer."""
+        """Spans emitted from several threads all land in one tracer."""
         start_tracing(tmp_path / "t.json")
 
         def work(i):

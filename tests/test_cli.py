@@ -221,7 +221,6 @@ class TestVerbFlags:
     @pytest.mark.parametrize("argv", [
         ["experiment", "fig11"],
         ["dse"],
-        ["submit", "lenet5"],
     ], ids=lambda argv: argv[0])
     def test_negative_seed_is_a_usage_error(self, argv, capsys):
         assert build_parser().parse_args(argv + ["--seed", "3"]).seed == 3
@@ -233,7 +232,6 @@ class TestVerbFlags:
     @pytest.mark.parametrize("argv", [
         ["experiment", "xval"],
         ["dse"],
-        ["serve"],
     ], ids=lambda argv: argv[0])
     def test_jobs_flag_is_gone(self, argv, capsys):
         """The functional runner is serial: no verb takes ``--jobs``."""
@@ -245,7 +243,6 @@ class TestVerbFlags:
     @pytest.mark.parametrize("argv", [
         ["experiment", "fig11", "--functional"],
         ["dse", "--fidelity", "functional"],
-        ["submit", "lenet5"],
     ], ids=lambda argv: argv[0])
     def test_quick_flag_is_gone(self, argv, capsys):
         """Every functional run is full size: no verb takes ``--quick``."""

@@ -23,7 +23,7 @@ ARTIFACT_IMPORTS = ["repro.eval.runner", "repro.eval.experiments",
                     "repro.eval.resultcache", "repro.models",
                     "repro.design.dse"]
 OFF_THE_PATH = [
-    "repro.train", "repro.serve",
+    "repro.train",
     "repro.eval.ablations", "repro.eval.roofline", "repro.design.rtlgen",
     "repro.core.serialize",
     "repro.arch.tpe", "repro.arch.datapath", "repro.arch.dap_hw",
