@@ -34,7 +34,6 @@ whole-network runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
@@ -179,11 +178,9 @@ class AcceleratorModel:
             else:
                 dram = DRAMConfig.from_bandwidth(self._dram_gbps,
                                                  self.clock_ghz)
-            sram_bytes = int(self.sram_mb * 1024 * 1024)
-            wb = max(1, int(sram_bytes * self.wb_fraction))
             self._memory = MemorySystem(
                 dram=dram,
-                sram=SRAMStaging(wb_bytes=wb, ab_bytes=sram_bytes - wb),
+                sram=SRAMStaging.split(self.sram_mb, self.wb_fraction),
             )
         return self._memory
 
@@ -205,10 +202,9 @@ class AcceleratorModel:
         :meth:`layer_traffic` wholesale anyway.
         """
         rows = getattr(self, "eff_rows", None)
-        cols = getattr(self, "eff_cols", None)
-        if rows and cols:
-            return math.ceil(layer.m / rows), math.ceil(layer.n / cols)
-        return 1, 1
+        if rows is None:
+            return 1, 1
+        return -(-layer.m // rows), -(-layer.n // self.eff_cols)
 
     def _dram_block_layout(
         self, layer: LayerSpec,
@@ -232,13 +228,8 @@ class AcceleratorModel:
         im2col window duplication (DRAM holds the compact feature map;
         the AB address generators expand it on the fly).
         """
-        tiles_m, tiles_n = self._tile_geometry(layer)
-        w_pass = events.sram_w_read_bytes // tiles_m
-        a_pass = -(-events.sram_a_read_bytes // tiles_n
-                   // window_duplication(layer))
-        (w_pay, w_mask), (a_pay, a_mask) = self._dram_block_layout(layer)
-        w_meta = (w_pass * w_mask) // (w_pay + w_mask)
-        a_meta = (a_pass * a_mask) // (a_pay + a_mask)
+        tiles_m, tiles_n, (w_pass, w_meta), (a_pass, a_meta) = (
+            self._pass_bytes(layer, events))
         return LayerTraffic(
             weights=OperandStream(w_pass - w_meta, w_meta, passes=tiles_m),
             acts=OperandStream(a_pass - a_meta, a_meta, passes=tiles_n),
@@ -246,6 +237,29 @@ class AcceleratorModel:
             tiles_m=tiles_m,
             tiles_n=tiles_n,
         )
+
+    def _pass_bytes(self, layer: LayerSpec, events: EventCounts):
+        """``(tiles_m, tiles_n, (w_pass, w_meta), (a_pass, a_meta))``:
+        each operand's single-pass DRAM bytes and the DBB-metadata share
+        of them, on Python ints or numpy columns alike."""
+        tiles_m, tiles_n = self._tile_geometry(layer)
+        w_pass = events.sram_w_read_bytes // tiles_m
+        a_pass = -(-events.sram_a_read_bytes // tiles_n
+                   // window_duplication(layer))
+        (w_pay, w_mask), (a_pay, a_mask) = self._dram_block_layout(layer)
+        w_meta = (w_pass * w_mask) // (w_pay + w_mask)
+        a_meta = (a_pass * a_mask) // (a_pay + a_mask)
+        return tiles_m, tiles_n, (w_pass, w_meta), (a_pass, a_meta)
+
+    def _fill_waived(self, layer: LayerSpec) -> bool:
+        """Whether the fill-bandwidth cap is off for ``layer``: under
+        the paper's evaluation semantics (``cap_streaming_only``, the
+        default) conv layers are assumed staged ahead of compute and
+        only the Sec. 8.3 zero-reuse streams (FC weights, depthwise
+        windows) hit the fill wall — the old flat DMA cap as a special
+        case. The profile always carries the honest fill time for the
+        roofline artifacts."""
+        return self.memory.dram.cap_streaming_only and not layer.memory_bound
 
     def _finalize_layer(self, layer: LayerSpec, compute_cycles: int,
                         events: EventCounts) -> LayerResult:
@@ -259,16 +273,8 @@ class AcceleratorModel:
         profile = self.memory.profile(
             self.layer_traffic(layer, events), compute_cycles,
             name=layer.name)
-        # The enforced cap: under the paper's evaluation semantics
-        # (``cap_streaming_only``, the default) conv layers are assumed
-        # staged ahead of compute and only the Sec. 8.3 zero-reuse
-        # streams (FC weights, depthwise windows) hit the fill wall —
-        # the old flat DMA cap as a special case. The profile always
-        # carries the honest fill time for the roofline artifacts.
-        if self.memory.dram.cap_streaming_only and not layer.memory_bound:
-            memory_cycles = 0
-        else:
-            memory_cycles = profile.memory_cycles
+        memory_cycles = (0 if self._fill_waived(layer)
+                         else profile.memory_cycles)
         # The MCU-cluster background burns for the full (possibly
         # memory-stalled) duration.
         events.cycles = max(compute_cycles, memory_cycles)

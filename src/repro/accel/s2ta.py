@@ -25,7 +25,7 @@ import math
 from typing import Tuple
 
 from repro.accel.base import AcceleratorModel
-from repro.arch.events import EventCounts
+from repro.arch.events import EventCounts, _max, _min, _round, _where
 from repro.core.dbb import DBBSpec
 from repro.models.specs import BLOCK_SIZE, LayerSpec
 
@@ -34,7 +34,51 @@ __all__ = ["S2TAW", "S2TAAW", "S2TAWA"]
 _MASK_BYTES = 1  # BZ=8 positional bitmask
 
 
-class S2TAW(AcceleratorModel):
+class TPEArray(AcceleratorModel):
+    """The geometry every S2TA model shares: a ``rows x cols`` grid of
+    TPEs, each a ``tpe_a x tpe_c`` outer product of datapath units.
+
+    The S2TA-W and S2TA-AW closed forms (events, block layouts, the MAC
+    count) are written once for Python ints and numpy columns alike
+    (:mod:`repro.arch.events`): the DSE array pass runs them on a copy
+    of the accelerator whose geometry and DBB bound are per-point
+    columns.
+    """
+
+    #: MACs per datapath unit: a time-unrolled unit serializes its block
+    #: through one MAC.
+    unit_macs = 1
+
+    def __init__(self, tech: str, rows: int, cols: int, tpe_a: int,
+                 tpe_c: int, **kwargs):
+        super().__init__(tech=tech, **kwargs)
+        self.rows = rows
+        self.cols = cols
+        self.tpe_a = tpe_a
+        self.tpe_c = tpe_c
+
+    @property
+    def hardware_macs(self) -> int:
+        return self.rows * self.cols * self.tpe_a * self.tpe_c * self.unit_macs
+
+    @property
+    def eff_rows(self) -> int:
+        return self.rows * self.tpe_a
+
+    @property
+    def eff_cols(self) -> int:
+        return self.cols * self.tpe_c
+
+    @property
+    def skew(self) -> int:
+        return self.rows + self.cols - 2
+
+    def _weight_stream_bytes(self, layer: LayerSpec) -> int:
+        kb = -(-layer.k // BLOCK_SIZE)
+        return layer.n * kb * self._w_block_bytes(layer)
+
+
+class S2TAW(TPEArray):
     """S2TA-W: 4x8x4_4x8 DP4M8 TPE array (W-DBB + activation ZVCG).
 
     The geometry is parameterizable (used by the Sec. 7 design-space
@@ -42,33 +86,27 @@ class S2TAW(AcceleratorModel):
     """
 
     name = "S2TA-W"
-    rows = 4
-    cols = 8
-    tpe_a = 4
-    tpe_c = 4
     datapath_nnz = 4  # DP4M8: 4 MACs per DP unit
-    hardware_macs = 4 * 8 * 4 * 4 * 4  # 2048
     buffer_bytes_per_mac = 0.875  # Table 1
 
     def __init__(self, tech: str = "16nm", rows: int = 4, cols: int = 8,
                  tpe_a: int = 4, tpe_c: int = 4, datapath_nnz: int = 4,
                  **kwargs):
-        super().__init__(tech=tech, **kwargs)
+        super().__init__(tech, rows, cols, tpe_a, tpe_c, **kwargs)
         if not 1 <= datapath_nnz <= BLOCK_SIZE:
             raise ValueError(
                 f"datapath_nnz must be in [1, {BLOCK_SIZE}], "
                 f"got {datapath_nnz}")
-        self.rows = rows
-        self.cols = cols
-        self.tpe_a = tpe_a
-        self.tpe_c = tpe_c
         # The DBB weight bound B: each DPBM8 dot-product unit holds B
         # MACs (the paper's design point is DP4M8). Swept by the DSE
         # engine; everything downstream (passes, block bytes, events)
         # reads the instance attribute.
         self.datapath_nnz = datapath_nnz
-        self.hardware_macs = rows * cols * tpe_a * tpe_c * datapath_nnz
         self.buffer_bytes_per_mac = self._buffer_bytes(tpe_a, tpe_c)
+
+    @property
+    def unit_macs(self) -> int:
+        return self.datapath_nnz
 
     def _buffer_bytes(self, tpe_a: int, tpe_c: int) -> float:
         """Per-MAC buffer storage for a TPE geometry.
@@ -85,56 +123,40 @@ class S2TAW(AcceleratorModel):
             return operand_bytes / macs + 4.0 / self.datapath_nnz
         return estimate(tpe_a, tpe_c) * (0.875 / estimate(4, 4))
 
-    @property
-    def eff_rows(self) -> int:
-        return self.rows * self.tpe_a
-
-    @property
-    def eff_cols(self) -> int:
-        return self.cols * self.tpe_c
-
-    @property
-    def skew(self) -> int:
-        return self.rows + self.cols - 2
-
     def _w_passes(self, layer: LayerSpec) -> int:
         """Block passes: 1 when pruned to <= NNZ, 2 for dense fallback."""
-        return 1 if layer.w_nnz <= self.datapath_nnz else 2
+        return _where(layer.w_nnz <= self.datapath_nnz, 1, 2)
 
     def _w_block_bytes(self, layer: LayerSpec) -> int:
-        if layer.w_nnz <= self.datapath_nnz:
-            return self.datapath_nnz + _MASK_BYTES
-        return BLOCK_SIZE  # dense fallback: uncompressed block
-
-    def _weight_stream_bytes(self, layer: LayerSpec) -> int:
-        kb = math.ceil(layer.k / BLOCK_SIZE)
-        return layer.n * kb * self._w_block_bytes(layer)
+        """Compressed ``B + mask`` bytes, or the uncompressed block on
+        the dense fallback."""
+        return _where(layer.w_nnz <= self.datapath_nnz,
+                      self.datapath_nnz + _MASK_BYTES, BLOCK_SIZE)
 
     def _dram_block_layout(self, layer: LayerSpec):
         """Compressed weight blocks carry a 1-byte positional mask
         (DBB metadata on the DRAM bus); activations stream dense."""
-        if layer.w_nnz <= self.datapath_nnz:
-            return (self.datapath_nnz, _MASK_BYTES), (BLOCK_SIZE, 0)
-        return (BLOCK_SIZE, 0), (BLOCK_SIZE, 0)
+        packed = layer.w_nnz <= self.datapath_nnz
+        return ((_where(packed, self.datapath_nnz, BLOCK_SIZE),
+                 _where(packed, _MASK_BYTES, 0)), (BLOCK_SIZE, 0))
 
     def _layer_events(self, layer: LayerSpec) -> Tuple[int, EventCounts]:
-        kb = math.ceil(layer.k / BLOCK_SIZE)
+        kb = -(-layer.k // BLOCK_SIZE)
         passes = self._w_passes(layer)
-        tiles_m = math.ceil(layer.m / self.eff_rows)
-        tiles_n = math.ceil(layer.n / self.eff_cols)
+        tiles_m, tiles_n = self._tile_geometry(layer)
         tiles = tiles_m * tiles_n
         compute_cycles = tiles * kb * passes + self.skew
         slots = (tiles * self.eff_rows * self.eff_cols
                  * kb * passes * self.datapath_nnz)
-        fired = round(layer.macs * layer.w_density * layer.a_density)
+        fired = _round(layer.macs * layer.w_density * layer.a_density)
         events = EventCounts()
         events.mac_ops = fired
-        events.gated_mac_ops = max(0, slots - fired)
+        events.gated_mac_ops = _max(0, slots - fired)
         events.mux_ops = layer.m * layer.n * kb * passes * self.datapath_nnz
         # DP4M8's 4 MACs reduce through an adder tree into one accumulator
         # update per (output, block pass).
         acc_slots = layer.m * layer.n * kb * passes
-        acc_fired = min(acc_slots, fired)
+        acc_fired = _min(acc_slots, fired)
         events.acc_reg_ops = acc_fired
         events.gated_acc_reg_ops = acc_slots - acc_fired
         # Operand hops with intra-TPE reuse. The dot-product TPE reuses
@@ -145,7 +167,7 @@ class S2TAW(AcceleratorModel):
         a_hop_bytes = tiles_n * self.cols * layer.m * layer.k
         w_hop_bytes = (tiles_m * self.rows * layer.n * kb
                        * self._w_block_bytes(layer))
-        events.operand_reg_ops = (a_hop_bytes // max(1, self.tpe_c // 2)
+        events.operand_reg_ops = (a_hop_bytes // _max(1, self.tpe_c // 2)
                                   + w_hop_bytes // self.tpe_a)
         events.sram_a_read_bytes = layer.m * layer.k * tiles_n
         events.sram_w_read_bytes = self._weight_stream_bytes(layer) * tiles_m
@@ -176,35 +198,25 @@ class S2TAW(AcceleratorModel):
         return {"w_dense": layer.w_nnz > self.datapath_nnz}
 
 
-class S2TAAW(AcceleratorModel):
+class S2TAAW(TPEArray):
     """S2TA-AW: time-unrolled 8x4x4_8x8 DP1M4 TPE array (joint A/W-DBB)."""
 
     name = "S2TA-AW"
-    rows = 8
-    cols = 8
-    tpe_a = 8
-    tpe_c = 4
     w_nnz_hw = 4  # DP1M4's 4:1 weight mux
-    hardware_macs = 8 * 8 * 8 * 4  # 2048
     buffer_bytes_per_mac = 4.75  # Table 1
     has_dap = True
 
     def __init__(self, tech: str = "16nm", rows: int = 8, cols: int = 8,
                  tpe_a: int = 8, tpe_c: int = 4, w_nnz_hw: int = 4,
                  **kwargs):
-        super().__init__(tech=tech, **kwargs)
+        super().__init__(tech, rows, cols, tpe_a, tpe_c, **kwargs)
         if not 1 <= w_nnz_hw <= BLOCK_SIZE:
             raise ValueError(
                 f"w_nnz_hw must be in [1, {BLOCK_SIZE}], got {w_nnz_hw}")
-        self.rows = rows
-        self.cols = cols
-        self.tpe_a = tpe_a
-        self.tpe_c = tpe_c
         # The DBB weight bound B: each DP1M4 weight mux selects among B
         # stored non-zeros (B:1 mux; the paper's design point is B=4).
         # Time-unrolled, so the MAC count is independent of B.
         self.w_nnz_hw = w_nnz_hw
-        self.hardware_macs = rows * cols * tpe_a * tpe_c
         self.buffer_bytes_per_mac = self._buffer_bytes(tpe_a, tpe_c)
 
     def _buffer_bytes(self, tpe_a: int, tpe_c: int) -> float:
@@ -219,66 +231,49 @@ class S2TAAW(AcceleratorModel):
             return operand_bytes / (a * c) + 4.0
         return estimate(tpe_a, tpe_c) * (4.75 / estimate(8, 4))
 
-    @property
-    def eff_rows(self) -> int:
-        return self.rows * self.tpe_a
-
-    @property
-    def eff_cols(self) -> int:
-        return self.cols * self.tpe_c
-
-    @property
-    def skew(self) -> int:
-        return self.rows + self.cols - 2
-
     def _steps(self, layer: LayerSpec) -> int:
         """Cycles per activation block: a_nnz, or BZ on dense bypass."""
-        return layer.a_nnz if layer.a_nnz < BLOCK_SIZE else BLOCK_SIZE
+        return _min(layer.a_nnz, BLOCK_SIZE)
 
     def _a_block_bytes(self, layer: LayerSpec) -> int:
+        """Compressed ``steps + mask`` bytes, or the uncompressed block
+        on the dense bypass."""
         steps = self._steps(layer)
-        if steps >= BLOCK_SIZE:
-            return BLOCK_SIZE  # dense bypass: uncompressed
-        return steps + _MASK_BYTES
+        return _where(steps < BLOCK_SIZE, steps + _MASK_BYTES, BLOCK_SIZE)
 
     def _w_block_bytes(self, layer: LayerSpec) -> int:
-        if layer.w_nnz <= self.w_nnz_hw:
-            return self.w_nnz_hw + _MASK_BYTES
-        return BLOCK_SIZE
-
-    def _weight_stream_bytes(self, layer: LayerSpec) -> int:
-        kb = math.ceil(layer.k / BLOCK_SIZE)
-        return layer.n * kb * self._w_block_bytes(layer)
+        return _where(layer.w_nnz <= self.w_nnz_hw,
+                      self.w_nnz_hw + _MASK_BYTES, BLOCK_SIZE)
 
     def _dram_block_layout(self, layer: LayerSpec):
         """Both operands stream in compressed block form (payload +
         1-byte mask) unless the layer runs the dense fallback/bypass."""
         steps = self._steps(layer)
-        w_layout = ((self.w_nnz_hw, _MASK_BYTES)
-                    if layer.w_nnz <= self.w_nnz_hw else (BLOCK_SIZE, 0))
-        a_layout = ((steps, _MASK_BYTES)
-                    if steps < BLOCK_SIZE else (BLOCK_SIZE, 0))
-        return w_layout, a_layout
+        w_packed = layer.w_nnz <= self.w_nnz_hw
+        a_packed = steps < BLOCK_SIZE
+        return ((_where(w_packed, self.w_nnz_hw, BLOCK_SIZE),
+                 _where(w_packed, _MASK_BYTES, 0)),
+                (_where(a_packed, steps, BLOCK_SIZE),
+                 _where(a_packed, _MASK_BYTES, 0)))
 
     def _layer_events(self, layer: LayerSpec) -> Tuple[int, EventCounts]:
-        kb = math.ceil(layer.k / BLOCK_SIZE)
+        kb = -(-layer.k // BLOCK_SIZE)
         steps = self._steps(layer)
-        tiles_m = math.ceil(layer.m / self.eff_rows)
-        tiles_n = math.ceil(layer.n / self.eff_cols)
+        tiles_m, tiles_n = self._tile_geometry(layer)
         tiles = tiles_m * tiles_n
         compute_cycles = (tiles * kb + self.skew) * steps
         slots = tiles * self.eff_rows * self.eff_cols * kb * steps
         # A MAC fires when the streamed activation's position matches a
         # stored non-zero weight: element densities capture both bounds.
-        fired = round(layer.macs * layer.w_density * layer.a_density)
-        fired = min(fired, slots)
+        fired = _round(layer.macs * layer.w_density * layer.a_density)
+        fired = _min(fired, slots)
         events = EventCounts()
         events.mac_ops = fired
         events.gated_mac_ops = slots - fired
         events.mux_ops = layer.m * layer.n * kb * steps
         # DP1M4: one accumulator RMW per streamed cycle, gated on miss.
         acc_slots = layer.m * layer.n * kb * steps
-        acc_fired = min(acc_slots, fired)
+        acc_fired = _min(acc_slots, fired)
         events.acc_reg_ops = acc_fired
         events.gated_acc_reg_ops = acc_slots - acc_fired
         a_block_bytes = self._a_block_bytes(layer)
@@ -288,7 +283,7 @@ class S2TAAW(AcceleratorModel):
         # The serialized activation element broadcasts across the TPE's C
         # weight columns; beyond the DP1M4 mux width the broadcast needs
         # repeater stages, capping the free reuse at 4-wide.
-        a_reuse = min(self.tpe_c, self.w_nnz_hw)
+        a_reuse = _min(self.tpe_c, self.w_nnz_hw)
         events.operand_reg_ops = (a_hop_bytes // a_reuse
                                   + w_hop_bytes // self.tpe_a)
         events.sram_a_read_bytes = layer.m * kb * a_block_bytes * tiles_n
@@ -297,10 +292,8 @@ class S2TAAW(AcceleratorModel):
         events.mcu_elementwise_ops = layer.m * layer.n
         # DAP runs once per activation block produced (at the AB write
         # port), not per tile re-read; bypassed on dense layers.
-        if steps < BLOCK_SIZE:
-            events.dap_compare_ops = (
-                layer.m * kb * (BLOCK_SIZE - 1) * steps
-            )
+        events.dap_compare_ops = _where(
+            steps < BLOCK_SIZE, layer.m * kb * (BLOCK_SIZE - 1) * steps, 0)
         return compute_cycles, events
 
     # -------------------------------------------------------------- #
@@ -329,7 +322,7 @@ class S2TAAW(AcceleratorModel):
                 "w_dense": layer.w_nnz > self.w_nnz_hw}
 
 
-class S2TAWA(AcceleratorModel):
+class S2TAWA(TPEArray):
     """Time-unrolled variable *weight* DBB with fixed activation DBB.
 
     The paper's footnote 2 (Sec. 8.4): "S2TA time-unrolled architecture
@@ -349,35 +342,13 @@ class S2TAWA(AcceleratorModel):
     """
 
     name = "S2TA-WA"
-    rows = 8
-    cols = 8
-    tpe_a = 4
-    tpe_c = 8
     a_nnz_hw = 4  # fixed 4/8 activation DBB (4:1 activation mux)
-    hardware_macs = 8 * 8 * 4 * 8  # 2048
     buffer_bytes_per_mac = 4.75
     has_dap = True
 
     def __init__(self, tech: str = "16nm", rows: int = 8, cols: int = 8,
                  tpe_a: int = 4, tpe_c: int = 8, **kwargs):
-        super().__init__(tech=tech, **kwargs)
-        self.rows = rows
-        self.cols = cols
-        self.tpe_a = tpe_a
-        self.tpe_c = tpe_c
-        self.hardware_macs = rows * cols * tpe_a * tpe_c
-
-    @property
-    def eff_rows(self) -> int:
-        return self.rows * self.tpe_a
-
-    @property
-    def eff_cols(self) -> int:
-        return self.cols * self.tpe_c
-
-    @property
-    def skew(self) -> int:
-        return self.rows + self.cols - 2
+        super().__init__(tech, rows, cols, tpe_a, tpe_c, **kwargs)
 
     def _steps(self, layer: LayerSpec) -> int:
         """Cycles per weight block: w_nnz, or BZ on unpruned layers."""
@@ -395,10 +366,6 @@ class S2TAWA(AcceleratorModel):
 
     def _a_block_bytes(self) -> int:
         return self.a_nnz_hw + _MASK_BYTES
-
-    def _weight_stream_bytes(self, layer: LayerSpec) -> int:
-        kb = math.ceil(layer.k / BLOCK_SIZE)
-        return layer.n * kb * self._w_block_bytes(layer)
 
     def _dram_block_layout(self, layer: LayerSpec):
         """Serialized weights and fixed-4/8 activations both stream

@@ -8,13 +8,55 @@ nodes (16 nm vs 65 nm) and across calibrations.
 
 Units: ``*_ops`` are operation counts, ``*_bytes`` are byte counts,
 ``cycles`` are clock cycles.
+
+The closed-form event counts of the S2TA models run on Python ints (the
+analytic tier, one layer at a time) and on numpy columns (the DSE array
+pass, one value per design point) through the same body. ``_min``,
+``_max`` and ``_where`` are the three operations that differ between the
+two, and ``_round`` the one builtin numpy columns do not take: each
+goes elementwise on a column and stays on the builtin (or a conditional
+expression) on scalars, so the analytic tier makes no numpy call per
+layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 __all__ = ["EventCounts"]
+
+_ndarray = np.ndarray
+
+
+def _min(a, b):
+    """``min(a, b)``, elementwise when either is a numpy column."""
+    if isinstance(a, _ndarray) or isinstance(b, _ndarray):
+        return np.minimum(a, b)
+    return min(a, b)
+
+
+def _max(a, b):
+    """``max(a, b)``, elementwise when either is a numpy column."""
+    if isinstance(a, _ndarray) or isinstance(b, _ndarray):
+        return np.maximum(a, b)
+    return max(a, b)
+
+
+def _round(x):
+    """``round(x)``: half to even, an int64 column on a numpy column."""
+    if isinstance(x, _ndarray):
+        return np.rint(x).astype(np.int64)
+    return round(x)
+
+
+def _where(cond, a, b):
+    """``a if cond else b``, elementwise when ``cond`` is a numpy column
+    (both branches are evaluated up front)."""
+    if isinstance(cond, _ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
 
 
 @dataclass

@@ -54,6 +54,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.arch.events import _where
 from repro.models.specs import LayerKind, LayerSpec
 from repro.obs import trace as obs_trace
 
@@ -214,26 +215,25 @@ class DRAMConfig:
         for the per-tile DMA timeline walker. Same formula as the scalar
         :meth:`_stream_time` (both call :meth:`_transfer_time`)."""
         return self._transfer_time(
-            np.asarray(logical_bytes, dtype=np.float64), np.ceil)
+            np.asarray(logical_bytes, dtype=np.float64))
 
-    def _transfer_time(self, logical_bytes, ceil):
+    def _transfer_time(self, logical_bytes):
         """Bus time of one transfer: its burst-rounded bytes over the
         bandwidth. The single source of the channel's per-transfer
-        timing formula, for a float (``ceil=math.ceil``) or a float64
-        array (``ceil=np.ceil``); both run the same IEEE operations in
-        the same order, so they agree bit for bit."""
-        return (ceil(logical_bytes / self.burst_bytes) * self.burst_bytes
-                / self.bytes_per_cycle)
+        timing formula, for an int, a float or a numpy column: the
+        ceiling is ``-(-q // 1)``, which equals ``math.ceil`` and
+        ``np.ceil`` bit for bit."""
+        return (-(-(logical_bytes / self.burst_bytes) // 1)
+                * self.burst_bytes / self.bytes_per_cycle)
 
     def _stream_time(self, logical_bytes: int, streams: int) -> float:
-        """Bus time of ``streams`` contiguous transfers of
+        """Bus time of ``streams >= 1`` contiguous transfers of
         ``logical_bytes`` total, each stream carrying the rounded-up
-        even share, priced on Python floats: equal to ``streams *
-        transfer_cycles_array(per_stream)``."""
-        if logical_bytes <= 0 or streams <= 0:
-            return 0.0
+        even share: equal to ``streams *
+        transfer_cycles_array(per_stream)``, on Python ints (a float
+        result) or numpy columns alike. Zero bytes price to 0.0."""
         per_stream = -(-logical_bytes // streams)
-        return streams * self._transfer_time(float(per_stream), math.ceil)
+        return streams * self._transfer_time(per_stream)
 
 
 @dataclass(frozen=True)
@@ -246,6 +246,14 @@ class SRAMStaging:
     def __post_init__(self) -> None:
         if self.wb_bytes < 1 or self.ab_bytes < 1:
             raise ValueError("buffer capacities must be >= 1 byte")
+
+    @classmethod
+    def split(cls, sram_mb: float, wb_fraction: float) -> "SRAMStaging":
+        """``sram_mb`` of staging, ``wb_fraction`` of it (at least one
+        byte) the weight buffer and the rest the activation buffer."""
+        sram_bytes = int(sram_mb * 1024 * 1024)
+        wb = max(1, int(sram_bytes * wb_fraction))
+        return cls(wb_bytes=wb, ab_bytes=sram_bytes - wb)
 
     @property
     def usable_wb(self) -> int:
@@ -482,6 +490,24 @@ class MemorySystem:
         with obs_trace.span(name or "memory-walk", "memory"):
             return self._profile_body(traffic, compute_cycles, name)
 
+    def _restreams(self, w_stored, w_passes, a_stored, a_passes):
+        """``(weight, activation)`` stream counts of the software-
+        scheduled systolic tiling, on Python ints or numpy columns.
+
+        The tiling is free to pick its loop order: as long as one
+        operand stays resident in its staging half, the order that
+        holds it fetches the other exactly once (strips stream through
+        the staging half); only when both overflow must one side
+        re-stream, and the scheduler picks whichever loop order moves
+        fewer bytes.
+        """
+        both_overflow = ((w_stored > self.sram.usable_wb)
+                         & (a_stored > self.sram.usable_ab))
+        w_first = (w_stored * w_passes + a_stored
+                   <= a_stored * a_passes + w_stored)
+        return (_where(both_overflow, _where(w_first, w_passes, 1), 1),
+                _where(both_overflow, _where(w_first, 1, a_passes), 1))
+
     def _profile_body(self, traffic: LayerTraffic, compute_cycles: int,
                       name: str) -> LayerMemoryProfile:
         w, a = traffic.weights, traffic.acts
@@ -489,22 +515,14 @@ class MemorySystem:
         acts_resident = a.stored_bytes <= self.sram.usable_ab
         # Re-stream multiplicity. Fixed dataflows (SCNN/SparTen/Eyeriss)
         # refill every non-resident operand at its declared pass count —
-        # matching their own SRAM accounting. The software-scheduled
-        # systolic tiling is free to pick its loop order: as long as one
-        # operand stays resident, the order that holds it fetches the
-        # other exactly once (strips stream through the staging half);
-        # only when both overflow must one side re-stream, and the
-        # scheduler picks whichever loop order moves fewer bytes.
-        w_streams = a_streams = 1
+        # matching their own SRAM accounting; the systolic tiling picks
+        # its loop order (:meth:`_restreams`).
         if traffic.fixed_schedule:
             w_streams = 1 if weights_resident else w.passes
             a_streams = 1 if acts_resident else a.passes
-        elif not weights_resident and not acts_resident:
-            if (w.stored_bytes * w.passes + a.stored_bytes
-                    <= a.stored_bytes * a.passes + w.stored_bytes):
-                w_streams = w.passes
-            else:
-                a_streams = a.passes
+        else:
+            w_streams, a_streams = self._restreams(
+                w.stored_bytes, w.passes, a.stored_bytes, a.passes)
         w_payload = w.payload_bytes * w_streams
         w_meta = w.meta_bytes * w_streams
         a_payload = a.payload_bytes * a_streams

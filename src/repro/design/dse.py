@@ -15,17 +15,17 @@ that keyspace, priced by the same pass, ranked by the same
 :func:`select_lowest_power`.
 
 The analytic sweep prices the points as arrays, one numpy pass per
-datapath style and tech node (two for the default keyspace). What the
-scalar ``run_layer`` path reads off a point's accelerator, reference
-layer and DRAM channel depends only on its (style, B, A-DBB bound,
-tech node, DRAM bandwidth) group, so it is read once per group from
-one accelerator and gathered into per-point columns beside the array
-geometry and the SRAM size. Every closed form on the S2TA path (layer
-events, DRAM traffic, residency, fill time, energy, power, area) is
-elementwise integer or IEEE arithmetic over those columns, so each
-pass reproduces the scalar path bit for bit (the scalar ``run_layer``
-stays the oracle, ``tests/design/test_dse.py``). Each pass is one
-``dse`` trace span.
+datapath style and tech node (two for the default keyspace), without a
+copy of the S2TA formulas. It builds one accelerator and reference
+layer per (style, B, A-DBB bound, tech node, DRAM bandwidth) group and
+runs the scalar ``run_layer`` path's own closed forms (layer events,
+DRAM traffic, re-stream rule, fill time, clock derate, energy, power,
+area) on stand-ins of them whose geometry, DBB bounds, SRAM size and
+clock are per-point columns. Those bodies evaluate on Python ints and
+numpy columns alike (the ``_min``/``_max``/``_where``/``_round``
+helpers of :mod:`repro.arch.events`), so each pass reproduces the
+scalar path bit for bit (the scalar ``run_layer`` stays the oracle,
+``tests/design/test_dse.py``). Each pass is one ``dse`` trace span.
 
 Points (:class:`DSEPoint`) and artifact rows (:class:`DSEEvaluation`)
 are named tuples, so a sweep builds them in bulk from columns with
@@ -40,21 +40,18 @@ the Sec. 7 one.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from types import SimpleNamespace
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 import numpy as np
 
-from repro.accel.base import AcceleratorModel
-from repro.accel.s2ta import S2TAAW
-from repro.arch.events import EventCounts
-from repro.arch.memory import DRAMConfig, SRAMStaging, window_duplication
+from repro.arch.memory import DRAMConfig, MemorySystem, SRAMStaging
 from repro.design.space import DesignPoint, enumerate_design_space
 from repro.energy.tech import TECH_NODES, get_tech
 from repro.eval.tables import ExperimentResult
@@ -368,254 +365,127 @@ class DSESpace:
         return len(self.points)
 
 
+def _power_mw(energy_pj, cycles, clock_ghz):
+    """Average power of a layer run, its energy over its runtime, on
+    scalars or numpy columns. Every S2TA layer takes at least one block
+    pass, so ``cycles > 0``."""
+    runtime_s = cycles / (clock_ghz * 1e9)
+    return energy_pj * 1e-12 / runtime_s * 1e3
+
+
 def _evaluation(point: DSEPoint, accel, result) -> DSEEvaluation:
     """Flatten one finalized layer result into the artifact row."""
-    runtime_s = result.cycles / (accel.clock_ghz * 1e9)
-    power_mw = (result.energy_pj * 1e-12 / runtime_s * 1e3
-                if runtime_s else 0.0)
     return DSEEvaluation(
         uid=point.uid, notation=point.design.notation,
         time_unrolled=point.design.time_unrolled,
         weight_nnz=point.design.weight_nnz, a_nnz=point.a_nnz,
         sram_mb=point.sram_mb, dram_gbps=point.dram_gbps,
-        tech=point.tech, power_mw=power_mw,
+        tech=point.tech,
+        power_mw=_power_mw(result.energy_pj, result.cycles,
+                           accel.clock_ghz),
         area_mm2=accel.area_mm2(), cycles=result.cycles,
         energy_uj=result.energy_uj)
 
 
-class _Group(NamedTuple):
-    """What the scalar ``run_layer`` path reads off one group's
-    accelerator, reference layer and DRAM channel: everything that
-    depends on (style, B, A-DBB, tech, DRAM bandwidth) but not on the
-    array geometry or the SRAM size. Gathered per point, each field is
-    a column of the array pass."""
-
-    m: int
-    k: int
-    n: int
-    kb: int                 # reduction blocks, ceil(k / BLOCK_SIZE)
-    window: int             # im2col window duplication of the layer
-    b: int                  # the DBB weight bound B
-    steps: int              # S2TAW block passes, S2TAAW cycles per block
-    fired: int              # round(macs * w_density * a_density)
-    a_block_bytes: int      # S2TAAW only (0 on S2TAW)
-    w_block_bytes: int
-    w_stream_bytes: int
-    w_pay: int              # DRAM block layouts: payload and mask bytes
-    w_mask: int
-    a_pay: int
-    a_mask: int
-    capped: bool            # the default channel's cap: no memory cycles
-    per_clock: bool         # bytes_per_cycle is GB/s, per derated clock
-    bytes_per_cycle: float
-    burst_bytes: int
+def _stand_in(record, **columns):
+    """A shallow copy of ``record`` with the named attributes set to
+    per-point columns. It skips the constructor and its scalar checks,
+    so the record's own properties and methods run on the columns."""
+    twin = copy.copy(record)
+    vars(twin).update(columns)
+    return twin
 
 
-def _group(point: DSEPoint) -> Tuple[AcceleratorModel, _Group]:
-    """The accelerator built at ``point`` and its group's scalars."""
-    accel = point.build()
-    layer = point.layer()
-    if isinstance(accel, S2TAAW):
-        b, steps = accel.w_nnz_hw, accel._steps(layer)
-        a_block_bytes = accel._a_block_bytes(layer)
-    else:
-        b, steps = accel.datapath_nnz, accel._w_passes(layer)
-        a_block_bytes = 0
-    (w_pay, w_mask), (a_pay, a_mask) = accel._dram_block_layout(layer)
-    # At 1 GHz an explicit channel's bytes per cycle is its GB/s; the
-    # pass divides it by each point's derated clock, as the lazy memory
-    # system of DSEPoint.build() does.
-    channel = (DRAMConfig() if point.dram_gbps is None
-               else DRAMConfig.from_bandwidth(point.dram_gbps, 1.0))
-    return accel, _Group(
-        m=layer.m, k=layer.k, n=layer.n,
-        kb=math.ceil(layer.k / BLOCK_SIZE),
-        window=window_duplication(layer), b=b, steps=steps,
-        fired=round(layer.macs * layer.w_density * layer.a_density),
-        a_block_bytes=a_block_bytes,
-        w_block_bytes=accel._w_block_bytes(layer),
-        w_stream_bytes=accel._weight_stream_bytes(layer),
-        w_pay=w_pay, w_mask=w_mask, a_pay=a_pay, a_mask=a_mask,
-        capped=channel.cap_streaming_only and not layer.memory_bound,
-        per_clock=point.dram_gbps is not None,
-        bytes_per_cycle=channel.bytes_per_cycle,
-        burst_bytes=channel.burst_bytes)
-
-
-class _Geometry(NamedTuple):
-    """int64 columns of the points' array geometries."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    tpe_a: np.ndarray
-    tpe_c: np.ndarray
-    eff_rows: np.ndarray
-    eff_cols: np.ndarray
-    tiles_m: np.ndarray
-    tiles_n: np.ndarray
-
-
-def _dot_product_events(c: _Group, g: _Geometry
-                        ) -> Tuple[np.ndarray, EventCounts]:
-    """:meth:`S2TAW._layer_events` over columns."""
-    tiles = g.tiles_m * g.tiles_n
-    compute_cycles = tiles * c.kb * c.steps + (g.rows + g.cols - 2)
-    slots = tiles * g.eff_rows * g.eff_cols * c.kb * c.steps * c.b
-    events = EventCounts()
-    events.mac_ops = c.fired
-    events.gated_mac_ops = np.maximum(0, slots - c.fired)
-    events.mux_ops = c.m * c.n * c.kb * c.steps * c.b
-    acc_slots = c.m * c.n * c.kb * c.steps
-    acc_fired = np.minimum(acc_slots, c.fired)
-    events.acc_reg_ops = acc_fired
-    events.gated_acc_reg_ops = acc_slots - acc_fired
-    a_hop_bytes = g.tiles_n * g.cols * c.m * c.k
-    w_hop_bytes = g.tiles_m * g.rows * c.n * c.kb * c.w_block_bytes
-    events.operand_reg_ops = (a_hop_bytes // np.maximum(1, g.tpe_c // 2)
-                              + w_hop_bytes // g.tpe_a)
-    events.sram_a_read_bytes = c.m * c.k * g.tiles_n
-    events.sram_w_read_bytes = c.w_stream_bytes * g.tiles_m
-    events.sram_a_write_bytes = c.m * c.n
-    events.mcu_elementwise_ops = c.m * c.n
-    return compute_cycles, events
-
-
-def _time_unrolled_events(c: _Group, g: _Geometry
-                          ) -> Tuple[np.ndarray, EventCounts]:
-    """:meth:`S2TAAW._layer_events` over columns."""
-    tiles = g.tiles_m * g.tiles_n
-    compute_cycles = (tiles * c.kb + (g.rows + g.cols - 2)) * c.steps
-    slots = tiles * g.eff_rows * g.eff_cols * c.kb * c.steps
-    fired = np.minimum(c.fired, slots)
-    events = EventCounts()
-    events.mac_ops = fired
-    events.gated_mac_ops = slots - fired
-    events.mux_ops = c.m * c.n * c.kb * c.steps
-    acc_slots = c.m * c.n * c.kb * c.steps
-    acc_fired = np.minimum(acc_slots, fired)
-    events.acc_reg_ops = acc_fired
-    events.gated_acc_reg_ops = acc_slots - acc_fired
-    a_hop_bytes = g.tiles_n * g.cols * c.m * c.kb * c.a_block_bytes
-    w_hop_bytes = g.tiles_m * g.rows * c.n * c.kb * c.w_block_bytes
-    a_reuse = np.minimum(g.tpe_c, c.b)
-    events.operand_reg_ops = (a_hop_bytes // a_reuse
-                              + w_hop_bytes // g.tpe_a)
-    events.sram_a_read_bytes = c.m * c.kb * c.a_block_bytes * g.tiles_n
-    events.sram_w_read_bytes = c.w_stream_bytes * g.tiles_m
-    events.sram_a_write_bytes = c.m * c.kb * c.a_block_bytes
-    events.mcu_elementwise_ops = c.m * c.n
-    # DAP is bypassed on dense (steps == BLOCK_SIZE) layers.
-    events.dap_compare_ops = np.where(
-        c.steps < BLOCK_SIZE, c.m * c.kb * (BLOCK_SIZE - 1) * c.steps, 0)
-    return compute_cycles, events
-
-
-def _stream_time(dram, logical_bytes: np.ndarray,
-                 streams: np.ndarray) -> np.ndarray:
-    """Bus time of :meth:`DRAMConfig._stream_time` over columns; ``dram``
-    carries the channel's timing fields (scalars or columns). Streams
-    are >= 1 here and zero bytes price to 0.0, so its early return
-    needs no twin."""
-    per_stream = -(-logical_bytes // streams)
-    return streams * DRAMConfig._transfer_time(
-        dram, per_stream.astype(np.float64), np.ceil)
-
-
-def _price_pass(accel: AcceleratorModel, c: _Group, geometry: np.ndarray,
-                sram_mb: np.ndarray) -> Tuple[np.ndarray, ...]:
+def _price_pass(groups: Sequence[DSEPoint], picked: np.ndarray,
+                geometry: np.ndarray, sram_mb: np.ndarray
+                ) -> Tuple[np.ndarray, ...]:
     """(power mW, area mm², cycles, energy µJ) columns of points that
-    share a datapath style and tech node; ``geometry`` holds their
-    rows, cols, tpe_a and tpe_c as int64 rows.
+    share a datapath style and tech node.
 
-    Each step is the column twin of the scalar ``DSEPoint.build()`` →
-    ``run_layer`` → :func:`_evaluation` path, in its operation order;
-    ``c`` holds each point's group scalars and ``accel`` (any point's)
-    the style's and the node's constants: the energy and area costs.
+    ``groups`` holds one point of each (B, A-DBB, DRAM bandwidth) group
+    in the pass, ``picked`` each point's index into it, and ``geometry``
+    the points' rows, cols, tpe_a and tpe_c as int64 rows. The pass runs
+    the scalar path's own closed forms — ``DSEPoint.build()`` →
+    ``run_layer`` → :func:`_evaluation` — on column stand-ins of the
+    group's accelerator, reference layer, memory system and area model;
+    only the glue between those calls is written here.
     """
+    def gather(values):
+        return np.array(values)[picked]
+
+    accels = [point.build() for point in groups]
+    layers = [point.layer() for point in groups]
+    waived = gather([group_accel._fill_waived(group_layer)
+                     for group_accel, group_layer in zip(accels, layers)])
+    first = accels[0]
+    # The groups' reference layers differ in their DBB bounds and
+    # densities only; those fields become columns.
+    layer = _stand_in(layers[0], **{
+        name: gather([getattr(other, name) for other in layers])
+        for name, value in vars(layers[0]).items()
+        if any(getattr(other, name) != value for other in layers)})
     rows, cols, tpe_a, tpe_c = geometry
-    eff_rows, eff_cols = rows * tpe_a, cols * tpe_c
-    # math.ceil(m / eff_rows) is exact integer ceil-division here.
-    g = _Geometry(rows, cols, tpe_a, tpe_c, eff_rows, eff_cols,
-                  tiles_m=-(-c.m // eff_rows), tiles_n=-(-c.n // eff_cols))
-    time_unrolled = isinstance(accel, S2TAAW)
-    layer_events = (_time_unrolled_events if time_unrolled
-                    else _dot_product_events)
-    compute_cycles, events = layer_events(c, g)
+    design = _stand_in(
+        groups[0].design, rows=rows, cols=cols, tpe_a=tpe_a, tpe_c=tpe_c,
+        weight_nnz=gather([point.design.weight_nnz for point in groups]))
     # DSEPoint.build's clock: the node's, derated for the TPE dims.
-    clock_ghz = get_tech(accel.tech).clock_ghz * (
-        1.0 / (1.0 + 0.04 * np.maximum(0, tpe_a + tpe_c - 12)))
-
-    # AcceleratorModel.layer_traffic (single-pass streams).
-    w_pass = events.sram_w_read_bytes // g.tiles_m
-    a_pass = -(-events.sram_a_read_bytes // g.tiles_n // c.window)
-    w_meta = (w_pass * c.w_mask) // (c.w_pay + c.w_mask)
-    a_meta = (a_pass * c.a_mask) // (c.a_pay + c.a_mask)
-
-    # AcceleratorModel.memory's staging split. float64 keeps absurd
+    clock_ghz = get_tech(first.tech).clock_ghz * design.clock_ghz
+    # AcceleratorModel.memory: the default channel, or an explicit
+    # bandwidth at each point's own clock.
+    gbps = gather([math.nan if point.dram_gbps is None else point.dram_gbps
+                   for point in groups])
+    dram = _stand_in(DRAMConfig(), bytes_per_cycle=np.where(
+        np.isnan(gbps), DRAMConfig.bytes_per_cycle, gbps / clock_ghz))
+    # The staging split of each distinct SRAM size. float64 keeps absurd
     # sizes from overflowing; it is exact below 2**53 bytes, and only
-    # the residency comparisons below read it.
-    sram_bytes = np.trunc(sram_mb * 1024 * 1024)
-    wb = np.maximum(1.0, np.trunc(sram_bytes * accel.wb_fraction))
-    ab = sram_bytes - wb
-    if (ab < 1).any():  # SRAMStaging rejects it, with its own message
-        SRAMStaging(wb_bytes=1, ab_bytes=int(ab.min()))
+    # the residency comparisons read it.
+    sizes, size_at = np.unique(sram_mb, return_inverse=True)
+    stagings = [SRAMStaging.split(size, first.wb_fraction)
+                for size in sizes.tolist()]
+    sram = _stand_in(stagings[0], **{
+        name: np.array([getattr(staging, name) for staging in stagings],
+                       np.float64)[size_at]
+        for name in ("wb_bytes", "ab_bytes")})
+    weight_bound = "w_nnz_hw" if design.time_unrolled else "datapath_nnz"
+    accel = _stand_in(first, rows=rows, cols=cols, tpe_a=tpe_a,
+                      tpe_c=tpe_c, sram_mb=sram_mb, clock_ghz=clock_ghz,
+                      _memory=MemorySystem(dram=dram, sram=sram),
+                      **{weight_bound: design.weight_nnz})
 
-    # MemorySystem._profile_body: a stream's stored bytes are its pass
-    # bytes; only when both operands overflow their (double-buffered)
-    # halves does one re-stream, whichever moves fewer bytes. No
-    # partial sums spill (output-stationary accumulation).
-    both_overflow = (w_pass > wb // 2) & (a_pass > ab // 2)
-    w_restreams = (w_pass * g.tiles_m + a_pass
-                   <= a_pass * g.tiles_n + w_pass)
-    w_streams = np.where(both_overflow & w_restreams, g.tiles_m, 1)
-    a_streams = np.where(both_overflow & ~w_restreams, g.tiles_n, 1)
+    # run_layer: events, then _finalize_layer_body's memory profile.
+    compute_cycles, events = accel._layer_events(layer)
+    tiles_m, tiles_n, (w_pass, w_meta), (a_pass, a_meta) = (
+        accel._pass_bytes(layer, events))
+    w_streams, a_streams = accel.memory._restreams(w_pass, tiles_m,
+                                                   a_pass, tiles_n)
     w_total = (w_pass - w_meta) * w_streams + w_meta * w_streams
     a_total = (a_pass - a_meta) * a_streams + a_meta * a_streams
-
-    # _finalize_layer_body's cap: int(ceil(fill)) only when an explicit
-    # bandwidth enforces the roofline wall (or the layer streams). The
-    # channel's timing fields are columns of a stand-in for its self.
-    dram = SimpleNamespace(
-        burst_bytes=c.burst_bytes,
-        bytes_per_cycle=np.where(c.per_clock, c.bytes_per_cycle / clock_ghz,
-                                 c.bytes_per_cycle))
-    memory_cycles = np.where(
-        c.capped, 0.0, np.ceil(_stream_time(dram, w_total, w_streams)
-                               + _stream_time(dram, a_total, a_streams)))
+    fill_cycles = (dram._stream_time(w_total, w_streams)
+                   + dram._stream_time(a_total, a_streams))
     # Cycles ride float64 (exact integers: compute counts are far below
     # 2**53, and the fill bound is a float ceil), so int() on a row
     # raises on an infinite fill time exactly where the scalar path does.
-    cycles = np.maximum(compute_cycles, memory_cycles)
-    events.cycles = cycles
+    memory_cycles = np.where(waived, 0.0, np.ceil(fill_cycles))
+    events.cycles = cycles = np.maximum(compute_cycles, memory_cycles)
     events.dram_read_bytes = w_total + a_total
-    events.dram_write_bytes = c.m * c.n  # results; no psums
-    energy_pj = accel.energy_model.breakdown(events).total_pj
+    events.dram_write_bytes = layer.m * layer.n  # results; no psums
+    breakdown = accel.energy_model.breakdown(events)
 
-    # _evaluation's power and AreaModel.total_mm2. _buffer_bytes reads
-    # only B off the accelerator, so a stand-in carries B's column.
-    runtime_s = cycles / (clock_ghz * 1e9)
-    power_mw = energy_pj * 1e-12 / runtime_s * 1e3
-    macs = rows * cols * tpe_a * tpe_c
-    if not time_unrolled:
-        macs = macs * c.b
-    buffer_bytes = type(accel)._buffer_bytes(
-        SimpleNamespace(datapath_nnz=c.b, w_nnz_hw=c.b), tpe_a, tpe_c)
-    costs = accel.costs
-    pe_array = macs * (costs.mac_area_um2
-                       + buffer_bytes * costs.buffer_area_um2_per_byte) * 1e-6
-    base = (pe_array + sram_mb * costs.sram_area_mm2_per_mb
-            + accel.mcus * costs.mcu_area_mm2
-            + (costs.dap_area_mm2 if accel.has_dap else 0.0))
-    area_mm2 = base * get_tech(accel.tech).area_scale
-    return power_mw, area_mm2, cycles, energy_pj * 1e-6
+    # _evaluation's power and area.
+    area = _stand_in(first._area_model(), macs=accel.hardware_macs,
+                     buffer_bytes_per_mac=accel._buffer_bytes(tpe_a, tpe_c),
+                     sram_mb=sram_mb)
+    return (_power_mw(breakdown.total_pj, cycles, clock_ghz),
+            area.total_mm2, cycles, breakdown.total_uj)
 
 
 def _evaluate_analytic(points: Sequence[DSEPoint]
                        ) -> Dict[str, DSEEvaluation]:
-    """One :func:`_price_pass` per (style, tech) over the points' group
-    scalars, gathered from one accelerator per (style, B, A-DBB, tech,
-    DRAM bandwidth) group. Point fields are read as lazy columns
-    (:func:`_column`): no transposed copy of the points is kept."""
+    """One :func:`_price_pass` per (style, tech) over the points'
+    columns, with one point per (style, B, A-DBB, tech, DRAM bandwidth)
+    group to build its accelerator and layer from. Point fields are read
+    as lazy columns (:func:`_column`): no transposed copy of the points
+    is kept."""
     if not points:
         return {}
     n = len(points)
@@ -627,9 +497,7 @@ def _evaluate_analytic(points: Sequence[DSEPoint]
                     "design.time_unrolled", "tech", "design.weight_nnz",
                     "a_nnz", "dram_gbps")))])
         # Group ids count up in first-seen order: firsts[i] opens group i.
-        firsts = np.unique(which, return_index=True)[1]
-        accels, groups = zip(*[_group(points[i]) for i in firsts.tolist()])
-        group_columns = _Group(*(np.array(field) for field in zip(*groups)))
+        firsts = np.unique(which, return_index=True)[1].tolist()
         passes: Dict[tuple, List[int]] = {}
         for group, key in enumerate(group_ids):
             passes.setdefault(key[:2], []).append(group)
@@ -645,10 +513,9 @@ def _evaluate_analytic(points: Sequence[DSEPoint]
         with obs_trace.span(f"{style}.{tech}", "dse", style=style,
                             tech=tech, groups=len(members),
                             points=len(at)):
-            picked = which[at]
             columns[:, at] = _price_pass(
-                accels[members[0]],
-                _Group(*(field[picked] for field in group_columns)),
+                [points[firsts[group]] for group in members],
+                np.searchsorted(members, which[at]),
                 geometry[:, at], sram[at])
     with obs_trace.span("rows", "dse", points=n):
         power, area, cycles, energy = columns.tolist()
@@ -676,14 +543,14 @@ def evaluate_points(
     ``fidelity="analytic"`` (default) prices the closed-form layer
     events as arrays: one numpy pass per datapath style and tech node,
     over per-point columns of each (B, A-DBB bound, DRAM bandwidth)
-    group's scalars, bit-equal to each point's scalar
+    group, bit-equal to each point's scalar
     ``build().run_layer(layer())``. The whole default keyspace takes
-    ~7 ms on a 2-core Xeon (best of five in one process; ~12 ms as a
-    fresh interpreter's first call). ``"functional"`` simulates
-    synthesized operand patterns on the cycle simulator (``seed`` as in
-    the full-model experiments) through the layer runner, then
-    finalizes each point; ``result_cache`` applies to that fidelity
-    only.
+    ~6 ms on a 2-core Intel Xeon, Python 3.11, NumPy 2.4 (best of five
+    in one process; ~8 ms as a fresh interpreter's first call).
+    ``"functional"`` simulates synthesized operand patterns on the
+    cycle simulator (``seed`` as in the full-model experiments) through
+    the layer runner, then finalizes each point; ``result_cache``
+    applies to that fidelity only.
 
     The result maps each uid to its evaluation in input order (a
     repeated uid keeps its first position and its last evaluation).

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.accel.s2ta import S2TAAW, S2TAW
+from repro.accel.s2ta import S2TAAW, S2TAW, TPEArray
+from repro.arch.events import _max
 
 __all__ = ["DesignPoint", "enumerate_design_space", "TARGET_MACS"]
 
@@ -47,19 +48,21 @@ class DesignPoint:
                 f"_{self.rows}x{self.cols}")
 
     @property
-    def hardware_macs(self) -> int:
-        per_tpe = self.tpe_a * self.tpe_c
-        if not self.time_unrolled:
-            per_tpe *= self.weight_nnz
-        return self.rows * self.cols * per_tpe
+    def unit_macs(self) -> int:
+        """MACs per datapath unit: B on a dot-product DPBM8, one on a
+        time-unrolled DP1MB (it serializes B)."""
+        return 1 if self.time_unrolled else self.weight_nnz
+
+    #: The built accelerator's own MAC count, read off this point.
+    hardware_macs = TPEArray.hardware_macs
 
     @property
     def clock_ghz(self) -> float:
         """Achievable clock: larger TPEs lengthen the operand broadcast
         and reduction paths, "marginally reducing clock frequency"
         (Sec. 6.1). ~4% derate per TPE dim step beyond the paper's
-        8+4 design point."""
-        excess = max(0, self.tpe_a + self.tpe_c - 12)
+        8+4 design point. Python ints or numpy columns alike."""
+        excess = _max(0, self.tpe_a + self.tpe_c - 12)
         return 1.0 / (1.0 + 0.04 * excess)
 
     @property

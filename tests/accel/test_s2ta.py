@@ -146,3 +146,28 @@ class TestCrossAccelerator:
                 < SmtSA.buffer_bytes_per_mac
                 < EyerissV2.buffer_bytes_per_mac
                 < SparTen.buffer_bytes_per_mac)
+
+
+class TestScalarTierStaysOnBuiltins:
+    """The S2TA closed forms also run on the DSE pass's numpy columns;
+    on one layer of Python ints they must stay on Python ints. A numpy
+    scalar leaking out would slow analytic Fig. 11 and break
+    ``json.dumps`` of the counts."""
+
+    @pytest.mark.parametrize("accel_cls", [S2TAW, S2TAAW])
+    def test_analytic_fig11_layers_count_in_ints(self, accel_cls):
+        from repro.eval.experiments import FULL_MODELS
+        from repro.models import get_spec
+
+        accel = accel_cls()
+        layers = [layer for name in FULL_MODELS
+                  for layer in get_spec(name).conv_layers]
+        assert layers
+        for layer in layers:
+            result = accel.run_layer(layer)
+            memory = result.memory
+            counts = [result.compute_cycles, *result.events.as_dict().values(),
+                      memory.weight_bytes, memory.weight_meta_bytes,
+                      memory.act_bytes, memory.act_meta_bytes,
+                      memory.out_bytes]
+            assert all(type(count) is int for count in counts), layer.name
