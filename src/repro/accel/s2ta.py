@@ -235,12 +235,6 @@ class S2TAAW(TPEArray):
         """Cycles per activation block: a_nnz, or BZ on dense bypass."""
         return _min(layer.a_nnz, BLOCK_SIZE)
 
-    def _a_block_bytes(self, layer: LayerSpec) -> int:
-        """Compressed ``steps + mask`` bytes, or the uncompressed block
-        on the dense bypass."""
-        steps = self._steps(layer)
-        return _where(steps < BLOCK_SIZE, steps + _MASK_BYTES, BLOCK_SIZE)
-
     def _w_block_bytes(self, layer: LayerSpec) -> int:
         return _where(layer.w_nnz <= self.w_nnz_hw,
                       self.w_nnz_hw + _MASK_BYTES, BLOCK_SIZE)
@@ -276,7 +270,10 @@ class S2TAAW(TPEArray):
         acc_fired = _min(acc_slots, fired)
         events.acc_reg_ops = acc_fired
         events.gated_acc_reg_ops = acc_slots - acc_fired
-        a_block_bytes = self._a_block_bytes(layer)
+        # Compressed ``steps + mask`` activation blocks, or uncompressed
+        # ones on the dense bypass.
+        packed = steps < BLOCK_SIZE
+        a_block_bytes = _where(packed, steps + _MASK_BYTES, BLOCK_SIZE)
         w_block_bytes = self._w_block_bytes(layer)
         a_hop_bytes = tiles_n * self.cols * layer.m * kb * a_block_bytes
         w_hop_bytes = tiles_m * self.rows * layer.n * kb * w_block_bytes
@@ -293,7 +290,7 @@ class S2TAAW(TPEArray):
         # DAP runs once per activation block produced (at the AB write
         # port), not per tile re-read; bypassed on dense layers.
         events.dap_compare_ops = _where(
-            steps < BLOCK_SIZE, layer.m * kb * (BLOCK_SIZE - 1) * steps, 0)
+            packed, layer.m * kb * (BLOCK_SIZE - 1) * steps, 0)
         return compute_cycles, events
 
     # -------------------------------------------------------------- #
