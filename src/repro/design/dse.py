@@ -426,7 +426,7 @@ def _price_pass(groups: Sequence[DSEPoint], picked: np.ndarray,
         if any(getattr(other, name) != value for other in layers)})
     rows, cols, tpe_a, tpe_c = geometry
     design = _stand_in(
-        groups[0].design, rows=rows, cols=cols, tpe_a=tpe_a, tpe_c=tpe_c,
+        groups[0].design, tpe_a=tpe_a, tpe_c=tpe_c,
         weight_nnz=gather([point.design.weight_nnz for point in groups]))
     # DSEPoint.build's clock: the node's, derated for the TPE dims.
     clock_ghz = get_tech(first.tech).clock_ghz * design.clock_ghz
