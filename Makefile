@@ -19,7 +19,8 @@
 #   make bench    - just the benchmark sweep + regression check. The
 #                   bench_*.py glob includes bench_dse_throughput.py,
 #                   so nightly also gates the DSE engine's
-#                   configs-evaluated-per-second rate.
+#                   configs-evaluated-per-second rate (median of 5
+#                   sweeps, as is bench_sec7_design_space.py's rate).
 #   make check    - just the regression diff of existing BENCH files.
 #   make dse      - exhaustive design-space exploration over the full
 #                   keyspace (repro dse); writes the artifact
@@ -32,7 +33,8 @@
 #                   memoized engine (on-disk result cache; re-runs skip
 #                   straight to finalization).
 #   make cache-clear    - delete the on-disk functional-result cache, a
-#                   plain directory of <key>.json files
+#                   directory of append-only <salt>.jsonl logs, one per
+#                   simulator source salt, plus corrupt.jsonl
 #                   ($REPRO_CACHE_DIR, default ~/.cache/repro/results).
 #
 # Observability (repro.obs, see docs/observability.md):

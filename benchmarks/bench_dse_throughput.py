@@ -12,11 +12,15 @@ loop creeping back, an accidental functional-tier dispatch) directly
 shrinks explorable spaces.
 Analytic points are never cached, so there is no warm regime to track.
 
-The run records configs per second as ``extra_info.throughput`` (unit
-``configs/s``); ``tools/check_bench_regression.py`` gates on it, so the
-nightly gate fails on a >10% throughput drop.
+The run records configs per second over the median of ``ROUNDS``
+sweeps as ``extra_info.throughput`` (unit ``configs/s``);
+``tools/check_bench_regression.py`` gates on it, so the nightly gate
+fails on a >10% throughput drop. One sweep takes tens of milliseconds
+and its rate swings by more than 10% between runs on a shared host,
+so the gate reads a median, not a single round.
 """
 
+import statistics
 import time
 
 from repro.design.dse import DSEAxes, DSESpace, run_dse
@@ -24,24 +28,28 @@ from repro.design.dse import DSEAxes, DSESpace, run_dse
 #: The full default keyspace (2,712 points).
 AXES = DSEAxes()
 
+#: Sweeps per run; the gated rate is over their median wall time.
+ROUNDS = 5
+
 
 def test_bench_dse_analytic_cold(benchmark):
-    wallclock = {}
+    wallclocks = []
 
     def body():
         start = time.perf_counter()
         artifact = run_dse(AXES)
-        wallclock["s"] = time.perf_counter() - start
+        wallclocks.append(time.perf_counter() - start)
         return artifact
 
-    artifact = benchmark.pedantic(body, rounds=1, iterations=1)
+    artifact = benchmark.pedantic(body, rounds=ROUNDS, iterations=1)
+    wallclock = statistics.median(wallclocks)
     evaluated = len(artifact["evaluations"])
     assert evaluated == len(DSESpace(AXES)), \
         f"sweep covered {evaluated} points, not the whole space"
     assert artifact["frontier"], "sweep produced no Pareto frontier"
     benchmark.extra_info["scenario"] = "cold"
     benchmark.extra_info["configs_evaluated"] = evaluated
-    benchmark.extra_info["wallclock_s"] = round(wallclock["s"], 4)
-    benchmark.extra_info["throughput"] = round(
-        evaluated / wallclock["s"], 2)
+    benchmark.extra_info["rounds"] = len(wallclocks)
+    benchmark.extra_info["wallclock_s"] = round(wallclock, 4)
+    benchmark.extra_info["throughput"] = round(evaluated / wallclock, 2)
     benchmark.extra_info["unit"] = "configs/s"

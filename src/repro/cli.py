@@ -32,10 +32,10 @@ Simulated layer payloads are memoized in a
 content-addressed on-disk cache keyed on (layer spec, accelerator
 config, energy costs, memory-channel config, seed, code salt), so
 re-runs and overlapping artifacts skip straight to finalization;
-``--no-result-cache`` disables it for one invocation. The store is a
-plain directory of ``<key>.json`` files (``$REPRO_CACHE_DIR``, default
-``~/.cache/repro/results``; delete it to reclaim the space, and
-``REPRO_RESULT_CACHE=0`` opts out globally). The ``xval`` contract
+``--no-result-cache`` disables it for one invocation. The store is one
+append-only ``<salt>.jsonl`` log per simulator source salt
+(``$REPRO_CACHE_DIR``, default ``~/.cache/repro/results``; delete it to
+reclaim the space, and ``REPRO_RESULT_CACHE=0`` opts out globally). The ``xval`` contract
 gate always simulates cold — a cached payload must never be what
 re-validates the agreement contract.
 

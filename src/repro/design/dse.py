@@ -151,9 +151,12 @@ SEC7_AXES = DSEAxes(styles=(True,), weight_nnz=(4,), a_nnz=(4,),
                     sram_mb=(2.5,))
 
 
-#: Largest TPE or grid dim of a point: it keeps every event count of
-#: the reference layer inside the analytic array pass's int64 columns.
-_MAX_DIM = 2 ** 20
+#: Largest product of a point's four dims (tpe_a·tpe_c·rows·cols). The
+#: reference layer's largest event count, its MAC slots when one column
+#: dim holds the whole product, is about 2**21.8 times the product, so
+#: every count stays below 2**62, inside the analytic array pass's
+#: int64 columns.
+_MAX_DIM_PRODUCT = 2 ** 40
 
 
 class _PointFields(NamedTuple):
@@ -185,9 +188,10 @@ class DSEPoint(_PointFields):
                 sram_mb: float = 2.5, dram_gbps: Optional[float] = None,
                 tech: str = "16nm") -> "DSEPoint":
         dims = (design.tpe_a, design.tpe_c, design.rows, design.cols)
-        if min(dims) < 1 or max(dims) > _MAX_DIM:
-            raise ValueError(f"design dims must be in [1, {_MAX_DIM}], "
-                             f"got {design.notation}")
+        if min(dims) < 1 or math.prod(dims) > _MAX_DIM_PRODUCT:
+            raise ValueError(f"design dims must be >= 1 with a product of "
+                             f"at most {_MAX_DIM_PRODUCT}, got "
+                             f"{design.notation}")
         _check_knobs((design.weight_nnz, a_nnz), (sram_mb,), (dram_gbps,),
                      (tech,))
         return super().__new__(

@@ -1,13 +1,11 @@
 """Content-addressed on-disk cache for functional-simulation results.
 
-Full-size functional runs re-simulate the same (layer, accelerator,
-seed) points over and over: fig11, fig12, xval and the roofline sweeps
-all share AlexNet conv layers, and every re-invocation starts from
-scratch. This module gives the functional tier the evaluation-cache
-structure real simulator infrastructure uses (Timeloop/Accelergy-style
-caches keyed on config hashes): each simulated layer's *measured*
-``(compute_cycles, EventCounts)`` payload is frozen to disk under a
-content hash of everything that determines it —
+Fig11, fig12 and xval re-simulate the same (layer, accelerator,
+seed) points. Like Timeloop/Accelergy-style caches keyed on config
+hashes, each simulated layer's *measured* ``(compute_cycles,
+EventCounts)`` payload is frozen to disk under a content hash
+(:func:`payload_key`, hashed in two stages) of everything that
+determines it —
 
 - the layer spec (GEMM shape, DBB bounds, densities, window),
 - the accelerator design point (class, functional simulator config,
@@ -19,35 +17,30 @@ content hash of everything that determines it —
   them retires every stored entry without anyone remembering to bump
   a version.
 
-The key is hashed in two stages (:func:`payload_key`). Stage one
-digests an accelerator: the salt, its class, name, tech node,
-simulator config, costs, DRAM and SRAM. Stage two digests one task:
-that accelerator digest, the accelerator's per-layer GEMM knobs, the
-canonical layer and the seed. A batch passes one memo
-dict to every key, so each accelerator is digested and each layer
-canonicalized once per batch instead of once per task.
-
-Only cycle simulations are cached. A closed-form analytic evaluation
+Only cycle simulations are cached: a closed-form analytic evaluation
 costs less than its own key, so the analytic tier (the DSE sweep and
-the analytic artifacts) recomputes it every time and can never serve
-a stale entry.
+the analytic artifacts) recomputes it and never serves a stale entry.
+Payloads are cached *pre-finalization* (before the memory profile and
+energy pricing), exactly what the runner's simulations return, and
+finalization re-runs on every consumption, so a cached result is
+bit-equal to a cold simulation (``tests/eval/test_runner.py``).
 
-Payloads are cached *pre-finalization* (before the memory-hierarchy
-profile and energy pricing run), which is exactly what the runner's
-simulations return; finalization re-runs on every consumption, so
-a cached result is bit-equal to a cold simulation by construction
-(asserted in ``tests/eval/test_runner.py``). The store is a plain
-directory of ``<key>.json`` files (a few hundred bytes each), each
-written atomically; nothing evicts them — delete the directory to
-reclaim the space (``make cache-clear``). A corrupt, truncated or
-malformed entry reads as a miss — but a *counted* one: the bad file
-moves to the ``corrupt/`` subdirectory (so it can never be re-hit, and
-stays around for forensics) and ``result_cache.corrupt`` increments.
+The store is one append-only JSON-lines log per source salt,
+``<dir>/<code_salt()[:16]>.jsonl`` (so a process never reads a log its
+sources cannot hit), one ``{"compute_cycles", "events", "key"}`` record
+per line. A runner batch appends its records in one ``os.write`` on an
+``O_APPEND`` descriptor, from a fresh line (a torn final record spoils
+only itself). An instance reads and validates the whole log on its
+first ``get`` after construction or an append; a key stored twice reads
+as its later record. Nothing evicts: a salt's log grows by a few
+hundred bytes per record until ``make cache-clear``. A record that
+fails validation is never served: the load that finds it counts it in
+``result_cache.corrupt`` and rewrites the log atomically without it,
+moving the line to :data:`CORRUPT_LOG`.
 
-The default location is ``$REPRO_CACHE_DIR`` (falling back to
-``~/.cache/repro/results``); set ``REPRO_RESULT_CACHE=0`` to disable
-the default cache entirely (explicit :class:`ResultCache` instances
-still work — the test suite uses tmpdir caches).
+The default location is ``$REPRO_CACHE_DIR``, else
+``~/.cache/repro/results``; ``REPRO_RESULT_CACHE=0`` disables the
+default cache (explicit :class:`ResultCache` instances still work).
 """
 
 from __future__ import annotations
@@ -65,12 +58,12 @@ from typing import Optional, Tuple
 from repro.arch.events import EventCounts
 from repro.obs import metrics as obs_metrics
 
-__all__ = ["CORRUPT_SUBDIR", "SALT_SOURCES", "ResultCache", "code_salt",
+__all__ = ["CORRUPT_LOG", "SALT_SOURCES", "ResultCache", "code_salt",
            "default_result_cache", "payload_key"]
 
-#: Quarantine subdirectory for corrupt entries. Entry lookups never
-#: descend into it, so a bad entry can never be re-hit.
-CORRUPT_SUBDIR = "corrupt"
+#: Quarantine log, next to the salt logs: the lines that failed
+#: validation, which no lookup ever reads.
+CORRUPT_LOG = "corrupt.jsonl"
 
 #: The package root the salt sources are relative to.
 _PACKAGE_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -195,7 +188,7 @@ def payload_key(accel, layer, seed: int = 0,
 class ResultCache:
     """Content-addressed store of simulated-layer payloads.
 
-    One entry = one ``(compute_cycles, EventCounts)`` pair, the
+    One record = one ``(compute_cycles, EventCounts)`` pair, the
     pre-finalization output of
     :meth:`repro.accel.base.AcceleratorModel.simulate_layer_functional`.
     ``get`` returns a *fresh* :class:`EventCounts` per call — callers
@@ -208,91 +201,98 @@ class ResultCache:
         self.misses = 0
         self.puts = 0
         self.corrupt = 0
+        self._records = None
 
-    def _entry_path(self, key: str) -> pathlib.Path:
-        return self.path / f"{key}.json"
+    @property
+    def log_path(self) -> pathlib.Path:
+        """The log of this process's source salt."""
+        return self.path / f"{code_salt()[:16]}.jsonl"
 
     def get(self, key: str) -> Optional[Tuple[int, EventCounts]]:
-        """The cached payload, or ``None`` on miss / corrupt entry.
-
-        A file that exists but does not hold an integer
-        ``compute_cycles`` and integer counters named after
-        :class:`EventCounts` fields is *corruption*, not a plain miss:
-        it is counted separately (``result_cache.corrupt`` metric) and
-        quarantined to the ``corrupt/`` subdirectory so the next lookup
-        of the same key re-simulates instead of re-hitting the bad
-        bytes. Either way the caller sees ``None`` and the engine
-        recomputes — a corrupt entry can degrade performance, never
-        correctness.
-        """
-        path = self._entry_path(key)
-        try:
-            raw = path.read_bytes()
-        except OSError:
+        """The cached payload, or ``None`` on a miss."""
+        if self._records is None:
+            self._records = self._load()
+        record = self._records.get(key)
+        if record is None:
             self.misses += 1
-            obs_metrics.default_registry().counter(
-                "result_cache.misses").inc()
-            return None
-        try:
-            payload = json.loads(raw)
-            compute_cycles = payload["compute_cycles"]
-            counts = payload["events"]
-            # ``type(...) is int`` also rejects bools (a JSON true).
-            if not (type(compute_cycles) is int
-                    and counts.keys() <= _EVENT_FIELDS
-                    and all(type(v) is int for v in counts.values())):
-                raise ValueError(f"malformed cache entry {path.name}")
-            events = EventCounts(**counts)
-        except (ValueError, TypeError, KeyError, AttributeError):
-            self._quarantine_entry(path)
-            self.corrupt += 1
-            self.misses += 1
-            registry = obs_metrics.default_registry()
-            registry.counter("result_cache.corrupt").inc()
-            registry.counter("result_cache.misses").inc()
+            obs_metrics.default_registry().counter("result_cache.misses").inc()
             return None
         self.hits += 1
         obs_metrics.default_registry().counter("result_cache.hits").inc()
-        return compute_cycles, events
+        return record[0], EventCounts(**record[1])
 
-    def _quarantine_entry(self, path: pathlib.Path) -> None:
-        """Move a corrupt entry to ``corrupt/`` (best-effort: a
-        concurrent reader may have moved it first; an unwritable store
-        falls back to deleting the bad file — leaving it in place to be
-        re-hit forever is the one unacceptable outcome)."""
-        target_dir = self.path / CORRUPT_SUBDIR
+    def _load(self) -> dict:
+        """Every valid record of the log by key; a key's later record
+        wins. A line without a string ``key``, an integer
+        ``compute_cycles`` and integer counters named after
+        :class:`EventCounts` fields counts as corrupt and moves to
+        :data:`CORRUPT_LOG` (best-effort: on an unwritable store it
+        stays, never served, and counts again on the next load)."""
         try:
-            target_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target_dir / path.name)
+            lines = self.log_path.read_bytes().split(b"\n")
         except OSError:
+            return {}
+        records, good, bad = {}, [], []
+        for line in filter(None, lines):
             try:
-                path.unlink()
+                record = json.loads(line)
+                key = record["key"]
+                compute_cycles = record["compute_cycles"]
+                counts = record["events"]
+                # ``type(...) is int`` also rejects bools (a JSON true).
+                if not (type(key) is str and type(compute_cycles) is int
+                        and counts.keys() <= _EVENT_FIELDS
+                        and all(type(v) is int for v in counts.values())):
+                    raise ValueError("malformed cache record")
+            except (ValueError, TypeError, KeyError, AttributeError):
+                bad.append(line + b"\n")
+                continue
+            records[key] = compute_cycles, counts
+            good.append(line + b"\n")
+        if bad:
+            self.corrupt += len(bad)
+            obs_metrics.default_registry().counter(
+                "result_cache.corrupt").inc(len(bad))
+            try:
+                with open(self.path / CORRUPT_LOG, "ab") as handle:
+                    handle.write(b"".join(bad))
+                fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(b"".join(good))
+                os.replace(tmp, self.log_path)
             except OSError:
                 pass
+        return records
+
+    def append(self, records) -> None:
+        """Append ``(key, compute_cycles, events)`` records to the log
+        in one write, starting on a fresh line; zero counters are left
+        out (they read back as :class:`EventCounts` defaults)."""
+        lines = [json.dumps({"compute_cycles": int(compute_cycles),
+                             "events": {name: value for name, value
+                                        in events.as_dict().items() if value},
+                             "key": key}, separators=(",", ":"))
+                 for key, compute_cycles, events in records]
+        if not lines:
+            return
+        data = ("\n" + "\n".join(lines) + "\n").encode()
+        self.path.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.log_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+                     0o644)
+        try:
+            os.write(fd, data)
+        finally:
+            os.close(fd)
+        self._records = None
+        self.puts += len(lines)
+        registry = obs_metrics.default_registry()
+        registry.counter("result_cache.puts").inc(len(lines))
+        registry.counter("result_cache.bytes_written").inc(len(data))
 
     def put(self, key: str, compute_cycles: int,
             events: EventCounts) -> None:
-        """Freeze one payload (atomic write)."""
-        self.path.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps({
-            "compute_cycles": int(compute_cycles),
-            "events": events.as_dict(),
-        }, sort_keys=True)
-        fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(blob)
-            os.replace(tmp, self._entry_path(key))
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self.puts += 1
-        obs_metrics.default_registry().counter("result_cache.puts").inc()
-        obs_metrics.default_registry().counter(
-            "result_cache.bytes_written").inc(len(blob))
+        """Append one payload (a batch of one)."""
+        self.append([(key, compute_cycles, events)])
 
 
 def default_result_cache() -> Optional[ResultCache]:

@@ -38,8 +38,9 @@ a network (ResNet50's 53 conv layers have 26 operand keys) — form one
    row chunks of them) and then shared by the group's later tasks; the
    ``operands.masks_materialized`` / ``operands.census_only`` counters
    say which;
-5. new payloads are frozen into the cache (the ``store`` span) and
-   every payload comes back in task order.
+5. the batch's new payloads are appended to the cache's log in one
+   write (the ``store`` span) and every payload comes back in task
+   order.
 
 :func:`functional_model_runs` is the whole-experiment entry point: it
 flattens many ``(accelerator, model)`` requests into one batch — so
@@ -159,10 +160,11 @@ def simulate_layer_tasks(
     in-batch duplicates — the same key appearing twice in ``tasks``)
     never simulate or prefetch; the misses group by
     :func:`~repro.workloads.from_spec.operand_key`, every accelerator
-    prefetches over its misses, each group synthesizes once, and
-    payloads are frozen into ``result_cache``. Task fingerprints are
-    computed whether or not a cache is attached, so in-batch duplicates
-    collapse to one simulation even under ``--no-result-cache``.
+    prefetches over its misses, each group synthesizes once, and the
+    new payloads are appended to ``result_cache`` in one write. Task
+    fingerprints are computed whether or not a cache is attached, so
+    in-batch duplicates collapse to one simulation even under
+    ``--no-result-cache``.
     """
     from repro.eval.resultcache import payload_key
 
@@ -210,8 +212,7 @@ def simulate_layer_tasks(
             results.update(_run_serial(tasks, groups, registry))
     if result_cache is not None:
         with obs_trace.span("store", "runner", puts=len(pending)):
-            for i in pending:
-                result_cache.put(keys[i], *results[i])
+            result_cache.append([(keys[i], *results[i]) for i in pending])
     for i, j in dup_of.items():
         results[i] = results[j]
     return [_copy_events(results[i]) for i in range(len(tasks))]

@@ -345,7 +345,8 @@ class TestFidelity:
                                    result_cache=cache)[point.uid]
         assert functional.cycles > 0 and analytic.cycles > 0
         # Only the cycle simulation is cached; analytic points never are.
-        assert len(list(cache.path.glob("*.json"))) == 1
+        assert cache.puts == 1
+        assert len(cache.log_path.read_bytes().split()) == 1
 
     def test_point_build_applies_every_axis(self):
         design = next(iter(DSESpace(SMALL).points)).design
@@ -395,6 +396,14 @@ class TestPointValidation:
         DesignPoint(tpe_a=8, tpe_c=0, rows=8, cols=8),
         # Its MAC count would overflow the array pass's int64 columns.
         DesignPoint(tpe_a=8, tpe_c=4, rows=2 ** 32, cols=2 ** 32),
+        DesignPoint(tpe_a=2 ** 20, tpe_c=2 ** 20, rows=2 ** 20,
+                    cols=2 ** 20),
+        # One past the largest accepted product, on each dim.
+        DesignPoint(tpe_a=2 ** 40 + 1, tpe_c=1, rows=1, cols=1),
+        DesignPoint(tpe_a=1, tpe_c=2 ** 40 + 1, rows=1, cols=1),
+        DesignPoint(tpe_a=1, tpe_c=1, rows=2 ** 40 + 1, cols=1),
+        DesignPoint(tpe_a=1, tpe_c=1, rows=1, cols=2 ** 40 + 1),
+        DesignPoint(tpe_a=3, tpe_c=1, rows=2 ** 20, cols=2 ** 19),
         DesignPoint(tpe_a=8, tpe_c=4, rows=8, cols=8, weight_nnz=9),
     ])
     def test_bad_design_rejected(self, design):
@@ -528,6 +537,23 @@ class TestArrayPassEqualsScalar:
     @settings(max_examples=60, deadline=None)
     def test_widened_space(self, points):
         _assert_matches_scalar(points)
+
+    def test_largest_accepted_points(self):
+        """The largest accepted dim product, on each dim alone and split
+        over two: the array pass still equals the scalar path (which
+        counts in unbounded Python ints), so no int64 column wrapped."""
+        shapes = [(2 ** 40, 1, 1, 1), (1, 2 ** 40, 1, 1),
+                  (1, 1, 2 ** 40, 1), (1, 1, 1, 2 ** 40),
+                  (2 ** 20, 1, 1, 2 ** 20), (1, 2 ** 20, 2 ** 20, 1)]
+        points = [DSEPoint(DesignPoint(*shape, time_unrolled=style,
+                                       weight_nnz=8), a_nnz=a_nnz)
+                  for shape in shapes for style in (True, False)
+                  for a_nnz in (2, 8)]
+        _assert_matches_scalar(points)
+        largest = max(max(vars(result.events).values())
+                      for result in (p.build().run_layer(p.layer())
+                                     for p in points))
+        assert 2 ** 61 < largest < 2 ** 62
 
     def test_weights_restream_when_both_overflow(self):
         point = DSEPoint(DesignPoint(tpe_a=4, tpe_c=2, rows=32, cols=8,

@@ -11,6 +11,8 @@ contract), plus the source salt.
 import dataclasses
 import json
 import shutil
+import sys
+import threading
 
 import pytest
 
@@ -18,7 +20,7 @@ from repro.accel import S2TAAW, SmtSA, SparTen, ZvcgSA
 from repro.arch.events import EventCounts
 from repro.energy.costs import DEFAULT_COSTS
 from repro.eval import resultcache
-from repro.eval.resultcache import (CORRUPT_SUBDIR, ResultCache,
+from repro.eval.resultcache import (CORRUPT_LOG, ResultCache,
                                     default_result_cache, payload_key)
 from repro.models import get_spec
 from repro.models.specs import LayerSpec
@@ -31,6 +33,14 @@ CONV2_SMALL = dataclasses.replace(CONV2, m=8)
 @pytest.fixture()
 def cache(tmp_path):
     return ResultCache(tmp_path / "results")
+
+
+def logged_keys(cache):
+    """The key of every record in ``cache``'s log, in append order."""
+    if not cache.log_path.exists():
+        return []
+    return [json.loads(line)["key"]
+            for line in cache.log_path.read_bytes().split(b"\n") if line]
 
 
 class TestKey:
@@ -128,7 +138,8 @@ class TestBatchKeys:
         expected = {payload_key(t.accel, t.layer, seed=t.seed)
                     for t in tasks}
         assert len(expected) == len(tasks) == 340
-        assert {p.stem for p in cache.path.glob("*.json")} == expected
+        keys = logged_keys(cache)
+        assert len(keys) == 340 and set(keys) == expected
 
     def test_variants_in_one_batch_get_distinct_keys(self, cache):
         from repro.eval.runner import LayerSimTask, simulate_layer_tasks
@@ -139,7 +150,7 @@ class TestBatchKeys:
                               for a in accels], result_cache=cache)
         expected = {payload_key(a, CONV2_SMALL) for a in accels}
         assert len(expected) == 3
-        assert {p.stem for p in cache.path.glob("*.json")} == expected
+        assert sorted(logged_keys(cache)) == sorted(expected)
 
     def test_memo_dies_with_the_batch(self, cache):
         """Mutating an accelerator between two batches changes its key:
@@ -156,8 +167,7 @@ class TestBatchKeys:
         after = payload_key(accel, CONV2_SMALL)
         assert after != before
         assert cache.hits == 0 and cache.puts == 2
-        assert {p.stem for p in cache.path.glob("*.json")} \
-            == {before, after}
+        assert logged_keys(cache) == [before, after]
 
     def test_batch_hashes_each_accel_and_layer_once(self, monkeypatch):
         digested, canonicalized = [], []
@@ -211,23 +221,37 @@ class TestStore:
         assert cache.get("0" * 64) is None
         assert cache.misses == 1 and cache.corrupt == 0
 
+    def _garble(self, cache, raw):
+        """A log of two records, ``good`` and ``cafe``, whose ``cafe``
+        line is replaced by ``raw``; checks that loading it counts one
+        corrupt record, serves ``good`` and moves ``raw`` out of the log
+        into the quarantine log, where a fresh instance never sees it."""
+        cache.log_path.unlink(missing_ok=True)
+        cache.put("good", 2, EventCounts(cycles=2))
+        cache.put("cafe", 1, EventCounts(cycles=1))
+        lines = cache.log_path.read_bytes().split(b"\n")
+        cache.log_path.write_bytes(b"\n".join(
+            raw if b'"cafe"' in line else line for line in lines))
+        corrupt = cache.corrupt
+        assert cache.get("cafe") is None, raw
+        assert cache.corrupt == corrupt + 1
+        assert cache.get("good") == (2, EventCounts(cycles=2))
+        assert logged_keys(cache) == ["good"]
+        assert (cache.path / CORRUPT_LOG).read_bytes().endswith(raw + b"\n")
+        fresh = ResultCache(cache.path)
+        assert fresh.get("cafe") is None and fresh.corrupt == 0
+
     def test_corrupt_entry_reads_as_miss(self, cache):
-        for raw in (b"{truncated", b"\xff\xfe", b"", b"[1, 2]", b"null",
-                    b'"text"'):
-            cache.put("cafe", 1, EventCounts(cycles=1))
-            (cache.path / "cafe.json").write_bytes(raw)
-            corrupt = cache.corrupt
-            assert cache.get("cafe") is None, raw
-            assert cache.corrupt == corrupt + 1
-            assert not (cache.path / "cafe.json").exists()
-            assert (cache.path / CORRUPT_SUBDIR / "cafe.json").exists()
+        for raw in (b"{truncated", b"\xff\xfe", b" ", b"[1, 2]", b"null",
+                    b'"text"', b'{"compute_cycles":1,"ev'):
+            self._garble(cache, raw)
 
     def test_wrong_schema_reads_as_miss(self, cache):
-        """A parseable entry that is not an integer ``compute_cycles``
-        plus integer counters named after ``EventCounts`` fields is
-        quarantined and counted like unparseable bytes — never raised,
-        never returned as a payload."""
-        cache.path.mkdir(parents=True, exist_ok=True)
+        """A parseable record that is not a string ``key``, an integer
+        ``compute_cycles`` and integer counters named after
+        ``EventCounts`` fields is quarantined and counted like
+        unparseable bytes — never raised, never returned as a
+        payload."""
         for entry in (
                 {"compute_cycles": 1, "events": {"no_such_counter": 3}},
                 {"compute_cycles": None, "events": {"mac_ops": 1}},
@@ -242,11 +266,84 @@ class TestStore:
                 {"compute_cycles": 1, "events": None},
                 {"compute_cycles": 1},
                 {"events": {"mac_ops": 1}}):
-            (cache.path / "odd.json").write_text(json.dumps(entry))
-            corrupt = cache.corrupt
-            assert cache.get("odd") is None, entry
-            assert cache.corrupt == corrupt + 1
-            assert not (cache.path / "odd.json").exists()
+            self._garble(cache, json.dumps(dict(entry, key="cafe")).encode())
+        # Otherwise-valid records whose key is not a string, or absent.
+        for key in (None, 7, ["cafe"]):
+            self._garble(cache, json.dumps({
+                "compute_cycles": 1, "events": {"mac_ops": 1}, "key": key,
+            }).encode())
+        self._garble(cache, b'{"compute_cycles":1,"events":{}}')
+
+    def test_later_record_wins(self, cache):
+        cache.put("k", 1, EventCounts(cycles=1))
+        cache.put("k", 2, EventCounts(cycles=2))
+        assert cache.get("k") == (2, EventCounts(cycles=2))
+        assert ResultCache(cache.path).get("k") == (2, EventCounts(cycles=2))
+
+    def test_torn_final_record_spares_the_next_batch(self, cache):
+        """A log cut mid-record (a crash mid-write) loses that record
+        only: the next batch starts on a fresh line."""
+        cache.put("torn", 1, EventCounts(cycles=1))
+        cache.log_path.write_bytes(cache.log_path.read_bytes()[:-20])
+        ResultCache(cache.path).append([
+            ("a", 2, EventCounts(cycles=2)), ("b", 3, EventCounts(cycles=3))])
+        reader = ResultCache(cache.path)
+        assert reader.get("a") == (2, EventCounts(cycles=2))
+        assert reader.get("b") == (3, EventCounts(cycles=3))
+        assert reader.get("torn") is None
+        assert reader.corrupt == 1
+
+    def test_two_writers_one_reader(self, cache):
+        first, second = ResultCache(cache.path), ResultCache(cache.path)
+        first.put("a", 1, EventCounts(cycles=1))
+        second.put("b", 2, EventCounts(cycles=2))
+        first.put("c", 3, EventCounts(cycles=3))
+        reader = ResultCache(cache.path)
+        assert [reader.get(k) for k in "abc"] == [
+            (c, EventCounts(cycles=c)) for c in (1, 2, 3)]
+        assert reader.misses == reader.corrupt == 0
+
+    def test_concurrent_appends_lose_and_tear_nothing(self, cache):
+        """Writers on their own instances append batches at once; every
+        record lands whole (``O_APPEND`` writes do not interleave)."""
+        writers, batches, size = 4, 40, 5
+
+        def write(w):
+            mine = ResultCache(cache.path)
+            for b in range(batches):
+                mine.append([(f"{w}.{b}.{i}", i, EventCounts(cycles=i))
+                             for i in range(size)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(w,))
+                       for w in range(writers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        reader = ResultCache(cache.path)
+        assert all(reader.get(f"{w}.{b}.{i}") == (i, EventCounts(cycles=i))
+                   for w in range(writers) for b in range(batches)
+                   for i in range(size))
+        assert reader.corrupt == reader.misses == 0
+        assert len(logged_keys(reader)) == writers * batches * size
+
+    def test_other_salt_log_is_never_read(self, cache, monkeypatch):
+        cache.put("k", 1, EventCounts(cycles=1))
+        ours = cache.log_path
+        monkeypatch.setattr(resultcache, "code_salt", lambda: "f" * 64)
+        other = ResultCache(cache.path)
+        assert other.log_path != ours
+        assert other.get("k") is None
+        assert other.misses == 1 and other.corrupt == 0
+        other.put("k", 2, EventCounts(cycles=2))
+        monkeypatch.undo()
+        assert ResultCache(cache.path).get("k") == (1, EventCounts(cycles=1))
 
 
 class TestDefaultCache:

@@ -31,7 +31,7 @@ from repro.eval.experiments import (
     fig12_alexnet_per_layer,
     xval_functional_vs_analytic,
 )
-from repro.eval.resultcache import CORRUPT_SUBDIR, ResultCache
+from repro.eval.resultcache import CORRUPT_LOG, ResultCache
 from repro.eval.runner import (
     LayerSimTask,
     functional_model_runs,
@@ -55,6 +55,14 @@ def _small(layer):
 def _tasks(accels, layers, seed=0):
     return [LayerSimTask(accel, _small(layer), seed=seed)
             for accel in accels for layer in layers]
+
+
+def _records(cache):
+    """How many records ``cache``'s log holds."""
+    if not cache.log_path.exists():
+        return 0
+    return sum(1 for line in cache.log_path.read_bytes().split(b"\n")
+               if line)
 
 
 def _reference(task):
@@ -117,7 +125,7 @@ class TestSimulateLayerTasks:
         cache = ResultCache(tmp_path)
         tasks = _tasks([ZvcgSA()], [CONV2])
         cold = simulate_layer_tasks(tasks, result_cache=cache)
-        assert len(list(cache.path.glob("*.json"))) == 1
+        assert _records(cache) == 1
         misses_after_cold = cache.misses
         warm = simulate_layer_tasks(tasks, result_cache=cache)
         assert warm == cold
@@ -126,21 +134,21 @@ class TestSimulateLayerTasks:
         assert cache.hits >= 1
 
     def test_corrupt_entries_quarantined_then_recomputed(self, tmp_path):
-        """A garbled entry is detected on read, quarantined, recomputed
-        bit-equal and rewritten clean; the next pass hits it."""
+        """A garbled record is detected on load, quarantined, recomputed
+        bit-equal and appended clean; the next pass hits it."""
         tasks = [LayerSimTask(ZvcgSA(), _small(CONV2), seed=seed)
                  for seed in (0, 1)]
         clean = simulate_layer_tasks(tasks)
         cache = ResultCache(tmp_path / "cache")
         assert simulate_layer_tasks(tasks, result_cache=cache) == clean
-        entries = sorted(cache.path.glob("*.json"))
-        assert len(entries) == len(tasks)
-        for entry in entries:
-            entry.write_bytes(b"\x00{garbled")
+        assert _records(cache) == len(tasks)
+        cache.log_path.write_bytes(b"".join(
+            b"\x00{garbled\n" if line else b"\n"
+            for line in cache.log_path.read_bytes().split(b"\n")[:-1]))
 
         assert simulate_layer_tasks(tasks, result_cache=cache) == clean
         assert cache.corrupt == len(tasks)
-        assert len(list((cache.path / CORRUPT_SUBDIR).glob("*.json"))) \
+        assert (cache.path / CORRUPT_LOG).read_bytes().count(b"\n") \
             == len(tasks)
         hits = cache.hits
         assert simulate_layer_tasks(tasks, result_cache=cache) == clean
@@ -153,7 +161,26 @@ class TestSimulateLayerTasks:
         payloads = simulate_layer_tasks([task, task, task],
                                         result_cache=cache)
         assert payloads[0] == payloads[1] == payloads[2]
-        assert len(list(cache.path.glob("*.json"))) == 1
+        assert _records(cache) == 1
+
+    def test_batch_appends_in_one_write(self, tmp_path, monkeypatch):
+        """A batch's new records reach the log in a single ``os.write``."""
+        import os
+
+        writes = []
+        write = os.write
+
+        def counting(fd, data):
+            writes.append(len(data))
+            return write(fd, data)
+
+        cache = ResultCache(tmp_path)
+        tasks = _tasks([ZvcgSA(), S2TAAW()], ALEXNET.conv_layers[:3])
+        monkeypatch.setattr(os, "write", counting)
+        simulate_layer_tasks(tasks, result_cache=cache)
+        monkeypatch.undo()
+        assert _records(cache) == len(tasks) == 6
+        assert writes == [cache.log_path.stat().st_size]
 
     def test_consumers_never_alias_events(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -258,8 +285,7 @@ class TestFunctionalModelRuns:
             [(ZvcgSA(), ALEXNET), (S2TAAW(), ALEXNET)],
             conv_only=True, seed=0, result_cache=cache)
         assert [r.accelerator for r in runs] == ["SA-ZVCG", "S2TA-AW"]
-        assert len(list(cache.path.glob("*.json"))) \
-            == 2 * len(ALEXNET.conv_layers)
+        assert _records(cache) == 2 * len(ALEXNET.conv_layers)
 
 
 def _fig11_tasks():
@@ -391,7 +417,7 @@ class TestExperimentDeterminism:
         cache = ResultCache(tmp_path)
         cold = fig12_alexnet_per_layer(functional=True, seed=0,
                                        result_cache=cache)
-        assert len(list(cache.path.glob("*.json"))) > 0
+        assert _records(cache) > 0
         warm = fig12_alexnet_per_layer(functional=True, seed=0,
                                        result_cache=cache)
         assert warm.rows == cold.rows

@@ -10,6 +10,7 @@ import pytest
 
 import repro
 from repro.cli import ARTIFACTS, build_parser, main
+from repro.eval.resultcache import ResultCache
 
 
 class TestListCommands:
@@ -253,12 +254,16 @@ class TestVerbFlags:
 
 
 def _cache_entries(path):
-    return len(list(path.glob("*.json")))
+    """Records in the result-cache log of ``path``."""
+    log = ResultCache(path).log_path
+    if not log.exists():
+        return 0
+    return sum(1 for line in log.read_bytes().split(b"\n") if line)
 
 
 class TestCacheCommand:
-    """How the CLI verbs use the default on-disk result cache (a plain
-    directory of ``<key>.json`` files; there is no verb to manage it)."""
+    """How the CLI verbs use the default on-disk result cache (one
+    append-only log per source salt; there is no verb to manage it)."""
 
     @pytest.mark.parametrize("argv", [
         ["cache", "stats"],
@@ -280,7 +285,7 @@ class TestCacheCommand:
     def test_no_result_cache_skips_the_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "rc"))
         main(["experiment", "fig12", "--functional", "--no-result-cache"])
-        assert _cache_entries(tmp_path / "rc") == 0
+        assert not (tmp_path / "rc").exists()
 
     @pytest.mark.functional
     def test_xval_gate_always_runs_cold(self, tmp_path, monkeypatch):
