@@ -18,9 +18,15 @@ Models:
   (W-DBB only; the A100-featured baseline).
 - :class:`~repro.accel.s2ta.S2TAAW` — S2TA-AW, the time-unrolled
   8x4x4_8x8 DP1M4 TPE array (joint A/W-DBB; the paper's design point).
-- :class:`~repro.accel.sparten.SparTen` and
-  :class:`~repro.accel.eyeriss.EyerissV2` — calibrated analytical models
-  of the published non-systolic unstructured-sparse accelerators.
+- :class:`~repro.accel.s2ta.S2TAWA` — S2TA-WA, the dual time-unrolled
+  design of footnote 2 (variable weight DBB, fixed activation DBB;
+  analytic only).
+- :class:`~repro.accel.sparten.SparTen`,
+  :class:`~repro.accel.eyeriss.EyerissV2` and
+  :class:`~repro.accel.scnn.SCNN` — calibrated analytical models of the
+  published non-systolic unstructured-sparse accelerators
+  (:class:`~repro.accel.fixed.FixedDataflowModel`), each with its own
+  functional engine.
 """
 
 from repro.accel.base import AcceleratorModel, AccelRunResult, LayerResult

@@ -4,34 +4,42 @@ The three published non-systolic accelerators the paper compares
 against — SCNN, SparTen and Eyeriss v2 — share model structure that is
 orthogonal to their datapaths:
 
+- **One design point.** Each model holds its functional engine, and the
+  engine's config is the only home of the design point: the MAC count,
+  the pipeline utilization, the stream grouping and pass cap, the
+  metadata encoding and the per-pair costs are read from it by both
+  tiers.
+- **One event tail.** Both tiers count events through
+  :func:`repro.arch.memory.fixed_dataflow_events`: the analytic tier
+  with the density closed forms, the functional tier with the matched
+  pairs and stored non-zeros measured on concrete operands.
 - **DRAM streams from counters.** Their sparsity-compressed operand
   streams (CSR coordinates, bitmasks, CSC columns) derive from the SRAM
   byte counters via
   :func:`repro.arch.memory.compressed_stream_traffic_from_events`, so
-  the analytic tier (density closed forms) and the functional tier
-  (counts measured on concrete operands) route through one derivation —
   bit-equal counters give bit-equal per-operand-class DRAM bytes, the
   same cross-validation mechanism the systolic family uses.
 - **No MCU cluster.** Their published numbers include their own
   post-processing, so the S2TA background-power term is replaced with a
   per-output cost (~2 pJ/output, 16 nm-equivalent) in *both* tiers.
-- **Weight streams don't subsample.** Quick-mode row subsampling
-  shrinks ``m`` only; the weight operand (and its SRAM/stream bytes)
-  is independent of ``m``, so the linear event extrapolation exempts
-  the weight-read counter.
 
-Each subclass supplies its dataflow constants (stream grouping,
-metadata encoding) and its functional engine; the analytic event
-formulas stay in the subclass modules.
+Each subclass supplies its engine at the published design point; what
+differs between the tiers is only where the counts come from and how
+the cycles are found (a flat sustained utilization here, the measured
+schedule in the engine).
 """
 
 from __future__ import annotations
+
+import math
+from typing import Tuple
 
 from repro.accel.base import AcceleratorModel
 from repro.arch.events import EventCounts
 from repro.arch.memory import (
     LayerTraffic,
     compressed_stream_traffic_from_events,
+    fixed_dataflow_events,
 )
 from repro.models.specs import LayerSpec
 
@@ -41,24 +49,38 @@ __all__ = ["FixedDataflowModel"]
 class FixedDataflowModel(AcceleratorModel):
     """Base of the SCNN / SparTen / Eyeriss v2 comparison points."""
 
-    #: Output-channel group width of one activation pass.
-    stream_group_cols = 64
-    #: Activation refill cap across output-channel groups.
-    stream_pass_cap = 8
-    #: True for CSR-style one-coordinate-byte-per-non-zero sideband
-    #: (SCNN); False for ~1-bit-per-element occupancy masks
-    #: (SparTen bitmasks, Eyeriss v2 CSC columns).
-    coordinate_meta = False
+    #: The functional engine at this design point (subclass sets).
+    engine = None
+
+    @property
+    def config(self):
+        """The engine config: the one home of the design point."""
+        return self.engine.config
+
+    @property
+    def hardware_macs(self) -> int:
+        return self.config.hardware_macs
+
+    @property
+    def utilization(self) -> float:
+        """Sustained fraction of the MACs doing useful work."""
+        return self.config.pipeline_utilization
+
+    def _layer_events(self, layer: LayerSpec) -> Tuple[int, EventCounts]:
+        fired = max(1, round(layer.macs * layer.w_density * layer.a_density))
+        compute_cycles = math.ceil(
+            fired / (self.hardware_macs * self.utilization))
+        return compute_cycles, fixed_dataflow_events(
+            self.config, layer.m, layer.k, layer.n, fired,
+            round(layer.m * layer.k * layer.a_density),
+            round(layer.k * layer.n * layer.w_density))
 
     def layer_traffic(self, layer: LayerSpec, events: EventCounts
                       ) -> LayerTraffic:
         """Compressed DRAM streams derived from the (analytic or
         measured) SRAM counters — shared by both fidelity tiers."""
-        return compressed_stream_traffic_from_events(
-            layer, events,
-            group_cols=self.stream_group_cols,
-            pass_cap=self.stream_pass_cap,
-            coordinate_meta=self.coordinate_meta)
+        return compressed_stream_traffic_from_events(layer, events,
+                                                     self.config)
 
     def _finalize_layer(self, layer: LayerSpec, compute_cycles: int,
                         events: EventCounts):
@@ -70,3 +92,13 @@ class FixedDataflowModel(AcceleratorModel):
             result.events.mcu_elementwise_ops * 2.0 * scale
         )
         return result
+
+    # -------------------------------------------------------------- #
+    # Functional tier: the design's own engine
+    # -------------------------------------------------------------- #
+
+    def functional_sim_config(self):
+        return self.config
+
+    def run_gemm_functional(self, operands, **kwargs):
+        return self.engine.run(operands)

@@ -4,8 +4,8 @@ Cycle-level model of Eyeriss v2 (Chen et al.) for one GEMM
 ``C = A @ W``: CSC-compressed weights and activations stream through a
 hierarchical mesh of PE clusters; each PE walks its CSC columns,
 decodes (row index, value) pairs and multiplies the matching non-zero
-operands — the decode/address-generation work the analytic model
-charges as ``gather_ops``, with every operand delivery crossing
+operands — the decode/address-generation work charged as
+``gather_ops``, with every operand delivery crossing
 ``noc_hops_per_operand`` hops of the hierarchical NoC (priced as
 operand-register events) and the partial sums spiralling through the
 cluster's psum network (two accumulator events per pair).
@@ -37,6 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.arch.events import EventCounts
+from repro.arch.memory import FixedDataflowConfig, fixed_dataflow_events
 from repro.core.gemm import dense_gemm
 from repro.core.sparsity import GemmOperands
 
@@ -44,7 +45,7 @@ __all__ = ["EyerissV2Config", "EyerissV2Result", "EyerissV2Engine"]
 
 
 @dataclass(frozen=True)
-class EyerissV2Config:
+class EyerissV2Config(FixedDataflowConfig):
     """Eyeriss v2 design point (published: 65 nm, 16 clusters x 12 PEs
     x 2 MACs = 384 INT8 MACs at 200 MHz)."""
 
@@ -73,6 +74,9 @@ class EyerissV2Config:
             raise ValueError(
                 f"pipeline_utilization must be in (0, 1], "
                 f"got {self.pipeline_utilization}")
+
+    #: Partial sums spiral through the PE cluster and the psum NoC.
+    psum_ops_per_pair = 2
 
     @property
     def hardware_macs(self) -> int:
@@ -153,9 +157,10 @@ class EyerissV2Engine:
     def run_gemm(self, a: np.ndarray, w: np.ndarray) -> EyerissV2Result:
         """Execute ``C = A @ W`` on the CSC row-stationary mesh.
 
-        Events mirror the analytic :class:`repro.accel.eyeriss.EyerissV2`
-        term for term with measured counts; the cross-validation suite
-        asserts the agreement.
+        The events come from the tail the analytic
+        :class:`repro.accel.eyeriss.EyerissV2` shares
+        (:func:`repro.arch.memory.fixed_dataflow_events`), fed with
+        measured counts instead of the density closed forms.
         """
         return self.run(GemmOperands(a, w))
 
@@ -174,22 +179,9 @@ class EyerissV2Engine:
         makespan = -(-int(pe_loads.max(initial=0)) // cfg.macs_per_pe)
         cycles = math.ceil(makespan / cfg.pipeline_utilization)
 
-        events = EventCounts(cycles=cycles)
-        events.mac_ops = fired
-        events.gather_ops = fired * cfg.gather_steps_per_pair
-        # Two operand deliveries per pair, each crossing the mesh.
-        events.operand_reg_ops = fired * 2 * cfg.noc_hops_per_operand
-        # Partial sums spiral through the PE cluster and the psum NoC.
-        events.acc_reg_ops = fired * 2
-        # CSC-compressed storage: measured non-zero payload plus the
-        # ~1-bit-per-element column encoding; the small on-chip storage
-        # forces activation refills per output-channel group.
-        passes = min(max(1, math.ceil(n / cfg.group_cols)), cfg.pass_cap)
-        a_stored = operands.a_nonzeros + m * k // 8
-        w_stored = operands.w_nonzeros + k * n // 8
-        events.sram_a_read_bytes = a_stored * passes
-        events.sram_w_read_bytes = w_stored
-        events.sram_a_write_bytes = m * n
-        events.mcu_elementwise_ops = m * n
-        return EyerissV2Result(cycles=cycles, events=events,
-                               pe_loads=pe_loads, operands=operands)
+        return EyerissV2Result(
+            cycles=cycles,
+            events=fixed_dataflow_events(cfg, m, k, n, fired,
+                                         operands.a_nonzeros,
+                                         operands.w_nonzeros, cycles),
+            pe_loads=pe_loads, operands=operands)

@@ -54,7 +54,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.events import _where
+from repro.arch.events import EventCounts, _where
 from repro.models.specs import LayerKind, LayerSpec
 from repro.obs import trace as obs_trace
 
@@ -66,6 +66,8 @@ __all__ = [
     "LayerMemoryProfile",
     "MemorySystem",
     "window_duplication",
+    "FixedDataflowConfig",
+    "fixed_dataflow_events",
     "compressed_stream_traffic_from_events",
 ]
 
@@ -97,42 +99,96 @@ def window_duplication(layer: LayerSpec) -> int:
     return 1
 
 
+class FixedDataflowConfig:
+    """Base of the fixed-dataflow engine configs (SparTen, Eyeriss v2,
+    SCNN): the per-pair costs and the stored-operand layout that
+    :func:`fixed_dataflow_events` charges. A config overrides what its
+    dataflow pays; what it does not pay stays 0. Each subclass is a
+    frozen dataclass that also provides ``hardware_macs``,
+    ``group_cols`` and ``pass_cap``.
+    """
+
+    #: Gather/decode steps per matched pair.
+    gather_steps_per_pair = 0
+    #: NoC hops per operand delivery (two deliveries per pair), priced
+    #: as operand-register events.
+    noc_hops_per_operand = 0
+    #: Partial-sum register events per pair.
+    psum_ops_per_pair = 0
+    #: Output-buffer read-modify-writes per product.
+    scatter_ops_per_product = 0
+    #: True for CSR-style one-coordinate-byte-per-non-zero sideband;
+    #: False for ~1-bit-per-element occupancy masks (bitmasks, CSC).
+    coordinate_meta = False
+
+    def activation_passes(self, n: int) -> int:
+        """Activation refills of a GEMM with ``n`` output columns: one
+        per group of ``group_cols`` columns, at most ``pass_cap``."""
+        return min(max(1, math.ceil(n / self.group_cols)), self.pass_cap)
+
+
+def fixed_dataflow_events(config: FixedDataflowConfig, m: int, k: int,
+                          n: int, fired: int, a_nonzeros: int,
+                          w_nonzeros: int, cycles: int = 0) -> EventCounts:
+    """Events of one ``m x k x n`` GEMM on a fixed-dataflow design.
+
+    The one event tail of both tiers: the engines pass the matched
+    pairs and stored non-zeros they measured (and their cycles), the
+    analytic models the density closed forms (and leave the cycles to
+    finalization). Every pair pays the config's per-pair costs. Stored
+    operands carry their sideband (a coordinate byte per non-zero, or
+    one occupancy bit per element); the activations are read once per
+    pass, the weights once, and every output is written back and
+    post-processed once.
+    """
+    events = EventCounts(cycles=cycles)
+    events.mac_ops = fired
+    events.gather_ops = fired * config.gather_steps_per_pair
+    events.operand_reg_ops = fired * 2 * config.noc_hops_per_operand
+    events.acc_reg_ops = fired * config.psum_ops_per_pair
+    events.scatter_acc_ops = fired * config.scatter_ops_per_product
+    if config.coordinate_meta:
+        a_stored = a_nonzeros * 2
+        w_stored = w_nonzeros * 2
+    else:
+        a_stored = a_nonzeros + m * k // 8
+        w_stored = w_nonzeros + k * n // 8
+    events.sram_a_read_bytes = a_stored * config.activation_passes(n)
+    events.sram_w_read_bytes = w_stored
+    events.sram_a_write_bytes = m * n
+    events.mcu_elementwise_ops = m * n
+    return events
+
+
 def compressed_stream_traffic_from_events(
     layer: LayerSpec,
-    events,
-    *,
-    group_cols: int,
-    pass_cap: int,
-    coordinate_meta: bool = False,
+    events: EventCounts,
+    config: FixedDataflowConfig,
 ) -> "LayerTraffic":
     """:class:`LayerTraffic` of the fixed-dataflow comparison points,
     derived from their *counted* SRAM traffic instead of the closed-form
     density estimate.
 
-    The fixed-dataflow models (SCNN / SparTen / Eyeriss v2) count the
-    stored bytes of their sparsity-compressed operands in
-    ``EventCounts.sram_*_read_bytes`` — the analytic tier from the
-    density closed forms, the functional tier from the actual non-zeros
-    of the simulated operands. This derivation inverts those counters
-    back into single-pass stored footprints (the activation counter
-    carries ``passes`` refills; bitmask sideband is ``elements / 8``
-    bytes, CSR-style coordinate sideband one byte per stored non-zero)
-    and emits the DRAM streams from them. Because BOTH tiers route
-    through this one function, bit-equal SRAM counters give bit-equal
-    per-operand-class DRAM bytes — the same cross-validation mechanism
-    the systolic family uses. The DRAM-side activation stream divides
-    by the im2col window duplication (DRAM holds the compact feature
-    map; the address generators expand it on the fly). Activations
-    refill once per output-channel group (``n / group_cols`` passes,
-    capped at ``pass_cap``); weights stream once. The refill pattern is
-    baked into the published designs, so the traffic is marked
-    ``fixed_schedule``.
+    This derivation inverts the SRAM counters of
+    :func:`fixed_dataflow_events` (analytic closed forms or measured
+    non-zeros) back into single-pass stored footprints (the activation
+    counter carries ``passes`` refills; bitmask sideband is
+    ``elements / 8`` bytes, CSR-style coordinate sideband one byte per
+    stored non-zero) and emits the DRAM streams from them. Because BOTH
+    tiers route through this one function, bit-equal SRAM counters give
+    bit-equal per-operand-class DRAM bytes — the same cross-validation
+    mechanism the systolic family uses. The DRAM-side activation stream
+    divides by the im2col window duplication (DRAM holds the compact
+    feature map; the address generators expand it on the fly).
+    Activations refill once per output-channel group; weights stream
+    once. The refill pattern is baked into the published designs, so
+    the traffic is marked ``fixed_schedule``.
     """
     dup = window_duplication(layer)
-    passes = min(max(1, math.ceil(layer.n / group_cols)), pass_cap)
+    passes = config.activation_passes(layer.n)
     a_stored = events.sram_a_read_bytes // passes
     w_stored = events.sram_w_read_bytes
-    if coordinate_meta:
+    if config.coordinate_meta:
         # payload + one coordinate byte per stored non-zero
         a_payload = a_stored // 2
         w_payload = w_stored // 2
@@ -141,7 +197,7 @@ def compressed_stream_traffic_from_events(
         w_payload = max(0, w_stored - layer.k * layer.n // 8)
     a_nnz = max(1, round(a_payload / dup))
     w_nnz = max(1, w_payload)
-    if coordinate_meta:
+    if config.coordinate_meta:
         a_meta, w_meta = a_nnz, w_nnz
     else:
         a_meta = max(1, layer.m * layer.k // dup // 8)

@@ -29,13 +29,13 @@ issue-slot sums are row-vector arithmetic, one PE at a time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from repro.arch.events import EventCounts
+from repro.arch.memory import FixedDataflowConfig, fixed_dataflow_events
 from repro.core.gemm import dense_gemm
 from repro.core.sparsity import GemmOperands
 
@@ -43,7 +43,7 @@ __all__ = ["SCNNConfig", "SCNNResult", "SCNNEngine"]
 
 
 @dataclass(frozen=True)
-class SCNNConfig:
+class SCNNConfig(FixedDataflowConfig):
     """SCNN design point (published: 16 nm, 64 PEs x 4x4 multipliers)."""
 
     pes: int = 64
@@ -51,7 +51,10 @@ class SCNNConfig:
     mults_i: int = 4
     #: Multiplier-array width along the weight axis (F).
     mults_f: int = 4
-    #: Crossbar traversal + accumulator-bank RMW steps per product.
+    #: Crossbar traversal + accumulator-bank RMW steps per product (the
+    #: outer product needs no operand gather); the 1.65 KB/MAC buffer
+    #: hierarchy costs more per access than SparTen's, which the paper
+    #: credits with "superior results to SCNN".
     scatter_ops_per_product: int = 3
     #: Output-channel group width of one activation pass.
     group_cols: int = 64
@@ -64,6 +67,10 @@ class SCNNConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.scatter_ops_per_product < 0:
             raise ValueError("scatter_ops_per_product must be >= 0")
+
+    #: CSR-style streams: one coordinate byte rides with each stored
+    #: non-zero (the DBB-metadata analogue).
+    coordinate_meta = True
 
     @property
     def hardware_macs(self) -> int:
@@ -99,9 +106,10 @@ class SCNNEngine:
     def run_gemm(self, a: np.ndarray, w: np.ndarray) -> SCNNResult:
         """Execute ``C = A @ W`` on the Cartesian-product PE array.
 
-        Events mirror the analytic :class:`repro.accel.scnn.SCNN` term
-        for term with measured counts; the cross-validation suite
-        asserts the agreement.
+        The events come from the tail the analytic
+        :class:`repro.accel.scnn.SCNN` shares
+        (:func:`repro.arch.memory.fixed_dataflow_events`), fed with
+        measured counts instead of the density closed forms.
         """
         return self.run(GemmOperands(a, w))
 
@@ -109,7 +117,7 @@ class SCNNEngine:
         """:meth:`run_gemm` reading its counts from ``operands``'
         non-zero census."""
         cfg = self.config
-        m, n = operands.m, operands.n
+        m, k, n = operands.m, operands.k, operands.n
         # Spatial interleave: pixel i lives on PE i mod pes. Per-PE
         # non-zero activation counts per reduction index, summed over
         # the strip axis a bounded chunk of the bitmasks at a time.
@@ -125,24 +133,11 @@ class SCNNEngine:
         for pe, row in enumerate(na):
             issue[pe] = -(-row.astype(np.int64) // cfg.mults_i) @ slots_w
         cycles = int(issue.max(initial=0))
-
-        events = EventCounts(cycles=cycles)
-        events.mac_ops = fired
-        # The outer product needs no operand gather, but every product
-        # pays the crossbar and the distributed-accumulator RMW.
-        events.scatter_acc_ops = fired * cfg.scatter_ops_per_product
-        # CSR-style compressed storage: one coordinate byte per stored
-        # non-zero rides with the payload; activations re-stream per
-        # output-channel group when not resident.
-        passes = min(max(1, math.ceil(n / cfg.group_cols)), cfg.pass_cap)
-        a_stored = operands.a_nonzeros * 2
-        w_stored = operands.w_nonzeros * 2
-        events.sram_a_read_bytes = a_stored * passes
-        events.sram_w_read_bytes = w_stored
-        events.sram_a_write_bytes = m * n
-        events.mcu_elementwise_ops = m * n
         avail = cycles * cfg.hardware_macs
-        return SCNNResult(cycles=cycles, events=events,
-                          pe_issue_slots=issue, operands=operands,
-                          multiplier_utilization=fired / avail if avail
-                          else 0.0)
+        return SCNNResult(
+            cycles=cycles,
+            events=fixed_dataflow_events(cfg, m, k, n, fired,
+                                         operands.a_nonzeros,
+                                         operands.w_nonzeros, cycles),
+            pe_issue_slots=issue, operands=operands,
+            multiplier_utilization=fired / avail if avail else 0.0)

@@ -6,9 +6,8 @@ bitmask-encoded sparse vectors, and each PE computes one output's
 inner product by *inner-joining* the two bitmasks — AND the masks,
 prefix-sum the result to gather the matching non-zero pairs, and feed
 the pairs to the PE's single multiplier, one pair per cycle. The join
-machinery is what the analytic model charges as ``gather_ops``
-(:class:`repro.accel.sparten.SparTen` prices three prefix-sum/gather
-steps per matched pair) and the output-buffer read-modify-write as
+machinery is charged as ``gather_ops`` (three prefix-sum/gather steps
+per matched pair) and the output-buffer read-modify-write as
 ``scatter_acc_ops``.
 
 Scheduling follows SparTen's software *greedy balance* pass: whole
@@ -17,9 +16,9 @@ them to the ``pes`` processing elements longest-first (LPT). The
 simulated makespan is the busiest PE's matched-pair count; dividing by
 ``pipeline_utilization`` models the join pipeline's sustained
 efficiency (chunk restarts, prefix-sum latency, output-buffer port
-conflicts) — the same constant the analytic model folds into its
-``utilization``, so the two cycle models differ only by the *measured*
-filter-load imbalance.
+conflicts) — the same constant the analytic model
+(:class:`repro.accel.sparten.SparTen`) divides by, so the two cycle
+models differ only by the *measured* filter-load imbalance.
 
 Everything is struct-of-arrays numpy (the :mod:`repro.arch.systolic`
 idiom): the per-pair triple loop collapses into one dot product of
@@ -38,6 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.arch.events import EventCounts
+from repro.arch.memory import FixedDataflowConfig, fixed_dataflow_events
 from repro.core.gemm import dense_gemm
 from repro.core.sparsity import GemmOperands
 
@@ -45,12 +45,12 @@ __all__ = ["SparTenConfig", "SparTenResult", "SparTenEngine"]
 
 
 @dataclass(frozen=True)
-class SparTenConfig:
+class SparTenConfig(FixedDataflowConfig):
     """SparTen design point (published: 45 nm, 32 PEs x 1 MAC)."""
 
     pes: int = 32
     #: Prefix-sum/gather steps charged per matched pair (bitmask AND,
-    #: prefix-sum offset, operand gather) — mirrors the analytic model.
+    #: prefix-sum offset, operand gather).
     gather_steps_per_pair: int = 3
     #: Sustained fraction of a PE's MAC issue slots doing useful work
     #: once the join pipeline's restarts and port conflicts are paid.
@@ -71,6 +71,21 @@ class SparTenConfig:
                 f"got {self.pipeline_utilization}")
         if self.pass_cap < 1:
             raise ValueError(f"pass_cap must be >= 1, got {self.pass_cap}")
+
+    #: Every product read-modify-writes the large output buffer at a
+    #: non-contiguous offset (the scatter side of Table 1's ~1 KB of
+    #: buffering per MAC).
+    scatter_ops_per_product = 1
+
+    @property
+    def hardware_macs(self) -> int:
+        return self.pes
+
+    @property
+    def group_cols(self) -> int:
+        """Output columns per activation pass: each PE owns one filter
+        of the group, so the tiny PE count forces re-streams."""
+        return self.pes
 
 
 @dataclass
@@ -124,10 +139,11 @@ class SparTenEngine:
     def run_gemm(self, a: np.ndarray, w: np.ndarray) -> SparTenResult:
         """Execute ``C = A @ W`` on the bitmask inner-join array.
 
-        Events mirror the analytic :class:`repro.accel.sparten.SparTen`
-        term for term, with the density closed forms replaced by counts
-        measured on the concrete operands (stored non-zeros, matched
-        pairs); the cross-validation suite asserts the agreement.
+        The events come from the tail the analytic
+        :class:`repro.accel.sparten.SparTen` shares
+        (:func:`repro.arch.memory.fixed_dataflow_events`), fed with
+        counts measured on the concrete operands (stored non-zeros,
+        matched pairs) instead of the density closed forms.
         """
         return self.run(GemmOperands(a, w))
 
@@ -152,22 +168,9 @@ class SparTenEngine:
         makespan = int(pe_loads.max(initial=0))
         cycles = math.ceil(makespan / cfg.pipeline_utilization)
 
-        events = EventCounts(cycles=cycles)
-        events.mac_ops = fired
-        events.gather_ops = fired * cfg.gather_steps_per_pair
-        # Every product read-modify-writes the large output buffer at a
-        # non-contiguous offset (the scatter side of Table 1's ~1 KB of
-        # buffering per MAC).
-        events.scatter_acc_ops = fired
-        # Bitmask-compressed operand storage: measured non-zero payload
-        # plus the 1-bit-per-element occupancy masks; activations
-        # re-stream once per group of ``pes`` output columns.
-        passes = min(max(1, math.ceil(n / cfg.pes)), cfg.pass_cap)
-        a_stored = operands.a_nonzeros + m * k // 8
-        w_stored = operands.w_nonzeros + k * n // 8
-        events.sram_a_read_bytes = a_stored * passes
-        events.sram_w_read_bytes = w_stored
-        events.sram_a_write_bytes = m * n
-        events.mcu_elementwise_ops = m * n
-        return SparTenResult(cycles=cycles, events=events,
-                             pe_loads=pe_loads, operands=operands)
+        return SparTenResult(
+            cycles=cycles,
+            events=fixed_dataflow_events(cfg, m, k, n, fired,
+                                         operands.a_nonzeros,
+                                         operands.w_nonzeros, cycles),
+            pe_loads=pe_loads, operands=operands)

@@ -3,10 +3,13 @@
 Mirrors the ragged-geometry suite of ``tests/test_cross_validation.py``
 for the three baseline engines (SparTen bitmask inner-join, Eyeriss v2
 CSC row-stationary mesh, SCNN Cartesian product): ragged M/K/N shapes,
-all-zero and fully-dense operands, and density sweeps — asserting the
-SRAM-byte counters agree *bit-for-bit* with the analytic models at
-measured densities, fired MACs agree statistically, and the output
-matrix is the exact GEMM product.
+all-zero and fully-dense operands, and density sweeps. Both tiers
+count events through one tail
+(:func:`repro.arch.memory.fixed_dataflow_events`), so what is checked
+here is what each tier feeds it: at measured densities the stored
+non-zeros the engines count give SRAM-byte counters *bit-for-bit*
+equal to the analytic closed forms, the fired MACs agree
+statistically, and the output matrix is the exact GEMM product.
 """
 
 import numpy as np
