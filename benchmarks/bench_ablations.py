@@ -12,8 +12,8 @@ from repro.eval import (
 )
 
 
-def test_bench_ablation_unroll_axis(benchmark, save_result):
-    result = benchmark.pedantic(ablation_unroll_axis, rounds=1, iterations=1)
+def test_bench_ablation_unroll_axis(median_rounds, save_result):
+    result, _ = median_rounds(ablation_unroll_axis)
     save_result(result)
     by_model = {row[0]: row for row in result.rows}
     # WA's speedup is pinned to the weight ratio: ~8/3 on the 3/8 models,
@@ -25,8 +25,8 @@ def test_bench_ablation_unroll_axis(benchmark, save_result):
     assert by_model["alexnet"][5] > by_model["alexnet"][6]
 
 
-def test_bench_ablation_block_size(benchmark, save_result):
-    result = benchmark.pedantic(ablation_block_size, rounds=1, iterations=1)
+def test_bench_ablation_block_size(median_rounds, save_result):
+    result, _ = median_rounds(ablation_block_size)
     save_result(result)
     kept = result.column("L1 mass kept %")
     # Larger blocks preserve more signal at the same 50% bound: the
@@ -36,8 +36,8 @@ def test_bench_ablation_block_size(benchmark, save_result):
     assert compares[2] > 4 * compares[1]  # BZ=16 hardware blows up
 
 
-def test_bench_ablation_dap_stages(benchmark, save_result):
-    result = benchmark.pedantic(ablation_dap_stages, rounds=1, iterations=1)
+def test_bench_ablation_dap_stages(median_rounds, save_result):
+    result, _ = median_rounds(ablation_dap_stages)
     save_result(result)
     bypass = dict(zip(result.column("max stages"),
                       result.column("MACs forced to dense bypass %")))

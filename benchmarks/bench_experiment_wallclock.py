@@ -11,11 +11,12 @@ memoized runner (:mod:`repro.eval.runner`):
   overlapping-experiment regime; must be >= 4x faster than serial cold
   on any host, since it skips every simulation.
 
-Each regime's inverse wall-clock lands in ``BENCH_*.json`` as
-``extra_info.throughput`` (unit ``runs/s (wall-clock)``, beside the raw
-``wallclock_s``); ``tools/check_bench_regression.py`` diffs it
-alongside the kernel throughput metrics, so an experiment-level
-slowdown fails the nightly gate even when per-kernel MACs/s stay flat.
+Each regime runs five rounds, and the inverse of their median
+wall-clock lands in ``BENCH_*.json`` as ``extra_info.throughput`` (unit
+``runs/s (wall-clock)``, beside the median ``wallclock_s``);
+``tools/check_bench_regression.py`` diffs it alongside the kernel
+throughput metrics, so an experiment-level slowdown fails the nightly
+gate even when per-kernel MACs/s stay flat.
 The two regimes must also agree bit-for-bit — the determinism
 contract of the runner, asserted here and in tier-1's
 ``tests/eval/test_runner.py``.
@@ -38,19 +39,12 @@ def _cold_caches():
     clear_compress_cache()
 
 
-def _timed(scenario, benchmark, run):
-    def body():
-        start = time.perf_counter()
-        result = run()
-        _wallclock[scenario] = time.perf_counter() - start
-        return result
-
-    result = benchmark.pedantic(body, rounds=1, iterations=1)
+def _timed(scenario, benchmark, median_rounds, run, setup=None):
+    result, _wallclock[scenario] = median_rounds(
+        run, setup=setup, unit="runs/s (wall-clock)")
     _rows[scenario] = result.rows
     benchmark.extra_info["scenario"] = scenario
     benchmark.extra_info["wallclock_s"] = round(_wallclock[scenario], 4)
-    benchmark.extra_info["throughput"] = 1.0 / _wallclock[scenario]
-    benchmark.extra_info["unit"] = "runs/s (wall-clock)"
     assert result.rows, "experiment produced no rows"
 
 
@@ -66,19 +60,20 @@ def _ensure_serial_reference():
         _rows["serial_cold"] = result.rows
 
 
-def test_bench_fig12_functional_serial_cold(benchmark):
-    _cold_caches()
-    _timed("serial_cold", benchmark,
+def test_bench_fig12_functional_serial_cold(benchmark, median_rounds):
+    _timed("serial_cold", benchmark, median_rounds,
            lambda: fig12_alexnet_per_layer(functional=True, seed=0,
-                                           result_cache=None))
+                                           result_cache=None),
+           setup=_cold_caches)
 
 
-def test_bench_fig12_functional_cached_warm(benchmark, tmp_path):
+def test_bench_fig12_functional_cached_warm(benchmark, median_rounds,
+                                            tmp_path):
     _ensure_serial_reference()
     cache = ResultCache(tmp_path / "results")
     # Prime (cold, untimed), then benchmark the warm re-run.
     fig12_alexnet_per_layer(functional=True, seed=0, result_cache=cache)
-    _timed("cached_warm", benchmark,
+    _timed("cached_warm", benchmark, median_rounds,
            lambda: fig12_alexnet_per_layer(functional=True, seed=0,
                                            result_cache=cache))
     assert _rows["cached_warm"] == _rows["serial_cold"], \

@@ -6,9 +6,8 @@ from repro.eval import fig9_microbench
 
 
 @pytest.mark.parametrize("panel", ["a", "b", "c", "d"])
-def test_bench_fig9(benchmark, save_result, panel):
-    result = benchmark.pedantic(fig9_microbench, args=(panel,),
-                                rounds=1, iterations=1)
+def test_bench_fig9(median_rounds, save_result, panel):
+    result, _ = median_rounds(fig9_microbench, panel)
     save_result(result)
     speedups = result.column("speedup vs SA-ZVCG")
     energies = result.column(result.headers[1])

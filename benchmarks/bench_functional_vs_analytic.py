@@ -46,10 +46,9 @@ def test_bench_xval_alexnet(benchmark, save_result):
     assert worst_smt_cycles < SMT_CYCLES_TOL
 
 
-def test_bench_fig11_functional(benchmark, save_result):
+def test_bench_fig11_functional(benchmark, median_rounds, save_result):
     """Full-size functional Fig. 11 reproduces the analytic headlines."""
-    result = benchmark.pedantic(
-        lambda: fig11_full_models(functional=True), rounds=1, iterations=1)
+    result, _ = median_rounds(lambda: fig11_full_models(functional=True))
     save_result(result)
     analytic = fig11_full_models()
     fun_avg = result.row("average")
@@ -64,14 +63,14 @@ def test_bench_fig11_functional(benchmark, save_result):
     assert abs(fun_avg[6] - ana_avg[6]) < 0.25
 
 
-def test_bench_fig12_functional_baselines(benchmark, save_result):
+def test_bench_fig12_functional_baselines(benchmark, median_rounds,
+                                          save_result):
     """Full-size functional Fig. 12: every row is honest simulation and
     the baseline totals track the analytic pins."""
     from repro.eval import fig12_alexnet_per_layer
 
-    result = benchmark.pedantic(
-        lambda: fig12_alexnet_per_layer(functional=True),
-        rounds=1, iterations=1)
+    result, _ = median_rounds(
+        lambda: fig12_alexnet_per_layer(functional=True))
     save_result(result)
     analytic = fig12_alexnet_per_layer()
     for name in ("SparTen (45nm)", "Eyeriss v2 (65nm)", "SA-ZVCG (65nm)",

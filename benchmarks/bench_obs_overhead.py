@@ -12,9 +12,9 @@ Two promises from the obs design, made falsifiable:
   1% acceptance budget.
 - **Enabled tracing is cheap enough to leave on when needed.** A
   full-size fig12 functional run is timed back-to-back with tracing off
-  and on (same seed, same cold caches) and both wall-clocks land in
-  ``extra_info``, so the *enabled* cost is tracked release over
-  release too — it has no hard gate (it is opt-in), but a silent 10x
+  and on (same seed, same cold caches, five rounds each) and both
+  median wall-clocks land in ``extra_info``, so the *enabled* cost is
+  tracked release over release too — it has no hard gate (it is opt-in), but a silent 10x
   jump would surface in the BENCH diff.
 
 Like the other benchmarks this is nightly-tier only: the filenames do
@@ -22,8 +22,10 @@ not match tier-1's ``test_*.py`` collection pattern, and ``make bench``
 promotes the JSON only when ``tools/check_bench_regression.py`` passes.
 """
 
+import statistics
 import time
 
+from conftest import ROUNDS
 from repro.core.gemm import clear_compress_cache
 from repro.eval.experiments import fig12_alexnet_per_layer
 from repro.obs import trace as obs_trace
@@ -82,26 +84,26 @@ def _cold_fig12() -> None:
     fig12_alexnet_per_layer(functional=True, seed=0, result_cache=None)
 
 
-def test_bench_tracing_enabled_cost(benchmark, tmp_path):
-    """fig12 wall-clock with tracing off vs on, same conditions."""
-    start = time.perf_counter()
-    _cold_fig12()
-    off_s = time.perf_counter() - start
+def test_bench_tracing_enabled_cost(benchmark, median_rounds, tmp_path):
+    """fig12 wall-clock with tracing off vs on, same conditions (the
+    median of five rounds each)."""
+    untraced = []
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        _cold_fig12()
+        untraced.append(time.perf_counter() - start)
+    off_s = statistics.median(untraced)
 
     def traced_run():
-        session = obs_trace.start_tracing(tmp_path / "bench-trace.json")
-        start = time.perf_counter()
         try:
             _cold_fig12()
         finally:
             obs_trace.stop_tracing()
-        traced_run.elapsed = time.perf_counter() - start
-        return session
 
-    benchmark.pedantic(traced_run, rounds=1, iterations=1)
-    on_s = traced_run.elapsed
-    benchmark.extra_info["throughput"] = 1.0 / on_s
-    benchmark.extra_info["unit"] = "runs/s (wall-clock)"
+    _, on_s = median_rounds(
+        traced_run,
+        setup=lambda: obs_trace.start_tracing(tmp_path / "bench-trace.json"),
+        unit="runs/s (wall-clock)")
     benchmark.extra_info["wallclock_s"] = round(on_s, 4)
     benchmark.extra_info["untraced_wallclock_s"] = round(off_s, 4)
     benchmark.extra_info["tracing_overhead_pct"] = round(

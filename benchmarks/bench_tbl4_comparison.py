@@ -6,9 +6,8 @@ from repro.eval import tbl4_comparison
 
 
 @pytest.mark.parametrize("tech", ["16nm", "65nm"])
-def test_bench_tbl4(benchmark, save_result, tech):
-    result = benchmark.pedantic(tbl4_comparison, args=(tech,),
-                                rounds=1, iterations=1)
+def test_bench_tbl4(median_rounds, save_result, tech):
+    result, _ = median_rounds(tbl4_comparison, tech)
     save_result(result)
     tops_w = {row[0]: row[5] for row in result.rows}
     if tech == "16nm":
