@@ -17,6 +17,12 @@ applied only to FC/depthwise layers) with a first-class hierarchy:
   outputs), and a vectorized tile-schedule walker turns the layer's
   tiling into a per-tile DMA timeline overlapped with compute.
 
+The module also holds the one event tail of the fixed-dataflow
+comparison points (:class:`FixedDataflowConfig`,
+:func:`fixed_dataflow_events`): it lays out their stored operands and
+activation passes, which :func:`compressed_stream_traffic_from_events`
+inverts into DRAM streams, so the layout and its inverse sit together.
+
 No dataflow modelled here spills partial sums: the systolic family
 accumulates output-stationary in the PE accumulators (S2TA, like STA)
 while operands stream through the staging halves, and the
